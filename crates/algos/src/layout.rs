@@ -27,8 +27,8 @@ use crate::util::View;
 /// Morton (bit-interleave) index of `(r, c)`: bit `j` of `r` lands at
 /// position `2j+1`, bit `j` of `c` at `2j`. Quadrant order is then
 /// top-left, top-right, bottom-left, bottom-right — the paper's BI.
-pub fn morton(r: u64, c: u64) -> u64 {
-    fn spread(mut x: u64) -> u64 {
+pub const fn morton(r: u64, c: u64) -> u64 {
+    const fn spread(mut x: u64) -> u64 {
         // interleave zeros between the low 32 bits
         x &= 0xffff_ffff;
         x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;

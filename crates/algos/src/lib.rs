@@ -2,7 +2,7 @@
 //!
 //! Implements every algorithm of Table 1 of Cole & Ramachandran (IPDPS 2012 /
 //! arXiv:1103.4071) as an HBP computation recorded through
-//! [`hbp_model::Builder`], plus sequential oracles and real-parallel (rayon)
+//! [`hbp_model::Builder`], plus sequential oracles and native fork-join
 //! counterparts for wall-clock benchmarking:
 //!
 //! | module      | algorithms                                                   |
@@ -17,7 +17,7 @@
 //! | [`spms`]    | SPMS [12]: Sample, Partition and Merge Sort (the real thing) |
 //! | [`listrank`]| List Ranking with IS contraction and gapping                 |
 //! | [`cc`]      | Connected components via hooking + pointer doubling         |
-//! | [`par`]     | rayon implementations for real-machine wall-clock benches    |
+//! | [`par`]     | native fork-join kernels (one workspace per launch)          |
 //! | [`gen`]     | workload generators                                          |
 //! | [`oracle`]  | sequential reference implementations                         |
 //!

@@ -1,17 +1,34 @@
-//! Real-parallel implementations of the key algorithms, for wall-clock
-//! benchmarking on actual hardware (experiment W1).
+//! Native (real-thread) implementations of the key algorithms — the
+//! kernels behind `hbp_core::native_kernel`, timed by `benchmark/`.
 //!
-//! Every kernel here expresses its parallelism as binary fork-join through
-//! [`pjoin`], which makes the functions **backend-generic**:
+//! **Fork/join.** Every kernel expresses its parallelism as binary
+//! fork-join through [`pjoin`]: on a worker of a
+//! [`hbp_sched::native::NativePool`] a join pushes onto the worker's
+//! deque and thieves steal it — the practical analogue of the schedulers
+//! the simulator replays over the same fork-join structure; off the pool
+//! the join falls back to the vendored `rayon::join` shim.
 //!
-//! * called from inside a native pool worker (see
-//!   [`hbp_sched::native::run_native`], selected by `HBP_BACKEND=native`
-//!   at the executor layer), joins fork onto the worker's deque and are
-//!   stolen by the pool's randomized work stealing — the practical
-//!   analogue of the paper's RWS baseline executing the same fork-join
-//!   structure the trace algorithms record;
-//! * called anywhere else, joins go to `rayon::join` (the vendored shim
-//!   runs both closures on scoped threads up to a depth budget).
+//! **Workspace discipline.** A launch makes O(1) allocations, whatever
+//! `n` is: its output (where the signature returns one) and **one**
+//! workspace `Vec` ([`workspace`]) that the recursion carves into
+//! disjoint windows with `split_at_mut` — Strassen's per-product
+//! (S, T, M) windows, the FFT's transpose buffer (plus one small root
+//! table), list ranking's two ping-pong halves, merge sort's parity
+//! scratch, SPMS's gapped bucket arenas. Leaves allocate nothing. This
+//! is the native form of the paper's rule that a stealable task gets its
+//! own space and shares O(1) blocks with its siblings: the workspace is
+//! skipped forward to a cache-line boundary ([`line_aligned`]) and every
+//! window handed to a forkable task is a whole number of lines, so two
+//! workers never write the same line through their scratch.
+//! `tests/alloc_accounting.rs` pins the allocation counts; the
+//! `arena_bytes` gauge records the largest workspace of any launch.
+//!
+//! **Leaves at oracle speed.** The leaves do what a plain sequential
+//! program would: Strassen de-interleaves 32×32 BI tiles to row-major
+//! stack buffers through a compile-time Morton table and multiplies
+//! i-k-j; the FFT's base case is an in-place iterative radix-2 over a
+//! per-call root table; list ranking fetches successor and distance
+//! with one load; both sorts end in the branch-free [`merge2`].
 
 use hbp_model::Cx;
 
@@ -20,8 +37,48 @@ use crate::layout::morton;
 /// Sequential cutoff below which recursion stops forking.
 const SEQ_CUTOFF: usize = 1 << 10;
 
+/// Bytes of a cache line: two workers writing inside one line is the
+/// false sharing the window carving below rules out.
+const LINE_BYTES: usize = 64;
+
+/// Elements of a cache line for `(u64, u64)` / `(usize, u64)` pairs —
+/// the native analogue of the recorded SPMS's block-aligned output gaps.
+const LINE_PAIRS: usize = LINE_BYTES / std::mem::size_of::<(u64, u64)>();
+
+/// Round `s` up to a whole number of cache lines of pairs.
+const fn line_up(s: usize) -> usize {
+    s.div_ceil(LINE_PAIRS) * LINE_PAIRS
+}
+
+/// The one scratch allocation of a kernel launch: room for `len`
+/// elements after [`line_aligned`] has skipped to a line boundary.
+/// Raises the `arena_bytes` high-water mark (one check per launch, far
+/// off the hot path).
+fn workspace<T: Copy>(len: usize, fill: T) -> Vec<T> {
+    let size = std::mem::size_of::<T>();
+    let ws = vec![fill; len + LINE_BYTES / size];
+    let m = hbp_metrics::global();
+    if m.on() {
+        m.arena_bytes.raise_to((ws.len() * size) as i64);
+    }
+    ws
+}
+
+/// `ws` from its first cache-line boundary on. The allocator aligns a
+/// `Vec` to 16 bytes at best (glibc's mmap chunks start at page + 16),
+/// so without the skip every line-multiple window would straddle lines.
+fn line_aligned<T>(ws: &mut [T]) -> &mut [T] {
+    let skip = ws.as_ptr().align_offset(LINE_BYTES);
+    &mut ws[skip..]
+}
+
+/// Forkable tasks take workspace windows that start on a line boundary.
+fn debug_assert_line_start<T>(window: &[T]) {
+    debug_assert_eq!(window.as_ptr() as usize % LINE_BYTES, 0);
+}
+
 /// Backend-dispatching join: the native pool's stealing deques when the
-/// calling thread is a pool worker, rayon otherwise.
+/// calling thread is a pool worker, the `rayon::join` shim otherwise.
 pub fn pjoin<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -34,30 +91,6 @@ where
     } else {
         rayon::join(a, b)
     }
-}
-
-/// Apply `f` to disjoint `chunk`-width windows of `data` in parallel.
-/// When `data.len()` is not a multiple of `chunk` the final window is
-/// shorter — callees that require exact row lengths (e.g. the row FFTs,
-/// where `n = k1·k2` guarantees exact division) must ensure divisibility
-/// themselves.
-fn for_each_chunk_par<T: Send, F>(data: &mut [T], chunk: usize, f: &F)
-where
-    F: Fn(&mut [T]) + Sync,
-{
-    if data.len() <= chunk {
-        if !data.is_empty() {
-            f(data);
-        }
-        return;
-    }
-    let chunks = data.len().div_ceil(chunk);
-    let mid = (chunks / 2) * chunk;
-    let (l, r) = data.split_at_mut(mid);
-    pjoin(
-        || for_each_chunk_par(l, chunk, f),
-        || for_each_chunk_par(r, chunk, f),
-    );
 }
 
 /// Parallel sum (M-Sum).
@@ -176,192 +209,422 @@ pub fn par_transpose_bi(a: &mut [f64], n: usize) {
     diag(a, n);
 }
 
-/// Strassen multiplication of two `n×n` BI matrices (forked recursion),
-/// falling back to naive multiplication below the cutoff.
-pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
-    fn naive_bi(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
-        let mut c = vec![0.0; k * k];
-        for i in 0..k {
-            for l in 0..k {
-                let x = a[morton(i as u64, l as u64) as usize];
-                for j in 0..k {
-                    c[morton(i as u64, j as u64) as usize] +=
-                        x * b[morton(l as u64, j as u64) as usize];
+/// Side of the Strassen leaf tile: at or below it a product is one
+/// row-major multiply.
+const LEAF: usize = 32;
+
+/// BI offset of cell `(r, c)` of a tile, at `r * LEAF + c`. Morton order
+/// does not depend on the tile's side, so one table serves every
+/// `k ≤ LEAF`.
+const BI_LUT: [u16; LEAF * LEAF] = {
+    let mut lut = [0u16; LEAF * LEAF];
+    let mut i = 0;
+    while i < LEAF * LEAF {
+        lut[i] = morton((i / LEAF) as u64, (i % LEAF) as u64) as u16;
+        i += 1;
+    }
+    lut
+};
+
+/// One operand of a Strassen product: quadrant `.0` (11, 12, 21, 22 as
+/// 0..4), plus `sign ·` a second quadrant when `.1` names one.
+type Operand = (usize, Option<(usize, f64)>);
+
+/// The seven products `M_i = (A operand) · (B operand)`.
+const PRODUCTS: [(Operand, Operand); 7] = [
+    ((0, Some((3, 1.0))), (0, Some((3, 1.0)))), // (A11 + A22)(B11 + B22)
+    ((2, Some((3, 1.0))), (0, None)),           // (A21 + A22) B11
+    ((0, None), (1, Some((3, -1.0)))),          // A11 (B12 - B22)
+    ((3, None), (2, Some((0, -1.0)))),          // A22 (B21 - B11)
+    ((0, Some((1, 1.0))), (3, None)),           // (A11 + A12) B22
+    ((2, Some((0, -1.0))), (0, Some((1, 1.0)))), // (A21 - A11)(B11 + B12)
+    ((1, Some((3, -1.0))), (2, Some((3, 1.0)))), // (A12 - A22)(B21 + B22)
+];
+
+/// Where product `i` lands: `(quadrant of C, sign)`, `None` where it is
+/// the quadrant's first (always positive) term and is stored instead of
+/// added, so `C` need not start zeroed. In product order that spells
+/// `C11 = M1 + M4 - M5 + M7`, `C12 = M3 + M5`, `C21 = M2 + M4`,
+/// `C22 = M1 - M2 + M3 + M6`.
+const LANDS: [&[(usize, Option<f64>)]; 7] = [
+    &[(0, None), (3, None)],
+    &[(2, None), (3, Some(-1.0))],
+    &[(1, None), (3, Some(1.0))],
+    &[(0, Some(1.0)), (2, Some(1.0))],
+    &[(0, Some(-1.0)), (1, Some(1.0))],
+    &[(3, Some(1.0))],
+    &[(0, Some(1.0))],
+];
+
+/// Workspace (in `f64`s) of one `k×k` product: an (S, T, M) window plus
+/// the child's own workspace per product — seven of them where the
+/// products fork, **one shared** on the last level above the leaves,
+/// whose products run one after another ([`strassen_rec`]).
+const fn strassen_ws(k: usize) -> usize {
+    if k <= LEAF {
+        return 0;
+    }
+    let h = k / 2;
+    let window = 3 * h * h + strassen_ws(h);
+    if h <= LEAF {
+        window
+    } else {
+        7 * window
+    }
+}
+
+/// `c = a · b` for `k×k` BI tiles, `k ≤ LEAF`: de-interleave to
+/// row-major stack buffers through [`BI_LUT`], multiply i-k-j (the inner
+/// loop is a constant-width row update the compiler vectorises; tiles
+/// narrower than `LEAF` ride along zero-padded), re-interleave.
+fn leaf_mul(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
+    let mut ra = [[0.0f64; LEAF]; LEAF];
+    let mut rb = [[0.0f64; LEAF]; LEAF];
+    let mut rc = [[0.0f64; LEAF]; LEAF];
+    for r in 0..k {
+        for col in 0..k {
+            let at = BI_LUT[r * LEAF + col] as usize;
+            ra[r][col] = a[at];
+            rb[r][col] = b[at];
+        }
+    }
+    for i in 0..k {
+        for l in 0..k {
+            let x = ra[i][l];
+            for j in 0..LEAF {
+                rc[i][j] += x * rb[l][j];
+            }
+        }
+    }
+    for r in 0..k {
+        for col in 0..k {
+            c[BI_LUT[r * LEAF + col] as usize] = rc[r][col];
+        }
+    }
+}
+
+/// Compute product `i` of the `2h×2h` multiplication `a · b` inside
+/// `window` = S | T | M | child workspace: operands that are a sum go to
+/// S / T, plain quadrants are used where they lie, the product lands in M.
+fn strassen_product(a: &[f64], b: &[f64], h: usize, i: usize, window: &mut [f64]) {
+    let q = h * h;
+    let (s, rest) = window.split_at_mut(q);
+    let (t, rest) = rest.split_at_mut(q);
+    let (m, ws) = rest.split_at_mut(q);
+    fn operand<'a>(x: &'a [f64], (first, second): Operand, buf: &'a mut [f64]) -> &'a [f64] {
+        let q = buf.len();
+        let quad = |j: usize| &x[j * q..(j + 1) * q];
+        let Some((other, sign)) = second else {
+            return quad(first);
+        };
+        for ((d, &u), &v) in buf.iter_mut().zip(quad(first)).zip(quad(other)) {
+            *d = u + sign * v;
+        }
+        buf
+    }
+    let (pa, pb) = PRODUCTS[i];
+    strassen_rec(operand(a, pa, s), operand(b, pb, t), m, h, ws);
+}
+
+/// Products `lo..hi` forked over their windows (`per` apart).
+fn strassen_fork(
+    a: &[f64],
+    b: &[f64],
+    h: usize,
+    lo: usize,
+    hi: usize,
+    windows: &mut [f64],
+    per: usize,
+) {
+    debug_assert_line_start(windows);
+    if hi - lo == 1 {
+        return strassen_product(a, b, h, lo, windows);
+    }
+    let mid = lo + (hi - lo) / 2;
+    let (wl, wr) = windows.split_at_mut((mid - lo) * per);
+    pjoin(
+        || strassen_fork(a, b, h, lo, mid, wl, per),
+        || strassen_fork(a, b, h, mid, hi, wr, per),
+    );
+}
+
+/// Land product `i` (`m`) in the quadrants of `c` it belongs to.
+fn strassen_land(m: &[f64], c: &mut [f64], i: usize) {
+    let q = m.len();
+    for &(quad, sign) in LANDS[i] {
+        let cq = &mut c[quad * q..(quad + 1) * q];
+        match sign {
+            None => cq.copy_from_slice(m),
+            Some(sign) => {
+                for (d, &v) in cq.iter_mut().zip(m) {
+                    *d += sign * v;
                 }
             }
         }
-        c
     }
-    fn add(x: &[f64], y: &[f64], coeff: f64) -> Vec<f64> {
-        x.iter().zip(y).map(|(a, b)| a + coeff * b).collect()
-    }
-    fn rec(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
-        if k * k <= SEQ_CUTOFF.min(64 * 64) || k <= 8 {
-            return naive_bi(a, b, k);
-        }
-        let h = k / 2;
-        let q = h * h;
-        let (a11, a12, a21, a22) = (&a[..q], &a[q..2 * q], &a[2 * q..3 * q], &a[3 * q..]);
-        let (b11, b12, b21, b22) = (&b[..q], &b[q..2 * q], &b[2 * q..3 * q], &b[3 * q..]);
-        let ((m1, m2), ((m3, m4), (m5, (m6, m7)))) = pjoin(
-            || {
-                pjoin(
-                    || rec(&add(a11, a22, 1.0), &add(b11, b22, 1.0), h),
-                    || rec(&add(a21, a22, 1.0), b11, h),
-                )
-            },
-            || {
-                pjoin(
-                    || {
-                        pjoin(
-                            || rec(a11, &add(b12, b22, -1.0), h),
-                            || rec(a22, &add(b21, b11, -1.0), h),
-                        )
-                    },
-                    || {
-                        pjoin(
-                            || rec(&add(a11, a12, 1.0), b22, h),
-                            || {
-                                pjoin(
-                                    || rec(&add(a21, a11, -1.0), &add(b11, b12, 1.0), h),
-                                    || rec(&add(a12, a22, -1.0), &add(b21, b22, 1.0), h),
-                                )
-                            },
-                        )
-                    },
-                )
-            },
-        );
-        let mut c = vec![0.0; k * k];
-        let (c11, rest) = c.split_at_mut(q);
-        let (c12, rest2) = rest.split_at_mut(q);
-        let (c21, c22) = rest2.split_at_mut(q);
-        for i in 0..q {
-            c11[i] = m1[i] + m4[i] - m5[i] + m7[i];
-            c12[i] = m3[i] + m5[i];
-            c21[i] = m2[i] + m4[i];
-            c22[i] = m1[i] - m2[i] + m3[i] + m6[i];
-        }
-        c
-    }
-    rec(a, b, n)
 }
 
-/// Six-step FFT with parallel row FFTs (any power-of-two length).
+/// `c = a · b` for `k×k` BI matrices with [`strassen_ws`]`(k)` of
+/// workspace. Above the last level the seven products fork, each in its
+/// own window; on the last level (children are leaves) they run in turn
+/// through one shared window, each landing in `c` before the next
+/// overwrites it. Every level down holds 7/4 the window bytes of the one
+/// above, so sharing the widest one halves the workspace (8.4 instead of
+/// 16 MiB at `n = 256`) and still leaves `7^(levels-1)` tasks to steal.
+fn strassen_rec(a: &[f64], b: &[f64], c: &mut [f64], k: usize, ws: &mut [f64]) {
+    if k <= LEAF {
+        return leaf_mul(a, b, c, k);
+    }
+    let h = k / 2;
+    let q = h * h;
+    let per = 3 * q + strassen_ws(h);
+    if h <= LEAF {
+        for i in 0..7 {
+            strassen_product(a, b, h, i, ws);
+            strassen_land(&ws[2 * q..3 * q], c, i);
+        }
+    } else {
+        strassen_fork(a, b, h, 0, 7, &mut ws[..7 * per], per);
+        for i in 0..7 {
+            strassen_land(&ws[i * per + 2 * q..][..q], c, i);
+        }
+    }
+}
+
+/// Strassen multiplication of two `n×n` BI matrices (forked recursion
+/// over one carved workspace), with a row-major multiply at the 32×32
+/// leaves.
+pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+    assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
+    let mut c = vec![0.0; n * n];
+    let mut ws = workspace(strassen_ws(n), 0.0f64);
+    strassen_rec(a, b, &mut c, n, line_aligned(&mut ws));
+    c
+}
+
+/// Side of the square tiles the FFT's transposes move: 8×8 `Cx` is 1 KiB
+/// read and 1 KiB written, whole lines on both sides.
+const TILE: usize = 8;
+
+/// Per-call twiddle tables of a length-`n` transform (`ω = e^{-2πi/n}`),
+/// in one allocation: `lo[l] = ω^l` and `hi[h] = ω^(h·2^shift)` — about
+/// `2·√n` `sin`/`cos` evaluations from which any power is one complex
+/// multiply — and `base[t] = ω_L^t` for `t < L/2`, the radix-2 base
+/// case's table at `L = min(n, SEQ_CUTOFF)` (a stage of length `len`
+/// reads it at stride `L/len`).
+struct Roots {
+    n: usize,
+    shift: u32,
+    table: Vec<Cx>,
+}
+
+impl Roots {
+    fn new(n: usize) -> Self {
+        let shift = n.trailing_zeros().div_ceil(2);
+        let (nlo, nhi) = (1usize << shift, n >> shift);
+        let l = n.min(SEQ_CUTOFF);
+        let step = -2.0 * std::f64::consts::PI / n as f64;
+        let mut table = Vec::with_capacity(nlo + nhi + l / 2);
+        table.extend((0..nlo).map(|j| Cx::cis(step * j as f64)));
+        table.extend((0..nhi).map(|h| Cx::cis(step * (h << shift) as f64)));
+        let mut roots = Roots { n, shift, table };
+        for t in 0..l / 2 {
+            let w = roots.pow(t * (n / l));
+            roots.table.push(w);
+        }
+        roots
+    }
+
+    /// `ω^j` for `j < n`.
+    fn pow(&self, j: usize) -> Cx {
+        let nlo = 1usize << self.shift;
+        self.table[nlo + (j >> self.shift)] * self.table[j & (nlo - 1)]
+    }
+
+    fn base(&self) -> &[Cx] {
+        &self.table[(1usize << self.shift) + (self.n >> self.shift)..]
+    }
+}
+
+/// In-place iterative radix-2 FFT of a row of at most `2·base.len()`
+/// elements: bit-reversal, then `log₂` butterfly stages with table
+/// twiddles.
+fn fft_base(x: &mut [Cx], base: &[Cx]) {
+    let n = x.len();
+    let bits = n.trailing_zeros();
+    for i in 1..n {
+        let j = i.reverse_bits() >> (usize::BITS - bits);
+        if i < j {
+            x.swap(i, j);
+        }
+    }
+    let mut len = 2;
+    while len <= n {
+        let stride = 2 * base.len() / len;
+        for block in x.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
+            for (t, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+                let u = *b * base[t * stride];
+                (*a, *b) = (*a + u, *a - u);
+            }
+        }
+        len *= 2;
+    }
+}
+
+/// `dst` rows `c0..` of the transpose of the `rows×cols` matrix `src`
+/// (so `dst` is `dst.len()/rows` rows of `rows`), forked over row
+/// windows of `dst` and moved in [`TILE`]-square tiles.
+fn transpose_rows(src: &[Cx], dst: &mut [Cx], rows: usize, cols: usize, c0: usize) {
+    let here = dst.len() / rows;
+    if here > TILE && dst.len() > SEQ_CUTOFF {
+        let mid = here / 2;
+        let (dl, dr) = dst.split_at_mut(mid * rows);
+        pjoin(
+            || transpose_rows(src, dl, rows, cols, c0),
+            || transpose_rows(src, dr, rows, cols, c0 + mid),
+        );
+        return;
+    }
+    for jb in (0..here).step_by(TILE) {
+        for ib in (0..rows).step_by(TILE) {
+            for j in jb..(jb + TILE).min(here) {
+                let out = &mut dst[j * rows + ib..j * rows + (ib + TILE).min(rows)];
+                for (i, d) in out.iter_mut().enumerate() {
+                    *d = src[(ib + i) * cols + c0 + j];
+                }
+            }
+        }
+    }
+}
+
+/// FFT every `len`-wide row of `data` (rows `r0..` of their matrix),
+/// forked over row windows down to about [`SEQ_CUTOFF`] elements, with
+/// the matching window of `scratch` as each row's scratch. With
+/// `twiddle = Some(m)` the leaf also scales element `f` of row `r` by
+/// `ω_m^(r·f)` — the six-step twiddle pass, fused in while the row is
+/// still in cache.
+fn fft_rows(
+    data: &mut [Cx],
+    scratch: &mut [Cx],
+    len: usize,
+    r0: usize,
+    twiddle: Option<usize>,
+    roots: &Roots,
+) {
+    let here = data.len() / len;
+    if here > 1 && data.len() > SEQ_CUTOFF {
+        let mid = here / 2;
+        let (dl, dr) = data.split_at_mut(mid * len);
+        let (sl, sr) = scratch.split_at_mut(mid * len);
+        pjoin(
+            || fft_rows(dl, sl, len, r0, twiddle, roots),
+            || fft_rows(dr, sr, len, r0 + mid, twiddle, roots),
+        );
+        return;
+    }
+    for (r, (row, tmp)) in data
+        .chunks_exact_mut(len)
+        .zip(scratch.chunks_exact_mut(len))
+        .enumerate()
+    {
+        fft_rec(row, tmp, roots);
+        if let Some(m) = twiddle {
+            let step = (r0 + r) * (roots.n / m);
+            for (f, v) in row.iter_mut().enumerate() {
+                *v = *v * roots.pow(f * step);
+            }
+        }
+    }
+}
+
+/// `dst = src`, forked like the passes it follows.
+fn copy_par(src: &[Cx], dst: &mut [Cx]) {
+    if dst.len() > SEQ_CUTOFF {
+        let mid = dst.len() / 2;
+        let (sl, sr) = src.split_at(mid);
+        let (dl, dr) = dst.split_at_mut(mid);
+        pjoin(|| copy_par(sl, dl), || copy_par(sr, dr));
+        return;
+    }
+    dst.copy_from_slice(src);
+}
+
+/// Six-step FFT of `x` (a power-of-two length dividing `roots.n`) with
+/// `x.len()` elements of scratch: view `x` as `k1×k2`, transpose, FFT
+/// the `k2` rows of length `k1` and twiddle, transpose back, FFT the
+/// `k1` rows of length `k2`, transpose into natural order. Each pass
+/// forks over row windows; a row's own recursion borrows the buffer the
+/// pass is not reading. At or below [`SEQ_CUTOFF`]: [`fft_base`].
+fn fft_rec(x: &mut [Cx], t: &mut [Cx], roots: &Roots) {
+    let n = x.len();
+    if n <= SEQ_CUTOFF {
+        return fft_base(x, roots.base());
+    }
+    let k1 = 1usize << n.trailing_zeros().div_ceil(2);
+    let k2 = n / k1;
+    transpose_rows(x, t, k1, k2, 0);
+    fft_rows(t, x, k1, 0, Some(n), roots);
+    transpose_rows(t, x, k2, k1, 0);
+    fft_rows(x, t, k2, 0, None, roots);
+    transpose_rows(x, t, k1, k2, 0);
+    copy_par(t, x);
+}
+
+/// Six-step FFT with parallel transposes and row FFTs (any power-of-two
+/// length), over one root table and one scratch buffer per call.
 pub fn par_fft(x: &mut [Cx]) {
     let n = x.len();
     assert!(n.is_power_of_two());
-    fn fft_rec(x: &mut [Cx]) {
-        let n = x.len();
-        if n == 1 {
-            return;
-        }
-        if n == 2 {
-            let (a, b) = (x[0], x[1]);
-            x[0] = a + b;
-            x[1] = a - b;
-            return;
-        }
-        let m = n.trailing_zeros();
-        let k1 = 1usize << m.div_ceil(2);
-        let k2 = n / k1;
-        let mut t = vec![Cx::default(); n];
-        // 1. transpose k1×k2 -> t (k2×k1)
-        for j1 in 0..k1 {
-            for j2 in 0..k2 {
-                t[j2 * k1 + j1] = x[j1 * k2 + j2];
-            }
-        }
-        // 2. FFT rows of t
-        if n > SEQ_CUTOFF {
-            for_each_chunk_par(&mut t, k1, &fft_rec);
-        } else {
-            t.chunks_mut(k1).for_each(fft_rec);
-        }
-        // 3. twiddle
-        for j2 in 0..k2 {
-            for f1 in 0..k1 {
-                let theta = -2.0 * std::f64::consts::PI * (j2 as f64) * (f1 as f64) / n as f64;
-                t[j2 * k1 + f1] = t[j2 * k1 + f1] * Cx::cis(theta);
-            }
-        }
-        // 4. transpose back
-        for j2 in 0..k2 {
-            for f1 in 0..k1 {
-                x[f1 * k2 + j2] = t[j2 * k1 + f1];
-            }
-        }
-        // 5. FFT rows of x
-        if n > SEQ_CUTOFF {
-            for_each_chunk_par(x, k2, &fft_rec);
-        } else {
-            x.chunks_mut(k2).for_each(fft_rec);
-        }
-        // 6. final transpose
-        for f1 in 0..k1 {
-            for f2 in 0..k2 {
-                t[f2 * k1 + f1] = x[f1 * k2 + f2];
-            }
-        }
-        x.copy_from_slice(&t);
+    let roots = Roots::new(n);
+    if n <= SEQ_CUTOFF {
+        return fft_base(x, roots.base());
     }
-    fft_rec(x);
+    let mut ws = workspace(n, Cx::default());
+    let t = &mut line_aligned(&mut ws)[..n];
+    // Every pass below splits on power-of-two row windows of at least
+    // half a cutoff, so a line-aligned buffer stays line-aligned.
+    debug_assert_line_start(t);
+    fft_rec(x, t, &roots);
 }
 
-/// Parallel mergesort over `(key, payload)` pairs.
-pub fn par_mergesort(data: &mut [(u64, u64)]) {
+/// Sort `data` by key, stably, with `scratch` of the same length; the
+/// result lands in `scratch` if `into_scratch`, else in `data`. The
+/// halves sort (forked) into the *other* buffer, so the one [`merge2`]
+/// per level is also the move back — no copies above the leaves.
+fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: bool) {
     if data.len() <= SEQ_CUTOFF {
-        data.sort_by_key(|p| p.0);
+        seq_sort(data, scratch);
+        if !into_scratch {
+            data.copy_from_slice(scratch);
+        }
         return;
     }
-    let mid = data.len() / 2;
-    let mut right: Vec<(u64, u64)> = data[mid..].to_vec();
-    {
-        let (l, _) = data.split_at_mut(mid);
-        pjoin(|| par_mergesort(l), || par_mergesort(&mut right));
-    }
-    // merge l (in place prefix) and right into data
-    let left: Vec<(u64, u64)> = data[..mid].to_vec();
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while i < left.len() && j < right.len() {
-        if left[i].0 <= right[j].0 {
-            data[k] = left[i];
-            i += 1;
-        } else {
-            data[k] = right[j];
-            j += 1;
-        }
-        k += 1;
-    }
-    while i < left.len() {
-        data[k] = left[i];
-        i += 1;
-        k += 1;
-    }
-    while j < right.len() {
-        data[k] = right[j];
-        j += 1;
-        k += 1;
+    debug_assert_line_start(scratch);
+    let mid = line_up(data.len() / 2);
+    let (dl, dr) = data.split_at_mut(mid);
+    let (sl, sr) = scratch.split_at_mut(mid);
+    pjoin(
+        || msort_rec(dl, sl, !into_scratch),
+        || msort_rec(dr, sr, !into_scratch),
+    );
+    if into_scratch {
+        merge2(&data[..mid], &data[mid..], scratch);
+    } else {
+        merge2(&scratch[..mid], &scratch[mid..], data);
     }
 }
 
-/// Elements of a 64-byte cache line for `(u64, u64)` pairs — the native
-/// analogue of the recorded SPMS's block-aligned output gaps.
-const LINE_PAIRS: usize = 4;
+/// Parallel mergesort over `(key, payload)` pairs, stable on keys.
+pub fn par_mergesort(data: &mut [(u64, u64)]) {
+    let n = data.len();
+    let mut ws = workspace(n, (0u64, 0u64));
+    msort_rec(data, &mut line_aligned(&mut ws)[..n], false);
+}
 
 /// Consecutive takes from one side before [`merge2`] switches from the
 /// select loop to a binary-search bulk copy.
 const GALLOP: usize = 32;
-
-/// Sorted-run width the sequential sort builds by insertion before its
-/// merge rounds.
-const SEQ_RUN: usize = 32;
-
-/// Round `s` up to a whole number of cache lines of pairs.
-const fn line_up(s: usize) -> usize {
-    s.div_ceil(LINE_PAIRS) * LINE_PAIRS
-}
 
 /// Stable 2-way merge of the sorted runs `l` then `r` into `out`
 /// (`l` wins key ties, so run order is input order).
@@ -413,50 +676,20 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     out[w + (l.len() - i)..].copy_from_slice(&r[j..]);
 }
 
-/// Sequential stable sort by key using caller-provided scratch (no
-/// allocation — the SPMS arena funds it): insertion-sorted base runs of
-/// [`SEQ_RUN`], then bottom-up [`merge2`] rounds ping-ponging between
-/// `data` and `scratch`, with a final copy-back only on odd round
-/// parity.
-fn seq_sort(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)]) {
-    let n = data.len();
-    debug_assert!(scratch.len() >= n);
-    for start in (0..n).step_by(SEQ_RUN) {
-        let end = (start + SEQ_RUN).min(n);
-        for i in start + 1..end {
-            let v = data[i];
-            let mut k = i;
-            while k > start && data[k - 1].0 > v.0 {
-                data[k] = data[k - 1];
-                k -= 1;
-            }
-            data[k] = v;
-        }
+/// Sequential stable sort by key of `src` into `out` (same length),
+/// allocation-free: tag every key with its position, sort the
+/// `(key, position)` pairs *unstably* as one 128-bit integer each —
+/// positions are distinct, so that order is the stable one — then swap
+/// each position for the payload it names. As fast as `sort_by_key`,
+/// without its temporary buffer.
+fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
+    debug_assert_eq!(src.len(), out.len());
+    for (i, (o, s)) in out.iter_mut().zip(src).enumerate() {
+        *o = (s.0, i as u64);
     }
-    fn merge_round(src: &[(u64, u64)], dst: &mut [(u64, u64)], width: usize) {
-        let n = src.len();
-        let mut start = 0;
-        while start < n {
-            let mid = (start + width).min(n);
-            let end = (start + 2 * width).min(n);
-            merge2(&src[start..mid], &src[mid..end], &mut dst[start..end]);
-            start = end;
-        }
-    }
-    let scratch = &mut scratch[..n];
-    let mut width = SEQ_RUN;
-    let mut in_data = true;
-    while width < n {
-        if in_data {
-            merge_round(data, scratch, width);
-        } else {
-            merge_round(scratch, data, width);
-        }
-        in_data = !in_data;
-        width *= 2;
-    }
-    if !in_data {
-        data.copy_from_slice(scratch);
+    out.sort_unstable_by_key(|&(key, at)| (u128::from(key) << 64) | u128::from(at));
+    for o in out.iter_mut() {
+        o.1 = src[o.1 as usize].1;
     }
 }
 
@@ -464,10 +697,11 @@ fn seq_sort(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)]) {
 /// elements: two line-gapped bucket arenas for the merge phases, or the
 /// sum of the chunk sorts' needs — whichever is larger, since the two
 /// phases never overlap in time. Sub-cutoff slices need `n` for
-/// [`seq_sort`]'s ping-pong half.
+/// [`seq_sort`]'s output. Always a whole number of lines, so
+/// sibling sub-arenas carved at this stride start on line boundaries.
 fn arena_len(n: usize) -> usize {
     if n <= SEQ_CUTOFF {
-        return n;
+        return line_up(n);
     }
     let chunks = (n as f64).sqrt().ceil() as usize;
     let q = n.div_ceil(chunks);
@@ -509,6 +743,7 @@ fn spms_phase_a(
     nrs: &mut [usize],
     cx: &SpmsCx<'_>,
 ) {
+    debug_assert_line_start(a);
     if bhi - blo > 1 {
         let mid = blo + (bhi - blo) / 2;
         let cut: usize = cx.sizes[blo..mid].iter().map(|&s| line_up(s)).sum();
@@ -572,6 +807,8 @@ fn spms_phase_b(
     nrs: &[usize],
     cx: &SpmsCx<'_>,
 ) {
+    debug_assert_line_start(a);
+    debug_assert_line_start(b);
     if bhi - blo > 1 {
         let mid = blo + (bhi - blo) / 2;
         let gap_cut: usize = cx.sizes[blo..mid].iter().map(|&s| line_up(s)).sum();
@@ -630,6 +867,7 @@ fn spms_phase_b(
 /// uniform `per`-pair stride (the windows run concurrently, so their
 /// scratch must be disjoint).
 fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)], per: usize) {
+    debug_assert_line_start(arena);
     if data.len() <= q {
         if !data.is_empty() {
             spms_rec(data, arena);
@@ -660,9 +898,10 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 ///    concatenate-then-merge staging pass, fused away), then ping-ponged
 ///    down to one run whose **final merge writes the bucket's window of
 ///    `data` directly** (phase B — the old separate compaction pass,
-///    fused into the last round). Bucket origins are cache-line aligned
-///    in both arena halves, so no two bucket writers share a line
-///    interior — the false-sharing story of the paper, for real.
+///    fused into the last round). The arena starts on a cache-line
+///    boundary and bucket origins are line multiples in both halves, so
+///    no two bucket writers share a line interior — the false-sharing
+///    story of the paper, for real.
 ///
 /// One arena allocation funds every merge round, the sequential leaf
 /// sorts, and the whole recursion ([`arena_len`]) — the hot path
@@ -675,15 +914,8 @@ pub fn par_spms(data: &mut [(u64, u64)]) {
     if data.len() <= 1 {
         return;
     }
-    let mut arena = vec![(0u64, 0u64); arena_len(data.len())];
-    let m = hbp_metrics::global();
-    if m.on() {
-        // High-water mark of scratch reserved by any SPMS launch (one
-        // check per sort call, far off the hot path).
-        m.arena_bytes
-            .raise_to((arena.len() * std::mem::size_of::<(u64, u64)>()) as i64);
-    }
-    spms_rec(data, &mut arena);
+    let mut arena = workspace(arena_len(data.len()), (0u64, 0u64));
+    spms_rec(data, line_aligned(&mut arena));
 }
 
 /// One SPMS level over `data`, with scratch (≥ [`arena_len`] of
@@ -693,6 +925,7 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     if n <= SEQ_CUTOFF {
         if n > 1 {
             seq_sort(data, &mut arena[..n]);
+            data.copy_from_slice(&arena[..n]);
         }
         return;
     }
@@ -756,6 +989,7 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
         // Degenerate splitters (e.g. almost-constant keys): fall back to
         // one stable sequential sort out of the same arena.
         seq_sort(data, &mut arena[..n]);
+        data.copy_from_slice(&arena[..n]);
         return;
     }
 
@@ -783,38 +1017,41 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
 }
 
 /// Parallel list ranking by pointer jumping (the practical baseline).
+///
+/// Successor and distance travel as one `(succ, dist)` element, so the
+/// random read `cur[succ]` of a jump fetches both with one cache miss,
+/// and the rounds ping-pong between the two halves of one workspace.
 pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
     let n = succ.len();
-    let mut s: Vec<usize> = succ.to_vec();
-    let mut d: Vec<u64> = (0..n).map(|i| u64::from(succ[i] != i)).collect();
-    // One jump round: ns[i] = s[s[i]], nd[i] = d[i] + d[s[i]], forked over
-    // disjoint output windows (`off` = the window's global start index).
-    fn jump(s: &[usize], d: &[u64], ns: &mut [usize], nd: &mut [u64], off: usize) {
-        if ns.len() <= SEQ_CUTOFF {
-            for i in 0..ns.len() {
-                let g = off + i;
-                ns[i] = s[s[g]];
-                nd[i] = d[g] + d[s[g]];
+    // One jump round: next[i] = (succ[succ[i]], dist[i] + dist[succ[i]]),
+    // forked over disjoint output windows (`off` = the window's global
+    // start index).
+    fn jump(cur: &[(usize, u64)], next: &mut [(usize, u64)], off: usize) {
+        debug_assert_line_start(next);
+        if next.len() <= SEQ_CUTOFF {
+            for (out, &(s, d)) in next.iter_mut().zip(&cur[off..]) {
+                let (ss, ds) = cur[s];
+                *out = (ss, d + ds);
             }
             return;
         }
-        let mid = ns.len() / 2;
-        let (nsl, nsr) = ns.split_at_mut(mid);
-        let (ndl, ndr) = nd.split_at_mut(mid);
-        pjoin(
-            || jump(s, d, nsl, ndl, off),
-            || jump(s, d, nsr, ndr, off + mid),
-        );
+        let mid = line_up(next.len() / 2);
+        let (nl, nr) = next.split_at_mut(mid);
+        pjoin(|| jump(cur, nl, off), || jump(cur, nr, off + mid));
+    }
+    let half = line_up(n);
+    let mut ws = workspace(2 * half, (0usize, 0u64));
+    let (cur, next) = line_aligned(&mut ws)[..2 * half].split_at_mut(half);
+    let (mut cur, mut next) = (&mut cur[..n], &mut next[..n]);
+    for (i, (c, &s)) in cur.iter_mut().zip(succ).enumerate() {
+        *c = (s, u64::from(s != i));
     }
     let rounds = 64 - (n.max(2) as u64 - 1).leading_zeros();
     for _ in 0..rounds {
-        let mut ns = vec![0usize; n];
-        let mut nd = vec![0u64; n];
-        jump(&s, &d, &mut ns, &mut nd, 0);
-        s = ns;
-        d = nd;
+        jump(cur, next, 0);
+        std::mem::swap(&mut cur, &mut next);
     }
-    d
+    cur.iter().map(|&(_, d)| d).collect()
 }
 
 #[cfg(test)]
@@ -822,6 +1059,74 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::oracle;
+
+    /// Run `check` off the pool (joins go to the rayon shim), then as the
+    /// root task of a 1-worker and of a 3-worker native pool.
+    fn off_and_on_pools(check: impl Fn() + Sync) {
+        check();
+        for workers in [1, 3] {
+            let cfg = hbp_sched::native::NativeConfig {
+                workers,
+                seed: 7,
+                ..Default::default()
+            };
+            hbp_sched::native::NativePool::run(cfg, &check);
+        }
+    }
+
+    fn to_bi(rm: &[f64], n: usize) -> Vec<f64> {
+        let mut bi = vec![0.0; n * n];
+        for r in 0..n {
+            for c in 0..n {
+                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
+            }
+        }
+        bi
+    }
+
+    /// Textbook iterative radix-2 with recurrence twiddles: the reference
+    /// for lengths the O(n²) [`oracle::dft`] cannot reach.
+    fn radix2(x: &mut [Cx]) {
+        let n = x.len();
+        let bits = n.trailing_zeros();
+        for i in 1..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                x.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let step = Cx::cis(-2.0 * std::f64::consts::PI / len as f64);
+            for block in x.chunks_mut(len) {
+                let mut w = Cx::new(1.0, 0.0);
+                let (lo, hi) = block.split_at_mut(len / 2);
+                for (a, b) in lo.iter_mut().zip(hi) {
+                    let t = *b * w;
+                    (*a, *b) = (*a + t, *a - t);
+                    w = w * step;
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    fn signal(n: usize) -> Vec<Cx> {
+        (0..n)
+            .map(|i| Cx::new((i as f64).sin(), (i as f64 * 0.3).cos()))
+            .collect()
+    }
+
+    fn assert_spectra_close(got: &[Cx], want: &[Cx]) {
+        let tol = 1e-9 * want.len() as f64;
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g.re - w.re).abs() < tol && (g.im - w.im).abs() < tol,
+                "n={} i={i}: {g:?} vs {w:?}",
+                want.len()
+            );
+        }
+    }
 
     #[test]
     fn par_sum_and_prefix() {
@@ -861,97 +1166,154 @@ mod tests {
     fn par_transpose_matches() {
         let n = 64;
         let rm = gen::random_matrix(n, 2);
-        let mut bi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
-            }
-        }
+        let mut bi = to_bi(&rm, n);
         par_transpose_bi(&mut bi, n);
-        let want = oracle::transpose_rm(&rm, n);
-        for r in 0..n {
-            for c in 0..n {
-                assert_eq!(bi[morton(r as u64, c as u64) as usize], want[r * n + c]);
-            }
-        }
+        assert_eq!(bi, to_bi(&oracle::transpose_rm(&rm, n), n));
     }
 
     #[test]
-    fn par_strassen_matches() {
-        let n = 32;
-        let a = gen::random_matrix(n, 3);
-        let b = gen::random_matrix(n, 4);
-        let mut abi = vec![0.0; n * n];
-        let mut bbi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                abi[morton(r as u64, c as u64) as usize] = a[r * n + c];
-                bbi[morton(r as u64, c as u64) as usize] = b[r * n + c];
+    fn par_strassen_matches_at_every_size_up_to_two_forking_levels() {
+        // 1..=16 sub-leaf, 32 exactly the leaf, 64 the shared-window
+        // level alone, 128 one forking level above it.
+        off_and_on_pools(|| {
+            for n in (0..=7).map(|e| 1usize << e) {
+                let a = gen::random_matrix(n, 3);
+                let b = gen::random_matrix(n, 4);
+                let got = par_strassen_bi(&to_bi(&a, n), &to_bi(&b, n), n);
+                let want = to_bi(&oracle::matmul_rm(&a, &b, n), n);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "n={n} i={i}");
+                }
             }
-        }
-        let cbi = par_strassen_bi(&abi, &bbi, n);
-        let want = oracle::matmul_rm(&a, &b, n);
-        for r in 0..n {
-            for c in 0..n {
-                let g = cbi[morton(r as u64, c as u64) as usize];
-                assert!((g - want[r * n + c]).abs() < 1e-9);
-            }
-        }
+        });
     }
 
     #[test]
-    fn par_fft_matches_dft() {
-        for n in [4usize, 8, 64, 128] {
-            let x: Vec<Cx> = (0..n)
-                .map(|i| Cx::new((i as f64).sin(), (i as f64 * 0.3).cos()))
-                .collect();
-            let mut y = x.clone();
-            par_fft(&mut y);
-            let want = oracle::dft(&x);
-            for i in 0..n {
-                assert!(
-                    (y[i].re - want[i].re).abs() < 1e-6 * n as f64
-                        && (y[i].im - want[i].im).abs() < 1e-6 * n as f64,
-                    "n={n} i={i}"
+    fn strassen_workspace_shares_the_last_level() {
+        assert_eq!(strassen_ws(LEAF), 0);
+        assert_eq!(strassen_ws(64), 3 * 32 * 32, "one (S, T, M) window");
+        assert_eq!(strassen_ws(128), 7 * (3 * 64 * 64 + strassen_ws(64)));
+        // Every window is whole lines, so line-aligned stays line-aligned.
+        assert_eq!(strassen_ws(256) % (LINE_BYTES / 8), 0);
+    }
+
+    #[test]
+    fn workspaces_raise_the_arena_high_water_mark() {
+        // The gauge only ever rises, so other tests launching kernels
+        // while the registry is on cannot break the bound.
+        let m = hbp_metrics::global();
+        m.set_enabled(true);
+        let n = 64;
+        par_strassen_bi(&vec![1.0; n * n], &vec![1.0; n * n], n);
+        m.set_enabled(false);
+        assert!(m.arena_bytes.get() >= (strassen_ws(n) * 8) as i64);
+    }
+
+    #[test]
+    fn bi_lut_is_the_morton_order() {
+        for r in 0..LEAF {
+            for c in 0..LEAF {
+                assert_eq!(
+                    BI_LUT[r * LEAF + c] as u64,
+                    morton(r as u64, c as u64),
+                    "({r}, {c})"
                 );
             }
         }
     }
 
     #[test]
-    fn par_fft_matches_dft_above_cutoff() {
-        let n = 4096; // exercises the for_each_chunk_par row path
-        let x: Vec<Cx> = (0..n)
-            .map(|i| Cx::new((i as f64).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let mut y = x.clone();
-        par_fft(&mut y);
-        let want = oracle::dft(&x);
-        for i in 0..n {
-            assert!(
-                (y[i].re - want[i].re).abs() < 1e-5 * n as f64
-                    && (y[i].im - want[i].im).abs() < 1e-5 * n as f64,
-                "i={i}"
-            );
+    fn radix2_reference_matches_the_naive_dft() {
+        for n in [1usize, 2, 4, 64, 256] {
+            let x = signal(n);
+            let mut got = x.clone();
+            radix2(&mut got);
+            assert_spectra_close(&got, &oracle::dft(&x));
         }
     }
 
     #[test]
-    fn par_sort_matches() {
-        let keys = gen::random_u64s(5000, 10_000, 9);
-        let mut data: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 2)).collect();
-        let want = oracle::sort_pairs(&data);
-        par_mergesort(&mut data);
-        assert_eq!(
-            data.iter().map(|p| p.0).collect::<Vec<_>>(),
-            want.iter().map(|p| p.0).collect::<Vec<_>>()
-        );
+    fn par_fft_matches_at_every_power_of_two() {
+        // Up to 2^10 the base case alone, above it the six-step passes
+        // (2^11 and 2^13 with k1 = 2·k2).
+        off_and_on_pools(|| {
+            for n in (0..=14).map(|e| 1usize << e) {
+                let x = signal(n);
+                let mut want = x.clone();
+                if n <= 512 {
+                    want = oracle::dft(&x);
+                } else {
+                    radix2(&mut want);
+                }
+                let mut got = x;
+                par_fft(&mut got);
+                assert_spectra_close(&got, &want);
+            }
+        });
     }
 
     #[test]
-    fn par_list_rank_matches() {
-        let succ = gen::random_list(1000, 8);
-        assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ));
+    fn par_fft_matches_when_rows_recurse() {
+        // 2^21 = 2048 × 1024: the 2048-long rows are past the base
+        // cutoff, so the row pass itself runs the six steps, in the
+        // scratch window its parent lends it.
+        let x = signal(1 << 21);
+        let mut want = x.clone();
+        radix2(&mut want);
+        off_and_on_pools(|| {
+            let mut got = x.clone();
+            par_fft(&mut got);
+            assert_spectra_close(&got, &want);
+        });
+    }
+
+    #[test]
+    fn roots_are_the_powers_of_omega() {
+        for n in [1usize, 2, 8, 1 << 10, 1 << 13, 1 << 16] {
+            let roots = Roots::new(n);
+            let exact =
+                |j: usize, m: usize| Cx::cis(-2.0 * std::f64::consts::PI * j as f64 / m as f64);
+            for j in (0..n).step_by(n.div_ceil(97)) {
+                assert!((roots.pow(j) - exact(j, n)).abs() < 1e-14, "n={n} j={j}");
+            }
+            let l = n.min(SEQ_CUTOFF);
+            assert_eq!(roots.base().len(), l / 2);
+            for (t, &w) in roots.base().iter().enumerate() {
+                assert!((w - exact(t, l)).abs() < 1e-14, "n={n} base t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_mergesort_is_stable_at_both_parities() {
+        // 2049..4096 elements sit one level above the leaves (they sort
+        // into the scratch), 4097.. two levels (into the data); 2049 and
+        // 4100 also split into a leaf and a non-leaf half.
+        off_and_on_pools(|| {
+            for n in [0usize, 1, 2, 1000, 1024, 1025, 2049, 4096, 4100, 10_000] {
+                let keys = gen::random_u64s(n.max(1), 5, n as u64 + 1);
+                let data: Vec<(u64, u64)> = (0..n).map(|i| (keys[i], i as u64)).collect();
+                let mut got = data.clone();
+                par_mergesort(&mut got);
+                assert_eq!(
+                    got,
+                    oracle::sort_pairs(&data),
+                    "n={n} (payload equality = stability)"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn par_list_rank_matches_incl_empty_and_self_loop() {
+        off_and_on_pools(|| {
+            assert_eq!(par_list_rank(&[]), Vec::<u64>::new());
+            assert_eq!(par_list_rank(&[0]), vec![0], "a lone self-loop tail");
+            for n in [2usize, 1023, 1025, 1 << 15] {
+                let succ = gen::random_list(n, 8);
+                assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ), "n={n}");
+            }
+        });
     }
 
     #[test]
@@ -1060,14 +1422,14 @@ mod tests {
     fn seq_sort_matches_std_stable_sort() {
         let mut state = 7u64;
         for n in [0usize, 1, 2, 31, 32, 33, 100, 1024, 1025, 4000] {
-            let mut data: Vec<(u64, u64)> = (0..n as u64)
+            let data: Vec<(u64, u64)> = (0..n as u64)
                 .map(|i| (xs(&mut state) % (n as u64 / 2 + 3), i))
                 .collect();
             let mut want = data.clone();
             want.sort_by_key(|p| p.0);
-            let mut scratch = vec![(0, 0); n];
-            seq_sort(&mut data, &mut scratch);
-            assert_eq!(data, want, "n={n} (payload equality = stability)");
+            let mut got = vec![(0, 0); n];
+            seq_sort(&data, &mut got);
+            assert_eq!(got, want, "n={n} (payload equality = stability)");
         }
     }
 
@@ -1077,8 +1439,9 @@ mod tests {
         // concurrent chunk sorts and the two gapped merge halves.
         for n in [1usize, 100, 1 << 11, 1 << 14, 100_000, 1 << 20] {
             let len = arena_len(n);
+            assert_eq!(len % LINE_PAIRS, 0, "sub-arenas start on lines");
             if n <= SEQ_CUTOFF {
-                assert_eq!(len, n);
+                assert_eq!(len, line_up(n));
                 continue;
             }
             let chunks = (n as f64).sqrt().ceil() as usize;
