@@ -91,11 +91,12 @@ fn native_main() {
     let linear = hbp_bench::fig_size(1 << 18);
     let side = hbp_bench::matrix_side_for(linear);
     let ex = NativeExecutor::from_config(&Config::from_env(), 0);
-    let solo = NativeExecutor { workers: 1, ..ex };
+    let mut solo = ex;
+    solo.pool.workers = 1;
     println!(
         "F4 (native backend): randomized work stealing on real threads, \
          {} workers vs 1\n",
-        ex.workers
+        ex.pool.workers
     );
     println!(
         "{:<20} {:>8} | {:>10} {:>10} {:>6} | {:>7} {:>7} {:>7} {:>5}",

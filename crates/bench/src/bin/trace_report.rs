@@ -13,9 +13,7 @@
 //! * `HBP_BACKEND=sim|native` picks the backend (sim default);
 //!   `HBP_WORKERS` sizes the native pool; `HBP_POLICY=pws|rws[:seed]|bsp[:levels]`
 //!   picks the discipline **on either backend** (the native pool runs
-//!   the policy's `NativeStealPolicy` facet); `HBP_DEQUE=cl|mutex`
-//!   selects the native pool's deque implementation (lock-free
-//!   Chase-Lev default — compare the fork→steal latency histograms).
+//!   the policy's `NativeStealPolicy` facet).
 //! * `HBP_TRACE_OUT=<path>` additionally writes the Chrome-trace JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>). With
 //!   `HBP_METRICS=1` the export also carries registry counter tracks
@@ -54,7 +52,7 @@ fn main() {
     let machine = hbp_bench::default_machine();
     let cfg = Config::from_env().apply();
     let policy = cfg.policy;
-    let ex = executor_from_env(machine, policy);
+    let ex = cfg.executor(machine);
     let unit = match ex.clock_domain() {
         ClockDomain::Virtual => "u",
         ClockDomain::WallNs => "ns",

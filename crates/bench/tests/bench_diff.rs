@@ -280,9 +280,11 @@ fn matching_or_absent_host_cpus_stays_quiet() {
 
 #[test]
 fn committed_records_still_compare_clean() {
-    // The real CI gates: PR 3 -> PR 4 unchanged, and PR 4 -> PR 5 with
-    // the sort-row rename (the SPMS stand-in became "Sort (merge
-    // std-in)" when the real SPMS row landed).
+    // The real CI gates: PR 3 -> PR 4 unchanged, PR 4 -> PR 5 with the
+    // sort-row rename (the SPMS stand-in became "Sort (merge std-in)"
+    // when the real SPMS row landed), and PR 9 -> PR 10 with no waivers
+    // (elasticity and backpressure are pool/serve-side; the sim rows
+    // must match exactly).
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let pr3 = root.join("BENCH_pr3.json");
     let pr4 = root.join("BENCH_pr4.json");
@@ -307,4 +309,9 @@ fn committed_records_still_compare_clean() {
         ]);
         assert!(o.status.success(), "{}", text(&o));
     }
+    let o = run(&[
+        root.join("BENCH_pr9.json").to_str().unwrap(),
+        root.join("BENCH_pr10.json").to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "{}", text(&o));
 }

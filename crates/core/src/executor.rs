@@ -14,28 +14,23 @@
 //!
 //! The backend is usually chosen by the `HBP_BACKEND` environment
 //! variable (`sim`, the default, or `native`) through
-//! [`crate::Config::from_env`] — [`executor_from_env`] is the one-call
-//! convenience the fig binaries and examples are wired through.
+//! [`crate::Config::from_env`] and [`crate::Config::executor`].
 //!
 //! ## Tracing
 //!
 //! Every executor can record a structured event trace (`hbp-trace`):
 //! [`Executor::execute_traced`] takes a [`TraceSink`] sized via
-//! [`Executor::workers`] in the backend's [`Executor::clock_domain`],
-//! and [`execute_with_env_trace`] packages the common flow — when
-//! `HBP_TRACE=1` is set the returned [`TracedRun`] carries the collected
-//! [`Trace`] next to the report; otherwise it runs untraced at zero
-//! cost.
+//! [`Executor::workers`] in the backend's [`Executor::clock_domain`];
+//! [`crate::Config::sink`] builds one when `HBP_TRACE=1` is set.
 
 use std::sync::Arc;
 
 use hbp_algos::{gen, par};
 use hbp_machine::MachineConfig;
 use hbp_model::{BuildConfig, Cx};
-use hbp_sched::native::{DequeKind, NativeConfig, NativePool, StealBatch};
+use hbp_sched::native::{NativeConfig, NativePool};
 use hbp_sched::{run, run_traced, ExecReport, Policy};
-use hbp_sched::{CounterMode, DomainSpec};
-use hbp_trace::{ClockDomain, Trace, TraceSink};
+use hbp_trace::{ClockDomain, TraceSink};
 
 use crate::registry::{bi_matrix, find, sort_input};
 
@@ -219,71 +214,31 @@ impl Executor for SimExecutor {
 /// region).
 #[derive(Debug, Clone, Copy)]
 pub struct NativeExecutor {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Victim-selection RNG seed (input seeds come from the job).
-    pub seed: u64,
-    /// Stealing discipline — the pool runs its native facet (victim
-    /// order, §5.3 admission, backoff). `HBP_POLICY` selects it via
-    /// [`crate::Config`].
-    pub policy: Policy,
-    /// Per-worker deque implementation (`HBP_DEQUE`: lock-free
-    /// Chase-Lev by default, the legacy mutex ring for A/B runs).
-    pub deque: DequeKind,
-    /// Idle-loop batch stealing (`HBP_STEAL_BATCH`: policy default cap
-    /// unless disabled with `0`/`off` or overridden with an explicit
-    /// cap ≥ 2).
-    pub batch: StealBatch,
-    /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`:
-    /// real perf fds, the deterministic stub, or off — see
-    /// [`hbp_sched::perf`]).
-    pub counters: CounterMode,
-    /// Cache-domain sharding for two-level stealing (`HBP_DOMAINS`:
-    /// `auto` detects the LLC topology from sysfs, `<k>` simulates `k`
-    /// balanced domains, `tag:<k>` labels locality without changing
-    /// victim order).
-    pub domains: DomainSpec,
-    /// Fork-depth floor for cross-domain steal admission
-    /// (`HBP_CROSS_DEPTH`; only consulted when the pool resolves to
-    /// more than one domain).
-    pub cross_depth: u32,
-    /// Elastic worker band (`HBP_AUTOSCALE=min..max`; `None` = fixed
-    /// pool) — see `NativeConfig::autoscale`.
-    pub autoscale: Option<(usize, usize)>,
+    /// The pool this executor spawns — worker count, stealing
+    /// discipline, domains, autoscale band. `pool.seed` is the
+    /// victim-selection RNG seed (input seeds come from the job).
+    pub pool: NativeConfig,
 }
 
 impl NativeExecutor {
-    /// A pool of `workers` threads with randomized stealing on
-    /// Chase-Lev deques — the pre-policy-plumbing configuration.
+    /// A pool of `workers` threads at the [`NativeConfig`] defaults
+    /// (randomized stealing).
     pub fn new(workers: usize, seed: u64) -> Self {
         Self {
-            workers,
-            seed,
-            policy: Policy::Rws { seed: 0 },
-            deque: DequeKind::ChaseLev,
-            batch: StealBatch::Policy,
-            counters: CounterMode::Auto,
-            domains: DomainSpec::Auto,
-            cross_depth: hbp_sched::topology::DEFAULT_CROSS_DEPTH,
-            autoscale: None,
+            pool: NativeConfig {
+                workers,
+                seed,
+                ..NativeConfig::default()
+            },
         }
     }
 
-    /// The native slice of a [`crate::Config`], with `seed` feeding the
-    /// victim-selection RNG streams — the replacement for the removed
-    /// per-variable env constructors (env parsing now lives in
-    /// [`crate::Config::from_env`] alone).
+    /// The native slice of a [`crate::Config`]
+    /// ([`crate::Config::native_config`]), with `seed` feeding the
+    /// victim-selection RNG streams.
     pub fn from_config(cfg: &crate::Config, seed: u64) -> Self {
         Self {
-            workers: cfg.workers,
-            seed,
-            policy: cfg.policy,
-            deque: cfg.deque,
-            batch: cfg.steal_batch,
-            counters: cfg.counters,
-            domains: cfg.domains,
-            cross_depth: cfg.cross_depth,
-            autoscale: cfg.autoscale,
+            pool: cfg.native_config(seed),
         }
     }
 
@@ -292,15 +247,8 @@ impl NativeExecutor {
     /// one [`hbp_sched::native::NativePool`] across jobs).
     fn run_kernel(&self, job: &ExecJob, trace: Option<Arc<TraceSink>>) -> Option<ExecReport> {
         let cfg = NativeConfig {
-            workers: self.workers,
-            seed: self.seed ^ job.seed,
-            policy: self.policy,
-            deque: self.deque,
-            batch: self.batch,
-            counters: self.counters,
-            domains: self.domains,
-            cross_depth: self.cross_depth,
-            autoscale: self.autoscale,
+            seed: self.pool.seed ^ job.seed,
+            ..self.pool
         };
         let spec = find(&job.algo)?;
         let kernel = native_kernel(spec.name, job.n, job.seed)?;
@@ -396,7 +344,7 @@ impl Executor for NativeExecutor {
     }
 
     fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers
     }
 
     fn clock_domain(&self) -> ClockDomain {
@@ -412,53 +360,8 @@ impl Executor for NativeExecutor {
     }
 
     fn open(&self) -> crate::session::ExecSession {
-        crate::session::ExecSession::native(self)
+        crate::session::ExecSession::native(self.pool)
     }
-}
-
-/// An execution report plus (when tracing was on) its collected trace.
-#[derive(Debug)]
-pub struct TracedRun {
-    /// The backend's report, exactly as an untraced run would return it.
-    pub report: ExecReport,
-    /// The structured event trace (`Some` iff tracing was enabled).
-    pub trace: Option<Trace>,
-}
-
-/// Execute `job`, honouring `HBP_TRACE` (via [`crate::Config::from_env`]):
-/// when tracing is on, record a structured trace (sink sized by
-/// [`Executor::workers`], ring capacity from the configured
-/// `trace_buf`) and return it alongside the report; when off, run
-/// exactly as [`Executor::execute`] — no sink, no per-event cost.
-/// `None` when the backend has no kernel for the algorithm.
-pub fn execute_with_env_trace(ex: &dyn Executor, job: &ExecJob) -> Option<TracedRun> {
-    match crate::Config::from_env().sink(ex.workers(), ex.clock_domain()) {
-        Some(sink) => {
-            let report = ex.execute_traced(job, &sink)?;
-            Some(TracedRun {
-                report,
-                trace: Some(sink.collect()),
-            })
-        }
-        None => Some(TracedRun {
-            report: ex.execute(job)?,
-            trace: None,
-        }),
-    }
-}
-
-/// The executor `HBP_BACKEND` selects: [`SimExecutor`] with the given
-/// machine and policy, or [`NativeExecutor`] sized from the environment
-/// ([`crate::Config::from_env`] with the policy overridden by the
-/// caller's — the fig binaries choose their own disciplines per run).
-///
-/// `machine` is a simulator-only knob (real threads have no simulated
-/// geometry); `policy` carries over to the native backend whole — the
-/// pool runs its native facet ([`hbp_sched::policy::NativeStealPolicy`]),
-/// with an [`Policy::Rws`] seed additionally feeding the workers'
-/// victim-selection RNG streams.
-pub fn executor_from_env(machine: MachineConfig, policy: Policy) -> Box<dyn Executor> {
-    crate::Config::from_env().policy(policy).executor(machine)
 }
 
 #[cfg(test)]
@@ -466,12 +369,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn executor_from_env_honours_backend_and_rws_seed() {
+    fn config_executor_honours_backend_and_rws_seed() {
         // Robust to an ambient HBP_BACKEND: whatever is (or isn't) set
         // decides which executor we must get back.
         let machine = MachineConfig::new(2, 1 << 10, 32);
-        let ex = executor_from_env(machine, Policy::Rws { seed: 9 });
-        match crate::Config::from_env().backend {
+        let cfg = crate::Config::from_env().policy(Policy::Rws { seed: 9 });
+        let ex = cfg.executor(machine);
+        match cfg.backend {
             Backend::Sim => assert_eq!(ex.name(), "sim"),
             Backend::Native => assert_eq!(ex.name(), "native"),
         }

@@ -59,8 +59,8 @@ pub use hbp_trace as trace;
 
 pub use config::{parse_autoscale, Config};
 pub use executor::{
-    execute_with_env_trace, executor_from_env, has_native_kernel, native_kernel, parse_workers,
-    Backend, ExecJob, Executor, NativeExecutor, SimExecutor, TracedRun,
+    has_native_kernel, native_kernel, parse_workers, Backend, ExecJob, Executor, NativeExecutor,
+    SimExecutor,
 };
 pub use hbp_machine::{MachineConfig, MemSystem};
 pub use hbp_model::{BuildConfig, Builder, Computation};
@@ -73,8 +73,7 @@ pub use session::{ExecHandle, ExecSession, JobError};
 pub mod prelude {
     pub use crate::config::Config;
     pub use crate::executor::{
-        execute_with_env_trace, executor_from_env, parse_workers, Backend, ExecJob, Executor,
-        NativeExecutor, SimExecutor, TracedRun,
+        parse_workers, Backend, ExecJob, Executor, NativeExecutor, SimExecutor,
     };
     pub use crate::registry::{find, lookup, registry, try_lookup, AlgoSpec, SizeKind};
     pub use crate::session::{ExecHandle, ExecSession, JobError};

@@ -35,11 +35,11 @@
 
 use std::sync::Arc;
 
-use hbp_sched::native::{NativePool, PoolHandle, SubmitError};
+use hbp_sched::native::{NativeConfig, NativePool, PoolHandle, SubmitError};
 use hbp_sched::ExecReport;
 use hbp_trace::{ClockDomain, TraceSink};
 
-use crate::executor::{native_kernel, ExecJob, Executor, NativeExecutor, SimExecutor};
+use crate::executor::{native_kernel, ExecJob, Executor, SimExecutor};
 use crate::registry::find;
 
 /// Why a submitted job produced no report.
@@ -87,18 +87,7 @@ impl ExecSession {
         }
     }
 
-    pub(crate) fn native(ex: &NativeExecutor) -> Self {
-        let cfg = hbp_sched::native::NativeConfig {
-            workers: ex.workers,
-            seed: ex.seed,
-            policy: ex.policy,
-            deque: ex.deque,
-            batch: ex.batch,
-            counters: ex.counters,
-            domains: ex.domains,
-            cross_depth: ex.cross_depth,
-            autoscale: ex.autoscale,
-        };
+    pub(crate) fn native(cfg: NativeConfig) -> Self {
         Self {
             inner: Inner::Native {
                 pool: NativePool::new(cfg),
@@ -231,6 +220,7 @@ impl ExecHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::NativeExecutor;
     use hbp_machine::MachineConfig;
     use hbp_sched::Policy;
 

@@ -15,9 +15,7 @@
 //!   **Chase-Lev deque** — the owner pushes and pops at the *bottom*
 //!   without locks, thieves CAS the *top*, and the last-element conflict
 //!   is arbitrated by a `SeqCst` fence — the real realization of the
-//!   Obs 4.1 discipline the simulator models. The PR 2 mutex-guarded
-//!   ring survives behind [`DequeKind::Mutex`] (`HBP_DEQUE=mutex`) for
-//!   A/B comparison against the steal-latency histograms;
+//!   Obs 4.1 discipline the simulator models;
 //! * **policy** ([`crate::policy::NativeStealPolicy`]): victim probe
 //!   order, steal admission (the §5.3 fork-depth floor), and idle
 //!   backoff come from the same `Pws`/`Rws`/`Bsp` modules that drive
@@ -34,8 +32,8 @@
 //!   and serves successive jobs through a submission queue — workers
 //!   park on a condvar between jobs, shutdown is explicit and
 //!   idempotent, and every job gets its own [`ExecReport`] (and
-//!   optionally its own trace sink). [`run_native`] is the one-shot
-//!   convenience: spawn a pool, submit one job, wait, shut down.
+//!   optionally its own trace sink). [`NativePool::run`] is the
+//!   one-shot convenience: spawn a pool, submit one job, wait, shut down.
 //!
 //! ## Report semantics
 //!
@@ -52,7 +50,7 @@
 //!
 //! ## Tracing
 //!
-//! [`run_native_traced`] and [`NativePool::submit_traced`] additionally
+//! [`NativePool::run_traced`] and [`NativePool::submit_traced`] additionally
 //! record structured events (`hbp-trace`, [`ClockDomain::WallNs`]): task
 //! begin/end around every executed task (nested when a join-wait
 //! steals), forks, steal commits/failures. Each worker appends only to
@@ -66,7 +64,7 @@
 //! A panicking kernel closure does not poison the pool: every branch is
 //! executed under `catch_unwind`, the remaining workers drain, the pool
 //! stays serviceable for the next job, and the panic is re-raised from
-//! [`run_native`] / [`PoolHandle::wait`] as a `String` payload naming
+//! [`NativePool::run`] / [`PoolHandle::wait`] as a `String` payload naming
 //! the worker that panicked — `kernel panicked on worker W: message`.
 //! [`PoolHandle::outcome`] exposes the caught payload instead, for
 //! servers that must survive bad requests.
@@ -107,34 +105,6 @@ mod batch_tests {
             err.contains("HBP_STEAL_BATCH") && err.contains("nope"),
             "{err}"
         );
-    }
-}
-
-/// Which per-worker deque implementation the pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DequeKind {
-    /// The lock-free Chase-Lev array ([`crate::cl_deque`]) — default.
-    #[default]
-    ChaseLev,
-    /// The PR 2 mutex-guarded ring with Chase-Lev *ordering*, kept for
-    /// A/B comparison (on a loaded host the mutex shows up as fork→steal
-    /// latencies in the ≥2^16 ns histogram buckets).
-    Mutex,
-}
-
-impl DequeKind {
-    /// Parse an `HBP_DEQUE` value: `None` (unset), the empty string,
-    /// `cl` or `chase-lev` → [`DequeKind::ChaseLev`]; `mutex` →
-    /// [`DequeKind::Mutex`]; anything else is an error naming the
-    /// variable, the offending value, and the accepted ones.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("") | Some("cl") | Some("chase-lev") => Ok(DequeKind::ChaseLev),
-            Some("mutex") => Ok(DequeKind::Mutex),
-            Some(other) => Err(format!(
-                "HBP_DEQUE must be `cl`/`chase-lev` or `mutex`, got {other:?}"
-            )),
-        }
     }
 }
 
@@ -196,8 +166,6 @@ pub struct NativeConfig {
     /// The stealing discipline's native facet (victim order, §5.3
     /// admission, backoff) — see [`crate::policy::native`].
     pub policy: Policy,
-    /// Per-worker deque implementation.
-    pub deque: DequeKind,
     /// Steal-batching mode (top-level idle-loop steals may claim several
     /// tasks per committed steal; see [`StealBatch`]).
     pub batch: StealBatch,
@@ -233,9 +201,8 @@ pub struct NativeConfig {
 
 impl Default for NativeConfig {
     /// One worker per hardware thread — but at least 4, so stealing
-    /// exists even on small hosts (the same default
-    /// `hbp_core::NativeExecutor::from_env` uses when `HBP_WORKERS` is
-    /// unset) — seed 0, randomized stealing, Chase-Lev deques.
+    /// exists even on small hosts (the same default `hbp_core::Config`
+    /// uses when `HBP_WORKERS` is unset) — seed 0, randomized stealing.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
@@ -244,7 +211,6 @@ impl Default for NativeConfig {
                 .max(4),
             seed: 0,
             policy: Policy::Rws { seed: 0 },
-            deque: DequeKind::ChaseLev,
             batch: StealBatch::Policy,
             counters: CounterMode::Auto,
             domains: DomainSpec::Auto,
@@ -311,34 +277,4 @@ where
         Ok(v) => (v, done.report),
         Err(payload) => pool::raise_job_panic(&done.panics, payload),
     }
-}
-
-/// Run `root` on a fresh pool of `cfg.workers` threads and report.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `NativePool::run` (or the `hbp-core` session API) instead"
-)]
-pub fn run_native<R, F>(cfg: NativeConfig, root: F) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    NativePool::run(cfg, root)
-}
-
-/// [`run_native`] with optional structured-event recording.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `NativePool::run_traced` (or the `hbp-core` session API) instead"
-)]
-pub fn run_native_traced<R, F>(
-    cfg: NativeConfig,
-    trace: Option<Arc<TraceSink>>,
-    root: F,
-) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    NativePool::run_traced(cfg, trace, root)
 }

@@ -6,10 +6,9 @@
 //! *driver* — it drains a FIFO submission queue and executes each job's
 //! root closure — and workers `1..p` are *thieves* that park on a
 //! condvar between jobs and steal forked branches while a job runs.
-//! The Chase-Lev deques, [`NativeStealPolicy`] facets, and the
-//! `HBP_DEQUE` A/B all survive unchanged underneath: a job executes
-//! exactly as a `run_native` root did, it just no longer pays thread
-//! spawn/join per launch.
+//! The Chase-Lev deques and [`NativeStealPolicy`] facets are unchanged
+//! underneath: a job executes exactly as a one-shot root did, it just no
+//! longer pays thread spawn/join per launch.
 //!
 //! ## Job lifecycle
 //!
@@ -95,8 +94,8 @@ pub(crate) enum RootRun {
     /// the handle's `Arc`ed slot).
     Boxed(Box<dyn FnOnce() + Send>),
     /// A lifetime-erased pointer to a [`ScopedRoot`] on the stack of a
-    /// blocked `run_native` caller (which outlives the job by waiting
-    /// on the meta before returning).
+    /// blocked [`NativePool::run`] caller (which outlives the job by
+    /// waiting on the meta before returning).
     Raw {
         data: *const (),
         exec: unsafe fn(*const ()),
@@ -282,7 +281,7 @@ pub struct NativePool {
 
 impl NativePool {
     /// Spawn a pool of worker threads (one driver + thieves), with
-    /// `cfg`'s policy facet, deque kind, and RNG stream seed.
+    /// `cfg`'s policy facet and RNG stream seed.
     ///
     /// The pool's **capacity** is `cfg.workers`, raised to the autoscale
     /// ceiling when `cfg.autoscale` is set: every capacity slot gets its
@@ -317,7 +316,6 @@ impl NativePool {
             desired,
             cfg.stream_seed(),
             policy,
-            cfg.deque,
             batch_cap,
             cfg.counters,
             domains,
@@ -443,7 +441,7 @@ impl NativePool {
         Ok(PoolHandle { result, meta })
     }
 
-    /// Lifetime-erased submission for the blocking `run_native` path.
+    /// Lifetime-erased submission for the blocking [`NativePool::run`] path.
     ///
     /// SAFETY: `data`/`exec` must target a live [`ScopedRoot`] whose
     /// borrows stay valid until the returned meta completes — the
@@ -502,8 +500,7 @@ impl NativePool {
         Ok(meta)
     }
 
-    /// Run `root` on a fresh one-job pool and report — the session-API
-    /// replacement for the deprecated free function `run_native`.
+    /// Run `root` on a fresh one-job pool and report.
     pub fn run<R, F>(cfg: NativeConfig, root: F) -> (R, ExecReport)
     where
         F: FnOnce() -> R + Send,
@@ -512,11 +509,10 @@ impl NativePool {
         super::run_once(cfg, None, root)
     }
 
-    /// [`NativePool::run`] with optional structured-event recording
-    /// (the replacement for the deprecated `run_native_traced`). When
-    /// `trace` is `Some`, the sink must be in [`ClockDomain::WallNs`]
-    /// and sized for at least the pool's capacity; collect it after
-    /// this returns.
+    /// [`NativePool::run`] with optional structured-event recording.
+    /// When `trace` is `Some`, the sink must be in
+    /// [`ClockDomain::WallNs`] and sized for at least the pool's
+    /// capacity; collect it after this returns.
     pub fn run_traced<R, F>(
         cfg: NativeConfig,
         trace: Option<Arc<TraceSink>>,

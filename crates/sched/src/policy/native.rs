@@ -24,7 +24,7 @@
 //!   `root / 2^d`).
 //!
 //! [`native_facet`] maps the [`Policy`](crate::engine::Policy) enum —
-//! and therefore `HBP_POLICY` — onto these facets; `native::run_native`
+//! and therefore `HBP_POLICY` — onto these facets; `native::NativePool`
 //! consumes the boxed trait object.
 
 use crate::engine::Policy;

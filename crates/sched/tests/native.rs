@@ -202,15 +202,13 @@ fn nested_joins_deeply_recurse_without_deadlock() {
 
 // ---------------------------------------------------------------------
 // Policy-driven runtime (PR 4): the same kernels must compute correctly
-// under every policy facet, on both deque implementations, with
-// deterministic task accounting.
+// under every policy facet, with deterministic task accounting.
 // ---------------------------------------------------------------------
 
-use hbp_sched::native::DequeKind;
 use hbp_sched::Policy;
 
 #[test]
-fn every_policy_facet_computes_correctly_on_both_deques() {
+fn every_policy_facet_computes_correctly() {
     let xs: Vec<u64> = (0..1 << 13).collect();
     let want: u64 = xs.iter().sum();
     for policy in [
@@ -218,44 +216,34 @@ fn every_policy_facet_computes_correctly_on_both_deques() {
         Policy::Rws { seed: 5 },
         Policy::Bsp { prefix_levels: 3 },
     ] {
-        for deque in [DequeKind::ChaseLev, DequeKind::Mutex] {
-            let cfg = NativeConfig {
-                workers: 4,
-                seed: 21,
-                policy,
-                deque,
-                ..NativeConfig::default()
-            };
-            let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
-            assert_eq!(got, want, "{policy:?} on {deque:?}");
-            // tasks = root + one forked branch per join = #leaves.
-            assert_eq!(
-                r.work,
-                ((1usize << 13) / 64) as u64,
-                "{policy:?} on {deque:?}"
-            );
-        }
+        let cfg = NativeConfig {
+            workers: 4,
+            seed: 21,
+            policy,
+            ..NativeConfig::default()
+        };
+        let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
+        assert_eq!(got, want, "{policy:?}");
+        // tasks = root + one forked branch per join = #leaves.
+        assert_eq!(r.work, ((1usize << 13) / 64) as u64, "{policy:?}");
     }
 }
 
 #[test]
-fn work_accounting_is_deterministic_across_runs_and_deques() {
+fn work_accounting_is_deterministic_across_runs() {
     let xs: Vec<u64> = (0..1 << 12).collect();
-    let runs: Vec<u64> = [DequeKind::ChaseLev, DequeKind::ChaseLev, DequeKind::Mutex]
-        .into_iter()
-        .map(|deque| {
+    let runs: Vec<u64> = (0..2)
+        .map(|_| {
             let cfg = NativeConfig {
                 workers: 3,
                 seed: 9,
                 policy: Policy::Rws { seed: 2 },
-                deque,
                 ..NativeConfig::default()
             };
             NativePool::run(cfg, || spin_sum(&xs, 32)).1.work
         })
         .collect();
     assert_eq!(runs[0], runs[1], "fixed seed ⇒ identical task count");
-    assert_eq!(runs[0], runs[2], "task structure is deque-independent");
 }
 
 #[test]
@@ -267,7 +255,6 @@ fn bsp_facet_steals_only_shallow_branches() {
         workers: 4,
         seed: 3,
         policy: Policy::Bsp { prefix_levels: 2 },
-        deque: DequeKind::ChaseLev,
         ..NativeConfig::default()
     };
     let sink = Arc::new(hbp_trace::TraceSink::new(4, hbp_trace::ClockDomain::WallNs));
@@ -301,7 +288,6 @@ fn chase_lev_traced_run_is_panic_free_and_task_count_deterministic() {
                 workers: 4,
                 seed: 17,
                 policy: Policy::Rws { seed: 1 },
-                deque: DequeKind::ChaseLev,
                 ..NativeConfig::default()
             };
             let sink = Arc::new(hbp_trace::TraceSink::new(4, hbp_trace::ClockDomain::WallNs));
@@ -316,27 +302,4 @@ fn chase_lev_traced_run_is_panic_free_and_task_count_deterministic() {
         .collect();
     assert_eq!(counts[0], counts[1], "fixed seed ⇒ identical task counts");
     assert_eq!(counts[0].0, counts[0].1, "report work == traced tasks");
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_native_shims_still_match_the_pool_entry_points() {
-    // The one place the 0.10 shims themselves are exercised: same
-    // answer and same task accounting as the NativePool entry points
-    // they forward to. Everything else in the tree must use the pool
-    // API (CI builds with `-D deprecated`).
-    let xs: Vec<u64> = (0..1 << 12).collect();
-    let want: u64 = xs.iter().sum();
-    let cfg = NativeConfig {
-        workers: 3,
-        seed: 11,
-        ..NativeConfig::default()
-    };
-    let (shim, shim_r) = hbp_sched::native::run_native(cfg, || spin_sum(&xs, 64));
-    let (pool, pool_r) = NativePool::run(cfg, || spin_sum(&xs, 64));
-    assert_eq!(shim, want);
-    assert_eq!(shim, pool);
-    assert_eq!(shim_r.work, pool_r.work, "same task structure via the shim");
-    let (traced, _) = hbp_sched::native::run_native_traced(cfg, None, || spin_sum(&xs, 64));
-    assert_eq!(traced, want);
 }

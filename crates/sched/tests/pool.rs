@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hbp_sched::native::{join, DequeKind, NativeConfig, NativePool, SubmitError};
+use hbp_sched::native::{join, NativeConfig, NativePool, SubmitError};
 use hbp_sched::Policy;
 use hbp_trace::{ClockDomain, EventKind, TraceSink};
 
@@ -30,7 +30,6 @@ fn cfg(workers: usize, seed: u64) -> NativeConfig {
         workers,
         seed,
         policy: Policy::Rws { seed: 1 },
-        deque: DequeKind::ChaseLev,
         ..NativeConfig::default()
     }
 }

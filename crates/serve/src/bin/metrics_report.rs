@@ -6,7 +6,7 @@
 //! and resets it first, so the exposition covers exactly this scenario.
 //! Configuration is the same environment surface as `serve_scenario`:
 //! `HBP_SERVE_*` for the load, `HBP_BACKEND` / `HBP_POLICY` /
-//! `HBP_WORKERS` / `HBP_DEQUE` / `HBP_COUNTERS` for the execution.
+//! `HBP_WORKERS` / `HBP_COUNTERS` for the execution.
 //!
 //! When `HBP_METRICS_INTERVAL` is set (milliseconds), a background
 //! [`Sampler`] additionally records a snapshot timeline during the run

@@ -3,7 +3,7 @@
 //! Configuration is entirely environment-driven: `HBP_SERVE_*` for the
 //! scenario (seed, requests, clients, mode, queue cap, batching, mix,
 //! pacing) plus the workspace-wide `HBP_BACKEND` / `HBP_POLICY` /
-//! `HBP_WORKERS` / `HBP_DEQUE` knobs. On the sim backend the output is
+//! `HBP_WORKERS` knobs. On the sim backend the output is
 //! byte-identical for a fixed seed:
 //!
 //! ```text

@@ -15,14 +15,14 @@
 //! itself still is.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hbp_core::native_kernel;
 use hbp_core::sched::native::{join, NativePool, SubmitError};
 
-use crate::gen::{batchable, build_schedule, per_client, Request};
+use crate::gen::{build_schedule, per_client, pop_launch, DrainEstimate, Request};
 use crate::report::{RequestRecord, ScenarioReport};
 use crate::spec::{LoadMode, ScenarioSpec, MAX_DEFERRALS};
 
@@ -71,6 +71,9 @@ struct AdmState {
     q: VecDeque<Pending>,
     closed: bool,
     depth: Vec<(u64, usize)>,
+    /// Per-request drain time, folded in by the dispatcher after every
+    /// launch.
+    est: DrainEstimate,
 }
 
 /// The bounded admission queue shared by clients and the dispatcher.
@@ -79,13 +82,10 @@ struct Admission {
     cv: Condvar,
     cap: usize,
     t0: Instant,
-    /// EWMA of per-request drain time (ns): launch makespan ÷ batch
-    /// size, folded in by the dispatcher after every launch. Seeds the
-    /// `RetryAfter` hints before the first completion lands.
-    est_ns: AtomicU64,
 }
 
-/// Initial per-request drain estimate before any launch completed.
+/// Per-request drain time assumed by `RetryAfter` hints before the
+/// first launch completed.
 const EST_SEED_NS: u64 = 1_000_000;
 
 /// Upper bound on a single `RetryAfter` hint, so one misestimated drain
@@ -99,11 +99,11 @@ impl Admission {
                 q: VecDeque::new(),
                 closed: false,
                 depth: vec![(0, 0)],
+                est: DrainEstimate::default(),
             }),
             cv: Condvar::new(),
             cap,
             t0,
-            est_ns: AtomicU64::new(EST_SEED_NS),
         }
     }
 
@@ -113,10 +113,8 @@ impl Admission {
 
     /// Fold one launch's observed per-request drain time into the EWMA.
     fn observe_drain(&self, service_ns: u64, batch: usize) {
-        let per_req = (service_ns / batch.max(1) as u64).max(1);
-        let old = self.est_ns.load(Ordering::Relaxed);
-        self.est_ns
-            .store((3 * old + per_req) / 4, Ordering::Relaxed);
+        let mut s = self.state.lock().expect("admission poisoned");
+        s.est.observe(service_ns, batch);
     }
 
     /// Admit, or answer with a pacing hint. `Err(RetryAfter)` means the
@@ -129,9 +127,7 @@ impl Admission {
         let mut s = self.state.lock().expect("admission poisoned");
         if s.q.len() >= self.cap {
             let backlog = (s.q.len() + 1 - self.cap) as u64;
-            drop(s);
-            let est = self.est_ns.load(Ordering::Relaxed);
-            let hint = (backlog * est).clamp(1, RETRY_CAP_NS);
+            let hint = s.est.hint(backlog, || EST_SEED_NS).min(RETRY_CAP_NS);
             return Err(SubmitError::RetryAfter(Duration::from_nanos(hint)));
         }
         s.q.push_back(p);
@@ -155,18 +151,7 @@ impl Admission {
             }
             s = self.cv.wait(s).expect("admission poisoned");
         }
-        let head = s.q.pop_front().expect("queue non-empty");
-        let mut batch = vec![head];
-        if batchable(spec, schedule[batch[0].idx].n) {
-            while batch.len() < spec.batch_max {
-                match s.q.front() {
-                    Some(p) if batchable(spec, schedule[p.idx].n) => {
-                        batch.push(s.q.pop_front().expect("front exists"));
-                    }
-                    _ => break,
-                }
-            }
-        }
+        let batch = pop_launch(spec, &mut s.q, |p| schedule[p.idx].n);
         let sample = (self.now_ns(), s.q.len());
         s.depth.push(sample);
         Some(batch)
@@ -301,7 +286,6 @@ pub fn run_real(spec: &ScenarioSpec) -> ScenarioReport {
                     eprintln!("serve: kernel panicked on worker {w}: {msg}");
                 }
                 let service_ns = out.report.makespan;
-                adm.observe_drain(service_ns, size);
                 workers_active.fetch_max(out.report.workers_active, Ordering::Relaxed);
                 for (enq, ticket, queue_ns) in waiters {
                     ticket.complete(TicketDone {
@@ -311,6 +295,9 @@ pub fn run_real(spec: &ScenarioSpec) -> ScenarioReport {
                         batch: size,
                     });
                 }
+                // After the replies: this takes the admission lock, which
+                // must not sit on a request's latency.
+                adm.observe_drain(service_ns, size);
             }
         });
 

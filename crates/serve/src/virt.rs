@@ -22,7 +22,7 @@ use std::sync::Arc;
 use hbp_core::trace::{critical_path, ClockDomain, TraceSink};
 use hbp_core::{ExecJob, Executor, MachineConfig, SimExecutor};
 
-use crate::gen::{batchable, build_schedule, Request};
+use crate::gen::{build_schedule, pop_launch, DrainEstimate, Request};
 use crate::report::{CpTotals, RequestRecord, ScenarioReport};
 use crate::spec::{LoadMode, ScenarioSpec, MAX_DEFERRALS};
 
@@ -175,12 +175,11 @@ pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
     let mut busy = false;
     let mut depth_samples: Vec<(u64, usize)> = vec![(0, 0)];
     let mut makespan = 0u64;
-    // EWMA per-request drain time (virtual ns) — the retry-hint basis,
-    // updated after every completed launch exactly like the native
-    // dispatcher's estimate. 0 until the first launch completes; the
-    // first hint then falls back to the arriving request's own oracle
-    // service time.
-    let mut est = 0u64;
+    // Per-request drain time (virtual ns) — the retry-hint basis, the
+    // same estimator the native dispatcher keeps. Until the first launch
+    // completes, a hint falls back to the arriving request's own oracle
+    // service time (the native side to a fixed seed).
+    let mut est = DrainEstimate::default();
 
     // Schedule a client's next closed-loop request after `now`.
     let next_for_client = |heap: &mut BinaryHeap<Ev>,
@@ -227,14 +226,9 @@ pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
                         if m.on() {
                             m.admission_deferred.inc();
                         }
-                        let base = if est > 0 {
-                            est
-                        } else {
-                            oracle.measure(r).0.max(1)
-                        };
                         let backlog = (queue.len() + 1 - spec.queue_cap) as u64;
                         heap.push(Ev {
-                            t: now + backlog * base,
+                            t: now + est.hint(backlog, || oracle.measure(r).0),
                             seq,
                             kind: EvKind::Arrive(idx),
                         });
@@ -270,13 +264,7 @@ pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
             }
             EvKind::Done(members) => {
                 busy = false;
-                let service = slots[members[0].idx].service_ns;
-                let per_req = (service / members.len() as u64).max(1);
-                est = if est == 0 {
-                    per_req
-                } else {
-                    (3 * est + per_req) / 4
-                };
+                est.observe(slots[members[0].idx].service_ns, members.len());
                 for m in &members {
                     let r = &schedule[m.idx];
                     let slot = &mut slots[m.idx];
@@ -300,20 +288,10 @@ pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
         }
         // Launch whenever the slot frees up and work is queued.
         if !busy {
-            if let Some(mut head) = queue.pop_front() {
-                head.start_t = now;
-                let mut members = vec![head];
-                if batchable(spec, schedule[members[0].idx].n) {
-                    while members.len() < spec.batch_max {
-                        match queue.front() {
-                            Some(m) if batchable(spec, schedule[m.idx].n) => {
-                                let mut m = queue.pop_front().expect("front exists");
-                                m.start_t = now;
-                                members.push(m);
-                            }
-                            _ => break,
-                        }
-                    }
+            let mut members = pop_launch(spec, &mut queue, |m| schedule[m.idx].n);
+            if !members.is_empty() {
+                for m in &mut members {
+                    m.start_t = now;
                 }
                 depth_samples.push((now, queue.len()));
                 // A shared launch's makespan is its slowest member's.

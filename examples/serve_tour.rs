@@ -3,7 +3,7 @@
 //! admission, small-request batching — and read the report.
 //!
 //! Respects the workspace knobs (`HBP_BACKEND`, `HBP_POLICY`,
-//! `HBP_WORKERS`, `HBP_DEQUE`) and the scenario's own `HBP_SERVE_*`
+//! `HBP_WORKERS`) and the scenario's own `HBP_SERVE_*`
 //! family; `HBP_EXAMPLE_N` shrinks the request count for the smoke test.
 //!
 //! ```text

@@ -179,20 +179,3 @@ fn native_trace_has_balanced_nesting_and_consistent_steals() {
     assert_eq!(s.workers, 3);
     assert!(s.busy_total > 0);
 }
-
-#[test]
-fn env_trace_wrapper_returns_trace_only_when_enabled() {
-    // Robust to an ambient HBP_TRACE: assert consistency with it.
-    let ex = SimExecutor {
-        machine: machine(),
-        policy: Policy::Pws,
-    };
-    let run = execute_with_env_trace(&ex, &ExecJob::new("Scans (M-Sum)", 256, 1))
-        .expect("M-Sum runs on sim");
-    assert_eq!(
-        run.trace.is_some(),
-        hbp_core::Config::from_env().trace,
-        "trace handle present iff HBP_TRACE enables it"
-    );
-    assert!(run.report.makespan > 0);
-}
