@@ -13,22 +13,31 @@
 //! workspace `Vec` ([`workspace`]) that the recursion carves into
 //! disjoint windows with `split_at_mut` — Strassen's per-product
 //! (S, T, M) windows, the FFT's transpose buffer (plus one small root
-//! table), list ranking's two ping-pong halves, merge sort's parity
-//! scratch, SPMS's gapped bucket arenas. Leaves allocate nothing. This
-//! is the native form of the paper's rule that a stealable task gets its
-//! own space and shares O(1) blocks with its siblings: the workspace is
-//! skipped forward to a cache-line boundary ([`line_aligned`]) and every
-//! window handed to a forkable task is a whole number of lines, so two
-//! workers never write the same line through their scratch.
+//! table), list ranking's node tags and the two ping-pong halves of its
+//! contracted list, merge sort's parity scratch, SPMS's one gapped bucket
+//! arena. Leaves allocate nothing. This is the native form of the
+//! paper's rule that a stealable task gets its own space and shares O(1)
+//! blocks with its siblings: the workspace is skipped forward to a
+//! cache-line boundary ([`line_aligned`]) and every window handed to a
+//! forkable task is a whole number of lines, so two workers never write
+//! the same line through their scratch. The one exception is stated where
+//! it lives: the list-ranking walk scatters its tags ([`par_list_rank`]).
 //! `tests/alloc_accounting.rs` pins the allocation counts; the
 //! `arena_bytes` gauge records the largest workspace of any launch.
 //!
-//! **Leaves at oracle speed.** The leaves do what a plain sequential
-//! program would: Strassen de-interleaves 32×32 BI tiles to row-major
-//! stack buffers through a compile-time Morton table and multiplies
-//! i-k-j; the FFT's base case is an in-place iterative radix-2 over a
-//! per-call root table; list ranking fetches successor and distance
-//! with one load; both sorts end in the branch-free [`merge2`].
+//! **The work of the sequential program.** Each kernel does, up to a
+//! small constant, what its single-thread reference does, and its leaves
+//! do it the way a plain sequential program would: Strassen
+//! de-interleaves 32×32 BI tiles to row-major stack buffers through a
+//! compile-time Morton table and multiplies i-k-j; the FFT's base case is
+//! an in-place iterative radix-2 over a per-call root table. The sorts
+//! compare each element ≈ log₂ n times in all: merge sort in leaf sorts
+//! and two-ended [`merge2`]s, SPMS in a leaf sort of every chunk and one
+//! of every bucket (its bucket phase gathers and sorts — it does not
+//! re-merge ≈ 1-element runs pairwise). List ranking walks every node
+//! once and pointer-jumps only over the n/16-node contracted list.
+
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use hbp_model::Cx;
 
@@ -55,13 +64,17 @@ const fn line_up(s: usize) -> usize {
 /// Raises the `arena_bytes` high-water mark (one check per launch, far
 /// off the hot path).
 fn workspace<T: Copy>(len: usize, fill: T) -> Vec<T> {
-    let size = std::mem::size_of::<T>();
-    let ws = vec![fill; len + LINE_BYTES / size];
+    let ws = vec![fill; len + LINE_BYTES / std::mem::size_of::<T>()];
+    raise_arena_gauge(&ws);
+    ws
+}
+
+/// Record a launch's workspace in the `arena_bytes` high-water mark.
+fn raise_arena_gauge<T>(ws: &[T]) {
     let m = hbp_metrics::global();
     if m.on() {
-        m.arena_bytes.raise_to((ws.len() * size) as i64);
+        m.arena_bytes.raise_to(std::mem::size_of_val(ws) as i64);
     }
-    ws
 }
 
 /// `ws` from its first cache-line boundary on. The allocator aligns a
@@ -590,8 +603,13 @@ pub fn par_fft(x: &mut [Cx]) {
 
 /// Sort `data` by key, stably, with `scratch` of the same length; the
 /// result lands in `scratch` if `into_scratch`, else in `data`. The
-/// halves sort (forked) into the *other* buffer, so the one [`merge2`]
-/// per level is also the move back — no copies above the leaves.
+/// halves sort (forked) into the *other* buffer, so the one merge per
+/// level ([`merge_split`]) is also the move back — no copies above the
+/// leaves. Both buffers split at the same line multiple from their start,
+/// so whichever of them is workspace (it starts on a line:
+/// [`par_mergesort`]'s scratch, an SPMS bucket's arena window as `data`)
+/// hands its forked halves whole lines; the other is caller data and
+/// shares one line per split at most.
 fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: bool) {
     if data.len() <= SEQ_CUTOFF {
         seq_sort(data, scratch);
@@ -600,7 +618,6 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: 
         }
         return;
     }
-    debug_assert_line_start(scratch);
     let mid = line_up(data.len() / 2);
     let (dl, dr) = data.split_at_mut(mid);
     let (sl, sr) = scratch.split_at_mut(mid);
@@ -609,40 +626,103 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: 
         || msort_rec(dr, sr, !into_scratch),
     );
     if into_scratch {
-        merge2(&data[..mid], &data[mid..], scratch);
+        merge_split(&data[..mid], &data[mid..], scratch);
     } else {
-        merge2(&scratch[..mid], &scratch[mid..], data);
+        merge_split(&scratch[..mid], &scratch[mid..], data);
     }
+}
+
+/// Output elements at or below which a merge is one sequential
+/// [`merge2`]: the merges near the root of a sort are few and long, and
+/// left whole they are its critical path.
+const MERGE_GRAIN: usize = 1 << 14;
+
+/// [`merge2`], forked at the output midpoint down to [`MERGE_GRAIN`].
+fn merge_split(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
+    if out.len() <= MERGE_GRAIN {
+        return merge2(l, r, out);
+    }
+    let mid = out.len() / 2;
+    // Co-rank: the first `mid` elements of the stable merge are l[..i]
+    // and r[..mid - i] for the smallest i with r[mid - i - 1] < l[i] (the
+    // predicate is monotone in i; at i - 1 it fails, which is
+    // l[i - 1] <= r[mid - i]: ties stay left on both sides of the cut).
+    let (mut lo, mut hi) = (mid.saturating_sub(r.len()), mid.min(l.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if r[mid - i - 1].0 < l[i].0 {
+            hi = i;
+        } else {
+            lo = i + 1;
+        }
+    }
+    let (i, j) = (lo, mid - lo);
+    let (ol, or) = out.split_at_mut(mid);
+    pjoin(
+        || merge_split(&l[..i], &r[..j], ol),
+        || merge_split(&l[i..], &r[j..], or),
+    );
 }
 
 /// Parallel mergesort over `(key, payload)` pairs, stable on keys.
 pub fn par_mergesort(data: &mut [(u64, u64)]) {
     let n = data.len();
     let mut ws = workspace(n, (0u64, 0u64));
-    msort_rec(data, &mut line_aligned(&mut ws)[..n], false);
+    let scratch = &mut line_aligned(&mut ws)[..n];
+    debug_assert_line_start(scratch);
+    msort_rec(data, scratch, false);
 }
 
-/// Consecutive takes from one side before [`merge2`] switches from the
-/// select loop to a binary-search bulk copy.
+/// Consecutive takes from one side before the middle section of
+/// [`merge2`] switches from the select loop to a binary-search bulk copy.
 const GALLOP: usize = 32;
 
 /// Stable 2-way merge of the sorted runs `l` then `r` into `out`
 /// (`l` wins key ties, so run order is input order).
 ///
-/// The inner loop is branch-free on the comparison: the winning side is
-/// picked by a boolean select the compiler lowers to conditional moves,
-/// so random keys cost no branch mispredictions. Streak detection is
-/// block-granular to keep that loop free of bookkeeping: after every
-/// [`GALLOP`] plain selections the indices say whether one side won the
-/// whole block (the other side's cursor did not move), and if so the
-/// merge gallops — a binary search plus a bulk `copy_from_slice` — so
-/// pre-sorted, skewed, and duplicate-heavy inputs degrade toward memcpy
-/// instead of paying the element-at-a-time loop. Deliberately
-/// unsafe-free: the bounds checks fold into the loop conditions, and
-/// the `#[cfg(test)]` equivalence suite below pins this shape against a
-/// naive reference merge.
+/// **Two ends at once.** With `k = min(|l|, |r|)`, the `k` smallest
+/// elements of the result are a prefix of each run and the `k` largest a
+/// suffix of each, and `2k ≤ |out|`, so one loop takes a front element
+/// and a back element per step without either side running dry: front
+/// ties go to `l`, back ties to `r`, which is the stable order from both
+/// directions. The two selections are independent dependency chains (a
+/// select loop is bound by the latency of compare → cursor → next load,
+/// not by throughput), so the core overlaps them; for runs of equal
+/// length — every merge of a balanced sort — that loop is the whole merge.
+///
+/// **The middle**, what unequal runs leave between the two ends, goes
+/// through a select loop with block-granular streak detection: after
+/// every [`GALLOP`] selections the cursors say whether one side won the
+/// whole block, and if so the merge gallops — a binary search plus a bulk
+/// `copy_from_slice` — so a short run against a long one degrades toward
+/// memcpy. Every selection is a boolean the compiler lowers to
+/// conditional moves: random keys cost no branch mispredictions.
+/// Deliberately unsafe-free; the `#[cfg(test)]` equivalence suite below
+/// pins this shape against a naive reference merge.
 fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     debug_assert_eq!(l.len() + r.len(), out.len());
+    let k = l.len().min(r.len());
+    let total = out.len();
+    let (front, rest) = out.split_at_mut(k);
+    let (out, back) = rest.split_at_mut(total - 2 * k);
+    // Step t has taken t elements at each end, so the r cursors follow
+    // from the l cursors (two live cursors instead of four keeps the loop
+    // in registers): front j = t - i, back je = total - t - ie. Fewer
+    // than k are gone from either end of either run, so every index is
+    // in range.
+    let (mut i, mut ie) = (0usize, l.len());
+    for (t, (f, b)) in front.iter_mut().zip(back.iter_mut().rev()).enumerate() {
+        let j = t - i;
+        let take_l = l[i].0 <= r[j].0;
+        *f = if take_l { l[i] } else { r[j] };
+        i += usize::from(take_l);
+        let je = total - t - ie;
+        let take_r = l[ie - 1].0 <= r[je - 1].0;
+        *b = if take_r { r[je - 1] } else { l[ie - 1] };
+        ie -= usize::from(!take_r);
+    }
+    let (j, je) = (k - i, total - k - ie);
+    let (l, r) = (&l[i..ie], &r[j..je]);
     let (mut i, mut j, mut w) = (0usize, 0usize, 0usize);
     while i < l.len() && j < r.len() {
         let (i0, j0) = (i, j);
@@ -650,7 +730,7 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
         while steps > 0 && i < l.len() && j < r.len() {
             let take_l = l[i].0 <= r[j].0;
             out[w] = if take_l { l[i] } else { r[j] };
-            i += take_l as usize;
+            i += usize::from(take_l);
             j += usize::from(!take_l);
             w += 1;
             steps -= 1;
@@ -680,8 +760,9 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
 /// allocation-free: tag every key with its position, sort the
 /// `(key, position)` pairs *unstably* as one 128-bit integer each —
 /// positions are distinct, so that order is the stable one — then swap
-/// each position for the payload it names. As fast as `sort_by_key`,
-/// without its temporary buffer.
+/// each position for the payload it names. On random pairs 0.8–0.9× the
+/// time of `sort_by_key` (slices of 362 to 2^17), without its temporary
+/// buffer.
 fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
     debug_assert_eq!(src.len(), out.len());
     for (i, (o, s)) in out.iter_mut().zip(src).enumerate() {
@@ -693,173 +774,201 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
     }
 }
 
+/// `(nb, q)` of an SPMS level over `n` elements: at most `nb = ⌈√n⌉`
+/// buckets, and chunks `q = ⌈n / nb⌉` wide (so at most `nb` of them).
+fn spms_geometry(n: usize) -> (usize, usize) {
+    let nb = (n as f64).sqrt().ceil() as usize;
+    (nb, n.div_ceil(nb))
+}
+
 /// Scratch (in pairs) that [`spms_rec`] needs for a slice of `n`
-/// elements: two line-gapped bucket arenas for the merge phases, or the
-/// sum of the chunk sorts' needs — whichever is larger, since the two
-/// phases never overlap in time. Sub-cutoff slices need `n` for
-/// [`seq_sort`]'s output. Always a whole number of lines, so
-/// sibling sub-arenas carved at this stride start on line boundaries.
+/// elements: one line-gapped bucket arena for the gather, or the sum of
+/// the chunk sorts' needs — whichever is larger, since the two phases
+/// never overlap in time. Sub-cutoff slices need `n` for [`seq_sort`]'s
+/// output. Always a whole number of lines, so sibling sub-arenas carved
+/// at this stride start on line boundaries.
 fn arena_len(n: usize) -> usize {
     if n <= SEQ_CUTOFF {
         return line_up(n);
     }
-    let chunks = (n as f64).sqrt().ceil() as usize;
-    let q = n.div_ceil(chunks);
+    let (_, q) = spms_geometry(n);
     let chunks = n.div_ceil(q);
     // ≤ one line of gap rounding per bucket, buckets ≤ chunks.
-    let merge = 2 * (line_up(n) + chunks * LINE_PAIRS);
+    let buckets = line_up(n) + chunks * LINE_PAIRS;
     let sort = chunks * arena_len(q);
-    merge.max(sort)
+    buckets.max(sort)
 }
 
-/// Read-only geometry of one SPMS level, shared by the phase recursions.
+/// Samples a full chunk contributes to the splitter sample; with about as
+/// many chunks as buckets, also the sample's size per bucket.
+const OVERSAMPLE: usize = 8;
+
+/// Keys a sorted chunk of `len` elements contributes to the sample of a
+/// level of `q`-wide chunks: in proportion to its length, never more than
+/// a quarter of it.
+fn samples_of(len: usize, q: usize) -> usize {
+    (len * OVERSAMPLE / q).min(len / 4)
+}
+
+/// Step 2 of an SPMS level: the ascending, distinct splitters of `data`,
+/// whose `q`-wide chunks are sorted, for at most `nb` buckets.
+///
+/// Deterministic regular sampling (PSRS-style — a fixed input gives a
+/// fixed partition on every run). A chunk contributes evenly spaced keys
+/// ([`samples_of`]: `spp` = [`OVERSAMPLE`] for a full one), so the sample
+/// is ≈ `OVERSAMPLE · nb` keys at every size (364 of 2 048 keys at
+/// n = 2 048, where a floor of 32 per chunk used to copy and sort 1 463)
+/// and sorting it is noise.
+/// Chunk `c` of `C` samples the ranks `(t + c/C) · len / spp`: were every
+/// chunk to start at the same rank, no sample would come from below it,
+/// and on an input in random order the first and last bucket would each
+/// hold `n / OVERSAMPLE` elements. Every `|sample| / nb`-th sample key is
+/// a splitter.
+///
+/// **Bucket bound.** A chunk's adjacent samples are ≤ `g = ⌈q/spp⌉` ranks
+/// apart, so a chunk with `m` samples inside a bucket's key range has
+/// < `(m + 2) · g` elements there; over all chunks `Σm` is the
+/// `≈ OVERSAMPLE` samples between two splitters (distinct keys), so a
+/// bucket holds at most about `(OVERSAMPLE + 2C) · g ≈ q + 2n/OVERSAMPLE`
+/// elements: a constant fraction of `n` in the worst case, not the O(q)
+/// that a Θ(n)-key sample buys. Nothing rests on balance any more — a
+/// bucket of any size is sorted in O(m log m), forked above the cutoff
+/// ([`spms_sort_buckets`]) — and on keys in random order the staggered
+/// sample is a uniform one: buckets of `q · (1 ± O(1/√OVERSAMPLE))`, the
+/// largest of the 363 at n = 2^17 about 2.5 q.
+fn spms_splitters(data: &[(u64, u64)], q: usize, nb: usize) -> Vec<u64> {
+    let nchunks = data.len().div_ceil(q);
+    let mut sample: Vec<u64> = Vec::with_capacity(nchunks * OVERSAMPLE);
+    for (c, chunk) in data.chunks(q).enumerate() {
+        let len = chunk.len();
+        let spp = samples_of(len, q);
+        sample.extend((0..spp).map(|t| chunk[(t * nchunks + c) * len / (spp * nchunks)].0));
+    }
+    sample.sort_unstable();
+    let mut splitters: Vec<u64> = (1..nb).map(|j| sample[j * sample.len() / nb]).collect();
+    splitters.dedup();
+    splitters
+}
+
+/// Step 3 of an SPMS level: row `c` of `cuts` (`splitters.len() + 2`
+/// wide) gets sorted chunk `c`'s bucket borders — `row[j]..row[j+1]` is
+/// its run for bucket `j` — by an upper-bound cut at every splitter, so
+/// equal keys never straddle a bucket. Forked over chunk rows: each
+/// chunk writes only its own row.
+///
+/// Splitters ascend and there are about as many as the chunk has
+/// elements, so one merge-path walk places every border in
+/// `len + nbuckets` steps, and each step advances either the element or
+/// the splitter cursor by a flag instead of a branch (a border a later
+/// step moves is simply stored again) — the run lengths are ≈ 1 and
+/// random, which no branch predictor follows.
+fn spms_partition(data: &[(u64, u64)], q: usize, splitters: &[u64], cuts: &mut [usize]) {
+    let stride = splitters.len() + 2;
+    let rows = cuts.len() / stride;
+    if rows > 1 && data.len() > SEQ_CUTOFF {
+        let mid = rows / 2;
+        let (dl, dr) = data.split_at(mid * q);
+        let (cl, cr) = cuts.split_at_mut(mid * stride);
+        pjoin(
+            || spms_partition(dl, q, splitters, cl),
+            || spms_partition(dr, q, splitters, cr),
+        );
+        return;
+    }
+    for (chunk, row) in data.chunks(q).zip(cuts.chunks_exact_mut(stride)) {
+        let (mut lo, mut si) = (0usize, 0usize);
+        row[0] = 0;
+        while lo < chunk.len() && si < splitters.len() {
+            let below = chunk[lo].0 <= splitters[si];
+            row[si + 1] = lo;
+            lo += usize::from(below);
+            si += usize::from(!below);
+        }
+        row[si + 1..].fill(chunk.len());
+    }
+}
+
+/// Buckets whose runs one gather leaf collects: enough that a chunk's
+/// contribution to the group is a contiguous span of a few lines, few
+/// enough that the group's write cursors and open lines stay in L1.
+const GATHER_GROUP: usize = 32;
+
+/// Read-only geometry of one SPMS level, shared by the gather recursion.
 struct SpmsCx<'a> {
     /// Chunk width of the level.
     q: usize,
     /// Row stride of `cuts` (`nbuckets + 1`).
     stride: usize,
-    /// Row stride of the run-bounds arenas (max runs per bucket + 1).
-    bstride: usize,
     /// Flattened per-chunk bucket borders, `stride`-strided by chunk.
     cuts: &'a [usize],
     /// Total size of each bucket.
     sizes: &'a [usize],
 }
 
-/// Merge phase A of one level: for the buckets `[blo, bhi)`, pairwise-
-/// merge each bucket's sorted chunk-runs **straight out of `data`** into
-/// the bucket's region of arena half `a` — the old concat-then-merge
-/// first round and the per-bucket staging buffers, fused into one pass.
-/// Run boundaries land in `bnd` (one `bstride` row per bucket) and the
-/// surviving run count in `nrs`. Buckets split `a`/`bnd`/`nrs` along
-/// line-gapped borders, so no two bucket writers share a cache-line
-/// interior.
-fn spms_phase_a(
-    data: &[(u64, u64)],
-    blo: usize,
-    bhi: usize,
-    a: &mut [(u64, u64)],
-    bnd: &mut [usize],
-    nrs: &mut [usize],
-    cx: &SpmsCx<'_>,
-) {
+/// Bucket phase A of one level: gather the runs of buckets `[blo, bhi)`
+/// out of `data` into `a`, which starts at bucket `blo`'s origin of the
+/// line-gapped arena. Forked down to groups of ≤ [`GATHER_GROUP`]
+/// buckets along line-gapped borders, so no two writers share a
+/// cache-line interior. A leaf walks chunk-major: `cuts` is read by row,
+/// every chunk contributes one contiguous span of `data`, and a bucket
+/// receives its runs in chunk order — input order, which is what keeps
+/// the leaf sort that follows stable.
+fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)], cx: &SpmsCx<'_>) {
     debug_assert_line_start(a);
-    if bhi - blo > 1 {
+    if bhi - blo > GATHER_GROUP {
         let mid = blo + (bhi - blo) / 2;
         let cut: usize = cx.sizes[blo..mid].iter().map(|&s| line_up(s)).sum();
         let (al, ar) = a.split_at_mut(cut);
-        let (bl, br) = bnd.split_at_mut((mid - blo) * cx.bstride);
-        let (nl, nr) = nrs.split_at_mut(mid - blo);
         pjoin(
-            || spms_phase_a(data, blo, mid, al, bl, nl, cx),
-            || spms_phase_a(data, mid, bhi, ar, br, nr, cx),
+            || spms_gather(data, blo, mid, al, cx),
+            || spms_gather(data, mid, bhi, ar, cx),
         );
         return;
     }
-    let j = blo;
-    let nchunks = data.len().div_ceil(cx.q);
-    let mut w = 0usize;
-    let mut runs = 0usize;
-    bnd[0] = 0;
-    let mut pending: Option<&[(u64, u64)]> = None;
-    for c in 0..nchunks {
-        let base = c * cx.q;
-        let (lo, hi) = (cx.cuts[c * cx.stride + j], cx.cuts[c * cx.stride + j + 1]);
-        if hi <= lo {
-            continue;
-        }
-        let run = &data[base + lo..base + hi];
-        match pending.take() {
-            None => pending = Some(run),
-            Some(first) => {
-                let len = first.len() + run.len();
-                merge2(first, run, &mut a[w..w + len]);
-                w += len;
-                runs += 1;
-                bnd[runs] = w;
+    // Write cursor of each bucket of the group, from its gapped origin.
+    let mut at = [0usize; GATHER_GROUP];
+    let mut origin = 0usize;
+    for (w, &s) in at.iter_mut().zip(&cx.sizes[blo..bhi]) {
+        *w = origin;
+        origin += line_up(s);
+    }
+    for (c, chunk) in data.chunks(cx.q).enumerate() {
+        let row = &cx.cuts[c * cx.stride + blo..=c * cx.stride + bhi];
+        for (w, b) in at.iter_mut().zip(row.windows(2)) {
+            for &p in &chunk[b[0]..b[1]] {
+                a[*w] = p;
+                *w += 1;
             }
         }
     }
-    if let Some(first) = pending {
-        // Odd run out: lands in the arena verbatim this round.
-        a[w..w + first.len()].copy_from_slice(first);
-        w += first.len();
-        runs += 1;
-        bnd[runs] = w;
-    }
-    debug_assert_eq!(w, cx.sizes[j]);
-    nrs[0] = runs;
 }
 
-/// Merge phase B of one level: ping-pong each bucket's surviving runs
-/// between its regions of arena halves `a` and `b`, with the **final**
-/// round writing directly into the bucket's destination window of
-/// `data` — the fused compaction. A bucket already down to one run just
-/// copies out (its only remaining pass *is* the compaction).
-fn spms_phase_b(
-    dest: &mut [(u64, u64)],
-    blo: usize,
-    bhi: usize,
-    a: &mut [(u64, u64)],
-    b: &mut [(u64, u64)],
-    bnd_a: &mut [usize],
-    bnd_b: &mut [usize],
-    nrs: &[usize],
-    cx: &SpmsCx<'_>,
-) {
+/// Bucket phase B of one level: sort every gathered bucket of `a` (one
+/// per entry of `sizes`, at line-gapped origins) into its window of
+/// `dest`, forked per bucket. A bucket is ≈ q = √n unordered-between-runs
+/// elements, so one stable leaf sort does what ⌈log₂ chunks⌉ rounds of
+/// pairwise merges of its ≈ 1-element runs would; a bucket above the
+/// cutoff (skewed or duplicate-heavy keys) is a forked [`msort_rec`]
+/// whose scratch is the bucket's own `dest` window — free, because the
+/// barrier after the gather retired `data` as a source.
+fn spms_sort_buckets(dest: &mut [(u64, u64)], a: &mut [(u64, u64)], sizes: &[usize]) {
     debug_assert_line_start(a);
-    debug_assert_line_start(b);
-    if bhi - blo > 1 {
-        let mid = blo + (bhi - blo) / 2;
-        let gap_cut: usize = cx.sizes[blo..mid].iter().map(|&s| line_up(s)).sum();
-        let dest_cut: usize = cx.sizes[blo..mid].iter().sum();
-        let (dl, dr) = dest.split_at_mut(dest_cut);
-        let (al, ar) = a.split_at_mut(gap_cut);
-        let (bl, br) = b.split_at_mut(gap_cut);
-        let (xal, xar) = bnd_a.split_at_mut((mid - blo) * cx.bstride);
-        let (xbl, xbr) = bnd_b.split_at_mut((mid - blo) * cx.bstride);
-        let (nl, nr) = nrs.split_at(mid - blo);
+    if sizes.len() > 1 {
+        let (sl, sr) = sizes.split_at(sizes.len() / 2);
+        let (dl, dr) = dest.split_at_mut(sl.iter().sum());
+        let (al, ar) = a.split_at_mut(sl.iter().map(|&s| line_up(s)).sum());
         pjoin(
-            || spms_phase_b(dl, blo, mid, al, bl, xal, xbl, nl, cx),
-            || spms_phase_b(dr, mid, bhi, ar, br, xar, xbr, nr, cx),
+            || spms_sort_buckets(dl, al, sl),
+            || spms_sort_buckets(dr, ar, sr),
         );
         return;
     }
-    let m = cx.sizes[blo];
-    let dest = &mut dest[..m];
-    let mut nr = nrs[0];
-    let (mut src, mut dst) = (&mut a[..m], &mut b[..m]);
-    let (mut bs, mut bd) = (&mut bnd_a[..], &mut bnd_b[..]);
-    if nr <= 1 {
-        dest.copy_from_slice(&src[..m]);
-        return;
+    let m = sizes[0];
+    if m <= SEQ_CUTOFF {
+        seq_sort(&a[..m], &mut dest[..m]);
+    } else {
+        msort_rec(&mut a[..m], &mut dest[..m], true);
     }
-    while nr > 2 {
-        let mut w = 0usize;
-        let mut out_runs = 0usize;
-        bd[0] = 0;
-        let mut t = 0usize;
-        while t + 2 <= nr {
-            let (l0, l1, l2) = (bs[t], bs[t + 1], bs[t + 2]);
-            merge2(&src[l0..l1], &src[l1..l2], &mut dst[w..w + (l2 - l0)]);
-            w += l2 - l0;
-            out_runs += 1;
-            bd[out_runs] = w;
-            t += 2;
-        }
-        if t < nr {
-            let (l0, l1) = (bs[t], bs[t + 1]);
-            dst[w..w + (l1 - l0)].copy_from_slice(&src[l0..l1]);
-            w += l1 - l0;
-            out_runs += 1;
-            bd[out_runs] = w;
-        }
-        nr = out_runs;
-        std::mem::swap(&mut src, &mut dst);
-        std::mem::swap(&mut bs, &mut bd);
-    }
-    // Exactly two runs left: this merge is the compaction.
-    merge2(&src[bs[0]..bs[1]], &src[bs[1]..bs[2]], dest);
 }
 
 /// Recursive chunk-sort pass: apply [`spms_rec`] to each `q`-wide window
@@ -888,22 +997,23 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 /// pairs — the native counterpart of [`crate::spms`], stable on keys.
 ///
 /// 1. ≈ `√n` chunks are sorted recursively in parallel;
-/// 2. a deterministic regular sample of each sorted chunk yields the
-///    splitters (PSRS-style — no randomness, so a fixed input gives a
-///    fixed partition on every run);
-/// 3. every chunk is cut at the splitters with an upper-bound search, so
-///    equal keys land in one bucket (stability);
-/// 4. each size-balanced bucket's runs are pairwise-merged straight out
-///    of `data` into a line-gapped ping-pong arena (phase A — the old
-///    concatenate-then-merge staging pass, fused away), then ping-ponged
-///    down to one run whose **final merge writes the bucket's window of
-///    `data` directly** (phase B — the old separate compaction pass,
-///    fused into the last round). The arena starts on a cache-line
-///    boundary and bucket origins are line multiples in both halves, so
-///    no two bucket writers share a line interior — the false-sharing
-///    story of the paper, for real.
+/// 2. a deterministic regular sample of the sorted chunks yields the
+///    splitters ([`spms_splitters`]);
+/// 3. every chunk is cut at the splitters by a forked, branch-free
+///    merge-path walk ([`spms_partition`]);
+/// 4. the buckets are rebuilt in two forked passes with a barrier
+///    between them: groups of buckets gather their runs out of `data`
+///    into a line-gapped arena ([`spms_gather`]), then every bucket is
+///    sorted from the arena into its final window of `data`
+///    ([`spms_sort_buckets`]). With ≈ `√n` chunks *and* ≈ `√n` buckets a
+///    (chunk, bucket) run holds about one element, so "merging" a
+///    bucket's runs pairwise is a merge sort from singletons; one leaf
+///    sort per bucket does the same work in one pass. The arena starts on
+///    a cache-line boundary and bucket origins are line multiples, so no
+///    two bucket writers share a line interior — the false-sharing story
+///    of the paper, for real.
 ///
-/// One arena allocation funds every merge round, the sequential leaf
+/// One arena allocation funds the bucket phase, the sequential leaf
 /// sorts, and the whole recursion ([`arena_len`]) — the hot path
 /// allocates O(1) buffers per super-cutoff level instead of O(√n) per
 /// bucket, which `tests/alloc_accounting.rs` pins.
@@ -930,59 +1040,22 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
         return;
     }
     // 1. chunk sort (concurrent sub-sorts carve the shared arena).
-    let chunks = (n as f64).sqrt().ceil() as usize;
-    let q = n.div_ceil(chunks);
+    let (nb, q) = spms_geometry(n);
     let nchunks = n.div_ceil(q);
     spms_sort_chunks(data, q, arena, arena_len(q));
 
-    // 2. deterministic regular sample → splitters. Sampling every
-    // element (spp = nb) gives the classic ≤ 2q bucket bound but costs
-    // an O(n log n) sample sort — as much as the sort itself. A quarter
-    // of that density keeps the bound at O(q) (≤ ~5q: between two
-    // adjacent samples of one chunk sit ≤ len/(spp+1) elements, so a
-    // bucket collects ≤ n/spp + its fair share) and makes the sample
-    // sort noise instead of a phase.
-    let nb = chunks;
-    let mut sample: Vec<u64> = Vec::with_capacity(nchunks * nb);
-    for chunk in data.chunks(q) {
-        let len = chunk.len();
-        let spp = len.min((nb / 4).max(32));
-        for t in 1..=spp {
-            sample.push(chunk[(t * len / (spp + 1)).min(len - 1)].0);
-        }
-    }
-    sample.sort_unstable();
-    let mut splitters: Vec<u64> = (1..nb).map(|j| sample[j * sample.len() / nb]).collect();
-    splitters.dedup();
-
-    // 3. partition every chunk at the splitters (upper bound: equal keys
-    // never straddle a bucket). Row c of the flattened `cuts` holds
-    // chunk c's bucket borders.
+    // 2.–3. splitters, then every chunk's bucket borders.
+    let splitters = spms_splitters(data, q, nb);
     let nbuckets = splitters.len() + 1;
     let stride = nbuckets + 1;
     let mut cuts = vec![0usize; nchunks * stride];
-    for (c, chunk) in data.chunks(q).enumerate() {
-        let row = &mut cuts[c * stride..(c + 1) * stride];
-        // Splitters ascend and there are about as many as the chunk has
-        // elements, so successive borders advance by ~1: one linear walk
-        // over the chunk places every border in O(len + nbuckets) —
-        // cheaper than nbuckets independent binary searches.
-        let mut lo = 0usize;
-        for (si, &s) in splitters.iter().enumerate() {
-            while lo < chunk.len() && chunk[lo].0 <= s {
-                lo += 1;
-            }
-            row[si + 1] = lo;
-        }
-        row[stride - 1] = chunk.len();
-    }
+    spms_partition(data, q, &splitters, &mut cuts);
     // Bucket sizes, accumulated row-major (the cuts layout) instead of
     // striding a column per bucket.
     let mut sizes = vec![0usize; nbuckets];
-    for c in 0..nchunks {
-        let row = &cuts[c * stride..(c + 1) * stride];
-        for j in 0..nbuckets {
-            sizes[j] += row[j + 1] - row[j];
+    for row in cuts.chunks_exact(stride) {
+        for (size, b) in sizes.iter_mut().zip(row.windows(2)) {
+            *size += b[1] - b[0];
         }
     }
     if sizes.contains(&n) {
@@ -993,65 +1066,257 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
         return;
     }
 
-    // 4. the fused merge phases (see the function docs above): phase A
-    // reads `data` into arena half A, the barrier between the two pjoin
-    // trees retires `data` as a source, phase B ping-pongs A↔B and
-    // lands the final round of every bucket in its `data` window.
-    let cap: usize = sizes.iter().map(|&s| line_up(s)).sum();
-    // Phase A halves runs once, so a bucket holds ≤ ⌈nchunks/2⌉ runs.
-    let bstride = nchunks / 2 + 2;
-    let mut bnd = vec![0usize; 2 * nbuckets * bstride];
-    let mut nrs = vec![0usize; nbuckets];
+    // 4. gather, barrier, sort (see the function docs above).
     let cx = SpmsCx {
         q,
         stride,
-        bstride,
         cuts: &cuts,
         sizes: &sizes,
     };
-    let (half_a, rest) = arena.split_at_mut(cap);
-    let half_b = &mut rest[..cap];
-    let (bnd_a, bnd_b) = bnd.split_at_mut(nbuckets * bstride);
-    spms_phase_a(data, 0, nbuckets, half_a, bnd_a, &mut nrs, &cx);
-    spms_phase_b(data, 0, nbuckets, half_a, half_b, bnd_a, bnd_b, &nrs, &cx);
+    spms_gather(data, 0, nbuckets, arena, &cx);
+    spms_sort_buckets(data, arena, &sizes);
 }
 
-/// Parallel list ranking by pointer jumping (the practical baseline).
+/// Distance between the index splitters of [`par_list_rank`]: every
+/// `LR_STRIDE`-th node starts a sublist (≈ log₂ n at the sizes served).
+const LR_STRIDE: usize = 16;
+
+/// Sublists a walk leaf advances in turn: a step is one dependent random
+/// load, so interleaving independent walks is what overlaps the misses.
+const LR_LANES: usize = 8;
+
+/// Splitters per walk leaf.
+const LR_LEAF: usize = 4 * SEQ_CUTOFF / LR_STRIDE;
+
+/// `u64`s in a cache line.
+const LINE_WORDS: usize = LINE_BYTES / std::mem::size_of::<u64>();
+
+/// Low half of a packed word: a sublist offset or a distance.
+const LOW: u64 = u32::MAX as u64;
+
+/// `(id, count)` in one word, so a random read fetches both at once.
+fn pack(id: usize, count: u64) -> u64 {
+    debug_assert!(id as u64 <= LOW && count <= LOW);
+    (id as u64) << 32 | count
+}
+
+/// The node no node points to: `Σ i − Σ succ[i]` over the non-tail
+/// nodes' successors, which are all nodes but the head once each. A
+/// forked reduction — no scatter, no marks array.
+fn lr_head(succ: &[usize], off: usize) -> usize {
+    if succ.len() <= SEQ_CUTOFF {
+        return succ.iter().enumerate().fold(0usize, |acc, (i, &s)| {
+            let i = off + i;
+            acc.wrapping_add(i).wrapping_sub(if s == i { 0 } else { s })
+        });
+    }
+    let mid = succ.len() / 2;
+    let (l, r) = pjoin(
+        || lr_head(&succ[..mid], off),
+        || lr_head(&succ[mid..], off + mid),
+    );
+    l.wrapping_add(r)
+}
+
+/// Walk the sublists `[lo, hi)`: sublist `id` starts at node
+/// `id · LR_STRIDE` (`head` for the id past the index splitters) and
+/// runs until the next node is an index splitter or the tail. Every
+/// visited node gets `tags[node] = (id, offset in the sublist)`, every
+/// sublist `contracted[id] = (next sublist, hops to its first node)` —
+/// `(tail_id, hops to the tail)` for the last one. Each word has one
+/// writer (a node lies on one sublist), so the stores race with nothing;
+/// they are atomics only because the targets are scattered over slices
+/// every leaf shares.
+fn lr_walk(
+    succ: &[usize],
+    head: usize,
+    lo: usize,
+    hi: usize,
+    tags: &[AtomicU64],
+    contracted: &[AtomicU64],
+) {
+    if hi - lo > LR_LEAF {
+        let mid = lo + (hi - lo) / 2;
+        pjoin(
+            || lr_walk(succ, head, lo, mid, tags, contracted),
+            || lr_walk(succ, head, mid, hi, tags, contracted),
+        );
+        return;
+    }
+    let n = succ.len();
+    let index_splitters = n.div_ceil(LR_STRIDE);
+    let tail_id = index_splitters + 1;
+    let start = |id: usize| {
+        (
+            if id == index_splitters {
+                head
+            } else {
+                id * LR_STRIDE
+            },
+            id,
+            0u64,
+        )
+    };
+    // (node, sublist, offset) of each live lane; `next_id` refills them.
+    let mut lanes = [(0usize, 0usize, 0u64); LR_LANES];
+    let mut next_id = lo;
+    let mut live = 0;
+    while live < LR_LANES && next_id < hi {
+        lanes[live] = start(next_id);
+        live += 1;
+        next_id += 1;
+    }
+    while live > 0 {
+        let mut l = 0;
+        while l < live {
+            let (node, id, offset) = lanes[l];
+            // A sublist longer than the list is a cycle: not a list.
+            assert!(offset < n as u64, "succ does not describe a single list");
+            tags[node].store(pack(id, offset), Relaxed);
+            let next = succ[node];
+            if next != node && !next.is_multiple_of(LR_STRIDE) {
+                lanes[l] = (next, id, offset + 1);
+                l += 1;
+                continue;
+            }
+            let link = if next == node {
+                pack(tail_id, offset)
+            } else {
+                pack(next / LR_STRIDE, offset + 1)
+            };
+            contracted[id].store(link, Relaxed);
+            if next_id < hi {
+                lanes[l] = start(next_id);
+                next_id += 1;
+                l += 1;
+            } else {
+                live -= 1;
+                lanes[l] = lanes[live];
+            }
+        }
+    }
+}
+
+/// One pointer-jumping round over the contracted list:
+/// `next[i] = (succ[succ[i]], dist[i] + dist[succ[i]])`, forked over
+/// disjoint output windows (`off` = the window's global start index).
+fn lr_jump(cur: &[AtomicU64], next: &mut [AtomicU64], off: usize) {
+    debug_assert_line_start(next);
+    if next.len() <= SEQ_CUTOFF {
+        for (out, c) in next.iter_mut().zip(&cur[off..]) {
+            let c = c.load(Relaxed);
+            let s = cur[(c >> 32) as usize].load(Relaxed);
+            *out.get_mut() = (s & !LOW) | ((c & LOW) + (s & LOW));
+        }
+        return;
+    }
+    let mid = (next.len() / 2).next_multiple_of(LINE_WORDS);
+    let (nl, nr) = next.split_at_mut(mid);
+    pjoin(|| lr_jump(cur, nl, off), || lr_jump(cur, nr, off + mid));
+}
+
+/// `rank[i]` = rank of node `i`'s sublist start − its offset in the
+/// sublist: one streaming pass over the tags, forked over output windows.
+fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [u64]) {
+    if rank.len() > SEQ_CUTOFF {
+        let mid = rank.len() / 2;
+        let (tl, tr) = tags.split_at(mid);
+        let (rl, rr) = rank.split_at_mut(mid);
+        pjoin(|| lr_expand(tl, ranked, rl), || lr_expand(tr, ranked, rr));
+        return;
+    }
+    for (r, t) in rank.iter_mut().zip(tags) {
+        let t = t.load(Relaxed);
+        *r = (ranked[(t >> 32) as usize].load(Relaxed) & LOW) - (t & LOW);
+    }
+}
+
+/// Parallel list ranking in O(n) work: `rank[i]` = hops from node `i` to
+/// the tail of the single list `succ` describes (the tail is its own
+/// successor) — contract to n/log n nodes, jump, expand.
 ///
-/// Successor and distance travel as one `(succ, dist)` element, so the
-/// random read `cur[succ]` of a jump fetches both with one cache miss,
-/// and the rounds ping-pong between the two halves of one workspace.
+/// 1. **Splitters** are every [`LR_STRIDE`]-th index plus the head
+///    ([`lr_head`]); each starts a sublist that ends where the next
+///    splitter begins.
+/// 2. **Walk** ([`lr_walk`]): leaves take ranges of sublists and follow
+///    them [`LR_LANES`] at a time, tagging every node with
+///    `(sublist, offset)` and every sublist with `(next, length)` — one
+///    dependent load and one scattered store per node, where pointer
+///    jumping over the whole list does ⌈log₂ n⌉ gathers.
+/// 3. **Rank the contracted list** of ⌈n/`LR_STRIDE`⌉ + 2 nodes (an
+///    optional head sublist and a virtual tail included) by Wyllie
+///    pointer jumping, successor and distance fused in one word
+///    ([`lr_jump`]).
+/// 4. **Expand** ([`lr_expand`]): `rank[i] = rank[sublist] − offset`.
+///
+/// Output plus one workspace (tags, and the two ping-pong halves of the
+/// contracted list); every phase is a fork-join tree, and the joins are
+/// what orders one phase's relaxed stores before the next phase's loads.
+///
+/// What this is not: the paper's list ranking (`crate::listrank` records
+/// that one for the simulator — independent-set contraction with a sort
+/// per level, which at these sizes is more memory traffic than the
+/// jumping it would replace). Two properties follow. The span is the
+/// longest sublist: O(log n) expected hops per lane on a random list,
+/// Θ(n) on an adversarial numbering that keeps multiples of
+/// [`LR_STRIDE`] apart — the work stays O(n) either way. And the walk's
+/// tag stores from different workers land in the same lines — Θ(n/B)
+/// shared blocks, the pattern the paper routes through a sort — so the
+/// kernel is as fast as the sequential walk on one core and gains next
+/// to nothing from a second (see README, "native hot path").
 pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
     let n = succ.len();
-    // One jump round: next[i] = (succ[succ[i]], dist[i] + dist[succ[i]]),
-    // forked over disjoint output windows (`off` = the window's global
-    // start index).
-    fn jump(cur: &[(usize, u64)], next: &mut [(usize, u64)], off: usize) {
-        debug_assert_line_start(next);
-        if next.len() <= SEQ_CUTOFF {
-            for (out, &(s, d)) in next.iter_mut().zip(&cur[off..]) {
-                let (ss, ds) = cur[s];
-                *out = (ss, d + ds);
-            }
-            return;
-        }
-        let mid = line_up(next.len() / 2);
-        let (nl, nr) = next.split_at_mut(mid);
-        pjoin(|| jump(cur, nl, off), || jump(cur, nr, off + mid));
+    if n == 0 {
+        return Vec::new();
     }
-    let half = line_up(n);
-    let mut ws = workspace(2 * half, (0usize, 0u64));
-    let (cur, next) = line_aligned(&mut ws)[..2 * half].split_at_mut(half);
-    let (mut cur, mut next) = (&mut cur[..n], &mut next[..n]);
-    for (i, (c, &s)) in cur.iter_mut().zip(succ).enumerate() {
-        *c = (s, u64::from(s != i));
-    }
-    let rounds = 64 - (n.max(2) as u64 - 1).leading_zeros();
+    // Ids, offsets and distances are packed into 32-bit halves.
+    assert!(
+        n < LOW as usize,
+        "par_list_rank packs node counts in 32 bits"
+    );
+    debug_assert_eq!(
+        succ.iter().enumerate().filter(|&(i, &s)| s == i).count(),
+        1,
+        "a single list has exactly one tail"
+    );
+    let head = lr_head(succ, 0);
+    let index_splitters = n.div_ceil(LR_STRIDE);
+    // A head off the stride starts one more sublist, past the others.
+    let head_id = if head.is_multiple_of(LR_STRIDE) {
+        head / LR_STRIDE
+    } else {
+        index_splitters
+    };
+    let sublists = index_splitters.max(head_id + 1);
+    let tail_id = index_splitters + 1;
+
+    let tags_len = n.next_multiple_of(LINE_WORDS);
+    let half = (tail_id + 1).next_multiple_of(LINE_WORDS);
+    let mut ws: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
+        .take(tags_len + 2 * half + LINE_WORDS)
+        .collect();
+    raise_arena_gauge(&ws);
+    let (tags, halves) = line_aligned(&mut ws).split_at_mut(tags_len);
+    let (mut cur, rest) = halves.split_at_mut(half);
+    let mut next = &mut rest[..half];
+
+    // An unused head slot (the head is an index splitter) stays (0, 0):
+    // nothing links to it.
+    *cur[tail_id].get_mut() = pack(tail_id, 0);
+    lr_walk(succ, head, 0, sublists, tags, cur);
+    let rounds = usize::BITS - tail_id.leading_zeros();
     for _ in 0..rounds {
-        jump(cur, next, 0);
+        lr_jump(cur, next, 0);
         std::mem::swap(&mut cur, &mut next);
     }
-    cur.iter().map(|&(_, d)| d).collect()
+    debug_assert_eq!(
+        cur[head_id].load(Relaxed),
+        pack(tail_id, n as u64 - 1),
+        "every node lies on the one list"
+    );
+    let mut rank = vec![0u64; n];
+    lr_expand(tags, cur, &mut rank);
+    rank
 }
 
 #[cfg(test)]
@@ -1210,6 +1475,26 @@ mod tests {
     }
 
     #[test]
+    fn spms_arena_is_one_gapped_copy_and_the_gauge_reports_it() {
+        // ⌈√n⌉ = 363 chunks and at most as many buckets: every element
+        // once plus a line of gap per bucket — half of what the two
+        // ping-pong halves of the pairwise-merge bucket phase took.
+        let n = 1 << 17;
+        let gapped = line_up(n) + 363 * LINE_PAIRS;
+        assert_eq!(arena_len(n), gapped, "2 MiB, not 4");
+        let m = hbp_metrics::global();
+        m.set_enabled(true);
+        let mut data: Vec<(u64, u64)> = gen::random_u64s(n, u64::MAX, 4)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        par_spms(&mut data);
+        m.set_enabled(false);
+        let pair = std::mem::size_of::<(u64, u64)>();
+        assert!(m.arena_bytes.get() >= (gapped * pair) as i64);
+    }
+
+    #[test]
     fn bi_lut_is_the_morton_order() {
         for r in 0..LEAF {
             for c in 0..LEAF {
@@ -1288,9 +1573,12 @@ mod tests {
     fn par_mergesort_is_stable_at_both_parities() {
         // 2049..4096 elements sit one level above the leaves (they sort
         // into the scratch), 4097.. two levels (into the data); 2049 and
-        // 4100 also split into a leaf and a non-leaf half.
+        // 4100 also split into a leaf and a non-leaf half; 40 000 forks
+        // the merges of its top two levels.
         off_and_on_pools(|| {
-            for n in [0usize, 1, 2, 1000, 1024, 1025, 2049, 4096, 4100, 10_000] {
+            for n in [
+                0usize, 1, 2, 1000, 1024, 1025, 2049, 4096, 4100, 10_000, 40_000,
+            ] {
                 let keys = gen::random_u64s(n.max(1), 5, n as u64 + 1);
                 let data: Vec<(u64, u64)> = (0..n).map(|i| (keys[i], i as u64)).collect();
                 let mut got = data.clone();
@@ -1304,16 +1592,84 @@ mod tests {
         });
     }
 
+    /// The list that visits the nodes in `order`.
+    fn list_from_order(order: &[usize]) -> Vec<usize> {
+        let mut succ = vec![0; order.len()];
+        for w in order.windows(2) {
+            succ[w[0]] = w[1];
+        }
+        if let Some(&tail) = order.last() {
+            succ[tail] = tail;
+        }
+        succ
+    }
+
     #[test]
-    fn par_list_rank_matches_incl_empty_and_self_loop() {
+    fn par_list_rank_matches_around_the_stride_and_the_cutoff() {
         off_and_on_pools(|| {
             assert_eq!(par_list_rank(&[]), Vec::<u64>::new());
             assert_eq!(par_list_rank(&[0]), vec![0], "a lone self-loop tail");
-            for n in [2usize, 1023, 1025, 1 << 15] {
+            let k = LR_STRIDE;
+            for n in [2, k - 1, k, k + 1, 1023, 1025, 1 << 15] {
                 let succ = gen::random_list(n, 8);
                 assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ), "n={n}");
             }
         });
+    }
+
+    #[test]
+    fn par_list_rank_on_ordered_lists_and_every_head_and_tail_placement() {
+        let k = LR_STRIDE;
+        off_and_on_pools(|| {
+            for n in [k + 1, 2 * k + 1, 4 * k, 4 * k + 5, 5000] {
+                // Identity and reverse order: one sublist per splitter,
+                // exactly LR_STRIDE long (the last one shorter).
+                let identity: Vec<usize> = (0..n).collect();
+                let reversed: Vec<usize> = (0..n).rev().collect();
+                for order in [identity, reversed] {
+                    let succ = list_from_order(&order);
+                    let want: Vec<u64> = {
+                        let mut rank = vec![0; n];
+                        for (at, &node) in order.iter().enumerate() {
+                            rank[node] = (n - 1 - at) as u64;
+                        }
+                        rank
+                    };
+                    assert_eq!(par_list_rank(&succ), want, "n={n} ordered");
+                }
+                if n <= 2 * k {
+                    continue;
+                }
+                // Head and tail each on a multiple of the stride and not:
+                // a head off the stride is the extra sublist, a tail on it
+                // is a sublist of its own that ends at once.
+                for (head, tail) in [(k, 2 * k), (k, 3), (5, 2 * k), (5, 3), (0, n - 1)] {
+                    let mut order: Vec<usize> =
+                        (0..n).filter(|&v| v != head && v != tail).collect();
+                    // A fixed scramble, so sublists have mixed lengths.
+                    let len = order.len();
+                    for i in 0..len {
+                        order.swap(i, (i * 7919 + 13) % len);
+                    }
+                    order.insert(0, head);
+                    order.push(tail);
+                    let succ = list_from_order(&order);
+                    assert_eq!(
+                        par_list_rank(&succ),
+                        oracle::list_rank(&succ),
+                        "n={n} head={head} tail={tail}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "single list")]
+    fn par_list_rank_stops_on_a_cycle() {
+        // 0 -> 1 -> 2 -> 1: node 3 is a tail, but the walk from 0 never
+        // reaches it, nor a multiple of the stride.
+        par_list_rank(&[1, 2, 1, 3, 5, 6, 7, 3]);
     }
 
     #[test]
@@ -1331,22 +1687,112 @@ mod tests {
         }
     }
 
+    /// `(name, keys)` of the structured inputs SPMS must survive.
+    fn spms_edge_inputs(n: usize) -> Vec<(&'static str, Vec<u64>)> {
+        let n64 = n as u64;
+        vec![
+            ("presorted", (0..n64).collect()),
+            ("reversed", (0..n64).rev().collect()),
+            ("all equal", vec![7; n]),
+            ("two keys", (0..n64).map(|i| i % 2).collect()),
+            (
+                "one low outlier",
+                (0..n64).map(|i| if i == 0 { 0 } else { 9 }).collect(),
+            ),
+            // One key is 90 % of the input, the rest lie on both sides.
+            (
+                "one key 90 %",
+                (0..n64)
+                    .map(|i| if i % 10 == 3 { i } else { n64 / 2 })
+                    .collect(),
+            ),
+        ]
+    }
+
     #[test]
-    fn par_spms_duplicate_heavy_and_adversarial() {
-        for n in [2048usize, 4099] {
-            let all_equal: Vec<(u64, u64)> = (0..n as u64).map(|i| (7, i)).collect();
-            let two_keys: Vec<(u64, u64)> = (0..n as u64).map(|i| (i % 2, i)).collect();
-            let skew: Vec<(u64, u64)> = (0..n as u64)
-                .map(|i| (if i == 0 { 0 } else { 9 }, i))
-                .collect();
-            let desc: Vec<(u64, u64)> = (0..n as u64).map(|i| (n as u64 - i, i)).collect();
-            for base in [all_equal, two_keys, skew, desc] {
-                let mut data = base.clone();
-                let want = oracle::sort_pairs(&base);
-                par_spms(&mut data);
-                assert_eq!(data, want);
+    fn par_spms_edge_cases_off_and_on_pools() {
+        off_and_on_pools(|| {
+            for n in [SEQ_CUTOFF + 1, 2048, 4097, (1 << 16) + 3] {
+                for (name, keys) in spms_edge_inputs(n) {
+                    let mut data: Vec<(u64, u64)> = keys.into_iter().zip(0..).collect();
+                    let want = oracle::sort_pairs(&data);
+                    par_spms(&mut data);
+                    assert!(data == want, "n={n} {name} (payload equality = stability)");
+                }
             }
+        });
+    }
+
+    /// Bucket sizes the top SPMS level plans for `keys`: sort the chunks,
+    /// pick the splitters, count every key into its bucket.
+    fn planned_bucket_sizes(keys: Vec<u64>) -> Vec<usize> {
+        let mut data: Vec<(u64, u64)> = keys.into_iter().zip(0..).collect();
+        let (nb, q) = spms_geometry(data.len());
+        for chunk in data.chunks_mut(q) {
+            chunk.sort_by_key(|p| p.0);
         }
+        let splitters = spms_splitters(&data, q, nb);
+        let mut sizes = vec![0usize; splitters.len() + 1];
+        for &(key, _) in &data {
+            sizes[splitters.partition_point(|&s| s < key)] += 1;
+        }
+        sizes
+    }
+
+    #[test]
+    fn a_dominant_key_makes_a_bucket_above_the_cutoff() {
+        // The edge-case test above only exercises the forked
+        // msort_rec-into-`data` branch of `spms_sort_buckets` if the top
+        // level plans a bucket above the cutoff that is not the whole
+        // input (which would take the sequential fallback instead).
+        for n in [2048usize, 4097, (1 << 16) + 3] {
+            let (_, keys) = spms_edge_inputs(n).pop().expect("the 90 % input is last");
+            let sizes = planned_bucket_sizes(keys);
+            let largest = *sizes.iter().max().expect("at least one bucket");
+            assert!(largest > SEQ_CUTOFF && largest < n, "n={n}: {largest}");
+        }
+    }
+
+    #[test]
+    fn spms_sort_buckets_sorts_each_bucket_at_either_side_of_the_cutoff() {
+        // Gathered buckets at line-gapped origins, as `spms_gather` leaves
+        // them; 3000 and SEQ_CUTOFF + 1 take the forked msort_rec branch.
+        let sizes = [5usize, 3000, 0, SEQ_CUTOFF, SEQ_CUTOFF + 1, 1];
+        let n: usize = sizes.iter().sum();
+        let mut state = 99u64;
+        let input: Vec<(u64, u64)> = (0..n as u64).map(|i| (xs(&mut state) % 50, i)).collect();
+        off_and_on_pools(|| {
+            let mut ws = workspace(n + sizes.len() * LINE_PAIRS, (0u64, 0u64));
+            let arena = line_aligned(&mut ws);
+            let (mut from, mut origin) = (0, 0);
+            let mut want = Vec::new();
+            for &m in &sizes {
+                arena[origin..origin + m].copy_from_slice(&input[from..from + m]);
+                want.extend(oracle::sort_pairs(&input[from..from + m]));
+                from += m;
+                origin += line_up(m);
+            }
+            let mut dest = vec![(0, 0); n];
+            spms_sort_buckets(&mut dest, arena, &sizes);
+            assert!(dest == want, "payload equality = stability");
+        });
+    }
+
+    #[test]
+    fn spms_sample_is_a_fraction_of_a_small_input() {
+        // n = 2048: 46 chunks of 45 contribute 8 keys each (4 from the
+        // short last one) — the per-chunk floor of 32 is gone — and the
+        // splitters still cut balanced buckets on keys in random order.
+        assert_eq!((samples_of(45, 45), samples_of(23, 45)), (8, 4));
+        assert_eq!(
+            samples_of(3, 45),
+            0,
+            "never more than a quarter of the chunk"
+        );
+        let sizes = planned_bucket_sizes(gen::random_u64s(2048, u64::MAX / 2, 3));
+        assert_eq!(sizes.len(), 46, "no splitter lost to a duplicate");
+        let largest = *sizes.iter().max().expect("buckets");
+        assert!(largest <= 4 * 45, "largest bucket {largest} of mean 45");
     }
 
     /// xorshift64* stream for the merge-equivalence fuzz below.
@@ -1371,51 +1817,152 @@ mod tests {
         }
     }
 
+    /// `merge2(l, r)` against the naive merge, payloads included.
+    fn assert_merges_like_naive(l: &[(u64, u64)], r: &[(u64, u64)], what: &str) {
+        let mut want = vec![(0, 0); l.len() + r.len()];
+        let mut got = want.clone();
+        naive_merge(l, r, &mut want);
+        merge2(l, r, &mut got);
+        assert!(got == want, "{what}: |l|={} |r|={}", l.len(), r.len());
+    }
+
+    /// A sorted run of `len` keys below `range`, payloads `tag`-marked in
+    /// run order (so payload equality proves stability).
+    fn sorted_run(len: usize, range: u64, tag: u64, state: &mut u64) -> Vec<(u64, u64)> {
+        let mut keys: Vec<u64> = (0..len).map(|_| xs(state) % range).collect();
+        keys.sort_unstable();
+        keys.into_iter().zip((tag << 32)..).collect()
+    }
+
     #[test]
     fn merge2_matches_naive_merge_across_shapes_and_tie_storms() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for case in 0..200 {
+        for case in 0..250 {
             let ll = (xs(&mut state) % 200) as usize;
             let rl = (xs(&mut state) % 200) as usize;
-            // Narrow key ranges force ties; wide ones force streaks the
-            // galloping path must get right.
-            let range = [1u64, 3, 8, 1 << 60][case % 4];
-            let mk = |len: usize, state: &mut u64, tag: u64| {
-                let mut v: Vec<(u64, u64)> = (0..len as u64)
-                    .map(|i| (xs(state) % range, (tag << 32) | i))
-                    .collect();
-                v.sort_by_key(|p| p.0); // stable: payloads stay ordered
-                v
-            };
-            let l = mk(ll, &mut state, 0);
-            let r = mk(rl, &mut state, 1);
-            let mut want = vec![(0, 0); ll + rl];
-            let mut got = vec![(0, 0); ll + rl];
-            naive_merge(&l, &r, &mut want);
-            merge2(&l, &r, &mut got);
-            assert_eq!(got, want, "case {case} (payload equality = stability)");
+            // Narrow key ranges force ties (5 keys: the stability storm);
+            // wide ones force streaks the galloping middle must get right.
+            let range = [1u64, 3, 5, 8, 1 << 60][case % 5];
+            let l = sorted_run(ll, range, 0, &mut state);
+            let r = sorted_run(rl, range, 1, &mut state);
+            assert_merges_like_naive(&l, &r, "fuzz");
         }
     }
 
     #[test]
-    fn merge2_gallops_through_disjoint_and_presorted_sides() {
-        // Fully disjoint sides: both directions, both orders — the
-        // gallop bulk-copy must fire and stay exact.
-        let low: Vec<(u64, u64)> = (0..500u64).map(|i| (i, i)).collect();
-        let high: Vec<(u64, u64)> = (0..500u64).map(|i| (1000 + i, i)).collect();
-        for (l, r) in [(&low, &high), (&high, &low)] {
-            let mut want = vec![(0, 0); 1000];
-            let mut got = vec![(0, 0); 1000];
-            naive_merge(l, r, &mut want);
-            merge2(l, r, &mut got);
-            assert_eq!(got, want);
+    fn merge_split_cuts_tie_plateaus_like_the_naive_merge() {
+        // Above MERGE_GRAIN the merge forks at co-ranked cuts; with five
+        // distinct keys every cut falls inside a plateau of equal keys.
+        let mut state = 23u64;
+        let n = 2 * MERGE_GRAIN;
+        for (ll, rl, range) in [
+            (n, n, 5),
+            (n, n, 1),
+            (3 * n, 3, 5),
+            (3, 3 * n, 5),
+            (n + 1, n, 1 << 60),
+        ] {
+            let l = sorted_run(ll, range, 0, &mut state);
+            let r = sorted_run(rl, range, 1, &mut state);
+            let mut want = vec![(0, 0); ll + rl];
+            naive_merge(&l, &r, &mut want);
+            off_and_on_pools(|| {
+                let mut got = vec![(0, 0); ll + rl];
+                merge_split(&l, &r, &mut got);
+                assert!(got == want, "|l|={ll} |r|={rl} range={range}");
+            });
         }
-        // One long tie plateau against a point: ties must all stay left.
-        let ties: Vec<(u64, u64)> = (0..100u64).map(|i| (5, i)).collect();
-        let point = vec![(5u64, 999u64)];
-        let mut got = vec![(0, 0); 101];
-        merge2(&ties, &point, &mut got);
-        assert_eq!(got[100], (5, 999), "left side wins every tie");
+    }
+
+    #[test]
+    fn merge2_two_ended_loop_at_every_small_shape() {
+        // Every pair of sorted runs of ≤ 6 keys over {0, 1, 2}: lengths 0
+        // and 1 on either side, k = min at both parities, and ties that
+        // straddle the front seam, the back seam and the middle.
+        fn runs(len: usize, tag: u64) -> Vec<Vec<(u64, u64)>> {
+            // ones = position of the first 1, twos = of the first 2.
+            (0..=len)
+                .flat_map(|ones| (ones..=len).map(move |twos| (ones, twos)))
+                .map(|(ones, twos)| {
+                    (0..len)
+                        .map(|i| {
+                            (
+                                u64::from(i >= ones) + u64::from(i >= twos),
+                                (tag << 32) | i as u64,
+                            )
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+        for ll in 0..=6 {
+            for rl in 0..=6 {
+                for l in runs(ll, 0) {
+                    for r in runs(rl, 1) {
+                        assert_merges_like_naive(&l, &r, "exhaustive");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge2_all_equal_keys_keep_left_before_right_at_both_ends() {
+        for (ll, rl) in [(0, 9), (9, 0), (1, 40), (40, 1), (7, 8), (8, 8), (33, 100)] {
+            let l: Vec<(u64, u64)> = (0..ll).map(|i| (5, i)).collect();
+            let r: Vec<(u64, u64)> = (0..rl).map(|i| (5, 1000 + i)).collect();
+            let mut got = vec![(0, 0); l.len() + r.len()];
+            merge2(&l, &r, &mut got);
+            let want: Vec<(u64, u64)> = l.iter().chain(&r).copied().collect();
+            assert_eq!(got, want, "|l|={ll} |r|={rl}: all of l, then all of r");
+        }
+    }
+
+    #[test]
+    fn merge2_plateaus_straddle_the_seams_of_unequal_runs() {
+        // |l| = 10 against |r| = 50: the front loop fills out[..10], the
+        // back loop out[50..], the middle section out[10..50]; each
+        // plateau of equal keys is longer than a section, both ways round.
+        let plateau = |counts: [usize; 3], tag: u64| -> Vec<(u64, u64)> {
+            (0..3u64)
+                .flat_map(|key| std::iter::repeat_n(key, counts[key as usize]))
+                .zip((tag << 32)..)
+                .collect()
+        };
+        for (lc, rc) in [
+            ([3, 4, 3], [8, 30, 12]),
+            ([0, 10, 0], [20, 10, 20]),
+            ([10, 0, 0], [5, 40, 5]),
+            ([0, 0, 10], [25, 25, 0]),
+            ([1, 8, 1], [0, 50, 0]),
+        ] {
+            let (l, r) = (plateau(lc, 0), plateau(rc, 1));
+            assert_merges_like_naive(&l, &r, "plateaus");
+            assert_merges_like_naive(&r, &l, "plateaus, long run first");
+        }
+    }
+
+    #[test]
+    fn merge2_gallops_through_the_middle_of_unequal_runs() {
+        let mut state = 17u64;
+        let long: Vec<(u64, u64)> = (0..500u64).map(|i| (10 * i, i)).collect();
+        // Presorted and reverse-sorted pairs: the short run lies wholly
+        // below or above, so one end loop drains it and the middle is a
+        // single bulk copy of the long run.
+        let below: Vec<(u64, u64)> = (0..40u64).map(|i| (i, 1000 + i)).collect();
+        let above: Vec<(u64, u64)> = (0..40u64).map(|i| (10_000 + i, 1000 + i)).collect();
+        // A short run clustered inside the long one: the middle sweeps
+        // > GALLOP elements of the long run on either side of it.
+        let inside: Vec<(u64, u64)> = (0..40u64).map(|i| (2500 + i, 1000 + i)).collect();
+        // ... and one scattered over it, on keys the long run also holds.
+        let mut scattered = sorted_run(40, 5000, 2, &mut state);
+        for p in &mut scattered {
+            p.0 -= p.0 % 10;
+        }
+        for short in [below, above, inside, scattered] {
+            assert_merges_like_naive(&long, &short, "long, short");
+            assert_merges_like_naive(&short, &long, "short, long");
+        }
     }
 
     #[test]
@@ -1436,7 +1983,7 @@ mod tests {
     #[test]
     fn arena_len_covers_the_recursion() {
         // The invariant spms_rec relies on: the arena funds both the
-        // concurrent chunk sorts and the two gapped merge halves.
+        // concurrent chunk sorts and the one gapped bucket arena.
         for n in [1usize, 100, 1 << 11, 1 << 14, 100_000, 1 << 20] {
             let len = arena_len(n);
             assert_eq!(len % LINE_PAIRS, 0, "sub-arenas start on lines");
@@ -1444,10 +1991,12 @@ mod tests {
                 assert_eq!(len, line_up(n));
                 continue;
             }
-            let chunks = (n as f64).sqrt().ceil() as usize;
-            let q = n.div_ceil(chunks);
+            let (_, q) = spms_geometry(n);
             let nchunks = n.div_ceil(q);
-            assert!(len >= 2 * line_up(n), "two halves of every element");
+            assert!(
+                len >= line_up(n) + nchunks * LINE_PAIRS,
+                "every element, and a line of gap per bucket"
+            );
             assert!(len >= nchunks * arena_len(q), "chunk sorts fit");
         }
     }
