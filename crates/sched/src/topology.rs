@@ -18,9 +18,8 @@
 //! last-level cache form one domain, and worker `w` inherits the domain
 //! of CPU `w mod ncpus`. Detection **never panics**: an absent or
 //! unreadable `/sys`, a 1-CPU host, or malformed topology files all log
-//! the fallback loudly (once, same style as `bench_diff`'s `host_cpus`
-//! warning) and resolve to one flat domain — behaviorally identical to
-//! the pre-domain pool.
+//! the fallback loudly (once) and resolve to one flat domain —
+//! behaviorally identical to the pre-domain pool.
 //!
 //! ## Simulated domains
 //!

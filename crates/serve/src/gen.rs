@@ -8,8 +8,6 @@
 //! log-normal (service-time-like heavy tail), sampled via Box–Muller
 //! from the integer stream.
 
-use std::collections::VecDeque;
-
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -110,91 +108,17 @@ pub fn per_client(spec: &ScenarioSpec, schedule: &[Request]) -> Vec<Vec<Request>
     streams
 }
 
-/// Whether this request is eligible for batching into a shared launch.
-pub fn batchable(spec: &ScenarioSpec, n: usize) -> bool {
-    spec.batch_max > 1 && n <= spec.small_n
-}
-
-/// Pop the next launch off an admission queue: the head and, when the
-/// head is [`batchable`], the consecutive batchable entries behind it up
-/// to `spec.batch_max`. `n_of` gives an entry's problem size. Empty only
-/// when the queue is.
-pub fn pop_launch<T>(
-    spec: &ScenarioSpec,
-    queue: &mut VecDeque<T>,
-    n_of: impl Fn(&T) -> usize,
-) -> Vec<T> {
-    let Some(head) = queue.pop_front() else {
-        return Vec::new();
-    };
-    let mut batch = vec![head];
-    if batchable(spec, n_of(&batch[0])) {
-        while batch.len() < spec.batch_max {
-            match queue.front() {
-                Some(m) if batchable(spec, n_of(m)) => batch.extend(queue.pop_front()),
-                _ => break,
-            }
-        }
-    }
-    batch
-}
-
-/// EWMA of the per-request drain time (ns) — the basis of the
-/// `RetryAfter` hint a full admission queue answers with, on both
-/// drivers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DrainEstimate {
-    /// 0 until the first launch completes.
-    est_ns: u64,
-}
-
-impl DrainEstimate {
-    /// Fold in one completed launch (service time ÷ batch size): the
-    /// first sample is adopted, later ones blend in 3:1.
-    pub fn observe(&mut self, service_ns: u64, batch: usize) {
-        let per_req = (service_ns / batch.max(1) as u64).max(1);
-        self.est_ns = if self.est_ns == 0 {
-            per_req
-        } else {
-            (3 * self.est_ns + per_req) / 4
-        };
-    }
-
-    /// Estimated ns until a queue `backlog` requests over capacity has
-    /// room: `backlog ×` the drain estimate, or `× fallback_ns()` while
-    /// no launch has completed yet (only then is it evaluated).
-    pub fn hint(&self, backlog: u64, fallback_ns: impl FnOnce() -> u64) -> u64 {
-        let per_req = if self.est_ns > 0 {
-            self.est_ns
-        } else {
-            fallback_ns().max(1)
-        };
-        backlog * per_req
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{default_mix, LoadMode};
-    use hbp_core::{Backend, Policy};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
             seed: 7,
             requests: 64,
             clients: 3,
-            mode: LoadMode::Closed,
-            queue_cap: 8,
-            batch_max: 4,
-            small_n: 4096,
             think_mean_ns: 10_000,
-            mix: default_mix(Backend::Sim),
-            backend: Backend::Sim,
-            policy: Policy::Pws,
-            workers: 2,
-            pacing: false,
-            native: hbp_core::sched::native::NativeConfig::default(),
+            ..ScenarioSpec::default()
         }
     }
 
@@ -254,31 +178,5 @@ mod tests {
         s.think_mean_ns = 0;
         let sched = build_schedule(&s);
         assert!(sched.iter().all(|r| r.think_ns == 0 && r.arrival_ns == 0));
-    }
-
-    #[test]
-    fn pop_launch_takes_the_head_plus_its_batchable_prefix() {
-        let s = spec(); // batch_max 4, small_n 4096
-        let pop = |sizes: &[usize]| {
-            let mut q: VecDeque<usize> = sizes.iter().copied().collect();
-            (pop_launch(&s, &mut q, |&n| n), q.len())
-        };
-        assert_eq!(pop(&[]), (vec![], 0));
-        // A large head launches alone, whatever follows it.
-        assert_eq!(pop(&[8192, 64, 64]), (vec![8192], 2));
-        // A small head takes small followers up to the first large one…
-        assert_eq!(pop(&[64, 128, 8192, 64]), (vec![64, 128], 2));
-        // …and never more than batch_max.
-        assert_eq!(pop(&[1, 2, 3, 4, 5, 6]), (vec![1, 2, 3, 4], 2));
-    }
-
-    #[test]
-    fn drain_estimate_adopts_the_first_sample_then_blends() {
-        let mut est = DrainEstimate::default();
-        assert_eq!(est.hint(3, || 1_000), 3_000, "fallback before any launch");
-        est.observe(8_000, 4);
-        assert_eq!(est.hint(1, || panic!("fallback unused once warm")), 2_000);
-        est.observe(6_000, 1);
-        assert_eq!(est.hint(2, || 0), 2 * 3_000, "(3 * 2000 + 6000) / 4");
     }
 }

@@ -21,14 +21,24 @@
 //!   percentiles, queue depth over time, throughput, and (on the sim
 //!   backend) each request's critical-path breakdown.
 //!
-//! Two runners implement the same scenario semantics:
+//! One state machine decides, two drivers run it. The admission desk
+//! (`desk.rs`, private) owns every decision: the bounded queue, who is
+//! admitted, deferred (with which hint) or rejected, which queued
+//! requests share a launch, the single launch slot, the depth samples,
+//! the `admission_*` metric bumps and the report rows. It has no clock
+//! and no threads; a driver tells it the time and what a launch cost:
 //!
-//! * [`virt::run_virtual`] (sim) — a discrete-event simulation of the
-//!   server in integer virtual time, using a per-shape service oracle
-//!   (the kernel's simulated makespan under the scenario policy).
-//!   Byte-identical JSON across runs for a fixed seed.
-//! * [`server::run_real`] (native) — real client threads, a real
-//!   dispatcher, one real [`NativePool`]; wall-clock timings.
+//! * [`virt::run_virtual`] (sim) owns an event heap in integer virtual
+//!   time and a per-shape service oracle (the kernel's simulated makespan
+//!   and critical path under the scenario policy). Byte-identical JSON
+//!   across runs for a fixed seed.
+//! * [`server::run_real`] (native) owns real client threads blocking on
+//!   a condvar reply, a dispatcher thread, one real [`NativePool`] and
+//!   the mutex the desk sits behind; wall-clock timings.
+//!
+//! So the sim report is the exact model of the native server by
+//! construction: a change to admission, pacing or batching lands in one
+//! place and both backends move together.
 //!
 //! ```no_run
 //! use hbp_serve::{run_scenario, ScenarioSpec};
@@ -41,6 +51,7 @@
 //! [`hbp_core::sched::native::NativePool`]: hbp_core::sched::native::NativePool
 //! [`NativePool`]: hbp_core::sched::native::NativePool
 
+mod desk;
 pub mod gen;
 pub mod report;
 pub mod server;

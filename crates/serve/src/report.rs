@@ -84,7 +84,7 @@ impl LatencyStats {
 }
 
 /// One client's (tenant's) share of the scenario, derived entirely from
-/// the per-request rows in [`ScenarioReport::assemble`] — *not* from the
+/// the per-request rows in `ScenarioReport::assemble` — *not* from the
 /// global metrics registry, so the sim report stays byte-deterministic
 /// even when a concurrent job pollutes the process-wide counters.
 #[derive(Debug, Clone)]
@@ -163,14 +163,18 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Assemble the report from per-request records.
-    pub fn assemble(
+    /// Assemble the report from the desk's books: the per-request
+    /// records, the depth samples, and the launches it counted as they
+    /// happened.
+    pub(crate) fn assemble(
         spec: &ScenarioSpec,
         backend: &'static str,
         rows: Vec<RequestRecord>,
         makespan_ns: u64,
         queue_depth: Vec<(u64, usize)>,
         workers_active: usize,
+        launches: u64,
+        batched_requests: u64,
     ) -> Self {
         let completed = rows.iter().filter(|r| !r.rejected).count() as u64;
         let rejected = rows.iter().filter(|r| r.rejected).count() as u64;
@@ -185,18 +189,6 @@ impl ScenarioReport {
             .filter(|r| !r.rejected)
             .map(|r| r.queue_ns)
             .collect();
-        // Launch count: solo requests count 1 each; a batch of k counts
-        // once, so sum over rows of 1/batch = launches.
-        let mut launches = 0u64;
-        let mut batched = 0u64;
-        let mut seen_weight = 0f64;
-        for r in rows.iter().filter(|r| !r.rejected) {
-            seen_weight += 1.0 / r.batch as f64;
-            if r.batch > 1 {
-                batched += 1;
-            }
-        }
-        launches += seen_weight.round() as u64;
         let throughput_milli_rps = if makespan_ns == 0 {
             0
         } else {
@@ -243,7 +235,7 @@ impl ScenarioReport {
             latency: LatencyStats::of(latencies),
             queue_wait: LatencyStats::of(waits),
             launches,
-            batched_requests: batched,
+            batched_requests,
             queue_depth: compress_depth(queue_depth),
             clients_stats,
             rows,

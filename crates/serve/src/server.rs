@@ -1,164 +1,129 @@
-//! The real-mode scenario runner (native backend).
+//! The real-mode scenario driver (native backend).
 //!
 //! One persistent [`NativePool`] serves the whole scenario: client
-//! threads build kernel inputs *outside* the pool, push into a bounded
-//! admission queue, and a dispatcher thread drains the queue — batching
-//! consecutive small requests into a single pool submission via a
-//! fork-join tree — without ever respawning a worker. A full queue
-//! answers [`SubmitError::RetryAfter`] with a pacing hint computed from
-//! the queue depth and the dispatcher's observed drain rate; closed-loop
-//! clients with [`ScenarioSpec::pacing`] honor the hint (sleep, retry up
-//! to [`MAX_DEFERRALS`] times), everyone else records a hard rejection.
-//! Deferrals and rejections are counted separately — nothing is dropped
-//! silently. Timestamps are wall-clock nanoseconds, so the report is
-//! *not* byte-stable across runs (the sim backend is); the schedule
+//! threads build kernel inputs *outside* the pool and offer them to the
+//! admission [`Desk`], and a dispatcher thread turns the desk's launches
+//! into pool submissions — a batch of small requests as a single
+//! fork-join tree — without ever respawning a worker. Who is admitted,
+//! deferred or rejected, what shares a launch and what a row records is
+//! the desk's business; this file owns only what is real about the
+//! native server: the threads, the lock the desk sits behind, the
+//! [`Ticket`] a client blocks on, the clock and the pool. A client told
+//! to come back later sleeps the hinted time and offers the *same*
+//! kernel again. Timestamps are wall-clock nanoseconds, so the report is
+//! *not* byte-stable across runs (the sim backend's is); the schedule
 //! itself still is.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hbp_core::native_kernel;
-use hbp_core::sched::native::{join, NativePool, SubmitError};
+use hbp_core::sched::native::{join, NativePool};
 
-use crate::gen::{build_schedule, per_client, pop_launch, DrainEstimate, Request};
-use crate::report::{RequestRecord, ScenarioReport};
-use crate::spec::{LoadMode, ScenarioSpec, MAX_DEFERRALS};
-
-/// A served request's timings, delivered through its [`Ticket`].
-#[derive(Debug, Clone, Copy)]
-struct TicketDone {
-    queue_ns: u64,
-    service_ns: u64,
-    latency_ns: u64,
-    batch: usize,
-}
+use crate::desk::{Arrival, Desk};
+use crate::gen::{build_schedule, per_client, Request};
+use crate::report::ScenarioReport;
+use crate::spec::{LoadMode, ScenarioSpec};
 
 /// Completion rendezvous between the dispatcher and the waiting client.
 #[derive(Default)]
 struct Ticket {
-    done: Mutex<Option<TicketDone>>,
+    done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Ticket {
-    fn complete(&self, d: TicketDone) {
-        *self.done.lock().expect("ticket poisoned") = Some(d);
+    fn complete(&self) {
+        *self.done.lock().expect("ticket poisoned") = true;
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> TicketDone {
-        let mut g = self.done.lock().expect("ticket poisoned");
-        loop {
-            if let Some(d) = *g {
-                return d;
-            }
-            g = self.cv.wait(g).expect("ticket poisoned");
+    fn wait(&self) {
+        let mut done = self.done.lock().expect("ticket poisoned");
+        while !*done {
+            done = self.cv.wait(done).expect("ticket poisoned");
         }
     }
 }
 
-/// An admitted request waiting for the dispatcher.
-struct Pending {
-    idx: usize,
+/// What rides the desk's queue with a request: its kernel, and the
+/// client to wake when it ran (open-loop arrivals have nobody waiting).
+struct Job {
     kernel: Box<dyn FnOnce() + Send>,
-    enq: Instant,
-    ticket: Arc<Ticket>,
+    reply: Option<Arc<Ticket>>,
 }
 
-struct AdmState {
-    q: VecDeque<Pending>,
-    closed: bool,
-    depth: Vec<(u64, usize)>,
-    /// Per-request drain time, folded in by the dispatcher after every
-    /// launch.
-    est: DrainEstimate,
+impl Job {
+    fn new(r: &Request, reply: Option<Arc<Ticket>>) -> Self {
+        let kernel = native_kernel(r.algo, r.n, r.seed)
+            .unwrap_or_else(|| panic!("{:?} validated as natively served", r.algo));
+        Self { kernel, reply }
+    }
 }
 
-/// The bounded admission queue shared by clients and the dispatcher.
-struct Admission {
-    state: Mutex<AdmState>,
+/// The desk behind the one lock clients and the dispatcher share.
+struct Front<'a> {
+    state: Mutex<State<'a>>,
     cv: Condvar,
-    cap: usize,
     t0: Instant,
+}
+
+struct State<'a> {
+    desk: Desk<'a, Job>,
+    /// Set once every client is done: the dispatcher drains and exits.
+    closed: bool,
 }
 
 /// Per-request drain time assumed by `RetryAfter` hints before the
 /// first launch completed.
 const EST_SEED_NS: u64 = 1_000_000;
 
-/// Upper bound on a single `RetryAfter` hint, so one misestimated drain
+/// Upper bound on a single `RetryAfter` sleep, so one misestimated drain
 /// rate cannot park a client for seconds.
 const RETRY_CAP_NS: u64 = 100_000_000;
 
-impl Admission {
-    fn new(cap: usize, t0: Instant) -> Self {
-        Self {
-            state: Mutex::new(AdmState {
-                q: VecDeque::new(),
-                closed: false,
-                depth: vec![(0, 0)],
-                est: DrainEstimate::default(),
-            }),
-            cv: Condvar::new(),
-            cap,
-            t0,
-        }
+impl<'a> Front<'a> {
+    fn lock(&self) -> MutexGuard<'_, State<'a>> {
+        self.state.lock().expect("desk poisoned")
     }
 
     fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
     }
 
-    /// Fold one launch's observed per-request drain time into the EWMA.
-    fn observe_drain(&self, service_ns: u64, batch: usize) {
-        let mut s = self.state.lock().expect("admission poisoned");
-        s.est.observe(service_ns, batch);
-    }
-
-    /// Admit, or answer with a pacing hint. `Err(RetryAfter)` means the
-    /// queue was at capacity; the hint is the estimated time until it
-    /// has room — `(depth + 1 − cap) ×` the observed per-request drain
-    /// time. The *caller* decides whether that becomes a deferral
-    /// (pacing client: sleep and retry) or a hard rejection, and counts
-    /// it accordingly; nothing is dropped silently.
-    fn submit(&self, p: Pending) -> Result<(), SubmitError> {
-        let mut s = self.state.lock().expect("admission poisoned");
-        if s.q.len() >= self.cap {
-            let backlog = (s.q.len() + 1 - self.cap) as u64;
-            let hint = s.est.hint(backlog, || EST_SEED_NS).min(RETRY_CAP_NS);
-            return Err(SubmitError::RetryAfter(Duration::from_nanos(hint)));
-        }
-        s.q.push_back(p);
-        let sample = (self.now_ns(), s.q.len());
-        s.depth.push(sample);
+    /// Offer request `idx` to the desk, waking the dispatcher if it was
+    /// admitted.
+    fn offer(&self, idx: usize, job: Job) -> Arrival<Job> {
+        // Stamped before the lock: waiting for the desk is part of the
+        // request's queue time.
+        let now = self.now_ns();
+        let mut s = self.lock();
+        let answer = s.desk.arrive(idx, now, job, || EST_SEED_NS);
         drop(s);
-        self.cv.notify_one();
-        Ok(())
+        if matches!(answer, Arrival::Admitted) {
+            self.cv.notify_one();
+        }
+        answer
     }
 
-    /// Dispatcher side: pop the next launch (respecting the batching
-    /// rule), or `None` once the queue is closed and drained.
-    fn next_launch(&self, spec: &ScenarioSpec, schedule: &[Request]) -> Option<Vec<Pending>> {
-        let mut s = self.state.lock().expect("admission poisoned");
+    /// Dispatcher side: block for the next launch, or `None` once the
+    /// desk is closed and drained.
+    fn next_launch(&self) -> Option<Vec<(usize, Job)>> {
+        let mut s = self.lock();
         loop {
-            if !s.q.is_empty() {
-                break;
+            let launch = s.desk.next_launch(self.now_ns());
+            if !launch.is_empty() {
+                return Some(launch);
             }
             if s.closed {
                 return None;
             }
-            s = self.cv.wait(s).expect("admission poisoned");
+            s = self.cv.wait(s).expect("desk poisoned");
         }
-        let batch = pop_launch(spec, &mut s.q, |p| schedule[p.idx].n);
-        let sample = (self.now_ns(), s.q.len());
-        s.depth.push(sample);
-        Some(batch)
     }
 
     fn close(&self) {
-        self.state.lock().expect("admission poisoned").closed = true;
+        self.lock().closed = true;
         self.cv.notify_all();
     }
 }
@@ -176,78 +141,19 @@ fn run_batch(mut kernels: Vec<Box<dyn FnOnce() + Send>>) {
     join(|| run_batch(kernels), || run_batch(rest));
 }
 
-/// What a client records about one request.
-#[derive(Debug, Clone, Copy, Default)]
-struct Outcome {
-    arrival_ns: u64,
-    rejected: bool,
-    deferrals: u32,
-    queue_ns: u64,
-    service_ns: u64,
-    latency_ns: u64,
-    batch: usize,
-}
-
-/// Record a hard rejection in the process-wide registry.
-fn count_rejected() {
-    let m = hbp_core::metrics::global();
-    if m.on() {
-        m.admission_rejected.inc();
-    }
-}
-
-/// Record a deferral (a `RetryAfter` the client is about to honor).
-fn count_deferred() {
-    let m = hbp_core::metrics::global();
-    if m.on() {
-        m.admission_deferred.inc();
-    }
-}
-
-/// Build the request's kernel, admit it, and (if admitted) wait for the
-/// dispatcher's ticket. A pacing client honors `RetryAfter` hints —
-/// sleep the hinted duration and resubmit, up to [`MAX_DEFERRALS`]
-/// times — before recording a hard rejection. Returns the recorded
-/// outcome.
-fn submit_and_wait(adm: &Admission, spec: &ScenarioSpec, r: &Request) -> Outcome {
-    let arrival_ns = adm.now_ns();
-    let mut deferrals = 0u32;
+/// A closed-loop client's request: build the kernel once, offer it, and
+/// (if admitted) wait for the dispatcher's ticket. A desk that defers
+/// hands the job back with a hint — sleep it off and offer again.
+fn submit_and_wait(front: &Front, r: &Request) {
+    let ticket = Arc::new(Ticket::default());
+    let mut job = Job::new(r, Some(Arc::clone(&ticket)));
     loop {
-        let kernel = native_kernel(r.algo, r.n, r.seed)
-            .unwrap_or_else(|| panic!("{:?} validated as natively served", r.algo));
-        let ticket = Arc::new(Ticket::default());
-        let pending = Pending {
-            idx: r.id as usize,
-            kernel,
-            enq: Instant::now(),
-            ticket: Arc::clone(&ticket),
-        };
-        match adm.submit(pending) {
-            Err(SubmitError::RetryAfter(hint)) if spec.pacing && deferrals < MAX_DEFERRALS => {
-                deferrals += 1;
-                count_deferred();
-                std::thread::sleep(hint);
-            }
-            Err(_) => {
-                count_rejected();
-                return Outcome {
-                    arrival_ns,
-                    rejected: true,
-                    deferrals,
-                    ..Outcome::default()
-                };
-            }
-            Ok(()) => {
-                let d = ticket.wait();
-                return Outcome {
-                    arrival_ns,
-                    rejected: false,
-                    deferrals,
-                    queue_ns: d.queue_ns,
-                    service_ns: d.service_ns,
-                    latency_ns: d.latency_ns,
-                    batch: d.batch,
-                };
+        match front.offer(r.id as usize, job) {
+            Arrival::Admitted => return ticket.wait(),
+            Arrival::Rejected => return,
+            Arrival::Deferred { hint_ns, payload } => {
+                std::thread::sleep(Duration::from_nanos(hint_ns.min(RETRY_CAP_NS)));
+                job = payload;
             }
         }
     }
@@ -258,24 +164,24 @@ pub fn run_real(spec: &ScenarioSpec) -> ScenarioReport {
     let schedule = build_schedule(spec);
     let pool = NativePool::new(spec.native_config());
     let t0 = Instant::now();
-    let adm = Admission::new(spec.queue_cap, t0);
-    let outcomes: Mutex<Vec<Outcome>> = Mutex::new(vec![Outcome::default(); schedule.len()]);
-    // Peak workers the pool actually engaged across the scenario's
-    // launches (< workers when an autoscale band kept the pool small).
-    let workers_active = AtomicUsize::new(0);
+    let front = Front {
+        state: Mutex::new(State {
+            desk: Desk::new(spec, &schedule),
+            closed: false,
+        }),
+        cv: Condvar::new(),
+        t0,
+    };
 
-    std::thread::scope(|scope| {
-        // Dispatcher: drain the admission queue into pool submissions.
+    let workers_active = std::thread::scope(|scope| {
+        // Dispatcher: turn the desk's launches into pool submissions.
         let dispatcher = scope.spawn(|| {
-            while let Some(batch) = adm.next_launch(spec, &schedule) {
-                let size = batch.len();
-                let mut kernels = Vec::with_capacity(size);
-                let mut waiters = Vec::with_capacity(size);
-                for p in batch {
-                    let queue_ns = p.enq.elapsed().as_nanos() as u64;
-                    kernels.push(p.kernel);
-                    waiters.push((p.enq, p.ticket, queue_ns));
-                }
+            // Peak workers the pool actually engaged across the launches
+            // (< workers when an autoscale band kept the pool small).
+            let mut workers_active = 0;
+            while let Some(launch) = front.next_launch() {
+                let (kernels, replies): (Vec<_>, Vec<_>) =
+                    launch.into_iter().map(|(_, j)| (j.kernel, j.reply)).unzip();
                 let handle = pool
                     .submit(move || run_batch(kernels))
                     .expect("pool outlives the dispatcher");
@@ -285,134 +191,72 @@ pub fn run_real(spec: &ScenarioSpec) -> ScenarioReport {
                 for (w, msg) in &out.panics {
                     eprintln!("serve: kernel panicked on worker {w}: {msg}");
                 }
-                let service_ns = out.report.makespan;
-                workers_active.fetch_max(out.report.workers_active, Ordering::Relaxed);
-                for (enq, ticket, queue_ns) in waiters {
-                    ticket.complete(TicketDone {
-                        queue_ns,
-                        service_ns,
-                        latency_ns: enq.elapsed().as_nanos() as u64,
-                        batch: size,
-                    });
+                workers_active = out.report.workers_active.max(workers_active);
+                let done = front.now_ns();
+                for reply in replies.into_iter().flatten() {
+                    reply.complete();
                 }
-                // After the replies: this takes the admission lock, which
-                // must not sit on a request's latency.
-                adm.observe_drain(service_ns, size);
+                // After the replies: recording takes the desk lock, which
+                // must not sit on a request's latency. Exact critical
+                // paths need virtual-clock traces; the native rows keep
+                // the field honest with `None`.
+                front
+                    .lock()
+                    .desk
+                    .served(out.report.makespan, done, |_| None);
             }
+            workers_active
         });
 
         match spec.mode {
             LoadMode::Closed => {
                 // One thread per client, each keeping one request
                 // outstanding, thinking between completions.
-                let streams = per_client(spec, &schedule);
-                let mut clients = Vec::with_capacity(streams.len());
-                for stream in streams {
-                    let adm = &adm;
-                    let outcomes = &outcomes;
-                    clients.push(scope.spawn(move || {
-                        for r in &stream {
-                            if r.think_ns > 0 {
-                                std::thread::sleep(Duration::from_nanos(r.think_ns));
+                let clients: Vec<_> = per_client(spec, &schedule)
+                    .into_iter()
+                    .map(|stream| {
+                        let front = &front;
+                        scope.spawn(move || {
+                            for r in &stream {
+                                if r.think_ns > 0 {
+                                    std::thread::sleep(Duration::from_nanos(r.think_ns));
+                                }
+                                submit_and_wait(front, r);
                             }
-                            let out = submit_and_wait(adm, spec, r);
-                            outcomes.lock().expect("outcomes poisoned")[r.id as usize] = out;
-                        }
-                    }));
-                }
+                        })
+                    })
+                    .collect();
                 for c in clients {
                     c.join().expect("client thread panicked");
                 }
             }
             LoadMode::Open => {
-                // One pacing thread replays the absolute arrival times;
-                // admitted requests are awaited on a second pass so the
-                // arrival process never blocks on service.
+                // One pacing thread replays the absolute arrival times and
+                // waits for nothing, so the arrival process never blocks
+                // on service; the dispatcher drains what was admitted
+                // after the desk closes.
                 let pacer = scope.spawn(|| {
-                    let mut waits: Vec<(usize, Arc<Ticket>)> = Vec::new();
                     for r in &schedule {
                         let target = Duration::from_nanos(r.arrival_ns);
                         let elapsed = t0.elapsed();
                         if target > elapsed {
                             std::thread::sleep(target - elapsed);
                         }
-                        let kernel = native_kernel(r.algo, r.n, r.seed)
-                            .unwrap_or_else(|| panic!("{:?} validated as natively served", r.algo));
-                        let ticket = Arc::new(Ticket::default());
-                        let arrival_ns = adm.now_ns();
-                        // Open-loop arrivals are pre-scheduled: a full
-                        // queue is a hard rejection, never a deferral
-                        // (sleeping here would distort later arrivals).
-                        let admitted = adm
-                            .submit(Pending {
-                                idx: r.id as usize,
-                                kernel,
-                                enq: Instant::now(),
-                                ticket: Arc::clone(&ticket),
-                            })
-                            .is_ok();
-                        if !admitted {
-                            count_rejected();
-                        }
-                        let mut slots = outcomes.lock().expect("outcomes poisoned");
-                        slots[r.id as usize].arrival_ns = arrival_ns;
-                        slots[r.id as usize].rejected = !admitted;
-                        drop(slots);
-                        if admitted {
-                            waits.push((r.id as usize, ticket));
-                        }
-                    }
-                    for (idx, ticket) in waits {
-                        let d = ticket.wait();
-                        let mut slots = outcomes.lock().expect("outcomes poisoned");
-                        slots[idx].queue_ns = d.queue_ns;
-                        slots[idx].service_ns = d.service_ns;
-                        slots[idx].latency_ns = d.latency_ns;
-                        slots[idx].batch = d.batch;
+                        front.offer(r.id as usize, Job::new(r, None));
                     }
                 });
                 pacer.join().expect("pacing thread panicked");
             }
         }
 
-        adm.close();
-        dispatcher.join().expect("dispatcher panicked");
+        front.close();
+        dispatcher.join().expect("dispatcher panicked")
     });
 
     let makespan = t0.elapsed().as_nanos() as u64;
-    let depth = std::mem::take(&mut adm.state.lock().expect("admission poisoned").depth);
-    let slots = outcomes.into_inner().expect("outcomes poisoned");
-    let rows: Vec<RequestRecord> = schedule
-        .iter()
-        .map(|r| {
-            let s = &slots[r.id as usize];
-            RequestRecord {
-                id: r.id,
-                client: r.client,
-                algo: r.algo,
-                n: r.n,
-                arrival_ns: s.arrival_ns,
-                rejected: s.rejected,
-                deferrals: s.deferrals,
-                queue_ns: s.queue_ns,
-                service_ns: s.service_ns,
-                latency_ns: s.latency_ns,
-                batch: s.batch,
-                // Exact critical paths need virtual-clock traces; the
-                // native report keeps the field honest with `None`.
-                cp: None,
-            }
-        })
-        .collect();
     drop(pool);
-    ScenarioReport::assemble(
-        spec,
-        "native",
-        rows,
-        makespan,
-        depth,
-        workers_active.into_inner(),
-    )
+    let state = front.state.into_inner().expect("desk poisoned");
+    state.desk.finish("native", makespan, workers_active)
 }
 
 #[cfg(test)]
@@ -425,18 +269,12 @@ mod tests {
         ScenarioSpec {
             seed: 5,
             requests,
-            clients: 4,
-            mode: LoadMode::Closed,
-            queue_cap: 64,
-            batch_max: 8,
-            small_n: 4096,
             think_mean_ns: 0,
             mix: default_mix(Backend::Native),
             backend: Backend::Native,
             policy: Policy::Rws { seed: 1 },
             workers: 2,
-            pacing: false,
-            native: hbp_core::sched::native::NativeConfig::default(),
+            ..ScenarioSpec::default()
         }
     }
 

@@ -103,6 +103,32 @@ pub struct ScenarioSpec {
     pub native: NativeConfig,
 }
 
+impl Default for ScenarioSpec {
+    /// The small deterministic scenario an empty environment describes:
+    /// 120 closed-loop requests from 4 clients on
+    /// [`hbp_core::Config::default`]'s backend, policy and workers.
+    fn default() -> Self {
+        let cfg = hbp_core::Config::default();
+        let seed = 42;
+        Self {
+            seed,
+            requests: 120,
+            clients: 4,
+            mode: LoadMode::Closed,
+            queue_cap: 64,
+            batch_max: 8,
+            small_n: 4096,
+            think_mean_ns: 20_000,
+            mix: default_mix(cfg.backend),
+            backend: cfg.backend,
+            policy: cfg.policy,
+            workers: cfg.workers,
+            pacing: false,
+            native: cfg.native_config(seed),
+        }
+    }
+}
+
 /// How many times a pacing client retries a deferred submission before
 /// recording a hard rejection.
 pub const MAX_DEFERRALS: u32 = 3;
@@ -202,19 +228,21 @@ fn env_num<T: std::str::FromStr + Copy>(
 impl ScenarioSpec {
     /// Build the spec from the environment (`HBP_SERVE_*` plus the
     /// shared `HBP_BACKEND` / `HBP_POLICY` / `HBP_WORKERS` knobs),
-    /// falling back to a small deterministic default scenario. Every
+    /// overlaid on [`ScenarioSpec::default`]. Every
     /// invalid value is an error naming the variable — no silent
     /// defaults on typos. The result is already
     /// [validated](ScenarioSpec::validate).
     pub fn try_from_env() -> Result<Self, String> {
         let cfg = hbp_core::Config::try_from_env()?;
+        let d = Self::default();
         let mix = match std::env::var("HBP_SERVE_MIX") {
             Ok(s) if !s.is_empty() => parse_mix(&s)?,
             _ => default_mix(cfg.backend),
         };
-        let seed = env_num("HBP_SERVE_SEED", 42u64, |_| true)?;
+        let seed = env_num("HBP_SERVE_SEED", d.seed, |_| true)?;
         let pacing = match std::env::var("HBP_SERVE_PACING").ok().as_deref() {
-            None | Some("") | Some("0") | Some("off") | Some("false") => false,
+            None | Some("") => d.pacing,
+            Some("0") | Some("off") | Some("false") => false,
             Some("1") | Some("on") | Some("true") | Some("yes") => true,
             Some(other) => {
                 return Err(format!(
@@ -225,13 +253,13 @@ impl ScenarioSpec {
         };
         let spec = Self {
             seed,
-            requests: env_num("HBP_SERVE_REQUESTS", 120usize, |&r| r >= 1)?,
-            clients: env_num("HBP_SERVE_CLIENTS", 4usize, |&c| c >= 1)?,
+            requests: env_num("HBP_SERVE_REQUESTS", d.requests, |&r| r >= 1)?,
+            clients: env_num("HBP_SERVE_CLIENTS", d.clients, |&c| c >= 1)?,
             mode: LoadMode::parse(std::env::var("HBP_SERVE_MODE").ok().as_deref())?,
-            queue_cap: env_num("HBP_SERVE_QUEUE_CAP", 64usize, |&c| c >= 1)?,
-            batch_max: env_num("HBP_SERVE_BATCH", 8usize, |&b| b >= 1)?,
-            small_n: env_num("HBP_SERVE_SMALL_N", 4096usize, |_| true)?,
-            think_mean_ns: env_num("HBP_SERVE_THINK_NS", 20_000u64, |_| true)?,
+            queue_cap: env_num("HBP_SERVE_QUEUE_CAP", d.queue_cap, |&c| c >= 1)?,
+            batch_max: env_num("HBP_SERVE_BATCH", d.batch_max, |&b| b >= 1)?,
+            small_n: env_num("HBP_SERVE_SMALL_N", d.small_n, |_| true)?,
+            think_mean_ns: env_num("HBP_SERVE_THINK_NS", d.think_mean_ns, |_| true)?,
             mix,
             backend: cfg.backend,
             policy: cfg.policy,
@@ -347,24 +375,12 @@ mod tests {
     #[test]
     fn validate_fails_loudly_on_renamed_rows() {
         let spec = ScenarioSpec {
-            seed: 1,
-            requests: 1,
-            clients: 1,
-            mode: LoadMode::Closed,
-            queue_cap: 1,
-            batch_max: 1,
-            small_n: 0,
-            think_mean_ns: 0,
             mix: vec![MixEntry {
                 algo: "Sort (renamed away)".into(),
                 weight: 1,
                 sizes: vec![64],
             }],
-            backend: Backend::Sim,
-            policy: Policy::Pws,
-            workers: 2,
-            pacing: false,
-            native: NativeConfig::default(),
+            ..ScenarioSpec::default()
         };
         let err = std::panic::catch_unwind(|| spec.validate()).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("String payload");

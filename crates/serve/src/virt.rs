@@ -1,20 +1,16 @@
-//! The virtual-time scenario runner (sim backend).
+//! The virtual-time scenario driver (sim backend).
 //!
-//! A discrete-event simulation of the server itself: arrivals, a bounded
-//! admission queue, batching, and a single launch slot (one `NativePool`
-//! serializes kernel launches, so the virtual server does too). Each
+//! A discrete-event simulation of the server: the same admission
+//! [`Desk`] the native server runs, driven from an event heap instead of
+//! threads. This file owns only the events (arrivals, re-arrivals of
+//! deferred requests, launch completions) and the service oracle: each
 //! request's *service time* is the kernel's virtual-time makespan under
 //! the scenario policy, measured once per (algo, n) shape by replaying
-//! the kernel on the simulated machine — the service oracle. Everything
-//! is integer virtual time off one seeded schedule, so the same spec
-//! yields a byte-identical report.
-//!
-//! Backpressure is modeled the way the native server implements it: a
-//! full queue answers with a retry hint of `(depth + 1 − cap) ×` the
-//! EWMA per-request drain time; a pacing closed-loop client defers (a
-//! re-arrival event at `now + hint`, up to
-//! [`MAX_DEFERRALS`](crate::spec::MAX_DEFERRALS) attempts) before the
-//! hard rejection. All of it integer virtual time — deterministic.
+//! the kernel on the simulated machine. A deferred client "sleeps" as a
+//! re-arrival event at `now + hint`; it stays blocked meanwhile, exactly
+//! like a sleeping native client thread. Everything is integer virtual
+//! time off one seeded schedule, so the same spec yields a
+//! byte-identical report.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -22,9 +18,10 @@ use std::sync::Arc;
 use hbp_core::trace::{critical_path, ClockDomain, TraceSink};
 use hbp_core::{ExecJob, Executor, MachineConfig, SimExecutor};
 
-use crate::gen::{build_schedule, pop_launch, DrainEstimate, Request};
-use crate::report::{CpTotals, RequestRecord, ScenarioReport};
-use crate::spec::{LoadMode, ScenarioSpec, MAX_DEFERRALS};
+use crate::desk::{Arrival, Desk};
+use crate::gen::{build_schedule, Request};
+use crate::report::{CpTotals, ScenarioReport};
+use crate::spec::{LoadMode, ScenarioSpec};
 
 /// Simulated-machine geometry for the service oracle: the scenario's
 /// core count on the workspace's default cache (4K words, 32-word
@@ -87,15 +84,8 @@ struct Ev {
 enum EvKind {
     /// Request `idx` of the schedule arrives at the server.
     Arrive(usize),
-    /// The in-flight launch (these schedule members) completes.
-    Done(Vec<Member>),
-}
-
-/// One request riding a launch.
-struct Member {
-    idx: usize,
-    enq_t: u64,
-    start_t: u64,
+    /// The in-flight launch completes, this long after it started.
+    Done(u64),
 }
 
 impl PartialEq for Ev {
@@ -117,251 +107,114 @@ impl Ord for Ev {
     }
 }
 
-/// Record slot while a request is in flight.
-#[derive(Default, Clone)]
-struct Slot {
-    submitted: bool,
-    rejected: bool,
-    deferrals: u32,
-    arrival: u64,
-    queue_ns: u64,
-    service_ns: u64,
-    latency_ns: u64,
-    batch: usize,
-    cp: Option<CpTotals>,
+/// The pending events, stamped in insertion order.
+#[derive(Default)]
+struct Agenda {
+    heap: BinaryHeap<Ev>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn push(&mut self, t: u64, kind: EvKind) {
+        self.heap.push(Ev {
+            t,
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
+    }
 }
 
 /// Run the scenario in virtual time (see module docs).
 pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
     let schedule = build_schedule(spec);
     let mut oracle = ServiceOracle::new(spec);
-
-    let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut desk: Desk<()> = Desk::new(spec, &schedule);
+    let mut agenda = Agenda::default();
 
     // Per-client streams: the closed loop feeds each client its next
-    // request only after the previous one finishes (or is rejected).
+    // request a think time after the previous one finishes (or is
+    // rejected — a stalled client would deadlock the scenario). Open-loop
+    // arrivals are all on the agenda up front and the streams stay empty.
     let mut streams: Vec<VecDeque<usize>> = vec![VecDeque::new(); spec.clients];
+    if spec.mode == LoadMode::Closed {
+        for r in &schedule {
+            streams[r.client].push_back(r.id as usize);
+        }
+    }
+    let mut next_for_client = |agenda: &mut Agenda, client: usize, now: u64| {
+        if let Some(next) = streams[client].pop_front() {
+            agenda.push(now + schedule[next].think_ns, EvKind::Arrive(next));
+        }
+    };
     match spec.mode {
         LoadMode::Open => {
             for r in &schedule {
-                heap.push(Ev {
-                    t: r.arrival_ns,
-                    seq,
-                    kind: EvKind::Arrive(r.id as usize),
-                });
-                seq += 1;
+                agenda.push(r.arrival_ns, EvKind::Arrive(r.id as usize));
             }
         }
         LoadMode::Closed => {
-            for r in &schedule {
-                streams[r.client].push_back(r.id as usize);
-            }
-            for stream in &mut streams {
-                if let Some(first) = stream.pop_front() {
-                    heap.push(Ev {
-                        t: schedule[first].think_ns,
-                        seq,
-                        kind: EvKind::Arrive(first),
-                    });
-                    seq += 1;
-                }
+            for client in 0..spec.clients {
+                next_for_client(&mut agenda, client, 0);
             }
         }
     }
 
-    let mut slots: Vec<Slot> = vec![Slot::default(); schedule.len()];
-    let mut queue: VecDeque<Member> = VecDeque::new();
-    let mut busy = false;
-    let mut depth_samples: Vec<(u64, usize)> = vec![(0, 0)];
     let mut makespan = 0u64;
-    // Per-request drain time (virtual ns) — the retry-hint basis, the
-    // same estimator the native dispatcher keeps. Until the first launch
-    // completes, a hint falls back to the arriving request's own oracle
-    // service time (the native side to a fixed seed).
-    let mut est = DrainEstimate::default();
-
-    // Schedule a client's next closed-loop request after `now`.
-    let next_for_client = |heap: &mut BinaryHeap<Ev>,
-                           seq: &mut u64,
-                           streams: &mut [VecDeque<usize>],
-                           schedule: &[Request],
-                           client: usize,
-                           now: u64| {
-        if let Some(next) = streams[client].pop_front() {
-            heap.push(Ev {
-                t: now + schedule[next].think_ns,
-                seq: *seq,
-                kind: EvKind::Arrive(next),
-            });
-            *seq += 1;
-        }
-    };
-
-    while let Some(ev) = heap.pop() {
+    while let Some(ev) = agenda.heap.pop() {
         let now = ev.t;
         makespan = makespan.max(now);
         match ev.kind {
             EvKind::Arrive(idx) => {
                 let r = &schedule[idx];
-                let slot = &mut slots[idx];
-                if !slot.submitted {
-                    // First attempt; re-arrivals of a deferred request
-                    // keep the original arrival stamp.
-                    slot.submitted = true;
-                    slot.arrival = now;
-                }
-                if queue.len() >= spec.queue_cap {
-                    let m = hbp_core::metrics::global();
-                    if spec.pacing
-                        && spec.mode == LoadMode::Closed
-                        && slot.deferrals < MAX_DEFERRALS
-                    {
-                        // Deferral: the virtual client honors the
-                        // `RetryAfter` hint — `(depth + 1 − cap) ×` the
-                        // per-request drain estimate — and re-arrives.
-                        // The client stays blocked meanwhile, exactly
-                        // like a sleeping native client thread.
-                        slot.deferrals += 1;
-                        if m.on() {
-                            m.admission_deferred.inc();
-                        }
-                        let backlog = (queue.len() + 1 - spec.queue_cap) as u64;
-                        heap.push(Ev {
-                            t: now + est.hint(backlog, || oracle.measure(r).0),
-                            seq,
-                            kind: EvKind::Arrive(idx),
-                        });
-                        seq += 1;
-                    } else {
-                        // Bounded admission: rejected and counted,
-                        // never silently dropped. The closed loop still
-                        // advances the client (a stalled client would
-                        // deadlock the scenario).
-                        slot.rejected = true;
-                        if m.on() {
-                            m.admission_rejected.inc();
-                        }
-                        if spec.mode == LoadMode::Closed {
-                            next_for_client(
-                                &mut heap,
-                                &mut seq,
-                                &mut streams,
-                                &schedule,
-                                r.client,
-                                now,
-                            );
-                        }
+                // Until the first launch completes, a hint falls back to
+                // the arriving request's own oracle service time (the
+                // native side to a fixed seed).
+                match desk.arrive(idx, now, (), || oracle.measure(r).0) {
+                    Arrival::Admitted => {}
+                    Arrival::Deferred { hint_ns, .. } => {
+                        agenda.push(now + hint_ns, EvKind::Arrive(idx));
                     }
-                } else {
-                    queue.push_back(Member {
-                        idx,
-                        enq_t: now,
-                        start_t: 0,
-                    });
-                    depth_samples.push((now, queue.len()));
+                    Arrival::Rejected => next_for_client(&mut agenda, r.client, now),
                 }
             }
-            EvKind::Done(members) => {
-                busy = false;
-                est.observe(slots[members[0].idx].service_ns, members.len());
-                for m in &members {
-                    let r = &schedule[m.idx];
-                    let slot = &mut slots[m.idx];
-                    slot.queue_ns = m.start_t - m.enq_t;
-                    slot.latency_ns = now - m.enq_t;
-                    slot.batch = members.len();
-                    let (_, cp) = oracle.measure(r);
-                    slot.cp = Some(cp);
-                    if spec.mode == LoadMode::Closed {
-                        next_for_client(
-                            &mut heap,
-                            &mut seq,
-                            &mut streams,
-                            &schedule,
-                            r.client,
-                            now,
-                        );
-                    }
+            EvKind::Done(service) => {
+                let cp = |idx: usize| Some(oracle.measure(&schedule[idx]).1);
+                for idx in desk.served(service, now, cp) {
+                    next_for_client(&mut agenda, schedule[idx].client, now);
                 }
             }
         }
-        // Launch whenever the slot frees up and work is queued.
-        if !busy {
-            let mut members = pop_launch(spec, &mut queue, |m| schedule[m.idx].n);
-            if !members.is_empty() {
-                for m in &mut members {
-                    m.start_t = now;
-                }
-                depth_samples.push((now, queue.len()));
-                // A shared launch's makespan is its slowest member's.
-                let service = members
-                    .iter()
-                    .map(|m| oracle.measure(&schedule[m.idx]).0)
-                    .max()
-                    .expect("non-empty batch");
-                for m in &members {
-                    slots[m.idx].service_ns = service;
-                }
-                busy = true;
-                heap.push(Ev {
-                    t: now + service,
-                    seq,
-                    kind: EvKind::Done(members),
-                });
-                seq += 1;
-            }
+        // Launch whenever the slot frees up and work is queued. A shared
+        // launch's makespan is its slowest member's.
+        let launch = desk.next_launch(now);
+        if let Some(service) = launch
+            .iter()
+            .map(|&(idx, ())| oracle.measure(&schedule[idx]).0)
+            .max()
+        {
+            agenda.push(now + service, EvKind::Done(service));
         }
     }
 
-    let rows: Vec<RequestRecord> = schedule
-        .iter()
-        .map(|r| {
-            let slot = &slots[r.id as usize];
-            debug_assert!(slot.submitted, "request {} never arrived", r.id);
-            RequestRecord {
-                id: r.id,
-                client: r.client,
-                algo: r.algo,
-                n: r.n,
-                arrival_ns: slot.arrival,
-                rejected: slot.rejected,
-                deferrals: slot.deferrals,
-                queue_ns: slot.queue_ns,
-                service_ns: slot.service_ns,
-                latency_ns: slot.latency_ns,
-                batch: slot.batch,
-                cp: slot.cp,
-            }
-        })
-        .collect();
     // The single-launch-slot model engages every simulated core per
     // launch — workers_active is the configured core count.
-    ScenarioReport::assemble(spec, "sim", rows, makespan, depth_samples, spec.workers)
+    desk.finish("sim", makespan, spec.workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::default_mix;
-    use hbp_core::{Backend, Policy};
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
             seed: 11,
             requests: 40,
-            clients: 4,
-            mode: LoadMode::Closed,
             queue_cap: 16,
             batch_max: 4,
-            small_n: 4096,
             think_mean_ns: 50,
-            mix: default_mix(Backend::Sim),
-            backend: Backend::Sim,
-            policy: Policy::Pws,
             workers: 4,
-            pacing: false,
-            native: hbp_core::sched::native::NativeConfig::default(),
+            ..ScenarioSpec::default()
         }
     }
 

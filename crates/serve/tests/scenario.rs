@@ -1,7 +1,9 @@
 //! End-to-end scenario acceptance tests for the job server.
 
+use hbp_core::sched::native::NativeConfig;
+use hbp_core::trace::json::{parse, Json};
 use hbp_core::{Backend, Policy};
-use hbp_serve::{run_scenario, LoadMode, MixEntry, ScenarioSpec};
+use hbp_serve::{default_mix, run_scenario, MixEntry, ScenarioSpec};
 
 /// A small-kernel mix that exercises every served family without
 /// dominating test wall-clock.
@@ -33,20 +35,14 @@ fn tiny_mix() -> Vec<MixEntry> {
 #[test]
 fn one_pool_serves_a_thousand_mixed_requests_from_four_clients() {
     let spec = ScenarioSpec {
-        seed: 42,
         requests: 1000,
-        clients: 4,
-        mode: LoadMode::Closed,
         queue_cap: 1024,
-        batch_max: 8,
-        small_n: 4096,
         think_mean_ns: 0,
         mix: tiny_mix(),
         backend: Backend::Native,
         policy: Policy::Rws { seed: 1 },
         workers: 2,
-        pacing: false,
-        native: hbp_core::sched::native::NativeConfig::default(),
+        ..ScenarioSpec::default()
     };
     let report = run_scenario(&spec);
     assert_eq!(report.completed, 1000, "every request is served");
@@ -64,20 +60,9 @@ fn one_pool_serves_a_thousand_mixed_requests_from_four_clients() {
 #[test]
 fn fixed_seed_sim_scenario_reports_are_byte_identical() {
     let spec = ScenarioSpec {
-        seed: 42,
-        requests: 120,
-        clients: 4,
-        mode: LoadMode::Closed,
-        queue_cap: 64,
-        batch_max: 8,
-        small_n: 4096,
-        think_mean_ns: 20_000,
         mix: tiny_mix(),
-        backend: Backend::Sim,
-        policy: Policy::Pws,
         workers: 4,
-        pacing: false,
-        native: hbp_core::sched::native::NativeConfig::default(),
+        ..ScenarioSpec::default()
     };
     let a = run_scenario(&spec).to_json();
     let b = run_scenario(&spec).to_json();
@@ -97,4 +82,165 @@ fn default_env_spec_parses_and_validates() {
     assert_eq!(spec.clients, 4);
     assert!(spec.queue_cap >= spec.clients);
     assert!(!spec.mix.is_empty());
+}
+
+#[test]
+fn an_empty_environment_yields_the_default_spec() {
+    let from_env = ScenarioSpec::try_from_env().expect("default scenario is valid");
+    assert_eq!(
+        format!("{from_env:?}"),
+        format!("{:?}", ScenarioSpec::default())
+    );
+}
+
+/// The 200-request scenario of the acceptance cells below: the default
+/// mix of `backend`, four clients, four workers.
+fn cell(backend: Backend, policy: Policy) -> ScenarioSpec {
+    ScenarioSpec {
+        requests: 200,
+        mix: default_mix(backend),
+        backend,
+        policy,
+        workers: 4,
+        ..ScenarioSpec::default()
+    }
+}
+
+/// The unsigned number at `path` of a parsed report.
+fn num(doc: &Json, path: &[&str]) -> u64 {
+    let leaf = path.iter().fold(doc, |at, key| {
+        at.get(key)
+            .unwrap_or_else(|| panic!("report has no {path:?}"))
+    });
+    leaf.as_f64()
+        .unwrap_or_else(|| panic!("{path:?} is not a number")) as u64
+}
+
+#[test]
+fn every_backend_and_policy_cell_reports_all_200_requests_in_valid_json() {
+    for backend in [Backend::Sim, Backend::Native] {
+        for policy in [Policy::Pws, Policy::Rws { seed: 3 }] {
+            let spec = cell(backend, policy);
+            let json = run_scenario(&spec).to_json();
+            let label = format!("{backend:?} x {policy:?}");
+            if backend == Backend::Sim {
+                assert_eq!(
+                    json,
+                    run_scenario(&spec).to_json(),
+                    "{label}: sim report is byte-identical across runs"
+                );
+            }
+            let doc = parse(&json).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let want = if backend == Backend::Sim {
+                "sim"
+            } else {
+                "native"
+            };
+            let scenario = doc.get("scenario").expect("scenario block");
+            assert_eq!(scenario.get("backend").and_then(Json::as_str), Some(want));
+            assert_eq!(num(&doc, &["scenario", "requests"]), 200, "{label}");
+            assert_eq!(num(&doc, &["scenario", "clients"]), 4, "{label}");
+            let completed = num(&doc, &["totals", "completed"]);
+            assert_eq!(
+                completed + num(&doc, &["totals", "rejected"]),
+                200,
+                "{label}: every request is completed or rejected"
+            );
+            assert!(completed > 0 && num(&doc, &["totals", "makespan_ns"]) > 0);
+            let lat = |p| num(&doc, &["latency_ns", p]);
+            assert!(
+                lat("p50") <= lat("p95") && lat("p95") <= lat("p99") && lat("p99") <= lat("max"),
+                "{label}: percentiles are ordered"
+            );
+            let rows = doc.get("requests").and_then(Json::as_array).expect("rows");
+            assert_eq!(rows.len(), 200, "{label}");
+            for row in rows {
+                if row.get("rejected") == Some(&Json::Bool(true)) {
+                    continue;
+                }
+                assert!(num(row, &["latency_ns"]) >= num(row, &["service_ns"]));
+                let cp = row.get("cp").expect("cp key");
+                if backend == Backend::Sim {
+                    assert_eq!(
+                        num(cp, &["total"]),
+                        num(cp, &["work"]) + num(cp, &["steal"]) + num(cp, &["queue_wait"]),
+                        "{label}: sim rows carry a critical path that adds up"
+                    );
+                } else {
+                    assert_eq!(cp, &Json::Null, "native rows must not fake critical paths");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_autoscale_band_leaves_sim_bytes_alone() {
+    // The band is pool-side tuning, not scenario semantics.
+    let plain = cell(Backend::Sim, Policy::Pws);
+    let banded = ScenarioSpec {
+        native: NativeConfig {
+            autoscale: Some((1, 4)),
+            ..plain.native
+        },
+        ..plain.clone()
+    };
+    assert_eq!(
+        run_scenario(&banded).to_json(),
+        run_scenario(&plain).to_json()
+    );
+}
+
+#[test]
+fn pacing_under_pressure_defers_rejects_less_and_loses_nothing() {
+    // Eight clients with no think time to speak of on a cap-2 queue.
+    let hard_spec = ScenarioSpec {
+        clients: 8,
+        queue_cap: 2,
+        think_mean_ns: 1,
+        ..cell(Backend::Sim, Policy::Pws)
+    };
+    let paced_spec = ScenarioSpec {
+        pacing: true,
+        ..hard_spec.clone()
+    };
+    let hard = run_scenario(&hard_spec);
+    let paced = run_scenario(&paced_spec);
+    assert_eq!(
+        paced.to_json(),
+        run_scenario(&paced_spec).to_json(),
+        "paced sim scenario is byte-identical across runs"
+    );
+    assert_eq!(hard.completed + hard.rejected, 200);
+    assert_eq!(paced.completed + paced.rejected, 200);
+    assert!(hard.rejected > 0, "load too light to exercise admission");
+    assert_eq!(hard.deferred, 0, "no pacing, no deferrals");
+    assert!(paced.deferred > 0, "pacing never engaged");
+    assert!(
+        paced.rejected < hard.rejected,
+        "pacing must cut hard rejections: {} vs {}",
+        paced.rejected,
+        hard.rejected
+    );
+}
+
+#[test]
+fn a_native_autoscale_pool_stays_in_band_and_loses_nothing() {
+    let plain = cell(Backend::Native, Policy::Pws);
+    let spec = ScenarioSpec {
+        workers: 2,
+        native: NativeConfig {
+            autoscale: Some((1, 4)),
+            ..plain.native
+        },
+        ..plain
+    };
+    let report = run_scenario(&spec);
+    assert_eq!(report.completed + report.rejected, 200);
+    assert!(report.completed > 0);
+    assert!(
+        (1..=4).contains(&report.workers_active),
+        "workers_active {} outside the 1..4 band",
+        report.workers_active
+    );
 }

@@ -1,9 +1,9 @@
 //! Structural trace diffing: align two traces of the same kernel and
 //! report where they diverge.
 //!
-//! `bench_diff` gates *aggregate* table1 metrics; this module pinpoints
-//! *scheduling* changes. Two traces of the same computation are aligned
-//! **by task id**: on the sim backend task ids are the recorded
+//! The benchmark's `sim-table1` golden gates *aggregate* table1 metrics;
+//! this module pinpoints *scheduling* changes. Two traces of the same
+//! computation are aligned **by task id**: on the sim backend task ids are the recorded
 //! computation's node ids, so two runs of the same kernel under
 //! different policies (or before/after a scheduler change) share an id
 //! space and their critical paths can be compared hop by hop. On the

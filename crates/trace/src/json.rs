@@ -1,8 +1,9 @@
 //! A minimal, dependency-free JSON reader.
 //!
-//! The build environment has no `serde_json`, but two tools need to
-//! *read* JSON: the Chrome-trace smoke validation (CI re-parses the
-//! exported file) and `bench_diff` (comparing `BENCH_*.json` records).
+//! The build environment has no `serde_json`, but tests and tools need
+//! to *read* JSON: the Chrome-trace validation (tests re-parse the
+//! exported file), the serve scenario tests (reading a report back) and
+//! the benchmark (`benchmark/`, comparing its own result lines).
 //! This is a strict recursive-descent parser for that purpose — it
 //! accepts exactly the JSON this repo writes plus standard escapes, and
 //! reports the byte offset of the first error.

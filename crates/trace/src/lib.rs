@@ -34,7 +34,7 @@
 //!   [`chrome_trace_multi`]) viewable in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>;
 //! * [`json`] — a minimal JSON reader used to validate exports and to
-//!   diff `BENCH_*.json` records (`bench_diff`).
+//!   read reports and benchmark result lines back.
 //!
 //! The crate is dependency-free and backend-agnostic: `hbp-sched`
 //! pushes events from the sim event loop and the native workers;
