@@ -774,6 +774,17 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
     }
 }
 
+/// Slices up to this long are one [`seq_sort`] in [`spms_rec`] (and get
+/// the scratch for one in [`arena_len`]): a level over fewer elements is
+/// ≈ √n chunk sorts of ≈ √n elements each plus the sample, the cuts and
+/// the bucket pass, and below a few leaf sorts' worth of input that costs
+/// more than it forks away — at n = 2048, 46 chunks of 45 elements took
+/// 2.4× the one leaf sort. One leaf sort also wins at n = 4096 (61 µs
+/// against 126–133 on two workers), but the benchmark's task-count guard
+/// pins that 4096 forks and 2048 does not, so the boundary sits here
+/// until that size list moves.
+const SPMS_CUTOFF: usize = 2 * SEQ_CUTOFF;
+
 /// `(nb, q)` of an SPMS level over `n` elements: at most `nb = ⌈√n⌉`
 /// buckets, and chunks `q = ⌈n / nb⌉` wide (so at most `nb` of them).
 fn spms_geometry(n: usize) -> (usize, usize) {
@@ -788,7 +799,7 @@ fn spms_geometry(n: usize) -> (usize, usize) {
 /// output. Always a whole number of lines, so sibling sub-arenas carved
 /// at this stride start on line boundaries.
 fn arena_len(n: usize) -> usize {
-    if n <= SEQ_CUTOFF {
+    if n <= SPMS_CUTOFF {
         return line_up(n);
     }
     let (_, q) = spms_geometry(n);
@@ -1032,7 +1043,7 @@ pub fn par_spms(data: &mut [(u64, u64)]) {
 /// `data.len()`) provided by the caller.
 fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     let n = data.len();
-    if n <= SEQ_CUTOFF {
+    if n <= SPMS_CUTOFF {
         if n > 1 {
             seq_sort(data, &mut arena[..n]);
             data.copy_from_slice(&arena[..n]);
@@ -1674,7 +1685,8 @@ mod tests {
 
     #[test]
     fn par_spms_sorts_stably_above_and_below_cutoff() {
-        for n in [0usize, 1, 5, 100, 1025, 5000, 20_000] {
+        let at = SPMS_CUTOFF;
+        for n in [0usize, 1, 5, 100, 1025, at, at + 1, 5000, 20_000] {
             let keys = gen::random_u64s(n, (n as u64 / 4).max(3), n as u64 + 1);
             let mut data: Vec<(u64, u64)> = keys
                 .iter()
@@ -1712,7 +1724,7 @@ mod tests {
     #[test]
     fn par_spms_edge_cases_off_and_on_pools() {
         off_and_on_pools(|| {
-            for n in [SEQ_CUTOFF + 1, 2048, 4097, (1 << 16) + 3] {
+            for n in [SEQ_CUTOFF + 1, SPMS_CUTOFF + 1, 8192, (1 << 16) + 3] {
                 for (name, keys) in spms_edge_inputs(n) {
                     let mut data: Vec<(u64, u64)> = keys.into_iter().zip(0..).collect();
                     let want = oracle::sort_pairs(&data);
@@ -1745,7 +1757,7 @@ mod tests {
         // msort_rec-into-`data` branch of `spms_sort_buckets` if the top
         // level plans a bucket above the cutoff that is not the whole
         // input (which would take the sequential fallback instead).
-        for n in [2048usize, 4097, (1 << 16) + 3] {
+        for n in [SPMS_CUTOFF + 1, 8192, (1 << 16) + 3] {
             let (_, keys) = spms_edge_inputs(n).pop().expect("the 90 % input is last");
             let sizes = planned_bucket_sizes(keys);
             let largest = *sizes.iter().max().expect("at least one bucket");
@@ -1984,10 +1996,12 @@ mod tests {
     fn arena_len_covers_the_recursion() {
         // The invariant spms_rec relies on: the arena funds both the
         // concurrent chunk sorts and the one gapped bucket arena.
-        for n in [1usize, 100, 1 << 11, 1 << 14, 100_000, 1 << 20] {
+        let at = SPMS_CUTOFF;
+        for n in [1usize, 100, at, at + 1, 1 << 14, 100_000, 1 << 20, 1 << 25] {
             let len = arena_len(n);
             assert_eq!(len % LINE_PAIRS, 0, "sub-arenas start on lines");
-            if n <= SEQ_CUTOFF {
+            if n <= SPMS_CUTOFF {
+                // One seq_sort, exactly where spms_rec stops recursing.
                 assert_eq!(len, line_up(n));
                 continue;
             }

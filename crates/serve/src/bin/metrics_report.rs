@@ -48,12 +48,13 @@ fn main() {
 
     println!("# admission (pool-wide, from the registry)");
     println!(
-        "admission: rejected {} deferred {} (report: rejected {} deferred {} workers_active {})",
+        "admission: rejected {} deferred {} (report: rejected {} deferred {} workers_active {} launches {})",
         snap.admission_rejected,
         snap.admission_deferred,
         report.rejected,
         report.deferred,
         report.workers_active,
+        report.launches,
     );
     println!();
 

@@ -10,9 +10,11 @@
 //! queue, how long a launch took, and a hint fallback for the time before
 //! the first launch completed. [`virt`](crate::virt) calls it from an
 //! event heap in integer virtual time; [`server`](crate::server) puts it
-//! behind one mutex shared by real client threads and a dispatcher — so
-//! the sim report is the exact model of the native server by
-//! construction, not by keeping two copies in step.
+//! behind one mutex taken by real client threads when they arrive and by
+//! the pool's driver when a launch ends — whoever finds or frees the
+//! launch slot starts the next launch, no thread sits in between — so the
+//! sim report is the exact model of the native server by construction,
+//! not by keeping two copies in step.
 
 use std::collections::VecDeque;
 
@@ -41,8 +43,10 @@ struct Queued<P> {
 
 /// The server's state (see module docs). `P` is whatever the driver
 /// attaches to a queued request.
-pub(crate) struct Desk<'a, P> {
-    spec: &'a ScenarioSpec,
+pub(crate) struct Desk<P> {
+    /// The scenario's own copy: a native launch carries the desk onto the
+    /// pool's driver, past any borrow of the caller's spec.
+    spec: ScenarioSpec,
     queue: VecDeque<Queued<P>>,
     /// The launch in flight: (schedule index, admission time) per member.
     flying: Vec<(usize, u64)>,
@@ -54,8 +58,8 @@ pub(crate) struct Desk<'a, P> {
     batched_requests: u64,
 }
 
-impl<'a, P> Desk<'a, P> {
-    pub(crate) fn new(spec: &'a ScenarioSpec, schedule: &[Request]) -> Self {
+impl<P> Desk<P> {
+    pub(crate) fn new(spec: &ScenarioSpec, schedule: &[Request]) -> Self {
         let rows = schedule
             .iter()
             .map(|r| RequestRecord {
@@ -74,7 +78,7 @@ impl<'a, P> Desk<'a, P> {
             })
             .collect();
         Self {
-            spec,
+            spec: spec.clone(),
             queue: VecDeque::new(),
             flying: Vec::new(),
             est: DrainEstimate::default(),
@@ -141,7 +145,7 @@ impl<'a, P> Desk<'a, P> {
             return Vec::new();
         }
         let rows = &self.rows;
-        let batch = pop_launch(self.spec, &mut self.queue, |q| rows[q.idx].n);
+        let batch = pop_launch(&self.spec, &mut self.queue, |q| rows[q.idx].n);
         if batch.is_empty() {
             return Vec::new();
         }
@@ -185,6 +189,13 @@ impl<'a, P> Desk<'a, P> {
             .collect()
     }
 
+    /// Nothing queued and nothing in flight. Every caller pairs `arrive`
+    /// and `served` with `next_launch`, so work is never queued behind a
+    /// free slot and a desk that is idle once its arrivals ended stays so.
+    pub(crate) fn idle(&self) -> bool {
+        self.flying.is_empty() && self.queue.is_empty()
+    }
+
     /// Close the books: every request was served or rejected by now.
     pub(crate) fn finish(
         self,
@@ -197,7 +208,7 @@ impl<'a, P> Desk<'a, P> {
             "a request neither completed nor was rejected"
         );
         ScenarioReport::assemble(
-            self.spec,
+            &self.spec,
             backend,
             self.rows,
             makespan_ns,

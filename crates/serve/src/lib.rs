@@ -33,8 +33,10 @@
 //!   and critical path under the scenario policy). Byte-identical JSON
 //!   across runs for a fixed seed.
 //! * [`server::run_real`] (native) owns real client threads blocking on
-//!   a condvar reply, a dispatcher thread, one real [`NativePool`] and
-//!   the mutex the desk sits behind; wall-clock timings.
+//!   a condvar reply, one real [`NativePool`] and the mutex the desk sits
+//!   behind; wall-clock timings. No service thread: an admitted client
+//!   that finds the launch slot free submits the launch itself, and a
+//!   finished launch submits the next from the pool's driver.
 //!
 //! So the sim report is the exact model of the native server by
 //! construction: a change to admission, pacing or batching lands in one

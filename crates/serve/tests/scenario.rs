@@ -1,9 +1,12 @@
 //! End-to-end scenario acceptance tests for the job server.
 
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::Duration;
+
 use hbp_core::sched::native::NativeConfig;
 use hbp_core::trace::json::{parse, Json};
 use hbp_core::{Backend, Policy};
-use hbp_serve::{default_mix, run_scenario, MixEntry, ScenarioSpec};
+use hbp_serve::{default_mix, run_scenario, LoadMode, MixEntry, ScenarioSpec};
 
 /// A small-kernel mix that exercises every served family without
 /// dominating test wall-clock.
@@ -51,8 +54,8 @@ fn one_pool_serves_a_thousand_mixed_requests_from_four_clients() {
     assert!(report.latency.p99 >= report.latency.p95);
     assert!(report.latency.p95 >= report.latency.p50);
     assert!(report.throughput_milli_rps > 0);
-    // With four closed-loop clients hammering small kernels, the
-    // dispatcher must have shared at least some launches.
+    // With four closed-loop clients hammering small kernels, some
+    // launches must have been shared.
     assert!(report.batched_requests > 0, "batching never engaged");
     assert!(report.launches < report.completed);
 }
@@ -243,4 +246,49 @@ fn a_native_autoscale_pool_stays_in_band_and_loses_nothing() {
         "workers_active {} outside the 1..4 band",
         report.workers_active
     );
+}
+
+#[test]
+fn two_hundred_back_to_back_native_scenarios_all_tear_down() {
+    // What a 16-request scenario ends on: the last launch signalling an
+    // idle desk, every launch's pool job waited out, and the pool joined
+    // from this thread. A pool dropped on its own driver, a lost idle
+    // signal or an admitted-but-never-launched open-loop tail is a hang,
+    // so a watchdog turns it into a failure. (`exit`, not a panic: a
+    // panic in the watchdog thread cannot fail a test whose own thread
+    // is stuck.)
+    let (done, watched) = std::sync::mpsc::channel::<()>();
+    let watchdog = std::thread::spawn(move || {
+        // A failed assertion below hangs up instead, and reports itself.
+        if watched.recv_timeout(Duration::from_secs(30)) == Err(RecvTimeoutError::Timeout) {
+            eprintln!("teardown storm still running after 30 s: a scenario hung");
+            std::process::exit(1);
+        }
+    });
+    for round in 0..200usize {
+        let spec = ScenarioSpec {
+            seed: round as u64,
+            requests: 16,
+            mode: [LoadMode::Closed, LoadMode::Open][round % 2],
+            workers: 1 + (round / 2) % 2,
+            queue_cap: [1, 64][(round / 4) % 2],
+            think_mean_ns: 1_000,
+            mix: tiny_mix(),
+            backend: Backend::Native,
+            policy: Policy::Rws { seed: round as u64 },
+            ..ScenarioSpec::default()
+        };
+        let report = run_scenario(&spec);
+        assert_eq!(
+            report.completed + report.rejected,
+            16,
+            "round {round}: {:?} on {} workers, cap {}",
+            spec.mode,
+            spec.workers,
+            spec.queue_cap
+        );
+        assert!(report.launches >= 1, "round {round} launched nothing");
+    }
+    done.send(()).expect("watchdog is listening");
+    watchdog.join().expect("watchdog panicked");
 }
