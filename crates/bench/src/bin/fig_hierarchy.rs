@@ -32,7 +32,7 @@ fn native_locality() {
         map.domains(),
         two_level,
         ex.pool.workers,
-        hbp_core::sched::policy::native_facet(ex.pool.policy).name(),
+        ex.pool.policy,
     );
     println!(
         "{:<20} {:>8} {:>8} {:>8} {:>8} {:>12}",

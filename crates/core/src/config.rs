@@ -13,7 +13,7 @@
 //!
 //! Downstream layers never read the environment themselves: the pure
 //! `parse` functions stay on their owning types (`Policy::parse`,
-//! `StealBatch::parse`, …), but the `std::env::var` calls live in this
+//! `DomainSpec::parse`, …), but the `std::env::var` calls live in this
 //! module alone — a test-enforced property (`tests/env_surface.rs` fails
 //! on an `HBP_*` read outside this file), so adding a knob forces the
 //! loud-error aggregation and the README table to stay in sync.
@@ -23,7 +23,6 @@
 //! | `HBP_BACKEND` | [`Config::backend`] | `sim` |
 //! | `HBP_POLICY` | [`Config::policy`] | `pws` |
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
-//! | `HBP_STEAL_BATCH` | [`Config::steal_batch`] | `policy` |
 //! | `HBP_DOMAINS` | [`Config::domains`] | `auto` |
 //! | `HBP_CROSS_DEPTH` | [`Config::cross_depth`] | `3` |
 //! | `HBP_COUNTERS` | [`Config::counters`] | `auto` |
@@ -33,11 +32,14 @@
 //! | `HBP_TRACE_STRICT` | [`Config::trace_strict`] | off |
 //! | `HBP_METRICS` | [`Config::metrics`] | off |
 //! | `HBP_METRICS_INTERVAL` | [`Config::metrics_interval`] | off (no sampler) |
+//!
+//! A retired variable (the README's knob table names them) is reported
+//! as an error when set, not silently ignored.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use hbp_sched::native::{NativeConfig, StealBatch};
+use hbp_sched::native::NativeConfig;
 use hbp_sched::topology::parse_cross_depth;
 use hbp_sched::{CounterMode, DomainSpec, Policy};
 use hbp_trace::{ClockDomain, TraceSink};
@@ -123,8 +125,6 @@ pub struct Config {
     pub policy: Policy,
     /// Native worker threads / trace-sink width (`HBP_WORKERS`).
     pub workers: usize,
-    /// Steal-batching mode (`HBP_STEAL_BATCH`).
-    pub steal_batch: StealBatch,
     /// Cache-domain sharding (`HBP_DOMAINS`).
     pub domains: DomainSpec,
     /// Fork-depth floor for cross-domain steals (`HBP_CROSS_DEPTH`).
@@ -156,7 +156,6 @@ impl Default for Config {
             backend: Backend::Sim,
             policy: Policy::Pws,
             workers: native.workers,
-            steal_batch: native.batch,
             domains: native.domains,
             cross_depth: native.cross_depth,
             counters: native.counters,
@@ -194,12 +193,6 @@ impl Config {
     /// Set the native worker count (≥ 1).
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w;
-        self
-    }
-
-    /// Set the steal-batching mode.
-    pub fn steal_batch(mut self, b: StealBatch) -> Self {
-        self.steal_batch = b;
         self
     }
 
@@ -285,13 +278,17 @@ impl Config {
         set!(cfg.backend, Backend::parse(get("HBP_BACKEND").as_deref()));
         set!(cfg.policy, Policy::parse(get("HBP_POLICY").as_deref()));
         set!(cfg.workers, parse_workers(get("HBP_WORKERS").as_deref()));
-        if get("HBP_DEQUE").is_some() {
-            errors.push("HBP_DEQUE was removed: Chase-Lev is the only deque".into());
+        for (var, now) in [
+            ("HBP_DEQUE", "Chase-Lev is the only deque"),
+            (
+                "HBP_STEAL_BATCH",
+                "top-level steals batch up to 8, join-waits take one",
+            ),
+        ] {
+            if get(var).is_some() {
+                errors.push(format!("{var} was removed: {now}"));
+            }
         }
-        set!(
-            cfg.steal_batch,
-            StealBatch::parse(get("HBP_STEAL_BATCH").as_deref())
-        );
         set!(
             cfg.domains,
             DomainSpec::parse(get("HBP_DOMAINS").as_deref())
@@ -363,7 +360,6 @@ impl Config {
             workers: self.workers,
             seed,
             policy: self.policy,
-            batch: self.steal_batch,
             counters: self.counters,
             domains: self.domains,
             cross_depth: self.cross_depth,
@@ -475,23 +471,34 @@ mod tests {
     }
 
     #[test]
-    fn retired_deque_knob_is_reported_not_ignored() {
-        // Set to any value — even the old default — it is an error, and
-        // it aggregates with the other problems.
-        for val in ["mutex", "cl", ""] {
+    fn retired_knobs_are_reported_not_ignored() {
+        // Set to any value — even the old default — each is an error,
+        // and they aggregate with each other and the other problems.
+        for (deque, batch) in [("mutex", "off"), ("cl", "policy"), ("", "")] {
             let err = Config::from_lookup(|v| match v {
-                "HBP_DEQUE" => Some(val.into()),
+                "HBP_DEQUE" => Some(deque.into()),
+                "HBP_STEAL_BATCH" => Some(batch.into()),
                 "HBP_WORKERS" => Some("zero".into()),
                 _ => None,
             })
-            .expect_err("a set HBP_DEQUE is an error");
+            .expect_err("a set retired knob is an error");
             assert!(
                 err.contains("HBP_DEQUE was removed: Chase-Lev is the only deque"),
                 "{err}"
             );
+            assert!(
+                err.contains(
+                    "HBP_STEAL_BATCH was removed: top-level steals batch up to 8, \
+                     join-waits take one"
+                ),
+                "{err}"
+            );
             assert!(err.contains("HBP_WORKERS"), "{err}");
-            assert!(err.contains("2 problems"), "{err}");
+            assert!(err.contains("3 problems"), "{err}");
         }
+        let err = Config::from_lookup(|v| (v == "HBP_STEAL_BATCH").then(|| "4".into()))
+            .expect_err("alone, too");
+        assert!(err.contains("1 problem)"), "{err}");
     }
 
     #[test]

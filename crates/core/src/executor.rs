@@ -28,7 +28,7 @@ use std::sync::Arc;
 use hbp_algos::{gen, par};
 use hbp_machine::MachineConfig;
 use hbp_model::{BuildConfig, Cx};
-use hbp_sched::native::{NativeConfig, NativePool};
+use hbp_sched::native::NativeConfig;
 use hbp_sched::{run, run_traced, ExecReport, Policy};
 use hbp_trace::{ClockDomain, TraceSink};
 
@@ -242,17 +242,13 @@ impl NativeExecutor {
         }
     }
 
-    /// Run `job`'s kernel on a one-shot pool, tracing into `trace` if
-    /// given (the session path shares the same kernel table but keeps
-    /// one [`hbp_sched::native::NativePool`] across jobs).
-    fn run_kernel(&self, job: &ExecJob, trace: Option<Arc<TraceSink>>) -> Option<ExecReport> {
-        let cfg = NativeConfig {
-            seed: self.pool.seed ^ job.seed,
-            ..self.pool
-        };
-        let spec = find(&job.algo)?;
-        let kernel = native_kernel(spec.name, job.n, job.seed)?;
-        Some(NativePool::run_traced(cfg, trace, kernel).1)
+    /// `None` when `job` names no native kernel — asked before
+    /// [`Executor::open`], so the figure binaries that skip unmapped
+    /// registry rows do not spawn and join a pool per skipped row.
+    fn mapped(job: &ExecJob) -> Option<()> {
+        find(&job.algo)
+            .filter(|spec| has_native_kernel(spec.name))
+            .map(|_| ())
     }
 }
 
@@ -262,8 +258,8 @@ impl NativeExecutor {
 /// kernel as a submittable root closure. `None` for rows with no native
 /// kernel (e.g. layout conversions).
 ///
-/// Shared by the one-shot [`NativeExecutor::execute`] path, the
-/// persistent-pool [`crate::session::ExecSession`] path, and the
+/// Shared by [`crate::session::ExecSession`] (which
+/// [`NativeExecutor::execute`] is a one-job session over) and the
 /// `hbp-serve` job server (which batches several small kernels into one
 /// launch), so they can never drift apart on which algorithms the
 /// native backend serves.
@@ -352,11 +348,13 @@ impl Executor for NativeExecutor {
     }
 
     fn execute(&self, job: &ExecJob) -> Option<ExecReport> {
-        self.run_kernel(job, None)
+        Self::mapped(job)?;
+        self.open().submit(job).ok()?.wait().ok()
     }
 
     fn execute_traced(&self, job: &ExecJob, trace: &Arc<TraceSink>) -> Option<ExecReport> {
-        self.run_kernel(job, Some(Arc::clone(trace)))
+        Self::mapped(job)?;
+        self.open().submit_traced(job, trace).ok()?.wait().ok()
     }
 
     fn open(&self) -> crate::session::ExecSession {

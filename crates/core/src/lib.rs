@@ -42,7 +42,8 @@ pub mod executor;
 pub mod registry;
 pub mod session;
 
-/// The paper's algorithm suite (paper §3.2) + rayon counterparts.
+/// The paper's algorithm suite (paper §3.2): recorded HBP builders and
+/// the native `par_*` kernels.
 pub use hbp_algos as algos;
 /// The simulated machine: caches, blocks, coherence (paper §1–§2).
 pub use hbp_machine as machine;

@@ -1,8 +1,7 @@
 //! A lock-free Chase–Lev work-stealing deque.
 //!
 //! This is the real realization of the Obs 4.1 deque discipline that
-//! [`crate::deque`] models in virtual time and the native backend's old
-//! mutex-guarded ring merely *ordered*: the owner pushes and pops at the
+//! [`crate::deque`] models in virtual time: the owner pushes and pops at the
 //! **bottom** without synchronization in the common case, thieves race on
 //! the **top** with a single compare-and-swap, and the one genuinely
 //! contended case — owner and thief meeting on the last element — is
@@ -231,16 +230,33 @@ impl<T> ClDeque<T> {
         if t >= b {
             return Steal::Empty;
         }
-        let buf = self.buffer.load(Ordering::Acquire);
-        // SAFETY: the raw copy is only *observed* (by `admit` or the
-        // caller) after validation. The owner can reuse physical slot
-        // `t & mask` of this buffer only once `top` has advanced past
-        // `t` (a push at index `b ≡ t (mod cap)` requires the owner to
-        // have read `top > t`, else it would have grown into a fresh
-        // buffer), and `top` is monotonic — so the seqlock-style
-        // re-check below proves the slot was stable for the whole read
-        // before anything looks at the bytes. A copy that fails
-        // validation is forgotten unobserved.
+        self.claim(self.buffer.load(Ordering::Acquire), t, admit)
+    }
+
+    /// Thief: one claim of logical index `t` out of buffer generation
+    /// `buf`, both snapshotted after `t < bottom` was observed — read
+    /// the slot, validate the read, consult `admit`, CAS `top`. Every
+    /// steal, single or batched, is a sequence of these. Never returns
+    /// [`Steal::Empty`]: a lost race is [`Steal::Retry`].
+    #[inline]
+    fn claim(&self, buf: *mut Buffer<T>, t: isize, admit: impl FnOnce(&T) -> bool) -> Steal<T> {
+        // SAFETY, in two parts.
+        //
+        // The pointer is live: `buf` came from `self.buffer`, and no
+        // generation is freed while a thief can hold one — `grow` pushes
+        // the replaced buffer onto `self.retired` instead of dropping
+        // it, and only `Drop` (`&mut self`, so no thief exists) frees
+        // the current buffer and that list.
+        //
+        // The bytes are only *observed* (by `admit` or the caller) after
+        // validation. The owner can reuse physical slot `t & mask` of
+        // this buffer only once `top` has advanced past `t`: a push at
+        // index `b ≡ t (mod cap)` requires the owner to have read
+        // `top > t`, else it would have grown into a fresh buffer and
+        // left this one untouched on the retire list. `top` is
+        // monotonic, so the seqlock-style re-check below proves the slot
+        // was stable for the whole read before anything looks at it. A
+        // copy that fails validation is forgotten unobserved.
         let v = unsafe { (*buf).read(t) };
         if self.top.load(Ordering::Acquire) != t {
             // Raced: another thief claimed index t (and the owner may
@@ -267,7 +283,8 @@ impl<T> ClDeque<T> {
     /// Thief: claim up to `max` elements from the top in **one claiming
     /// sequence** — a single probe (one `top`/`bottom`/buffer snapshot,
     /// one fence) followed by back-to-back claims, appending the stolen
-    /// elements to `out` in deque (FIFO) order.
+    /// elements to `out` in deque (FIFO) order. With `max == 1` this is
+    /// [`steal_with`](ClDeque::steal_with), element for element.
     ///
     /// At most **half** the observed queue is taken (rounded up, always
     /// at least one), so a victim with work in flight keeps the majority
@@ -319,34 +336,11 @@ impl<T> ClDeque<T> {
                     break;
                 }
             }
-            // SAFETY: identical to `steal_with` — the copy is observed
-            // only after the `top == t` re-check proves the slot was
-            // stable for the whole read (a push overwriting logical
-            // index `t` in this buffer generation requires the owner to
-            // have seen `top > t` first, and growth redirects pushes to
-            // a fresh buffer while this one is retired un-freed), and a
-            // copy failing any validation is forgotten unobserved.
-            let v = unsafe { (*buf).read(t) };
-            if self.top.load(Ordering::Acquire) != t {
-                std::mem::forget(v);
-                break;
+            match self.claim(buf, t, &mut admit) {
+                Steal::Data(v) => out.push(v),
+                Steal::Denied if taken == 0 => return Steal::Denied,
+                _ => break,
             }
-            if !admit(&v) {
-                std::mem::forget(v);
-                if taken == 0 {
-                    return Steal::Denied;
-                }
-                break;
-            }
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                std::mem::forget(v);
-                break;
-            }
-            out.push(v);
             taken += 1;
             t += 1;
         }
@@ -521,6 +515,65 @@ mod tests {
         assert_eq!(d.steal_with(|&v| v >= 5), Steal::Data(10));
         assert_eq!(d.steal_with(|&v| v >= 25), Steal::Denied);
         assert_eq!(d.pop(), Some(20), "owner is never filtered");
+    }
+
+    #[test]
+    fn a_batch_of_one_is_steal_with_step_for_step() {
+        // The runtime's join-waits claim through `steal_batch_with(1, ..)`
+        // and rely on it being a single `steal_with`: the same script on
+        // two deques must agree on the outcome variant and the element
+        // at every step. Small on purpose: CI runs this module under Miri.
+        let single = ClDeque::with_capacity(2);
+        let batch = ClDeque::with_capacity(2);
+        let mut out: Vec<u64> = Vec::new();
+        let mut step = |floor: u64| {
+            let admit = |v: &u64| *v >= floor;
+            let got = single.steal_with(admit);
+            out.clear();
+            let want = match batch.steal_batch_with(1, admit, &mut out) {
+                Steal::Data(k) => {
+                    assert_eq!((k, out.len()), (1, 1), "a cap of one claims one");
+                    Steal::Data(out[0])
+                }
+                Steal::Empty => Steal::Empty,
+                Steal::Retry => Steal::Retry,
+                Steal::Denied => Steal::Denied,
+            };
+            assert_eq!(got, want, "floor {floor}");
+            assert_eq!(single.len_hint(), batch.len_hint(), "floor {floor}");
+            got
+        };
+        assert_eq!(step(0), Steal::Empty);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = 0u64;
+        for _ in 0..160 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 4 {
+                0 | 1 => {
+                    single.push(next);
+                    batch.push(next);
+                    next += 1;
+                }
+                2 => assert_eq!(single.pop(), batch.pop()),
+                // Floors straddle the live ids, so admits and denials mix.
+                _ => {
+                    step(next.saturating_sub(x >> 61));
+                }
+            }
+        }
+        // Denied leaves the top in place on both; the last element goes
+        // to the thief on both, and then both are empty.
+        while single.pop().is_some() {
+            batch.pop();
+        }
+        single.push(7);
+        batch.push(7);
+        assert_eq!(step(8), Steal::Denied);
+        assert_eq!(step(7), Steal::Data(7));
+        assert_eq!(step(0), Steal::Empty);
+        assert_eq!((single.pop(), batch.pop()), (None, None));
     }
 
     #[test]

@@ -88,6 +88,18 @@ impl Policy {
     }
 }
 
+/// The spelling [`Policy::parse`] reads back: `pws`, `rws:SEED`,
+/// `bsp:LEVELS`.
+impl std::fmt::Display for Policy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Policy::Pws => f.write_str("pws"),
+            Policy::Rws { seed } => write!(f, "rws:{seed}"),
+            Policy::Bsp { prefix_levels } => write!(f, "bsp:{prefix_levels}"),
+        }
+    }
+}
+
 /// Execute `comp` on the machine `cfg` under `policy` and report.
 pub fn run(comp: &Computation, cfg: MachineConfig, policy: Policy) -> ExecReport {
     run_with_policy(comp, cfg, policy.steal_policy().as_mut())

@@ -8,8 +8,7 @@
 //! in the same [`ExecReport`] shape the simulator produces, so figure
 //! binaries can switch backends without changing their reporting path.
 //!
-//! The runtime is layered (PR 4 split mechanism from policy; PR 6 split
-//! pool *lifetime* from job *execution*):
+//! The runtime is layered:
 //!
 //! * **deque** ([`crate::cl_deque`]): each worker owns a lock-free
 //!   **Chase-Lev deque** — the owner pushes and pops at the *bottom*
@@ -17,17 +16,17 @@
 //!   is arbitrated by a `SeqCst` fence — the real realization of the
 //!   Obs 4.1 discipline the simulator models;
 //! * **policy** ([`crate::policy::NativeStealPolicy`]): victim probe
-//!   order, steal admission (the §5.3 fork-depth floor), and idle
-//!   backoff come from the same `Pws`/`Rws`/`Bsp` modules that drive
-//!   the simulator — [`NativeConfig::policy`] carries the
-//!   [`Policy`] enum, so `HBP_POLICY` selects the discipline on both
-//!   backends;
+//!   order and steal admission (the §5.3 fork-depth floor) come from the
+//!   same `Pws`/`Rws`/`Bsp` modules that drive the simulator —
+//!   [`NativeConfig::policy`] carries the [`Policy`] enum, so
+//!   `HBP_POLICY` selects the discipline on both backends;
 //! * **worker loop** ([`runtime`]): [`join`] is the fork primitive — the
 //!   right branch is published on the owner's deque while the owner runs
 //!   the left branch; on return the owner pops it back (inline
 //!   execution) or, if a thief took it, steals *other* work while
 //!   waiting for the branch's completion flag. Idle workers run the
-//!   policy's probe plan until the job's root completes;
+//!   policy's probe plan until the job's root completes. Every steal,
+//!   from either place, goes through one claiming call;
 //! * **pool** ([`pool`]): a [`NativePool`] spawns its workers **once**
 //!   and serves successive jobs through a submission queue — workers
 //!   park on a condvar between jobs, shutdown is explicit and
@@ -68,92 +67,20 @@
 //! the worker that panicked — `kernel panicked on worker W: message`.
 //! [`PoolHandle::outcome`] exposes the caught payload instead, for
 //! servers that must survive bad requests.
+//!
+//! [`ExecReport`]: crate::report::ExecReport
+//! [`ClockDomain::WallNs`]: hbp_trace::ClockDomain::WallNs
 
 mod job;
 pub mod pool;
 pub(crate) mod runtime;
 
-use std::sync::Arc;
-
-use hbp_trace::TraceSink;
-
 use crate::engine::Policy;
 use crate::perf::CounterMode;
-use crate::report::ExecReport;
-
-use runtime::CTX;
 
 pub use crate::topology::{DomainMap, DomainSpec};
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
 pub use runtime::{in_pool, join};
-
-#[cfg(test)]
-mod batch_tests {
-    use super::StealBatch;
-
-    #[test]
-    fn steal_batch_parse_accepts_the_documented_values() {
-        for v in [None, Some(""), Some("1"), Some("on"), Some("policy")] {
-            assert_eq!(StealBatch::parse(v), Ok(StealBatch::Policy), "{v:?}");
-        }
-        for v in [Some("0"), Some("off")] {
-            assert_eq!(StealBatch::parse(v), Ok(StealBatch::Off), "{v:?}");
-        }
-        assert_eq!(StealBatch::parse(Some("4")), Ok(StealBatch::Cap(4)));
-        let err = StealBatch::parse(Some("nope")).unwrap_err();
-        assert!(
-            err.contains("HBP_STEAL_BATCH") && err.contains("nope"),
-            "{err}"
-        );
-    }
-}
-
-/// How much one committed steal may claim (`HBP_STEAL_BATCH`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealBatch {
-    /// Batching on, capped by the policy facet's
-    /// [`steal_batch_cap`](crate::policy::NativeStealPolicy::steal_batch_cap)
-    /// — the default.
-    #[default]
-    Policy,
-    /// Batching off: every steal claims exactly one task (the pre-batch
-    /// behavior, kept for A/B runs).
-    Off,
-    /// Batching on with an explicit per-steal cap (≥ 2); the claiming
-    /// sequence still takes at most half the victim's observed queue.
-    Cap(usize),
-}
-
-impl StealBatch {
-    /// Parse an `HBP_STEAL_BATCH` value: `None` (unset), the empty
-    /// string, `1`, `on` or `policy` → [`StealBatch::Policy`]; `0` or
-    /// `off` → [`StealBatch::Off`]; an integer ≥ 2 →
-    /// [`StealBatch::Cap`]. (`1` means *enabled at the policy default*,
-    /// matching the CI A/B spelling `HBP_STEAL_BATCH=1|off` — a literal
-    /// cap of one is exactly what `off` provides.) Anything else is an
-    /// error naming the variable, the value, and the accepted ones.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("") | Some("1") | Some("on") | Some("policy") => Ok(StealBatch::Policy),
-            Some("0") | Some("off") => Ok(StealBatch::Off),
-            Some(other) => match other.parse::<usize>() {
-                Ok(n) if n >= 2 => Ok(StealBatch::Cap(n)),
-                _ => Err(format!(
-                    "HBP_STEAL_BATCH must be `on`/`1`/`policy`, `off`/`0`, or a cap >= 2, got {other:?}"
-                )),
-            },
-        }
-    }
-
-    /// The effective per-steal cap under `policy` (1 = unbatched).
-    pub(crate) fn cap(self, policy: &dyn crate::policy::NativeStealPolicy) -> usize {
-        match self {
-            StealBatch::Policy => policy.steal_batch_cap().max(1),
-            StealBatch::Off => 1,
-            StealBatch::Cap(n) => n.max(2),
-        }
-    }
-}
 
 /// Configuration of one native pool.
 #[derive(Debug, Clone, Copy)]
@@ -164,11 +91,8 @@ pub struct NativeConfig {
     /// [`Policy::Rws`] seed when the policy carries one).
     pub seed: u64,
     /// The stealing discipline's native facet (victim order, §5.3
-    /// admission, backoff) — see [`crate::policy::native`].
+    /// admission) — see [`crate::policy::native`].
     pub policy: Policy,
-    /// Steal-batching mode (top-level idle-loop steals may claim several
-    /// tasks per committed steal; see [`StealBatch`]).
-    pub batch: StealBatch,
     /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`;
     /// see [`crate::perf`]). Only consulted while a trace sink is
     /// attached — untraced jobs never open or read counters.
@@ -211,7 +135,6 @@ impl Default for NativeConfig {
                 .max(4),
             seed: 0,
             policy: Policy::Rws { seed: 0 },
-            batch: StealBatch::Policy,
             counters: CounterMode::Auto,
             domains: DomainSpec::Auto,
             cross_depth: crate::topology::DEFAULT_CROSS_DEPTH,
@@ -229,52 +152,5 @@ impl NativeConfig {
             Policy::Rws { seed } => self.seed ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             Policy::Pws | Policy::Bsp { .. } => self.seed,
         }
-    }
-}
-
-/// One-shot execution on a throwaway pool: run `root` to completion and
-/// report.
-///
-/// `root` executes on worker 0; [`join`] calls inside it (directly or via
-/// `hbp_algos::par::pjoin`) fork onto the worker deques, and idle workers
-/// steal under the pool's policy facet. Returns the root's value plus the
-/// wall-clock [`ExecReport`] (see the module docs for the field
-/// semantics). Spawning threads per call is the whole cost — servers that
-/// launch many kernels keep one [`NativePool`] and
-/// [`NativePool::submit`] into it, or use the `hbp-core` session API.
-pub(crate) fn run_once<R, F>(
-    cfg: NativeConfig,
-    trace: Option<Arc<TraceSink>>,
-    root: F,
-) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    assert!(
-        CTX.get().is_none(),
-        "a one-shot native run cannot be nested inside a pool worker"
-    );
-    let pool = NativePool::new(cfg);
-    // The root borrows the caller's stack (non-'static), which is sound
-    // because we block on the job's completion before returning: the
-    // ScopedRoot outlives the job by construction.
-    let root_cell = pool::ScopedRoot::new(root);
-    let meta = unsafe {
-        pool.submit_scoped(
-            trace,
-            &root_cell as *const _ as *const (),
-            pool::ScopedRoot::<F, R>::exec,
-        )
-    }
-    .expect("fresh pool accepts a submission");
-    let done = meta.wait();
-    // SAFETY: the meta completed, so the driver wrote the result and no
-    // longer references the ScopedRoot.
-    let result = unsafe { root_cell.take_result() };
-    drop(pool); // joins the workers
-    match result {
-        Ok(v) => (v, done.report),
-        Err(payload) => pool::raise_job_panic(&done.panics, payload),
     }
 }

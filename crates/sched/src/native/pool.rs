@@ -1,14 +1,13 @@
 //! [`NativePool`]: the persistent serve-forever pool.
 //!
-//! PR 4's runtime spawned a fresh pool of scoped threads per kernel
-//! launch; this module splits the pool's *lifetime* out of the launch.
 //! A [`NativePool`] spawns its workers **once**: worker 0 is the
 //! *driver* — it drains a FIFO submission queue and executes each job's
 //! root closure — and workers `1..p` are *thieves* that park on a
-//! condvar between jobs and steal forked branches while a job runs.
-//! The Chase-Lev deques and [`NativeStealPolicy`] facets are unchanged
-//! underneath: a job executes exactly as a one-shot root did, it just no
-//! longer pays thread spawn/join per launch.
+//! condvar between jobs and steal forked branches while a job runs, over
+//! the Chase-Lev deques and the [`NativeStealPolicy`] facet, so a job
+//! pays no thread spawn/join.
+//!
+//! [`NativeStealPolicy`]: crate::policy::NativeStealPolicy
 //!
 //! ## Job lifecycle
 //!
@@ -48,7 +47,6 @@ use std::time::Instant;
 use hbp_machine::{CoreStats, MachineStats};
 use hbp_trace::{ClockDomain, EventKind as TrEv, TraceSink};
 
-use crate::policy::{native_facet, NativeStealPolicy};
 use crate::report::ExecReport;
 
 use super::runtime::{
@@ -86,30 +84,12 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// The type-erased root runner of one submission. Both variants catch
-/// their own unwinds and store the outcome where the submitter can
-/// reach it, so the driver thread never unwinds.
-pub(crate) enum RootRun {
-    /// A `'static` closure from [`NativePool::submit`] (result lands in
-    /// the handle's `Arc`ed slot).
-    Boxed(Box<dyn FnOnce() + Send>),
-    /// A lifetime-erased pointer to a [`ScopedRoot`] on the stack of a
-    /// blocked [`NativePool::run`] caller (which outlives the job by
-    /// waiting on the meta before returning).
-    Raw {
-        data: *const (),
-        exec: unsafe fn(*const ()),
-    },
-}
-
-// SAFETY: Boxed closures are Send by bound; Raw pointers target a
-// ScopedRoot whose closure and result are Send, and cross threads
-// exactly once (submitter → driver).
-unsafe impl Send for RootRun {}
-
 /// One accepted job, queued until the driver picks it up.
 pub(crate) struct Submission {
-    pub(crate) run: RootRun,
+    /// The type-erased root runner: it catches its own unwind and stores
+    /// the outcome where the submitter can reach it, so the driver
+    /// thread never unwinds.
+    pub(crate) run: Box<dyn FnOnce() + Send>,
     pub(crate) trace: Option<Arc<TraceSink>>,
     pub(crate) enqueued: Instant,
     pub(crate) meta: Arc<JobMeta>,
@@ -154,49 +134,16 @@ impl JobMeta {
     }
 }
 
-/// A borrowed root closure parked on a blocked caller's stack frame
-/// (the scoped-submission analogue of `StackJob` for forked branches).
-pub(crate) struct ScopedRoot<F, R> {
-    f: std::cell::UnsafeCell<Option<F>>,
-    result: std::cell::UnsafeCell<Option<std::thread::Result<R>>>,
+/// Run a job's root, attributing a panic to the worker it ran on.
+fn catch_root<R>(root: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let r = panic::catch_unwind(AssertUnwindSafe(root));
+    if let Err(payload) = &r {
+        note_current_worker_panic(payload.as_ref());
+    }
+    r
 }
 
-// SAFETY: accessed by the driver exactly once (exec) and by the owning
-// caller after completion; F and R are Send by the submit bounds.
-unsafe impl<F: Send, R: Send> Sync for ScopedRoot<F, R> {}
-
-impl<F, R> ScopedRoot<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    pub(crate) fn new(f: F) -> Self {
-        Self {
-            f: std::cell::UnsafeCell::new(Some(f)),
-            result: std::cell::UnsafeCell::new(None),
-        }
-    }
-
-    /// SAFETY: called at most once, with `ptr` pointing to a live Self.
-    pub(crate) unsafe fn exec(ptr: *const ()) {
-        let this = &*(ptr as *const Self);
-        let f = (*this.f.get()).take().expect("scoped root executed twice");
-        let r = panic::catch_unwind(AssertUnwindSafe(f));
-        if let Err(payload) = &r {
-            note_current_worker_panic(payload.as_ref());
-        }
-        *this.result.get() = Some(r);
-    }
-
-    /// SAFETY: only after the job's meta completed (result written).
-    pub(crate) unsafe fn take_result(&self) -> std::thread::Result<R> {
-        (*self.result.get())
-            .take()
-            .expect("scoped root result taken before execution")
-    }
-}
-
-/// Result slot of a boxed submission, shared between the closure that
+/// Result slot of a `'static` submission, shared between the closure that
 /// fills it and the [`PoolHandle`] that takes it.
 struct ResultCell<R>(Mutex<Option<std::thread::Result<R>>>);
 
@@ -258,10 +205,7 @@ impl<R> PoolHandle<R> {
 }
 
 /// Re-raise a job panic with worker attribution when available.
-pub(crate) fn raise_job_panic(
-    panics: &[(usize, String)],
-    payload: Box<dyn std::any::Any + Send>,
-) -> ! {
+fn raise_job_panic(panics: &[(usize, String)], payload: Box<dyn std::any::Any + Send>) -> ! {
     match panics.first() {
         Some((w, msg)) => panic!("kernel panicked on worker {w}: {msg}"),
         None => panic::resume_unwind(payload),
@@ -306,22 +250,10 @@ impl NativePool {
         let desired = cfg
             .autoscale
             .map_or(cfg.workers, |(min, max)| cfg.workers.clamp(min, max));
-        let policy: Box<dyn NativeStealPolicy> = native_facet(cfg.policy);
-        let batch_cap = cfg.batch.cap(policy.as_ref());
         // Resolve the cache-domain sharding once, at spawn: auto-detected
         // from /sys (flat fallback, loudly), or simulated (`<k>`/`tag:<k>`).
         let (domains, two_level) = cfg.domains.resolve(capacity);
-        let shared = Arc::new(Pool::new(
-            capacity,
-            desired,
-            cfg.stream_seed(),
-            policy,
-            batch_cap,
-            cfg.counters,
-            domains,
-            two_level,
-            cfg.cross_depth,
-        ));
+        let shared = Arc::new(Pool::new(capacity, desired, &cfg, domains, two_level));
         let mut threads = Vec::with_capacity(capacity + 1);
         let p = Arc::clone(&shared);
         threads.push(
@@ -427,33 +359,13 @@ impl NativePool {
         F: FnOnce() -> R + Send + 'static,
         R: Send + 'static,
     {
-        self.check_sink(trace.as_deref());
         let result = Arc::new(ResultCell(Mutex::new(None)));
         let slot = Arc::clone(&result);
-        let run = RootRun::Boxed(Box::new(move || {
-            let r = panic::catch_unwind(AssertUnwindSafe(f));
-            if let Err(payload) = &r {
-                note_current_worker_panic(payload.as_ref());
-            }
-            *slot.0.lock().expect("result slot poisoned") = Some(r);
-        }));
+        let run = Box::new(move || {
+            *slot.0.lock().expect("result slot poisoned") = Some(catch_root(f));
+        });
         let meta = self.enqueue(run, trace)?;
         Ok(PoolHandle { result, meta })
-    }
-
-    /// Lifetime-erased submission for the blocking [`NativePool::run`] path.
-    ///
-    /// SAFETY: `data`/`exec` must target a live [`ScopedRoot`] whose
-    /// borrows stay valid until the returned meta completes — the
-    /// caller must wait on it before returning.
-    pub(crate) unsafe fn submit_scoped(
-        &self,
-        trace: Option<Arc<TraceSink>>,
-        data: *const (),
-        exec: unsafe fn(*const ()),
-    ) -> Result<Arc<JobMeta>, SubmitError> {
-        self.check_sink(trace.as_deref());
-        self.enqueue(RootRun::Raw { data, exec }, trace)
     }
 
     fn check_sink(&self, trace: Option<&TraceSink>) {
@@ -473,9 +385,10 @@ impl NativePool {
 
     fn enqueue(
         &self,
-        run: RootRun,
+        run: Box<dyn FnOnce() + Send>,
         trace: Option<Arc<TraceSink>>,
     ) -> Result<Arc<JobMeta>, SubmitError> {
+        self.check_sink(trace.as_deref());
         let meta = Arc::new(JobMeta::new());
         {
             let mut s = self.shared.state.lock().expect("pool state poisoned");
@@ -500,13 +413,22 @@ impl NativePool {
         Ok(meta)
     }
 
-    /// Run `root` on a fresh one-job pool and report.
+    /// One-shot execution on a throwaway pool: spawn it, run `root` to
+    /// completion, shut it down, and report.
+    ///
+    /// `root` executes on worker 0; [`join`](super::join) calls inside it
+    /// (directly or via `hbp_algos::par::pjoin`) fork onto the worker
+    /// deques, and idle workers steal under the pool's policy facet.
+    /// Unlike [`NativePool::submit`], `root` may borrow from the caller's
+    /// frame. Spawning threads per call is the whole cost — servers that
+    /// launch many kernels keep one pool and `submit` into it, or use
+    /// the `hbp-core` session API.
     pub fn run<R, F>(cfg: NativeConfig, root: F) -> (R, ExecReport)
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        super::run_once(cfg, None, root)
+        Self::run_traced(cfg, None, root)
     }
 
     /// [`NativePool::run`] with optional structured-event recording.
@@ -522,7 +444,30 @@ impl NativePool {
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        super::run_once(cfg, trace, root)
+        assert!(
+            CTX.get().is_none(),
+            "a one-shot native run cannot be nested inside a pool worker"
+        );
+        let pool = NativePool::new(cfg);
+        let mut result = None;
+        let slot = &mut result;
+        let run: Box<dyn FnOnce() + Send + '_> = Box::new(move || *slot = Some(catch_root(root)));
+        // SAFETY: only the lifetime is erased. `run` borrows this frame
+        // (`result`, and whatever `root` captured), and this frame blocks
+        // on the job's meta below before it reads `result` or returns:
+        // the driver calls — and thereby consumes — the box before it
+        // completes the meta, and a refused submission drops it unrun
+        // inside `enqueue`.
+        let run: Box<dyn FnOnce() + Send> = unsafe { std::mem::transmute(run) };
+        let done = pool
+            .enqueue(run, trace)
+            .expect("fresh pool accepts a submission")
+            .wait();
+        drop(pool); // joins the workers
+        match result.expect("job completed without a result") {
+            Ok(v) => (v, done.report),
+            Err(payload) => raise_job_panic(&done.panics, payload),
+        }
     }
 
     /// Drain the queue (accepted jobs still run), reject new
@@ -572,10 +517,9 @@ fn snapshot(counters: &[WorkerCounters]) -> Vec<CounterSnap> {
 }
 
 /// Assemble a per-job [`ExecReport`] from before/after counter
-/// snapshots (same field semantics as the one-shot runner's report —
-/// see the `native` module docs). `workers_active` is the job's peak
-/// worker participation (driver included), which on an elastic pool can
-/// be anywhere in `1..=p`.
+/// snapshots (field semantics in the `native` module docs).
+/// `workers_active` is the job's peak worker participation (driver
+/// included), which on an elastic pool can be anywhere in `1..=p`.
 fn delta_report(
     before: &[CounterSnap],
     after: &[CounterSnap],
@@ -744,15 +688,10 @@ fn drive_one(pool: &Pool, sub: Submission) {
         root_c0 = crate::perf::sample(pool.counters_mode, 0);
     }
     let tb = Instant::now();
-    // Both runner variants catch their own unwinds; this outer catch is
-    // the driver's last line of defense (a poisoned result slot, say) —
-    // the driver thread must survive every job.
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match run {
-        RootRun::Boxed(f) => f(),
-        // SAFETY: submit_scoped's contract — the ScopedRoot is alive
-        // until its meta completes, which is after this returns.
-        RootRun::Raw { data, exec } => unsafe { exec(data) },
-    }));
+    // The runner catches its own unwind; this outer catch is the
+    // driver's last line of defense (a poisoned result slot, say) — the
+    // driver thread must survive every job.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(run));
     pool.counters[0]
         .busy_ns
         .fetch_add(tb.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -1,16 +1,14 @@
 //! The policy-driven worker runtime: per-worker deques, the fork-join
 //! primitive, and the idle loop.
 //!
-//! This is the layer the tentpole refactor lifted out of the old
-//! monolithic `native.rs`. The runtime owns *mechanism* — deque
-//! operations, counters, tracing hooks, panic attribution — and
-//! delegates every *decision* to the configured
+//! The runtime owns *mechanism* — deque operations, counters, tracing
+//! hooks, panic attribution, idle backoff — and delegates every
+//! *decision* to the configured
 //! [`NativeStealPolicy`](crate::policy::NativeStealPolicy) facet: victim
-//! probe order ([`plan_probes`](crate::policy::NativeStealPolicy::plan_probes)),
-//! steal admission by fork depth
+//! probe order ([`plan_probes`](crate::policy::NativeStealPolicy::plan_probes))
+//! and steal admission by fork depth
 //! ([`admit`](crate::policy::NativeStealPolicy::admit) — evaluated on the
-//! thief's side *before* the claiming CAS, so refused tasks stay put),
-//! and idle backoff.
+//! thief's side *before* the claiming CAS, so refused tasks stay put).
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -23,12 +21,13 @@ use hbp_trace::{EventKind as TrEv, TraceSink};
 
 use crate::cl_deque::{ClDeque, Steal};
 use crate::perf::{self, CounterMode};
-use crate::policy::native::SPIN_PROBES;
-use crate::policy::NativeStealPolicy;
+use crate::policy::native::{default_backoff, SPIN_PROBES};
+use crate::policy::{native_facet, NativeStealPolicy};
 use crate::topology::DomainMap;
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
+use super::NativeConfig;
 
 /// Per-worker counters (each worker writes only its own; Relaxed is fine,
 /// aggregation happens after the scope joins).
@@ -105,15 +104,12 @@ pub(crate) struct Pool {
     /// Shallowest fork depth published on each worker's deque
     /// (`u32::MAX` = looks empty). Owner-maintained on push/pop with
     /// relaxed atomics; thieves read it through
-    /// [`NativeStealPolicy::plan_probes_hinted`] to order their probe
-    /// scans (the PWS shallowest-victim approximation of §4.7). The
+    /// [`NativeStealPolicy::plan_probes`] to order their probe scans
+    /// (the PWS shallowest-victim approximation of §4.7). The
     /// hint is allowed to be stale — thieves draining a deque leave it
     /// untouched — because every probe re-validates against the live
     /// deque; staleness costs a reordered scan, never correctness.
     pub(crate) depth_hints: Vec<AtomicU32>,
-    /// Effective per-steal batch cap for top-level idle-loop steals
-    /// (1 = unbatched; from [`super::StealBatch`] × the policy facet).
-    pub(crate) batch_cap: usize,
     pub(crate) counters: Vec<WorkerCounters>,
     /// Per-job completion flag: reset by the driver before a job's root
     /// starts, set once the root returns (root return implies every
@@ -124,8 +120,7 @@ pub(crate) struct Pool {
     /// Task-boundary counter sampling mode for traced jobs
     /// ([`crate::perf`]; only consulted when a trace sink is attached).
     pub(crate) counters_mode: CounterMode,
-    /// The scheduling discipline's native facet: probe order, admission,
-    /// backoff.
+    /// The scheduling discipline's native facet: probe order, admission.
     pub(crate) policy: Box<dyn NativeStealPolicy>,
     /// Worker → cache-domain assignment (resolved from
     /// [`super::NativeConfig::domains`]; one flat domain when unsharded).
@@ -187,17 +182,15 @@ pub(crate) struct Pool {
 unsafe impl Sync for Pool {}
 
 impl Pool {
-    #[allow(clippy::too_many_arguments)]
+    /// A pool of `workers` capacity slots, `desired` of them
+    /// participating, with `cfg`'s policy facet, RNG stream seed,
+    /// counter mode and cross-domain floor over the resolved `domains`.
     pub(crate) fn new(
         workers: usize,
         desired: usize,
-        seed: u64,
-        policy: Box<dyn NativeStealPolicy>,
-        batch_cap: usize,
-        counters_mode: CounterMode,
+        cfg: &NativeConfig,
         domains: DomainMap,
         two_level: bool,
-        cross_depth: u32,
     ) -> Self {
         // Two-level stealing is meaningless with a single domain; the
         // resolver already clears it, but guard here too so the identity
@@ -214,15 +207,14 @@ impl Pool {
             desired: AtomicUsize::new(desired.clamp(1, workers)),
             deques: (0..workers).map(|_| ClDeque::default()).collect(),
             depth_hints: (0..workers).map(|_| AtomicU32::new(u32::MAX)).collect(),
-            batch_cap: batch_cap.max(1),
             counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
             done: AtomicBool::new(true),
-            seed,
-            counters_mode,
-            policy,
+            seed: cfg.stream_seed(),
+            counters_mode: cfg.counters,
+            policy: native_facet(cfg.policy),
             domains,
             two_level,
-            cross_depth,
+            cross_depth: cfg.cross_depth,
             dsleep,
             total_sleepers: AtomicUsize::new(0),
             trace_cell: UnsafeCell::new(None),
@@ -386,38 +378,48 @@ pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
     }
 }
 
-/// Probe the other workers' deque tops in the policy's planned order
-/// (hinted by the victims' published top depths), claiming up to `max`
-/// tasks from the first victim that yields any; the claimed tasks are
-/// appended to `out` in deque order. `None` after one full unsuccessful
-/// scan, else the victim index (`out` then holds ≥ 1 task).
+/// Most tasks one top-level steal claims from its victim (the claiming
+/// sequence further takes at most half the victim's observed queue):
+/// big enough to absorb a burst of sibling bucket tasks, small enough
+/// that ceil-half, not the cap, binds on any deque shorter than 16.
+const STEAL_BATCH_CAP: usize = 8;
+
+/// Plan one probe scan for worker `me`: the policy's order over the
+/// victims' published top depths, and — on a domain-sharded pool
+/// (`two_level`) — every victim in `me`'s own cache domain moved ahead
+/// of any remote one. The partition is stable, so each policy's
+/// *intra-group* order (PWS's shallowest-then-rank, RWS's random
+/// rotation, BSP's rank rotation) survives within both halves.
+fn plan_scan(pool: &Pool, me: usize, rng: &mut u64, order: &mut Vec<usize>) {
+    let hint = |v: usize| pool.depth_hints[v].load(Ordering::Relaxed);
+    pool.policy
+        .plan_probes(me, pool.deques.len(), rng, &hint, order);
+    if pool.two_level {
+        let my_dom = pool.domains.domain_of(me);
+        order.sort_by_key(|&v| pool.domains.domain_of(v) != my_dom);
+    }
+}
+
+/// Probe the other workers' deque tops in [`plan_scan`]'s order,
+/// claiming up to `max` tasks from the first victim that yields any; the
+/// claimed tasks are appended to `out` in deque order. `None` after one
+/// full unsuccessful scan, else the victim index (`out` then holds ≥ 1
+/// task).
 ///
-/// On a domain-sharded pool (`two_level`) the scan is **two-phase**: the
-/// policy's [`plan_probes_sharded`](NativeStealPolicy::plan_probes_sharded)
-/// order visits every victim in the thief's own cache domain before any
-/// remote one, and remote victims additionally gate each task's fork
-/// depth through [`cross_admit`](NativeStealPolicy::cross_admit) — the
-/// admission composes thief-side *before* the claiming CAS, exactly
+/// On a domain-sharded pool remote victims additionally gate each task's
+/// fork depth through [`cross_admit`](NativeStealPolicy::cross_admit) —
+/// the admission composes thief-side *before* the claiming CAS, exactly
 /// like the flat §5.3 floor, so refused tasks stay on their owner's
 /// deque with exactly-once accounting untouched.
 fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) -> Option<usize> {
-    let p = pool.deques.len();
-    if p <= 1 {
+    if pool.deques.len() <= 1 {
         return None;
     }
     PROBES.with_borrow_mut(|order| {
         let mut rng = RNG.get();
-        let hint = |v: usize| pool.depth_hints[v].load(Ordering::Relaxed);
-        let my_dom = pool.domains.domain_of(me);
-        if pool.two_level {
-            let dom = |v: usize| pool.domains.domain_of(v);
-            pool.policy
-                .plan_probes_sharded(me, p, &mut rng, &hint, &dom, my_dom, order);
-        } else {
-            pool.policy
-                .plan_probes_hinted(me, p, &mut rng, &hint, order);
-        }
+        plan_scan(pool, me, &mut rng, order);
         RNG.set(rng);
+        let my_dom = pool.domains.domain_of(me);
         for &v in order.iter() {
             debug_assert_ne!(v, me, "policies must not plan self-probes");
             let cross = pool.two_level && pool.domains.domain_of(v) != my_dom;
@@ -426,20 +428,7 @@ fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) 
                     && (!cross || pool.policy.cross_admit(j.depth, pool.cross_depth))
             };
             loop {
-                let got = if max > 1 {
-                    pool.deques[v].steal_batch_with(max, admit, out)
-                } else {
-                    match pool.deques[v].steal_with(admit) {
-                        Steal::Data(j) => {
-                            out.push(j);
-                            Steal::Data(1)
-                        }
-                        Steal::Empty => Steal::Empty,
-                        Steal::Retry => Steal::Retry,
-                        Steal::Denied => Steal::Denied,
-                    }
-                };
-                match got {
+                match pool.deques[v].steal_batch_with(max, admit, out) {
                     Steal::Data(_) => return Some(v),
                     // Lost a CAS race on a non-empty deque: retry the
                     // same victim (someone made progress, so this
@@ -457,7 +446,7 @@ fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) 
 /// counting it either way. With tracing on, brackets the execution in
 /// `TaskBegin`/`TaskEnd` events (nested inside the enclosing task's
 /// segment when called from a join-wait).
-pub(crate) fn execute_task(pool: &Pool, me: usize, j: JobRef) {
+fn execute_task(pool: &Pool, me: usize, j: JobRef) {
     let d = DEPTH.get();
     DEPTH.set(d + 1);
     let prev_fork_depth = FORK_DEPTH.get();
@@ -585,11 +574,10 @@ where
             }
             // Steal other work while the thief finishes our branch.
             // Probe time inside a task is attributed to that task (see
-            // the module docs), so no steal_ns accounting here. Unbatched:
-            // see `steal_once` for why join-waits must not take extras.
+            // the module docs), so no steal_ns accounting here.
             let mut fails = 0u32;
             while !job.done.load(Ordering::Acquire) {
-                steal_once(pool, me, &mut fails, false, false);
+                steal_once(pool, me, &mut fails, false);
             }
         }
     }
@@ -608,37 +596,30 @@ where
 
 /// One steal attempt for an idle context: probe the other deques in the
 /// policy's order, record counters and trace events, and execute the
-/// stolen task(s) on success. `count_probe_ns` charges the probe scan to
-/// `steal_ns` (true in the top-level idle loop; false inside a
-/// join-wait, where probe time is attributed to the waiting task).
+/// stolen task(s) on success. Returns whether a task ran.
 ///
-/// `batch` enables multi-task claiming (cap = the pool's effective
-/// `batch_cap`): the first claimed task executes immediately, the rest
-/// are re-published on `me`'s own deque — re-stealable by anyone, and
-/// drained by the top-level loop's own-deque pop. Join-wait steals stay
-/// unbatched on purpose: a batch extra buried on the deque *below* the
-/// enclosing join's branch would let that join's pop-back miss its
-/// branch and spin on work only other workers can finish — fatal on a
-/// pool with a single active worker. The top-level loop has no
-/// enclosing join, so the extras are always its own to drain.
-///
-/// Returns whether a task ran.
-pub(crate) fn steal_once(
-    pool: &Pool,
-    me: usize,
-    fails: &mut u32,
-    count_probe_ns: bool,
-    batch: bool,
-) -> bool {
-    let cap = if batch { pool.batch_cap } else { 1 };
+/// `top_level` says the caller is a thief's idle loop rather than a
+/// join-wait. There the probe scan is charged to `steal_ns` (inside a
+/// join-wait it is attributed to the waiting task) and the steal may
+/// claim up to [`STEAL_BATCH_CAP`] tasks: the first executes
+/// immediately, the rest are re-published on `me`'s own deque —
+/// re-stealable by anyone, and drained by the top-level loop's
+/// own-deque pop. A join-wait claims exactly one (`max = 1`): a batch
+/// extra buried on the deque *below* the enclosing join's branch would
+/// let that join's pop-back miss its branch and spin on work only other
+/// workers can finish — fatal on a pool with a single active worker.
+/// The top-level loop has no enclosing join, so the extras are always
+/// its own to drain.
+fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool {
+    let max = if top_level { STEAL_BATCH_CAP } else { 1 };
     // The BATCH borrow must not outlive the claiming sequence: the task
     // executed below can re-enter steal_once from a nested join-wait on
     // this very thread, which borrows BATCH again.
     let first = BATCH.with_borrow_mut(|buf| {
         debug_assert!(buf.is_empty(), "batch scratch drained between steals");
         let t0 = Instant::now();
-        let found = steal_from_others(pool, me, cap, buf);
-        if count_probe_ns {
+        let found = steal_from_others(pool, me, max, buf);
+        if top_level {
             pool.counters[me]
                 .steal_ns
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -704,14 +685,14 @@ pub(crate) fn steal_once(
             if let Some(tr) = pool.trace() {
                 tr.push(me, pool.now_ns(), TrEv::StealFail);
             }
-            // Sharded pools replace the policy's sleep-phase backoff
-            // with a domain micro-park (same 50µs bound, but wakeable by
-            // a domain-mate's fork); the spin-yield phase and every
-            // unsharded pool keep the policy's own backoff untouched.
+            // Sharded pools replace the sleep phase of the backoff with
+            // a domain micro-park (same 50µs bound, but wakeable by a
+            // domain-mate's fork); the spin-yield phase and every
+            // unsharded pool back off blind.
             if pool.two_level && *fails >= SPIN_PROBES {
                 pool.domain_park(me);
             } else {
-                pool.policy.backoff(*fails);
+                default_backoff(*fails);
             }
             *fails = fails.saturating_add(1);
             false
@@ -794,7 +775,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             if pool.done.load(Ordering::Acquire) {
                 break;
             }
-            steal_once(pool, me, &mut fails, true, true);
+            steal_once(pool, me, &mut fails, true);
         }
         if retiring {
             // Stop popping; let thieves empty our deque. Every task here
@@ -823,6 +804,65 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
         s.active -= 1;
         if s.active == 0 {
             pool.quiesce_cv.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Policy;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The two-level victim-order law, for every policy facet under
+        /// randomized geometry: on a sharded pool `plan_scan` lists
+        /// **every victim in the thief's own domain before any victim
+        /// outside it**, and — sharded or flat — covers exactly the
+        /// other `p - 1` workers.
+        #[test]
+        fn scans_are_local_first_for_any_geometry(
+            p in 2usize..12,
+            k in 1usize..6,
+            thief_pick in 0usize..12,
+            seed in 1u64..u64::MAX,
+            hint_salt in 0u32..97,
+        ) {
+            let thief = thief_pick % p;
+            for policy in [
+                Policy::Pws,
+                Policy::Rws { seed: 11 },
+                Policy::Bsp { prefix_levels: 3 },
+            ] {
+                let cfg = NativeConfig { policy, ..NativeConfig::default() };
+                for two_level in [true, false] {
+                    let pool = Pool::new(p, p, &cfg, DomainMap::simulated(p, k), two_level);
+                    for (v, h) in pool.depth_hints.iter().enumerate() {
+                        h.store((v as u32).wrapping_mul(hint_salt) % 7, Ordering::Relaxed);
+                    }
+                    let mut rng = seed;
+                    let mut out = Vec::new();
+                    plan_scan(&pool, thief, &mut rng, &mut out);
+                    let mut sorted = out.clone();
+                    sorted.sort_unstable();
+                    let want: Vec<usize> = (0..p).filter(|&v| v != thief).collect();
+                    prop_assert_eq!(&sorted, &want, "{:?} covers every victim once", policy);
+                    if !pool.two_level {
+                        continue;
+                    }
+                    // Once the plan leaves the thief's domain it never
+                    // returns.
+                    let local = |v: &usize| pool.domains.domain_of(*v) == pool.domains.domain_of(thief);
+                    let first_remote = out.iter().position(|v| !local(v)).unwrap_or(out.len());
+                    prop_assert!(
+                        !out[first_remote..].iter().any(local),
+                        "{:?}: a local victim after a remote one in {:?} (domains {:?})",
+                        policy, out, pool.domains.labels()
+                    );
+                }
+            }
         }
     }
 }

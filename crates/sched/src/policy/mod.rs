@@ -19,11 +19,10 @@
 //!
 //! Each discipline additionally has a **native facet** ([`native`],
 //! [`NativeStealPolicy`]): the same `Pws`/`Rws`/`Bsp` types supply
-//! victim selection, steal admission, and idle backoff to the
-//! real-threads runtime, so `HBP_POLICY` selects the discipline on both
-//! backends. On a domain-sharded pool (`HBP_DOMAINS`) the facet's probe
-//! plan becomes **two-level** through one trait default
-//! ([`NativeStealPolicy::plan_probes_sharded`]): every victim in the
+//! victim selection and steal admission to the real-threads runtime, so
+//! `HBP_POLICY` selects the discipline on both backends. On a
+//! domain-sharded pool (`HBP_DOMAINS`) the runtime makes the facet's
+//! probe plan **two-level** by a stable partition: every victim in the
 //! thief's own cache domain precedes any victim outside it, with each
 //! discipline's intra-group order preserved, and cross-domain steals
 //! additionally pass [`NativeStealPolicy::cross_admit`]'s fork-depth

@@ -25,8 +25,8 @@ pub struct ExecReport {
     /// native backend counts once however many tasks it moved).
     pub steals: u64,
     /// Tasks moved by successful steals. Equals `steals` on the sim
-    /// backend and on unbatched native runs; exceeds it when
-    /// `HBP_STEAL_BATCH` lets one commit claim several tasks.
+    /// backend; exceeds it on native whenever a top-level steal's one
+    /// commit claimed several tasks.
     pub stolen_tasks: u64,
     /// Successful steals + deduplicated failed round attempts (Cor 4.1
     /// bounds this by `2·p·D'`).

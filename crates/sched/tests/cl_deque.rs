@@ -12,13 +12,55 @@ use std::sync::Arc;
 use hbp_sched::cl_deque::{ClDeque, Steal};
 use proptest::prelude::*;
 
+/// Which thief-side entry a [`storm`] hammers. Both are live: the
+/// benchmark's layer probes call `steal()`, the runtime calls
+/// `steal_batch_with`, and each has its own `top`/fence/`bottom`/buffer
+/// snapshot ahead of the shared claim.
+#[derive(Clone, Copy, Debug)]
+enum Claim {
+    /// `steal()`, one item per call.
+    Single,
+    /// `steal_batch_with(max, ..)`, up to `max` items per call.
+    Batch(usize),
+}
+
+impl Claim {
+    /// One claiming call; stolen items land in `buf`.
+    fn steal(self, deque: &ClDeque<u64>, buf: &mut Vec<u64>) -> Steal<usize> {
+        match self {
+            Claim::Single => match deque.steal() {
+                Steal::Data(v) => {
+                    buf.push(v);
+                    Steal::Data(1)
+                }
+                Steal::Empty => Steal::Empty,
+                Steal::Retry => Steal::Retry,
+                Steal::Denied => Steal::Denied,
+            },
+            Claim::Batch(max) => deque.steal_batch_with(max, |_| true, buf),
+        }
+    }
+}
+
 /// One steal-storm round: the owner pushes `n` items (popping a few on
-/// the way, per `pop_every`), `thieves` threads hammer `steal` until the
-/// deque drains, and every item must surface exactly once.
+/// the way, per `pop_every`), `thieves` threads hammer `claim` until the
+/// deque drains, and every item must surface exactly once: across
+/// thieves racing each other, the owner's bottom pops, and buffer growth
+/// mid-claim.
 ///
-/// Returns (owner-consumed, per-thief-consumed) counts for assertions
-/// beyond the multiset check.
-fn storm(n: u64, thieves: usize, initial_cap: usize, pop_every: u64) -> (usize, Vec<usize>) {
+/// Returns (owner-consumed, per-thief batch sizes) so callers can also
+/// assert batch geometry (never more than the cap, never empty on Data).
+fn storm(
+    n: u64,
+    thieves: usize,
+    claim: Claim,
+    initial_cap: usize,
+    pop_every: u64,
+) -> (usize, Vec<Vec<usize>>) {
+    let max = match claim {
+        Claim::Single => 1,
+        Claim::Batch(max) => max,
+    };
     let deque: Arc<ClDeque<u64>> = Arc::new(ClDeque::with_capacity(initial_cap));
     let done = Arc::new(AtomicBool::new(false));
     let mut seen = vec![0u32; n as usize];
@@ -30,26 +72,31 @@ fn storm(n: u64, thieves: usize, initial_cap: usize, pop_every: u64) -> (usize, 
                 let done = Arc::clone(&done);
                 s.spawn(move || {
                     let mut got: Vec<u64> = Vec::new();
+                    let mut batches: Vec<usize> = Vec::new();
+                    let mut buf: Vec<u64> = Vec::new();
                     loop {
-                        match deque.steal() {
-                            Steal::Data(v) => got.push(v),
+                        // Read before the probe: the owner raises `done`
+                        // only after its last push and its final drain,
+                        // so an empty probe after it is final.
+                        let finishing = done.load(Ordering::Acquire);
+                        match claim.steal(&deque, &mut buf) {
+                            Steal::Data(k) => {
+                                assert_eq!(k, buf.len(), "count matches delivered items");
+                                assert!(k >= 1 && k <= max, "batch size within [1, max]");
+                                batches.push(k);
+                                got.append(&mut buf);
+                            }
                             Steal::Retry => {}
                             Steal::Empty | Steal::Denied => {
-                                if done.load(Ordering::Acquire) {
-                                    // Drain once more: the owner may have
-                                    // pushed between our probe and the flag.
-                                    match deque.steal() {
-                                        Steal::Data(v) => got.push(v),
-                                        Steal::Retry => continue,
-                                        _ => break,
-                                    }
-                                } else {
-                                    std::hint::spin_loop();
+                                assert!(buf.is_empty(), "no items delivered without Data");
+                                if finishing {
+                                    break;
                                 }
+                                std::hint::spin_loop();
                             }
                         }
                     }
-                    got
+                    (got, batches)
                 })
             })
             .collect();
@@ -68,43 +115,51 @@ fn storm(n: u64, thieves: usize, initial_cap: usize, pop_every: u64) -> (usize, 
             owner.push(v);
         }
         done.store(true, Ordering::Release);
-        let thief_got: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (owner, thief_got)
+        let joined: Vec<(Vec<u64>, Vec<usize>)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (owner, joined)
     });
 
-    for &v in owner_got.iter().chain(thief_got.iter().flatten()) {
+    for &v in owner_got
+        .iter()
+        .chain(thief_got.iter().flat_map(|(g, _)| g))
+    {
         seen[v as usize] += 1;
     }
     let missing: Vec<u64> = (0..n).filter(|&i| seen[i as usize] == 0).collect();
     let duped: Vec<u64> = (0..n).filter(|&i| seen[i as usize] > 1).collect();
     assert!(
         missing.is_empty() && duped.is_empty(),
-        "items lost {missing:?} / duplicated {duped:?} (n={n}, thieves={thieves}, cap={initial_cap})"
+        "items lost {missing:?} / duplicated {duped:?} \
+         (n={n}, thieves={thieves}, {claim:?}, cap={initial_cap})"
     );
-    (owner_got.len(), thief_got.iter().map(Vec::len).collect())
+    (
+        owner_got.len(),
+        thief_got.into_iter().map(|(_, b)| b).collect(),
+    )
 }
 
 #[test]
 fn steal_storm_every_item_exactly_once() {
-    let (owner, thieves) = storm(100_000, 3, 64, 0);
-    assert_eq!(owner + thieves.iter().sum::<usize>(), 100_000);
+    let (owner, steals) = storm(100_000, 3, Claim::Single, 64, 0);
+    assert_eq!(owner + steals.iter().map(Vec::len).sum::<usize>(), 100_000);
 }
 
 #[test]
 fn steal_storm_with_owner_pops_interleaved() {
-    storm(50_000, 4, 64, 7);
+    storm(50_000, 4, Claim::Single, 64, 7);
 }
 
 #[test]
 fn steal_storm_under_forced_growth() {
     // Initial capacity 2: the owner grows the buffer dozens of times
     // while thieves race on retired generations.
-    storm(20_000, 3, 2, 0);
+    storm(20_000, 3, Claim::Single, 2, 0);
 }
 
 #[test]
 fn steal_storm_single_thief_tiny() {
-    storm(1_000, 1, 2, 3);
+    storm(1_000, 1, Claim::Single, 2, 3);
 }
 
 #[test]
@@ -155,104 +210,9 @@ fn concurrent_filtered_steals_never_take_denied_items() {
     );
 }
 
-/// Batched-steal storm: like `storm`, but thieves call
-/// `steal_batch_with(max, ..)` and may carry several items home per
-/// claiming sequence. Exactly-once must survive batches racing each
-/// other, the owner's bottom pops, and buffer growth mid-batch.
-///
-/// Returns (owner-consumed, per-thief batch sizes) so callers can also
-/// assert batch geometry (never more than `max`, never empty on Data).
-fn batch_storm(
-    n: u64,
-    thieves: usize,
-    max: usize,
-    initial_cap: usize,
-    pop_every: u64,
-) -> (usize, Vec<Vec<usize>>) {
-    let deque: Arc<ClDeque<u64>> = Arc::new(ClDeque::with_capacity(initial_cap));
-    let done = Arc::new(AtomicBool::new(false));
-    let mut seen = vec![0u32; n as usize];
-
-    let (owner_got, thief_got) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..thieves)
-            .map(|_| {
-                let deque = Arc::clone(&deque);
-                let done = Arc::clone(&done);
-                s.spawn(move || {
-                    let mut got: Vec<u64> = Vec::new();
-                    let mut batches: Vec<usize> = Vec::new();
-                    let mut buf: Vec<u64> = Vec::new();
-                    loop {
-                        match deque.steal_batch_with(max, |_| true, &mut buf) {
-                            Steal::Data(k) => {
-                                assert_eq!(k, buf.len(), "count matches delivered items");
-                                assert!(k >= 1 && k <= max, "batch size within [1, max]");
-                                batches.push(k);
-                                got.append(&mut buf);
-                            }
-                            Steal::Retry => {}
-                            Steal::Empty | Steal::Denied => {
-                                assert!(buf.is_empty(), "no items delivered without Data");
-                                if done.load(Ordering::Acquire) {
-                                    match deque.steal_batch_with(max, |_| true, &mut buf) {
-                                        Steal::Data(k) => {
-                                            batches.push(k);
-                                            got.append(&mut buf);
-                                        }
-                                        Steal::Retry => continue,
-                                        _ => break,
-                                    }
-                                } else {
-                                    std::hint::spin_loop();
-                                }
-                            }
-                        }
-                    }
-                    (got, batches)
-                })
-            })
-            .collect();
-
-        let mut owner: Vec<u64> = Vec::new();
-        for i in 0..n {
-            deque.push(i);
-            if pop_every > 0 && i % pop_every == pop_every - 1 {
-                if let Some(v) = deque.pop() {
-                    owner.push(v);
-                }
-            }
-        }
-        while let Some(v) = deque.pop() {
-            owner.push(v);
-        }
-        done.store(true, Ordering::Release);
-        let joined: Vec<(Vec<u64>, Vec<usize>)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (owner, joined)
-    });
-
-    for &v in owner_got
-        .iter()
-        .chain(thief_got.iter().flat_map(|(g, _)| g))
-    {
-        seen[v as usize] += 1;
-    }
-    let missing: Vec<u64> = (0..n).filter(|&i| seen[i as usize] == 0).collect();
-    let duped: Vec<u64> = (0..n).filter(|&i| seen[i as usize] > 1).collect();
-    assert!(
-        missing.is_empty() && duped.is_empty(),
-        "items lost {missing:?} / duplicated {duped:?} \
-         (n={n}, thieves={thieves}, max={max}, cap={initial_cap})"
-    );
-    (
-        owner_got.len(),
-        thief_got.into_iter().map(|(_, b)| b).collect(),
-    )
-}
-
 #[test]
 fn batched_steal_storm_every_item_exactly_once() {
-    let (owner, batches) = batch_storm(100_000, 3, 8, 64, 0);
+    let (owner, batches) = storm(100_000, 3, Claim::Batch(8), 64, 0);
     let stolen: usize = batches.iter().flatten().sum();
     assert_eq!(owner + stolen, 100_000);
 }
@@ -261,7 +221,7 @@ fn batched_steal_storm_every_item_exactly_once() {
 fn batched_steal_storm_with_owner_pops_and_growth() {
     // Capacity 2 forces dozens of grows while batches are mid-claim;
     // owner pops race the bottom end of the same windows.
-    batch_storm(30_000, 4, 8, 2, 5);
+    storm(30_000, 4, Claim::Batch(8), 2, 5);
 }
 
 #[test]
@@ -270,7 +230,7 @@ fn batched_storm_actually_batches() {
     // and max=8, at least one multi-item batch must occur — guards
     // against a regression where steal_batch_with degenerates to
     // single-steal (the exactly-once tests above would still pass).
-    let (_, batches) = batch_storm(50_000, 1, 8, 64, 0);
+    let (_, batches) = storm(50_000, 1, Claim::Batch(8), 64, 0);
     assert!(
         batches[0].iter().any(|&k| k > 1),
         "50k items / 1 thief / max=8 never produced a multi-item batch: {:?}",
@@ -342,13 +302,13 @@ proptest! {
         cap_pow in 1u32..7,
         pop_every in 0u64..9,
     ) {
-        storm(n, thieves, 1usize << cap_pow, pop_every);
+        storm(n, thieves, Claim::Single, 1usize << cap_pow, pop_every);
     }
 
     /// Same accounting with batched thieves over randomized batch caps:
     /// exactly-once holds for any (n, thieves, max, capacity, cadence),
-    /// including max=1 (degenerate single-steal) and caps larger than
-    /// the deque ever holds.
+    /// including max=1 (what the runtime's join-waits pass) and caps
+    /// larger than the deque ever holds.
     #[test]
     fn batched_storm_accounting_holds_for_any_geometry(
         n in 1u64..4000,
@@ -357,6 +317,6 @@ proptest! {
         cap_pow in 1u32..7,
         pop_every in 0u64..9,
     ) {
-        batch_storm(n, thieves, max, 1usize << cap_pow, pop_every);
+        storm(n, thieves, Claim::Batch(max), 1usize << cap_pow, pop_every);
     }
 }

@@ -1,7 +1,7 @@
-//! Two-level (domain-sharded) stealing: victim-order laws under
-//! randomized geometry, the cross-domain depth floor under real steal
-//! storms, and the flat-identity guarantee (`domains=1` is structurally
-//! the flat pool).
+//! Two-level (domain-sharded) stealing: the cross-domain depth floor
+//! under real steal storms, and the flat-identity guarantee (`domains=1`
+//! is structurally the flat pool). The local-first victim-order law is a
+//! unit test beside `plan_scan` in `src/native/runtime.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,8 +9,7 @@ use std::sync::Arc;
 use hbp_sched::cl_deque::{ClDeque, Steal};
 use hbp_sched::native::{join, NativeConfig, NativePool};
 use hbp_sched::policy::native_facet;
-use hbp_sched::{DomainMap, DomainSpec, Policy};
-use proptest::prelude::*;
+use hbp_sched::{DomainSpec, Policy};
 
 fn policies() -> [Policy; 3] {
     [
@@ -37,62 +36,6 @@ fn spin_sum(xs: &[u64], leaf: usize) -> u64 {
     let (l, r) = xs.split_at(xs.len() / 2);
     let (a, b) = join(|| spin_sum(l, leaf), || spin_sum(r, leaf));
     a + b
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The two-level victim-order law, for every policy facet under
-    /// randomized geometry: `plan_probes_sharded` lists **every victim
-    /// in the thief's own domain before any victim outside it**, covers
-    /// exactly the other `p - 1` workers, and never revisits the local
-    /// half once it has moved on.
-    #[test]
-    fn sharded_plans_are_local_first_for_any_geometry(
-        p in 2usize..12,
-        k in 1usize..6,
-        thief_pick in 0usize..12,
-        seed in 1u64..u64::MAX,
-        hint_salt in 0u32..97,
-    ) {
-        let thief = thief_pick % p;
-        let map = DomainMap::simulated(p, k);
-        let my_dom = map.domain_of(thief);
-        let hint = |v: usize| -> u32 { (v as u32).wrapping_mul(hint_salt) % 7 };
-        for policy in policies() {
-            let facet = native_facet(policy);
-            let mut rng = seed;
-            let mut out = Vec::new();
-            facet.plan_probes_sharded(
-                thief,
-                p,
-                &mut rng,
-                &hint,
-                &|v| map.domain_of(v),
-                my_dom,
-                &mut out,
-            );
-            // Coverage: exactly the other workers, each once.
-            let mut sorted = out.clone();
-            sorted.sort_unstable();
-            let want: Vec<usize> = (0..p).filter(|&v| v != thief).collect();
-            prop_assert_eq!(&sorted, &want, "{:?} covers every victim once", policy);
-            // Order: once the plan leaves the thief's domain it never
-            // returns — i.e. every local victim precedes every remote one.
-            let mut left_home = false;
-            for &v in &out {
-                let local = map.domain_of(v) == my_dom;
-                if !local {
-                    left_home = true;
-                }
-                prop_assert!(
-                    !(local && left_home),
-                    "{:?}: local victim {} after a remote one in {:?} (domains {:?})",
-                    policy, v, out, map.labels()
-                );
-            }
-        }
-    }
 }
 
 /// The runtime's cross-domain admission, replayed as a `ClDeque` steal

@@ -109,6 +109,49 @@ fn panics_propagate_from_forked_branch() {
     assert!(res.is_err(), "branch panic must reach the caller");
 }
 
+#[test]
+fn a_panicking_run_returns_its_borrows_to_the_caller() {
+    // `run` takes a root that borrows this frame. When a forked branch
+    // panics, the root's captures must be dropped and the borrow over by
+    // the time the panic reaches us: the closure did not outlive `run`.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    struct SetOnDrop<'a>(&'a AtomicBool);
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let cfg = NativeConfig {
+        workers: 2,
+        seed: 19,
+        ..NativeConfig::default()
+    };
+    let dropped = AtomicBool::new(false);
+    let mut buf = vec![0u64; 64];
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let guard = SetOnDrop(&dropped);
+        let out = &mut buf;
+        NativePool::run(cfg, move || {
+            let _held = guard;
+            let (l, r) = out.split_at_mut(32);
+            join(
+                || l.fill(1),
+                || {
+                    r.fill(2);
+                    panic!("branch boom");
+                },
+            );
+        })
+    }));
+    assert!(res.is_err(), "branch panic must reach the caller");
+    assert!(
+        dropped.load(Ordering::SeqCst),
+        "the root's captures dropped"
+    );
+    assert_eq!(buf[..32], [1; 32], "left branch wrote through the borrow");
+    assert_eq!(buf[32..], [2; 32], "right branch wrote before it panicked");
+}
+
 /// Payload of a caught panic as text (`String` or `&str` payloads).
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     payload

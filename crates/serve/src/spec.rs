@@ -97,8 +97,8 @@ pub struct ScenarioSpec {
     /// up to [`MAX_DEFERRALS`] times) instead of hard-rejecting it
     /// outright. Open-loop arrivals are pre-scheduled and never pace.
     pub pacing: bool,
-    /// Native pool tuning (deque kind, steal batching, domains,
-    /// autoscale band, …). `workers`/`seed`/`policy` are taken from the
+    /// Native pool tuning (domains, cross-domain floor, counters,
+    /// autoscale band). `workers`/`seed`/`policy` are taken from the
     /// spec's own fields — see [`ScenarioSpec::native_config`].
     pub native: NativeConfig,
 }
@@ -327,11 +327,7 @@ impl ScenarioSpec {
 
     /// Report label for the policy (`pws`, `rws:SEED`, `bsp:LEVELS`).
     pub fn policy_label(&self) -> String {
-        match self.policy {
-            Policy::Pws => "pws".to_string(),
-            Policy::Rws { seed } => format!("rws:{seed}"),
-            Policy::Bsp { prefix_levels } => format!("bsp:{prefix_levels}"),
-        }
+        self.policy.to_string()
     }
 }
 

@@ -21,6 +21,11 @@ fn example_bin(name: &str) -> PathBuf {
 /// Run one example with a tiny problem size; panic with its output on
 /// failure so CI logs show what broke.
 fn run_example(name: &str, tiny_n: usize) {
+    run_example_with(name, tiny_n, &[]);
+}
+
+/// [`run_example`] with extra environment variables set for the child.
+fn run_example_with(name: &str, tiny_n: usize, env: &[(&str, &str)]) {
     let bin = example_bin(name);
     assert!(
         bin.exists(),
@@ -30,11 +35,12 @@ fn run_example(name: &str, tiny_n: usize) {
     );
     let out = Command::new(&bin)
         .env("HBP_EXAMPLE_N", tiny_n.to_string())
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", bin.display()));
     assert!(
         out.status.success(),
-        "example `{name}` (HBP_EXAMPLE_N={tiny_n}) failed with {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        "example `{name}` (HBP_EXAMPLE_N={tiny_n}, {env:?}) failed with {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
         out.status,
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
@@ -86,7 +92,28 @@ fn serve_tour_smoke() {
 #[test]
 fn spms_tour_smoke() {
     // The example asserts oracle-sorted, stable output on whichever
-    // backend the ambient HBP_BACKEND selects (CI's spms-matrix job runs
-    // it across every backend × policy × deque cell).
+    // backend the ambient HBP_BACKEND selects.
     run_example("spms_tour", 512);
+}
+
+#[test]
+fn spms_tour_passes_on_every_backend_and_policy() {
+    // The acceptance matrix for the real SPMS sort: a tiny
+    // duplicate-heavy instance on every backend × policy cell. The
+    // example asserts oracle-sorted, stable output and clean pool
+    // shutdown (it runs the native pool twice), so a pass here means the
+    // kernel is correct under every scheduling discipline.
+    for backend in ["sim", "native"] {
+        for policy in ["pws", "rws:3", "bsp:3"] {
+            run_example_with(
+                "spms_tour",
+                2048,
+                &[
+                    ("HBP_BACKEND", backend),
+                    ("HBP_POLICY", policy),
+                    ("HBP_WORKERS", "4"),
+                ],
+            );
+        }
+    }
 }

@@ -121,6 +121,13 @@ fn policy_parse_accepts_the_documented_syntax() {
         Policy::parse(Some("bsp:6")),
         Ok(Policy::Bsp { prefix_levels: 6 })
     );
+    for p in [
+        Policy::Pws,
+        Policy::Rws { seed: 9 },
+        Policy::Bsp { prefix_levels: 6 },
+    ] {
+        assert_eq!(Policy::parse(Some(&p.to_string())), Ok(p), "{p}");
+    }
     for bad in ["pwz", "rws:x", "pws:1", "priority", "bsp:4294967296"] {
         let err = Policy::parse(Some(bad)).expect_err(bad);
         assert!(err.contains("HBP_POLICY"), "names the variable: {err}");
