@@ -25,7 +25,9 @@ use hbp_core::prelude::*;
 fn native_locality() {
     let m = hbp_core::metrics::global();
     m.set_enabled(true);
-    let ex = NativeExecutor::from_config(&Config::from_env(), 0);
+    let ex = NativeExecutor {
+        pool: Config::from_env().native_config(0),
+    };
     let (map, two_level) = ex.pool.domains.resolve(ex.pool.workers);
     println!(
         "F10 (native): steal locality under domains={} two_level={} workers={} policy={}\n",

@@ -90,7 +90,9 @@ fn sim_main() {
 fn native_main() {
     let linear = hbp_bench::fig_size(1 << 18);
     let side = hbp_bench::matrix_side_for(linear);
-    let ex = NativeExecutor::from_config(&Config::from_env(), 0);
+    let ex = NativeExecutor {
+        pool: Config::from_env().native_config(0),
+    };
     let mut solo = ex;
     solo.pool.workers = 1;
     println!(
@@ -109,12 +111,13 @@ fn native_main() {
             SizeKind::Linear => linear,
             SizeKind::MatrixSide => side,
         };
-        let job = ExecJob::new(spec.name, n, 42);
-        let Some(par) = ex.execute(&job) else {
+        if spec.native.is_none() {
             println!("{:<20} {:>8} | (no native kernel — skipped)", spec.name, n);
             continue;
-        };
-        let seq = solo.execute(&job).expect("supported above");
+        }
+        let job = ExecJob::new(spec.name, n, 42);
+        let run = |ex: NativeExecutor| ex.execute(&job).expect("the row has a native kernel");
+        let (par, seq) = (run(ex), run(solo));
         let busy_workers = par.busy.iter().filter(|&&b| b > 0).count();
         println!(
             "{:<20} {:>8} | {:>10.2} {:>10.2} {:>6.2} | {:>7} {:>7} {:>7} {:>5}",

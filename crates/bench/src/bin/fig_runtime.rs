@@ -67,7 +67,9 @@ fn sim_main() {
 fn native_main() {
     let linear = hbp_bench::fig_size(1 << 18);
     let side = hbp_bench::matrix_side_for(linear);
-    let base = NativeExecutor::from_config(&Config::from_env(), 0);
+    let base = NativeExecutor {
+        pool: Config::from_env().native_config(0),
+    };
     let max_workers = base.pool.workers;
     let mut sweep: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()
@@ -85,7 +87,7 @@ fn native_main() {
         "algorithm", "n", "w", "ms", "steals", "probes", "busy ms", "idle ms"
     );
     hbp_bench::rule(90);
-    for spec in registry() {
+    for spec in registry().iter().filter(|spec| spec.native.is_some()) {
         let n = match spec.size {
             SizeKind::Linear => linear,
             SizeKind::MatrixSide => side,
@@ -94,9 +96,7 @@ fn native_main() {
         for &w in &sweep {
             let mut ex = base;
             ex.pool.workers = w;
-            let Some(r) = ex.execute(&job) else {
-                continue; // no native kernel for this row
-            };
+            let r = ex.execute(&job).expect("the row has a native kernel");
             let busy: u64 = r.busy.iter().sum();
             let idle: u64 = r.idle.iter().sum();
             println!(

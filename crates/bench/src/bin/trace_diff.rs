@@ -58,62 +58,22 @@ fn parse_side(s: &str) -> Side {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let algo = args.first().map(String::as_str).unwrap_or("FFT");
-    let Some(spec) = find(algo) else {
-        // The exact-lookup error lists every known row.
-        usage(&try_lookup(algo).map(|s| s.name.to_string()).unwrap_err());
-    };
-    let n: usize = match args.get(1) {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| usage(&format!("n must be a positive integer, got {s:?}"))),
-        None => match spec.size {
-            SizeKind::Linear => 4096,
-            SizeKind::MatrixSide => 32,
-        },
-    };
-    let side_a = args.get(2).map_or(
-        Side {
-            backend: Backend::Sim,
-            policy: Policy::Pws,
-        },
-        |s| parse_side(s),
-    );
-    let side_b = args.get(3).map_or(
-        Side {
-            backend: Backend::Sim,
-            policy: Policy::Rws { seed: 1 },
-        },
-        |s| parse_side(s),
-    );
+    let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
+    let side_a = parse_side(args.get(2).map_or("pws", String::as_str));
+    let side_b = parse_side(args.get(3).map_or("rws:1", String::as_str));
 
     let machine = hbp_bench::default_machine();
     let trace_of = |side: Side| -> Trace {
-        let ex: Box<dyn Executor> = match side.backend {
-            Backend::Sim => Box::new(SimExecutor {
-                machine,
-                policy: side.policy,
-            }),
-            Backend::Native => {
-                let seed = match side.policy {
-                    Policy::Rws { seed } => seed,
-                    Policy::Pws | Policy::Bsp { .. } => 0,
-                };
-                Box::new(NativeExecutor::from_config(
-                    &Config::from_env().policy(side.policy),
-                    seed,
-                ))
-            }
-        };
-        let sink = std::sync::Arc::new(TraceSink::new(ex.workers(), ex.clock_domain()));
-        ex.execute_traced(&ExecJob::new(spec.name, n, 42), &sink)
-            .unwrap_or_else(|| {
-                usage(&format!(
-                    "{} has no kernel on the {} backend",
-                    spec.name,
-                    ex.name()
-                ))
-            });
+        let session = Config::from_env()
+            .backend(side.backend)
+            .policy(side.policy)
+            .open(machine);
+        let sink = std::sync::Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
+        session
+            .submit_traced(&ExecJob::new(spec.name, n, 42), &sink)
+            .expect("a fresh session admits")
+            .wait()
+            .unwrap_or_else(|e| usage(&format!("{:?} {e}", side.backend)));
         sink.collect()
     };
     let (ta, tb) = (trace_of(side_a), trace_of(side_b));

@@ -9,7 +9,8 @@
 //!
 //! * `algo-prefix` — registry lookup, as in `hbp_core::find` (default
 //!   `FFT`); `n` is elements for linear kernels, the matrix side for
-//!   matrix kernels (defaults 4096 / 32).
+//!   matrix kernels (defaults 4096 / 32). A bad argument prints usage
+//!   and exits 2.
 //! * `HBP_BACKEND=sim|native` picks the backend (sim default);
 //!   `HBP_WORKERS` sizes the native pool; `HBP_POLICY=pws|rws[:seed]|bsp[:levels]`
 //!   picks the discipline **on either backend** (the native pool runs
@@ -21,47 +22,37 @@
 //! * `HBP_COUNTERS=auto|perf|stub|off` picks the native task-boundary
 //!   counter source ([`hbp_core::sched::perf`]); the report names which
 //!   source actually realized.
-//! * `HBP_TRACE_STRICT=1` turns ring overflow (dropped events) into a
+//! * `HBP_TRACE_BUF=<events>` sizes each worker's trace ring;
+//!   `HBP_TRACE_STRICT=1` turns ring overflow (dropped events) into a
 //!   nonzero exit, so CI cannot silently analyze a truncated trace.
 
 use hbp_core::prelude::*;
 use hbp_core::trace::{chrome_trace_with_tracks, summarize, CounterTrack, CpError, HopVia};
 
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: trace_report [<algo-prefix> [n]]   (backend, policy, workers: HBP_* variables)"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let algo = args.first().map(String::as_str).unwrap_or("FFT");
-    let spec = find(algo).unwrap_or_else(|| {
-        // No prefix match either: the exact-lookup error lists every
-        // known row, so a typo is a usage error, not a panic.
-        eprintln!(
-            "error: {}",
-            try_lookup(algo).map(|s| s.name.to_string()).unwrap_err()
-        );
-        std::process::exit(2);
-    });
-    let n: usize = match args.get(1) {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("n must be a positive integer, got {s:?}")),
-        None => match spec.size {
-            SizeKind::Linear => 4096,
-            SizeKind::MatrixSide => 32,
-        },
-    };
+    let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
 
-    let machine = hbp_bench::default_machine();
     let cfg = Config::from_env().apply();
-    let policy = cfg.policy;
-    let ex = cfg.executor(machine);
-    let unit = match ex.clock_domain() {
+    let session = cfg.open(hbp_bench::default_machine());
+    let backend = session.backend();
+    let unit = match session.clock_domain() {
         ClockDomain::Virtual => "u",
         ClockDomain::WallNs => "ns",
     };
     println!(
-        "trace report — {} (n = {n}, backend = {}, workers = {}, policy = {policy:?})",
+        "trace report — {} (n = {n}, backend = {backend}, workers = {}, policy = {:?})",
         spec.name,
-        ex.name(),
-        ex.workers()
+        session.workers(),
+        cfg.policy
     );
 
     // With metrics on, sample the registry during the run so the Chrome
@@ -74,11 +65,16 @@ fn main() {
         .on()
         .then(|| hbp_core::metrics::Sampler::start(metrics, sample_every));
 
-    let sink = std::sync::Arc::new(TraceSink::new(ex.workers(), ex.clock_domain()));
-    let job = ExecJob::new(spec.name, n, 42);
-    let report = ex
-        .execute_traced(&job, &sink)
-        .unwrap_or_else(|| panic!("{} has no kernel on the {} backend", spec.name, ex.name()));
+    let sink = std::sync::Arc::new(TraceSink::with_capacity(
+        session.workers(),
+        session.clock_domain(),
+        cfg.trace_buf,
+    ));
+    let report = session
+        .submit_traced(&ExecJob::new(spec.name, n, 42), &sink)
+        .expect("a fresh session admits")
+        .wait()
+        .unwrap_or_else(|e| usage(&format!("{backend} {e}")));
     let trace = sink.collect();
     let timeline = sampler.map(hbp_core::metrics::Sampler::stop);
     let s = summarize(&trace);
@@ -115,13 +111,13 @@ fn main() {
         s.steals, s.stolen_tasks, s.steal_fails, report.steals, report.steal_attempts
     );
     let (hb, sb, sp) = s.misses;
-    if hb + sb + sp > 0 || ex.name() == "sim" {
+    if hb + sb + sp > 0 || backend == "sim" {
         println!(
             "  block misses     = heap {hb}, stack {sb} (+ stack plain {sp}) — report: {} / {}",
             report.heap_block_misses, report.stack_block_misses
         );
     }
-    if ex.name() == "native" {
+    if backend == "native" {
         println!(
             "  counter source   = {} (HBP_COUNTERS; miss deltas above are {})",
             hbp_core::sched::perf::realized().unwrap_or("unopened"),

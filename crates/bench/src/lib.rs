@@ -1,8 +1,9 @@
 //! Shared helpers for the experiment binaries (`src/bin/*`): growth-rate
-//! fitting, standard machine grids, and table formatting.
+//! fitting, standard machine grids, table formatting, and the trace
+//! tools' argument parser.
 //!
-//! Each binary regenerates one table/figure of the paper (see DESIGN.md §3
-//! and EXPERIMENTS.md for the index).
+//! Each binary regenerates one table/figure of the paper; its module
+//! docs say which, and the README's "Experiments" section lists them all.
 
 use hbp_core::prelude::*;
 
@@ -45,6 +46,28 @@ pub fn matrix_side_for(n: usize) -> usize {
         side *= 2;
     }
     side
+}
+
+/// The `<algo-prefix> [n]` arguments `trace_report` and `trace_diff`
+/// share: `algo-prefix` resolves as in [`find`] (default `FFT`); `n` is a
+/// positive integer — elements for linear kernels, the matrix side for
+/// matrix kernels (defaults 4096 / 32). The error is the usage message:
+/// an unknown algorithm lists every known row.
+pub fn parse_algo_n(args: &[String]) -> Result<(&'static AlgoSpec, usize), String> {
+    let algo = args.first().map_or("FFT", String::as_str);
+    let spec = find(algo).map_or_else(|| try_lookup(algo), Ok)?;
+    let n = match args.get(1) {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("n must be a positive integer, got {s:?}"))?,
+        None => match spec.size {
+            SizeKind::Linear => 4096,
+            SizeKind::MatrixSide => 32,
+        },
+    };
+    Ok((spec, n))
 }
 
 /// Run one computation under PWS + sequentially; return `(seq, par)`.
@@ -121,6 +144,29 @@ mod tests {
         assert_eq!(matrix_side_for(1 << 10), 32);
         assert_eq!(matrix_side_for(1 << 18), 512);
         assert!(matrix_side_for(1 << 20).is_power_of_two());
+    }
+
+    #[test]
+    fn algo_n_parser_defaults_resolves_prefixes_and_rejects_bad_sizes() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_algo_n(&args).map(|(spec, n)| (spec.name, n))
+        };
+        assert_eq!(parse(&[]), Ok(("FFT", 4096)));
+        assert_eq!(parse(&["strassen"]), Ok(("Strassen", 32)));
+        assert_eq!(parse(&["Sort", "512"]), Ok(("Sort (SPMS)", 512)));
+        for bad in ["0", "-3", "4k", ""] {
+            let err = parse(&["FFT", bad]).expect_err(bad);
+            assert!(
+                err.contains("positive integer") && err.contains(bad),
+                "{err}"
+            );
+        }
+        let err = parse(&["no such algo"]).unwrap_err();
+        assert!(
+            err.contains("known rows") && err.contains("Sort (SPMS)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! [`Config`]: the one typed construction path for executors, pools and
-//! sessions — and the **only** place the `HBP_*` environment variables
-//! are parsed.
+//! [`Config`]: the one typed construction path for sessions and pools
+//! ([`Config::open`], [`Config::native_config`]) — and the **only**
+//! place the `HBP_*` environment variables are parsed.
 //!
 //! Every knob the runtime exposes is a field here, settable three ways:
 //!
@@ -44,7 +44,46 @@ use hbp_sched::topology::parse_cross_depth;
 use hbp_sched::{CounterMode, DomainSpec, Policy};
 use hbp_trace::{ClockDomain, TraceSink};
 
-use crate::executor::{parse_workers, Backend, Executor, NativeExecutor, SimExecutor};
+use crate::executor::SimExecutor;
+use crate::session::ExecSession;
+
+/// Which execution backend to use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The discrete-event simulator (default).
+    Sim,
+    /// Real threads with randomized work stealing.
+    Native,
+}
+
+impl Backend {
+    /// Parse an `HBP_BACKEND` value: `None` (unset) or `sim` →
+    /// [`Backend::Sim`], `native` → [`Backend::Native`]; anything else
+    /// is an error naming the variable, the offending value, and the
+    /// accepted ones.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("") | Some("sim") => Ok(Backend::Sim),
+            Some("native") => Ok(Backend::Native),
+            Some(other) => Err(format!(
+                "HBP_BACKEND must be `sim` or `native`, got {other:?}"
+            )),
+        }
+    }
+}
+
+/// Parse an `HBP_WORKERS` value: a positive integer, or `None` (unset)
+/// for the [`NativeConfig`] default (one per hardware thread, min 4).
+pub fn parse_workers(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None | Some("") => Ok(NativeConfig::default().workers),
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&w| w >= 1)
+            .ok_or_else(|| format!("HBP_WORKERS must be a positive integer, got {s:?}")),
+    }
+}
 
 /// Parse an `HBP_AUTOSCALE` value: `None` (unset), the empty string or
 /// `off` → no autoscaling; `min..max` (both positive, `min <= max`) →
@@ -367,13 +406,14 @@ impl Config {
         }
     }
 
-    /// The configured [`Executor`]: [`SimExecutor`] on `machine` for
-    /// [`Backend::Sim`], a [`NativeExecutor`] for [`Backend::Native`]
-    /// (an RWS policy seed additionally feeds the workers' RNG streams;
-    /// `machine` is a simulator-only knob).
-    pub fn executor(&self, machine: hbp_machine::MachineConfig) -> Box<dyn Executor> {
+    /// Open a session on the configured backend: the simulator on
+    /// `machine` under [`Config::policy`] for [`Backend::Sim`], one
+    /// native pool for [`Backend::Native`] (`machine` is a simulator-only
+    /// knob). An RWS policy seed also seeds the pool's victim-selection
+    /// RNG streams; the other policies seed it with 0.
+    pub fn open(&self, machine: hbp_machine::MachineConfig) -> ExecSession {
         match self.backend {
-            Backend::Sim => Box::new(SimExecutor {
+            Backend::Sim => ExecSession::sim(SimExecutor {
                 machine,
                 policy: self.policy,
             }),
@@ -382,7 +422,7 @@ impl Config {
                     Policy::Rws { seed } => seed,
                     Policy::Pws | Policy::Bsp { .. } => 0,
                 };
-                Box::new(NativeExecutor::from_config(self, seed))
+                ExecSession::native(self.native_config(seed))
             }
         }
     }
@@ -419,6 +459,48 @@ mod tests {
         assert_eq!(native.workers, 3);
         assert_eq!(native.seed, 5);
         assert_eq!(native.autoscale, Some((1, 4)));
+    }
+
+    #[test]
+    fn backend_parse_accepts_valid_and_rejects_typos() {
+        assert_eq!(Backend::parse(None), Ok(Backend::Sim));
+        assert_eq!(Backend::parse(Some("")), Ok(Backend::Sim));
+        assert_eq!(Backend::parse(Some("sim")), Ok(Backend::Sim));
+        assert_eq!(Backend::parse(Some("native")), Ok(Backend::Native));
+        for bad in ["nativ", "SIM", "threads", "1"] {
+            let err = Backend::parse(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains("HBP_BACKEND"),
+                "error names the variable: {err}"
+            );
+            assert!(err.contains(bad), "error echoes the value: {err}");
+            assert!(
+                err.contains("sim") && err.contains("native"),
+                "error lists the accepted values: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn workers_parse_rejects_zero_and_garbage_with_clear_errors() {
+        assert_eq!(
+            parse_workers(None),
+            Ok(NativeConfig::default().workers),
+            "unset means the pool default"
+        );
+        assert_eq!(parse_workers(Some("3")), Ok(3));
+        for bad in ["0", "-2", "abc", "1.5"] {
+            let err = parse_workers(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains("HBP_WORKERS"),
+                "error names the variable: {err}"
+            );
+            assert!(
+                err.contains("positive integer"),
+                "error says what is accepted: {err}"
+            );
+            assert!(err.contains(bad), "error echoes the value: {err}");
+        }
     }
 
     #[test]

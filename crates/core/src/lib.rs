@@ -17,7 +17,12 @@
 //! 3. **measure** exactly what the paper's lemmas bound: cache misses,
 //!    **block misses (false sharing)**, steals per priority, usurpations,
 //!    idle time, and the excess of each over the sequential cache
-//!    complexity `Q(n, M, B)`.
+//!    complexity `Q(n, M, B)`;
+//! 4. **run** any row of the paper's Table 1 by name on either backend:
+//!    the [`registry`] row carries both the recorded builder and — where
+//!    one exists — the native kernel on the same input, and
+//!    [`Config::open`] returns the [`ExecSession`] every job goes through
+//!    (simulated machine or real work-stealing pool).
 //!
 //! ```
 //! use hbp_core::prelude::*;
@@ -58,24 +63,21 @@ pub use hbp_sched as sched;
 /// path, utilization — see the `hbp-trace` crate docs).
 pub use hbp_trace as trace;
 
-pub use config::{parse_autoscale, Config};
-pub use executor::{
-    has_native_kernel, native_kernel, parse_workers, Backend, ExecJob, Executor, NativeExecutor,
-    SimExecutor,
-};
+pub use config::{parse_autoscale, parse_workers, Backend, Config};
+pub use executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
 pub use hbp_machine::{MachineConfig, MemSystem};
 pub use hbp_model::{BuildConfig, Builder, Computation};
 pub use hbp_sched::native::SubmitError;
 pub use hbp_sched::{run, run_sequential, run_traced, ExecReport, Policy, SeqReport};
-pub use registry::{find, lookup, registry, try_lookup, AlgoSpec, SizeKind};
+pub use registry::{
+    find, has_native_kernel, lookup, native_kernel, registry, try_lookup, AlgoSpec, SizeKind,
+};
 pub use session::{ExecHandle, ExecSession, JobError};
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
-    pub use crate::config::Config;
-    pub use crate::executor::{
-        parse_workers, Backend, ExecJob, Executor, NativeExecutor, SimExecutor,
-    };
+    pub use crate::config::{parse_workers, Backend, Config};
+    pub use crate::executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
     pub use crate::registry::{find, lookup, registry, try_lookup, AlgoSpec, SizeKind};
     pub use crate::session::{ExecHandle, ExecSession, JobError};
     pub use hbp_machine::{MachineConfig, MemSystem};

@@ -1,11 +1,15 @@
 //! The Table-1 algorithm registry: one entry per row of the paper's
-//! Table 1, with the claimed structural parameters and a builder that
-//! produces the recorded computation for a given problem size.
+//! Table 1, with the claimed structural parameters, a builder that
+//! produces the recorded computation for a given problem size, and —
+//! for the rows the native backend serves — the `par_*` kernel that runs
+//! the same input on the real pool.
 //!
-//! Used by the experiment harness (`hbp-bench`) to regenerate the table and
-//! by the figures that sweep over algorithms.
+//! This is the **only** kernel table in the workspace: which rows exist,
+//! what input each runs on and which of them have a native kernel are all
+//! read off [`registry`] (`tests/env_surface.rs` fails when another file
+//! under `crates/*/src` names a `par::par_*` kernel).
 
-use hbp_algos::{cc, fft, gen, layout, listrank, mm, mt, scan, sort, spms, strassen};
+use hbp_algos::{cc, fft, gen, layout, listrank, mm, mt, par, scan, sort, spms, strassen};
 use hbp_model::{BuildConfig, Computation, Cx};
 
 /// How an algorithm's "input size n" maps to elements processed.
@@ -38,6 +42,12 @@ pub struct AlgoSpec {
     /// Build the recorded computation for problem size `n` (elements or
     /// matrix side per [`AlgoSpec::size`]), block size from `cfg`.
     pub build: fn(n: usize, cfg: BuildConfig, seed: u64) -> Computation,
+    /// The native kernel on the input [`AlgoSpec::build`] records, or
+    /// `None` for rows the native backend does not serve (the layout
+    /// conversions, CC, Depth-n-MM). The input is generated *inside this
+    /// call* and moved into the returned root closure, so running the
+    /// closure times the `hbp_algos::par` kernel alone.
+    pub native: Option<fn(n: usize, seed: u64) -> Box<dyn FnOnce() + Send>>,
 }
 
 impl AlgoSpec {
@@ -50,211 +60,43 @@ impl AlgoSpec {
     }
 }
 
-/// BI-layout random matrix of side `n` (also the input builder for the
-/// native executor, so recorded and native runs see identical data).
-pub(crate) fn bi_matrix(n: usize, seed: u64) -> Vec<f64> {
-    let rm = gen::random_matrix(n, seed);
-    let mut bi = vec![0.0; n * n];
+/// Row-major `rm` (side `n`) permuted into the bit-interleaved layout.
+fn to_bi<T: Copy + Default>(rm: &[T], n: usize) -> Vec<T> {
+    let mut bi = vec![T::default(); n * n];
     for r in 0..n {
         for c in 0..n {
             bi[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
         }
     }
     bi
+}
+
+/// BI-layout random matrix of side `n`.
+fn bi_matrix(n: usize, seed: u64) -> Vec<f64> {
+    to_bi(&gen::random_matrix(n, seed), n)
 }
 
 fn bi_matrix_u64(n: usize, seed: u64) -> Vec<u64> {
-    let rm = gen::random_u64s(n * n, 1 << 40, seed);
-    let mut bi = vec![0u64; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
-    bi
+    to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n)
 }
 
-/// All Table-1 rows. The Sort row is the real SPMS
-/// (`hbp_algos::spms`); the earlier mergesort stand-in survives as the
-/// extra "Sort (merge std-in)" row for A/B comparisons.
-pub fn registry() -> Vec<AlgoSpec> {
-    vec![
-        AlgoSpec {
-            name: "Scans (M-Sum)",
-            hbp_type: 1,
-            f_claim: "1",
-            l_claim: "1",
-            w_claim: "n",
-            t_claim: "log n",
-            q_claim: "n/B",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| scan::m_sum(&gen::random_u64s(n, 1 << 30, seed), cfg).0,
-        },
-        AlgoSpec {
-            name: "Scans (PS)",
-            hbp_type: 1,
-            f_claim: "1",
-            l_claim: "1",
-            w_claim: "n",
-            t_claim: "log n",
-            q_claim: "n/B",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| scan::prefix_sums(&gen::random_u64s(n, 1 << 30, seed), cfg).0,
-        },
-        AlgoSpec {
-            name: "MT",
-            hbp_type: 1,
-            f_claim: "1",
-            l_claim: "1",
-            w_claim: "n^2",
-            t_claim: "log n",
-            q_claim: "n^2/B",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| mt::transpose_bi(&bi_matrix(n, seed), n, cfg).0,
-        },
-        AlgoSpec {
-            name: "Strassen",
-            hbp_type: 2,
-            f_claim: "1",
-            l_claim: "1",
-            w_claim: "n^2.807",
-            t_claim: "log^2 n",
-            q_claim: "n^l/(B M^(l/2-1))",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| {
-                strassen::strassen_bi(&bi_matrix(n, seed), &bi_matrix(n, seed + 1), n, cfg).0
-            },
-        },
-        AlgoSpec {
-            name: "RM to BI",
-            hbp_type: 1,
-            f_claim: "sqrt(r)",
-            l_claim: "1",
-            w_claim: "n^2",
-            t_claim: "log n",
-            q_claim: "n^2/B",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| {
-                layout::rm_to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n, cfg).0
-            },
-        },
-        AlgoSpec {
-            name: "Direct BI to RM",
-            hbp_type: 1,
-            f_claim: "sqrt(r)",
-            l_claim: "sqrt(r)",
-            w_claim: "n^2",
-            t_claim: "log n",
-            q_claim: "n^2/B",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| layout::bi_to_rm_direct(&bi_matrix_u64(n, seed), n, cfg).0,
-        },
-        AlgoSpec {
-            name: "BI-RM (gap RM)",
-            hbp_type: 1,
-            f_claim: "sqrt(r)",
-            l_claim: "gap",
-            w_claim: "n^2",
-            t_claim: "log n",
-            q_claim: "n^2/B",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| layout::bi_to_rm_gap(&bi_matrix_u64(n, seed), n, cfg).0,
-        },
-        AlgoSpec {
-            name: "BI-RM for FFT",
-            hbp_type: 2,
-            f_claim: "sqrt(r)",
-            l_claim: "1",
-            w_claim: "n^2 loglog n",
-            t_claim: "log n",
-            q_claim: "(n^2/B) log_M n",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| layout::bi_to_rm_fft(&bi_matrix_u64(n, seed), n, cfg).0,
-        },
-        AlgoSpec {
-            name: "FFT",
-            hbp_type: 2,
-            f_claim: "sqrt(r)",
-            l_claim: "1",
-            w_claim: "n log n",
-            t_claim: "log n loglog n",
-            q_claim: "(n/B) log_M n",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| {
-                let x: Vec<Cx> = gen::random_u64s(2 * n, 1 << 20, seed)
-                    .chunks(2)
-                    .map(|w| Cx::new(w[0] as f64 / 1e6, w[1] as f64 / 1e6))
-                    .collect();
-                fft::fft(&x, cfg).0
-            },
-        },
-        AlgoSpec {
-            name: "LR",
-            hbp_type: 3,
-            f_claim: "sqrt(r)",
-            l_claim: "gap",
-            w_claim: "n log n",
-            t_claim: "log^2 n loglog n",
-            q_claim: "(n/B) log_M n",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| listrank::list_rank(&gen::random_list(n, seed), cfg, true).0,
-        },
-        AlgoSpec {
-            name: "CC",
-            hbp_type: 4,
-            f_claim: "sqrt(r)",
-            l_claim: "gap",
-            w_claim: "n log^2 n",
-            t_claim: "log^3 n loglog n",
-            q_claim: "(n/B) log_M n log n",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| {
-                let m = 2 * n;
-                cc::connected_components(n, &gen::random_graph(n, m, seed), cfg).0
-            },
-        },
-        AlgoSpec {
-            name: "Depth-n-MM",
-            hbp_type: 2,
-            f_claim: "1",
-            l_claim: "1",
-            w_claim: "n^3",
-            t_claim: "n",
-            q_claim: "n^3/(B sqrt(M))",
-            size: SizeKind::MatrixSide,
-            build: |n, cfg, seed| {
-                mm::depth_n_mm(&bi_matrix(n, seed), &bi_matrix(n, seed + 1), n, cfg).0
-            },
-        },
-        AlgoSpec {
-            name: "Sort (SPMS)",
-            hbp_type: 2,
-            f_claim: "sqrt(r)",
-            l_claim: "1",
-            w_claim: "n log n",
-            t_claim: "log n loglog n",
-            q_claim: "(n/B) log_M n",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| spms::spms(&sort_input(n, seed), cfg).0,
-        },
-        AlgoSpec {
-            name: "Sort (merge std-in)",
-            hbp_type: 2,
-            f_claim: "sqrt(r)",
-            l_claim: "1",
-            w_claim: "n log^2 n",
-            t_claim: "log^3 n",
-            q_claim: "(n/B) log n",
-            size: SizeKind::Linear,
-            build: |n, cfg, seed| sort::mergesort(&sort_input(n, seed), cfg).0,
-        },
-    ]
+/// The scan rows' input.
+fn scan_input(n: usize, seed: u64) -> Vec<u64> {
+    gen::random_u64s(n, 1 << 30, seed)
+}
+
+/// The FFT row's input: `n` complex points.
+fn fft_input(n: usize, seed: u64) -> Vec<Cx> {
+    gen::random_u64s(2 * n, 1 << 20, seed)
+        .chunks(2)
+        .map(|w| Cx::new(w[0] as f64 / 1e6, w[1] as f64 / 1e6))
+        .collect()
 }
 
 /// The shared sort workload: random keys with their input position as
 /// payload, so both sort rows (and their native kernels) see identical
 /// data and stability is observable.
-pub(crate) fn sort_input(n: usize, seed: u64) -> Vec<(u64, u64)> {
+fn sort_input(n: usize, seed: u64) -> Vec<(u64, u64)> {
     gen::random_u64s(n, u64::MAX / 2, seed)
         .into_iter()
         .enumerate()
@@ -262,19 +104,249 @@ pub(crate) fn sort_input(n: usize, seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// All Table-1 rows. The Sort row is the real SPMS
+/// (`hbp_algos::spms`); the earlier mergesort stand-in survives as the
+/// extra "Sort (merge std-in)" row for A/B comparisons. Each row's two
+/// columns `build` and `native` draw the same input from the same seed,
+/// so a recorded run and a native run of one row are comparable.
+static REGISTRY: [AlgoSpec; 14] = [
+    AlgoSpec {
+        name: "Scans (M-Sum)",
+        hbp_type: 1,
+        f_claim: "1",
+        l_claim: "1",
+        w_claim: "n",
+        t_claim: "log n",
+        q_claim: "n/B",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| scan::m_sum(&scan_input(n, seed), cfg).0,
+        native: Some(|n, seed| {
+            let a = scan_input(n, seed);
+            Box::new(move || {
+                par::par_sum(&a);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "Scans (PS)",
+        hbp_type: 1,
+        f_claim: "1",
+        l_claim: "1",
+        w_claim: "n",
+        t_claim: "log n",
+        q_claim: "n/B",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| scan::prefix_sums(&scan_input(n, seed), cfg).0,
+        native: Some(|n, seed| {
+            let a = scan_input(n, seed);
+            Box::new(move || {
+                par::par_prefix(&a);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "MT",
+        hbp_type: 1,
+        f_claim: "1",
+        l_claim: "1",
+        w_claim: "n^2",
+        t_claim: "log n",
+        q_claim: "n^2/B",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| mt::transpose_bi(&bi_matrix(n, seed), n, cfg).0,
+        native: Some(|n, seed| {
+            let mut m = bi_matrix(n, seed);
+            Box::new(move || {
+                par::par_transpose_bi(&mut m, n);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "Strassen",
+        hbp_type: 2,
+        f_claim: "1",
+        l_claim: "1",
+        w_claim: "n^2.807",
+        t_claim: "log^2 n",
+        q_claim: "n^l/(B M^(l/2-1))",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| {
+            strassen::strassen_bi(&bi_matrix(n, seed), &bi_matrix(n, seed + 1), n, cfg).0
+        },
+        native: Some(|n, seed| {
+            let a = bi_matrix(n, seed);
+            let b = bi_matrix(n, seed + 1);
+            Box::new(move || {
+                par::par_strassen_bi(&a, &b, n);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "RM to BI",
+        hbp_type: 1,
+        f_claim: "sqrt(r)",
+        l_claim: "1",
+        w_claim: "n^2",
+        t_claim: "log n",
+        q_claim: "n^2/B",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| layout::rm_to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n, cfg).0,
+        native: None,
+    },
+    AlgoSpec {
+        name: "Direct BI to RM",
+        hbp_type: 1,
+        f_claim: "sqrt(r)",
+        l_claim: "sqrt(r)",
+        w_claim: "n^2",
+        t_claim: "log n",
+        q_claim: "n^2/B",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| layout::bi_to_rm_direct(&bi_matrix_u64(n, seed), n, cfg).0,
+        native: None,
+    },
+    AlgoSpec {
+        name: "BI-RM (gap RM)",
+        hbp_type: 1,
+        f_claim: "sqrt(r)",
+        l_claim: "gap",
+        w_claim: "n^2",
+        t_claim: "log n",
+        q_claim: "n^2/B",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| layout::bi_to_rm_gap(&bi_matrix_u64(n, seed), n, cfg).0,
+        native: None,
+    },
+    AlgoSpec {
+        name: "BI-RM for FFT",
+        hbp_type: 2,
+        f_claim: "sqrt(r)",
+        l_claim: "1",
+        w_claim: "n^2 loglog n",
+        t_claim: "log n",
+        q_claim: "(n^2/B) log_M n",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| layout::bi_to_rm_fft(&bi_matrix_u64(n, seed), n, cfg).0,
+        native: None,
+    },
+    AlgoSpec {
+        name: "FFT",
+        hbp_type: 2,
+        f_claim: "sqrt(r)",
+        l_claim: "1",
+        w_claim: "n log n",
+        t_claim: "log n loglog n",
+        q_claim: "(n/B) log_M n",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| fft::fft(&fft_input(n, seed), cfg).0,
+        native: Some(|n, seed| {
+            let mut x = fft_input(n, seed);
+            Box::new(move || {
+                par::par_fft(&mut x);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "LR",
+        hbp_type: 3,
+        f_claim: "sqrt(r)",
+        l_claim: "gap",
+        w_claim: "n log n",
+        t_claim: "log^2 n loglog n",
+        q_claim: "(n/B) log_M n",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| listrank::list_rank(&gen::random_list(n, seed), cfg, true).0,
+        native: Some(|n, seed| {
+            let succ = gen::random_list(n, seed);
+            Box::new(move || {
+                par::par_list_rank(&succ);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "CC",
+        hbp_type: 4,
+        f_claim: "sqrt(r)",
+        l_claim: "gap",
+        w_claim: "n log^2 n",
+        t_claim: "log^3 n loglog n",
+        q_claim: "(n/B) log_M n log n",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| {
+            let m = 2 * n;
+            cc::connected_components(n, &gen::random_graph(n, m, seed), cfg).0
+        },
+        native: None,
+    },
+    AlgoSpec {
+        name: "Depth-n-MM",
+        hbp_type: 2,
+        f_claim: "1",
+        l_claim: "1",
+        w_claim: "n^3",
+        t_claim: "n",
+        q_claim: "n^3/(B sqrt(M))",
+        size: SizeKind::MatrixSide,
+        build: |n, cfg, seed| {
+            mm::depth_n_mm(&bi_matrix(n, seed), &bi_matrix(n, seed + 1), n, cfg).0
+        },
+        native: None,
+    },
+    AlgoSpec {
+        name: "Sort (SPMS)",
+        hbp_type: 2,
+        f_claim: "sqrt(r)",
+        l_claim: "1",
+        w_claim: "n log n",
+        t_claim: "log n loglog n",
+        q_claim: "(n/B) log_M n",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| spms::spms(&sort_input(n, seed), cfg).0,
+        native: Some(|n, seed| {
+            let mut data = sort_input(n, seed);
+            Box::new(move || {
+                par::par_spms(&mut data);
+            })
+        }),
+    },
+    AlgoSpec {
+        name: "Sort (merge std-in)",
+        hbp_type: 2,
+        f_claim: "sqrt(r)",
+        l_claim: "1",
+        w_claim: "n log^2 n",
+        t_claim: "log^3 n",
+        q_claim: "(n/B) log n",
+        size: SizeKind::Linear,
+        build: |n, cfg, seed| sort::mergesort(&sort_input(n, seed), cfg).0,
+        native: Some(|n, seed| {
+            let mut data = sort_input(n, seed);
+            Box::new(move || {
+                par::par_mergesort(&mut data);
+            })
+        }),
+    },
+];
+
+/// All Table-1 rows, in table order.
+pub fn registry() -> &'static [AlgoSpec] {
+    &REGISTRY
+}
+
 /// Look up a registry entry by (case-insensitive prefix of) name.
 /// An *exact* match wins over a prefix match, so "Sort (SPMS)" is never
 /// shadowed by another row starting with the same words.
-pub fn find(name: &str) -> Option<AlgoSpec> {
-    let needle = name.to_lowercase();
-    registry()
-        .into_iter()
-        .find(|a| a.name.to_lowercase() == needle)
-        .or_else(|| {
-            registry()
-                .into_iter()
-                .find(|a| a.name.to_lowercase().starts_with(&needle))
+pub fn find(name: &str) -> Option<&'static AlgoSpec> {
+    let matches = || {
+        REGISTRY.iter().filter(|a| {
+            let head = a.name.as_bytes().get(..name.len());
+            head.is_some_and(|head| head.eq_ignore_ascii_case(name.as_bytes()))
         })
+    };
+    // An exact match is a prefix match of the full length.
+    matches()
+        .find(|a| a.name.len() == name.len())
+        .or_else(|| matches().next())
 }
 
 /// Look up a registry entry by its **exact** (case-insensitive) name;
@@ -282,13 +354,12 @@ pub fn find(name: &str) -> Option<AlgoSpec> {
 /// that take algorithm names from the command line route through this
 /// so a typo prints the menu and exits instead of panicking with a
 /// backtrace.
-pub fn try_lookup(name: &str) -> Result<AlgoSpec, String> {
-    let needle = name.to_lowercase();
-    registry()
-        .into_iter()
-        .find(|a| a.name.to_lowercase() == needle)
+pub fn try_lookup(name: &str) -> Result<&'static AlgoSpec, String> {
+    REGISTRY
+        .iter()
+        .find(|a| a.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| {
-            let known: Vec<&str> = registry().iter().map(|a| a.name).collect();
+            let known: Vec<&str> = REGISTRY.iter().map(|a| a.name).collect();
             format!("no registry row named {name:?}; known rows: {known:?}")
         })
 }
@@ -296,8 +367,29 @@ pub fn try_lookup(name: &str) -> Result<AlgoSpec, String> {
 /// [`try_lookup`], panicking on a miss. The figure binaries name their
 /// rows through this, so renaming a registry row can never silently
 /// drop it from a figure — the run fails loudly instead.
-pub fn lookup(name: &str) -> AlgoSpec {
+pub fn lookup(name: &str) -> &'static AlgoSpec {
     try_lookup(name).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The native root closure for the row whose *canonical* name is `name`
+/// (no prefix or case folding — callers that accept user spellings
+/// resolve through [`find`] / [`lookup`] first): the row's
+/// [`AlgoSpec::native`] column applied to `(n, seed)`. `None` for an
+/// unknown name or a row the native backend does not serve.
+pub fn native_kernel(
+    name: &str,
+    n: usize,
+    seed: u64,
+) -> Option<Box<dyn FnOnce() + Send + 'static>> {
+    let kernel = REGISTRY.iter().find(|a| a.name == name)?.native?;
+    Some(kernel(n, seed))
+}
+
+/// Whether the row whose canonical name is `name` has a native kernel.
+pub fn has_native_kernel(name: &str) -> bool {
+    REGISTRY
+        .iter()
+        .any(|a| a.name == name && a.native.is_some())
 }
 
 #[cfg(test)]

@@ -1,45 +1,47 @@
-//! The session model: submit many jobs to one long-lived backend.
+//! The session model: every job runs through an [`ExecSession`].
 //!
-//! [`Executor::execute`] is run-once: on the native backend it spawns a
-//! pool, runs one kernel, and tears the pool down. A server cannot
-//! afford that per request, so the session model splits *backend
-//! lifetime* from *job execution*:
+//! A session splits *backend lifetime* from *job execution*, so a server
+//! pays for a pool once, not per request:
 //!
 //! ```text
-//! Executor::open() ─→ ExecSession ─ submit(job) ─→ ExecHandle ─ wait() ─→ ExecReport
-//!                          │                          (one per job,
-//!                          └ native: one NativePool    delivered exactly once)
-//!                            spawned once, parked
-//!                            between jobs
+//! Config::open(machine) ─→ ExecSession ─ submit(job) ─→ ExecHandle ─ wait() ─→ ExecReport
+//! (or Executor::open())        │                          (one per job,
+//!                              └ native: one NativePool    delivered exactly once)
+//!                                spawned once, parked
+//!                                between jobs
 //! ```
 //!
-//! Both backends share the API:
+//! Both backends share the API; a job resolves its registry row with
+//! [`find`] and the backend reads the column it needs:
 //!
 //! * **native** — the session owns one
-//!   [`NativePool`](hbp_sched::native::NativePool): workers spawn at
-//!   [`Executor::open`], successive submissions queue onto it, idle
+//!   [`NativePool`](hbp_sched::native::NativePool): workers spawn when
+//!   the session opens, successive submissions queue onto it, idle
 //!   workers park between jobs, and the pool shuts down when the
-//!   session drops. Inputs are generated on the *submitting* thread
-//!   (outside the timed region), so the report's makespan covers the
-//!   kernel alone;
-//! * **sim** — submissions execute synchronously at [`ExecSession::submit`]
-//!   on the calling thread (the simulator is single-threaded and
+//!   session drops. The row's `native` column builds the input on the
+//!   *submitting* thread (outside the timed region), so the report's
+//!   makespan covers the kernel alone;
+//! * **sim** — the row's `build` column records the computation and the
+//!   simulator replays it synchronously at [`ExecSession::submit`] on
+//!   the calling thread (the simulator is single-threaded and
 //!   deterministic; an async queue would add nondeterminism for no
-//!   benefit) and the handle is born resolved. Same seed ⇒ bit-identical
+//!   benefit), so the handle is born resolved. Same seed ⇒ bit-identical
 //!   reports, which is what makes serve scenarios CI-able.
 //!
 //! Per-request tracing goes through the same path:
 //! [`ExecSession::submit_traced`] attaches a per-job
 //! [`TraceSink`], so a server can compute each request's critical path
 //! for latency attribution without tracing unrelated requests.
+//! [`Executor::execute`](crate::Executor::execute) is a one-job session.
 
 use std::sync::Arc;
 
+use hbp_model::BuildConfig;
 use hbp_sched::native::{NativeConfig, NativePool, PoolHandle, SubmitError};
-use hbp_sched::ExecReport;
+use hbp_sched::{run, run_traced, ExecReport};
 use hbp_trace::{ClockDomain, TraceSink};
 
-use crate::executor::{native_kernel, ExecJob, Executor, SimExecutor};
+use crate::executor::{ExecJob, SimExecutor};
 use crate::registry::find;
 
 /// Why a submitted job produced no report.
@@ -67,14 +69,15 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// A long-lived submission session over one backend — obtained from
-/// [`Executor::open`], dropped to release the backend (on native, this
-/// shuts the pool down and joins its workers).
+/// [`Config::open`](crate::Config::open) or
+/// [`Executor::open`](crate::Executor::open), dropped to release the
+/// backend (on native, this shuts the pool down and joins its workers).
 pub struct ExecSession {
     inner: Inner,
 }
 
 enum Inner {
-    /// Sim jobs run at submit time; the executor is all the state needed.
+    /// Sim jobs run at submit time; machine and policy are all the state.
     Sim(SimExecutor),
     /// Native jobs queue onto one persistent pool.
     Native { pool: NativePool },
@@ -106,7 +109,7 @@ impl ExecSession {
     /// Workers a per-job [`TraceSink`] must be sized for.
     pub fn workers(&self) -> usize {
         match &self.inner {
-            Inner::Sim(ex) => ex.workers(),
+            Inner::Sim(ex) => ex.machine.p,
             Inner::Native { pool } => pool.workers(),
         }
     }
@@ -116,15 +119,6 @@ impl ExecSession {
         match &self.inner {
             Inner::Sim(_) => ClockDomain::Virtual,
             Inner::Native { .. } => ClockDomain::WallNs,
-        }
-    }
-
-    /// Jobs accepted but not yet started (always 0 on sim, where
-    /// submission *is* execution).
-    pub fn queue_depth(&self) -> usize {
-        match &self.inner {
-            Inner::Sim(_) => 0,
-            Inner::Native { pool } => pool.queue_depth(),
         }
     }
 
@@ -156,36 +150,62 @@ impl ExecSession {
         job: &ExecJob,
         trace: Option<Arc<TraceSink>>,
     ) -> Result<ExecHandle, SubmitError> {
-        match &self.inner {
-            Inner::Sim(ex) => Ok(ExecHandle {
-                inner: HandleInner::Ready(
-                    match &trace {
-                        Some(tr) => ex.execute_traced(job, tr),
-                        None => ex.execute(job),
-                    }
-                    .map(Box::new)
-                    .ok_or_else(|| JobError::Unmapped {
-                        algo: job.algo.clone(),
-                    }),
-                ),
-            }),
-            Inner::Native { pool } => {
-                let Some(kernel) =
-                    find(&job.algo).and_then(|spec| native_kernel(spec.name, job.n, job.seed))
-                else {
-                    return Ok(ExecHandle {
-                        inner: HandleInner::Ready(Err(JobError::Unmapped {
-                            algo: job.algo.clone(),
-                        })),
-                    });
-                };
-                let handle = pool.submit_traced(trace, kernel)?;
-                Ok(ExecHandle {
-                    inner: HandleInner::Pool(handle),
+        let spec = find(&job.algo);
+        let unmapped = || JobError::Unmapped {
+            algo: job.algo.clone(),
+        };
+        let inner = match &self.inner {
+            Inner::Sim(ex) => HandleInner::Ready(
+                spec.map(|spec| {
+                    let block = BuildConfig::with_block(ex.machine.block_words);
+                    let comp = (spec.build)(job.n, block, job.seed);
+                    let r = match &trace {
+                        Some(tr) => run_traced(&comp, ex.machine, ex.policy, tr),
+                        None => run(&comp, ex.machine, ex.policy),
+                    };
+                    publish_sim_metrics(comp.n_nodes() as u64, &r);
+                    Box::new(r)
                 })
-            }
-        }
+                .ok_or_else(unmapped),
+            ),
+            Inner::Native { pool } => match spec.and_then(|spec| spec.native) {
+                Some(kernel) => {
+                    HandleInner::Pool(pool.submit_traced(trace, kernel(job.n, job.seed))?)
+                }
+                None => HandleInner::Ready(Err(unmapped())),
+            },
+        };
+        Ok(ExecHandle { inner })
     }
+}
+
+/// Fold one finished sim run into the global metrics registry.
+///
+/// The simulator's event loop has no live per-worker publish points (it
+/// is single-threaded and deterministic — instrumenting the loop would
+/// buy nothing), so the session folds the *report* in after the fact:
+/// task/steal tallies land on worker shard 0, job latency is the
+/// virtual-time makespan. Every quantity derives from the deterministic
+/// report, so under a fixed seed two runs publish identical snapshots —
+/// the property the registry-determinism test and the serve scenario
+/// byte-comparison rely on.
+fn publish_sim_metrics(nodes: u64, r: &ExecReport) {
+    let m = hbp_metrics::global();
+    if !m.on() {
+        return;
+    }
+    m.jobs_submitted.inc();
+    m.jobs_completed.inc();
+    m.job_latency_ns.observe(r.makespan);
+    let s0 = m.shard(0);
+    s0.tasks_executed.add(nodes);
+    s0.steals_committed.add(r.steals);
+    // The simulated machine is one cache domain: every steal is local.
+    s0.steals_local.add(r.steals);
+    s0.steals_failed
+        .add(r.steal_attempts.saturating_sub(r.steals));
+    // Sim steals move exactly one task per claiming sequence.
+    s0.steal_batch.observe_n(1, r.steals);
 }
 
 /// The waitable result of one [`ExecSession::submit`]. Consuming it is
@@ -208,7 +228,7 @@ impl ExecHandle {
     /// Block until the job completed;
     /// [`JobError::Unmapped`] when the backend had no kernel for the
     /// algorithm. A kernel panic is re-raised here, naming the worker
-    /// that caught it (same contract as [`Executor::execute`]).
+    /// that caught it.
     pub fn wait(self) -> Result<ExecReport, JobError> {
         match self.inner {
             HandleInner::Ready(r) => r.map(|b| *b),
@@ -220,68 +240,29 @@ impl ExecHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::NativeExecutor;
+    use crate::executor::{Executor, NativeExecutor};
     use hbp_machine::MachineConfig;
     use hbp_sched::Policy;
 
-    fn sim_ex() -> SimExecutor {
-        SimExecutor {
-            machine: MachineConfig::new(4, 1 << 10, 32),
-            policy: Policy::Pws,
-        }
-    }
-
     #[test]
-    fn sim_session_matches_one_shot_execute() {
-        let ex = sim_ex();
-        let job = ExecJob::new("Scans (M-Sum)", 512, 7);
-        let direct = ex.execute(&job).unwrap();
-        let session = ex.open();
-        let via_session = session.submit(&job).unwrap().wait().unwrap();
+    fn sim_session_matches_a_direct_run_of_the_row() {
+        let machine = MachineConfig::new(4, 1 << 10, 32);
+        let session = ExecSession::sim(SimExecutor {
+            machine,
+            policy: Policy::Pws,
+        });
+        assert_eq!(session.backend(), "sim");
+        let via_session = session
+            .submit(&ExecJob::new("Scans (M-Sum)", 512, 7))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let spec = find("Scans (M-Sum)").unwrap();
+        let comp = (spec.build)(512, BuildConfig::with_block(32), 7);
+        let direct = run(&comp, machine, Policy::Pws);
         assert_eq!(direct.makespan, via_session.makespan);
         assert_eq!(direct.steals, via_session.steals);
         assert_eq!(direct.busy, via_session.busy);
-    }
-
-    #[test]
-    fn native_session_serves_multiple_jobs_on_one_pool() {
-        let ex = NativeExecutor::new(2, 3);
-        let session = ex.open();
-        assert_eq!(session.backend(), "native");
-        for (algo, n) in [
-            ("Scans (M-Sum)", 1 << 12),
-            ("Sort (merge std-in)", 1 << 10),
-            ("Scans (PS)", 1 << 11),
-        ] {
-            let r = session
-                .submit(&ExecJob::new(algo, n, 5))
-                .expect("live session admits")
-                .wait()
-                .unwrap_or_else(|e| panic!("{algo} has a native kernel: {e}"));
-            assert!(r.makespan > 0, "{algo}");
-            assert_eq!(r.p, 2, "{algo}");
-        }
-    }
-
-    #[test]
-    fn unmapped_algorithms_resolve_to_job_errors_on_native_sessions() {
-        let ex = NativeExecutor::new(2, 1);
-        let session = ex.open();
-        for algo in ["RM to BI", "no such algo"] {
-            // Admission succeeds (the session is live); resolution fails.
-            let err = session
-                .submit(&ExecJob::new(algo, 16, 1))
-                .expect("live session admits")
-                .wait()
-                .expect_err(algo);
-            assert_eq!(
-                err,
-                JobError::Unmapped {
-                    algo: algo.to_string()
-                }
-            );
-            assert!(err.to_string().contains(algo), "{err}");
-        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn stub_native_trace_aligns_against_sim_cross_backend() {
         machine: MachineConfig::new(4, 1 << 12, 32),
         policy: Policy::Pws,
     };
-    let sim_sink = Arc::new(TraceSink::new(sim.workers(), ClockDomain::Virtual));
+    let sim_sink = Arc::new(TraceSink::new(sim.machine.p, ClockDomain::Virtual));
     sim.execute_traced(&job, &sim_sink).expect("sim runs SPMS");
 
     let nat = stub_executor(2);

@@ -362,8 +362,9 @@ thread_local! {
     static BATCH: RefCell<Vec<JobRef>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether the current thread is a native-pool worker (used by
-/// `hbp_algos::par::pjoin` to route joins here instead of rayon).
+/// Whether the current thread is a native-pool worker:
+/// `hbp_algos::par::pjoin` forks onto this pool's deques when it is, and
+/// falls back to the vendored `rayon::join` shim off-pool.
 pub fn in_pool() -> bool {
     CTX.get().is_some()
 }

@@ -66,21 +66,6 @@ pub use spec::{default_mix, parse_mix, LoadMode, MixEntry, ScenarioSpec};
 
 use hbp_core::Backend;
 
-/// The registry rows the native backend can serve — every row with a
-/// `par_*` kernel behind [`hbp_core::native_kernel`]. Scenario
-/// validation quotes this list when a mix names something the native
-/// backend cannot run (e.g. CC, which has no native kernel yet).
-pub const NATIVE_SERVED: &[&str] = &[
-    "Scans (M-Sum)",
-    "Scans (PS)",
-    "MT",
-    "Strassen",
-    "FFT",
-    "LR",
-    "Sort (SPMS)",
-    "Sort (merge std-in)",
-];
-
 /// Run a scenario on the backend it names: [`virt::run_virtual`] on
 /// sim, [`server::run_real`] on native. Validates the spec first
 /// (fail-loud registry resolution, see [`ScenarioSpec::validate`]).
@@ -89,29 +74,5 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
     match spec.backend {
         Backend::Sim => virt::run_virtual(spec),
         Backend::Native => server::run_real(spec),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hbp_core::{has_native_kernel, lookup};
-
-    #[test]
-    fn native_served_list_matches_the_kernel_table() {
-        // Every advertised row resolves and has a kernel; every registry
-        // row with a kernel is advertised.
-        for name in NATIVE_SERVED {
-            assert_eq!(lookup(name).name, *name);
-            assert!(has_native_kernel(name), "{name} advertised but unserved");
-        }
-        for row in hbp_core::registry() {
-            assert_eq!(
-                NATIVE_SERVED.contains(&row.name),
-                has_native_kernel(row.name),
-                "{} in NATIVE_SERVED iff it has a native kernel",
-                row.name
-            );
-        }
     }
 }

@@ -4,7 +4,7 @@
 //! via [`hbp_core::Config`], the single place those are parsed).
 
 use hbp_core::sched::native::NativeConfig;
-use hbp_core::{has_native_kernel, lookup, Backend, Policy};
+use hbp_core::{lookup, registry, Backend, Policy};
 
 /// How the load generator paces requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,16 +279,16 @@ impl ScenarioSpec {
     /// Resolve every mix row through [`hbp_core::lookup`] (panics
     /// listing the known rows on a miss — a renamed registry row breaks
     /// the scenario loudly) and, on the native backend, require a
-    /// native kernel for each (panics listing what native serves).
-    /// Canonicalizes the mix's algorithm names in place.
+    /// native kernel for each (panics listing the rows whose `native`
+    /// column is filled). Builds no input.
     pub fn validate(&self) {
         for entry in &self.mix {
             let spec = lookup(&entry.algo);
-            if self.backend == Backend::Native && !has_native_kernel(spec.name) {
-                let served: Vec<&str> = crate::NATIVE_SERVED
+            if self.backend == Backend::Native && spec.native.is_none() {
+                let served: Vec<&str> = registry()
                     .iter()
-                    .copied()
-                    .filter(|a| has_native_kernel(a))
+                    .filter(|row| row.native.is_some())
+                    .map(|row| row.name)
                     .collect();
                 panic!(
                     "mix row {:?} has no native kernel; the native backend serves {served:?}",
@@ -353,17 +353,37 @@ mod tests {
     }
 
     #[test]
-    fn default_mix_resolves_on_its_backend() {
+    fn validate_reads_the_native_column() {
         for backend in [Backend::Sim, Backend::Native] {
-            for entry in default_mix(backend) {
-                let spec = lookup(&entry.algo);
-                if backend == Backend::Native {
-                    assert!(
-                        has_native_kernel(spec.name),
-                        "{} must have a native kernel",
-                        spec.name
-                    );
-                }
+            ScenarioSpec {
+                mix: default_mix(backend),
+                backend,
+                ..ScenarioSpec::default()
+            }
+            .validate();
+        }
+        // Every row the native backend does not serve is refused by
+        // name, with the served rows listed; sim takes every row.
+        for row in registry() {
+            let spec = |backend| ScenarioSpec {
+                mix: vec![MixEntry {
+                    algo: row.name.into(),
+                    weight: 1,
+                    sizes: vec![64],
+                }],
+                backend,
+                ..ScenarioSpec::default()
+            };
+            spec(Backend::Sim).validate();
+            let native = std::panic::catch_unwind(|| spec(Backend::Native).validate());
+            assert_eq!(native.is_ok(), row.native.is_some(), "{}", row.name);
+            if let Err(err) = native {
+                let msg = err.downcast_ref::<String>().expect("String payload");
+                let (refused, served) = msg
+                    .split_once(" has no native kernel; the native backend serves ")
+                    .expect(msg);
+                assert_eq!(refused, format!("mix row {:?}", row.name));
+                assert!(served.contains("Sort (SPMS)") && !served.contains(row.name));
             }
         }
     }

@@ -15,8 +15,8 @@
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use hbp_core::trace::{critical_path, ClockDomain, TraceSink};
-use hbp_core::{ExecJob, Executor, MachineConfig, SimExecutor};
+use hbp_core::trace::{critical_path, TraceSink};
+use hbp_core::{Config, ExecJob, ExecSession, MachineConfig};
 
 use crate::desk::{Arrival, Desk};
 use crate::gen::{build_schedule, Request};
@@ -33,17 +33,14 @@ fn oracle_machine(spec: &ScenarioSpec) -> MachineConfig {
 /// Measures (once per request shape) the virtual service time and
 /// critical path of a kernel launch.
 struct ServiceOracle {
-    ex: SimExecutor,
+    session: ExecSession,
     cache: HashMap<(&'static str, usize), (u64, CpTotals)>,
 }
 
 impl ServiceOracle {
     fn new(spec: &ScenarioSpec) -> Self {
         Self {
-            ex: SimExecutor {
-                machine: oracle_machine(spec),
-                policy: spec.policy,
-            },
+            session: Config::new().policy(spec.policy).open(oracle_machine(spec)),
             cache: HashMap::new(),
         }
     }
@@ -52,12 +49,13 @@ impl ServiceOracle {
         if let Some(&hit) = self.cache.get(&(r.algo, r.n)) {
             return hit;
         }
-        let sink = Arc::new(TraceSink::new(self.ex.workers(), ClockDomain::Virtual));
-        let job = ExecJob::new(r.algo, r.n, r.seed);
-        let report = self
-            .ex
-            .execute_traced(&job, &sink)
-            .unwrap_or_else(|| panic!("oracle cannot build {:?} (n={})", r.algo, r.n));
+        let session = &self.session;
+        let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
+        let report = session
+            .submit_traced(&ExecJob::new(r.algo, r.n, r.seed), &sink)
+            .expect("the sim backend admits everything")
+            .wait()
+            .unwrap_or_else(|e| panic!("oracle cannot build {:?} (n={}): {e}", r.algo, r.n));
         let cp = critical_path(&sink.collect()).expect("sim traces are virtual-clock");
         let entry = (
             report.makespan,

@@ -38,7 +38,7 @@
 //!
 //! The crate is dependency-free and backend-agnostic: `hbp-sched`
 //! pushes events from the sim event loop and the native workers;
-//! `hbp-core` wires a sink through its `Executor` trait.
+//! `hbp-core` attaches a per-job sink with `ExecSession::submit_traced`.
 
 pub mod analyze;
 pub mod chrome;

@@ -1,4 +1,6 @@
-//! The typed-config property: `hbp_core::Config::from_env`
+//! Single-owner properties, checked by scanning the sources.
+//!
+//! **The typed config**: `hbp_core::Config::from_env`
 //! (`crates/core/src/config.rs`) is the only place the `HBP_*` runtime
 //! environment is read.
 //!
@@ -7,26 +9,37 @@
 //! `HBP_EXAMPLE_N` / `HBP_FIG_N` (problem-size shaping in example and
 //! bench harness code), `HBP_TRACE_OUT` (an output *path*, not runtime
 //! configuration).
+//!
+//! **The kernel table**: `crates/core/src/registry.rs` is the only file
+//! under `crates/*/src`, outside `crates/algos` where they are defined,
+//! that names a `par::par_*` kernel — which rows the native backend
+//! serves is the registry's `native` column and nothing else.
 
 use std::path::Path;
 
-const OWNER: &str = "crates/core/src/config.rs";
 const EXEMPT: [&str; 4] = ["HBP_SERVE_", "HBP_EXAMPLE_N", "HBP_FIG_N", "HBP_TRACE_OUT"];
 
-fn scan(root: &Path, dir: &Path, needle: &str, hits: &mut Vec<String>) {
+/// Every line under `dir`, outside the file `owner`, that `names` flags.
+fn scan(
+    root: &Path,
+    dir: &Path,
+    owner: &str,
+    names: &dyn Fn(&str) -> bool,
+    hits: &mut Vec<String>,
+) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("readable dir entry").path();
         if path.is_dir() {
-            scan(root, &path, needle, hits);
+            scan(root, &path, owner, names, hits);
             continue;
         }
         let rel = path.strip_prefix(root).expect("under the repo root");
-        if path.extension().is_none_or(|e| e != "rs") || rel == Path::new(OWNER) {
+        if path.extension().is_none_or(|e| e != "rs") || rel == Path::new(owner) {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("utf-8 source");
         for (i, line) in text.lines().enumerate() {
-            if line.contains(needle) && !EXEMPT.iter().any(|e| line.contains(e)) {
+            if names(line) {
                 hits.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
             }
         }
@@ -36,15 +49,40 @@ fn scan(root: &Path, dir: &Path, needle: &str, hits: &mut Vec<String>) {
 #[test]
 fn config_owns_the_env_surface() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let owner = "crates/core/src/config.rs";
     // Split so this file does not match itself.
     let needle = concat!("env::var(\"", "HBP_");
+    let reads_env = |line: &str| line.contains(needle) && !EXEMPT.iter().any(|e| line.contains(e));
     let mut hits = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
-        scan(root, &root.join(dir), needle, &mut hits);
+        scan(root, &root.join(dir), owner, &reads_env, &mut hits);
     }
     assert!(
         hits.is_empty(),
-        "HBP_* environment reads outside {OWNER}:\n{}",
+        "HBP_* environment reads outside {owner}:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn registry_owns_the_kernel_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let owner = "crates/core/src/registry.rs";
+    // A named kernel (`par_sum`, `par::par_fft`), not the family `par_*`.
+    let names_kernel = |line: &str| {
+        line.match_indices("par_")
+            .any(|(i, m)| line[i + m.len()..].starts_with(|c: char| c.is_ascii_lowercase()))
+    };
+    let mut hits = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("readable crates dir") {
+        let krate = krate.expect("readable dir entry").path();
+        if krate.file_name().is_some_and(|name| name != "algos") {
+            scan(root, &krate.join("src"), owner, &names_kernel, &mut hits);
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "native kernels named outside {owner}:\n{}",
         hits.join("\n")
     );
 }

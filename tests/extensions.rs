@@ -13,7 +13,7 @@ fn small_n(spec: &AlgoSpec) -> usize {
 #[test]
 fn bsp_executes_all_work_with_bounded_steal_sizes() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 3);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 3);
         let cfg = MachineConfig::new(8, 1 << 11, 32);
         let levels = 4;
         let r = run(
@@ -24,7 +24,7 @@ fn bsp_executes_all_work_with_bounded_steal_sizes() {
             },
         );
         assert_eq!(r.work, comp.work(), "{}", spec.name);
-        let root_size = spec.elements(small_n(&spec)) as u64;
+        let root_size = spec.elements(small_n(spec)) as u64;
         let floor = (root_size >> levels).max(1);
         for &s in &r.stolen_sizes {
             assert!(
@@ -50,7 +50,7 @@ fn bsp_is_deterministic() {
 #[test]
 fn l2_machines_run_the_whole_registry() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let flat = MachineConfig::new(4, 1 << 9, 32);
         for machine in [flat.with_l2(1 << 13, false), flat.with_l2(1 << 13, true)] {
             let r = run(&comp, machine, Policy::Pws);
@@ -66,7 +66,7 @@ fn l2_machines_run_the_whole_registry() {
 fn shared_l2_never_slower_than_flat() {
     for name in ["Scans (PS)", "MT", "Sort (SPMS)"] {
         let spec = lookup(name);
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let flat = MachineConfig::new(4, 1 << 8, 32);
         let rf = run(&comp, flat, Policy::Pws);
         let rl = run(&comp, flat.with_l2(1 << 13, false), Policy::Pws);

@@ -1,6 +1,6 @@
 //! Cross-crate regression tests for the native runtime: a kernel's
 //! trace is structurally the same whatever pool ran it, and execution is
-//! policy-driven end-to-end through the `Executor` layer.
+//! policy-driven end-to-end through the session layer.
 
 use std::sync::Arc;
 
@@ -56,9 +56,13 @@ fn sim_policy_diff_aligns_by_task_id_and_compares_critical_paths() {
     let machine = MachineConfig::new(8, 1 << 10, 32);
     let job = ExecJob::new("Scans (M-Sum)", 2048, 42);
     let trace_of = |policy: Policy| -> tr::Trace {
-        let ex = SimExecutor { machine, policy };
-        let sink = Arc::new(TraceSink::new(ex.workers(), ex.clock_domain()));
-        ex.execute_traced(&job, &sink).expect("sim runs everything");
+        let session = Config::new().policy(policy).open(machine);
+        let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
+        session
+            .submit_traced(&job, &sink)
+            .expect("sim admits everything")
+            .wait()
+            .expect("sim runs everything");
         sink.collect()
     };
     let ta = trace_of(Policy::Pws);
@@ -91,7 +95,7 @@ fn self_diff_is_clean_on_both_backends() {
 }
 
 /// `HBP_POLICY`-style policy selection reaches the native pool through
-/// the `Executor` layer: every policy runs every mapped kernel.
+/// the session layer: every policy runs every mapped kernel.
 #[test]
 fn native_executor_honours_policy_for_all_kernels() {
     for policy in [

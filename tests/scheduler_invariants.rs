@@ -16,7 +16,7 @@ fn small_n(spec: &AlgoSpec) -> usize {
 #[test]
 fn obs_4_3_steals_at_most_p_minus_1_per_priority() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 7);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 7);
         for p in [2usize, 4, 8] {
             let cfg = MachineConfig::new(p, 1 << 12, 32);
             let r = run(&comp, cfg, Policy::Pws);
@@ -33,7 +33,7 @@ fn obs_4_3_steals_at_most_p_minus_1_per_priority() {
 #[test]
 fn cor_4_1_steal_attempts_bounded_by_2_p_dprime() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 7);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 7);
         let p = 8usize;
         let cfg = MachineConfig::new(p, 1 << 12, 32);
         let r = run(&comp, cfg, Policy::Pws);
@@ -50,7 +50,7 @@ fn cor_4_1_steal_attempts_bounded_by_2_p_dprime() {
 #[test]
 fn pws_is_fully_deterministic_across_registry() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 3);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 3);
         let cfg = MachineConfig::new(4, 1 << 11, 32);
         let a = run(&comp, cfg, Policy::Pws);
         let b = run(&comp, cfg, Policy::Pws);
@@ -68,7 +68,7 @@ fn pws_is_fully_deterministic_across_registry() {
 #[test]
 fn all_work_executes_under_both_schedulers() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let cfg = MachineConfig::new(4, 1 << 11, 32);
         let pws = run(&comp, cfg, Policy::Pws);
         assert_eq!(pws.work, comp.work(), "{} PWS", spec.name);
@@ -82,7 +82,7 @@ fn usurpations_bounded_by_steals() {
     // Lemma 4.6: at most p−1 usurpers per collection; globally usurpations
     // can't exceed joins whose completing side was stolen.
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let cfg = MachineConfig::new(8, 1 << 11, 32);
         let r = run(&comp, cfg, Policy::Pws);
         assert!(
@@ -98,7 +98,7 @@ fn usurpations_bounded_by_steals() {
 #[test]
 fn single_core_never_steals_and_never_block_misses() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let cfg = MachineConfig::new(1, 1 << 11, 32);
         let r = run(&comp, cfg, Policy::Pws);
         assert_eq!(r.steals, 0, "{}", spec.name);
@@ -187,7 +187,7 @@ fn spms_splitters_are_deterministic_across_builds() {
 #[test]
 fn pws_reports_are_byte_identical_across_runs() {
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 11);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 11);
         let cfg = MachineConfig::new(4, 1 << 11, 32);
         let a = format!("{:?}", run(&comp, cfg, Policy::Pws));
         let b = format!("{:?}", run(&comp, cfg, Policy::Pws));
@@ -235,7 +235,7 @@ fn makespan_never_exceeds_sequential() {
     // Work stealing with zero-cost idle waiting can't be slower than the
     // one-core schedule plus steal overhead.
     for spec in registry() {
-        let comp = (spec.build)(small_n(&spec), BuildConfig::default(), 5);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 5);
         let m = MachineConfig::new(8, 1 << 12, 32);
         let seq = run_sequential(&comp, m);
         let par = run(&comp, m, Policy::Pws);
