@@ -1,20 +1,31 @@
 //! The trace tools as processes: the observability loop end to end
 //! (stub counter source, cross-backend diff, strict overflow gate), the
-//! PWS-vs-RWS structural diff, and the shared usage errors.
+//! PWS-vs-RWS structural diff, and the shared usage errors; and the
+//! traced `table1` run with its Chrome-trace export.
 
+use std::path::Path;
 use std::process::Command;
+
+use hbp_core::trace::json::{parse, Json};
 
 const TRACE_REPORT: &str = env!("CARGO_BIN_EXE_trace_report");
 const TRACE_DIFF: &str = env!("CARGO_BIN_EXE_trace_diff");
+const TABLE1: &str = env!("CARGO_BIN_EXE_table1");
 
-/// `(exit code, stdout, stderr)` of one run of `bin` with exactly these
-/// `HBP_*` variables set (the ambient ones are scrubbed).
-fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {
+/// `bin` with exactly these `HBP_*` variables set (the ambient ones are
+/// scrubbed).
+fn command(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(bin);
     for (key, _) in std::env::vars().filter(|(key, _)| key.starts_with("HBP_")) {
         cmd.env_remove(key);
     }
-    let out = cmd.args(args).envs(env.iter().copied()).output();
+    cmd.args(args).envs(env.iter().copied());
+    cmd
+}
+
+/// `(exit code, stdout, stderr)` of one run of [`command`].
+fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {
+    let out = command(bin, args, env).output();
     let out = out.expect("binary runs");
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
     (out.status.code(), text(&out.stdout), text(&out.stderr))
@@ -76,5 +87,48 @@ fn argument_errors_print_usage_and_exit_2() {
             assert!(stderr.contains("usage: trace_"), "{args:?}: {stderr}");
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         }
+    }
+}
+
+/// `HBP_TRACE=1 table1` twice, each in its own directory: the export is
+/// a Chrome trace that parses, with process lanes and recorded segments,
+/// and the run is deterministic down to the byte — stdout and export.
+#[test]
+fn traced_table1_exports_a_chrome_trace_and_is_byte_stable() {
+    let env = [("HBP_TRACE", "1"), ("HBP_TRACE_OUT", "table1_trace.json")];
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let traced_run = |name: &str| {
+        let dir = tmp.join(name);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let out = command(TABLE1, &[], &env).current_dir(&dir).output();
+        let out = out.expect("table1 runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let export = std::fs::read_to_string(dir.join("table1_trace.json")).expect("export");
+        (out.stdout, export)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let b = s.spawn(|| traced_run("table1-trace-b"));
+        (traced_run("table1-trace-a"), b.join().expect("second run"))
+    });
+    assert!(a.0 == b.0, "table1 stdout differs between two runs");
+    assert!(a.1 == b.1, "table1 trace export differs between two runs");
+
+    let doc = parse(&a.1).expect("the export is JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_array);
+    let events = events.expect("traceEvents array");
+    assert!(!events.is_empty(), "empty trace");
+    let has = |key: &str, want: &str| {
+        events
+            .iter()
+            .any(|e| e.get(key).and_then(Json::as_str) == Some(want))
+    };
+    assert!(
+        has("name", "process_name"),
+        "no process lanes in the export"
+    );
+    assert!(has("ph", "X"), "no segment events in the export");
+    for name in ["table1-trace-a", "table1-trace-b"] {
+        std::fs::remove_dir_all(tmp.join(name)).expect("temp dir removed");
     }
 }

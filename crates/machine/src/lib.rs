@@ -24,6 +24,7 @@
 pub mod alloc;
 pub mod cache;
 pub mod config;
+mod hash;
 pub mod stats;
 pub mod system;
 

@@ -1,8 +1,13 @@
 //! The multicore memory system: p private caches + write-invalidate
 //! coherence directory + miss classification.
+//!
+//! One access costs one probe of the block directory (a map on the
+//! crate's multiplicative block hasher) and, unless the block is already
+//! the core's most recent one, one probe of that core's LRU; both are
+//! O(1). The directory entry's holder mask is the authority on residency
+//! — it is kept in step with the caches, and debug builds check it.
 
-use std::collections::HashMap;
-
+use crate::hash::BlockMap;
 use crate::{
     AccessOutcome, BlockId, CoreStats, LruCache, MachineConfig, MachineStats, MissKind, Word,
 };
@@ -34,7 +39,7 @@ pub struct MemSystem {
     caches: Vec<LruCache>,
     /// One cache if the L2 is shared, `p` segment caches if partitioned.
     l2: Vec<LruCache>,
-    blocks: HashMap<BlockId, BlockState>,
+    blocks: BlockMap<BlockState>,
     stats: Vec<CoreStats>,
     total_transfers: u64,
 }
@@ -55,7 +60,7 @@ impl MemSystem {
             cfg,
             caches: (0..cfg.p).map(|_| LruCache::new(frames)).collect(),
             l2,
-            blocks: HashMap::new(),
+            blocks: BlockMap::default(),
             stats: vec![CoreStats::default(); cfg.p],
             total_transfers: 0,
         }
@@ -84,17 +89,20 @@ impl MemSystem {
     /// Perform one access and return `(outcome, time cost)`:
     /// hit = 1; L1 miss served by the L2 = `1 + hit_cost`; miss to
     /// memory = `1 + b`.
+    ///
+    /// The block directory is probed once: the entry's `holders` bit says
+    /// whether this is a hit (the LRU is not asked), and the miss
+    /// classification and the write's ownership change are applied in
+    /// the same borrow. Only an eviction probes again, for the block that
+    /// left.
     pub fn access_costed(&mut self, core: usize, addr: Word, write: bool) -> (AccessOutcome, u64) {
         debug_assert!(core < self.cfg.p);
         let block = self.cfg.block_of(addr);
         let bit = 1u64 << core;
         let st = self.blocks.entry(block).or_default();
-
-        let (outcome, cost) = if self.caches[core].touch(block) {
-            self.stats[core].hits += 1;
-            (AccessOutcome::Hit, 1)
+        let miss = if st.holders & bit != 0 {
+            None
         } else {
-            // L1 miss: classify, then fetch through the hierarchy.
             let kind = if st.invalidated & bit != 0 {
                 st.invalidated &= !bit;
                 MissKind::Coherence
@@ -103,69 +111,80 @@ impl MemSystem {
             } else {
                 MissKind::Cold
             };
-            match kind {
-                MissKind::Cold => self.stats[core].cold += 1,
-                MissKind::Capacity => self.stats[core].capacity += 1,
-                MissKind::Coherence => self.stats[core].coherence += 1,
-            }
             st.ever |= bit;
             st.holders |= bit;
             st.transfers += 1;
-            self.total_transfers += 1;
-            // L2 lookup (non-inclusive: an L2 eviction leaves L1s alone).
-            let cost = match self.cfg.l2 {
-                None => 1 + self.cfg.miss_cost,
-                Some(l2c) => {
-                    let idx = self.l2_idx(core);
-                    if self.l2[idx].touch(block) {
-                        self.stats[core].l2_hits += 1;
-                        1 + l2c.hit_cost
-                    } else {
-                        self.stats[core].l2_misses += 1;
-                        self.l2[idx].insert(block);
-                        1 + self.cfg.miss_cost
-                    }
-                }
-            };
-            if let Some(evicted) = self.caches[core].insert(block) {
-                self.stats[core].evictions += 1;
-                // Silent capacity eviction: drop from holders; the next miss
-                // on it by this core is a capacity miss (not coherence).
-                let est = self
-                    .blocks
-                    .get_mut(&evicted)
-                    .expect("evicted block has state");
-                est.holders &= !bit;
-                est.invalidated &= !bit;
+            Some(kind)
+        };
+        // Write-invalidate coherence: every other holder loses its copy.
+        let others = if write { st.holders & !bit } else { 0 };
+        if others != 0 {
+            st.holders = bit;
+            st.invalidated |= others;
+        }
+
+        let (outcome, cost) = match miss {
+            None => {
+                let resident = self.caches[core].touch(block);
+                debug_assert!(resident, "holder bitmask out of sync");
+                self.stats[core].hits += 1;
+                (AccessOutcome::Hit, 1)
             }
-            (AccessOutcome::Miss(kind), cost)
+            Some(kind) => {
+                match kind {
+                    MissKind::Cold => self.stats[core].cold += 1,
+                    MissKind::Capacity => self.stats[core].capacity += 1,
+                    MissKind::Coherence => self.stats[core].coherence += 1,
+                }
+                self.total_transfers += 1;
+                // L2 lookup (non-inclusive: an L2 eviction leaves L1s alone).
+                let cost = match self.cfg.l2 {
+                    None => 1 + self.cfg.miss_cost,
+                    Some(l2c) => {
+                        let idx = self.l2_idx(core);
+                        if self.l2[idx].touch(block) {
+                            self.stats[core].l2_hits += 1;
+                            1 + l2c.hit_cost
+                        } else {
+                            self.stats[core].l2_misses += 1;
+                            self.l2[idx].insert(block);
+                            1 + self.cfg.miss_cost
+                        }
+                    }
+                };
+                if let Some(evicted) = self.caches[core].insert(block) {
+                    self.stats[core].evictions += 1;
+                    // Silent capacity eviction: drop from holders; the next
+                    // miss on it by this core is a capacity miss (not
+                    // coherence).
+                    let est = self
+                        .blocks
+                        .get_mut(&evicted)
+                        .expect("evicted block has state");
+                    est.holders &= !bit;
+                    est.invalidated &= !bit;
+                }
+                (AccessOutcome::Miss(kind), cost)
+            }
         };
 
-        if write {
-            // Invalidate every other holder (write-invalidate coherence).
-            let st = self.blocks.get_mut(&block).expect("state just created");
-            let others = st.holders & !bit;
-            if others != 0 {
-                let partitioned = matches!(self.cfg.l2, Some(l2c) if l2c.partitioned);
-                let mut mask = others;
-                while mask != 0 {
-                    let victim = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let removed = self.caches[victim].invalidate(block);
-                    debug_assert!(removed, "holder bitmask out of sync");
-                    // Partitioned L2 segments act as private second levels:
-                    // the victim's segment copy dies too. A shared L2 keeps
-                    // its (written-through) copy valid.
-                    if partitioned {
-                        self.l2[victim].invalidate(block);
-                    }
-                    self.stats[victim].invalidations_received += 1;
+        if others != 0 {
+            let partitioned = matches!(self.cfg.l2, Some(l2c) if l2c.partitioned);
+            let mut mask = others;
+            while mask != 0 {
+                let victim = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let removed = self.caches[victim].invalidate(block);
+                debug_assert!(removed, "holder bitmask out of sync");
+                // Partitioned L2 segments act as private second levels:
+                // the victim's segment copy dies too. A shared L2 keeps
+                // its (written-through) copy valid.
+                if partitioned {
+                    self.l2[victim].invalidate(block);
                 }
-                let n = others.count_ones() as u64;
-                self.stats[core].invalidations_sent += n;
-                st.holders = bit;
-                st.invalidated |= others;
+                self.stats[victim].invalidations_received += 1;
             }
+            self.stats[core].invalidations_sent += others.count_ones() as u64;
         }
         (outcome, cost)
     }
@@ -176,17 +195,6 @@ impl MemSystem {
         self.blocks.get(&block).map_or(0, |s| s.transfers)
     }
 
-    /// The maximum per-block transfer count over all blocks in the given
-    /// address range (used to verify Lemma 3.1-style per-block bounds).
-    pub fn max_transfers_in(&self, lo: Word, hi: Word) -> u64 {
-        let b0 = self.cfg.block_of(lo);
-        let b1 = self.cfg.block_of(hi.saturating_sub(1).max(lo));
-        (b0..=b1)
-            .map(|b| self.block_transfers(b))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Snapshot of all counters.
     pub fn stats(&self) -> MachineStats {
         MachineStats {
@@ -194,24 +202,13 @@ impl MemSystem {
             block_transfers: self.total_transfers,
         }
     }
-
-    /// Reset caches and counters, keeping the configuration.
-    pub fn reset(&mut self) {
-        for c in &mut self.caches {
-            c.clear();
-        }
-        for c in &mut self.l2 {
-            c.clear();
-        }
-        self.blocks.clear();
-        self.stats = vec![CoreStats::default(); self.cfg.p];
-        self.total_transfers = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn machine(p: usize, m: u64, b: u64) -> MemSystem {
         MemSystem::new(MachineConfig::new(p, m, b))
@@ -317,18 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut ms = machine(2, 64, 32);
-        ms.access(0, 0, true);
-        ms.access(1, 0, true);
-        ms.reset();
-        let t = ms.stats().total();
-        assert_eq!(t.accesses(), 0);
-        assert_eq!(ms.block_transfers(0), 0);
-        assert_eq!(ms.access(0, 0, false), AccessOutcome::Miss(MissKind::Cold));
-    }
-
-    #[test]
     fn shared_l2_serves_invalidated_refills_cheaply() {
         // Shared L2: after a coherence invalidation, the victim refills
         // from L2 at the cheap cost (1 + b), not the memory cost.
@@ -392,5 +377,157 @@ mod tests {
         ms.access(0, 0, false); // 3 (block miss)
         assert_eq!(ms.block_transfers(0), 3);
         assert_eq!(ms.stats().block_transfers, 3);
+    }
+
+    /// The memory system written the slow, obvious way: each cache a
+    /// `Vec` in recency order searched linearly (front = LRU), the
+    /// directory a `BTreeMap` of per-block core sets. Residency is read
+    /// off the caches themselves, never off a holder mask.
+    struct NaiveSystem {
+        cfg: MachineConfig,
+        l1: Vec<Vec<BlockId>>,
+        l2: Vec<Vec<BlockId>>,
+        l2_frames: usize,
+        /// block -> (cores whose copy was invalidated, cores that ever
+        /// held it, fetches)
+        dir: BTreeMap<BlockId, (BTreeSet<usize>, BTreeSet<usize>, u64)>,
+        stats: Vec<CoreStats>,
+    }
+
+    impl NaiveSystem {
+        fn new(cfg: MachineConfig) -> Self {
+            let (l2_caches, l2_frames) = match cfg.l2 {
+                None => (0, 0),
+                Some(c) if c.partitioned => (cfg.p, c.words / cfg.p as u64 / cfg.block_words),
+                Some(c) => (1, c.words / cfg.block_words),
+            };
+            Self {
+                cfg,
+                l1: vec![Vec::new(); cfg.p],
+                l2: vec![Vec::new(); l2_caches],
+                l2_frames: l2_frames.max(1) as usize,
+                dir: BTreeMap::new(),
+                stats: vec![CoreStats::default(); cfg.p],
+            }
+        }
+
+        /// Make `block` the most recent entry of `cache`; `false` if absent.
+        fn touch(cache: &mut Vec<BlockId>, block: BlockId) -> bool {
+            let Some(pos) = cache.iter().position(|&b| b == block) else {
+                return false;
+            };
+            cache.remove(pos);
+            cache.push(block);
+            true
+        }
+
+        fn access(&mut self, core: usize, addr: Word, write: bool) -> (AccessOutcome, u64) {
+            let block = addr / self.cfg.block_words;
+            let (invalidated, ever, fetches) = self.dir.entry(block).or_default();
+            let (outcome, cost) = if Self::touch(&mut self.l1[core], block) {
+                self.stats[core].hits += 1;
+                (AccessOutcome::Hit, 1)
+            } else {
+                let kind = if invalidated.remove(&core) {
+                    self.stats[core].coherence += 1;
+                    MissKind::Coherence
+                } else if ever.contains(&core) {
+                    self.stats[core].capacity += 1;
+                    MissKind::Capacity
+                } else {
+                    self.stats[core].cold += 1;
+                    MissKind::Cold
+                };
+                ever.insert(core);
+                *fetches += 1;
+                let cost = match self.cfg.l2 {
+                    None => 1 + self.cfg.miss_cost,
+                    Some(l2c) => {
+                        let l2 = &mut self.l2[if l2c.partitioned { core } else { 0 }];
+                        if Self::touch(l2, block) {
+                            self.stats[core].l2_hits += 1;
+                            1 + l2c.hit_cost
+                        } else {
+                            self.stats[core].l2_misses += 1;
+                            if l2.len() == self.l2_frames {
+                                l2.remove(0);
+                            }
+                            l2.push(block);
+                            1 + self.cfg.miss_cost
+                        }
+                    }
+                };
+                if self.l1[core].len() == self.cfg.frames() {
+                    self.l1[core].remove(0);
+                    self.stats[core].evictions += 1;
+                }
+                self.l1[core].push(block);
+                (AccessOutcome::Miss(kind), cost)
+            };
+            if write {
+                let partitioned = self.cfg.l2.is_some_and(|c| c.partitioned);
+                for victim in (0..self.cfg.p).filter(|&v| v != core) {
+                    let Some(pos) = self.l1[victim].iter().position(|&b| b == block) else {
+                        continue;
+                    };
+                    self.l1[victim].remove(pos);
+                    if partitioned {
+                        self.l2[victim].retain(|&b| b != block);
+                    }
+                    self.dir
+                        .get_mut(&block)
+                        .expect("entry made above")
+                        .0
+                        .insert(victim);
+                    self.stats[victim].invalidations_received += 1;
+                    self.stats[core].invalidations_sent += 1;
+                }
+            }
+            (outcome, cost)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// `MemSystem` against `NaiveSystem` on random multi-core
+        /// read/write streams: outcome, cost, every core's counters and
+        /// the touched block's transfer count agree after every access.
+        /// Four frames per core, so evictions are constant; half the
+        /// accesses go to six hot blocks (sharing, invalidations), the
+        /// rest to a range wider than all caches together, part of it a
+        /// stack-region stride apart.
+        #[test]
+        fn matches_naive_model(seed in 0u64..u64::MAX) {
+            const B: u64 = 4;
+            for p in [1usize, 2, 8, 64] {
+                let flat = MachineConfig::new(p, 4 * B, B);
+                let l2_words = 4 * B * p as u64;
+                for cfg in [flat, flat.with_l2(l2_words, false), flat.with_l2(l2_words, true)] {
+                    let mut ms = MemSystem::new(cfg);
+                    let mut model = NaiveSystem::new(cfg);
+                    let mut rng = proptest::TestRng::new(seed ^ p as u64);
+                    for i in 0..3000 {
+                        let core = rng.below(p as u64) as usize;
+                        let block = match rng.below(4) {
+                            0 | 1 => rng.below(6),
+                            2 => rng.below(6 * p as u64 + 6),
+                            _ => rng.below(p as u64 + 2) << 21,
+                        };
+                        let addr = block * B + rng.below(B);
+                        let write = rng.below(3) == 0;
+                        prop_assert_eq!(
+                            ms.access_costed(core, addr, write),
+                            model.access(core, addr, write),
+                            "access {} of {:?}: core {} addr {} write {}", i, cfg, core, addr, write
+                        );
+                        prop_assert_eq!(&ms.stats, &model.stats, "access {} of {:?}", i, cfg);
+                        prop_assert_eq!(ms.block_transfers(block), model.dir[&block].2);
+                    }
+                    let fetched: u64 = model.dir.values().map(|d| d.2).sum();
+                    prop_assert_eq!(ms.stats().block_transfers, fetched);
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,15 @@
 //! pop the exact same event sequence.
 //!
 //! Sweeps are deduplicated by timestamp: scheduling a sweep at a time at
-//! which (or before which) one is already pending is a no-op, which keeps
-//! the event volume linear in the number of chargeable actions.
+//! which (or before which) one is already pending is a no-op, so sweeps
+//! never outnumber the forks and node completions that request them.
+//!
+//! The queue defines the order of execution; it need not carry every
+//! step. [`EventQueue::runs_next`] tells a core whether the event it is
+//! about to push would be popped next anyway, in which case the engine
+//! skips the round trip (see [`crate::sim`], "Run-ahead"). Sequence
+//! numbers only break ties among queued events, so skipping some leaves
+//! the order of the rest as it was.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,6 +82,14 @@ impl EventQueue {
         self.heap.pop().map(|Reverse(ev)| ev)
     }
 
+    /// Whether an event pushed now at `time` would be the next one popped:
+    /// the heap is empty or its earliest event is *strictly* later. (An
+    /// event already queued for `time` itself has a smaller sequence
+    /// number and goes first.)
+    pub fn runs_next(&self, time: u64) -> bool {
+        self.heap.peek().is_none_or(|Reverse(ev)| ev.time > time)
+    }
+
     /// Request a steal sweep at `time`. `wanted` gates the request (the
     /// engine passes "some core is idle"); a sweep already pending at an
     /// earlier-or-equal time absorbs the request.
@@ -113,6 +128,17 @@ mod tests {
             order,
             vec![EvKind::Step(1), EvKind::Step(2), EvKind::Step(0)]
         );
+    }
+
+    #[test]
+    fn runs_next_only_when_every_queued_event_is_strictly_later() {
+        let mut q = EventQueue::new();
+        assert!(q.runs_next(7), "empty queue");
+        q.push(5, EvKind::Step(1));
+        assert!(q.runs_next(4));
+        // A push at 5 now would pop after the queued event at 5 (FIFO).
+        assert!(!q.runs_next(5));
+        assert!(!q.runs_next(6));
     }
 
     #[test]

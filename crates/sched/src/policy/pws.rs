@@ -18,48 +18,56 @@ impl StealPolicy for Pws {
     }
 }
 
+/// The round's view of the victims: the best stealable deque head as
+/// `(priority, victim)`, and the highest pending-priority flag — maxima
+/// over deque heads and busy cores, restricted to the stealable sizes
+/// (`min_size > 1` under §5.3).
+fn scan_victims(eng: &Engine<'_>, min_size: u64) -> (Option<(u32, usize)>, Option<u32>) {
+    let mut best_head: Option<(u32, usize)> = None;
+    for v in 0..eng.p() {
+        if let (Some(pri), Some(size)) = (eng.head_pri(v), eng.head_size(v)) {
+            if size >= min_size && best_head.is_none_or(|(bp, _)| pri > bp) {
+                best_head = Some((pri, v));
+            }
+        }
+    }
+    let max_pending = (0..eng.p())
+        .filter(|&v| {
+            // a busy core can still generate stealable tasks only
+            // while its current node is big enough to fork them
+            eng.running_node_size(v)
+                .is_some_and(|size| size / 2 >= min_size)
+        })
+        .filter_map(|v| eng.pending_pri(v))
+        .max();
+    (best_head, max_pending)
+}
+
 /// One PWS priority round restricted to tasks of size at least
 /// `min_size` (`0` = unrestricted PWS; [`super::Bsp`] passes the §5.3
 /// size floor).
 pub(crate) fn priority_sweep(eng: &mut Engine<'_>, now: u64, min_size: u64) {
+    // Within a sweep only a committed steal changes what `scan_victims`
+    // reads, so the scan is shared by the thieves between two steals.
+    let mut scan = None;
     // Serve idle cores in index order (the deterministic rank matching
     // of the distributed implementation, §4.7).
     for thief in 0..eng.p() {
         if !eng.is_idle(thief) || eng.is_done() {
             continue;
         }
-        // Round priority: max over deque heads and pending flags,
-        // restricted to the stealable sizes (min_size > 1 under §5.3).
-        let mut best_head: Option<(u32, usize)> = None; // (pri, victim)
-        for v in 0..eng.p() {
-            if let (Some(pri), Some(size)) = (eng.head_pri(v), eng.head_size(v)) {
-                if size >= min_size && best_head.is_none_or(|(bp, _)| pri > bp) {
-                    best_head = Some((pri, v));
-                }
-            }
-        }
-        let max_pending = (0..eng.p())
-            .filter(|&v| {
-                // a busy core can still generate stealable tasks only
-                // while its current node is big enough to fork them
-                eng.running_node_size(v)
-                    .is_some_and(|size| size / 2 >= min_size)
-            })
-            .filter_map(|v| eng.pending_pri(v))
-            .max();
-        match (best_head, max_pending) {
+        match *scan.get_or_insert_with(|| scan_victims(eng, min_size)) {
             (Some((pri, victim)), pending) => {
-                if pending.is_some_and(|pp| pp > pri) {
+                if let Some(pp) = pending.filter(|&pp| pp > pri) {
                     // A busy core may yet generate a higher-priority
                     // task: wait for it (round has not started).
-                    eng.note_failed_round(thief, pending.unwrap());
+                    eng.note_failed_round(thief, pp);
                     continue;
                 }
                 eng.commit_steal(thief, victim, now);
+                scan = None;
             }
-            (None, Some(pp)) => {
-                eng.note_failed_round(thief, pp);
-            }
+            (None, Some(pp)) => eng.note_failed_round(thief, pp),
             (None, None) => {}
         }
     }

@@ -4,7 +4,24 @@
 //! the [`TaskDeques`](crate::deque::TaskDeques), the
 //! [`StackAllocator`](crate::stacks::StackAllocator), the
 //! [`EventQueue`](crate::clock::EventQueue), and the statistics — and
-//! executes the recorded computation one chargeable action at a time.
+//! executes the recorded computation in the order of the event queue: one
+//! [`Step`](crate::clock::EvKind::Step) event per chargeable action,
+//! popped by `(time, push order)`.
+//!
+//! **Run-ahead.** The order is what is specified, not the queue traffic.
+//! After a core's access moves its clock to `t`, its next `Step` would be
+//! pushed at `t` with the largest sequence number so far. If the queue is
+//! empty or its earliest event is *strictly* later than `t`, that event
+//! would be the very next one popped, so the core keeps going in place —
+//! through the rest of the segment and into the item after it — without
+//! the push and the pop. Strictly: an event already queued for `t` itself
+//! was pushed earlier and must run first. The sequence of executed
+//! actions is therefore exactly the one the queue would have produced,
+//! and with it every statistic, trace event and random draw of a policy;
+//! only the sequence numbers of later pushes are smaller, and they are
+//! compared, never reported. With one core every access qualifies; with
+//! several, cores whose clocks are level take turns through the queue as
+//! before.
 //!
 //! *Who* steals *what* during a sweep is delegated to a
 //! [`StealPolicy`](crate::policy::StealPolicy): the engine exposes the
@@ -22,8 +39,6 @@ use crate::deque::TaskDeques;
 use crate::policy::StealPolicy;
 use crate::report::ExecReport;
 use crate::stacks::StackAllocator;
-
-use std::collections::HashSet;
 
 /// Where a core is within its current node's item list.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +86,9 @@ pub struct Engine<'a> {
     pri_of: Vec<u32>,
     // --- dynamic state ----------------------------------------------------
     cores: Vec<Core>,
+    /// How many of `cores` are [`CoreState::Idle`] (sweeps are wanted
+    /// only while this is non-zero).
+    idle_cores: usize,
     deques: TaskDeques,
     stacks: StackAllocator,
     frame_addr: Vec<Word>,
@@ -89,7 +107,9 @@ pub struct Engine<'a> {
     steals: u64,
     steals_by_pri: Vec<u64>,
     stolen_sizes: Vec<u64>,
-    failed_rounds: HashSet<(u32, u32)>,
+    /// Per priority, the thieves (bit `i` = core `i`; `p <= 64`) that sat
+    /// out a round at it — Cor 4.1 counts each such pair once.
+    failed_rounds: Vec<u64>,
     failed_probes: u64,
     usurpations: u64,
     heap_block_misses: u64,
@@ -134,6 +154,7 @@ impl<'a> Engine<'a> {
                     seg_miss: [0; 3],
                 })
                 .collect(),
+            idle_cores: cfg.p,
             deques: TaskDeques::new(cfg.p),
             stacks: StackAllocator::new(comp, cfg),
             frame_addr: vec![Word::MAX; n],
@@ -148,7 +169,7 @@ impl<'a> Engine<'a> {
             steals: 0,
             steals_by_pri: vec![0; comp.n_priorities as usize + 2],
             stolen_sizes: Vec::new(),
-            failed_rounds: HashSet::new(),
+            failed_rounds: vec![0; comp.n_priorities as usize + 2],
             failed_probes: 0,
             usurpations: 0,
             heap_block_misses: 0,
@@ -207,11 +228,15 @@ impl<'a> Engine<'a> {
 
     fn schedule_sweep(&mut self, time: u64) {
         // Only idle cores benefit from sweeps; dedupe by timestamp.
-        let wanted = self
-            .cores
-            .iter()
-            .any(|c| matches!(c.state, CoreState::Idle));
-        self.clock.schedule_sweep(time, wanted);
+        self.clock.schedule_sweep(time, self.idle_cores > 0);
+    }
+
+    /// Park `core` (blocked on a stolen sibling, or done).
+    fn go_idle(&mut self, core: usize) {
+        let c = &mut self.cores[core];
+        c.state = CoreState::Idle;
+        c.idle_since = c.time;
+        self.idle_cores += 1;
     }
 
     /// Push `node`'s frame in `region` and make `core` start executing it.
@@ -221,6 +246,9 @@ impl<'a> Engine<'a> {
         self.frame_addr[node.idx()] = fa;
         self.region_of[node.idx()] = region;
         self.executor_of[node.idx()] = core as u32;
+        if matches!(self.cores[core].state, CoreState::Idle) {
+            self.idle_cores -= 1;
+        }
         self.cores[core].cur_region = region;
         self.cores[core].state = CoreState::Run(Cursor {
             node,
@@ -250,65 +278,79 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute one chargeable action for `core`; zero-cost control steps
-    /// (node finish, join resolution) cascade within the same event.
+    /// Count one miss of `core` (heap block / stack block / stack plain;
+    /// plain heap misses are only in the machine's own counters).
+    fn note_miss(&mut self, core: usize, block_miss: bool, is_stack: bool) {
+        let (counter, slot) = match (block_miss, is_stack) {
+            (true, false) => (&mut self.heap_block_misses, 0),
+            (true, true) => (&mut self.stack_block_misses, 1),
+            (false, true) => (&mut self.stack_plain_misses, 2),
+            (false, false) => return,
+        };
+        *counter += 1;
+        if self.trace.is_some() {
+            self.cores[core].seg_miss[slot] += 1;
+        }
+    }
+
+    /// Advance `core` from its [`EvKind::Step`] event: zero-cost control
+    /// steps (node finish, join resolution) cascade, a fork is charged
+    /// and the core's next event queued, and a run of accesses is
+    /// executed for as long as this core's next event would be the very
+    /// next one popped anyway (see the module docs for why that changes
+    /// nothing).
     fn step(&mut self, core: usize) {
+        let comp = self.comp;
         loop {
             let cur = match self.cores[core].state {
                 CoreState::Idle => return,
                 CoreState::Run(c) => c,
             };
             let node = cur.node;
-            let items_len = self.comp.nodes[node.idx()].items.len();
-            if cur.item >= items_len {
+            let items = &comp.nodes[node.idx()].items;
+            if cur.item >= items.len() {
                 if self.finish_node(core, node) {
                     continue; // new state, keep cascading
                 }
                 return; // idle or done
             }
-            match self.comp.nodes[node.idx()].items[cur.item] {
+            match items[cur.item] {
                 Item::Seg(s) => {
-                    if cur.pos >= s.len() {
-                        self.cores[core].state = CoreState::Run(Cursor {
+                    let accesses = &comp.arena[s.start as usize..s.end as usize];
+                    let stack_base = self.stacks.stack_base();
+                    let t0 = self.cores[core].time;
+                    let (mut t, mut pos) = (t0, cur.pos as usize);
+                    let mut ran_ahead = true;
+                    while ran_ahead && pos < accesses.len() {
+                        let a = accesses[pos];
+                        let addr = self.resolve(a.target);
+                        let (out, cost) = self.ms.access_costed(core, addr, a.write);
+                        if out.is_miss() {
+                            self.note_miss(core, out.is_block_miss(), addr >= stack_base);
+                        }
+                        pos += 1;
+                        t += cost;
+                        ran_ahead = self.clock.runs_next(t);
+                    }
+                    self.executed += (pos - cur.pos as usize) as u64;
+                    let c = &mut self.cores[core];
+                    c.time = t;
+                    c.busy += t - t0;
+                    if ran_ahead {
+                        // Segment exhausted with nothing due before this
+                        // core's next event: go on to the next item.
+                        c.state = CoreState::Run(Cursor {
                             node,
                             item: cur.item + 1,
                             pos: 0,
                         });
                         continue;
                     }
-                    let a = self.comp.arena[(s.start + cur.pos) as usize];
-                    let addr = self.resolve(a.target);
-                    let (out, cost) = self.ms.access_costed(core, addr, a.write);
-                    let is_stack = addr >= self.stacks.stack_base();
-                    if out.is_miss() {
-                        if out.is_block_miss() {
-                            if is_stack {
-                                self.stack_block_misses += 1;
-                                if self.trace.is_some() {
-                                    self.cores[core].seg_miss[1] += 1;
-                                }
-                            } else {
-                                self.heap_block_misses += 1;
-                                if self.trace.is_some() {
-                                    self.cores[core].seg_miss[0] += 1;
-                                }
-                            }
-                        } else if is_stack {
-                            self.stack_plain_misses += 1;
-                            if self.trace.is_some() {
-                                self.cores[core].seg_miss[2] += 1;
-                            }
-                        }
-                    }
-                    self.executed += 1;
-                    self.cores[core].time += cost;
-                    self.cores[core].busy += cost;
-                    self.cores[core].state = CoreState::Run(Cursor {
+                    c.state = CoreState::Run(Cursor {
                         node,
                         item: cur.item,
-                        pos: cur.pos + 1,
+                        pos: pos as u32,
                     });
-                    let t = self.cores[core].time;
                     self.clock.push(t, EvKind::Step(core as u32));
                     return;
                 }
@@ -368,8 +410,7 @@ impl<'a> Engine<'a> {
         if node == self.comp.root {
             self.done = true;
             self.end_time = self.cores[core].time;
-            self.cores[core].state = CoreState::Idle;
-            self.cores[core].idle_since = self.cores[core].time;
+            self.go_idle(core);
             return false;
         }
         let (pnode, _pitem) = self.parent[node.idx()].expect("non-root has a parent");
@@ -389,8 +430,7 @@ impl<'a> Engine<'a> {
                 self.schedule_sweep(t);
                 return true;
             }
-            self.cores[core].state = CoreState::Idle;
-            self.cores[core].idle_since = self.cores[core].time;
+            self.go_idle(core);
             let t = self.cores[core].time;
             self.schedule_sweep(t);
             return false;
@@ -461,7 +501,12 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|c| makespan - c.busy - c.steal_overhead)
             .collect();
-        let steal_attempts = self.steals + self.failed_rounds.len() as u64 + self.failed_probes;
+        let failed_rounds: u64 = self
+            .failed_rounds
+            .iter()
+            .map(|thieves| thieves.count_ones() as u64)
+            .sum();
+        let steal_attempts = self.steals + failed_rounds + self.failed_probes;
         ExecReport {
             p: self.cfg.p,
             makespan,
@@ -587,11 +632,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Record that `thief` sat out a round at priority `pri` (deduplicated
-    /// per `(thief, pri)` pair — Cor 4.1's attempt accounting).
+    /// per `(thief, pri)` pair — Cor 4.1's attempt accounting). `pri` is
+    /// one of this computation's priorities, as [`Engine::head_pri`] and
+    /// [`Engine::pending_pri`] report them.
     pub fn note_failed_round(&mut self, thief: usize, pri: u32) {
         // Only a *newly* failed (thief, pri) pair emits a trace event, so
         // the traced attempt volume matches Cor 4.1's deduplicated count.
-        if self.failed_rounds.insert((thief as u32, pri)) && self.trace.is_some() {
+        let thieves = &mut self.failed_rounds[pri as usize];
+        let newly = *thieves & (1 << thief) == 0;
+        *thieves |= 1 << thief;
+        if newly && self.trace.is_some() {
             self.emit(thief, self.sweep_now, TrEv::StealFail);
         }
     }

@@ -222,13 +222,24 @@ impl Parser<'_> {
                     }
                     self.i += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar (multi-byte safe). Only its
+                    // own bytes are validated: checking the whole rest of
+                    // the document per character is quadratic, and a
+                    // Chrome-trace export runs to tens of megabytes.
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .b
+                        .get(self.i..self.i + len)
+                        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                        .ok_or("invalid UTF-8 in string")?;
+                    out.push_str(scalar);
+                    self.i += len;
                 }
             }
         }

@@ -251,3 +251,195 @@ fn makespan_never_exceeds_sequential() {
         );
     }
 }
+
+/// 64-bit FNV-1a of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The machines of the pinned-digest table, in column order: the default
+/// machine; one core; three cores with two frames each (an eviction on
+/// almost every miss); a small machine under a shared L2; the same under
+/// a partitioned L2.
+fn pinned_machines() -> [MachineConfig; 5] {
+    let small = MachineConfig::new(4, 1 << 8, 32);
+    [
+        MachineConfig::default_machine(),
+        MachineConfig::new(1, 1 << 14, 32),
+        MachineConfig::new(3, 64, 32),
+        small.with_l2(1 << 11, false),
+        small.with_l2(1 << 11, true),
+    ]
+}
+
+const PINNED_POLICIES: [Policy; 3] = [
+    Policy::Pws,
+    Policy::Rws { seed: 1 },
+    Policy::Bsp { prefix_levels: 3 },
+];
+
+/// Digests of the full `ExecReport` (`{:?}`: per-core stats, `busy`,
+/// `idle`, `steal_overhead`, `stolen_sizes`, `steals_by_priority`,
+/// `usurpations`, ...) of every registry row at `small_n`, build seed 7:
+/// `PINNED_REPORTS[row].1[machine][policy]`, machines as in
+/// `pinned_machines`, policies as in `PINNED_POLICIES`. Computed on the
+/// tree *before* the simulator's LRU, block directory and event loop were
+/// rewritten for speed; a change to the simulator that moves one bit of
+/// one report on one of these 210 configurations fails here.
+#[rustfmt::skip]
+const PINNED_REPORTS: [(&str, [[u64; 3]; 5]); 14] = [
+    ("Scans (M-Sum)", [
+        [0x3a2076080bd4c35f, 0x768119ee12ebe36f, 0xfa865703d16d15bc],
+        [0x2ebe2b81119a9eea, 0x2ebe2b81119a9eea, 0x2ebe2b81119a9eea],
+        [0x50c59300fc211756, 0x4f91956ac2c53b58, 0x30e6dc1faf46c437],
+        [0x5be0ed79213fa0b1, 0xe6e46b2e29bff4d2, 0x3ce63cd6be938540],
+        [0x234f155e31481ff4, 0x957b577d9d428aa2, 0x30565b4d320c6160],
+    ]),
+    ("Scans (PS)", [
+        [0x983e9a7a83de6e24, 0xf6cd218b5f7a3653, 0xbe82e3e9aee782ec],
+        [0xe987896f530a53c0, 0xe987896f530a53c0, 0xe987896f530a53c0],
+        [0xc8abdbedbbb41ebe, 0x850ad98b9b5a25ba, 0x7fe3f5c1a587cd20],
+        [0x7fc366fa676285ac, 0x71f66474c22f1682, 0x7cf2bcc442e0ed26],
+        [0x5009aaaa499b7119, 0x6325606d377ff734, 0x553be389b8ab9418],
+    ]),
+    ("MT", [
+        [0xe7a20385da5fbf69, 0xe61a18bbe757db58, 0x7e4882f931f13989],
+        [0x9d4f3400a359f8dd, 0x9d4f3400a359f8dd, 0x9d4f3400a359f8dd],
+        [0x736e9b898635dba8, 0xd5dd799d33cd2e83, 0x71f4d85e764d55b1],
+        [0x9ea042e6000bb856, 0x9c541ca6d4b06394, 0x100099a2dc7d3fdc],
+        [0x8a19b153cc78b4d1, 0xe925cab6e6720a32, 0xa5ad9e7092caea6a],
+    ]),
+    ("Strassen", [
+        [0xed04ce25c4d30af6, 0x13f2b845e1f560b0, 0x8fb5893981eaf9eb],
+        [0x54e5dcd2e03a7a1b, 0x54e5dcd2e03a7a1b, 0x54e5dcd2e03a7a1b],
+        [0x60f5859d95533899, 0xdf1bade54cfd737c, 0x1abedd8e6ee331ec],
+        [0xde50033e013782e9, 0xf25f91cae85d9208, 0x885bb11abd96ae17],
+        [0x42395060a216155e, 0x487752cfa672720a, 0x4d80a55e9a1a97d4],
+    ]),
+    ("RM to BI", [
+        [0x1ea61808c87d3da3, 0x219ba691a01881ea, 0xa8188218c48e90a1],
+        [0x536d0130ea3fc2ad, 0x536d0130ea3fc2ad, 0x536d0130ea3fc2ad],
+        [0xa534ac014149354b, 0x97ba06c690ac188f, 0x0c156f9b655f5993],
+        [0x1794e31cbbdfdc7d, 0x9e8a4b752613633b, 0xcaf07a878886db8b],
+        [0xb419e80b888dbb55, 0x8978012bd83bb152, 0x8b8f3f93a0b73734],
+    ]),
+    ("Direct BI to RM", [
+        [0x53babbcff33ac5e7, 0x7525c99dc465751d, 0x69f34aa8f567f83e],
+        [0x536d0130ea3fc2ad, 0x536d0130ea3fc2ad, 0x536d0130ea3fc2ad],
+        [0x82fb9e6b3e7107ff, 0x888e3e5fbeae6d19, 0x0307b86ada08fa12],
+        [0x92a84a1e6eaa3f7e, 0xa76da5bba5e7fe82, 0x0df7cd9facd6914f],
+        [0x642f940bd2e22110, 0x49283b0762cd4c87, 0xbe91cfe19b938020],
+    ]),
+    ("BI-RM (gap RM)", [
+        [0x3c2a3b213a49927d, 0x9004ef6a84df4e3f, 0xe6607f098387edcb],
+        [0x2b6232542b708695, 0x2b6232542b708695, 0x2b6232542b708695],
+        [0x9dfefee5840c4b90, 0x4e78d792f3605937, 0x57bbd86da9bf876e],
+        [0xdebb62fc2e500b51, 0x5e7cfc993dada814, 0xd22abe18925715bf],
+        [0x7bfd2c718fd0764f, 0xb0132da73bb5f74d, 0x1d9087ac4b51f533],
+    ]),
+    ("BI-RM for FFT", [
+        [0x802e0725ca14759b, 0x141dd28617ee9569, 0xd849db2bf4556f90],
+        [0x9c7bed9263b6ec6b, 0x9c7bed9263b6ec6b, 0x9c7bed9263b6ec6b],
+        [0xa709f7cc39b8fa48, 0x5878e20680b69d5d, 0x5beef8c6c6bfcaee],
+        [0x416c5065515dc432, 0xdff8f4e33d91af34, 0x106d4fea07bfaba8],
+        [0x3c7f15f1b6f9b397, 0x36181332d38ecc7f, 0xa5d75fc788499cd2],
+    ]),
+    ("FFT", [
+        [0x863dca01ef54cac7, 0x08bdf8d9af905c5d, 0x6e1ba15963b8a14f],
+        [0x187dedfe8db74eaa, 0x187dedfe8db74eaa, 0x187dedfe8db74eaa],
+        [0x532fff0cb643a953, 0x72f4fb995ba54c30, 0x06ab9ca79a7c6c2c],
+        [0xc0e0a9939c42fe6f, 0x792b43d59d4a34b3, 0x4ae9e42c6ba791ce],
+        [0xe8b95e6ca9afe6b2, 0x6f910872927166de, 0xd563d4ab6d01c7cf],
+    ]),
+    ("LR", [
+        [0x0d0a8ecd8e0a5098, 0xe36ae815c420eeec, 0xd197907cdc73c899],
+        [0xb8f307383df82d57, 0xb8f307383df82d57, 0xb8f307383df82d57],
+        [0xe52306f75f31c7ac, 0xee48666051a7933f, 0xedbda2bd0b43f970],
+        [0x1ab568c63592ccc7, 0xc60126b8b28c9af6, 0x973192a595f0373a],
+        [0x7663be654309839f, 0xaae0b20bd5de63f1, 0x7b03289df4db2ffe],
+    ]),
+    ("CC", [
+        [0x28c802540a51f90e, 0x7b713f3e1a6fa286, 0x7ca8cd83c485e135],
+        [0x5a097b92ce6b3b69, 0x5a097b92ce6b3b69, 0x5a097b92ce6b3b69],
+        [0xe0a878600c2cac39, 0x8b09424773d42c75, 0x98d055fd8d99d5eb],
+        [0xdb4d91e8f5dcd158, 0x47aac0d78a4b4dc8, 0x2a1aa3cf201b3a07],
+        [0xf64bbbc3985e1e4c, 0x9f30947bd820f6d3, 0x8d56f083a0399fb0],
+    ]),
+    ("Depth-n-MM", [
+        [0xbf02ef37f287bd65, 0x4bc277e35839345e, 0x1e19514afe4efbe1],
+        [0x954cdf7651772449, 0x954cdf7651772449, 0x954cdf7651772449],
+        [0xccfcb36d9e2bcf6b, 0xc54a68942fdfb56c, 0xe5198c1bae4a3695],
+        [0x6d21d7a2cee37d8b, 0x89c1bf8ada11f7f1, 0xf22680c494ac30da],
+        [0xfe0eab08aa303ebf, 0xd721a20de4604340, 0xa28bb878bfc54ef4],
+    ]),
+    ("Sort (SPMS)", [
+        [0xc91f18e52a241486, 0xa4bd9f864c111b24, 0x75276aa75101ff64],
+        [0xced1bb1ae9238c42, 0xced1bb1ae9238c42, 0xced1bb1ae9238c42],
+        [0x3eeeb7f5e8b934ba, 0x21f81fbfe56bef41, 0xae543f6f08430746],
+        [0x7f7768a2c4df0ba0, 0x17b3f34280a4b4f8, 0x907fe12ee70bc7ba],
+        [0x99e23048e2d1aa4b, 0x8ab6f5be7fa0c85b, 0xa2fe2cf86c74cdcb],
+    ]),
+    ("Sort (merge std-in)", [
+        [0x562d0e85c09bb543, 0x214ad67d94174a1b, 0x07a006127e47fe17],
+        [0x229ceca93af0db72, 0x229ceca93af0db72, 0x229ceca93af0db72],
+        [0xe078c77b3cc74c3a, 0xaefe80d20569eb4a, 0xd2e36fb5e8093fc8],
+        [0x6309663136af78e9, 0xa06e884918ff9020, 0x37f2102213dfb278],
+        [0x534104670d814dfd, 0x5b4b8def4dd3a2ab, 0xf030b0d7f273067b],
+    ]),
+];
+
+/// Digests of the collected `run_traced` event stream (`{:?}` of every
+/// `TraceEvent`: `seq`, `t`, worker, kind) under PWS on the default
+/// machine, from the same tree as `PINNED_REPORTS`.
+const PINNED_TRACES: [(&str, u64); 2] = [
+    ("Sort (SPMS)", 0x2f6e_c75d_54f4_2320),
+    ("LR", 0x3326_376b_ed3a_eacd),
+];
+
+/// The simulator's results are pinned bit for bit beyond what the
+/// benchmark's golden visits (p = 8, flat, PWS/RWS, eleven counters per
+/// row): see `PINNED_REPORTS` / `PINNED_TRACES`.
+#[test]
+fn reports_and_traces_match_the_pinned_digests() {
+    let machines = pinned_machines();
+    let actual: Vec<(&str, [[u64; 3]; 5])> = registry()
+        .iter()
+        .map(|spec| {
+            let comp = (spec.build)(small_n(spec), BuildConfig::default(), 7);
+            let row = machines.map(|cfg| {
+                PINNED_POLICIES.map(|policy| fnv1a(&format!("{:?}", run(&comp, cfg, policy))))
+            });
+            (spec.name, row)
+        })
+        .collect();
+    assert!(
+        actual == PINNED_REPORTS,
+        "ExecReport digests moved; the table now reads:\n{}",
+        actual
+            .iter()
+            .map(|(name, row)| {
+                let cols: Vec<String> = row
+                    .iter()
+                    .map(|m| format!("[{:#018x}, {:#018x}, {:#018x}]", m[0], m[1], m[2]))
+                    .collect();
+                format!(
+                    "    ({name:?}, [\n        {},\n    ]),\n",
+                    cols.join(",\n        ")
+                )
+            })
+            .collect::<String>()
+    );
+    for (name, want) in PINNED_TRACES {
+        let spec = lookup(name);
+        let comp = (spec.build)(small_n(spec), BuildConfig::default(), 7);
+        let cfg = MachineConfig::default_machine();
+        let sink = TraceSink::new(cfg.p, ClockDomain::Virtual);
+        run_traced(&comp, cfg, Policy::Pws, &sink);
+        let trace = sink.collect();
+        assert_eq!(trace.dropped, 0, "{name}: the trace must be complete");
+        let got = fnv1a(&format!("{:?}", trace.events));
+        assert_eq!(got, want, "{name}: trace digest is {got:#x}");
+    }
+}
