@@ -14,7 +14,7 @@ use crate::comp::{Computation, Item, NodeId, Target};
 pub fn span(comp: &Computation) -> u64 {
     fn rec(comp: &Computation, node: NodeId) -> u64 {
         let mut total = 0u64;
-        for it in &comp.nodes[node.idx()].items {
+        for it in comp.items_of(node) {
             match *it {
                 Item::Seg(s) => total += s.len() as u64,
                 Item::Fork { left, right, .. } => {
@@ -31,7 +31,7 @@ pub fn span(comp: &Computation) -> u64 {
 pub fn fork_depth(comp: &Computation) -> u32 {
     fn rec(comp: &Computation, node: NodeId) -> u32 {
         let mut total = 0;
-        for it in &comp.nodes[node.idx()].items {
+        for it in comp.items_of(node) {
             if let Item::Fork { left, right, .. } = *it {
                 total += 1 + rec(comp, left).max(rec(comp, right));
             }
@@ -84,10 +84,10 @@ pub fn write_counts(comp: &Computation) -> (u32, u32) {
     let mut glob: HashMap<Word, u32> = HashMap::new();
     let mut loc: HashMap<(NodeId, u32), u32> = HashMap::new();
     for a in &comp.arena {
-        if !a.write {
+        if !a.write() {
             continue;
         }
-        match a.target {
+        match a.target() {
             Target::Global(w) => *glob.entry(w).or_insert(0) += 1,
             Target::Local { node, off } => *loc.entry((node, off)).or_insert(0) += 1,
         }
@@ -126,11 +126,11 @@ pub fn f_estimate(comp: &Computation, block_words: u64) -> Vec<FRow> {
     ) -> (Vec<u64>, u64) {
         let mut blocks: Vec<u64> = Vec::new();
         let mut acc = 0u64;
-        for it in &comp.nodes[node.idx()].items {
+        for it in comp.items_of(node) {
             match *it {
                 Item::Seg(s) => {
                     for a in &comp.arena[s.start as usize..s.end as usize] {
-                        if let Target::Global(w) = a.target {
+                        if let Target::Global(w) = a.target() {
                             blocks.push(w / block_words);
                         }
                         acc += 1;
@@ -186,12 +186,12 @@ pub fn l_estimate(comp: &Computation, block_words: u64) -> Vec<LRow> {
     ) -> (HashSet<u64>, HashSet<u64>) {
         let mut reads = HashSet::new();
         let mut writes = HashSet::new();
-        for it in &comp.nodes[node.idx()].items {
+        for it in comp.items_of(node) {
             match *it {
                 Item::Seg(s) => {
                     for a in &comp.arena[s.start as usize..s.end as usize] {
-                        if let Target::Global(w) = a.target {
-                            if a.write {
+                        if let Target::Global(w) = a.target() {
+                            if a.write() {
                                 writes.insert(w / bw);
                             } else {
                                 reads.insert(w / bw);

@@ -102,10 +102,19 @@ impl<T: Wordable> GArray<T> {
     }
 }
 
+/// Where a local's frame is: the declaring node and how deep that node
+/// sits on the builder's stack of open nodes. The depth finds the frame's
+/// build-time values in O(1) and tells a closed node from an open one.
+#[derive(Debug, Clone, Copy)]
+struct FrameRef {
+    node: NodeId,
+    depth: u32,
+}
+
 /// A typed local (execution-stack) variable of some task node.
 #[derive(Debug)]
 pub struct Local<T: Wordable> {
-    node: NodeId,
+    frame: FrameRef,
     off: u32,
     _t: PhantomData<T>,
 }
@@ -123,7 +132,7 @@ impl<T: Wordable> Copy for Local<T> {}
 /// Def 3.6).
 #[derive(Debug)]
 pub struct LArray<T: Wordable> {
-    node: NodeId,
+    frame: FrameRef,
     off: u32,
     len: usize,
     _t: PhantomData<T>,
@@ -155,20 +164,39 @@ struct AccessCounts {
     touches: HashMap<Word, u32>,
 }
 
+/// An open task node: where its body starts on the builder's `pending`
+/// stack and its frame on the `frames` stack.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    node: NodeId,
+    body: usize,
+    frame: usize,
+}
+
 /// Records an algorithm's execution as a [`Computation`].
 ///
 /// The builder maintains a stack of *open* task nodes; accesses are appended
 /// to the innermost one. [`Builder::fork`] closes the current access segment,
 /// builds the two children, and records the fork.
+///
+/// Two more stacks run in step with it, so a build allocates per fork
+/// *depth*, not per node. `pending` holds the bodies of the open nodes,
+/// outermost first; when a node closes, its body — the top of `pending` —
+/// moves into [`Computation::items`] as one contiguous range (children
+/// close before their parent, so no range is ever split). `frames` holds
+/// the build-time values of the open nodes' locals the same way; a node
+/// declares locals only while it is innermost, so its frame grows at the
+/// top, and the slots go when the node closes — after which its locals
+/// are dead and using one panics.
 pub struct Builder {
     cfg: BuildConfig,
-    nodes: Vec<TNode>,
-    arena: Vec<Access>,
-    /// Build-time value store for each node's frame.
-    frames: Vec<Vec<u64>>,
-    heap: Vec<u64>,
+    /// The recording so far (`heap_words` and the priorities are filled
+    /// in by [`Builder::build`]).
+    comp: Computation,
+    pending: Vec<Item>,
+    frames: Vec<u64>,
     alloc: BlockAllocator,
-    open: Vec<NodeId>,
+    open: Vec<Open>,
     seg_start: u32,
     counts: Option<AccessCounts>,
 }
@@ -177,10 +205,18 @@ impl Builder {
     fn new(cfg: BuildConfig) -> Self {
         Self {
             cfg,
-            nodes: Vec::new(),
-            arena: Vec::new(),
+            comp: Computation {
+                nodes: Vec::new(),
+                items: Vec::new(),
+                arena: Vec::new(),
+                root: NodeId(0),
+                heap_words: 0,
+                block_words: cfg.block_words,
+                n_priorities: 0,
+                heap: Vec::new(),
+            },
+            pending: Vec::new(),
             frames: Vec::new(),
-            heap: Vec::new(),
             alloc: BlockAllocator::new(cfg.block_words),
             open: Vec::new(),
             seg_start: 0,
@@ -192,59 +228,65 @@ impl Builder {
     /// `root_size`, runs `f`, assigns priorities, and returns the result.
     pub fn build(cfg: BuildConfig, root_size: u64, f: impl FnOnce(&mut Builder)) -> Computation {
         let mut b = Builder::new(cfg);
-        let root = b.push_node(root_size);
-        b.open.push(root);
-        b.seg_start = 0;
-        f(&mut b);
-        b.flush_seg();
-        b.open.pop();
+        b.comp.root = b.build_node(root_size, NodeId::NONE, f);
         assert!(b.open.is_empty(), "unbalanced node stack at end of build");
-        let mut comp = Computation {
-            nodes: b.nodes,
-            arena: b.arena,
-            root,
-            heap_words: b.alloc.watermark(),
-            block_words: cfg.block_words,
-            n_priorities: 0,
-            heap: b.heap,
-        };
+        let mut comp = b.comp;
+        comp.heap_words = b.alloc.watermark();
         assign_priorities(&mut comp);
         comp
     }
 
-    fn push_node(&mut self, size: u64) -> NodeId {
+    /// Open a node of declared size `size` under `parent`, run `f` inside
+    /// it, and close it: its body leaves `pending` for the item arena and
+    /// its frame values leave `frames`.
+    fn build_node(&mut self, size: u64, parent: NodeId, f: impl FnOnce(&mut Builder)) -> NodeId {
         assert!(size >= 1, "task size must be a positive integer (Def 3.2)");
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(self.comp.nodes.len() as u32);
         let pad = if self.cfg.padded {
             (size as f64).sqrt().ceil() as u32
         } else {
             0
         };
-        self.nodes.push(TNode {
+        self.comp.nodes.push(TNode {
             size,
-            items: Vec::new(),
+            first_item: 0,
+            n_items: 0,
             frame_words: 0,
             pad_words: pad,
+            parent,
+            priority: 0,
         });
-        self.frames.push(Vec::new());
+        self.open.push(Open {
+            node: id,
+            body: self.pending.len(),
+            frame: self.frames.len(),
+        });
+        self.seg_start = self.comp.arena.len() as u32;
+        f(self);
+        self.flush_seg();
+        let o = self.open.pop().expect("the node opened above");
+        let tn = &mut self.comp.nodes[id.idx()];
+        tn.first_item = self.comp.items.len() as u32;
+        tn.n_items = (self.pending.len() - o.body) as u32;
+        self.comp.items.extend_from_slice(&self.pending[o.body..]);
+        self.pending.truncate(o.body);
+        self.frames.truncate(o.frame);
         id
     }
 
     fn cur(&self) -> NodeId {
-        *self.open.last().expect("an open node")
+        self.open.last().expect("an open node").node
     }
 
     fn flush_seg(&mut self) {
-        let end = self.arena.len() as u32;
+        let end = self.comp.arena.len() as u32;
         if end > self.seg_start {
-            let seg = Segment {
+            self.pending.push(Item::Seg(Segment {
                 start: self.seg_start,
                 end,
-            };
-            let cur = self.cur();
-            self.nodes[cur.idx()].items.push(Item::Seg(seg));
+            }));
         }
-        self.seg_start = self.arena.len() as u32;
+        self.seg_start = end;
     }
 
     /// Fork two child tasks of declared sizes `lsize` / `rsize`, built by
@@ -257,15 +299,14 @@ impl Builder {
         rf: impl FnOnce(&mut Builder),
     ) {
         self.flush_seg();
-        let left = self.build_child(lsize, lf);
-        let right = self.build_child(rsize, rf);
         let cur = self.cur();
-        self.nodes[cur.idx()].items.push(Item::Fork {
+        let left = self.build_node(lsize, cur, lf);
+        let right = self.build_node(rsize, cur, rf);
+        self.pending.push(Item::Fork {
             left,
             right,
             priority: 0,
         });
-        self.seg_start = self.arena.len() as u32;
     }
 
     /// Like [`Builder::fork`], but with a single closure invoked twice —
@@ -273,25 +314,14 @@ impl Builder {
     /// when both children share captured mutable state.
     pub fn fork_with(&mut self, lsize: u64, rsize: u64, mut f: impl FnMut(&mut Builder, bool)) {
         self.flush_seg();
-        let left = self.build_child(lsize, |b| f(b, false));
-        let right = self.build_child(rsize, |b| f(b, true));
         let cur = self.cur();
-        self.nodes[cur.idx()].items.push(Item::Fork {
+        let left = self.build_node(lsize, cur, |b| f(b, false));
+        let right = self.build_node(rsize, cur, |b| f(b, true));
+        self.pending.push(Item::Fork {
             left,
             right,
             priority: 0,
         });
-        self.seg_start = self.arena.len() as u32;
-    }
-
-    fn build_child(&mut self, size: u64, f: impl FnOnce(&mut Builder)) -> NodeId {
-        let id = self.push_node(size);
-        self.open.push(id);
-        self.seg_start = self.arena.len() as u32;
-        f(self);
-        self.flush_seg();
-        self.open.pop();
-        id
     }
 
     // ---- global arrays ------------------------------------------------
@@ -301,8 +331,8 @@ impl Builder {
         let words = (len * T::WORDS) as u64;
         let base = self.alloc.alloc(words);
         let end = (base + words.max(1)) as usize;
-        if self.heap.len() < end {
-            self.heap.resize(end, 0);
+        if self.comp.heap.len() < end {
+            self.comp.heap.resize(end, 0);
         }
         GArray {
             base,
@@ -325,17 +355,17 @@ impl Builder {
     /// and test scaffolding only.
     pub fn poke<T: Wordable>(&mut self, a: GArray<T>, i: usize, v: T) {
         let addr = a.addr(i) as usize;
-        v.to_words(&mut self.heap[addr..addr + T::WORDS]);
+        v.to_words(&mut self.comp.heap[addr..addr + T::WORDS]);
     }
 
     /// Read `a[i]` silently (no access recorded). For oracles/tests.
     pub fn peek<T: Wordable>(&self, a: GArray<T>, i: usize) -> T {
         let addr = a.addr(i) as usize;
-        T::from_words(&self.heap[addr..addr + T::WORDS])
+        T::from_words(&self.comp.heap[addr..addr + T::WORDS])
     }
 
     fn record(&mut self, target: Target, write: bool) {
-        self.arena.push(Access { target, write });
+        self.comp.arena.push(Access::new(target, write));
         if let Some(c) = &mut self.counts {
             if let Target::Global(w) = target {
                 *c.touches.entry(w).or_insert(0) += 1;
@@ -352,7 +382,7 @@ impl Builder {
         for w in 0..T::WORDS {
             self.record(Target::Global(addr + w as Word), false);
         }
-        T::from_words(&self.heap[addr as usize..addr as usize + T::WORDS])
+        T::from_words(&self.comp.heap[addr as usize..addr as usize + T::WORDS])
     }
 
     /// Write `a[i] = v`, recording one access per word.
@@ -361,45 +391,83 @@ impl Builder {
         for w in 0..T::WORDS {
             self.record(Target::Global(addr + w as Word), true);
         }
-        v.to_words(&mut self.heap[addr as usize..addr as usize + T::WORDS]);
+        v.to_words(&mut self.comp.heap[addr as usize..addr as usize + T::WORDS]);
     }
 
     /// Read a raw global word address (layout algorithms use this).
     pub fn read_addr(&mut self, addr: Word) -> u64 {
         self.record(Target::Global(addr), false);
-        self.heap[addr as usize]
+        self.comp.heap[addr as usize]
     }
 
     /// Write a raw global word address.
     pub fn write_addr(&mut self, addr: Word, v: u64) {
         self.record(Target::Global(addr), true);
-        if self.heap.len() <= addr as usize {
-            self.heap.resize(addr as usize + 1, 0);
+        if self.comp.heap.len() <= addr as usize {
+            self.comp.heap.resize(addr as usize + 1, 0);
         }
-        self.heap[addr as usize] = v;
+        self.comp.heap[addr as usize] = v;
     }
 
     // ---- execution-stack locals ---------------------------------------
 
+    /// Grow the current node's frame by `words` zeroed words; returns the
+    /// frame and the offset of the first new word.
+    fn grow_frame(&mut self, words: usize) -> (FrameRef, u32) {
+        let depth = self.open.len() - 1;
+        let o = self.open[depth];
+        let tn = &mut self.comp.nodes[o.node.idx()];
+        let off = tn.frame_words;
+        tn.frame_words += words as u32;
+        // The innermost node's frame is the top of the value stack.
+        debug_assert_eq!(self.frames.len(), o.frame + off as usize);
+        self.frames.resize(o.frame + tn.frame_words as usize, 0);
+        let frame = FrameRef {
+            node: o.node,
+            depth: depth as u32,
+        };
+        (frame, off)
+    }
+
+    /// Index in `frames` of word `off` of `frame`. The node must still be
+    /// open: a closed node's frame is gone, here as at run time.
+    fn frame_slot(&self, frame: FrameRef, off: u32) -> usize {
+        match self.open.get(frame.depth as usize) {
+            Some(o) if o.node == frame.node => o.frame + off as usize,
+            _ => panic!(
+                "local of {:?} used after the node closed (dead frame)",
+                frame.node
+            ),
+        }
+    }
+
+    /// Record one access per word of a `T` at `off` in `frame`; returns
+    /// where its build-time value lives in `frames`.
+    fn access_local<T: Wordable>(&mut self, frame: FrameRef, off: u32, write: bool) -> usize {
+        let at = self.frame_slot(frame, off);
+        for w in 0..T::WORDS {
+            let target = Target::Local {
+                node: frame.node,
+                off: off + w as u32,
+            };
+            self.record(target, write);
+        }
+        at
+    }
+
     /// Declare a local variable on the current node's frame, initialized to
     /// `v` (the initializing write is recorded: task heads do O(1) work).
     pub fn local<T: Wordable>(&mut self, v: T) -> Local<T> {
-        let node = self.cur();
         let l = self.local_uninit::<T>();
         self.wloc(l, v);
-        debug_assert_eq!(l.node, node);
         l
     }
 
     /// Declare a local without initializing (no access recorded).
     pub fn local_uninit<T: Wordable>(&mut self) -> Local<T> {
-        let node = self.cur();
-        let tn = &mut self.nodes[node.idx()];
-        let off = tn.frame_words;
-        tn.frame_words += T::WORDS as u32;
-        self.frames[node.idx()].resize(tn.frame_words as usize, 0);
+        let (frame, off) = self.grow_frame(T::WORDS);
         Local {
-            node,
+            frame,
             off,
             _t: PhantomData,
         }
@@ -409,13 +477,9 @@ impl Builder {
     /// (allocation itself records no accesses, like a real stack pointer
     /// bump).
     pub fn local_array<T: Wordable>(&mut self, len: usize) -> LArray<T> {
-        let node = self.cur();
-        let tn = &mut self.nodes[node.idx()];
-        let off = tn.frame_words;
-        tn.frame_words += (len * T::WORDS) as u32;
-        self.frames[node.idx()].resize(tn.frame_words as usize, 0);
+        let (frame, off) = self.grow_frame(len * T::WORDS);
         LArray {
-            node,
+            frame,
             off,
             len,
             _t: PhantomData,
@@ -424,32 +488,14 @@ impl Builder {
 
     /// Read a local variable (possibly of an ancestor node).
     pub fn rloc<T: Wordable>(&mut self, l: Local<T>) -> T {
-        for w in 0..T::WORDS {
-            self.record(
-                Target::Local {
-                    node: l.node,
-                    off: l.off + w as u32,
-                },
-                false,
-            );
-        }
-        let f = &self.frames[l.node.idx()];
-        T::from_words(&f[l.off as usize..l.off as usize + T::WORDS])
+        let at = self.access_local::<T>(l.frame, l.off, false);
+        T::from_words(&self.frames[at..at + T::WORDS])
     }
 
     /// Write a local variable (possibly of an ancestor node).
     pub fn wloc<T: Wordable>(&mut self, l: Local<T>, v: T) {
-        for w in 0..T::WORDS {
-            self.record(
-                Target::Local {
-                    node: l.node,
-                    off: l.off + w as u32,
-                },
-                true,
-            );
-        }
-        let f = &mut self.frames[l.node.idx()];
-        v.to_words(&mut f[l.off as usize..l.off as usize + T::WORDS]);
+        let at = self.access_local::<T>(l.frame, l.off, true);
+        v.to_words(&mut self.frames[at..at + T::WORDS]);
     }
 
     /// Read element `i` of a local array silently (no access recorded).
@@ -457,43 +503,22 @@ impl Builder {
     /// mirror of [`Builder::peek`] for stack arrays.
     pub fn peek_arr<T: Wordable>(&self, a: LArray<T>, i: usize) -> T {
         debug_assert!(i < a.len);
-        let base = (a.off + (i * T::WORDS) as u32) as usize;
-        let f = &self.frames[a.node.idx()];
-        T::from_words(&f[base..base + T::WORDS])
+        let at = self.frame_slot(a.frame, a.off + (i * T::WORDS) as u32);
+        T::from_words(&self.frames[at..at + T::WORDS])
     }
 
     /// Read element `i` of a local array.
     pub fn rarr<T: Wordable>(&mut self, a: LArray<T>, i: usize) -> T {
         debug_assert!(i < a.len);
-        let base = a.off + (i * T::WORDS) as u32;
-        for w in 0..T::WORDS {
-            self.record(
-                Target::Local {
-                    node: a.node,
-                    off: base + w as u32,
-                },
-                false,
-            );
-        }
-        let f = &self.frames[a.node.idx()];
-        T::from_words(&f[base as usize..base as usize + T::WORDS])
+        let at = self.access_local::<T>(a.frame, a.off + (i * T::WORDS) as u32, false);
+        T::from_words(&self.frames[at..at + T::WORDS])
     }
 
     /// Write element `i` of a local array.
     pub fn warr<T: Wordable>(&mut self, a: LArray<T>, i: usize, v: T) {
         debug_assert!(i < a.len);
-        let base = a.off + (i * T::WORDS) as u32;
-        for w in 0..T::WORDS {
-            self.record(
-                Target::Local {
-                    node: a.node,
-                    off: base + w as u32,
-                },
-                true,
-            );
-        }
-        let f = &mut self.frames[a.node.idx()];
-        v.to_words(&mut f[base as usize..base as usize + T::WORDS]);
+        let at = self.access_local::<T>(a.frame, a.off + (i * T::WORDS) as u32, true);
+        v.to_words(&mut self.frames[at..at + T::WORDS]);
     }
 
     /// The block size (in words) the system allocator aligns to — machine
@@ -631,8 +656,7 @@ mod tests {
         // For each fork, every fork inside the children must have a smaller
         // priority.
         fn max_child_pri(c: &Computation, node: NodeId) -> Option<u32> {
-            c.nodes[node.idx()]
-                .items
+            c.items_of(node)
                 .iter()
                 .filter_map(|it| match *it {
                     Item::Fork {
@@ -757,6 +781,37 @@ mod tests {
         });
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         assert_eq!(comp.forks().count(), 9);
+    }
+
+    /// A closed node's frame is gone: a local smuggled out of the left
+    /// child and read by the right one — which sits at the left's depth
+    /// by then — is a dead-frame access, loud at build time (before, the
+    /// stale build-time value was returned and only a debug replay
+    /// noticed).
+    #[test]
+    #[should_panic(expected = "used after the node closed (dead frame)")]
+    fn a_closed_nodes_local_is_dead() {
+        Builder::build(BuildConfig::default(), 2, |b| {
+            let mut smuggled = None;
+            b.fork_with(1, 1, |b, right| {
+                if right {
+                    b.rloc(smuggled.expect("the left child ran first"));
+                } else {
+                    smuggled = Some(b.local(7u64));
+                }
+            });
+        });
+    }
+
+    /// The same for the silent array peek, once the fork is over.
+    #[test]
+    #[should_panic(expected = "used after the node closed (dead frame)")]
+    fn a_closed_nodes_array_cannot_be_peeked() {
+        Builder::build(BuildConfig::default(), 2, |b| {
+            let mut smuggled = None;
+            b.fork(1, 1, |b| smuggled = Some(b.local_array::<u64>(2)), |_| {});
+            b.peek_arr(smuggled.expect("the left child ran"), 0);
+        });
     }
 
     #[test]

@@ -14,58 +14,54 @@
 
 use crate::comp::{Computation, Item, NodeId};
 
-/// Number of priority levels needed below `node` (its "priority depth").
-fn priority_depth(comp: &Computation, memo: &mut [u32], node: NodeId) -> u32 {
-    let cached = memo[node.idx()];
-    if cached != u32::MAX {
-        return cached;
-    }
-    let mut cur = 0u32;
-    // Collect child pairs first to appease the borrow checker.
-    let forks: Vec<(NodeId, NodeId)> = comp.nodes[node.idx()]
-        .items
-        .iter()
-        .filter_map(|it| match *it {
-            Item::Fork { left, right, .. } => Some((left, right)),
-            _ => None,
-        })
-        .collect();
-    for (l, r) in forks {
-        let dl = priority_depth(comp, memo, l);
-        let dr = priority_depth(comp, memo, r);
-        cur += 1 + dl.max(dr);
-    }
-    memo[node.idx()] = cur;
-    cur
-}
-
-fn assign(comp: &mut Computation, memo: &[u32], node: NodeId, top: u32) {
-    let mut cur = top;
-    let n_items = comp.nodes[node.idx()].items.len();
-    for ii in 0..n_items {
-        let (l, r) = match comp.nodes[node.idx()].items[ii] {
-            Item::Fork { left, right, .. } => (left, right),
-            _ => continue,
-        };
-        let band = 1 + memo[l.idx()].max(memo[r.idx()]);
-        debug_assert!(cur >= band, "priority band underflow");
-        let pri = cur;
-        if let Item::Fork { priority, .. } = &mut comp.nodes[node.idx()].items[ii] {
-            *priority = pri;
-        }
-        assign(comp, memo, l, pri - 1);
-        assign(comp, memo, r, pri - 1);
-        cur -= band;
-    }
-}
-
-/// Assign priorities to every fork of `comp` and set
-/// [`Computation::n_priorities`] to the number of distinct levels `D'`.
+/// Assign priorities to every fork of `comp` and to the two tasks it
+/// creates ([`crate::comp::TNode::priority`]; the root gets `D' + 1`), and
+/// set [`Computation::n_priorities`] to the number of distinct levels `D'`.
+///
+/// Two passes over the node table, no recursion: a node's id is smaller
+/// than its children's, so descending id order visits children first
+/// (for the priority depths) and ascending order visits parents first
+/// (for the bands).
 pub fn assign_priorities(comp: &mut Computation) {
-    let mut memo = vec![u32::MAX; comp.nodes.len()];
-    let d = priority_depth(comp, &mut memo, comp.root);
-    assign(comp, &memo, comp.root, d);
+    let n = comp.nodes.len();
+    // depth[v]: number of priority levels needed below node `v`.
+    let mut depth = vec![0u32; n];
+    for id in (0..n).rev() {
+        depth[id] = comp
+            .items_of(NodeId(id as u32))
+            .iter()
+            .map(|it| match *it {
+                Item::Fork { left, right, .. } => {
+                    debug_assert!(left.idx() > id && right.idx() > id);
+                    1 + depth[left.idx()].max(depth[right.idx()])
+                }
+                Item::Seg(_) => 0,
+            })
+            .sum();
+    }
+    let d = depth[comp.root.idx()];
     comp.n_priorities = d;
+    comp.nodes[comp.root.idx()].priority = d + 1;
+    for id in 0..n {
+        let node = comp.nodes[id];
+        // The band of a node starts one below its own priority.
+        let mut cur = node.priority - 1;
+        for it in &mut comp.items[node.body()] {
+            if let Item::Fork {
+                left,
+                right,
+                priority,
+            } = it
+            {
+                let band = 1 + depth[left.idx()].max(depth[right.idx()]);
+                debug_assert!(cur >= band, "priority band underflow");
+                *priority = cur;
+                comp.nodes[left.idx()].priority = cur;
+                comp.nodes[right.idx()].priority = cur;
+                cur -= band;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,8 +84,8 @@ mod tests {
             // phase 2: depth-1 BP
             b.fork(4, 4, |_| {}, |_| {});
         });
-        let root_forks: Vec<u32> = comp.nodes[comp.root.idx()]
-            .items
+        let root_forks: Vec<u32> = comp
+            .items_of(comp.root)
             .iter()
             .filter_map(|it| match it {
                 Item::Fork { priority, .. } => Some(*priority),

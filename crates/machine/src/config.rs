@@ -18,7 +18,8 @@ pub struct L2Config {
     /// invalidated L1 copies refill cheaply from L2).
     pub partitioned: bool,
     /// Cost of an L1 miss served by the L2 (must be < `miss_cost`); an
-    /// L1+L2 miss pays the full memory cost `miss_cost`.
+    /// L1+L2 miss pays the full memory cost `miss_cost`. Bounded like
+    /// [`MachineConfig::miss_cost`].
     pub hit_cost: u64,
 }
 
@@ -37,9 +38,17 @@ pub struct MachineConfig {
     /// Block size `B`, in words.
     pub block_words: u64,
     /// Cost `b` of a cache miss (and of a block miss), in time units.
+    ///
+    /// The scheduler's event calendar is a ring with one bucket per time
+    /// unit, sized to the largest single charge — `1 + miss_cost`,
+    /// `1 + l2.hit_cost` or `steal_cost` — so each of the three must stay
+    /// below 4096 (`hbp_sched::clock::EventQueue::MAX_HORIZON`; the
+    /// constructors here yield at most 96). A larger cost panics when a
+    /// run starts.
     pub miss_cost: u64,
     /// Cost `sP` charged to a thief for a successful steal. The paper's
     /// distributed PWS implementation gives `sP = Θ(b log p)` (§4.7).
+    /// Bounded like `miss_cost`.
     pub steal_cost: u64,
     /// Cost charged for an unsuccessful steal attempt (a probe).
     pub probe_cost: u64,

@@ -20,7 +20,8 @@
 //!   disciplines: [`policy::Pws`] (§4.1, §4.7 priority rounds),
 //!   [`policy::Rws`] (seeded randomized baseline of [13]), and
 //!   [`policy::Bsp`] (§5.3 bulk-synchronous mapping);
-//! * [`clock`] — the event heap, virtual time, and sweep cadence;
+//! * [`clock`] — the event calendar (a ring of per-instant FIFO buckets),
+//!   virtual time, and sweep cadence;
 //! * [`deque`] — per-core task deques with Obs 4.1's push/pop/steal
 //!   ordering (fork pushes the right child at the bottom; owners pop the
 //!   bottom; thieves steal the top);

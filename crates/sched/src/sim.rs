@@ -6,22 +6,29 @@
 //! [`EventQueue`](crate::clock::EventQueue), and the statistics — and
 //! executes the recorded computation in the order of the event queue: one
 //! [`Step`](crate::clock::EvKind::Step) event per chargeable action,
-//! popped by `(time, push order)`.
+//! popped by time and, within one instant, in push order.
 //!
 //! **Run-ahead.** The order is what is specified, not the queue traffic.
 //! After a core's access moves its clock to `t`, its next `Step` would be
-//! pushed at `t` with the largest sequence number so far. If the queue is
-//! empty or its earliest event is *strictly* later than `t`, that event
-//! would be the very next one popped, so the core keeps going in place —
-//! through the rest of the segment and into the item after it — without
-//! the push and the pop. Strictly: an event already queued for `t` itself
-//! was pushed earlier and must run first. The sequence of executed
-//! actions is therefore exactly the one the queue would have produced,
-//! and with it every statistic, trace event and random draw of a policy;
-//! only the sequence numbers of later pushes are smaller, and they are
-//! compared, never reported. With one core every access qualifies; with
-//! several, cores whose clocks are level take turns through the queue as
-//! before.
+//! pushed at `t`, behind whatever is queued for `t` already. If no event
+//! is pending in the calendar's buckets up to and including `t`, that
+//! event would be the very next one popped, so the core keeps going in
+//! place — through the rest of the segment and into the item after it —
+//! without the push and the pop, and the calendar's cursor moves to `t`
+//! with it. Including `t`: an event already queued for `t` itself was
+//! pushed earlier and must run first. The sequence of executed actions is
+//! therefore exactly the one the queue would have produced, and with it
+//! every statistic, trace event and random draw of a policy. With one
+//! core every access qualifies; with several, cores whose clocks are
+//! level take turns through the queue.
+//!
+//! **Per-node state.** What is fixed when a node is recorded — its
+//! parent, its priority, its frame size, where its body lies — is read
+//! from the [`Computation`] (`TNode`, `items_of`); the engine rebuilds
+//! none of it. What changes while a node runs is one `NodeRun` record
+//! per node, and a core's cursor carries the open segment as a range of
+//! the access arena, so a step inside a segment goes node-free from the
+//! cursor to its access.
 //!
 //! *Who* steals *what* during a sweep is delegated to a
 //! [`StealPolicy`](crate::policy::StealPolicy): the engine exposes the
@@ -44,8 +51,25 @@ use crate::stacks::StackAllocator;
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     node: NodeId,
-    item: usize,
+    /// Index of the next item of `node`'s body to open.
+    item: u32,
+    /// What is left of the open segment, as a range of
+    /// [`Computation::arena`] (empty: no segment is open), so a step
+    /// inside a segment goes straight to its access.
     pos: u32,
+    end: u32,
+}
+
+impl Cursor {
+    /// About to open item `item` of `node`.
+    fn at(node: NodeId, item: u32) -> Self {
+        Cursor {
+            node,
+            item,
+            pos: 0,
+            end: 0,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +93,23 @@ struct Core {
     seg_miss: [u64; 3],
 }
 
+/// The run-time state of one task node — one record, so starting or
+/// finishing a node touches one cache line. (What is fixed at build time
+/// — parent, priority, frame size — is read from the node itself.)
+#[derive(Debug, Clone, Copy)]
+struct NodeRun {
+    /// Where the node's frame sits; `Word::MAX` while it has none.
+    frame_addr: Word,
+    /// The stack region the frame was pushed in.
+    region: u32,
+    /// Last core to execute part of the node's kernel items.
+    executor: u32,
+    /// Item index of its currently-active fork.
+    active_fork: u32,
+    /// Remaining children of that fork.
+    fork_remaining: u8,
+}
+
 /// The policy-independent simulator state (see module docs).
 pub struct Engine<'a> {
     comp: &'a Computation,
@@ -79,11 +120,6 @@ pub struct Engine<'a> {
     /// Virtual time of the sweep currently being served (for the
     /// [`TrEv::StealFail`] events emitted from `note_failed_*`).
     sweep_now: u64,
-    // --- static structure -------------------------------------------------
-    /// node -> (parent node, index of the fork item inside the parent)
-    parent: Vec<Option<(NodeId, usize)>>,
-    /// priority of the fork that created the node (root: D' + 1)
-    pri_of: Vec<u32>,
     // --- dynamic state ----------------------------------------------------
     cores: Vec<Core>,
     /// How many of `cores` are [`CoreState::Idle`] (sweeps are wanted
@@ -91,14 +127,8 @@ pub struct Engine<'a> {
     idle_cores: usize,
     deques: TaskDeques,
     stacks: StackAllocator,
-    frame_addr: Vec<Word>,
-    region_of: Vec<u32>,
-    /// per node: remaining children of its currently-active fork
-    fork_remaining: Vec<u8>,
-    /// per node: item index of its currently-active fork
-    active_fork: Vec<u32>,
-    /// per node: last core to execute part of the node's kernel items
-    executor_of: Vec<u32>,
+    /// Per node, everything that changes while it runs.
+    runs: Vec<NodeRun>,
     clock: EventQueue,
     done: bool,
     end_time: u64,
@@ -125,23 +155,19 @@ impl<'a> Engine<'a> {
             "computation was built for block size {}, machine has {}",
             comp.block_words, cfg.block_words
         );
-        let n = comp.nodes.len();
-        let mut parent = vec![None; n];
-        let mut pri_of = vec![comp.n_priorities + 1; n];
-        for (pn, ii, l, r, pri) in comp.forks() {
-            parent[l.idx()] = Some((pn, ii));
-            parent[r.idx()] = Some((pn, ii));
-            pri_of[l.idx()] = pri;
-            pri_of[r.idx()] = pri;
-        }
+        let idle_node = NodeRun {
+            frame_addr: Word::MAX,
+            region: u32::MAX,
+            executor: u32::MAX,
+            active_fork: u32::MAX,
+            fork_remaining: 0,
+        };
         Self {
             comp,
             cfg,
             ms: MemSystem::new(cfg),
             trace: None,
             sweep_now: 0,
-            parent,
-            pri_of,
             cores: (0..cfg.p)
                 .map(|_| Core {
                     time: 0,
@@ -157,12 +183,8 @@ impl<'a> Engine<'a> {
             idle_cores: cfg.p,
             deques: TaskDeques::new(cfg.p),
             stacks: StackAllocator::new(comp, cfg),
-            frame_addr: vec![Word::MAX; n],
-            region_of: vec![u32::MAX; n],
-            fork_remaining: vec![0; n],
-            active_fork: vec![u32::MAX; n],
-            executor_of: vec![u32::MAX; n],
-            clock: EventQueue::new(),
+            runs: vec![idle_node; comp.nodes.len()],
+            clock: EventQueue::new(&cfg),
             done: false,
             end_time: 0,
             executed: 0,
@@ -243,18 +265,15 @@ impl<'a> Engine<'a> {
     fn start_node(&mut self, core: usize, node: NodeId, region: u32) {
         let tn = &self.comp.nodes[node.idx()];
         let fa = self.stacks.push_frame(region, tn.pad_words, tn.frame_words);
-        self.frame_addr[node.idx()] = fa;
-        self.region_of[node.idx()] = region;
-        self.executor_of[node.idx()] = core as u32;
+        let run = &mut self.runs[node.idx()];
+        run.frame_addr = fa;
+        run.region = region;
+        run.executor = core as u32;
         if matches!(self.cores[core].state, CoreState::Idle) {
             self.idle_cores -= 1;
         }
         self.cores[core].cur_region = region;
-        self.cores[core].state = CoreState::Run(Cursor {
-            node,
-            item: 0,
-            pos: 0,
-        });
+        self.cores[core].state = CoreState::Run(Cursor::at(node, 0));
         if self.trace.is_some() {
             let t = self.cores[core].time;
             self.emit(
@@ -271,7 +290,7 @@ impl<'a> Engine<'a> {
         match t {
             Target::Global(w) => w,
             Target::Local { node, off } => {
-                let fa = self.frame_addr[node.idx()];
+                let fa = self.runs[node.idx()].frame_addr;
                 debug_assert!(fa != Word::MAX, "access to dead frame of {node:?}");
                 fa + off as u64
             }
@@ -307,52 +326,55 @@ impl<'a> Engine<'a> {
                 CoreState::Run(c) => c,
             };
             let node = cur.node;
-            let items = &comp.nodes[node.idx()].items;
-            if cur.item >= items.len() {
+            if cur.pos < cur.end {
+                let stack_base = self.stacks.stack_base();
+                let t0 = self.cores[core].time;
+                let (mut t, mut pos) = (t0, cur.pos);
+                let mut ran_ahead = true;
+                while ran_ahead && pos < cur.end {
+                    let a = comp.arena[pos as usize];
+                    let addr = self.resolve(a.target());
+                    let (out, cost) = self.ms.access_costed(core, addr, a.write());
+                    if out.is_miss() {
+                        self.note_miss(core, out.is_block_miss(), addr >= stack_base);
+                    }
+                    pos += 1;
+                    t += cost;
+                    ran_ahead = self.clock.runs_next(t);
+                }
+                self.executed += (pos - cur.pos) as u64;
+                let c = &mut self.cores[core];
+                c.time = t;
+                c.busy += t - t0;
+                // An exhausted segment is closed here, whoever runs next.
+                c.state = CoreState::Run(if pos == cur.end {
+                    Cursor::at(node, cur.item)
+                } else {
+                    Cursor { pos, ..cur }
+                });
+                if ran_ahead {
+                    // Nothing is due before this core's next event: go on
+                    // to the next item.
+                    continue;
+                }
+                self.clock.push(t, EvKind::Step(core as u32));
+                return;
+            }
+            let items = comp.items_of(node);
+            let Some(&item) = items.get(cur.item as usize) else {
                 if self.finish_node(core, node) {
                     continue; // new state, keep cascading
                 }
                 return; // idle or done
-            }
-            match items[cur.item] {
+            };
+            match item {
                 Item::Seg(s) => {
-                    let accesses = &comp.arena[s.start as usize..s.end as usize];
-                    let stack_base = self.stacks.stack_base();
-                    let t0 = self.cores[core].time;
-                    let (mut t, mut pos) = (t0, cur.pos as usize);
-                    let mut ran_ahead = true;
-                    while ran_ahead && pos < accesses.len() {
-                        let a = accesses[pos];
-                        let addr = self.resolve(a.target);
-                        let (out, cost) = self.ms.access_costed(core, addr, a.write);
-                        if out.is_miss() {
-                            self.note_miss(core, out.is_block_miss(), addr >= stack_base);
-                        }
-                        pos += 1;
-                        t += cost;
-                        ran_ahead = self.clock.runs_next(t);
-                    }
-                    self.executed += (pos - cur.pos as usize) as u64;
-                    let c = &mut self.cores[core];
-                    c.time = t;
-                    c.busy += t - t0;
-                    if ran_ahead {
-                        // Segment exhausted with nothing due before this
-                        // core's next event: go on to the next item.
-                        c.state = CoreState::Run(Cursor {
-                            node,
-                            item: cur.item + 1,
-                            pos: 0,
-                        });
-                        continue;
-                    }
-                    c.state = CoreState::Run(Cursor {
+                    self.cores[core].state = CoreState::Run(Cursor {
                         node,
-                        item: cur.item,
-                        pos: pos as u32,
+                        item: cur.item + 1,
+                        pos: s.start,
+                        end: s.end,
                     });
-                    self.clock.push(t, EvKind::Step(core as u32));
-                    return;
                 }
                 Item::Fork { left, right, .. } => {
                     // O(1) fork bookkeeping.
@@ -371,8 +393,9 @@ impl<'a> Engine<'a> {
                             },
                         );
                     }
-                    self.fork_remaining[node.idx()] = 2;
-                    self.active_fork[node.idx()] = cur.item as u32;
+                    let run = &mut self.runs[node.idx()];
+                    run.fork_remaining = 2;
+                    run.active_fork = cur.item;
                     self.deques.push_bottom(core, right);
                     let region = self.cores[core].cur_region;
                     self.start_node(core, left, region);
@@ -401,11 +424,10 @@ impl<'a> Engine<'a> {
         }
         // Pop the frame (LIFO within its region).
         let tn = &self.comp.nodes[node.idx()];
-        let region = self.region_of[node.idx()];
-        let fa = self.frame_addr[node.idx()];
+        let run = &mut self.runs[node.idx()];
         self.stacks
-            .pop_frame(region, fa, tn.pad_words, tn.frame_words);
-        self.frame_addr[node.idx()] = Word::MAX;
+            .pop_frame(run.region, run.frame_addr, tn.pad_words, tn.frame_words);
+        run.frame_addr = Word::MAX;
 
         if node == self.comp.root {
             self.done = true;
@@ -413,15 +435,15 @@ impl<'a> Engine<'a> {
             self.go_idle(core);
             return false;
         }
-        let (pnode, _pitem) = self.parent[node.idx()].expect("non-root has a parent");
-        self.fork_remaining[pnode.idx()] -= 1;
-        if self.fork_remaining[pnode.idx()] > 0 {
+        let pnode = tn.parent;
+        self.runs[pnode.idx()].fork_remaining -= 1;
+        if self.runs[pnode.idx()].fork_remaining > 0 {
             // Sibling still outstanding: resume it from our own deque if it
             // was not stolen, otherwise this kernel is blocked — go idle.
             if let Some(sib) = self.deques.pop_bottom(core) {
                 debug_assert_eq!(
-                    self.parent[sib.idx()].map(|(p, _)| p),
-                    Some(pnode),
+                    self.comp.nodes[sib.idx()].parent,
+                    pnode,
                     "deque bottom is not the sibling"
                 );
                 let region = self.cores[core].cur_region;
@@ -437,17 +459,13 @@ impl<'a> Engine<'a> {
         }
         // Both children done: the last finisher continues the parent
         // (usurpation if it is not the core previously executing it).
-        if self.executor_of[pnode.idx()] != core as u32 {
+        let prun = &mut self.runs[pnode.idx()];
+        if prun.executor != core as u32 {
             self.usurpations += 1;
         }
-        self.executor_of[pnode.idx()] = core as u32;
-        self.cores[core].cur_region = self.region_of[pnode.idx()];
-        let resume_item = self.active_fork[pnode.idx()] as usize + 1;
-        self.cores[core].state = CoreState::Run(Cursor {
-            node: pnode,
-            item: resume_item,
-            pos: 0,
-        });
+        prun.executor = core as u32;
+        self.cores[core].cur_region = prun.region;
+        self.cores[core].state = CoreState::Run(Cursor::at(pnode, prun.active_fork + 1));
         if self.trace.is_some() {
             let t = self.cores[core].time;
             self.emit(
@@ -562,7 +580,9 @@ impl<'a> Engine<'a> {
 
     /// Priority of the task at the top of `v`'s deque, if any.
     pub fn head_pri(&self, v: usize) -> Option<u32> {
-        self.deques.head(v).map(|n| self.pri_of[n.idx()])
+        self.deques
+            .head(v)
+            .map(|n| self.comp.nodes[n.idx()].priority)
     }
 
     /// Size of the task at the top of `v`'s deque, if any.
@@ -577,7 +597,7 @@ impl<'a> Engine<'a> {
             return None;
         }
         match self.cores[v].state {
-            CoreState::Run(c) => Some(self.pri_of[c.node.idx()].saturating_sub(1)),
+            CoreState::Run(c) => Some(self.comp.nodes[c.node.idx()].priority.saturating_sub(1)),
             CoreState::Idle => None,
         }
     }
@@ -596,7 +616,7 @@ impl<'a> Engine<'a> {
     pub fn commit_steal(&mut self, thief: usize, victim: usize, now: u64) {
         let node = self.deques.steal_top(victim).expect("victim head exists");
         self.steals += 1;
-        let pri = self.pri_of[node.idx()];
+        let pri = self.comp.nodes[node.idx()].priority;
         self.steals_by_pri[pri as usize] += 1;
         self.stolen_sizes.push(self.comp.nodes[node.idx()].size);
         if self.trace.is_some() {

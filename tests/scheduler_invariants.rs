@@ -443,3 +443,96 @@ fn reports_and_traces_match_the_pinned_digests() {
         assert_eq!(got, want, "{name}: trace digest is {got:#x}");
     }
 }
+
+/// A canonical, layout-independent text of everything a recording holds:
+/// node count; per node in id order its `size`, `frame_words`,
+/// `pad_words` and body in order (a segment as `s` followed by each
+/// access's decoded target and `r`/`w`, a fork as its children and
+/// priority); then `root`, `heap_words`, `block_words`, `n_priorities`
+/// and the final heap. Nothing in it depends on where a body or an
+/// access is stored.
+fn recording_walk(comp: &Computation) -> String {
+    use hbp_core::model::{Item, Target};
+    use std::fmt::Write;
+    let mut s = format!("nodes {}\n", comp.nodes.len());
+    for (id, n) in comp.nodes.iter().enumerate() {
+        write!(s, "n{id} {} {} {}:", n.size, n.frame_words, n.pad_words).unwrap();
+        for it in comp.items_of(hbp_core::model::NodeId(id as u32)) {
+            match *it {
+                Item::Seg(seg) => {
+                    s.push_str(" s");
+                    for a in &comp.arena[seg.start as usize..seg.end as usize] {
+                        let rw = if a.write() { 'w' } else { 'r' };
+                        match a.target() {
+                            Target::Global(w) => write!(s, " g{w}{rw}"),
+                            Target::Local { node, off } => write!(s, " l{}.{off}{rw}", node.0),
+                        }
+                        .unwrap();
+                    }
+                }
+                Item::Fork {
+                    left,
+                    right,
+                    priority,
+                } => write!(s, " f{},{},{priority}", left.0, right.0).unwrap(),
+            }
+        }
+        s.push('\n');
+    }
+    write!(
+        s,
+        "root {} heap_words {} block_words {} n_priorities {}\nheap {:?}\n",
+        comp.root.0, comp.heap_words, comp.block_words, comp.n_priorities, comp.heap
+    )
+    .unwrap();
+    s
+}
+
+/// Digests of [`recording_walk`] for every registry row at `small_n`,
+/// build seed 7: `[BuildConfig::default(), BuildConfig::default().padded()]`.
+/// Computed on the tree *before* the recording was flattened (one item
+/// arena, packed accesses, build-time parent / priority); the replay
+/// digests above see a moved access only through the statistics it
+/// perturbs, and pads, priorities and output values not at all.
+#[rustfmt::skip]
+const PINNED_RECORDINGS: [(&str, [u64; 2]); 14] = [
+    ("Scans (M-Sum)", [0x1137783bf4932f58, 0x262f24614aa3bc13]),
+    ("Scans (PS)", [0x83e2fa00704d6ef8, 0x98da475457d00913]),
+    ("MT", [0x181865f0a6e51386, 0xed484bf098708487]),
+    ("Strassen", [0xc4677e7ed34cd9fc, 0xbde35fdf65c4dcab]),
+    ("RM to BI", [0x7b82e1b07010f2eb, 0x4820486d48989c5e]),
+    ("Direct BI to RM", [0x8e15c880bffa3b6b, 0x4196e68bebbd2a96]),
+    ("BI-RM (gap RM)", [0xb00f0edf2eceffcb, 0x67fb5c963e312ff4]),
+    ("BI-RM for FFT", [0xc3b4afc00a669a39, 0xf8248c922b7c39e4]),
+    ("FFT", [0x018cfec285c52a0f, 0xa11fc80d75a55934]),
+    ("LR", [0x4fc5a3c0856b150d, 0x361aa54b7eec8373]),
+    ("CC", [0x99595eaf2930e61a, 0x4d61a50445ce9b6d]),
+    ("Depth-n-MM", [0x354f0f2d54665bb8, 0xe95ace950c274dd7]),
+    ("Sort (SPMS)", [0x73ecb4ee7072fe79, 0x62d98f03bc176fc4]),
+    ("Sort (merge std-in)", [0xb8728a75ae86f0b5, 0xb26d2a83129a8526]),
+];
+
+#[test]
+fn recordings_match_the_pinned_digests() {
+    let actual: Vec<(&str, [u64; 2])> = registry()
+        .iter()
+        .map(|spec| {
+            let digest = |cfg| fnv1a(&recording_walk(&(spec.build)(small_n(spec), cfg, 7)));
+            (
+                spec.name,
+                [
+                    digest(BuildConfig::default()),
+                    digest(BuildConfig::default().padded()),
+                ],
+            )
+        })
+        .collect();
+    assert!(
+        actual == PINNED_RECORDINGS,
+        "recording digests moved; the table now reads:\n{}",
+        actual
+            .iter()
+            .map(|(name, d)| format!("    ({name:?}, [{:#018x}, {:#018x}]),\n", d[0], d[1]))
+            .collect::<String>()
+    );
+}
