@@ -33,9 +33,9 @@ fn miss_totals(trace: &hbp_core::trace::Trace) -> Vec<(u64, u64, u64)> {
         } = ev.kind
         {
             let t = &mut tot[ev.worker as usize];
-            t.0 += heap_block;
-            t.1 += stack_block;
-            t.2 += stack_plain;
+            t.0 += u64::from(heap_block);
+            t.1 += u64::from(stack_block);
+            t.2 += u64::from(stack_plain);
         }
     }
     tot

@@ -499,15 +499,32 @@ pub(crate) fn emit_miss_delta(
     let Some(c1) = perf::sample(pool.counters_mode, me) else {
         return;
     };
-    tr.push(
-        me,
-        pool.now_ns(),
-        TrEv::MissDelta {
-            heap_block: c1[0].saturating_sub(c0[0]),
-            stack_block: c1[1].saturating_sub(c0[1]),
-            stack_plain: c1[2].saturating_sub(c0[2]),
-        },
-    );
+    let delta = [0, 1, 2].map(|i| c1[i].saturating_sub(c0[i]));
+    push_miss_delta(tr, me, pool.now_ns(), delta);
+}
+
+/// Push `delta` as `MissDelta` events: one, or — the event's counts
+/// being 32-bit — as many as it takes for them to sum to `delta` exactly.
+fn push_miss_delta(tr: &TraceSink, me: usize, t: u64, mut delta: perf::CounterValues) {
+    loop {
+        let [heap_block, stack_block, stack_plain] =
+            delta.map(|d| u32::try_from(d).unwrap_or(u32::MAX));
+        tr.push(
+            me,
+            t,
+            TrEv::MissDelta {
+                heap_block,
+                stack_block,
+                stack_plain,
+            },
+        );
+        for (left, sent) in delta.iter_mut().zip([heap_block, stack_block, stack_plain]) {
+            *left -= u64::from(sent);
+        }
+        if delta == [0; 3] {
+            return;
+        }
+    }
 }
 
 /// Fork-join on the native pool: runs `a` on the calling worker while `b`
@@ -814,6 +831,34 @@ mod tests {
     use super::*;
     use crate::engine::Policy;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_counter_delta_beyond_u32_arrives_as_events_summing_exactly() {
+        let tr = TraceSink::new(2, hbp_trace::ClockDomain::WallNs);
+        let delta = [5 << 32, (1 << 32) - 1, 0];
+        push_miss_delta(&tr, 1, 7, delta);
+        push_miss_delta(&tr, 0, 9, [0; 3]);
+        let trace = tr.collect();
+        let mut sums = [[0u64; 3]; 2];
+        for ev in &trace.events {
+            let TrEv::MissDelta {
+                heap_block,
+                stack_block,
+                stack_plain,
+            } = ev.kind
+            else {
+                panic!("only miss deltas were pushed, got {:?}", ev.kind);
+            };
+            let sum = &mut sums[ev.worker as usize];
+            sum[0] += u64::from(heap_block);
+            sum[1] += u64::from(stack_block);
+            sum[2] += u64::from(stack_plain);
+        }
+        assert_eq!(sums, [[0; 3], delta]);
+        // 5 * 2^32 takes six events of at most 2^32 - 1; a zero delta
+        // still takes its one.
+        assert_eq!(trace.events.len(), 6 + 1);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

@@ -233,8 +233,12 @@ impl<'a> Engine<'a> {
         if self.trace.is_none() {
             return;
         }
-        let [heap_block, stack_block, stack_plain] = self.cores[core].seg_miss;
-        if heap_block + stack_block + stack_plain > 0 {
+        let seg_miss = std::mem::take(&mut self.cores[core].seg_miss);
+        if seg_miss != [0; 3] {
+            // The event's counts are 32-bit: one segment of one recorded
+            // computation cannot miss 2^32 times, so refuse, never wrap.
+            let [heap_block, stack_block, stack_plain] = seg_miss
+                .map(|n| u32::try_from(n).expect("a segment's miss count fits the event's u32"));
             self.emit(
                 core,
                 t,
@@ -245,7 +249,6 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        self.cores[core].seg_miss = [0; 3];
     }
 
     fn schedule_sweep(&mut self, time: u64) {
@@ -674,5 +677,26 @@ impl<'a> Engine<'a> {
         if self.trace.is_some() {
             self.emit(thief, self.sweep_now, TrEv::StealFail);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hbp_model::{BuildConfig, Builder};
+    use hbp_trace::ClockDomain;
+
+    #[test]
+    #[should_panic(expected = "fits the event's u32")]
+    fn a_segment_miss_count_above_u32_max_is_refused_not_wrapped() {
+        let comp = Builder::build(BuildConfig::with_block(32), 1, |b| {
+            let a = b.alloc::<u64>(1);
+            b.write(a, 0, 1);
+        });
+        let sink = TraceSink::new(1, ClockDomain::Virtual);
+        let mut engine = Engine::new(&comp, MachineConfig::new(1, 1 << 10, 32));
+        engine.attach_trace(&sink);
+        engine.cores[0].seg_miss[1] = u64::from(u32::MAX) + 1;
+        engine.close_segment(0, 0);
     }
 }

@@ -51,24 +51,35 @@ impl ServiceOracle {
         }
         let session = &self.session;
         let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
-        let report = session
-            .submit_traced(&ExecJob::new(r.algo, r.n, r.seed), &sink)
-            .expect("the sim backend admits everything")
-            .wait()
-            .unwrap_or_else(|e| panic!("oracle cannot build {:?} (n={}): {e}", r.algo, r.n));
-        let cp = critical_path(&sink.collect()).expect("sim traces are virtual-clock");
-        let entry = (
-            report.makespan,
-            CpTotals {
-                total: cp.total,
-                work: cp.work,
-                steal: cp.steal,
-                queue_wait: cp.queue_wait,
-            },
-        );
+        let entry = measure_into(session, r, &sink);
         self.cache.insert((r.algo, r.n), entry);
         entry
     }
+}
+
+/// One traced launch of `r` recorded into `sink`: its makespan and the
+/// totals of its critical path.
+fn measure_into(session: &ExecSession, r: &Request, sink: &Arc<TraceSink>) -> (u64, CpTotals) {
+    let report = session
+        .submit_traced(&ExecJob::new(r.algo, r.n, r.seed), sink)
+        .expect("the sim backend admits everything")
+        .wait()
+        .unwrap_or_else(|e| panic!("oracle cannot build {:?} (n={}): {e}", r.algo, r.n));
+    let cp = critical_path(&sink.collect()).unwrap_or_else(|e| {
+        panic!(
+            "oracle cannot extract the critical path of {} n={}: {e}",
+            r.algo, r.n
+        )
+    });
+    (
+        report.makespan,
+        CpTotals {
+            total: cp.total,
+            work: cp.work,
+            steal: cp.steal,
+            queue_wait: cp.queue_wait,
+        },
+    )
 }
 
 /// A heap event. Ordering is (time, insertion seq) — the seq tiebreak
@@ -214,6 +225,25 @@ mod tests {
             workers: 4,
             ..ScenarioSpec::default()
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "oracle cannot extract the critical path of Sort (SPMS) n=512: trace lost events to ring overflow"
+    )]
+    fn an_overflowed_trace_ring_is_reported_as_such_with_the_shape() {
+        let spec = ScenarioSpec {
+            mix: vec![crate::spec::MixEntry {
+                algo: "Sort (SPMS)".into(),
+                weight: 1,
+                sizes: vec![512],
+            }],
+            ..small_spec()
+        };
+        let oracle = ServiceOracle::new(&spec);
+        let session = &oracle.session;
+        let tiny = TraceSink::with_capacity(session.workers(), session.clock_domain(), 16);
+        measure_into(session, &build_schedule(&spec)[0], &Arc::new(tiny));
     }
 
     #[test]

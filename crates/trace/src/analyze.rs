@@ -187,9 +187,9 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
                 stack_block,
                 stack_plain,
             } => {
-                misses.0 += heap_block;
-                misses.1 += stack_block;
-                misses.2 += stack_plain;
+                misses.0 += u64::from(heap_block);
+                misses.1 += u64::from(stack_block);
+                misses.2 += u64::from(stack_plain);
             }
             _ => {}
         }

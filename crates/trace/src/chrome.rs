@@ -148,7 +148,7 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
 
     // Execution segments as complete events.
     for s in &trace.segments().segs {
-        let misses = if s.heap_block + s.stack_block + s.stack_plain > 0 {
+        let misses = if [s.heap_block, s.stack_block, s.stack_plain] != [0; 3] {
             format!(
                 ",\"heap_block\":{},\"stack_block\":{},\"stack_plain\":{}",
                 s.heap_block, s.stack_block, s.stack_plain
@@ -189,9 +189,9 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
             )),
             EventKind::MissDelta { heap_block, stack_block, stack_plain } => {
                 let c = &mut cum[w as usize];
-                c.0 += heap_block;
-                c.1 += stack_block;
-                c.2 += stack_plain;
+                c.0 += u64::from(heap_block);
+                c.1 += u64::from(stack_block);
+                c.2 += u64::from(stack_plain);
                 push(format!(
                     "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{w},\"ts\":{},\"name\":\"misses w{w}\",\"args\":{{\"heap_block\":{},\"stack_block\":{},\"stack_plain\":{}}}}}",
                     ts(ev.t), c.0, c.1, c.2

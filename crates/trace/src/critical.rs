@@ -18,10 +18,21 @@
 //! `tests/trace_invariants.rs` checks against the simulator's report
 //! for every policy. The decomposition is the paper's accounting: work
 //! (including miss stalls) versus scheduling delay on the longest chain.
+//!
+//! **Orders relied on.** Nothing here is searched for, hashed or sorted;
+//! three orders make that possible. (1) `Trace::events` is in emission
+//! (`seq`) order, and a worker's events appear in the order it emitted
+//! them — so "what this worker did last before opening a segment" is
+//! whatever an in-order pass saw last on that worker. (2)
+//! [`Trace::segments`] lists segments in the order of their *closing*
+//! events, so that pass meets the closes of `segs[0]`, `segs[1]`, … in
+//! turn (a segment set that does not line up is refused). (3) Simulator
+//! task ids are the recorded computation's dense node ids, so the fork
+//! that published a task is a table indexed by id. Events are named by
+//! their *position* in `Trace::events`, never by `seq` value: a
+//! hand-built trace may number its events from anywhere, with gaps.
 
-use std::collections::HashMap;
-
-use crate::event::{ClockDomain, EventKind, TraceEvent};
+use crate::event::{ClockDomain, EventKind};
 use crate::trace::{Segment, Segments, Trace};
 
 /// Why a critical path could not be extracted.
@@ -103,13 +114,25 @@ pub struct CriticalPath {
     pub hops: Vec<CpHop>,
 }
 
-/// Per-worker back-chaining index entry.
-enum WItem {
-    /// A segment that closed (`close_seq` keys the sort).
-    Closed(usize),
-    /// A `StealCommit` event.
-    Steal(TraceEvent),
+/// What released a segment's start: the last thing its worker did
+/// before the segment's opening event.
+#[derive(Clone, Copy)]
+enum Release {
+    /// Nothing — the worker's first segment.
+    Start,
+    /// The segment at this index of [`Segments::segs`] closed.
+    Closed(u32),
+    /// The `StealCommit` at this position of [`Trace::events`].
+    Steal(u32),
 }
+
+/// "No entry" in the `u32` index tables.
+const NONE: u32 = u32::MAX;
+
+/// Task-id tables up to this many entries are built whatever the ids
+/// are; beyond it the ids must be the dense node ids the simulator
+/// emits (every task begins once, so an id is below the event count).
+const SPARSE_ID_SLACK: usize = 1 << 16;
 
 /// Extract the critical path of a complete sim trace (see module docs).
 pub fn critical_path(trace: &Trace) -> Result<CriticalPath, CpError> {
@@ -137,38 +160,56 @@ pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPa
         return Err(CpError::Malformed("no segments".into()));
     }
 
-    // Per-worker items (closed segments + steal commits) sorted by seq,
-    // the fork that published each stolen task, and the segment each
-    // fork closed.
-    let mut items: Vec<Vec<(u64, WItem)>> = std::iter::repeat_with(Vec::new)
-        .take(trace.workers)
-        .collect();
-    let mut seg_by_close: HashMap<u64, usize> = HashMap::new();
-    for (i, s) in segs.iter().enumerate() {
-        items[s.worker as usize].push((s.close_seq, WItem::Closed(i)));
-        seg_by_close.insert(s.close_seq, i);
-    }
-    let mut fork_of: HashMap<u32, &TraceEvent> = HashMap::new();
-    for ev in &trace.events {
+    // One in-order pass over the events fills the two index tables the
+    // walk reads: what released each opening event (by event position)
+    // and which segment the fork that published each task closed (by
+    // task id). `segments()` lists segments in the order their closing
+    // events appear, so the next one to close is always `segs[next_seg]`
+    // and nothing is searched for or sorted.
+    let events = &trace.events;
+    let mut released_by = vec![Release::Start; events.len()];
+    let mut fork_seg: Vec<u32> = Vec::new();
+    let mut last = vec![Release::Start; trace.workers];
+    let mut next_seg = 0;
+    for (pos, ev) in events.iter().enumerate() {
+        let last = &mut last[ev.worker as usize];
+        let mut closed = NONE;
+        if segs.get(next_seg).is_some_and(|s| s.close as usize == pos) {
+            closed = next_seg as u32;
+            *last = Release::Closed(closed);
+            next_seg += 1;
+        }
         match ev.kind {
+            EventKind::TaskBegin { .. } | EventKind::JoinResume { .. } => released_by[pos] = *last,
+            EventKind::StealCommit { .. } => *last = Release::Steal(pos as u32),
             EventKind::Fork { right, .. } => {
-                fork_of.insert(right, ev);
-            }
-            EventKind::StealCommit { .. } => {
-                items[ev.worker as usize].push((ev.seq, WItem::Steal(*ev)));
+                let right = right as usize;
+                if right >= fork_seg.len() {
+                    if right >= events.len().max(SPARSE_ID_SLACK) {
+                        return Err(CpError::Malformed(format!(
+                            "task id {right} is not a dense node id ({} events)",
+                            events.len()
+                        )));
+                    }
+                    fork_seg.resize(right + 1, NONE);
+                }
+                fork_seg[right] = closed;
             }
             _ => {}
         }
     }
-    for l in &mut items {
-        l.sort_by_key(|&(seq, _)| seq);
+    if next_seg != segs.len() {
+        return Err(CpError::Malformed(format!(
+            "segment {next_seg} of {} is out of close order or not of this trace",
+            segs.len()
+        )));
     }
 
     // Start from the segment that closes last (the root's TaskEnd).
     let mut cur = segs
         .iter()
         .enumerate()
-        .max_by_key(|(_, s)| (s.end, s.close_seq))
+        .max_by_key(|(_, s)| (s.end, s.close))
         .map(|(i, _)| i)
         .expect("segments non-empty");
 
@@ -177,13 +218,8 @@ pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPa
     for _ in 0..=segs.len() * 2 {
         let s: Segment = segs[cur];
         work += s.duration();
-        // Find the item immediately preceding this segment's open on its
-        // worker: the closing event or steal commit that released it.
-        let wl = &items[s.worker as usize];
-        let pos = wl.partition_point(|&(seq, _)| seq < s.open_seq);
-        let pred = if pos > 0 { Some(&wl[pos - 1].1) } else { None };
-        match pred {
-            None => {
+        match released_by[s.open as usize] {
+            Release::Start => {
                 if s.start != 0 {
                     return Err(CpError::Malformed(format!(
                         "segment of task {} starts at {} with no predecessor",
@@ -202,9 +238,10 @@ pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPa
                     hops,
                 });
             }
-            Some(WItem::Steal(ev)) => {
+            Release::Steal(at) => {
+                let ev = &events[at as usize];
                 let EventKind::StealCommit { task, .. } = ev.kind else {
-                    unreachable!("WItem::Steal holds a StealCommit");
+                    unreachable!("Release::Steal holds a StealCommit's position");
                 };
                 if task != s.task {
                     return Err(CpError::Malformed(format!(
@@ -212,13 +249,19 @@ pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPa
                         s.task
                     )));
                 }
-                let fork = fork_of
-                    .get(&task)
-                    .ok_or_else(|| CpError::Malformed(format!("stolen task {task} has no fork")))?;
-                if s.start < fork.t {
+                let fork = match fork_seg.get(task as usize) {
+                    Some(&seg) if seg != NONE => seg as usize,
+                    _ => {
+                        return Err(CpError::Malformed(format!(
+                            "no fork closing a segment published stolen task {task}"
+                        )))
+                    }
+                };
+                let forked = segs[fork].end;
+                if s.start < forked {
                     return Err(CpError::Malformed(format!(
-                        "task {task} begins at {} before its fork at {}",
-                        s.start, fork.t
+                        "task {task} begins at {} before its fork at {forked}",
+                        s.start
                     )));
                 }
                 // A sweep already pending at time `now` can steal a task
@@ -227,30 +270,23 @@ pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPa
                 // timestamp before the push is observed). Clamp the
                 // commit instant into `[forked, begin]` so the
                 // wait/steal split telescopes exactly.
-                let committed = ev.t.clamp(fork.t, s.start);
+                let committed = ev.t.clamp(forked, s.start);
                 steal += s.start - committed;
-                queue_wait += committed - fork.t;
+                queue_wait += committed - forked;
                 steals += 1;
-                hops.push(hop(
-                    &s,
-                    HopVia::Steal {
-                        committed,
-                        forked: fork.t,
-                    },
-                ));
-                cur = *seg_by_close.get(&fork.seq).ok_or_else(|| {
-                    CpError::Malformed(format!("fork of task {task} closed no segment"))
-                })?;
+                hops.push(hop(&s, HopVia::Steal { committed, forked }));
+                cur = fork;
             }
-            Some(WItem::Closed(p)) => {
-                if segs[*p].end != s.start {
+            Release::Closed(p) => {
+                let p = p as usize;
+                if segs[p].end != s.start {
                     return Err(CpError::Malformed(format!(
                         "task {} opens at {} but predecessor closed at {}",
-                        s.task, s.start, segs[*p].end
+                        s.task, s.start, segs[p].end
                     )));
                 }
                 hops.push(hop(&s, HopVia::SameWorker));
-                cur = *p;
+                cur = p;
             }
         }
     }
@@ -264,5 +300,68 @@ fn hop(s: &Segment, via: HopVia) -> CpHop {
         start: s.start,
         end: s.end,
         via,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::diff::tests::steal_trace;
+
+    /// `diff`'s two-worker trace — the root forks task 1, worker 1
+    /// steals it and, finishing last, resumes the root — restamped with
+    /// the given `seq`s.
+    fn stolen_fork(seqs: impl IntoIterator<Item = u64>) -> Trace {
+        let mut trace = steal_trace(1);
+        for (ev, seq) in trace.events.iter_mut().zip(seqs) {
+            ev.seq = seq;
+        }
+        trace
+    }
+
+    #[test]
+    fn seq_values_do_not_matter_only_their_order() {
+        let dense = critical_path(&stolen_fork(0..)).expect("dense seqs");
+        let sparse = critical_path(&stolen_fork((0..).map(|i| 1000 + i * i + 3 * i)))
+            .expect("seqs from 1000 with growing gaps");
+        assert_eq!(format!("{sparse:?}"), format!("{dense:?}"));
+        assert_eq!(
+            (dense.total, dense.work, dense.steal, dense.queue_wait),
+            (7, 5, 1, 1)
+        );
+        let tasks: Vec<u32> = dense.hops.iter().map(|h| h.task).collect();
+        assert_eq!(tasks, [0, 1, 0]);
+        assert_eq!(
+            dense.hops[1].via,
+            HopVia::Steal {
+                committed: 3,
+                forked: 2
+            }
+        );
+    }
+
+    #[test]
+    fn segments_of_another_trace_are_refused() {
+        let trace = stolen_fork(0..);
+        let mut segments = trace.segments();
+        segments.segs.swap(0, 1);
+        assert!(matches!(
+            critical_path_of(&trace, &segments),
+            Err(CpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_task_id_far_beyond_the_event_count_is_refused_not_allocated() {
+        let mut trace = stolen_fork(0..);
+        trace.events[1].kind = EventKind::Fork {
+            parent: 0,
+            left: 2,
+            right: u32::MAX - 1,
+        };
+        assert!(matches!(
+            critical_path(&trace),
+            Err(CpError::Malformed(m)) if m.contains("dense")
+        ));
     }
 }

@@ -90,9 +90,9 @@ impl TraceShape {
                     stack_block,
                     stack_plain,
                 } => {
-                    s.misses.0 += heap_block;
-                    s.misses.1 += stack_block;
-                    s.misses.2 += stack_plain;
+                    s.misses.0 += u64::from(heap_block);
+                    s.misses.1 += u64::from(stack_block);
+                    s.misses.2 += u64::from(stack_plain);
                 }
                 _ => {}
             }
@@ -304,7 +304,7 @@ impl std::fmt::Display for TraceDiff {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::{ClockDomain, TraceEvent};
 
@@ -319,7 +319,7 @@ mod tests {
 
     /// A tiny two-worker sim-style trace: root forks task 1, worker 1
     /// steals it; both run to completion.
-    fn steal_trace(stolen_by: u32) -> Trace {
+    pub(crate) fn steal_trace(stolen_by: u32) -> Trace {
         Trace {
             clock: ClockDomain::Virtual,
             workers: 2,

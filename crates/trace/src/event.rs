@@ -112,18 +112,28 @@ pub enum EventKind {
         /// Region id from the stack allocator.
         region: u32,
     },
-    /// (sim) Cache misses charged to the segment currently open on the
+    /// Cache misses charged to the segment currently open on the
     /// emitting worker, emitted just before the segment closes. Summing
-    /// deltas over a trace reproduces the `ExecReport` counters.
+    /// deltas over a trace reproduces the `ExecReport` counters. Each
+    /// count is 32 bits so that the whole payload is 16 bytes; an
+    /// emitter with more than `u32::MAX` to report sends several events
+    /// (the native counter path) or refuses (the simulator, where one
+    /// segment cannot miss that often).
     MissDelta {
         /// Coherence (block) misses on global-heap addresses.
-        heap_block: u64,
+        heap_block: u32,
         /// Coherence (block) misses on execution-stack addresses.
-        stack_block: u64,
+        stack_block: u32,
         /// Plain (cold + capacity) misses on execution-stack addresses.
-        stack_plain: u64,
+        stack_plain: u32,
     },
 }
+
+// The record layout the sink's rings and `collect` are sized by: a
+// 16-byte payload in a 40-byte event (`seq` + `t` + `worker` + payload,
+// padded to the `u64`s' alignment).
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
 
 impl EventKind {
     /// Short kind tag for display and Chrome-trace categories.

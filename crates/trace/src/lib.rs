@@ -10,18 +10,28 @@
 //! * [`event`] — the backend-agnostic model: task begin/end, fork,
 //!   join-resume, steal commit/fail, stack-region attach, cache-miss
 //!   deltas, each stamped with a [`ClockDomain`] timestamp and a
-//!   causally consistent sequence number;
+//!   causally consistent sequence number. A record is **40 bytes**:
+//!   `seq` and `t` (`u64`), `worker` (`u32`) and a 16-byte payload —
+//!   a tag and at most three `u32`s, which is why a `MissDelta` count
+//!   is 32-bit and an emitter with more to report sends several;
 //! * [`sink`] — [`TraceSink`]: per-worker lock-free-append ring buffers
 //!   (one relaxed load + slot write + release store per event; no locks,
-//!   no CAS). Enabled and sized by configuration (`hbp_core::Config`
+//!   no CAS), each on its own cache line, the shared `seq` counter on
+//!   another. Enabled and sized by configuration (`hbp_core::Config`
 //!   parses `HBP_TRACE`/`HBP_TRACE_BUF`); overflow is reported, never
-//!   silent;
+//!   silent. `collect` does not sort: the `seq`s of a complete recording
+//!   are `0..n`, so each event is copied straight to `events[seq]`;
 //! * [`trace`] — the collected [`Trace`] and its reconstruction into
 //!   execution [`Segment`]s (flat per worker on the sim backend, nested
-//!   on the native one);
+//!   on the native one), 56 bytes each, naming their opening and closing
+//!   events by `u32` position in `Trace::events` (segment reconstruction
+//!   refuses a trace of 2^32 events or more) and carrying per-segment
+//!   miss counts that saturate at `u32::MAX` (totals are summed from the
+//!   events, in `u64`);
 //! * [`critical`] — [`critical_path`]: exact critical-path extraction
 //!   from a sim trace's join DAG, decomposed into work, steal charges,
-//!   and deque queue-wait. Its `total` equals the simulator's
+//!   and deque queue-wait — one in-order pass over the events into two
+//!   index tables, then a walk. Its `total` equals the simulator's
 //!   virtual-time makespan *exactly* (an invariant the integration
 //!   tests enforce for PWS and RWS);
 //! * [`analyze`] — per-worker utilization, fork→steal latency

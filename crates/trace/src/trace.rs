@@ -31,74 +31,69 @@ impl Trace {
         self.events.iter().filter(|e| pred(&e.kind)).count() as u64
     }
 
-    /// Reconstruct execution segments (see [`Segment`]). Unclosed opens
-    /// (possible on truncated traces) are dropped and counted in
-    /// [`Segments::unclosed`].
+    /// Reconstruct execution segments (see [`Segment`]), in the order
+    /// their closing events appear. Unclosed opens (possible on truncated
+    /// traces) are dropped and counted in [`Segments::unclosed`].
     pub fn segments(&self) -> Segments {
+        assert!(
+            u32::try_from(self.events.len()).is_ok(),
+            "segments index events by u32 position; the trace holds {}",
+            self.events.len()
+        );
         let mut stacks: Vec<Vec<Segment>> = vec![Vec::new(); self.workers];
-        let mut segs: Vec<Segment> = Vec::new();
+        // A segment takes an opening and a closing event.
+        let mut segs: Vec<Segment> = Vec::with_capacity(self.events.len() / 2);
         let mut mismatched = 0u64;
-        for ev in &self.events {
-            let w = ev.worker as usize;
-            match ev.kind {
+        for (pos, ev) in self.events.iter().enumerate() {
+            let stack = &mut stacks[ev.worker as usize];
+            let closed = match ev.kind {
                 EventKind::TaskBegin { task } | EventKind::JoinResume { task } => {
-                    let depth = stacks[w].len() as u32;
-                    stacks[w].push(Segment {
-                        worker: ev.worker,
-                        task,
+                    stack.push(Segment {
                         start: ev.t,
                         end: ev.t,
-                        depth,
-                        open_seq: ev.seq,
-                        close_seq: ev.seq,
-                        resumed: matches!(ev.kind, EventKind::JoinResume { .. }),
+                        worker: ev.worker,
+                        task,
+                        depth: stack.len() as u32,
+                        open: pos as u32,
+                        close: pos as u32,
                         heap_block: 0,
                         stack_block: 0,
                         stack_plain: 0,
+                        resumed: matches!(ev.kind, EventKind::JoinResume { .. }),
                     });
+                    None
                 }
                 // On the sim backend a fork closes the parent's segment
                 // (the left child's TaskBegin follows); on the native
                 // backend the worker keeps running inside the current
                 // segment, so the fork is only a marker.
                 EventKind::Fork { parent, .. } if self.clock == ClockDomain::Virtual => {
-                    match stacks[w].pop() {
-                        Some(mut s) if s.task == parent => {
-                            s.end = ev.t;
-                            s.close_seq = ev.seq;
-                            segs.push(s);
-                        }
-                        Some(s) => {
-                            mismatched += 1;
-                            stacks[w].push(s);
-                        }
-                        None => mismatched += 1,
-                    }
+                    Some(parent)
                 }
-                EventKind::TaskEnd { task } => match stacks[w].pop() {
-                    Some(mut s) if s.task == task => {
-                        s.end = ev.t;
-                        s.close_seq = ev.seq;
-                        segs.push(s);
-                    }
-                    Some(s) => {
-                        mismatched += 1;
-                        stacks[w].push(s);
-                    }
-                    None => mismatched += 1,
-                },
+                EventKind::TaskEnd { task } => Some(task),
                 EventKind::MissDelta {
                     heap_block,
                     stack_block,
                     stack_plain,
                 } => {
-                    if let Some(s) = stacks[w].last_mut() {
-                        s.heap_block += heap_block;
-                        s.stack_block += stack_block;
-                        s.stack_plain += stack_plain;
+                    if let Some(s) = stack.last_mut() {
+                        s.heap_block = s.heap_block.saturating_add(heap_block);
+                        s.stack_block = s.stack_block.saturating_add(stack_block);
+                        s.stack_plain = s.stack_plain.saturating_add(stack_plain);
                     }
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(task) = closed {
+                match stack.pop_if(|s| s.task == task) {
+                    Some(mut s) => {
+                        s.end = ev.t;
+                        s.close = pos as u32;
+                        segs.push(s);
+                    }
+                    None => mismatched += 1,
+                }
             }
         }
         let unclosed = stacks.iter().map(|s| s.len() as u64).sum::<u64>() + mismatched;
@@ -115,29 +110,36 @@ impl Trace {
 /// segment.
 #[derive(Debug, Clone, Copy)]
 pub struct Segment {
-    /// Executing worker.
-    pub worker: u32,
-    /// Task id (backend-scoped).
-    pub task: u32,
     /// Open timestamp.
     pub start: u64,
     /// Close timestamp.
     pub end: u64,
+    /// Executing worker.
+    pub worker: u32,
+    /// Task id (backend-scoped).
+    pub task: u32,
     /// Nesting depth at open (0 = top-level).
     pub depth: u32,
-    /// Seq of the opening event ([`EventKind::TaskBegin`] / [`EventKind::JoinResume`]).
-    pub open_seq: u64,
-    /// Seq of the closing event ([`EventKind::Fork`] on sim, or [`EventKind::TaskEnd`]).
-    pub close_seq: u64,
+    /// Position in [`Trace::events`] of the opening event
+    /// ([`EventKind::TaskBegin`] / [`EventKind::JoinResume`]); its `seq`
+    /// is `events[open].seq`.
+    pub open: u32,
+    /// Position in [`Trace::events`] of the closing event
+    /// ([`EventKind::Fork`] on sim, or [`EventKind::TaskEnd`]).
+    pub close: u32,
+    /// Heap block misses charged to this segment. Like the two counts
+    /// below it saturates at `u32::MAX` — a per-segment figure for
+    /// display; exact totals are the sums over the `MissDelta` events.
+    pub heap_block: u32,
+    /// Stack block misses charged to this segment.
+    pub stack_block: u32,
+    /// Stack plain misses charged to this segment.
+    pub stack_plain: u32,
     /// Whether the segment was opened by a [`EventKind::JoinResume`].
     pub resumed: bool,
-    /// Heap block misses charged to this segment (sim).
-    pub heap_block: u64,
-    /// Stack block misses charged to this segment (sim).
-    pub stack_block: u64,
-    /// Stack plain misses charged to this segment (sim).
-    pub stack_plain: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Segment>() <= 56);
 
 impl Segment {
     /// Segment duration in the trace's clock domain.
@@ -149,7 +151,8 @@ impl Segment {
 /// Result of [`Trace::segments`].
 #[derive(Debug, Clone)]
 pub struct Segments {
-    /// Closed segments, in close order per worker.
+    /// Closed segments, in the order of their closing events
+    /// ([`Segment::close`] ascending).
     pub segs: Vec<Segment>,
     /// Opens without a matching close (0 for a complete trace).
     pub unclosed: u64,

@@ -179,3 +179,172 @@ fn native_trace_has_balanced_nesting_and_consistent_steals() {
     assert_eq!(s.workers, 3);
     assert!(s.busy_total > 0);
 }
+
+/// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: impl Into<u64>) {
+        for b in x.into().to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of a collected trace, independent of the record layout: per
+/// event its `seq`, `t`, `worker`, a kind tag and every payload field,
+/// each widened to `u64`.
+fn trace_digest(trace: &hbp_core::trace::Trace) -> u64 {
+    let mut h = Fnv::new();
+    h.word(trace.events.len() as u64);
+    h.word(trace.dropped);
+    for e in &trace.events {
+        h.word(e.seq);
+        h.word(e.t);
+        h.word(e.worker);
+        match e.kind {
+            EventKind::TaskBegin { task } => {
+                h.word(1u64);
+                h.word(task);
+            }
+            EventKind::TaskEnd { task } => {
+                h.word(2u64);
+                h.word(task);
+            }
+            EventKind::JoinResume { task } => {
+                h.word(3u64);
+                h.word(task);
+            }
+            EventKind::Fork {
+                parent,
+                left,
+                right,
+            } => {
+                h.word(4u64);
+                h.word(parent);
+                h.word(left);
+                h.word(right);
+            }
+            EventKind::StealCommit {
+                task,
+                victim,
+                count,
+                cross_domain,
+            } => {
+                h.word(5u64);
+                h.word(task);
+                h.word(victim);
+                h.word(count);
+                h.word(cross_domain);
+            }
+            EventKind::StealFail => h.word(6u64),
+            EventKind::RegionAttach { task, region } => {
+                h.word(7u64);
+                h.word(task);
+                h.word(region);
+            }
+            EventKind::MissDelta {
+                heap_block,
+                stack_block,
+                stack_plain,
+            } => {
+                h.word(8u64);
+                h.word(heap_block);
+                h.word(stack_block);
+                h.word(stack_plain);
+            }
+        }
+    }
+    h.0
+}
+
+/// Digest of an extracted critical path: the totals and every hop,
+/// `HopVia` included.
+fn critical_path_digest(cp: &hbp_core::trace::CriticalPath) -> u64 {
+    let mut h = Fnv::new();
+    for x in [cp.total, cp.work, cp.steal, cp.queue_wait, cp.steals] {
+        h.word(x);
+    }
+    h.word(cp.hops.len() as u64);
+    for hop in &cp.hops {
+        h.word(hop.task);
+        h.word(hop.worker);
+        h.word(hop.start);
+        h.word(hop.end);
+        match hop.via {
+            HopVia::Start => h.word(1u64),
+            HopVia::SameWorker => h.word(2u64),
+            HopVia::Steal { committed, forked } => {
+                h.word(3u64);
+                h.word(committed);
+                h.word(forked);
+            }
+        }
+    }
+    h.0
+}
+
+/// `[trace digest, critical-path digest]` of every registry row at the
+/// scheduler pins' small size (256 / side 16, build seed 7) on the
+/// default machine: `PINNED_PIPELINE[row].1[policy]`, policies PWS then
+/// RWS seed 1. Computed with `crates/` at `d29ed3c`, before the event
+/// record was compacted and `collect` / `critical_path` stopped sorting
+/// and hashing; a change to the record → collect → analyse path that
+/// moves one field of one event or one hop fails here.
+#[rustfmt::skip]
+const PINNED_PIPELINE: [(&str, [[u64; 2]; 2]); 14] = [
+    ("Scans (M-Sum)", [[0x24d5c6ce1ad351b8, 0xc089120e1882022f], [0xd1cac2d22a648ae1, 0xf51532ad7601c458]]),
+    ("Scans (PS)", [[0x6ba6c8019e90214e, 0x2b915643cf24d766], [0x1980be279994da07, 0x783bfec5e13b5a75]]),
+    ("MT", [[0x4d5654beb6ca1442, 0x76de5290b3648d5e], [0x3587e8f66733e5c3, 0x7dc874db6d817d4d]]),
+    ("Strassen", [[0xe717b3a357ee5d98, 0xc8bb51a8ebc5db9f], [0xa6cbcf190fe1726e, 0x2ad1c061795b9b3c]]),
+    ("RM to BI", [[0x44002d6635ade910, 0xfca6f5de353892a2], [0xf90f9f06c95cd805, 0xb3f259642e41aa53]]),
+    ("Direct BI to RM", [[0x70697a8d4189beef, 0x2f59252e614eba2d], [0xf28d9cd3d161d311, 0x91f2acdefe67f2b5]]),
+    ("BI-RM (gap RM)", [[0xfa87b86e156eb9d4, 0x819d8260902fef13], [0x512fee12638fc759, 0xda0e328f992ab16e]]),
+    ("BI-RM for FFT", [[0xa7ee102d6e1d329e, 0xf1350ff9b0966694], [0x55c1895f04ec713c, 0x4ccfb0053e257a1b]]),
+    ("FFT", [[0x8fe876ed7f0c6137, 0x6f024d814d3c77a2], [0x495ae081dc7452be, 0xabc45713f69a33e6]]),
+    ("LR", [[0xda4266406f2c03b6, 0x39efe6d38b95e02a], [0xcf0fb8100519b6c7, 0xd19deef6e6e82731]]),
+    ("CC", [[0xdcad7594793a87e4, 0xa8000063f25f4514], [0x4b199949b6866f0a, 0xbc4ada2d6e2f2e41]]),
+    ("Depth-n-MM", [[0xe4ad4c2af80493e1, 0x264dee01717c07d8], [0xe7adf1bea4eef07e, 0xcf14df1697a238ec]]),
+    ("Sort (SPMS)", [[0x689021cb44aeb8f9, 0xc212a7d0403adf17], [0x2083990df6bc6cde, 0x7bc1fee7a31d357c]]),
+    ("Sort (merge std-in)", [[0xa7956a28bf8ad235, 0xac946cee1ae7e091], [0x2add5ddccec23bb0, 0x28105eb4635e1fdc]]),
+];
+
+#[test]
+fn traces_and_critical_paths_match_the_pinned_digests() {
+    let cfg = MachineConfig::default_machine();
+    let actual: Vec<(&str, [[u64; 2]; 2])> = registry()
+        .iter()
+        .map(|spec| {
+            let n = match spec.size {
+                SizeKind::Linear => 256,
+                SizeKind::MatrixSide => 16,
+            };
+            let comp = (spec.build)(n, BuildConfig::default(), 7);
+            let row = [Policy::Pws, Policy::Rws { seed: 1 }].map(|policy| {
+                let sink = TraceSink::new(cfg.p, ClockDomain::Virtual);
+                let report = run_traced(&comp, cfg, policy, &sink);
+                let trace = sink.collect();
+                let cp = critical_path(&trace)
+                    .unwrap_or_else(|e| panic!("{}/{policy:?}: {e}", spec.name));
+                assert_eq!(cp.total, report.makespan, "{}/{policy:?}", spec.name);
+                [trace_digest(&trace), critical_path_digest(&cp)]
+            });
+            (spec.name, row)
+        })
+        .collect();
+    assert!(
+        actual == PINNED_PIPELINE,
+        "trace / critical-path digests moved; the table now reads:\n{}",
+        actual
+            .iter()
+            .map(|(name, row)| format!(
+                "    ({name:?}, [[{:#018x}, {:#018x}], [{:#018x}, {:#018x}]]),\n",
+                row[0][0], row[0][1], row[1][0], row[1][1]
+            ))
+            .collect::<String>()
+    );
+}
