@@ -1,7 +1,8 @@
 //! The trace tools as processes: the observability loop end to end
-//! (stub counter source, cross-backend diff, strict overflow gate), the
-//! PWS-vs-RWS structural diff, and the shared usage errors; and the
-//! traced `table1` run with its Chrome-trace export.
+//! (stub counter source, cross-backend diff, strict overflow gate),
+//! eight-worker native traces, the PWS-vs-RWS structural diff, and the
+//! shared usage errors; and the traced `table1` run with its
+//! Chrome-trace export.
 
 use std::path::Path;
 use std::process::Command;
@@ -59,6 +60,26 @@ fn strict_mode_fails_a_truncated_trace() {
     let (code, _, stderr) = run(TRACE_REPORT, &["Sort (SPMS)", "65536"], &env);
     assert_ne!(code, Some(0), "ring overflow under strict mode");
     assert!(stderr.contains("events were dropped"), "{stderr}");
+}
+
+/// The native pool oversubscribed: eight workers on whatever the host
+/// has, a traced 65536-element run per policy, every steal accounted.
+#[test]
+fn eight_worker_native_traces_complete() {
+    for (algo, policy) in [("FFT", "rws"), ("FFT", "pws"), ("Sort (SPMS)", "rws")] {
+        let env = [
+            ("HBP_BACKEND", "native"),
+            ("HBP_WORKERS", "8"),
+            ("HBP_POLICY", policy),
+        ];
+        let (code, stdout, stderr) = run(TRACE_REPORT, &[algo, "65536"], &env);
+        assert_eq!(code, Some(0), "{algo}/{policy}: {stdout}\n{stderr}");
+        assert!(stdout.contains("workers = 8"), "{algo}/{policy}: {stdout}");
+        assert!(
+            stdout.contains("across 8 workers"),
+            "{algo}/{policy}: {stdout}"
+        );
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!
 //! Downstream layers never read the environment themselves: the pure
 //! `parse` functions stay on their owning types (`Policy::parse`,
-//! `DomainSpec::parse`, …), but the `std::env::var` calls live in this
+//! `CounterMode::parse`, …), but the `std::env::var` calls live in this
 //! module alone — a test-enforced property (`tests/env_surface.rs` fails
 //! on an `HBP_*` read outside this file), so adding a knob forces the
 //! loud-error aggregation and the README table to stay in sync.
@@ -23,25 +23,23 @@
 //! | `HBP_BACKEND` | [`Config::backend`] | `sim` |
 //! | `HBP_POLICY` | [`Config::policy`] | `pws` |
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
-//! | `HBP_DOMAINS` | [`Config::domains`] | `auto` |
-//! | `HBP_CROSS_DEPTH` | [`Config::cross_depth`] | `3` |
 //! | `HBP_COUNTERS` | [`Config::counters`] | `auto` |
-//! | `HBP_AUTOSCALE` | [`Config::autoscale`] | off (fixed pool) |
 //! | `HBP_TRACE` | [`Config::trace`] | off |
 //! | `HBP_TRACE_BUF` | [`Config::trace_buf`] | 2^20 events/worker |
 //! | `HBP_TRACE_STRICT` | [`Config::trace_strict`] | off |
 //! | `HBP_METRICS` | [`Config::metrics`] | off |
 //! | `HBP_METRICS_INTERVAL` | [`Config::metrics_interval`] | off (no sampler) |
 //!
-//! A retired variable (the README's knob table names them) is reported
-//! as an error when set, not silently ignored.
+//! A retired variable (`HBP_DEQUE`, `HBP_STEAL_BATCH`, `HBP_DOMAINS`,
+//! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`; the README says why each went) is
+//! reported as an error naming what replaced it when set, to any value,
+//! not silently ignored.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use hbp_sched::native::NativeConfig;
-use hbp_sched::topology::parse_cross_depth;
-use hbp_sched::{CounterMode, DomainSpec, Policy};
+use hbp_sched::{CounterMode, Policy};
 use hbp_trace::{ClockDomain, TraceSink};
 
 use crate::executor::SimExecutor;
@@ -82,30 +80,6 @@ pub fn parse_workers(value: Option<&str>) -> Result<usize, String> {
             .ok()
             .filter(|&w| w >= 1)
             .ok_or_else(|| format!("HBP_WORKERS must be a positive integer, got {s:?}")),
-    }
-}
-
-/// Parse an `HBP_AUTOSCALE` value: `None` (unset), the empty string or
-/// `off` → no autoscaling; `min..max` (both positive, `min <= max`) →
-/// the elastic band. Anything else is an error naming the variable, the
-/// offending value, and the accepted forms.
-pub fn parse_autoscale(value: Option<&str>) -> Result<Option<(usize, usize)>, String> {
-    let err = |other: &str| {
-        Err(format!(
-            "HBP_AUTOSCALE must be `off` or `min..max` with 1 <= min <= max, got {other:?}"
-        ))
-    };
-    match value {
-        None | Some("") | Some("off") | Some("0") => Ok(None),
-        Some(other) => {
-            let Some((lo, hi)) = other.split_once("..") else {
-                return err(other);
-            };
-            match (lo.parse::<usize>(), hi.parse::<usize>()) {
-                (Ok(min), Ok(max)) if min >= 1 && min <= max => Ok(Some((min, max))),
-                _ => err(other),
-            }
-        }
     }
 }
 
@@ -153,6 +127,25 @@ fn parse_metrics_interval(value: Option<&str>) -> Result<Option<Duration>, Strin
     }
 }
 
+/// Retired `HBP_*` variables and what replaced each: setting one, to
+/// any value, is an error (see [`Config::from_lookup`]).
+const RETIRED: [(&str, &str); 5] = [
+    ("HBP_DEQUE", "Chase-Lev is the only deque"),
+    (
+        "HBP_STEAL_BATCH",
+        "top-level steals batch up to 8, join-waits take one",
+    ),
+    (
+        "HBP_DOMAINS",
+        "every worker steals from every other, one flat pool",
+    ),
+    (
+        "HBP_CROSS_DEPTH",
+        "steal admission is the policy's alone (`bsp:<k>` is the depth floor)",
+    ),
+    ("HBP_AUTOSCALE", "the pool runs exactly HBP_WORKERS threads"),
+];
+
 /// The full runtime configuration (see the module docs for the env
 /// table). Construct with [`Config::new`] and the builder methods, or
 /// [`Config::from_env`].
@@ -164,15 +157,8 @@ pub struct Config {
     pub policy: Policy,
     /// Native worker threads / trace-sink width (`HBP_WORKERS`).
     pub workers: usize,
-    /// Cache-domain sharding (`HBP_DOMAINS`).
-    pub domains: DomainSpec,
-    /// Fork-depth floor for cross-domain steals (`HBP_CROSS_DEPTH`).
-    pub cross_depth: u32,
     /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`).
     pub counters: CounterMode,
-    /// Elastic worker band (`HBP_AUTOSCALE=min..max`; `None` = fixed
-    /// pool). See `NativeConfig::autoscale` for the semantics.
-    pub autoscale: Option<(usize, usize)>,
     /// Structured event tracing on/off (`HBP_TRACE`).
     pub trace: bool,
     /// Per-worker trace ring capacity, events (`HBP_TRACE_BUF`).
@@ -195,10 +181,7 @@ impl Default for Config {
             backend: Backend::Sim,
             policy: Policy::Pws,
             workers: native.workers,
-            domains: native.domains,
-            cross_depth: native.cross_depth,
             counters: native.counters,
-            autoscale: None,
             trace: false,
             trace_buf: hbp_trace::DEFAULT_CAPACITY,
             trace_strict: false,
@@ -210,7 +193,7 @@ impl Default for Config {
 
 impl Config {
     /// The defaults: sim backend, PWS, one worker per hardware thread
-    /// (min 4), no tracing, no metrics, no autoscale.
+    /// (min 4), no tracing, no metrics.
     pub fn new() -> Self {
         Self::default()
     }
@@ -235,27 +218,9 @@ impl Config {
         self
     }
 
-    /// Set the cache-domain sharding.
-    pub fn domains(mut self, d: DomainSpec) -> Self {
-        self.domains = d;
-        self
-    }
-
-    /// Set the cross-domain steal depth floor.
-    pub fn cross_depth(mut self, d: u32) -> Self {
-        self.cross_depth = d;
-        self
-    }
-
     /// Set the counter-sampling mode.
     pub fn counters(mut self, c: CounterMode) -> Self {
         self.counters = c;
-        self
-    }
-
-    /// Enable elastic autoscaling inside `[min, max]` workers.
-    pub fn autoscale(mut self, min: usize, max: usize) -> Self {
-        self.autoscale = Some((min, max));
         self
     }
 
@@ -317,32 +282,14 @@ impl Config {
         set!(cfg.backend, Backend::parse(get("HBP_BACKEND").as_deref()));
         set!(cfg.policy, Policy::parse(get("HBP_POLICY").as_deref()));
         set!(cfg.workers, parse_workers(get("HBP_WORKERS").as_deref()));
-        for (var, now) in [
-            ("HBP_DEQUE", "Chase-Lev is the only deque"),
-            (
-                "HBP_STEAL_BATCH",
-                "top-level steals batch up to 8, join-waits take one",
-            ),
-        ] {
+        for (var, now) in RETIRED {
             if get(var).is_some() {
                 errors.push(format!("{var} was removed: {now}"));
             }
         }
         set!(
-            cfg.domains,
-            DomainSpec::parse(get("HBP_DOMAINS").as_deref())
-        );
-        set!(
-            cfg.cross_depth,
-            parse_cross_depth(get("HBP_CROSS_DEPTH").as_deref())
-        );
-        set!(
             cfg.counters,
             CounterMode::parse(get("HBP_COUNTERS").as_deref())
-        );
-        set!(
-            cfg.autoscale,
-            parse_autoscale(get("HBP_AUTOSCALE").as_deref())
         );
         set!(
             cfg.trace,
@@ -400,9 +347,6 @@ impl Config {
             seed,
             policy: self.policy,
             counters: self.counters,
-            domains: self.domains,
-            cross_depth: self.cross_depth,
-            autoscale: self.autoscale,
         }
     }
 
@@ -446,19 +390,17 @@ mod tests {
             .backend(Backend::Native)
             .policy(Policy::Rws { seed: 7 })
             .workers(3)
-            .autoscale(1, 4)
             .metrics(true);
         assert_eq!(cfg.backend, Backend::Native);
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.autoscale, Some((1, 4)));
         assert!(cfg.metrics);
         // Untouched fields keep their defaults.
-        assert_eq!(cfg.cross_depth, Config::default().cross_depth);
+        assert_eq!(cfg.counters, Config::default().counters);
         assert!(!cfg.trace);
         let native = cfg.native_config(5);
         assert_eq!(native.workers, 3);
         assert_eq!(native.seed, 5);
-        assert_eq!(native.autoscale, Some((1, 4)));
+        assert_eq!(native.policy, Policy::Rws { seed: 7 });
     }
 
     #[test]
@@ -504,26 +446,12 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_parse_accepts_bands_and_rejects_garbage() {
-        assert_eq!(parse_autoscale(None), Ok(None));
-        assert_eq!(parse_autoscale(Some("")), Ok(None));
-        assert_eq!(parse_autoscale(Some("off")), Ok(None));
-        assert_eq!(parse_autoscale(Some("1..4")), Ok(Some((1, 4))));
-        assert_eq!(parse_autoscale(Some("2..2")), Ok(Some((2, 2))));
-        for bad in ["4..1", "0..3", "1-4", "many", "..", "3.."] {
-            let err = parse_autoscale(Some(bad)).expect_err(bad);
-            assert!(err.contains("HBP_AUTOSCALE"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
-    }
-
-    #[test]
     fn from_lookup_reports_every_invalid_var_at_once() {
         let vars = [
             ("HBP_BACKEND", "quantum"),
             ("HBP_POLICY", "pws"),
             ("HBP_WORKERS", "zero"),
-            ("HBP_AUTOSCALE", "4..1"),
+            ("HBP_TRACE_BUF", "0"),
             ("HBP_METRICS", "1"),
         ];
         let err = Config::from_lookup(|v| {
@@ -532,55 +460,66 @@ mod tests {
                 .map(|(_, val)| val.to_string())
         })
         .expect_err("three invalid vars");
-        for var in ["HBP_BACKEND", "HBP_WORKERS", "HBP_AUTOSCALE"] {
+        for var in ["HBP_BACKEND", "HBP_WORKERS", "HBP_TRACE_BUF"] {
             assert!(err.contains(var), "error must name {var}: {err}");
         }
-        for val in ["quantum", "zero", "4..1"] {
+        for val in ["quantum", "zero", "\"0\""] {
             assert!(err.contains(val), "error must echo {val}: {err}");
         }
         assert!(err.contains("3 problems"), "{err}");
         // Valid vars still parse when the invalid ones are fixed.
         let ok = Config::from_lookup(|v| match v {
             "HBP_POLICY" => Some("rws:9".into()),
-            "HBP_AUTOSCALE" => Some("1..4".into()),
+            "HBP_TRACE_BUF" => Some("64".into()),
             "HBP_METRICS" => Some("1".into()),
             _ => None,
         })
         .unwrap();
         assert_eq!(ok.policy, Policy::Rws { seed: 9 });
-        assert_eq!(ok.autoscale, Some((1, 4)));
+        assert_eq!(ok.trace_buf, 64);
         assert!(ok.metrics);
     }
 
     #[test]
     fn retired_knobs_are_reported_not_ignored() {
-        // Set to any value — even the old default — each is an error,
-        // and they aggregate with each other and the other problems.
-        for (deque, batch) in [("mutex", "off"), ("cl", "policy"), ("", "")] {
+        // Set to any value — even the old default — each is an error
+        // naming what replaced it, and they aggregate with each other
+        // and the other problems.
+        for values in [
+            ["mutex", "off", "4", "0", "1..8"],
+            ["cl", "policy", "tag:2", "inf", "2..2"],
+            ["", "", "auto", "3", "off"],
+        ] {
             let err = Config::from_lookup(|v| match v {
-                "HBP_DEQUE" => Some(deque.into()),
-                "HBP_STEAL_BATCH" => Some(batch.into()),
                 "HBP_WORKERS" => Some("zero".into()),
-                _ => None,
+                _ => RETIRED
+                    .iter()
+                    .position(|(var, _)| *var == v)
+                    .map(|i| values[i].into()),
             })
             .expect_err("a set retired knob is an error");
-            assert!(
-                err.contains("HBP_DEQUE was removed: Chase-Lev is the only deque"),
-                "{err}"
-            );
-            assert!(
-                err.contains(
-                    "HBP_STEAL_BATCH was removed: top-level steals batch up to 8, \
-                     join-waits take one"
-                ),
-                "{err}"
-            );
-            assert!(err.contains("HBP_WORKERS"), "{err}");
-            assert!(err.contains("3 problems"), "{err}");
+            for want in [
+                "HBP_DEQUE was removed: Chase-Lev is the only deque",
+                "HBP_STEAL_BATCH was removed: top-level steals batch up to 8, \
+                 join-waits take one",
+                "HBP_DOMAINS was removed: every worker steals from every other, \
+                 one flat pool",
+                "HBP_CROSS_DEPTH was removed: steal admission is the policy's \
+                 alone (`bsp:<k>` is the depth floor)",
+                "HBP_AUTOSCALE was removed: the pool runs exactly HBP_WORKERS \
+                 threads",
+            ] {
+                assert!(err.contains(want), "{want:?} missing from {err}");
+            }
+            assert!(err.contains("HBP_WORKERS must"), "{err}");
+            assert!(err.contains("6 problems"), "{err}");
         }
-        let err = Config::from_lookup(|v| (v == "HBP_STEAL_BATCH").then(|| "4".into()))
-            .expect_err("alone, too");
-        assert!(err.contains("1 problem)"), "{err}");
+        for (var, _) in RETIRED {
+            let err =
+                Config::from_lookup(|v| (v == var).then(|| "4".into())).expect_err("alone, too");
+            assert!(err.contains("1 problem)"), "{var}: {err}");
+            assert!(err.contains(&format!("{var} was removed")), "{err}");
+        }
     }
 
     #[test]

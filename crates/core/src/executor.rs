@@ -93,7 +93,7 @@ impl Executor for SimExecutor {
 #[derive(Debug, Clone, Copy)]
 pub struct NativeExecutor {
     /// The pool [`Executor::open`] spawns — worker count, stealing
-    /// discipline, domains, autoscale band. `pool.seed` is the
+    /// discipline, counter mode. `pool.seed` is the
     /// victim-selection RNG seed (input seeds come from the job).
     pub pool: NativeConfig,
 }

@@ -63,7 +63,7 @@ pub use hbp_sched as sched;
 /// path, utilization — see the `hbp-trace` crate docs).
 pub use hbp_trace as trace;
 
-pub use config::{parse_autoscale, parse_workers, Backend, Config};
+pub use config::{parse_workers, Backend, Config};
 pub use executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
 pub use hbp_machine::{MachineConfig, MemSystem};
 pub use hbp_model::{BuildConfig, Builder, Computation};

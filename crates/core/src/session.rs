@@ -200,8 +200,6 @@ fn publish_sim_metrics(nodes: u64, r: &ExecReport) {
     let s0 = m.shard(0);
     s0.tasks_executed.add(nodes);
     s0.steals_committed.add(r.steals);
-    // The simulated machine is one cache domain: every steal is local.
-    s0.steals_local.add(r.steals);
     s0.steals_failed
         .add(r.steal_attempts.saturating_sub(r.steals));
     // Sim steals move exactly one task per claiming sequence.

@@ -25,10 +25,6 @@ pub fn prometheus_text(s: &Snapshot) -> String {
     counter_family(&mut out, "hbp_steals_committed_total", s, |w| {
         w.steals_committed
     });
-    counter_family(&mut out, "hbp_steals_local_total", s, |w| w.steals_local);
-    counter_family(&mut out, "hbp_steals_cross_domain_total", s, |w| {
-        w.steals_cross_domain
-    });
     counter_family(&mut out, "hbp_steals_failed_total", s, |w| w.steals_failed);
     counter_family(&mut out, "hbp_parks_total", s, |w| w.parks);
     counter_family(&mut out, "hbp_unparks_total", s, |w| w.unparks);
@@ -119,15 +115,12 @@ pub fn json(s: &Snapshot) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"worker\":{},\"tasks\":{},\"steals_committed\":{},\"steals_local\":{},\
-             \"steals_cross_domain\":{},\"steals_failed\":{},\
+            "{{\"worker\":{},\"tasks\":{},\"steals_committed\":{},\"steals_failed\":{},\
              \"parks\":{},\"unparks\":{},\"queue_depth\":{},\"queue_depth_peak\":{},\
              \"steal_batch\":{}}}",
             w.worker,
             w.tasks_executed,
             w.steals_committed,
-            w.steals_local,
-            w.steals_cross_domain,
             w.steals_failed,
             w.parks,
             w.unparks,
@@ -137,10 +130,8 @@ pub fn json(s: &Snapshot) -> String {
         ));
     }
     let (sc, sf) = s.total_steals();
-    let (sl, sx) = s.total_steal_locality();
     out.push_str(&format!(
-        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_local\":{sl},\
-         \"steals_cross_domain\":{sx},\"steals_failed\":{sf}}},\
+        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_failed\":{sf}}},\
          \"serve\":{{\"jobs_submitted\":{},\"jobs_completed\":{},\"admission_rejected\":{},\
          \"admission_deferred\":{},\"latency_ns\":{},\"pool_backlog\":{},\
          \"pool_backlog_peak\":{},\"workers_active\":{}}},\
@@ -182,8 +173,7 @@ mod tests {
             let s = r.shard(w);
             s.tasks_executed.add(10 + w as u64);
             s.steals_committed.add(3);
-            s.steals_local.add(2);
-            s.steals_cross_domain.add(1);
+            s.steals_failed.add(2);
             s.steal_batch.observe(2);
             s.queue_depth.set(4);
         }
@@ -199,9 +189,8 @@ mod tests {
         assert!(text.contains("# TYPE hbp_tasks_executed_total counter"));
         assert!(text.contains("hbp_tasks_executed_total{worker=\"0\"} 10"));
         assert!(text.contains("hbp_tasks_executed_total{worker=\"1\"} 11"));
-        assert!(text.contains("# TYPE hbp_steals_local_total counter"));
-        assert!(text.contains("hbp_steals_local_total{worker=\"0\"} 2"));
-        assert!(text.contains("hbp_steals_cross_domain_total{worker=\"1\"} 1"));
+        assert!(text.contains("# TYPE hbp_steals_failed_total counter"));
+        assert!(text.contains("hbp_steals_failed_total{worker=\"0\"} 2"));
         assert!(text.contains("hbp_steal_batch_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("hbp_steal_batch_count 2"));
         assert!(text.contains("hbp_job_latency_ns_count 1"));
@@ -233,7 +222,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"totals\":{\"tasks\":21,"));
-        assert!(a.contains("\"steals_local\":2,\"steals_cross_domain\":1"));
+        assert!(a.contains("\"steals_committed\":3,\"steals_failed\":2"));
         assert!(a.contains("\"jobs_submitted\":5"));
     }
 }

@@ -22,13 +22,6 @@ pub struct WorkerShard {
     pub tasks_executed: Counter,
     /// Steal attempts that claimed at least one task.
     pub steals_committed: Counter,
-    /// Committed steals whose victim shared the thief's cache domain
-    /// (every steal on an unlabelled/flat pool; split from
-    /// `steals_committed` by the native runtime's domain map).
-    pub steals_local: Counter,
-    /// Committed steals whose victim sat in another cache domain — the
-    /// expensive ones the two-level victim order works to avoid.
-    pub steals_cross_domain: Counter,
     /// Steal attempts that found every probed deque empty or lost a race.
     pub steals_failed: Counter,
     /// Tasks claimed per committed steal (batched stealing makes this > 1).
@@ -48,8 +41,6 @@ impl WorkerShard {
         WorkerShard {
             tasks_executed: Counter::new(),
             steals_committed: Counter::new(),
-            steals_local: Counter::new(),
-            steals_cross_domain: Counter::new(),
             steals_failed: Counter::new(),
             steal_batch: LogHistogram::new(),
             parks: Counter::new(),
@@ -62,8 +53,6 @@ impl WorkerShard {
     fn reset(&self) {
         self.tasks_executed.reset();
         self.steals_committed.reset();
-        self.steals_local.reset();
-        self.steals_cross_domain.reset();
         self.steals_failed.reset();
         self.steal_batch.reset();
         self.parks.reset();
@@ -105,8 +94,8 @@ pub struct Registry {
     /// High-water mark of `pool_backlog`.
     pub pool_backlog_peak: Gauge,
     /// Peak worker participation of the most recently completed job
-    /// (driver included) — on an elastic pool this tracks autoscaling
-    /// job by job; on a fixed pool it sits at the worker count.
+    /// (driver included): how many of the pool's fixed workers woke in
+    /// time to take part, at most the worker count.
     pub workers_active: Gauge,
 }
 
@@ -196,8 +185,6 @@ impl Registry {
                     worker: w,
                     tasks_executed: s.tasks_executed.get(),
                     steals_committed: s.steals_committed.get(),
-                    steals_local: s.steals_local.get(),
-                    steals_cross_domain: s.steals_cross_domain.get(),
                     steals_failed: s.steals_failed.get(),
                     steal_batch: s.steal_batch.snapshot(),
                     parks: s.parks.get(),
@@ -229,8 +216,6 @@ pub struct WorkerSnap {
     pub worker: usize,
     pub tasks_executed: u64,
     pub steals_committed: u64,
-    pub steals_local: u64,
-    pub steals_cross_domain: u64,
     pub steals_failed: u64,
     pub steal_batch: HistSnapshot,
     pub parks: u64,
@@ -266,15 +251,6 @@ impl Snapshot {
     pub fn total_steals(&self) -> (u64, u64) {
         self.workers.iter().fold((0, 0), |(c, f), w| {
             (c + w.steals_committed, f + w.steals_failed)
-        })
-    }
-
-    /// (local, cross-domain) committed steals across workers. Their sum
-    /// equals total committed steals on a native pool; both are zero
-    /// when nothing classified locality (sim backend, metrics off).
-    pub fn total_steal_locality(&self) -> (u64, u64) {
-        self.workers.iter().fold((0, 0), |(l, x), w| {
-            (l + w.steals_local, x + w.steals_cross_domain)
         })
     }
 

@@ -27,12 +27,9 @@
 //! * [`ClDeque::steal_with`] takes an **admission filter**: the thief
 //!   reads the top element, asks the filter, and only then CASes `top`.
 //!   A denied element stays in place. This is what lets the BSP facet of
-//!   the native runtime (§5.3) refuse deep tasks without dequeuing them,
-//!   and the filter *composes*: on a domain-sharded pool the runtime
-//!   passes `admit(depth) && cross_admit(depth, floor)` for cross-domain
-//!   victims, so a task too deep to cross cache domains is refused by
-//!   the same thief-side predicate, before the claiming CAS, with no new
-//!   deque machinery.
+//!   the native runtime (§5.3) refuse deep tasks without dequeuing them:
+//!   the policy's `admit(depth)` runs thief-side, before the claiming
+//!   CAS, and a refused task stays for its owner to pop.
 //!
 //! ## Safety notes
 //!
@@ -722,16 +719,15 @@ mod tests {
     }
 
     #[test]
-    fn retiring_owner_races_a_thief_without_loss_or_duplication() {
-        // The elastic-pool retirement protocol (runtime::thief_main), in
-        // miniature: the owner stops treating the deque as its own,
-        // yields so a concurrent thief can drain it through the normal
-        // top-CAS path, then claims the leftovers itself — here the
-        // thief's admission filter makes the second half of the ids
-        // thief-invisible, the same way the cross-domain depth floor
-        // does in the runtime. Exactly-once must survive the owner's
-        // pop-bottom racing the thief's steal-top. Small on purpose:
-        // CI runs this module under Miri.
+    fn owner_drain_races_a_filtering_thief_without_loss_or_duplication() {
+        // The owner yields so a concurrent thief can drain the deque
+        // through the top-CAS path, then pops everything left from the
+        // bottom — racing the thief's last steals. The thief's admission
+        // filter makes the second half of the ids thief-invisible, as
+        // the BSP facet's §5.3 floor does deep tasks, so the owner's
+        // drain is what claims them. Exactly-once must survive the
+        // owner's pop-bottom racing the thief's steal-top. Small on
+        // purpose: CI runs this module under Miri.
         use std::sync::atomic::AtomicU64;
         const N: u64 = 128;
         let d = Arc::new(ClDeque::with_capacity(8));
@@ -766,9 +762,8 @@ mod tests {
                 }
             }
         });
-        // Retirement: a bounded yield window for the thief, then the
-        // owner self-executes whatever is left (the RETIRE_DRAIN_SPINS
-        // path — admission-denied tasks can never strand here).
+        // A bounded yield window for the thief, then the owner claims
+        // whatever is left — admission-denied tasks included.
         for _ in 0..32 {
             if d.len_hint() == 0 {
                 break;
@@ -783,7 +778,7 @@ mod tests {
         assert_eq!(
             claimed_n.load(Ordering::Relaxed),
             N as usize,
-            "every task claimed exactly once across thief + retiring owner"
+            "every task claimed exactly once across thief + draining owner"
         );
         assert_eq!(
             claimed_sum.load(Ordering::Relaxed),

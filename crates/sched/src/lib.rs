@@ -35,17 +35,13 @@
 //!   retired-buffer reclamation) — the native realization of the Obs 4.1
 //!   discipline;
 //! * [`native`] — the real-threads backend: a [`native::NativePool`] runs
-//!   closures on persistent `std::thread` workers over per-worker
-//!   [`ClDeque`]s, with victim selection, §5.3 steal admission, and idle
+//!   closures on a fixed set of persistent `std::thread` workers over
+//!   per-worker [`ClDeque`]s, stealing flat (the pool never learns the
+//!   cache topology, as the paper's resource-oblivious schedulers do
+//!   not), with victim selection, §5.3 steal admission, and idle
 //!   backoff supplied by the policies' native facets
 //!   ([`policy::NativeStealPolicy`]), reporting wall-clock makespan and
 //!   per-worker busy/steal counters in the same [`ExecReport`] shape;
-//! * [`topology`] — cache-domain topology for the native backend:
-//!   [`DomainSpec`] (`HBP_DOMAINS=auto|<k>|tag:<k>`) resolves to a
-//!   worker → domain [`DomainMap`] (detected from `/sys` cache sharing
-//!   or simulated), driving **two-level stealing** — local victims
-//!   first, cross-domain admission gated by a fork-depth floor
-//!   (`HBP_CROSS_DEPTH`) that generalizes the §5.3 BSP rule;
 //! * [`perf`] — hardware counter sampling for the native backend: per-
 //!   worker `perf_event` fds (raw syscall, feature `perf`, graceful
 //!   stub/off degradation via [`CounterMode`]) read at task boundaries
@@ -76,7 +72,6 @@ pub mod policy;
 pub mod report;
 pub mod sim;
 pub mod stacks;
-pub mod topology;
 
 pub use cl_deque::{ClDeque, Steal};
 pub use engine::{
@@ -85,4 +80,3 @@ pub use engine::{
 pub use perf::{CounterMode, CounterSource};
 pub use policy::{NativeStealPolicy, StealPolicy};
 pub use report::{ExcessReport, ExecReport, SeqReport};
-pub use topology::{DomainMap, DomainSpec};

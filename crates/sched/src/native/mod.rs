@@ -27,8 +27,10 @@
 //!   waiting for the branch's completion flag. Idle workers run the
 //!   policy's probe plan until the job's root completes. Every steal,
 //!   from either place, goes through one claiming call;
-//! * **pool** ([`pool`]): a [`NativePool`] spawns its workers **once**
-//!   and serves successive jobs through a submission queue — workers
+//! * **pool** ([`pool`]): a [`NativePool`] spawns its fixed set of
+//!   [`NativeConfig::workers`] threads **once** and serves successive
+//!   jobs through a submission queue — every worker steals from every
+//!   other (one flat victim set, no cache-domain grouping), workers
 //!   park on a condvar between jobs, shutdown is explicit and
 //!   idempotent, and every job gets its own [`ExecReport`] (and
 //!   optionally its own trace sink). [`NativePool::run`] is the
@@ -78,7 +80,6 @@ pub(crate) mod runtime;
 use crate::engine::Policy;
 use crate::perf::CounterMode;
 
-pub use crate::topology::{DomainMap, DomainSpec};
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
 pub use runtime::{in_pool, join};
 
@@ -97,30 +98,6 @@ pub struct NativeConfig {
     /// see [`crate::perf`]). Only consulted while a trace sink is
     /// attached — untraced jobs never open or read counters.
     pub counters: CounterMode,
-    /// Cache-domain sharding (`HBP_DOMAINS`; see [`crate::topology`]).
-    /// [`DomainSpec::Auto`] detects from the host (flat fallback),
-    /// `Count(k)` simulates `k` domains with two-level stealing, and
-    /// `Tag(k)` labels locality while keeping flat stealing. With one
-    /// resolved domain the pool is behaviorally identical to the
-    /// pre-domain flat pool.
-    pub domains: DomainSpec,
-    /// Fork-depth floor for cross-domain steals (`HBP_CROSS_DEPTH`):
-    /// a branch published at fork depth `d` may cross domains only when
-    /// `d <= cross_depth` (and the policy's own admission also holds).
-    /// Ignored unless two-level stealing is on.
-    pub cross_depth: u32,
-    /// Elastic band (`HBP_AUTOSCALE=min..max`). `None` (the default)
-    /// pins the pool at `workers` threads, exactly the pre-elastic
-    /// behavior. `Some((min, max))` spawns the pool at capacity
-    /// `max(workers, max)` and runs a controller thread that steers the
-    /// *desired* worker count inside `[min, max]` from the submission
-    /// backlog: pressure grows one worker per tick, sustained idleness
-    /// shrinks one. Workers above the desired target retire cooperatively
-    /// — they stop popping, let thieves drain their deque, execute any
-    /// thief-inadmissible leftovers themselves, and park until the target
-    /// rises again. [`NativePool::set_desired_workers`] overrides the
-    /// controller manually.
-    pub autoscale: Option<(usize, usize)>,
 }
 
 impl Default for NativeConfig {
@@ -136,9 +113,6 @@ impl Default for NativeConfig {
             seed: 0,
             policy: Policy::Rws { seed: 0 },
             counters: CounterMode::Auto,
-            domains: DomainSpec::Auto,
-            cross_depth: crate::topology::DEFAULT_CROSS_DEPTH,
-            autoscale: None,
         }
     }
 }

@@ -218,43 +218,16 @@ fn raise_job_panic(panics: &[(usize, String)], payload: Box<dyn std::any::Any + 
 pub struct NativePool {
     shared: Arc<Pool>,
     threads: Vec<JoinHandle<()>>,
-    /// Fixed thread capacity (the elastic ceiling; per-worker storage is
-    /// sized at this and never resized).
-    workers: usize,
 }
 
 impl NativePool {
-    /// Spawn a pool of worker threads (one driver + thieves), with
-    /// `cfg`'s policy facet and RNG stream seed.
-    ///
-    /// The pool's **capacity** is `cfg.workers`, raised to the autoscale
-    /// ceiling when `cfg.autoscale` is set: every capacity slot gets its
-    /// thread and its place in the domain map at spawn (the map is
-    /// resolved once, over the full capacity, so grow/shrink never
-    /// re-partitions it — `domains()` metadata is stable for the pool's
-    /// lifetime). Initially only `cfg.workers` slots *participate*
-    /// (clamped into the autoscale band when one is set); the rest park
-    /// until [`NativePool::set_desired_workers`] — or the autoscale
-    /// controller — raises the target over them.
+    /// Spawn exactly `cfg.workers` threads — one driver and
+    /// `cfg.workers - 1` thieves — with `cfg`'s policy facet and RNG
+    /// stream seed. The set is fixed for the pool's lifetime.
     pub fn new(cfg: NativeConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
-        if let Some((min, max)) = cfg.autoscale {
-            assert!(
-                min >= 1 && min <= max,
-                "autoscale band must satisfy 1 <= min <= max, got {min}..{max}"
-            );
-        }
-        let capacity = cfg
-            .autoscale
-            .map_or(cfg.workers, |(_, max)| max.max(cfg.workers));
-        let desired = cfg
-            .autoscale
-            .map_or(cfg.workers, |(min, max)| cfg.workers.clamp(min, max));
-        // Resolve the cache-domain sharding once, at spawn: auto-detected
-        // from /sys (flat fallback, loudly), or simulated (`<k>`/`tag:<k>`).
-        let (domains, two_level) = cfg.domains.resolve(capacity);
-        let shared = Arc::new(Pool::new(capacity, desired, &cfg, domains, two_level));
-        let mut threads = Vec::with_capacity(capacity + 1);
+        let shared = Arc::new(Pool::new(&cfg));
+        let mut threads = Vec::with_capacity(cfg.workers);
         let p = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
@@ -262,7 +235,7 @@ impl NativePool {
                 .spawn(move || driver_main(&p))
                 .expect("spawn pool driver"),
         );
-        for w in 1..capacity {
+        for w in 1..cfg.workers {
             let p = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
@@ -271,59 +244,12 @@ impl NativePool {
                     .expect("spawn pool worker"),
             );
         }
-        if let Some((min, max)) = cfg.autoscale {
-            let p = Arc::clone(&shared);
-            let max = max.min(capacity);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("hbp-pool-autoscale".into())
-                    .spawn(move || autoscale_main(&p, min.min(max), max))
-                    .expect("spawn autoscale controller"),
-            );
-        }
-        Self {
-            shared,
-            threads,
-            workers: capacity,
-        }
+        Self { shared, threads }
     }
 
-    /// Number of worker threads (driver included) — the pool's fixed
-    /// capacity, i.e. the elastic ceiling, not the current target.
+    /// Number of worker threads (driver included).
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The current elastic participation target (see
-    /// [`NativePool::set_desired_workers`]).
-    pub fn desired_workers(&self) -> usize {
-        self.shared.desired.load(Ordering::Relaxed)
-    }
-
-    /// Set the elastic participation target: workers `w < n` serve jobs,
-    /// workers `w >= n` retire at their next steal-loop boundary (they
-    /// stop popping, let thieves drain their deques, then park — see
-    /// `runtime::thief_main`) and rejoin when the target grows back.
-    /// Clamped to `1..=workers()`; takes effect mid-job in both
-    /// directions. Worker 0 (the driver) always participates.
-    pub fn set_desired_workers(&self, n: usize) {
-        let n = n.clamp(1, self.workers);
-        self.shared.desired.store(n, Ordering::Relaxed);
-        // Wake parked thieves so a grow is acted on immediately (a
-        // shrink needs no wake: active workers poll `desired`).
-        self.shared.work_cv.notify_all();
-    }
-
-    /// Resolved cache-domain count (1 = the flat pool).
-    pub fn domains(&self) -> usize {
-        self.shared.domains.domains()
-    }
-
-    /// Whether two-level stealing (local-first victim order, the
-    /// cross-domain depth floor, domain-aware parking) is active —
-    /// false for flat, single-domain, and `tag:<k>` pools.
-    pub fn two_level(&self) -> bool {
-        self.shared.two_level
+        self.shared.deques.len()
     }
 
     /// Jobs accepted but not yet started (the driver's backlog).
@@ -371,10 +297,10 @@ impl NativePool {
     fn check_sink(&self, trace: Option<&TraceSink>) {
         if let Some(tr) = trace {
             assert!(
-                tr.workers() >= self.workers,
+                tr.workers() >= self.workers(),
                 "trace sink sized for {} workers, pool has {}",
                 tr.workers(),
-                self.workers
+                self.workers()
             );
             assert!(
                 tr.clock() == ClockDomain::WallNs,
@@ -433,8 +359,8 @@ impl NativePool {
 
     /// [`NativePool::run`] with optional structured-event recording.
     /// When `trace` is `Some`, the sink must be in
-    /// [`ClockDomain::WallNs`] and sized for at least the pool's
-    /// capacity; collect it after this returns.
+    /// [`ClockDomain::WallNs`] and sized for at least `cfg.workers`
+    /// workers; collect it after this returns.
     pub fn run_traced<R, F>(
         cfg: NativeConfig,
         trace: Option<Arc<TraceSink>>,
@@ -519,7 +445,8 @@ fn snapshot(counters: &[WorkerCounters]) -> Vec<CounterSnap> {
 /// Assemble a per-job [`ExecReport`] from before/after counter
 /// snapshots (field semantics in the `native` module docs).
 /// `workers_active` is the job's peak worker participation (driver
-/// included), which on an elastic pool can be anywhere in `1..=p`.
+/// included): `1..=p`, since a thief that is still parked when the root
+/// returns never registers.
 fn delta_report(
     before: &[CounterSnap],
     after: &[CounterSnap],
@@ -570,47 +497,6 @@ fn delta_report(
     }
 }
 
-/// The autoscale controller: a sampling loop that steers the pool's
-/// `desired` worker target inside `[min, max]` from the observable
-/// pressure signals — the submission backlog (the same queue depth the
-/// metrics registry publishes as `pool_backlog`) and whether a job is in
-/// flight. Pressure (a queued or running job) grows the target one
-/// worker per tick; a fully idle pool shrinks one worker per
-/// [`IDLE_TICKS_TO_SHRINK`] quiet ticks, down to `min`. Exits with the
-/// pool.
-fn autoscale_main(pool: &Pool, min: usize, max: usize) {
-    /// Sampling period. Coarse enough to stay invisible in profiles,
-    /// fine enough that a serve-scenario burst grows the pool within a
-    /// few requests.
-    const TICK: std::time::Duration = std::time::Duration::from_micros(500);
-    const IDLE_TICKS_TO_SHRINK: u32 = 4;
-    let mut idle_ticks = 0u32;
-    loop {
-        let (backlog, running, exit) = {
-            let s = pool.state.lock().expect("pool state poisoned");
-            (s.queue.len(), s.running, s.exit)
-        };
-        if exit && !running && backlog == 0 {
-            return;
-        }
-        let cur = pool.desired.load(Ordering::Relaxed);
-        if backlog > 0 || running {
-            idle_ticks = 0;
-            if cur < max {
-                pool.desired.store(cur + 1, Ordering::Relaxed);
-                pool.work_cv.notify_all();
-            }
-        } else {
-            idle_ticks = idle_ticks.saturating_add(1);
-            if idle_ticks >= IDLE_TICKS_TO_SHRINK && cur > min {
-                pool.desired.store(cur - 1, Ordering::Relaxed);
-                idle_ticks = 0;
-            }
-        }
-        std::thread::sleep(TICK);
-    }
-}
-
 /// The driver's main loop: drain the submission queue until shutdown.
 fn driver_main(pool: &Pool) {
     CTX.set(Some(Ctx { pool, index: 0 }));
@@ -655,14 +541,6 @@ fn drive_one(pool: &Pool, sub: Submission) {
     // Quiesced window: no thief holds a steal loop (see thief_main's
     // registration protocol), so per-job state swaps are race-free.
     pool.set_trace(trace);
-    if pool.domains.domains() > 1 {
-        if let Some(tr) = pool.trace() {
-            // Annotate the trace's worker lanes with their cache
-            // domains (flat pools leave this empty, so their traces
-            // stay byte-identical to the pre-domain runtime's).
-            tr.set_domains(pool.domains.labels());
-        }
-    }
     pool.next_task.store(1, Ordering::Relaxed);
     pool.job_t0_ns
         .store(pool.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -13,17 +13,16 @@
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hbp_trace::{EventKind as TrEv, TraceSink};
 
 use crate::cl_deque::{ClDeque, Steal};
 use crate::perf::{self, CounterMode};
-use crate::policy::native::{default_backoff, SPIN_PROBES};
+use crate::policy::native::default_backoff;
 use crate::policy::{native_facet, NativeStealPolicy};
-use crate::topology::DomainMap;
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
@@ -63,43 +62,17 @@ pub(crate) struct PoolState {
     pub(crate) active: usize,
     /// Peak worker concurrency observed during the current job (driver
     /// included): reset to 1 by the driver at job start, raised on every
-    /// thief registration — including mid-job re-registrations after a
-    /// grow. Reported as [`ExecReport::workers_active`].
+    /// thief registration. Reported as [`ExecReport::workers_active`].
     pub(crate) participants: usize,
     /// Shutdown requested: the driver drains the queue then exits, and
     /// thieves exit once nothing is running or queued.
     pub(crate) exit: bool,
 }
 
-/// Per-domain micro-park state for the sharded idle loop: an exhausted
-/// thief sleeps on *its domain's* condvar instead of a blind
-/// `sleep(50µs)`, so an owner publishing work can wake a worker that
-/// shares its cache domain first. The wait is always timeout-bounded by
-/// the same 50µs the flat backoff sleeps, so a missed notify costs
-/// exactly what the pre-domain pool already paid — never liveness.
-#[derive(Default)]
-pub(crate) struct DomainSleep {
-    /// Workers currently inside [`Pool::domain_park`] for this domain
-    /// (racy by a few instructions around the wait; wake-side reads
-    /// tolerate that because the wait is timeout-bounded).
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
 /// Shared state of one native pool: owned by [`super::pool::NativePool`]
 /// behind an `Arc`, borrowed as `&Pool` by the worker threads (via
 /// [`Ctx`]) for their lifetime.
 pub(crate) struct Pool {
-    /// Elasticity target: workers `me < desired` take part in jobs,
-    /// workers `me >= desired` retire at the next steal-loop boundary
-    /// and park until the target grows back over them. Clamped to
-    /// `1..=deques.len()` (the pool's fixed capacity) — the driver
-    /// (worker 0) never retires. Per-worker storage below is always
-    /// sized at *capacity* and never resized: worker threads hold
-    /// `&Pool` borrows into these Vecs for the pool's lifetime, so
-    /// growth only ever flips `desired`, never reallocates.
-    pub(crate) desired: AtomicUsize,
     pub(crate) deques: Vec<ClDeque<JobRef>>,
     /// Shallowest fork depth published on each worker's deque
     /// (`u32::MAX` = looks empty). Owner-maintained on push/pop with
@@ -122,27 +95,6 @@ pub(crate) struct Pool {
     pub(crate) counters_mode: CounterMode,
     /// The scheduling discipline's native facet: probe order, admission.
     pub(crate) policy: Box<dyn NativeStealPolicy>,
-    /// Worker → cache-domain assignment (resolved from
-    /// [`super::NativeConfig::domains`]; one flat domain when unsharded).
-    /// Always consulted for steal-locality *classification* (metrics,
-    /// `StealCommit::cross_domain`), even when two-level stealing is off
-    /// (`HBP_DOMAINS=tag:<k>`).
-    pub(crate) domains: DomainMap,
-    /// Whether two-level stealing is on: local-first victim order, the
-    /// cross-domain depth floor, and domain-aware parking. When false
-    /// the idle loop is the pre-domain flat pool, instruction for
-    /// instruction on the steal path — the `domains=1` identity the
-    /// trace_diff gate checks.
-    pub(crate) two_level: bool,
-    /// Fork-depth floor for cross-domain steals (see
-    /// [`NativeStealPolicy::cross_admit`]).
-    pub(crate) cross_depth: u32,
-    /// Per-domain micro-park state (empty unless `two_level`).
-    dsleep: Vec<DomainSleep>,
-    /// Workers currently micro-parked across all domains — the wake
-    /// path's cheap short-circuit (one relaxed load per fork when
-    /// nobody sleeps).
-    total_sleepers: AtomicUsize,
     /// The *current job's* structured-event recorder (None = tracing
     /// off, zero extra work). Swapped by the driver between jobs.
     ///
@@ -182,29 +134,11 @@ pub(crate) struct Pool {
 unsafe impl Sync for Pool {}
 
 impl Pool {
-    /// A pool of `workers` capacity slots, `desired` of them
-    /// participating, with `cfg`'s policy facet, RNG stream seed,
-    /// counter mode and cross-domain floor over the resolved `domains`.
-    pub(crate) fn new(
-        workers: usize,
-        desired: usize,
-        cfg: &NativeConfig,
-        domains: DomainMap,
-        two_level: bool,
-    ) -> Self {
-        // Two-level stealing is meaningless with a single domain; the
-        // resolver already clears it, but guard here too so the identity
-        // "one domain ⇒ flat pool" holds for any caller.
-        let two_level = two_level && domains.domains() > 1;
-        let dsleep = if two_level {
-            (0..domains.domains())
-                .map(|_| DomainSleep::default())
-                .collect()
-        } else {
-            Vec::new()
-        };
+    /// A pool of `cfg.workers` slots with `cfg`'s policy facet, RNG
+    /// stream seed and counter mode.
+    pub(crate) fn new(cfg: &NativeConfig) -> Self {
+        let workers = cfg.workers;
         Self {
-            desired: AtomicUsize::new(desired.clamp(1, workers)),
             deques: (0..workers).map(|_| ClDeque::default()).collect(),
             depth_hints: (0..workers).map(|_| AtomicU32::new(u32::MAX)).collect(),
             counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
@@ -212,11 +146,6 @@ impl Pool {
             seed: cfg.stream_seed(),
             counters_mode: cfg.counters,
             policy: native_facet(cfg.policy),
-            domains,
-            two_level,
-            cross_depth: cfg.cross_depth,
-            dsleep,
-            total_sleepers: AtomicUsize::new(0),
             trace_cell: UnsafeCell::new(None),
             epoch: Instant::now(),
             job_t0_ns: AtomicU64::new(0),
@@ -263,58 +192,12 @@ impl Pool {
     pub(crate) fn push_bottom_hinted(&self, me: usize, j: JobRef) {
         self.depth_hints[me].fetch_min(j.depth, Ordering::Relaxed);
         self.deques[me].push(j);
-        if self.two_level {
-            self.domain_wake(me);
-        }
         let m = hbp_metrics::global();
         if m.on() {
             let d = self.deques[me].len_hint() as i64;
             let sh = m.shard(me);
             sh.queue_depth.set(d);
             sh.queue_depth_peak.raise_to(d);
-        }
-    }
-
-    /// Sharded idle backoff: instead of a blind `sleep(50µs)`, wait
-    /// (timeout-bounded by the same 50µs) on the worker's *domain*
-    /// condvar, so a local fork wakes a domain-mate immediately. Missed
-    /// notifies degrade to exactly the flat pool's sleep — see
-    /// [`DomainSleep`].
-    pub(crate) fn domain_park(&self, me: usize) {
-        let ds = &self.dsleep[self.domains.domain_of(me)];
-        ds.sleepers.fetch_add(1, Ordering::Relaxed);
-        self.total_sleepers.fetch_add(1, Ordering::Relaxed);
-        let guard = ds.lock.lock().expect("domain sleep lock poisoned");
-        let _ = ds
-            .cv
-            .wait_timeout(guard, Duration::from_micros(50))
-            .expect("domain sleep lock poisoned");
-        ds.sleepers.fetch_sub(1, Ordering::Relaxed);
-        self.total_sleepers.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Fork-side wake for the sharded pool: prefer a micro-parked worker
-    /// in the publisher's own domain (the steal would be local); when
-    /// every domain-mate is already busy, wake the domain with the most
-    /// sleepers — an idle domain starts pulling work before a busy one
-    /// is oversubscribed. One relaxed load when nobody sleeps.
-    fn domain_wake(&self, me: usize) {
-        if self.total_sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let my = self.domains.domain_of(me);
-        if self.dsleep[my].sleepers.load(Ordering::Relaxed) > 0 {
-            self.dsleep[my].cv.notify_one();
-            return;
-        }
-        if let Some(ds) = self
-            .dsleep
-            .iter()
-            .max_by_key(|ds| ds.sleepers.load(Ordering::Relaxed))
-        {
-            if ds.sleepers.load(Ordering::Relaxed) > 0 {
-                ds.cv.notify_one();
-            }
         }
     }
 
@@ -385,49 +268,26 @@ pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
 /// that ceil-half, not the cap, binds on any deque shorter than 16.
 const STEAL_BATCH_CAP: usize = 8;
 
-/// Plan one probe scan for worker `me`: the policy's order over the
-/// victims' published top depths, and — on a domain-sharded pool
-/// (`two_level`) — every victim in `me`'s own cache domain moved ahead
-/// of any remote one. The partition is stable, so each policy's
-/// *intra-group* order (PWS's shallowest-then-rank, RWS's random
-/// rotation, BSP's rank rotation) survives within both halves.
-fn plan_scan(pool: &Pool, me: usize, rng: &mut u64, order: &mut Vec<usize>) {
-    let hint = |v: usize| pool.depth_hints[v].load(Ordering::Relaxed);
-    pool.policy
-        .plan_probes(me, pool.deques.len(), rng, &hint, order);
-    if pool.two_level {
-        let my_dom = pool.domains.domain_of(me);
-        order.sort_by_key(|&v| pool.domains.domain_of(v) != my_dom);
-    }
-}
-
-/// Probe the other workers' deque tops in [`plan_scan`]'s order,
-/// claiming up to `max` tasks from the first victim that yields any; the
-/// claimed tasks are appended to `out` in deque order. `None` after one
-/// full unsuccessful scan, else the victim index (`out` then holds ≥ 1
-/// task).
-///
-/// On a domain-sharded pool remote victims additionally gate each task's
-/// fork depth through [`cross_admit`](NativeStealPolicy::cross_admit) —
-/// the admission composes thief-side *before* the claiming CAS, exactly
-/// like the flat §5.3 floor, so refused tasks stay on their owner's
-/// deque with exactly-once accounting untouched.
+/// Probe the other workers' deque tops in the policy's plan over their
+/// published top depths, claiming up to `max` tasks from the first
+/// victim that yields any; the claimed tasks are appended to `out` in
+/// deque order. `None` after one full unsuccessful scan, else the victim
+/// index (`out` then holds ≥ 1 task). The policy's admission runs
+/// thief-side *before* the claiming CAS, so refused tasks stay on their
+/// owner's deque with exactly-once accounting untouched.
 fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) -> Option<usize> {
     if pool.deques.len() <= 1 {
         return None;
     }
     PROBES.with_borrow_mut(|order| {
         let mut rng = RNG.get();
-        plan_scan(pool, me, &mut rng, order);
+        let hint = |v: usize| pool.depth_hints[v].load(Ordering::Relaxed);
+        pool.policy
+            .plan_probes(me, pool.deques.len(), &mut rng, &hint, order);
         RNG.set(rng);
-        let my_dom = pool.domains.domain_of(me);
+        let admit = |j: &JobRef| pool.policy.admit(j.depth);
         for &v in order.iter() {
             debug_assert_ne!(v, me, "policies must not plan self-probes");
-            let cross = pool.two_level && pool.domains.domain_of(v) != my_dom;
-            let admit = |j: &JobRef| {
-                pool.policy.admit(j.depth)
-                    && (!cross || pool.policy.cross_admit(j.depth, pool.cross_depth))
-            };
             loop {
                 match pool.deques[v].steal_batch_with(max, admit, out) {
                     Steal::Data(_) => return Some(v),
@@ -644,10 +504,6 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
         }
         let victim = found?;
         let count = buf.len();
-        // Locality classification runs off the domain *labels* alone, so
-        // `tag:<k>` pools measure steal locality without sharded order
-        // (the A/B control) and flat pools count everything local.
-        let cross = pool.domains.domain_of(victim) != pool.domains.domain_of(me);
         pool.counters[me].steals.fetch_add(1, Ordering::Relaxed);
         pool.counters[me]
             .stolen_tasks
@@ -657,11 +513,6 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
             let sh = m.shard(me);
             sh.steals_committed.inc();
             sh.steal_batch.observe(count as u64);
-            if cross {
-                sh.steals_cross_domain.inc();
-            } else {
-                sh.steals_local.inc();
-            }
         }
         let first = buf[0];
         if let Some(tr) = pool.trace() {
@@ -672,7 +523,6 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
                     task: first.id,
                     victim: victim as u32,
                     count: count as u32,
-                    cross_domain: cross,
                 },
             );
         }
@@ -703,24 +553,12 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
             if let Some(tr) = pool.trace() {
                 tr.push(me, pool.now_ns(), TrEv::StealFail);
             }
-            // Sharded pools replace the sleep phase of the backoff with
-            // a domain micro-park (same 50µs bound, but wakeable by a
-            // domain-mate's fork); the spin-yield phase and every
-            // unsharded pool back off blind.
-            if pool.two_level && *fails >= SPIN_PROBES {
-                pool.domain_park(me);
-            } else {
-                default_backoff(*fails);
-            }
+            default_backoff(*fails);
             *fails = fails.saturating_add(1);
             false
         }
     }
 }
-
-/// How many yield-spins a retiring worker grants thieves to drain its
-/// deque before it runs the leftovers itself (see [`thief_main`]).
-const RETIRE_DRAIN_SPINS: u32 = 256;
 
 /// A thief's persistent loop: park between jobs, register for each new
 /// job epoch, steal top-level tasks until the job is done, deregister.
@@ -730,22 +568,6 @@ const RETIRE_DRAIN_SPINS: u32 = 256;
 /// quiesce wait (`active == 0` with `running == false`) cannot miss a
 /// thief that is about to enter its steal loop — the guarantee the
 /// per-job trace-sink swap and counter snapshots rely on.
-///
-/// ## Elastic participation
-///
-/// A thief only registers while `me < desired`, and re-checks `desired`
-/// at every steal-loop iteration. When the target shrinks below it, the
-/// worker **retires**: it stops popping and stealing, yields so other
-/// thieves can empty its Chase-Lev deque through the normal top-CAS
-/// protocol (exactly-once is the deque's own invariant — retirement adds
-/// no new transfer path), then deregisters and parks. Leftovers that no
-/// thief claims within [`RETIRE_DRAIN_SPINS`] yields — admission floors
-/// (§5.3 / cross-domain) can make a task *thief-invisible* — are
-/// executed by the retiring owner itself before it parks, so a task can
-/// never strand on a parked worker's deque. After retirement `seen` is
-/// cleared, so a grow while the *same* job is still running re-registers
-/// the worker into the current epoch (grow → shrink → grow composes
-/// within one job).
 pub(crate) fn thief_main(pool: &Pool, me: usize) {
     CTX.set(Some(Ctx { pool, index: me }));
     RNG.set((pool.seed ^ (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
@@ -756,7 +578,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             let mut s = pool.state.lock().expect("pool state poisoned");
             let mut parked = false;
             loop {
-                if s.running && s.epoch != seen && me < pool.desired.load(Ordering::Relaxed) {
+                if s.running && s.epoch != seen {
                     seen = s.epoch;
                     s.active += 1;
                     s.participants = s.participants.max(s.active + 1);
@@ -778,12 +600,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             }
         }
         let mut fails = 0u32;
-        let mut retiring = false;
         while !pool.done.load(Ordering::Acquire) {
-            if me >= pool.desired.load(Ordering::Relaxed) {
-                retiring = true;
-                break;
-            }
             // Drain our own deque first: a prior batched steal may have
             // re-published extras here. At the top level everything on
             // our deque is ours to run (no enclosing join to starve).
@@ -794,29 +611,6 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
                 break;
             }
             steal_once(pool, me, &mut fails, true);
-        }
-        if retiring {
-            // Stop popping; let thieves empty our deque. Every task here
-            // is top-level (its fork parent join-waits elsewhere and
-            // probes all capacity slots, retired or not), so the job
-            // cannot lose it — but an admission-denied task might be
-            // claimable by nobody, so after a bounded grace we run the
-            // leftovers ourselves rather than strand them.
-            let mut spins = 0u32;
-            while !pool.done.load(Ordering::Acquire) && pool.deques[me].len_hint() > 0 {
-                spins += 1;
-                if spins > RETIRE_DRAIN_SPINS {
-                    while let Some(j) = pool.pop_bottom_hinted(me) {
-                        execute_task(pool, me, j);
-                    }
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            // Re-arm registration for the *current* epoch: if the target
-            // grows back while this job still runs, we rejoin it (epochs
-            // start at 1, so 0 never collides with a live epoch).
-            seen = 0;
         }
         let mut s = pool.state.lock().expect("pool state poisoned");
         s.active -= 1;
@@ -829,8 +623,6 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Policy;
-    use proptest::prelude::*;
 
     #[test]
     fn a_counter_delta_beyond_u32_arrives_as_events_summing_exactly() {
@@ -858,57 +650,5 @@ mod tests {
         // 5 * 2^32 takes six events of at most 2^32 - 1; a zero delta
         // still takes its one.
         assert_eq!(trace.events.len(), 6 + 1);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The two-level victim-order law, for every policy facet under
-        /// randomized geometry: on a sharded pool `plan_scan` lists
-        /// **every victim in the thief's own domain before any victim
-        /// outside it**, and — sharded or flat — covers exactly the
-        /// other `p - 1` workers.
-        #[test]
-        fn scans_are_local_first_for_any_geometry(
-            p in 2usize..12,
-            k in 1usize..6,
-            thief_pick in 0usize..12,
-            seed in 1u64..u64::MAX,
-            hint_salt in 0u32..97,
-        ) {
-            let thief = thief_pick % p;
-            for policy in [
-                Policy::Pws,
-                Policy::Rws { seed: 11 },
-                Policy::Bsp { prefix_levels: 3 },
-            ] {
-                let cfg = NativeConfig { policy, ..NativeConfig::default() };
-                for two_level in [true, false] {
-                    let pool = Pool::new(p, p, &cfg, DomainMap::simulated(p, k), two_level);
-                    for (v, h) in pool.depth_hints.iter().enumerate() {
-                        h.store((v as u32).wrapping_mul(hint_salt) % 7, Ordering::Relaxed);
-                    }
-                    let mut rng = seed;
-                    let mut out = Vec::new();
-                    plan_scan(&pool, thief, &mut rng, &mut out);
-                    let mut sorted = out.clone();
-                    sorted.sort_unstable();
-                    let want: Vec<usize> = (0..p).filter(|&v| v != thief).collect();
-                    prop_assert_eq!(&sorted, &want, "{:?} covers every victim once", policy);
-                    if !pool.two_level {
-                        continue;
-                    }
-                    // Once the plan leaves the thief's domain it never
-                    // returns.
-                    let local = |v: &usize| pool.domains.domain_of(*v) == pool.domains.domain_of(thief);
-                    let first_remote = out.iter().position(|v| !local(v)).unwrap_or(out.len());
-                    prop_assert!(
-                        !out[first_remote..].iter().any(local),
-                        "{:?}: a local victim after a remote one in {:?} (domains {:?})",
-                        policy, out, pool.domains.labels()
-                    );
-                }
-            }
-        }
     }
 }

@@ -20,13 +20,8 @@
 //! Each discipline additionally has a **native facet** ([`native`],
 //! [`NativeStealPolicy`]): the same `Pws`/`Rws`/`Bsp` types supply
 //! victim selection and steal admission to the real-threads runtime, so
-//! `HBP_POLICY` selects the discipline on both backends. On a
-//! domain-sharded pool (`HBP_DOMAINS`) the runtime makes the facet's
-//! probe plan **two-level** by a stable partition: every victim in the
-//! thief's own cache domain precedes any victim outside it, with each
-//! discipline's intra-group order preserved, and cross-domain steals
-//! additionally pass [`NativeStealPolicy::cross_admit`]'s fork-depth
-//! floor.
+//! `HBP_POLICY` selects the discipline on both backends. The runtime
+//! probes exactly the facet's plan over one flat set of workers.
 
 mod bsp;
 pub mod native;

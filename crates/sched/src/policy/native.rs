@@ -59,10 +59,7 @@ pub trait NativeStealPolicy: Send + Sync {
     /// with the victim indices to probe, in order, excluding `thief`.
     /// `rng` is the thief's private xorshift64* state; `hint(v)` is the
     /// shallowest fork depth published on `v`'s deque (`u32::MAX` when
-    /// it looks empty), possibly stale. On a domain-sharded pool the
-    /// runtime stably moves the thief's own cache domain to the front of
-    /// this order, so the intra-group order planned here survives in
-    /// both halves.
+    /// it looks empty), possibly stale.
     fn plan_probes(
         &self,
         thief: usize,
@@ -78,19 +75,6 @@ pub trait NativeStealPolicy: Send + Sync {
     fn admit(&self, depth: u32) -> bool {
         let _ = depth;
         true
-    }
-
-    /// May a task published at fork depth `depth` be stolen *across*
-    /// cache domains, given the pool's cross-domain depth floor? The
-    /// runtime consults this **in addition to**
-    /// [`admit`](NativeStealPolicy::admit) when the victim sits in
-    /// another domain: shallow branches are the big subproblems (each
-    /// fork halves the work), so only they are worth a cross-domain
-    /// block transfer — the same reasoning as the §5.3 BSP admission
-    /// rule, generalized to every policy. The default is the plain
-    /// floor comparison; BSP tightens it against its own prefix.
-    fn cross_admit(&self, depth: u32, floor: u32) -> bool {
-        depth <= floor
     }
 }
 
@@ -175,13 +159,6 @@ impl NativeStealPolicy for Bsp {
     fn admit(&self, depth: u32) -> bool {
         depth <= self.prefix_levels()
     }
-
-    /// Cross-domain steals obey *both* floors: the §5.3 prefix (nothing
-    /// deeper ever moves between workers at all) and the pool's
-    /// cross-domain floor — the stricter one binds.
-    fn cross_admit(&self, depth: u32, floor: u32) -> bool {
-        depth <= floor.min(self.prefix_levels())
-    }
 }
 
 /// The native facet the [`Policy`] enum (and thus `HBP_POLICY`) selects.
@@ -265,20 +242,5 @@ mod tests {
         let f = facet_of(Policy::Bsp { prefix_levels: 3 });
         assert!(f.admit(0) && f.admit(3));
         assert!(!f.admit(4) && !f.admit(u32::MAX));
-    }
-
-    #[test]
-    fn cross_admit_gates_on_the_depth_floor() {
-        for policy in [Policy::Pws, Policy::Rws { seed: 3 }] {
-            let f = facet_of(policy);
-            assert!(f.cross_admit(0, 3) && f.cross_admit(3, 3), "{policy:?}");
-            assert!(!f.cross_admit(4, 3), "{policy:?}");
-            assert!(f.cross_admit(u32::MAX, u32::MAX), "no floor admits all");
-        }
-        // BSP: the stricter of its §5.3 prefix and the pool floor binds.
-        let bsp = facet_of(Policy::Bsp { prefix_levels: 2 });
-        assert!(bsp.cross_admit(2, 5));
-        assert!(!bsp.cross_admit(3, 5), "prefix binds below the floor");
-        assert!(!bsp.cross_admit(2, 1), "floor binds below the prefix");
     }
 }

@@ -46,12 +46,12 @@ pub struct ExecReport {
     pub idle: Vec<u64>,
     /// Number of distinct priorities `D'` of the computation.
     pub n_priorities: u32,
-    /// Peak worker participation during the job (driver included).
-    /// Equals `p` on the simulator and on a fixed-size native pool;
-    /// on an elastic pool it reports how many workers actually
-    /// registered for this job (`1..=p`), so serve layers can observe
-    /// autoscaling per launch. `0` in reports deserialized from
-    /// pre-elastic JSON.
+    /// Peak worker participation during the job (driver included):
+    /// `p` on the simulator, where every core takes part in every run;
+    /// on the native pool, how many of its `p` workers registered for
+    /// this job before it finished (`1..=p` — a short job can end before
+    /// a parked thief wakes). `0` in reports deserialized from JSON that
+    /// predates the field.
     #[serde(default)]
     pub workers_active: usize,
 }

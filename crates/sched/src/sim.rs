@@ -553,8 +553,7 @@ impl<'a> Engine<'a> {
             steal_overhead: self.cores.iter().map(|c| c.steal_overhead).collect(),
             idle,
             n_priorities: self.comp.n_priorities,
-            // The simulator has no elasticity: every configured core
-            // participates in every run.
+            // Every simulated core participates in every run.
             workers_active: self.cfg.p,
         }
     }
@@ -630,7 +629,6 @@ impl<'a> Engine<'a> {
                     task: node.idx() as u32,
                     victim: victim as u32,
                     count: 1,
-                    cross_domain: false,
                 },
             );
         }

@@ -7,7 +7,7 @@
 //! races, which Miri's single-threaded scope cannot.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use hbp_sched::cl_deque::{ClDeque, Steal};
 use proptest::prelude::*;
@@ -226,15 +226,50 @@ fn batched_steal_storm_with_owner_pops_and_growth() {
 
 #[test]
 fn batched_storm_actually_batches() {
-    // One thief, no owner pops after the fill: with the deque pre-loaded
-    // and max=8, at least one multi-item batch must occur — guards
-    // against a regression where steal_batch_with degenerates to
-    // single-steal (the exactly-once tests above would still pass).
-    let (_, batches) = storm(50_000, 1, Claim::Batch(8), 64, 0);
+    // A real pre-load: the lone thief waits on a barrier until all of
+    // the items are pushed, and the owner pops nothing until the thief
+    // has drained the deque. Its first claim therefore sees every item
+    // and must take exactly min(8, ⌈len/2⌉) = 8 — a regression where
+    // steal_batch_with degenerates to single-steal fails here, where the
+    // exactly-once storms above would still pass.
+    const N: u64 = 50_000;
+    let deque: ClDeque<u64> = ClDeque::with_capacity(64);
+    let loaded = Barrier::new(2);
+    let (mut got, batches) = std::thread::scope(|s| {
+        let thief = s.spawn(|| {
+            loaded.wait();
+            let (mut got, mut batches, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+            loop {
+                match deque.steal_batch_with(8, |_| true, &mut buf) {
+                    Steal::Data(k) => {
+                        batches.push(k);
+                        got.append(&mut buf);
+                    }
+                    Steal::Retry => {}
+                    Steal::Empty | Steal::Denied => break,
+                }
+            }
+            (got, batches)
+        });
+        for i in 0..N {
+            deque.push(i);
+        }
+        loaded.wait();
+        thief.join().unwrap()
+    });
+    assert_eq!(
+        batches.first(),
+        Some(&8),
+        "the first claim on a pre-loaded deque takes min(8, ⌈{N}/2⌉): {:?}",
+        &batches[..batches.len().min(32)]
+    );
+    while let Some(v) = deque.pop() {
+        got.push(v);
+    }
+    got.sort_unstable();
     assert!(
-        batches[0].iter().any(|&k| k > 1),
-        "50k items / 1 thief / max=8 never produced a multi-item batch: {:?}",
-        &batches[0][..batches[0].len().min(32)]
+        got.iter().copied().eq(0..N),
+        "every item surfaces exactly once"
     );
 }
 

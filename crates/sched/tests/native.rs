@@ -254,21 +254,30 @@ use hbp_sched::Policy;
 fn every_policy_facet_computes_correctly() {
     let xs: Vec<u64> = (0..1 << 13).collect();
     let want: u64 = xs.iter().sum();
-    for policy in [
-        Policy::Pws,
-        Policy::Rws { seed: 5 },
-        Policy::Bsp { prefix_levels: 3 },
-    ] {
-        let cfg = NativeConfig {
-            workers: 4,
-            seed: 21,
-            policy,
-            ..NativeConfig::default()
-        };
-        let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
-        assert_eq!(got, want, "{policy:?}");
-        // tasks = root + one forked branch per join = #leaves.
-        assert_eq!(r.work, ((1usize << 13) / 64) as u64, "{policy:?}");
+    // 8 workers oversubscribe a small host: real cross-thread stress.
+    for workers in [4, 8] {
+        for policy in [
+            Policy::Pws,
+            Policy::Rws { seed: 5 },
+            Policy::Bsp { prefix_levels: 3 },
+        ] {
+            let cfg = NativeConfig {
+                workers,
+                seed: 21,
+                policy,
+                ..NativeConfig::default()
+            };
+            let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
+            assert_eq!(got, want, "{policy:?} on {workers}");
+            // tasks = root + one forked branch per join = #leaves.
+            assert_eq!(
+                r.work,
+                ((1usize << 13) / 64) as u64,
+                "{policy:?} on {workers}"
+            );
+            assert_eq!(r.p, workers);
+            assert!((1..=workers).contains(&r.workers_active), "{policy:?}");
+        }
     }
 }
 

@@ -58,19 +58,6 @@ fn main() {
     );
     println!();
 
-    let (committed, _) = snap.total_steals();
-    let (local, cross) = snap.total_steal_locality();
-    println!("# steal locality (pool-wide, from the registry)");
-    println!(
-        "steals: committed {committed} local {local} cross-domain {cross} local-share {}",
-        if committed == 0 {
-            "n/a".to_string()
-        } else {
-            format!("{:.1}%", 100.0 * local as f64 / committed as f64)
-        }
-    );
-    println!();
-
     println!("# per-tenant (derived from the scenario report, not the registry)");
     for c in &report.clients_stats {
         println!(

@@ -139,8 +139,8 @@ pub struct ScenarioReport {
     pub deferred: u64,
     /// Peak workers the backend engaged: the pool's per-launch
     /// `workers_active` maximum on native, the simulated core count on
-    /// sim. Under an autoscale band this is what the scenario *used*,
-    /// not what was configured.
+    /// sim. On native this is what the scenario *used*, not what was
+    /// configured.
     pub workers_active: usize,
     /// Scenario end-to-end time (virtual units on sim, wall ns native).
     pub makespan_ns: u64,

@@ -195,7 +195,7 @@ impl Server {
         drop(desk);
         let makespan = self.now_ns();
         // Peak workers the pool actually engaged across the launches
-        // (< workers when an autoscale band kept the pool small).
+        // (< workers when no launch lasted long enough to wake them all).
         let mut workers_active = 0;
         let handles = std::mem::take(&mut *self.handles.lock().expect("handles poisoned"));
         for handle in handles {

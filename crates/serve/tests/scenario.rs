@@ -3,7 +3,6 @@
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
-use hbp_core::sched::native::NativeConfig;
 use hbp_core::trace::json::{parse, Json};
 use hbp_core::{Backend, Policy};
 use hbp_serve::{default_mix, run_scenario, LoadMode, MixEntry, ScenarioSpec};
@@ -178,23 +177,6 @@ fn every_backend_and_policy_cell_reports_all_200_requests_in_valid_json() {
 }
 
 #[test]
-fn an_autoscale_band_leaves_sim_bytes_alone() {
-    // The band is pool-side tuning, not scenario semantics.
-    let plain = cell(Backend::Sim, Policy::Pws);
-    let banded = ScenarioSpec {
-        native: NativeConfig {
-            autoscale: Some((1, 4)),
-            ..plain.native
-        },
-        ..plain.clone()
-    };
-    assert_eq!(
-        run_scenario(&banded).to_json(),
-        run_scenario(&plain).to_json()
-    );
-}
-
-#[test]
 fn pacing_under_pressure_defers_rejects_less_and_loses_nothing() {
     // Eight clients with no think time to speak of on a cap-2 queue.
     let hard_spec = ScenarioSpec {
@@ -224,27 +206,6 @@ fn pacing_under_pressure_defers_rejects_less_and_loses_nothing() {
         "pacing must cut hard rejections: {} vs {}",
         paced.rejected,
         hard.rejected
-    );
-}
-
-#[test]
-fn a_native_autoscale_pool_stays_in_band_and_loses_nothing() {
-    let plain = cell(Backend::Native, Policy::Pws);
-    let spec = ScenarioSpec {
-        workers: 2,
-        native: NativeConfig {
-            autoscale: Some((1, 4)),
-            ..plain.native
-        },
-        ..plain
-    };
-    let report = run_scenario(&spec);
-    assert_eq!(report.completed + report.rejected, 200);
-    assert!(report.completed > 0);
-    assert!(
-        (1..=4).contains(&report.workers_active),
-        "workers_active {} outside the 1..4 band",
-        report.workers_active
     );
 }
 

@@ -134,15 +134,8 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
         "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_sort_index\",\"args\":{{\"sort_index\":{pid}}}}}"
     ));
     for w in 0..trace.workers {
-        // Domain-sharded pools annotate their lanes so locality is
-        // visible at a glance; flat traces keep the plain name.
-        let lane = match trace.domains.get(w) {
-            Some(d) => format!("worker {w} (dom {d})"),
-            None => format!("worker {w}"),
-        };
         push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{w},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            escape(&lane)
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{w},\"name\":\"thread_name\",\"args\":{{\"name\":\"worker {w}\"}}}}"
         ));
     }
 
@@ -172,10 +165,9 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
     for ev in &trace.events {
         let w = ev.worker;
         match ev.kind {
-            EventKind::StealCommit { task, victim, count, cross_domain } => {
-                let xdom = if cross_domain { " [x-dom]" } else { "" };
+            EventKind::StealCommit { task, victim, count } => {
                 push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{w},\"ts\":{},\"s\":\"t\",\"name\":\"steal task {task} (x{count}) <- w{victim}{xdom}\",\"cat\":\"steal\"}}",
+                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{w},\"ts\":{},\"s\":\"t\",\"name\":\"steal task {task} (x{count}) <- w{victim}\",\"cat\":\"steal\"}}",
                     ts(ev.t)
                 ))
             }
@@ -243,7 +235,6 @@ mod tests {
                 task: 2,
                 victim: 0,
                 count: 1,
-                cross_domain: false,
             },
         );
         sink.push(1, 10, EventKind::TaskBegin { task: 2 });

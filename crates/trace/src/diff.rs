@@ -40,11 +40,6 @@ pub struct TraceShape {
     /// same here, which is why structural equality never compares raw
     /// `steals`.
     pub stolen_tasks: u64,
-    /// Committed steals whose thief and victim sat in different cache
-    /// domains (`StealCommit::cross_domain`; 0 for sim traces and flat
-    /// pools). Display-only locality telemetry — structural equality
-    /// never compares it, since domain sharding is a scheduling choice.
-    pub steals_cross: u64,
     /// Failed steal attempts.
     pub steal_fails: u64,
     /// Trace makespan (clock-domain units).
@@ -75,14 +70,9 @@ impl TraceShape {
                 }
                 EventKind::TaskEnd { .. } => s.ends += 1,
                 EventKind::Fork { .. } => s.forks += 1,
-                EventKind::StealCommit {
-                    count,
-                    cross_domain,
-                    ..
-                } => {
+                EventKind::StealCommit { count, .. } => {
                     s.steals += 1;
                     s.stolen_tasks += u64::from(count);
-                    s.steals_cross += u64::from(cross_domain);
                 }
                 EventKind::StealFail => s.steal_fails += 1,
                 EventKind::MissDelta {
@@ -228,9 +218,6 @@ impl std::fmt::Display for TraceDiff {
         row(f, "ends", self.a.ends, self.b.ends)?;
         row(f, "steals", self.a.steals, self.b.steals)?;
         row(f, "stolen tasks", self.a.stolen_tasks, self.b.stolen_tasks)?;
-        if self.a.steals_cross + self.b.steals_cross > 0 {
-            row(f, "cross-domain", self.a.steals_cross, self.b.steals_cross)?;
-        }
         row(f, "steal fails", self.a.steal_fails, self.b.steal_fails)?;
         row(f, "makespan", self.a.makespan, self.b.makespan)?;
         row(f, "dropped", self.a.dropped, self.b.dropped)?;
@@ -345,7 +332,6 @@ pub(crate) mod tests {
                         task: 1,
                         victim: 0,
                         count: 1,
-                        cross_domain: false,
                     },
                 ),
                 ev(6, 4, stolen_by, EventKind::TaskBegin { task: 1 }),
@@ -354,7 +340,6 @@ pub(crate) mod tests {
                 ev(9, 7, stolen_by, EventKind::TaskEnd { task: 0 }),
             ],
             dropped: 0,
-            domains: Vec::new(),
         }
     }
 
@@ -415,7 +400,6 @@ pub(crate) mod tests {
                     task: 1,
                     victim: 0,
                     count: 3,
-                    cross_domain: false,
                 },
             ));
             seq += 1;
@@ -429,7 +413,6 @@ pub(crate) mod tests {
                         task: t,
                         victim: 0,
                         count: 1,
-                        cross_domain: false,
                     },
                 ));
                 seq += 1;
@@ -446,7 +429,6 @@ pub(crate) mod tests {
             workers: 2,
             events,
             dropped: 0,
-            domains: Vec::new(),
         }
     }
 

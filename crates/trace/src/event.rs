@@ -95,10 +95,6 @@ pub enum EventKind {
         victim: u32,
         /// How many tasks this commit claimed (>= 1).
         count: u32,
-        /// Whether thief and victim sit in different cache domains
-        /// (native, domain-sharded or `tag:`-labelled pools; always
-        /// false on the sim backend and on flat pools).
-        cross_domain: bool,
     },
     /// An unsuccessful steal attempt by the emitting worker: a failed
     /// random probe (RWS / native) or a newly observed failed priority

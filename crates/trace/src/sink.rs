@@ -28,7 +28,6 @@ use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use crate::event::{ClockDomain, EventKind, TraceEvent};
 use crate::trace::Trace;
@@ -127,9 +126,6 @@ pub struct TraceSink {
     clock: ClockDomain,
     seq: SeqCounter,
     bufs: Vec<WorkerBuf>,
-    /// Per-worker cache-domain labels ([`TraceSink::set_domains`]); unset
-    /// sinks collect with an empty `Trace::domains`.
-    domains: OnceLock<Vec<u32>>,
 }
 
 impl TraceSink {
@@ -148,16 +144,7 @@ impl TraceSink {
             clock,
             seq: SeqCounter(AtomicU64::new(0)),
             bufs: (0..workers).map(|_| WorkerBuf::new(cap)).collect(),
-            domains: OnceLock::new(),
         }
-    }
-
-    /// Annotate the sink's worker lanes with cache-domain labels
-    /// (`labels[w]` = worker `w`'s domain). Recording pools call this
-    /// once, before the traced job starts; repeat calls with the same
-    /// pool topology are no-ops.
-    pub fn set_domains(&self, labels: &[u32]) {
-        let _ = self.domains.set(labels.to_vec());
     }
 
     /// Number of worker buffers.
@@ -198,7 +185,6 @@ impl TraceSink {
             workers: self.bufs.len(),
             events,
             dropped: (appended - present) as u64,
-            domains: self.domains.get().cloned().unwrap_or_default(),
         }
     }
 }

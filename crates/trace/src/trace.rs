@@ -13,11 +13,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring overflow (0 for a complete trace).
     pub dropped: u64,
-    /// Per-worker cache-domain labels (`domains[w]` = worker `w`'s
-    /// domain), when the recording pool was domain-sharded or
-    /// `tag:`-labelled. Empty for the sim backend and flat pools —
-    /// analyses must treat empty as "everything is one domain".
-    pub domains: Vec<u32>,
 }
 
 impl Trace {

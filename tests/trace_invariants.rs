@@ -233,13 +233,11 @@ fn trace_digest(trace: &hbp_core::trace::Trace) -> u64 {
                 task,
                 victim,
                 count,
-                cross_domain,
             } => {
                 h.word(5u64);
                 h.word(task);
                 h.word(victim);
                 h.word(count);
-                h.word(cross_domain);
             }
             EventKind::StealFail => h.word(6u64),
             EventKind::RegionAttach { task, region } => {
@@ -293,24 +291,26 @@ fn critical_path_digest(cp: &hbp_core::trace::CriticalPath) -> u64 {
 /// default machine: `PINNED_PIPELINE[row].1[policy]`, policies PWS then
 /// RWS seed 1. Computed with `crates/` at `d29ed3c`, before the event
 /// record was compacted and `collect` / `critical_path` stopped sorting
-/// and hashing; a change to the record → collect → analyse path that
-/// moves one field of one event or one hop fails here.
+/// and hashing; the trace column re-derived with `crates/` at `bc240c4`
+/// once `StealCommit`'s always-false cross-domain flag left the digest. A
+/// change to the record → collect → analyse path that moves one field
+/// of one event or one hop fails here.
 #[rustfmt::skip]
 const PINNED_PIPELINE: [(&str, [[u64; 2]; 2]); 14] = [
-    ("Scans (M-Sum)", [[0x24d5c6ce1ad351b8, 0xc089120e1882022f], [0xd1cac2d22a648ae1, 0xf51532ad7601c458]]),
-    ("Scans (PS)", [[0x6ba6c8019e90214e, 0x2b915643cf24d766], [0x1980be279994da07, 0x783bfec5e13b5a75]]),
-    ("MT", [[0x4d5654beb6ca1442, 0x76de5290b3648d5e], [0x3587e8f66733e5c3, 0x7dc874db6d817d4d]]),
-    ("Strassen", [[0xe717b3a357ee5d98, 0xc8bb51a8ebc5db9f], [0xa6cbcf190fe1726e, 0x2ad1c061795b9b3c]]),
-    ("RM to BI", [[0x44002d6635ade910, 0xfca6f5de353892a2], [0xf90f9f06c95cd805, 0xb3f259642e41aa53]]),
-    ("Direct BI to RM", [[0x70697a8d4189beef, 0x2f59252e614eba2d], [0xf28d9cd3d161d311, 0x91f2acdefe67f2b5]]),
-    ("BI-RM (gap RM)", [[0xfa87b86e156eb9d4, 0x819d8260902fef13], [0x512fee12638fc759, 0xda0e328f992ab16e]]),
-    ("BI-RM for FFT", [[0xa7ee102d6e1d329e, 0xf1350ff9b0966694], [0x55c1895f04ec713c, 0x4ccfb0053e257a1b]]),
-    ("FFT", [[0x8fe876ed7f0c6137, 0x6f024d814d3c77a2], [0x495ae081dc7452be, 0xabc45713f69a33e6]]),
-    ("LR", [[0xda4266406f2c03b6, 0x39efe6d38b95e02a], [0xcf0fb8100519b6c7, 0xd19deef6e6e82731]]),
-    ("CC", [[0xdcad7594793a87e4, 0xa8000063f25f4514], [0x4b199949b6866f0a, 0xbc4ada2d6e2f2e41]]),
-    ("Depth-n-MM", [[0xe4ad4c2af80493e1, 0x264dee01717c07d8], [0xe7adf1bea4eef07e, 0xcf14df1697a238ec]]),
-    ("Sort (SPMS)", [[0x689021cb44aeb8f9, 0xc212a7d0403adf17], [0x2083990df6bc6cde, 0x7bc1fee7a31d357c]]),
-    ("Sort (merge std-in)", [[0xa7956a28bf8ad235, 0xac946cee1ae7e091], [0x2add5ddccec23bb0, 0x28105eb4635e1fdc]]),
+    ("Scans (M-Sum)", [[0x381ede674a370cf8, 0xc089120e1882022f], [0x251c0e6b135512e1, 0xf51532ad7601c458]]),
+    ("Scans (PS)", [[0x005b4eb3edf51d6e, 0x2b915643cf24d766], [0xf0206f29c03718c7, 0x783bfec5e13b5a75]]),
+    ("MT", [[0xdf0f3b31ebc42f42, 0x76de5290b3648d5e], [0xc4879d729f7afda3, 0x7dc874db6d817d4d]]),
+    ("Strassen", [[0x836afcc0e5b1fe38, 0xc8bb51a8ebc5db9f], [0xbd18bc43977943ae, 0x2ad1c061795b9b3c]]),
+    ("RM to BI", [[0x596f1cfaa0833590, 0xfca6f5de353892a2], [0xdbe0b6a6a8bf06a5, 0xb3f259642e41aa53]]),
+    ("Direct BI to RM", [[0xf6d82c10a65825ef, 0x2f59252e614eba2d], [0x9684ccdc64745851, 0x91f2acdefe67f2b5]]),
+    ("BI-RM (gap RM)", [[0xba581c681ddb0cf4, 0x819d8260902fef13], [0x34a31170b0ed9ed9, 0xda0e328f992ab16e]]),
+    ("BI-RM for FFT", [[0x156268b10b28b87e, 0xf1350ff9b0966694], [0x5cd921538661dafc, 0x4ccfb0053e257a1b]]),
+    ("FFT", [[0xc4dec28696af0af7, 0x6f024d814d3c77a2], [0xe793f1949390b07e, 0xabc45713f69a33e6]]),
+    ("LR", [[0x91e724623e848716, 0x39efe6d38b95e02a], [0xfe16baa9917e4687, 0xd19deef6e6e82731]]),
+    ("CC", [[0xf97f2762fa5b01a4, 0xa8000063f25f4514], [0x711ddec9daacbd0a, 0xbc4ada2d6e2f2e41]]),
+    ("Depth-n-MM", [[0x38e8298c90c67d41, 0x264dee01717c07d8], [0xdec3940536aa0d5e, 0xcf14df1697a238ec]]),
+    ("Sort (SPMS)", [[0xd2f8db736ec4e5b9, 0xc212a7d0403adf17], [0x49d72972493763fe, 0x7bc1fee7a31d357c]]),
+    ("Sort (merge std-in)", [[0xdb3d80cf670f91d5, 0xac946cee1ae7e091], [0x4b63e42bd88279f0, 0x28105eb4635e1fdc]]),
 ];
 
 #[test]
