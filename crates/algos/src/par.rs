@@ -30,12 +30,17 @@
 //! do it the way a plain sequential program would: Strassen
 //! de-interleaves 32×32 BI tiles to row-major stack buffers through a
 //! compile-time Morton table and multiplies i-k-j; the FFT's base case is
-//! an in-place iterative radix-2 over a per-call root table. The sorts
-//! compare each element ≈ log₂ n times in all: merge sort in leaf sorts
-//! and two-ended [`merge2`]s, SPMS in a leaf sort of every chunk and one
-//! of every bucket (its bucket phase gathers and sorts — it does not
-//! re-merge ≈ 1-element runs pairwise). List ranking walks every node
-//! once and pointer-jumps only over the n/16-node contracted list.
+//! an in-place iterative radix-2 over a per-call root table. Both sorts
+//! end in one stable leaf ([`seq_sort`]) that picks its method from its
+//! own input: a copy for ordered keys, a digit scatter plus insertion
+//! pass — O(1) work an element — for keys spread over their range, and
+//! a tag sort of O(m log m) otherwise. Above the leaves merge sort
+//! compares each element once per two-ended [`merge2`] level, and SPMS
+//! once per step of a merge-path walk that tags it with its bucket id
+//! ([`spms_partition`]); the gather then moves it by that id, and its
+//! bucket's leaf sort finishes it (SPMS does not re-merge ≈ 1-element
+//! runs pairwise). List ranking walks every node once and pointer-jumps
+//! only over the n/16-node contracted list.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -56,7 +61,12 @@ const LINE_PAIRS: usize = LINE_BYTES / std::mem::size_of::<(u64, u64)>();
 
 /// Round `s` up to a whole number of cache lines of pairs.
 const fn line_up(s: usize) -> usize {
-    s.div_ceil(LINE_PAIRS) * LINE_PAIRS
+    whole_lines::<(u64, u64)>(s)
+}
+
+/// Round `len` elements of `T` up to a whole number of cache lines.
+const fn whole_lines<T>(len: usize) -> usize {
+    len.next_multiple_of(LINE_BYTES / std::mem::size_of::<T>())
 }
 
 /// The one scratch allocation of a kernel launch: room for `len`
@@ -756,15 +766,114 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     out[w + (l.len() - i)..].copy_from_slice(&r[j..]);
 }
 
+/// Digit buckets a [`seq_sort`] leaf opens at most: `2^LEAF_DIGIT_BITS`
+/// `u32` counters on the stack (8 KiB), one per element of the largest
+/// leaf the sorts cut.
+const LEAF_DIGIT_BITS: u32 = 11;
+
+/// Largest digit bucket [`seq_sort`] still finishes by insertion sort;
+/// one bucket above it sends the whole leaf to [`tag_sort`].
+const LEAF_BUCKET_MAX: u32 = 32;
+
+/// Which path a [`seq_sort`] leaf took (the tests pin it per input).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Leaf {
+    /// Keys already non-decreasing: copied.
+    Copy,
+    /// Keys strictly decreasing: copied back to front.
+    Reverse,
+    /// Scattered by a key digit, buckets insertion-sorted.
+    Digits,
+    /// [`tag_sort`].
+    Tags,
+}
+
 /// Sequential stable sort by key of `src` into `out` (same length),
-/// allocation-free: tag every key with its position, sort the
+/// allocation-free. Each step is picked by what the leaf sees in its own
+/// input:
+///
+/// 1. One pre-pass finds the key range `lo..=hi` and counts descents.
+///    None: `src` is sorted, and is copied. All of them: `src` is
+///    strictly decreasing (no ties to keep in order), and is copied
+///    reversed.
+/// 2. Otherwise a stack histogram counts the digit `(key − lo) >> shift`
+///    — the ≈ ⌈log₂ m⌉ bits just below the highest bit of `hi − lo`, so
+///    digits rise with keys. If no bucket holds more than
+///    [`LEAF_BUCKET_MAX`] elements, `src` is scattered stably into `out`
+///    by digit and one insertion pass finishes every bucket: an element
+///    moves only past strictly greater keys, so ties stay in input order,
+///    and never past its bucket's start, since earlier buckets hold
+///    strictly smaller keys. Keys spread over their range (the sorts' leaf
+///    chunks and buckets of random keys) cost 6.5–8 ns an element instead
+///    of the tag sort's 19–20 (fresh random leaves of 363–2 048 pairs, on
+///    a 2-vCPU Xeon guest).
+/// 3. The first bucket to overfill (few distinct keys, skew, or a leaf
+///    longer than `LEAF_BUCKET_MAX · 2^LEAF_DIGIT_BITS`) stops the count
+///    and sends the leaf to [`tag_sort`], so the worst case stays
+///    O(m log m) and no counter passes `LEAF_BUCKET_MAX + 1`.
+fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
+    debug_assert_eq!(src.len(), out.len());
+    let m = src.len();
+    let (mut lo, mut hi, mut descents) = (u64::MAX, 0u64, 0usize);
+    let mut prev = src.first().map_or(0, |p| p.0);
+    for &(key, _) in src {
+        lo = lo.min(key);
+        hi = hi.max(key);
+        descents += usize::from(key < prev);
+        prev = key;
+    }
+    if descents == 0 {
+        out.copy_from_slice(src);
+        return Leaf::Copy;
+    }
+    if descents == m - 1 {
+        for (o, s) in out.iter_mut().zip(src.iter().rev()) {
+            *o = *s;
+        }
+        return Leaf::Reverse;
+    }
+    // ⌈log₂ m⌉ digit bits (m ≥ 2 here), at most the histogram's.
+    let bits = (usize::BITS - (m - 1).leading_zeros()).min(LEAF_DIGIT_BITS);
+    let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bits);
+    let digit = |key: u64| ((key - lo) >> shift) as usize;
+    let mut count = [0u32; 1 << LEAF_DIGIT_BITS];
+    let count = &mut count[..=digit(hi)];
+    for &(key, _) in src {
+        let c = &mut count[digit(key)];
+        *c += 1;
+        if *c > LEAF_BUCKET_MAX {
+            tag_sort(src, out);
+            return Leaf::Tags;
+        }
+    }
+    let mut start = 0u32;
+    for c in count.iter_mut() {
+        (*c, start) = (start, start + *c);
+    }
+    for &p in src {
+        let at = &mut count[digit(p.0)];
+        out[*at as usize] = p;
+        *at += 1;
+    }
+    for i in 1..m {
+        let p = out[i];
+        let mut j = i;
+        while j > 0 && out[j - 1].0 > p.0 {
+            out[j] = out[j - 1];
+            j -= 1;
+        }
+        out[j] = p;
+    }
+    Leaf::Digits
+}
+
+/// [`seq_sort`]'s general case: tag every key with its position, sort the
 /// `(key, position)` pairs *unstably* as one 128-bit integer each —
 /// positions are distinct, so that order is the stable one — then swap
 /// each position for the payload it names. On random pairs 0.8–0.9× the
 /// time of `sort_by_key` (slices of 362 to 2^17), without its temporary
 /// buffer.
-fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
-    debug_assert_eq!(src.len(), out.len());
+fn tag_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
     for (i, (o, s)) in out.iter_mut().zip(src).enumerate() {
         *o = (s.0, i as u64);
     }
@@ -861,42 +970,127 @@ fn spms_splitters(data: &[(u64, u64)], q: usize, nb: usize) -> Vec<u64> {
     splitters
 }
 
-/// Step 3 of an SPMS level: row `c` of `cuts` (`splitters.len() + 2`
-/// wide) gets sorted chunk `c`'s bucket borders — `row[j]..row[j+1]` is
-/// its run for bucket `j` — by an upper-bound cut at every splitter, so
-/// equal keys never straddle a bucket. Forked over chunk rows: each
-/// chunk writes only its own row.
+/// Row stride of an SPMS level's `cuts` table: `nbuckets + 1` borders,
+/// padded to whole lines so forked rows never share one.
+fn cut_stride(nbuckets: usize) -> usize {
+    whole_lines::<usize>(nbuckets + 1)
+}
+
+/// Row stride of an SPMS level's bucket-id table: one `u16` per element
+/// of a `q`-wide chunk, padded to whole lines.
+fn id_stride(q: usize) -> usize {
+    whole_lines::<u16>(q)
+}
+
+/// One chunk row's merge-path walk against the splitters
+/// ([`spms_partition`]): `lo` is the element cursor, `si` the splitter
+/// cursor.
+struct CutWalk<'a> {
+    chunk: &'a [(u64, u64)],
+    row: &'a mut [usize],
+    ids: &'a mut [u16],
+    lo: usize,
+    si: usize,
+}
+
+impl CutWalk<'_> {
+    fn live(&self, splitters: &[u64]) -> bool {
+        self.lo < self.chunk.len() && self.si < splitters.len()
+    }
+
+    /// Advance one cursor by a flag, not a branch. A border or id a later
+    /// step moves is simply stored again: element `lo` keeps the id of
+    /// the step that passes it.
+    fn step(&mut self, splitters: &[u64]) {
+        let below = self.chunk[self.lo].0 <= splitters[self.si];
+        self.row[self.si + 1] = self.lo;
+        self.ids[self.lo] = self.si as u16;
+        self.lo += usize::from(below);
+        self.si += usize::from(!below);
+    }
+
+    /// Walk to the end, then close the row and give every element past
+    /// the last splitter the last bucket.
+    fn finish(mut self, splitters: &[u64]) {
+        while self.live(splitters) {
+            self.step(splitters);
+        }
+        let len = self.chunk.len();
+        self.row[0] = 0;
+        self.row[self.si + 1..splitters.len() + 2].fill(len);
+        self.ids[self.lo..len].fill(splitters.len() as u16);
+    }
+}
+
+/// Step 3 of an SPMS level: sorted chunk `c` gets its bucket borders in
+/// row `c` of `cuts` — `row[j]..row[j+1]` is its run for bucket `j` —
+/// and the bucket of each of its elements in row `c` of `ids`, by an
+/// upper-bound cut at every splitter, so equal keys never straddle a
+/// bucket. Rows are [`cut_stride`] and [`id_stride`] wide, and both
+/// tables start on a line, so the fork over chunk rows hands each task
+/// whole lines of each.
 ///
 /// Splitters ascend and there are about as many as the chunk has
 /// elements, so one merge-path walk places every border in
-/// `len + nbuckets` steps, and each step advances either the element or
-/// the splitter cursor by a flag instead of a branch (a border a later
-/// step moves is simply stored again) — the run lengths are ≈ 1 and
-/// random, which no branch predictor follows.
-fn spms_partition(data: &[(u64, u64)], q: usize, splitters: &[u64], cuts: &mut [usize]) {
-    let stride = splitters.len() + 2;
-    let rows = cuts.len() / stride;
+/// `len + nbuckets` steps, each advancing the element or the splitter
+/// cursor by a flag instead of a branch — the run lengths are ≈ 1 and
+/// random, which no branch predictor follows. A walk is one dependent
+/// compare → cursor → load chain, so a leaf walks two rows in lockstep
+/// and the core overlaps the two chains.
+fn spms_partition(
+    data: &[(u64, u64)],
+    q: usize,
+    splitters: &[u64],
+    cuts: &mut [usize],
+    ids: &mut [u16],
+) {
+    let (cs, is) = (cut_stride(splitters.len() + 1), id_stride(q));
+    let rows = cuts.len() / cs;
     if rows > 1 && data.len() > SEQ_CUTOFF {
         let mid = rows / 2;
         let (dl, dr) = data.split_at(mid * q);
-        let (cl, cr) = cuts.split_at_mut(mid * stride);
+        let (cl, cr) = cuts.split_at_mut(mid * cs);
+        let (il, ir) = ids.split_at_mut(mid * is);
+        debug_assert_line_start(cr);
+        debug_assert_line_start(ir);
         pjoin(
-            || spms_partition(dl, q, splitters, cl),
-            || spms_partition(dr, q, splitters, cr),
+            || spms_partition(dl, q, splitters, cl, il),
+            || spms_partition(dr, q, splitters, cr, ir),
         );
         return;
     }
-    for (chunk, row) in data.chunks(q).zip(cuts.chunks_exact_mut(stride)) {
-        let (mut lo, mut si) = (0usize, 0usize);
-        row[0] = 0;
-        while lo < chunk.len() && si < splitters.len() {
-            let below = chunk[lo].0 <= splitters[si];
-            row[si + 1] = lo;
-            lo += usize::from(below);
-            si += usize::from(!below);
+    let mut walks = data
+        .chunks(q)
+        .zip(cuts.chunks_exact_mut(cs).zip(ids.chunks_exact_mut(is)))
+        .map(|(chunk, (row, ids))| CutWalk {
+            chunk,
+            row,
+            ids,
+            lo: 0,
+            si: 0,
+        });
+    while let Some(mut a) = walks.next() {
+        if let Some(mut b) = walks.next() {
+            while a.live(splitters) && b.live(splitters) {
+                a.step(splitters);
+                b.step(splitters);
+            }
+            b.finish(splitters);
         }
-        row[si + 1..].fill(chunk.len());
+        a.finish(splitters);
     }
+}
+
+/// Total size of each of `nbuckets` buckets, accumulated row-major (the
+/// `cuts` layout) instead of striding a column per bucket.
+fn bucket_sizes(cuts: &[usize], nbuckets: usize) -> Vec<usize> {
+    let mut sizes = vec![0usize; nbuckets];
+    for row in cuts.chunks_exact(cut_stride(nbuckets)) {
+        for (size, b) in sizes.iter_mut().zip(row.windows(2)) {
+            *size += b[1] - b[0];
+        }
+    }
+    sizes
 }
 
 /// Buckets whose runs one gather leaf collects: enough that a chunk's
@@ -908,10 +1102,10 @@ const GATHER_GROUP: usize = 32;
 struct SpmsCx<'a> {
     /// Chunk width of the level.
     q: usize,
-    /// Row stride of `cuts` (`nbuckets + 1`).
-    stride: usize,
-    /// Flattened per-chunk bucket borders, `stride`-strided by chunk.
+    /// Per-chunk bucket borders, [`cut_stride`]-strided by chunk.
     cuts: &'a [usize],
+    /// Per-element bucket ids, [`id_stride`]-strided by chunk.
+    ids: &'a [u16],
     /// Total size of each bucket.
     sizes: &'a [usize],
 }
@@ -920,10 +1114,13 @@ struct SpmsCx<'a> {
 /// out of `data` into `a`, which starts at bucket `blo`'s origin of the
 /// line-gapped arena. Forked down to groups of ≤ [`GATHER_GROUP`]
 /// buckets along line-gapped borders, so no two writers share a
-/// cache-line interior. A leaf walks chunk-major: `cuts` is read by row,
-/// every chunk contributes one contiguous span of `data`, and a bucket
-/// receives its runs in chunk order — input order, which is what keeps
-/// the leaf sort that follows stable.
+/// cache-line interior. A leaf walks chunk-major: the group's runs in a
+/// chunk are one contiguous span, from its first bucket's cut to its
+/// last bucket's, and each element of it goes to the cursor its bucket
+/// id names — one pass with no per-(chunk, bucket) loop, whose ≈ 1-element
+/// trip counts no branch predictor follows. A bucket receives its runs
+/// in chunk order — input order, which is what keeps the leaf sort that
+/// follows stable.
 fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)], cx: &SpmsCx<'_>) {
     debug_assert_line_start(a);
     if bhi - blo > GATHER_GROUP {
@@ -943,13 +1140,17 @@ fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)]
         *w = origin;
         origin += line_up(s);
     }
-    for (c, chunk) in data.chunks(cx.q).enumerate() {
-        let row = &cx.cuts[c * cx.stride + blo..=c * cx.stride + bhi];
-        for (w, b) in at.iter_mut().zip(row.windows(2)) {
-            for &p in &chunk[b[0]..b[1]] {
-                a[*w] = p;
-                *w += 1;
-            }
+    let (cs, is) = (cut_stride(cx.sizes.len()), id_stride(cx.q));
+    for ((chunk, row), ids) in data
+        .chunks(cx.q)
+        .zip(cx.cuts.chunks_exact(cs))
+        .zip(cx.ids.chunks_exact(is))
+    {
+        let (from, to) = (row[blo], row[bhi]);
+        for (&p, &id) in chunk[from..to].iter().zip(&ids[from..to]) {
+            let w = &mut at[usize::from(id) - blo];
+            a[*w] = p;
+            *w += 1;
         }
     }
 }
@@ -1011,10 +1212,11 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 /// 2. a deterministic regular sample of the sorted chunks yields the
 ///    splitters ([`spms_splitters`]);
 /// 3. every chunk is cut at the splitters by a forked, branch-free
-///    merge-path walk ([`spms_partition`]);
+///    merge-path walk that also gives each element its bucket id
+///    ([`spms_partition`]);
 /// 4. the buckets are rebuilt in two forked passes with a barrier
 ///    between them: groups of buckets gather their runs out of `data`
-///    into a line-gapped arena ([`spms_gather`]), then every bucket is
+///    by id into a line-gapped arena ([`spms_gather`]), then every bucket is
 ///    sorted from the arena into its final window of `data`
 ///    ([`spms_sort_buckets`]). With ≈ `√n` chunks *and* ≈ `√n` buckets a
 ///    (chunk, bucket) run holds about one element, so "merging" a
@@ -1025,9 +1227,10 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 ///    of the paper, for real.
 ///
 /// One arena allocation funds the bucket phase, the sequential leaf
-/// sorts, and the whole recursion ([`arena_len`]) — the hot path
-/// allocates O(1) buffers per super-cutoff level instead of O(√n) per
-/// bucket, which `tests/alloc_accounting.rs` pins.
+/// sorts, and the whole recursion ([`arena_len`]); a level adds its
+/// sample, `cuts` and id tables — the hot path allocates O(1) buffers
+/// per super-cutoff level instead of O(√n) per bucket, which
+/// `tests/alloc_accounting.rs` pins.
 ///
 /// Degenerate samples (duplicate-heavy inputs) fall back to a stable
 /// sequential sort of the whole slice — rare, deterministic, correct.
@@ -1055,20 +1258,19 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     let nchunks = n.div_ceil(q);
     spms_sort_chunks(data, q, arena, arena_len(q));
 
-    // 2.–3. splitters, then every chunk's bucket borders.
+    // 2.–3. splitters, then every chunk's bucket borders and ids.
     let splitters = spms_splitters(data, q, nb);
     let nbuckets = splitters.len() + 1;
-    let stride = nbuckets + 1;
-    let mut cuts = vec![0usize; nchunks * stride];
-    spms_partition(data, q, &splitters, &mut cuts);
-    // Bucket sizes, accumulated row-major (the cuts layout) instead of
-    // striding a column per bucket.
-    let mut sizes = vec![0usize; nbuckets];
-    for row in cuts.chunks_exact(stride) {
-        for (size, b) in sizes.iter_mut().zip(row.windows(2)) {
-            *size += b[1] - b[0];
-        }
-    }
+    assert!(nbuckets <= 1 << 16, "bucket ids are u16 (n ≤ 2^32)");
+    let (cs, is) = (cut_stride(nbuckets), id_stride(q));
+    let mut cut_ws = workspace(nchunks * cs, 0usize);
+    let cuts = &mut line_aligned(&mut cut_ws)[..nchunks * cs];
+    let mut id_ws = workspace(nchunks * is, 0u16);
+    let ids = &mut line_aligned(&mut id_ws)[..nchunks * is];
+    debug_assert_line_start(cuts);
+    debug_assert_line_start(ids);
+    spms_partition(data, q, &splitters, cuts, ids);
+    let sizes = bucket_sizes(cuts, nbuckets);
     if sizes.contains(&n) {
         // Degenerate splitters (e.g. almost-constant keys): fall back to
         // one stable sequential sort out of the same arena.
@@ -1080,8 +1282,8 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     // 4. gather, barrier, sort (see the function docs above).
     let cx = SpmsCx {
         q,
-        stride,
-        cuts: &cuts,
+        cuts,
+        ids,
         sizes: &sizes,
     };
     spms_gather(data, 0, nbuckets, arena, &cx);
@@ -1791,6 +1993,75 @@ mod tests {
     }
 
     #[test]
+    fn spms_partition_ids_and_gather_match_naive_models() {
+        // 2^11 + 1: 46 chunks, the last 24 wide; 5000: 71 chunks (an odd
+        // count, so one lockstep leaf walks a row alone), the last 30
+        // wide; 2^16 + 3: 257 chunks, the last 3 wide.
+        let mut inputs = Vec::new();
+        for n in [SPMS_CUTOFF + 1, 5000, (1 << 16) + 3] {
+            inputs.push(("uniform", gen::random_u64s(n, u64::MAX, n as u64)));
+            inputs.extend(spms_edge_inputs(n));
+        }
+        off_and_on_pools(|| {
+            for (name, keys) in &inputs {
+                let n = keys.len();
+                let mut data: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+                let (nb, q) = spms_geometry(n);
+                for chunk in data.chunks_mut(q) {
+                    chunk.sort_by_key(|p| p.0);
+                }
+                let splitters = spms_splitters(&data, q, nb);
+                let nbuckets = splitters.len() + 1;
+                let (nchunks, cs, is) = (n.div_ceil(q), cut_stride(nbuckets), id_stride(q));
+                let mut cut_ws = workspace(nchunks * cs, 0usize);
+                let cuts = &mut line_aligned(&mut cut_ws)[..nchunks * cs];
+                let mut id_ws = workspace(nchunks * is, u16::MAX);
+                let ids = &mut line_aligned(&mut id_ws)[..nchunks * is];
+                spms_partition(&data, q, &splitters, cuts, ids);
+
+                // The model: an upper-bound cut at every splitter, and
+                // bucket-major, chunk-ordered buckets.
+                let mut buckets = vec![Vec::new(); nbuckets];
+                for (c, chunk) in data.chunks(q).enumerate() {
+                    let row = &cuts[c * cs..][..=nbuckets];
+                    assert_eq!((row[0], row[nbuckets]), (0, chunk.len()), "{name} n={n}");
+                    for (i, &p) in chunk.iter().enumerate() {
+                        let id = usize::from(ids[c * is + i]);
+                        let want = splitters.partition_point(|&s| s < p.0);
+                        assert_eq!(id, want, "{name} n={n}: chunk {c} element {i}");
+                        assert!(row[id] <= i && i < row[id + 1], "{name} n={n}: cuts of {c}");
+                        buckets[id].push(p);
+                    }
+                }
+                let sizes = bucket_sizes(cuts, nbuckets);
+                assert!(
+                    sizes.iter().copied().eq(buckets.iter().map(Vec::len)),
+                    "{name} n={n}"
+                );
+
+                let len = line_up(n) + nbuckets * LINE_PAIRS;
+                let gap = (u64::MAX, 0);
+                let mut want = vec![gap; len];
+                let mut origin = 0;
+                for b in &buckets {
+                    want[origin..origin + b.len()].copy_from_slice(b);
+                    origin += line_up(b.len());
+                }
+                let mut ws = workspace(len, gap);
+                let arena = &mut line_aligned(&mut ws)[..len];
+                let cx = SpmsCx {
+                    q,
+                    cuts,
+                    ids,
+                    sizes: &sizes,
+                };
+                spms_gather(&data, 0, nbuckets, arena, &cx);
+                assert!(arena == want.as_slice(), "{name} n={n}: gathered arena");
+            }
+        });
+    }
+
+    #[test]
     fn spms_sample_is_a_fraction_of_a_small_input() {
         // n = 2048: 46 chunks of 45 contribute 8 keys each (4 from the
         // short last one) — the per-chunk floor of 32 is gone — and the
@@ -1977,19 +2248,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seq_sort_matches_std_stable_sort() {
-        let mut state = 7u64;
-        for n in [0usize, 1, 2, 31, 32, 33, 100, 1024, 1025, 4000] {
-            let data: Vec<(u64, u64)> = (0..n as u64)
-                .map(|i| (xs(&mut state) % (n as u64 / 2 + 3), i))
-                .collect();
-            let mut want = data.clone();
-            want.sort_by_key(|p| p.0);
-            let mut got = vec![(0, 0); n];
-            seq_sort(&data, &mut got);
-            assert_eq!(got, want, "n={n} (payload equality = stability)");
+    /// `m` keys drawn from `k` distinct values `0..k`, each used ⌈m/k⌉
+    /// times at most, in a scrambled order.
+    fn balanced_keys(m: usize, k: u64, state: &mut u64) -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..m as u64).map(|i| i % k).collect();
+        for i in (1..m).rev() {
+            keys.swap(i, (xs(state) % (i as u64 + 1)) as usize);
         }
+        keys
+    }
+
+    #[test]
+    fn seq_sort_matches_sort_by_key_on_every_branch() {
+        // (key set, keys of length m, the longest m whose unordered input
+        // takes the digit pass — a longer one takes the tag sort). Ordered
+        // inputs take the copy or the reverse first, whatever the set.
+        // Up to 33 elements, a leaf that is not ordered always takes the
+        // digit pass: `lo` and `hi` sit in different buckets, so none
+        // holds more than 32. 2^16 + 3 is spms_rec's whole-slice
+        // fallback, too long for any histogram of 2^11 buckets of ≤ 32.
+        type Keys = fn(usize, &mut u64) -> Vec<u64>;
+        let sets: [(&str, Keys, usize); 12] = [
+            ("uniform", |m, s| (0..m).map(|_| xs(s)).collect(), 4000),
+            (
+                "range 2^20",
+                |m, s| (0..m).map(|_| xs(s) >> 44).collect(),
+                4000,
+            ),
+            ("all equal", |m, _| vec![42; m], 0),
+            ("2 keys", |m, s| balanced_keys(m, 2, s), 64),
+            ("16 keys", |m, s| balanced_keys(m, 16, s), 512),
+            (
+                "exponential skew",
+                |m, s| (0..m).map(|_| xs(s)).map(|u| u >> (u & 63)).collect(),
+                33,
+            ),
+            (
+                "presorted",
+                |m, s| {
+                    let mut k: Vec<u64> = (0..m).map(|_| xs(s) >> 1).collect();
+                    k.sort_unstable();
+                    k
+                },
+                0,
+            ),
+            ("strictly reversed", |m, _| (0..m as u64).rev().collect(), 0),
+            (
+                "reversed with ties",
+                |m, _| (0..m as u64).rev().map(|i| i / 2).collect(),
+                4000,
+            ),
+            // One descent short of strictly decreasing.
+            (
+                "reversed, one tie",
+                |m, _| (0..m as u64).rev().map(|i| i.max(1)).collect(),
+                4000,
+            ),
+            (
+                "bit 63 set",
+                |m, s| (0..m).map(|_| xs(s) | 1 << 63).collect(),
+                4000,
+            ),
+            (
+                "only bit 0 differs",
+                |m, s| {
+                    (0..m)
+                        .map(|_| 0xA5A5_0000_0000_0000 | (xs(s) & 1))
+                        .collect()
+                },
+                33,
+            ),
+        ];
+        let mut state = 7u64;
+        let mut taken = [0usize; 4];
+        for (name, keys, digits_up_to) in sets {
+            for m in [
+                0usize,
+                1,
+                2,
+                31,
+                32,
+                33,
+                363,
+                1024,
+                2048,
+                4000,
+                (1 << 16) + 3,
+            ] {
+                let data: Vec<(u64, u64)> = keys(m, &mut state).into_iter().zip(0..).collect();
+                let want_leaf = if data.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    Leaf::Copy
+                } else if data.windows(2).all(|w| w[0].0 > w[1].0) {
+                    Leaf::Reverse
+                } else if m <= digits_up_to {
+                    Leaf::Digits
+                } else {
+                    Leaf::Tags
+                };
+                let mut want = data.clone();
+                want.sort_by_key(|p| p.0);
+                let mut got = vec![(0, 0); m];
+                let leaf = seq_sort(&data, &mut got);
+                assert!(got == want, "{name} m={m} (payload equality = stability)");
+                assert_eq!(leaf, want_leaf, "{name} m={m}");
+                taken[leaf as usize] += 1;
+            }
+        }
+        assert!(
+            taken.iter().all(|&t| t >= 5),
+            "every branch covered: {taken:?}"
+        );
     }
 
     #[test]
