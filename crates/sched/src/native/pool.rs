@@ -22,6 +22,43 @@
 //! separately ([`JobOutcome::queue_ns`]), so a server layer can split
 //! latency into queue wait vs service.
 //!
+//! ## Parking
+//!
+//! Who sleeps where, all under the one pool-state mutex
+//! (`runtime::PoolState`) unless said otherwise:
+//!
+//! - the **driver** sleeps on its own condvar, `Pool::driver_cv`, for a
+//!   submission or shutdown between jobs, and for the job's last thief
+//!   to deregister at the end of a job (the quiesce wait). Nothing else
+//!   waits there, so a submission never wakes a thief;
+//! - **thieves** sleep on `Pool::work_cv` for a new job epoch or
+//!   shutdown;
+//! - a **submitter** sleeps in [`PoolHandle::wait`] on its job's own
+//!   mutex and condvar.
+//!
+//! **Counted notifies.** std's `Condvar` makes a `FUTEX_WAKE` syscall on
+//! every `notify_*`, whether or not anyone waits (≈ 200 ns on a 2-vCPU
+//! guest, ten times an uncontended lock), and a chained job boundary
+//! used to cross three of them with nobody asleep. So every waiter
+//! registers itself (`driver_asleep`, `thieves_asleep`, the job's
+//! `waiting`) under the mutex that guards its condition before it waits,
+//! and clears that after it wakes; a notifier reads the count under the
+//! same mutex, in the critical section that changed the condition, and
+//! calls `notify_*` only when it is non-zero (it may notify after
+//! unlocking). No wake-up is lost: the count and the condition change
+//! under one lock, and std's `wait` re-checks the futex word before it
+//! sleeps.
+//!
+//! **The first push wakes the thieves.** Starting a job bumps the epoch
+//! without notifying anyone. If a thief is asleep, the driver arms
+//! `Pool::wake_thieves`; every push pays one relaxed load of it, and the
+//! push that finds it armed swaps it off and notifies `work_cv`. A job
+//! that never forks therefore wakes no thief, no thief registers, the
+//! quiesce wait has nothing to wait for, and its report says
+//! `workers_active = 1`. A thief still on its way back from the previous
+//! job (between deregistering and parking) joins the next job without
+//! being woken, so `workers_active` can exceed 1 even then.
+//!
 //! ## Shutdown
 //!
 //! [`NativePool::shutdown`] is explicit and **idempotent**: the first
@@ -103,33 +140,42 @@ pub(crate) struct JobDone {
 }
 
 /// Completion rendezvous between the driver and one submitter.
+#[derive(Default)]
 pub(crate) struct JobMeta {
-    done: Mutex<Option<JobDone>>,
+    slot: Mutex<MetaSlot>,
     cv: Condvar,
 }
 
+/// What [`JobMeta`]'s mutex guards: the outcome, and whether the
+/// submitter is asleep waiting for it (the driver notifies only then).
+#[derive(Default)]
+struct MetaSlot {
+    done: Option<JobDone>,
+    waiting: bool,
+}
+
 impl JobMeta {
-    fn new() -> Self {
-        Self {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
+    pub(crate) fn complete(&self, d: JobDone) {
+        let waiting = {
+            let mut g = self.slot.lock().expect("job meta poisoned");
+            debug_assert!(g.done.is_none(), "job completed twice");
+            g.done = Some(d);
+            g.waiting
+        };
+        if waiting {
+            self.cv.notify_one();
         }
     }
 
-    pub(crate) fn complete(&self, d: JobDone) {
-        let mut g = self.done.lock().expect("job meta poisoned");
-        debug_assert!(g.is_none(), "job completed twice");
-        *g = Some(d);
-        self.cv.notify_all();
-    }
-
     pub(crate) fn wait(&self) -> JobDone {
-        let mut g = self.done.lock().expect("job meta poisoned");
+        let mut g = self.slot.lock().expect("job meta poisoned");
         loop {
-            if let Some(d) = g.take() {
+            if let Some(d) = g.done.take() {
                 return d;
             }
+            g.waiting = true;
             g = self.cv.wait(g).expect("job meta poisoned");
+            g.waiting = false;
         }
     }
 }
@@ -315,8 +361,8 @@ impl NativePool {
         trace: Option<Arc<TraceSink>>,
     ) -> Result<Arc<JobMeta>, SubmitError> {
         self.check_sink(trace.as_deref());
-        let meta = Arc::new(JobMeta::new());
-        {
+        let meta = Arc::new(JobMeta::default());
+        let driver_asleep = {
             let mut s = self.shared.state.lock().expect("pool state poisoned");
             if s.exit {
                 return Err(SubmitError::ShutDown);
@@ -334,8 +380,11 @@ impl NativePool {
                 m.pool_backlog.set(depth);
                 m.pool_backlog_peak.raise_to(depth);
             }
+            s.driver_asleep
+        };
+        if driver_asleep {
+            self.shared.driver_cv.notify_one();
         }
-        self.shared.work_cv.notify_all();
         Ok(meta)
     }
 
@@ -400,11 +449,15 @@ impl NativePool {
     /// submissions, and join every worker. Idempotent: repeat calls
     /// (including the one from `Drop`) are no-ops.
     pub fn shutdown(&mut self) {
-        {
+        let driver_asleep = {
             let mut s = self.shared.state.lock().expect("pool state poisoned");
             s.exit = true;
+            s.driver_asleep
+        };
+        // The thieves are the driver's to release, once it has drained.
+        if driver_asleep {
+            self.shared.driver_cv.notify_one();
         }
-        self.shared.work_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -428,54 +481,36 @@ struct CounterSnap {
     tasks: u64,
 }
 
-fn snapshot(counters: &[WorkerCounters]) -> Vec<CounterSnap> {
-    counters
-        .iter()
-        .map(|c| CounterSnap {
+impl CounterSnap {
+    fn of(c: &WorkerCounters) -> Self {
+        Self {
             busy_ns: c.busy_ns.load(Ordering::Relaxed),
             steal_ns: c.steal_ns.load(Ordering::Relaxed),
             steals: c.steals.load(Ordering::Relaxed),
             stolen_tasks: c.stolen_tasks.load(Ordering::Relaxed),
             failed_probes: c.failed_probes.load(Ordering::Relaxed),
             tasks: c.tasks.load(Ordering::Relaxed),
-        })
-        .collect()
+        }
+    }
 }
 
-/// Assemble a per-job [`ExecReport`] from before/after counter
-/// snapshots (field semantics in the `native` module docs).
-/// `workers_active` is the job's peak worker participation (driver
-/// included): `1..=p`, since a thief that is still parked when the root
-/// returns never registers.
+/// Assemble a per-job [`ExecReport`] from the counters at the job's
+/// start (`before`) and now, at its quiesce point (field semantics in
+/// the `native` module docs). `workers_active` is the job's peak worker
+/// participation (driver included): `1..=p`, since a thief that is still
+/// parked when the root returns never registers — and one that no push
+/// woke stays parked, so a leaf-only job reports 1.
 fn delta_report(
     before: &[CounterSnap],
-    after: &[CounterSnap],
+    counters: &[WorkerCounters],
     makespan: u64,
     workers_active: usize,
 ) -> ExecReport {
     let p = before.len();
-    let busy: Vec<u64> = (0..p)
-        .map(|w| after[w].busy_ns - before[w].busy_ns)
-        .collect();
-    let steal_overhead: Vec<u64> = (0..p)
-        .map(|w| after[w].steal_ns - before[w].steal_ns)
-        .collect();
-    let idle: Vec<u64> = busy
-        .iter()
-        .zip(&steal_overhead)
-        .map(|(&b, &s)| makespan.saturating_sub(b + s))
-        .collect();
-    let steals: u64 = (0..p).map(|w| after[w].steals - before[w].steals).sum();
-    let stolen_tasks: u64 = (0..p)
-        .map(|w| after[w].stolen_tasks - before[w].stolen_tasks)
-        .sum();
-    let failed: u64 = (0..p)
-        .map(|w| after[w].failed_probes - before[w].failed_probes)
-        .sum();
-    ExecReport {
+    let mut r = ExecReport {
         p,
         makespan,
-        work: (0..p).map(|w| after[w].tasks - before[w].tasks).sum(),
+        work: 0,
         machine: MachineStats {
             per_core: vec![CoreStats::default(); p],
             block_transfers: 0,
@@ -483,24 +518,39 @@ fn delta_report(
         heap_block_misses: 0,
         stack_block_misses: 0,
         stack_plain_misses: 0,
-        steals,
-        stolen_tasks,
-        steal_attempts: steals + failed,
+        steals: 0,
+        stolen_tasks: 0,
+        steal_attempts: 0,
         steals_by_priority: Vec::new(),
         stolen_sizes: Vec::new(),
         usurpations: 0,
-        busy,
-        steal_overhead,
-        idle,
+        busy: Vec::with_capacity(p),
+        steal_overhead: Vec::with_capacity(p),
+        idle: Vec::with_capacity(p),
         n_priorities: 0,
         workers_active,
+    };
+    for (b, c) in before.iter().zip(counters) {
+        let a = CounterSnap::of(c);
+        let (busy, steal) = (a.busy_ns - b.busy_ns, a.steal_ns - b.steal_ns);
+        r.busy.push(busy);
+        r.steal_overhead.push(steal);
+        r.idle.push(makespan.saturating_sub(busy + steal));
+        let steals = a.steals - b.steals;
+        r.work += a.tasks - b.tasks;
+        r.steals += steals;
+        r.stolen_tasks += a.stolen_tasks - b.stolen_tasks;
+        r.steal_attempts += steals + (a.failed_probes - b.failed_probes);
     }
+    r
 }
 
 /// The driver's main loop: drain the submission queue until shutdown.
 fn driver_main(pool: &Pool) {
     CTX.set(Some(Ctx { pool, index: 0 }));
     RNG.set((pool.seed ^ 0x9E37_79B9_7F4A_7C15) | 1);
+    // Every job's start-of-job counter snapshot, overwritten in place.
+    let mut before = vec![CounterSnap::default(); pool.counters.len()];
     loop {
         let sub = {
             let mut s = pool.state.lock().expect("pool state poisoned");
@@ -515,36 +565,55 @@ fn driver_main(pool: &Pool) {
                 if s.exit {
                     break None;
                 }
-                s = pool.work_cv.wait(s).expect("pool state poisoned");
+                s.driver_asleep = true;
+                s = pool.driver_cv.wait(s).expect("pool state poisoned");
+                s.driver_asleep = false;
             }
         };
         let Some(sub) = sub else { break };
-        drive_one(pool, sub);
+        drive_one(pool, sub, &mut before);
     }
     CTX.set(None);
     // Release parked thieves: with `exit` set, an empty queue, and
     // nothing running, their loop condition lets them return.
-    pool.work_cv.notify_all();
+    let thieves_asleep = pool
+        .state
+        .lock()
+        .expect("pool state poisoned")
+        .thieves_asleep;
+    if thieves_asleep > 0 {
+        pool.work_cv.notify_all();
+    }
 }
 
 /// Execute one submission on the pool: swap per-job state in the
-/// quiesced window, wake the thieves, run the root as task 0 on the
-/// driver, wait for quiescence, and publish the per-job outcome.
-fn drive_one(pool: &Pool, sub: Submission) {
+/// quiesced window, open a new epoch (arming the thieves' wake for the
+/// job's first push), run the root as task 0 on the driver, wait for
+/// quiescence, and publish the per-job outcome.
+///
+/// An untraced job reads the clock twice — once at its start (queue
+/// wait, trace zero, root start) and once at the root's end (the root's
+/// busy time and, unless thieves had to be waited out, the makespan).
+fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
     let Submission {
         run,
         trace,
         enqueued,
         meta,
     } = sub;
-    let queue_ns = enqueued.elapsed().as_nanos() as u64;
+    let start = Instant::now();
+    let queue_ns = start.duration_since(enqueued).as_nanos() as u64;
     // Quiesced window: no thief holds a steal loop (see thief_main's
     // registration protocol), so per-job state swaps are race-free.
     pool.set_trace(trace);
     pool.next_task.store(1, Ordering::Relaxed);
-    pool.job_t0_ns
-        .store(pool.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let before = snapshot(&pool.counters);
+    pool.job_t0_ns.store(
+        start.duration_since(pool.epoch).as_nanos() as u64,
+        Ordering::Relaxed,
+    );
+    for (snap, c) in before.iter_mut().zip(&pool.counters) {
+        *snap = CounterSnap::of(c);
+    }
     pool.done.store(false, Ordering::Release);
     {
         let mut s = pool.state.lock().expect("pool state poisoned");
@@ -553,10 +622,12 @@ fn drive_one(pool: &Pool, sub: Submission) {
         // Reset the per-job participation peak to the driver alone;
         // every thief registration raises it (see thief_main).
         s.participants = 1;
+        // No notify here: a parked thief is woken by the job's first
+        // push, so a job that never forks wakes nobody.
+        pool.wake_thieves
+            .store(s.thieves_asleep > 0, Ordering::Relaxed);
     }
-    pool.work_cv.notify_all();
 
-    let t0 = Instant::now();
     DEPTH.set(1);
     CUR_TASK.set(0);
     FORK_DEPTH.set(0);
@@ -565,14 +636,14 @@ fn drive_one(pool: &Pool, sub: Submission) {
         tr.push(0, pool.now_ns(), TrEv::TaskBegin { task: 0 });
         root_c0 = crate::perf::sample(pool.counters_mode, 0);
     }
-    let tb = Instant::now();
     // The runner catches its own unwind; this outer catch is the
     // driver's last line of defense (a poisoned result slot, say) — the
     // driver thread must survive every job.
     let outcome = panic::catch_unwind(AssertUnwindSafe(run));
+    let root_ns = start.elapsed().as_nanos() as u64;
     pool.counters[0]
         .busy_ns
-        .fetch_add(tb.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        .fetch_add(root_ns, Ordering::Relaxed);
     pool.counters[0].tasks.fetch_add(1, Ordering::Relaxed);
     if let Some(tr) = pool.trace() {
         runtime::emit_miss_delta(pool, 0, tr, root_c0);
@@ -583,17 +654,23 @@ fn drive_one(pool: &Pool, sub: Submission) {
         pool.note_panic(0, payload.as_ref());
     }
     pool.done.store(true, Ordering::Release);
-    let workers_active = {
+    let (workers_active, waited) = {
         let mut s = pool.state.lock().expect("pool state poisoned");
         s.running = false;
+        let waited = s.active > 0;
         while s.active > 0 {
-            s = pool.quiesce_cv.wait(s).expect("pool state poisoned");
+            s.driver_asleep = true;
+            s = pool.driver_cv.wait(s).expect("pool state poisoned");
+            s.driver_asleep = false;
         }
-        s.participants
+        (s.participants, waited)
     };
-    let makespan = t0.elapsed().as_nanos() as u64;
-    let after = snapshot(&pool.counters);
-    let report = delta_report(&before, &after, makespan, workers_active);
+    let makespan = if waited {
+        start.elapsed().as_nanos() as u64
+    } else {
+        root_ns
+    };
+    let report = delta_report(before, &pool.counters, makespan, workers_active);
     {
         // Per-job serve-level publish: one increment and one histogram
         // observation per job (end-to-end latency = queue wait + service),

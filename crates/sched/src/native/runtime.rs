@@ -43,10 +43,16 @@ pub(crate) struct WorkerCounters {
 }
 
 /// The mutex-guarded coordination state of a persistent pool: the
-/// submission queue, the job epoch the thieves synchronize on, and the
-/// shutdown flag. One mutex guards all of it — submissions, job
-/// start/stop, and thief registration are rare events compared to the
-/// lock-free deque traffic inside a job.
+/// submission queue, the job epoch the thieves synchronize on, the
+/// shutdown flag, and who is asleep on which condvar. One mutex guards
+/// all of it — submissions, job start/stop, and thief registration are
+/// rare events compared to the lock-free deque traffic inside a job.
+///
+/// The two sleeper fields are what lets a notifier skip its condvar:
+/// a waiter sets them under this mutex before it waits and clears them
+/// after it wakes, and a notifier reads them under this mutex in the
+/// same critical section that changes the condition (the counted-notify
+/// rule of the `pool` module docs).
 #[derive(Default)]
 pub(crate) struct PoolState {
     /// Jobs accepted but not yet driven (FIFO).
@@ -67,6 +73,14 @@ pub(crate) struct PoolState {
     /// Shutdown requested: the driver drains the queue then exits, and
     /// thieves exit once nothing is running or queued.
     pub(crate) exit: bool,
+    /// The driver is asleep on [`Pool::driver_cv`], waiting for a
+    /// submission (or shutdown) or for the job's thieves to deregister.
+    /// A submission, a shutdown and the last deregistration notify the
+    /// driver only while this is set.
+    pub(crate) driver_asleep: bool,
+    /// Thieves asleep on [`Pool::work_cv`]. The driver reads it at job
+    /// start to arm [`Pool::wake_thieves`], and on exit to release them.
+    pub(crate) thieves_asleep: usize,
 }
 
 /// Shared state of one native pool: owned by [`super::pool::NativePool`]
@@ -118,14 +132,21 @@ pub(crate) struct Pool {
     /// Kernel panics observed in the current job: `(worker, message)` in
     /// the order they were caught; drained by the driver per job.
     pub(crate) panics: Mutex<Vec<(usize, String)>>,
-    /// Coordination state (queue, epochs, shutdown).
+    /// Coordination state (queue, epochs, shutdown, sleepers).
     pub(crate) state: Mutex<PoolState>,
-    /// Wakes the driver (new submission / shutdown) and the thieves
-    /// (job started / shutdown).
+    /// The driver's own condvar: a new submission or shutdown, and the
+    /// last registered thief leaving its steal loop (`state.active` back
+    /// to zero), wake it. Nothing else waits here, so a submission never
+    /// wakes a thief.
+    pub(crate) driver_cv: Condvar,
+    /// Parked thieves wait here for a job epoch (or shutdown).
     pub(crate) work_cv: Condvar,
-    /// Wakes the driver when the last registered thief leaves its steal
-    /// loop (`state.active` back to zero).
-    pub(crate) quiesce_cv: Condvar,
+    /// Armed by the driver at job start when a thief is asleep; the first
+    /// push of the job disarms it and notifies [`Pool::work_cv`], so a
+    /// job that never forks wakes no thief. Relaxed throughout: the flag
+    /// publishes nothing — a woken thief reads the epoch under the state
+    /// mutex — and the swap lets exactly one push notify.
+    pub(crate) wake_thieves: AtomicBool,
 }
 
 // SAFETY: every field but `trace_cell` is Sync on its own; `trace_cell`
@@ -152,8 +173,9 @@ impl Pool {
             next_task: AtomicU32::new(1),
             panics: Mutex::new(Vec::new()),
             state: Mutex::new(PoolState::default()),
+            driver_cv: Condvar::new(),
             work_cv: Condvar::new(),
-            quiesce_cv: Condvar::new(),
+            wake_thieves: AtomicBool::new(false),
         }
     }
 
@@ -188,10 +210,16 @@ impl Pool {
 
     /// Owner: publish a branch on `me`'s deque and fold its fork depth
     /// into the worker's top-depth hint (the shallowest depth queued is
-    /// what a §4.7-style thief wants to know about).
+    /// what a §4.7-style thief wants to know about). The job's first
+    /// push wakes the parked thieves ([`Pool::wake_thieves`]).
     pub(crate) fn push_bottom_hinted(&self, me: usize, j: JobRef) {
         self.depth_hints[me].fetch_min(j.depth, Ordering::Relaxed);
         self.deques[me].push(j);
+        if self.wake_thieves.load(Ordering::Relaxed)
+            && self.wake_thieves.swap(false, Ordering::Relaxed)
+        {
+            self.work_cv.notify_all();
+        }
         let m = hbp_metrics::global();
         if m.on() {
             let d = self.deques[me].len_hint() as i64;
@@ -567,7 +595,10 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
 /// same critical section that observes the new epoch, so the driver's
 /// quiesce wait (`active == 0` with `running == false`) cannot miss a
 /// thief that is about to enter its steal loop — the guarantee the
-/// per-job trace-sink swap and counter snapshots rely on.
+/// per-job trace-sink swap and counter snapshots rely on. A parked
+/// thief counts itself in `state.thieves_asleep` around its wait; what
+/// wakes it is the job's first push (see [`Pool::wake_thieves`]) or the
+/// driver's exit.
 pub(crate) fn thief_main(pool: &Pool, me: usize) {
     CTX.set(Some(Ctx { pool, index: me }));
     RNG.set((pool.seed ^ (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
@@ -593,7 +624,9 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
                     parked = true;
                     m.shard(me).parks.inc();
                 }
+                s.thieves_asleep += 1;
                 s = pool.work_cv.wait(s).expect("pool state poisoned");
+                s.thieves_asleep -= 1;
             }
             if m.on() && parked {
                 m.shard(me).unparks.inc();
@@ -612,10 +645,13 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             }
             steal_once(pool, me, &mut fails, true);
         }
-        let mut s = pool.state.lock().expect("pool state poisoned");
-        s.active -= 1;
-        if s.active == 0 {
-            pool.quiesce_cv.notify_all();
+        let quiesced = {
+            let mut s = pool.state.lock().expect("pool state poisoned");
+            s.active -= 1;
+            s.active == 0 && s.driver_asleep
+        };
+        if quiesced {
+            pool.driver_cv.notify_one();
         }
     }
 }

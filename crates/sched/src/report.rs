@@ -50,8 +50,9 @@ pub struct ExecReport {
     /// `p` on the simulator, where every core takes part in every run;
     /// on the native pool, how many of its `p` workers registered for
     /// this job before it finished (`1..=p` — a short job can end before
-    /// a parked thief wakes). `0` in reports deserialized from JSON that
-    /// predates the field.
+    /// a parked thief wakes, and a job that never forks wakes none, so it
+    /// reports 1). `0` in reports deserialized from JSON that predates
+    /// the field.
     #[serde(default)]
     pub workers_active: usize,
 }

@@ -46,20 +46,38 @@ use crate::spec::{LoadMode, ScenarioSpec};
 /// Completion rendezvous between a launch and the waiting client.
 #[derive(Default)]
 struct Ticket {
-    done: Mutex<bool>,
+    state: Mutex<TicketState>,
     cv: Condvar,
+}
+
+/// What a [`Ticket`]'s mutex guards. Every condvar here counts its
+/// sleepers under the mutex of the condition it waits for, and is
+/// notified only when that count is non-zero: std's condvar makes a
+/// `FUTEX_WAKE` syscall on every notify, whether or not anyone waits.
+#[derive(Default)]
+struct TicketState {
+    done: bool,
+    sleepers: usize,
 }
 
 impl Ticket {
     fn complete(&self) {
-        *self.done.lock().expect("ticket poisoned") = true;
-        self.cv.notify_all();
+        let sleepers = {
+            let mut s = self.state.lock().expect("ticket poisoned");
+            s.done = true;
+            s.sleepers
+        };
+        if sleepers > 0 {
+            self.cv.notify_all();
+        }
     }
 
     fn wait(&self) {
-        let mut done = self.done.lock().expect("ticket poisoned");
-        while !*done {
-            done = self.cv.wait(done).expect("ticket poisoned");
+        let mut s = self.state.lock().expect("ticket poisoned");
+        while !s.done {
+            s.sleepers += 1;
+            s = self.cv.wait(s).expect("ticket poisoned");
+            s.sleepers -= 1;
         }
     }
 }
@@ -82,13 +100,21 @@ impl Job {
 /// The desk behind the one lock clients and launches share, and the pool
 /// its launches run on.
 struct Server {
-    desk: Mutex<Desk<Job>>,
-    /// Signalled when a launch ends with nothing queued behind it.
+    front: Mutex<Front>,
+    /// Signalled when a launch ends with nothing queued behind it, if
+    /// [`Server::finish`] is asleep on it.
     idle: Condvar,
     t0: Instant,
     pool: NativePool,
     /// One per launch, for [`Server::finish`] to wait out.
     handles: Mutex<Vec<PoolHandle<()>>>,
+}
+
+/// What the server's lock guards: the desk, and whether
+/// [`Server::finish`] is asleep on [`Server::idle`].
+struct Front {
+    desk: Desk<Job>,
+    finishing: bool,
 }
 
 /// Per-request drain time assumed by `RetryAfter` hints before the
@@ -104,7 +130,10 @@ impl Server {
         // The clock starts once the workers are up.
         let pool = NativePool::new(spec.native_config());
         Arc::new(Self {
-            desk: Mutex::new(Desk::new(spec, schedule)),
+            front: Mutex::new(Front {
+                desk: Desk::new(spec, schedule),
+                finishing: false,
+            }),
             idle: Condvar::new(),
             t0: Instant::now(),
             pool,
@@ -112,8 +141,8 @@ impl Server {
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, Desk<Job>> {
-        self.desk.lock().expect("desk poisoned")
+    fn lock(&self) -> MutexGuard<'_, Front> {
+        self.front.lock().expect("desk poisoned")
     }
 
     fn now_ns(&self) -> u64 {
@@ -126,13 +155,13 @@ impl Server {
         // Stamped before the lock: waiting for the desk is part of the
         // request's queue time.
         let now = self.now_ns();
-        let mut desk = self.lock();
-        let answer = desk.arrive(idx, now, job, || EST_SEED_NS);
+        let mut front = self.lock();
+        let answer = front.desk.arrive(idx, now, job, || EST_SEED_NS);
         let launch = match answer {
-            Arrival::Admitted => desk.next_launch(self.now_ns()),
+            Arrival::Admitted => front.desk.next_launch(self.now_ns()),
             _ => Vec::new(),
         };
-        drop(desk);
+        drop(front);
         self.launch(launch);
         answer
     }
@@ -169,12 +198,13 @@ impl Server {
         // After the replies: the desk lock must not sit on a request's
         // latency. Exact critical paths need virtual-clock traces; the
         // native rows keep the field honest with `None`.
-        let mut desk = self.lock();
-        desk.served(replied - began, replied, |_| None);
+        let mut front = self.lock();
+        front.desk.served(replied - began, replied, |_| None);
         // Stamped under the lock, so no queued arrival is later than it.
-        let next = desk.next_launch(self.now_ns());
-        drop(desk);
-        if next.is_empty() {
+        let next = front.desk.next_launch(self.now_ns());
+        let finishing = front.finishing;
+        drop(front);
+        if next.is_empty() && finishing {
             self.idle.notify_all();
         }
         self.launch(next);
@@ -188,11 +218,13 @@ impl Server {
     /// Wait for the desk to go idle (every arrival must be in by now) and
     /// for every launch's pool job to complete, then close the books.
     fn finish(self: Arc<Self>) -> ScenarioReport {
-        let mut desk = self.lock();
-        while !desk.idle() {
-            desk = self.idle.wait(desk).expect("desk poisoned");
+        let mut front = self.lock();
+        while !front.desk.idle() {
+            front.finishing = true;
+            front = self.idle.wait(front).expect("desk poisoned");
+            front.finishing = false;
         }
-        drop(desk);
+        drop(front);
         let makespan = self.now_ns();
         // Peak workers the pool actually engaged across the launches
         // (< workers when no launch lasted long enough to wake them all).
@@ -213,8 +245,8 @@ impl Server {
             unreachable!("a launch closure outlived its pool job");
         };
         drop(server.pool);
-        let desk = server.desk.into_inner().expect("desk poisoned");
-        desk.finish("native", makespan, workers_active)
+        let front = server.front.into_inner().expect("desk poisoned");
+        front.desk.finish("native", makespan, workers_active)
     }
 }
 
