@@ -9,7 +9,8 @@
 //!   `FFT`); `n` as in `trace_report` (defaults 4096 / 32).
 //! * `side-a` / `side-b` — `[backend:]policy`, where `backend` is `sim`
 //!   (default) or `native` and `policy` uses the `HBP_POLICY` syntax
-//!   (`pws`, `rws[:seed]`, `bsp[:levels]`). Defaults `pws` vs `rws:1`,
+//!   (`pws`, `rws[:seed]`, `bsp[:levels]`). A `native:` side steals
+//!   randomized and takes only `rws[:seed]`. Defaults `pws` vs `rws:1`,
 //!   both sim.
 //!
 //! **Same backend on both sides** (the classic mode): task ids share an
@@ -32,7 +33,7 @@ use hbp_core::prelude::*;
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: trace_diff <algo-prefix> [n] [side-a] [side-b]");
-    eprintln!("       side = [sim:|native:]policy   (policy = pws | rws[:seed] | bsp[:levels])");
+    eprintln!("       side = [sim:]policy | native:rws[:seed]   (policy = pws | rws[:seed] | bsp[:levels])");
     std::process::exit(2);
 }
 
@@ -50,10 +51,10 @@ fn parse_side(s: &str) -> Side {
         Some(("native", rest)) => (Backend::Native, rest),
         _ => (Backend::Sim, s),
     };
-    Side {
-        backend,
-        policy: Policy::parse(Some(policy)).unwrap_or_else(|e| usage(&e)),
-    }
+    let policy = Policy::parse(Some(policy))
+        .and_then(|p| backend.check_policy(p))
+        .unwrap_or_else(|e| usage(&format!("side {s:?}: {e}")));
+    Side { backend, policy }
 }
 
 fn main() {
@@ -61,13 +62,11 @@ fn main() {
     let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
     let side_a = parse_side(args.get(2).map_or("pws", String::as_str));
     let side_b = parse_side(args.get(3).map_or("rws:1", String::as_str));
+    let env = Config::try_from_env().unwrap_or_else(|e| usage(&e));
 
     let machine = hbp_bench::default_machine();
     let trace_of = |side: Side| -> Trace {
-        let session = Config::from_env()
-            .backend(side.backend)
-            .policy(side.policy)
-            .open(machine);
+        let session = env.backend(side.backend).policy(side.policy).open(machine);
         let sink = std::sync::Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
         session
             .submit_traced(&ExecJob::new(spec.name, n, 42), &sink)

@@ -13,8 +13,9 @@
 //!   and exits 2.
 //! * `HBP_BACKEND=sim|native` picks the backend (sim default);
 //!   `HBP_WORKERS` sizes the native pool; `HBP_POLICY=pws|rws[:seed]|bsp[:levels]`
-//!   picks the discipline **on either backend** (the native pool runs
-//!   the policy's `NativeStealPolicy` facet).
+//!   picks the simulator's schedule. The native pool steals randomized
+//!   and takes only `rws[:seed]` (unset: `rws:0`), which the header
+//!   prints.
 //! * `HBP_TRACE_OUT=<path>` additionally writes the Chrome-trace JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>). With
 //!   `HBP_METRICS=1` the export also carries registry counter tracks
@@ -41,7 +42,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
 
-    let cfg = Config::from_env().apply();
+    let cfg = Config::try_from_env().unwrap_or_else(|e| usage(&e)).apply();
     let session = cfg.open(hbp_bench::default_machine());
     let backend = session.backend();
     let unit = match session.clock_domain() {

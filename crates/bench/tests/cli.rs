@@ -63,10 +63,14 @@ fn strict_mode_fails_a_truncated_trace() {
 }
 
 /// The native pool oversubscribed: eight workers on whatever the host
-/// has, a traced 65536-element run per policy, every steal accounted.
+/// has, a traced 65536-element run per kernel, every steal accounted.
+/// The header names the discipline that ran: unset, that is `rws:0`.
 #[test]
 fn eight_worker_native_traces_complete() {
-    for (algo, policy) in [("FFT", "rws"), ("FFT", "pws"), ("Sort (SPMS)", "rws")] {
+    for (algo, policy, header) in [
+        ("FFT", "", "policy = Rws { seed: 0 }"),
+        ("Sort (SPMS)", "rws", "policy = Rws { seed: 1 }"),
+    ] {
         let env = [
             ("HBP_BACKEND", "native"),
             ("HBP_WORKERS", "8"),
@@ -75,6 +79,7 @@ fn eight_worker_native_traces_complete() {
         let (code, stdout, stderr) = run(TRACE_REPORT, &[algo, "65536"], &env);
         assert_eq!(code, Some(0), "{algo}/{policy}: {stdout}\n{stderr}");
         assert!(stdout.contains("workers = 8"), "{algo}/{policy}: {stdout}");
+        assert!(stdout.contains(header), "{algo}/{policy}: {stdout}");
         assert!(
             stdout.contains("across 8 workers"),
             "{algo}/{policy}: {stdout}"
@@ -92,16 +97,26 @@ fn pws_and_rws_schedules_are_structurally_equal() {
 #[test]
 fn argument_errors_print_usage_and_exit_2() {
     let native = [("HBP_BACKEND", "native"), ("HBP_WORKERS", "2")];
-    let bad: [(&[&str], &[(&str, &str)]); 5] = [
-        (&["FFT", "0"], &[]),
-        (&["FFT", "many"], &[]),
-        (&["FFT", "-1"], &[]),
-        (&["no such algo"], &[]),
+    let native_pws = [native[0], native[1], ("HBP_POLICY", "pws")];
+    let both = [TRACE_REPORT, TRACE_DIFF];
+    let bad: [(&[&str], &[&str], &[(&str, &str)]); 7] = [
+        (&both, &["FFT", "0"], &[]),
+        (&both, &["FFT", "many"], &[]),
+        (&both, &["FFT", "-1"], &[]),
+        (&both, &["no such algo"], &[]),
         // A row the backend has no kernel for is an argument error too.
-        (&["CC", "64", "native:pws"], &native),
+        (&both, &["CC", "64", "native:rws"], &native),
+        // So is a policy the native pool cannot run: it steals
+        // randomized, from the environment or a trace_diff side.
+        (&both, &["FFT", "64"], &native_pws),
+        (
+            &[TRACE_DIFF],
+            &["FFT", "4096", "sim:pws", "native:bsp:3"],
+            &[],
+        ),
     ];
-    for bin in [TRACE_REPORT, TRACE_DIFF] {
-        for (args, env) in bad {
+    for (bins, args, env) in bad {
+        for &bin in bins {
             let (code, _, stderr) = run(bin, args, env);
             assert_eq!(code, Some(2), "{args:?}: {stderr}");
             assert!(stderr.contains("error: "), "{args:?}: {stderr}");

@@ -21,7 +21,7 @@
 //! | Variable | Field | Default |
 //! |---|---|---|
 //! | `HBP_BACKEND` | [`Config::backend`] | `sim` |
-//! | `HBP_POLICY` | [`Config::policy`] | `pws` |
+//! | `HBP_POLICY` | [`Config::policy`] | `pws` (sim), `rws:0` (native) |
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
 //! | `HBP_COUNTERS` | [`Config::counters`] | `auto` |
 //! | `HBP_TRACE` | [`Config::trace`] | off |
@@ -33,7 +33,9 @@
 //! A retired variable (`HBP_DEQUE`, `HBP_STEAL_BATCH`, `HBP_DOMAINS`,
 //! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`; the README says why each went) is
 //! reported as an error naming what replaced it when set, to any value,
-//! not silently ignored.
+//! not silently ignored. So is a policy the backend cannot run: the
+//! native pool has one discipline, randomized stealing, and takes only
+//! `rws[:seed]`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +68,18 @@ impl Backend {
             Some(other) => Err(format!(
                 "HBP_BACKEND must be `sim` or `native`, got {other:?}"
             )),
+        }
+    }
+
+    /// `policy`, if this backend can run it: the simulator runs every
+    /// schedule; the native pool steals randomized, so it takes only
+    /// [`Policy::Rws`] (whose seed seeds it).
+    pub fn check_policy(self, policy: Policy) -> Result<Policy, String> {
+        match (self, policy) {
+            (Backend::Native, Policy::Pws | Policy::Bsp { .. }) => {
+                Err("the native pool steals randomized; use `rws[:seed]`".into())
+            }
+            _ => Ok(policy),
         }
     }
 }
@@ -141,7 +155,7 @@ const RETIRED: [(&str, &str); 5] = [
     ),
     (
         "HBP_CROSS_DEPTH",
-        "steal admission is the policy's alone (`bsp:<k>` is the depth floor)",
+        "native steals take any task; the depth floor is the simulator's `bsp:<k>`",
     ),
     ("HBP_AUTOSCALE", "the pool runs exactly HBP_WORKERS threads"),
 ];
@@ -153,7 +167,9 @@ const RETIRED: [(&str, &str); 5] = [
 pub struct Config {
     /// Execution backend (`HBP_BACKEND`).
     pub backend: Backend,
-    /// Stealing discipline, shared by both backends (`HBP_POLICY`).
+    /// The simulator's schedule (`HBP_POLICY`). The native pool always
+    /// steals randomized; there the policy is `rws:<seed>` and its seed
+    /// seeds the pool's RNG streams.
     pub policy: Policy,
     /// Native worker threads / trace-sink width (`HBP_WORKERS`).
     pub workers: usize,
@@ -206,7 +222,8 @@ impl Config {
         self
     }
 
-    /// Select the stealing discipline.
+    /// Select the simulator's schedule (the native pool's seed, for
+    /// [`Policy::Rws`]).
     pub fn policy(mut self, p: Policy) -> Self {
         self.policy = p;
         self
@@ -280,7 +297,20 @@ impl Config {
             };
         }
         set!(cfg.backend, Backend::parse(get("HBP_BACKEND").as_deref()));
-        set!(cfg.policy, Policy::parse(get("HBP_POLICY").as_deref()));
+        // Unset on native names the one discipline the pool runs.
+        let backend = cfg.backend;
+        set!(
+            cfg.policy,
+            match get("HBP_POLICY").filter(|p| !p.is_empty()) {
+                None if backend == Backend::Native => Ok(Policy::Rws { seed: 0 }),
+                p => Policy::parse(p.as_deref()).and_then(|parsed| {
+                    backend.check_policy(parsed).map_err(|e| {
+                        let p = p.as_deref().unwrap_or_default();
+                        format!("HBP_POLICY={p:?} with HBP_BACKEND=native: {e}")
+                    })
+                }),
+            }
+        );
         set!(cfg.workers, parse_workers(get("HBP_WORKERS").as_deref()));
         for (var, now) in RETIRED {
             if get(var).is_some() {
@@ -345,29 +375,31 @@ impl Config {
         NativeConfig {
             workers: self.workers,
             seed,
-            policy: self.policy,
             counters: self.counters,
+        }
+    }
+
+    /// The seed [`Config::open`] gives a native pool: the `rws:<seed>`
+    /// policy's, 0 under any other policy.
+    fn pool_seed(&self) -> u64 {
+        match self.policy {
+            Policy::Rws { seed } => seed,
+            Policy::Pws | Policy::Bsp { .. } => 0,
         }
     }
 
     /// Open a session on the configured backend: the simulator on
     /// `machine` under [`Config::policy`] for [`Backend::Sim`], one
-    /// native pool for [`Backend::Native`] (`machine` is a simulator-only
-    /// knob). An RWS policy seed also seeds the pool's victim-selection
-    /// RNG streams; the other policies seed it with 0.
+    /// randomized-stealing native pool for [`Backend::Native`]
+    /// (`machine` is a simulator-only knob), seeded by an `rws:<seed>`
+    /// policy.
     pub fn open(&self, machine: hbp_machine::MachineConfig) -> ExecSession {
         match self.backend {
             Backend::Sim => ExecSession::sim(SimExecutor {
                 machine,
                 policy: self.policy,
             }),
-            Backend::Native => {
-                let seed = match self.policy {
-                    Policy::Rws { seed } => seed,
-                    Policy::Pws | Policy::Bsp { .. } => 0,
-                };
-                ExecSession::native(self.native_config(seed))
-            }
+            Backend::Native => ExecSession::native(self.native_config(self.pool_seed())),
         }
     }
 
@@ -400,7 +432,6 @@ mod tests {
         let native = cfg.native_config(5);
         assert_eq!(native.workers, 3);
         assert_eq!(native.seed, 5);
-        assert_eq!(native.policy, Policy::Rws { seed: 7 });
     }
 
     #[test]
@@ -504,8 +535,8 @@ mod tests {
                  join-waits take one",
                 "HBP_DOMAINS was removed: every worker steals from every other, \
                  one flat pool",
-                "HBP_CROSS_DEPTH was removed: steal admission is the policy's \
-                 alone (`bsp:<k>` is the depth floor)",
+                "HBP_CROSS_DEPTH was removed: native steals take any task; the \
+                 depth floor is the simulator's `bsp:<k>`",
                 "HBP_AUTOSCALE was removed: the pool runs exactly HBP_WORKERS \
                  threads",
             ] {
@@ -520,6 +551,44 @@ mod tests {
             assert!(err.contains("1 problem)"), "{var}: {err}");
             assert!(err.contains(&format!("{var} was removed")), "{err}");
         }
+        // The native pool's retired policies: only `rws[:seed]` runs
+        // there, loudly, and aggregated with the other problems.
+        let native = |policy: Option<&str>| {
+            Config::from_lookup(|v| match v {
+                "HBP_BACKEND" => Some("native".into()),
+                "HBP_POLICY" => policy.map(Into::into),
+                "HBP_CROSS_DEPTH" => Some("2".into()),
+                _ => None,
+            })
+        };
+        for policy in ["pws", "bsp", "bsp:3"] {
+            let err = native(Some(policy)).expect_err(policy);
+            assert!(
+                err.contains(&format!(
+                    "HBP_POLICY={policy:?} with HBP_BACKEND=native: the native pool \
+                     steals randomized; use `rws[:seed]`"
+                )),
+                "{err}"
+            );
+            assert!(err.contains("2 problems"), "{err}");
+        }
+        let ok = |policy: Option<&str>| {
+            Config::from_lookup(|v| match v {
+                "HBP_BACKEND" => Some("native".into()),
+                "HBP_POLICY" => policy.map(Into::into),
+                _ => None,
+            })
+            .expect("an rws policy runs natively")
+        };
+        // Unset on native names the discipline that runs, seeded 0.
+        for unset in [None, Some("")] {
+            assert_eq!(ok(unset).policy, Policy::Rws { seed: 0 });
+            assert_eq!(ok(unset).pool_seed(), 0);
+        }
+        // `rws:<s>` still seeds the pool; the sim default stays PWS.
+        assert_eq!(ok(Some("rws:7")).policy, Policy::Rws { seed: 7 });
+        assert_eq!(ok(Some("rws:7")).pool_seed(), 7);
+        assert_eq!(Config::from_lookup(|_| None).unwrap().policy, Policy::Pws);
     }
 
     #[test]

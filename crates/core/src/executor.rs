@@ -92,15 +92,14 @@ impl Executor for SimExecutor {
 /// work-stealing pool (input generation is *outside* the timed region).
 #[derive(Debug, Clone, Copy)]
 pub struct NativeExecutor {
-    /// The pool [`Executor::open`] spawns — worker count, stealing
-    /// discipline, counter mode. `pool.seed` is the
-    /// victim-selection RNG seed (input seeds come from the job).
+    /// The pool [`Executor::open`] spawns — worker count, counter mode.
+    /// `pool.seed` is the victim-selection RNG seed (input seeds come
+    /// from the job).
     pub pool: NativeConfig,
 }
 
 impl NativeExecutor {
-    /// A pool of `workers` threads at the [`NativeConfig`] defaults
-    /// (randomized stealing).
+    /// A pool of `workers` threads at the [`NativeConfig`] defaults.
     pub fn new(workers: usize, seed: u64) -> Self {
         Self {
             pool: NativeConfig {

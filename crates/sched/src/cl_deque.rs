@@ -26,10 +26,10 @@
 //!   the steal path.
 //! * [`ClDeque::steal_with`] takes an **admission filter**: the thief
 //!   reads the top element, asks the filter, and only then CASes `top`.
-//!   A denied element stays in place. This is what lets the BSP facet of
-//!   the native runtime (§5.3) refuse deep tasks without dequeuing them:
-//!   the policy's `admit(depth)` runs thief-side, before the claiming
-//!   CAS, and a refused task stays for its owner to pop.
+//!   A denied element stays in place for its owner to pop — a §5.3-style
+//!   size floor applied thief-side, before the claiming CAS. The native
+//!   runtime admits every task; the filter stays for callers that
+//!   measure it.
 //!
 //! ## Safety notes
 //!
@@ -724,7 +724,7 @@ mod tests {
         // through the top-CAS path, then pops everything left from the
         // bottom — racing the thief's last steals. The thief's admission
         // filter makes the second half of the ids thief-invisible, as
-        // the BSP facet's §5.3 floor does deep tasks, so the owner's
+        // a §5.3 size floor does deep tasks, so the owner's
         // drain is what claims them. Exactly-once must survive the
         // owner's pop-bottom racing the thief's steal-top. Small on
         // purpose: CI runs this module under Miri.

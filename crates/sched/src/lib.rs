@@ -5,7 +5,7 @@
 //! [`hbp_model::Computation`] on the simulated memory system of
 //! `hbp-machine`, under a pluggable work-stealing policy — plus a
 //! real-threads backend that runs actual fork-join closures on OS
-//! workers with the same stealing discipline.
+//! workers with randomized work stealing.
 //!
 //! ## Layout
 //!
@@ -38,10 +38,10 @@
 //!   closures on a fixed set of persistent `std::thread` workers over
 //!   per-worker [`ClDeque`]s, stealing flat (the pool never learns the
 //!   cache topology, as the paper's resource-oblivious schedulers do
-//!   not), with victim selection, §5.3 steal admission, and idle
-//!   backoff supplied by the policies' native facets
-//!   ([`policy::NativeStealPolicy`]), reporting wall-clock makespan and
-//!   per-worker busy/steal counters in the same [`ExecReport`] shape;
+//!   not) in seeded random victim order — randomized work stealing, its
+//!   one discipline; the [`policy`] schedules are the simulator's —
+//!   reporting wall-clock makespan and per-worker busy/steal counters
+//!   in the same [`ExecReport`] shape;
 //! * [`perf`] — hardware counter sampling for the native backend: per-
 //!   worker `perf_event` fds (raw syscall, feature `perf`, graceful
 //!   stub/off degradation via [`CounterMode`]) read at task boundaries
@@ -78,5 +78,5 @@ pub use engine::{
     run, run_sequential, run_traced, run_with_policy, run_with_policy_traced, Policy,
 };
 pub use perf::{CounterMode, CounterSource};
-pub use policy::{NativeStealPolicy, StealPolicy};
+pub use policy::StealPolicy;
 pub use report::{ExcessReport, ExecReport, SeqReport};

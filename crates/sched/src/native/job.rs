@@ -18,10 +18,6 @@ pub(crate) struct JobRef {
     exec: unsafe fn(*const ()),
     /// Trace task id of the branch (0 when tracing is off).
     pub(crate) id: u32,
-    /// Fork depth of the branch: the root is 0, every join adds 1. The
-    /// §5.3 native admission floor (`NativeStealPolicy::admit`) is
-    /// expressed against this.
-    pub(crate) depth: u32,
 }
 
 // SAFETY: a JobRef is only ever created from a StackJob whose closure and
@@ -59,12 +55,11 @@ where
         }
     }
 
-    pub(crate) fn as_job_ref(&self, id: u32, depth: u32) -> JobRef {
+    pub(crate) fn as_job_ref(&self, id: u32) -> JobRef {
         JobRef {
             data: self as *const Self as *const (),
             exec: Self::exec,
             id,
-            depth,
         }
     }
 

@@ -1,4 +1,4 @@
-//! Real-threads execution backend: policy-driven work stealing on a
+//! Real-threads execution backend: randomized work stealing on a
 //! persistent pool of `std::thread` workers over lock-free Chase-Lev
 //! deques.
 //!
@@ -15,18 +15,16 @@
 //!   without locks, thieves CAS the *top*, and the last-element conflict
 //!   is arbitrated by a `SeqCst` fence — the real realization of the
 //!   Obs 4.1 discipline the simulator models;
-//! * **policy** ([`crate::policy::NativeStealPolicy`]): victim probe
-//!   order and steal admission (the §5.3 fork-depth floor) come from the
-//!   same `Pws`/`Rws`/`Bsp` modules that drive the simulator —
-//!   [`NativeConfig::policy`] carries the [`Policy`] enum, so
-//!   `HBP_POLICY` selects the discipline on both backends;
 //! * **worker loop** ([`runtime`]): [`join`] is the fork primitive — the
 //!   right branch is published on the owner's deque while the owner runs
 //!   the left branch; on return the owner pops it back (inline
 //!   execution) or, if a thief took it, steals *other* work while
-//!   waiting for the branch's completion flag. Idle workers run the
-//!   policy's probe plan until the job's root completes. Every steal,
-//!   from either place, goes through one claiming call;
+//!   waiting for the branch's completion flag. Idle workers probe every
+//!   other worker once per scan, from a random start drawn from their
+//!   own xorshift stream, until the job's root completes — randomized
+//!   work stealing, the one native discipline (PWS's global priority
+//!   rounds and the §5.3 BSP mapping are simulator schedules). Every
+//!   steal, from either place, goes through one claiming call;
 //! * **pool** ([`pool`]): a [`NativePool`] spawns its fixed set of
 //!   [`NativeConfig::workers`] threads **once** and serves successive
 //!   jobs through a submission queue — every worker steals from every
@@ -77,7 +75,6 @@ mod job;
 pub mod pool;
 pub(crate) mod runtime;
 
-use crate::engine::Policy;
 use crate::perf::CounterMode;
 
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
@@ -88,12 +85,8 @@ pub use runtime::{in_pool, join};
 pub struct NativeConfig {
     /// Number of worker threads (≥ 1).
     pub workers: usize,
-    /// Seed for the workers' victim-selection RNGs (mixed with an
-    /// [`Policy::Rws`] seed when the policy carries one).
+    /// Seed the workers' victim-selection RNG streams derive from.
     pub seed: u64,
-    /// The stealing discipline's native facet (victim order, §5.3
-    /// admission) — see [`crate::policy::native`].
-    pub policy: Policy,
     /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`;
     /// see [`crate::perf`]). Only consulted while a trace sink is
     /// attached — untraced jobs never open or read counters.
@@ -111,20 +104,25 @@ impl Default for NativeConfig {
                 .unwrap_or(1)
                 .max(4),
             seed: 0,
-            policy: Policy::Rws { seed: 0 },
             counters: CounterMode::Auto,
         }
     }
 }
 
-impl NativeConfig {
-    /// The per-worker RNG stream seed: the pool seed, mixed with the
-    /// policy's own seed when it carries one (so `rws:7` and `rws:8`
-    /// probe differently even on the same pool seed).
-    pub(crate) fn stream_seed(&self) -> u64 {
-        match self.policy {
-            Policy::Rws { seed } => self.seed ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            Policy::Pws | Policy::Bsp { .. } => self.seed,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_pool_streams_from_its_seed_alone() {
+        // The same stream seed a default pool had under the former
+        // `rws:0` policy mix, `seed ^ 0·φ`: victim sequences unchanged.
+        for s in [0, 1, 42, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let cfg = NativeConfig {
+                seed: s,
+                ..NativeConfig::default()
+            };
+            assert_eq!(runtime::Pool::new(&cfg).seed, s);
         }
     }
 }

@@ -3,11 +3,9 @@
 //! A [`NativePool`] spawns its workers **once**: worker 0 is the
 //! *driver* — it drains a FIFO submission queue and executes each job's
 //! root closure — and workers `1..p` are *thieves* that park on a
-//! condvar between jobs and steal forked branches while a job runs, over
-//! the Chase-Lev deques and the [`NativeStealPolicy`] facet, so a job
-//! pays no thread spawn/join.
-//!
-//! [`NativeStealPolicy`]: crate::policy::NativeStealPolicy
+//! condvar between jobs and steal forked branches while a job runs, in
+//! random victim order over the Chase-Lev deques, so a job pays no
+//! thread spawn/join.
 //!
 //! ## Job lifecycle
 //!
@@ -87,8 +85,7 @@ use hbp_trace::{ClockDomain, EventKind as TrEv, TraceSink};
 use crate::report::ExecReport;
 
 use super::runtime::{
-    self, note_current_worker_panic, Ctx, Pool, WorkerCounters, CTX, CUR_TASK, DEPTH, FORK_DEPTH,
-    RNG,
+    self, note_current_worker_panic, Ctx, Pool, WorkerCounters, CTX, CUR_TASK, DEPTH, RNG,
 };
 use super::NativeConfig;
 
@@ -268,8 +265,8 @@ pub struct NativePool {
 
 impl NativePool {
     /// Spawn exactly `cfg.workers` threads — one driver and
-    /// `cfg.workers - 1` thieves — with `cfg`'s policy facet and RNG
-    /// stream seed. The set is fixed for the pool's lifetime.
+    /// `cfg.workers - 1` thieves — whose RNG streams derive from
+    /// `cfg.seed`. The set is fixed for the pool's lifetime.
     pub fn new(cfg: NativeConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         let shared = Arc::new(Pool::new(&cfg));
@@ -393,7 +390,7 @@ impl NativePool {
     ///
     /// `root` executes on worker 0; [`join`](super::join) calls inside it
     /// (directly or via `hbp_algos::par::pjoin`) fork onto the worker
-    /// deques, and idle workers steal under the pool's policy facet.
+    /// deques, and idle workers steal them in random victim order.
     /// Unlike [`NativePool::submit`], `root` may borrow from the caller's
     /// frame. Spawning threads per call is the whole cost — servers that
     /// launch many kernels keep one pool and `submit` into it, or use
@@ -630,7 +627,6 @@ fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
 
     DEPTH.set(1);
     CUR_TASK.set(0);
-    FORK_DEPTH.set(0);
     let mut root_c0 = None;
     if let Some(tr) = pool.trace() {
         tr.push(0, pool.now_ns(), TrEv::TaskBegin { task: 0 });

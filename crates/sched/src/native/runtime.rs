@@ -1,14 +1,13 @@
-//! The policy-driven worker runtime: per-worker deques, the fork-join
-//! primitive, and the idle loop.
+//! The randomized work-stealing runtime: per-worker deques, the
+//! fork-join primitive, and the idle loop.
 //!
-//! The runtime owns *mechanism* — deque operations, counters, tracing
-//! hooks, panic attribution, idle backoff — and delegates every
-//! *decision* to the configured
-//! [`NativeStealPolicy`](crate::policy::NativeStealPolicy) facet: victim
-//! probe order ([`plan_probes`](crate::policy::NativeStealPolicy::plan_probes))
-//! and steal admission by fork depth
-//! ([`admit`](crate::policy::NativeStealPolicy::admit) — evaluated on the
-//! thief's side *before* the claiming CAS, so refused tasks stay put).
+//! There is one steal discipline: an idle worker probes every other
+//! worker once per scan, starting at a uniformly random victim drawn
+//! from its private xorshift stream ([`plan_probes`]), and claims the
+//! first task it finds. That is the randomized work stealing whose
+//! false-sharing costs arXiv:1103.4142 bounds; the paper's PWS needs
+//! global priority rounds and stays a simulator schedule. Failed scans
+//! back off by [`default_backoff`].
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -21,8 +20,6 @@ use hbp_trace::{EventKind as TrEv, TraceSink};
 
 use crate::cl_deque::{ClDeque, Steal};
 use crate::perf::{self, CounterMode};
-use crate::policy::native::default_backoff;
-use crate::policy::{native_facet, NativeStealPolicy};
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
@@ -88,27 +85,16 @@ pub(crate) struct PoolState {
 /// [`Ctx`]) for their lifetime.
 pub(crate) struct Pool {
     pub(crate) deques: Vec<ClDeque<JobRef>>,
-    /// Shallowest fork depth published on each worker's deque
-    /// (`u32::MAX` = looks empty). Owner-maintained on push/pop with
-    /// relaxed atomics; thieves read it through
-    /// [`NativeStealPolicy::plan_probes`] to order their probe scans
-    /// (the PWS shallowest-victim approximation of §4.7). The
-    /// hint is allowed to be stale — thieves draining a deque leave it
-    /// untouched — because every probe re-validates against the live
-    /// deque; staleness costs a reordered scan, never correctness.
-    pub(crate) depth_hints: Vec<AtomicU32>,
     pub(crate) counters: Vec<WorkerCounters>,
     /// Per-job completion flag: reset by the driver before a job's root
     /// starts, set once the root returns (root return implies every
     /// forked branch joined, so the job is quiescent).
     pub(crate) done: AtomicBool,
-    /// Per-worker RNG stream seed (pool seed mixed with the policy's).
+    /// The pool seed the per-worker RNG streams derive from.
     pub(crate) seed: u64,
     /// Task-boundary counter sampling mode for traced jobs
     /// ([`crate::perf`]; only consulted when a trace sink is attached).
     pub(crate) counters_mode: CounterMode,
-    /// The scheduling discipline's native facet: probe order, admission.
-    pub(crate) policy: Box<dyn NativeStealPolicy>,
     /// The *current job's* structured-event recorder (None = tracing
     /// off, zero extra work). Swapped by the driver between jobs.
     ///
@@ -155,18 +141,15 @@ pub(crate) struct Pool {
 unsafe impl Sync for Pool {}
 
 impl Pool {
-    /// A pool of `cfg.workers` slots with `cfg`'s policy facet, RNG
-    /// stream seed and counter mode.
+    /// A pool of `cfg.workers` slots with `cfg`'s seed and counter mode.
     pub(crate) fn new(cfg: &NativeConfig) -> Self {
         let workers = cfg.workers;
         Self {
             deques: (0..workers).map(|_| ClDeque::default()).collect(),
-            depth_hints: (0..workers).map(|_| AtomicU32::new(u32::MAX)).collect(),
             counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
             done: AtomicBool::new(true),
-            seed: cfg.stream_seed(),
+            seed: cfg.seed,
             counters_mode: cfg.counters,
-            policy: native_facet(cfg.policy),
             trace_cell: UnsafeCell::new(None),
             epoch: Instant::now(),
             job_t0_ns: AtomicU64::new(0),
@@ -208,12 +191,9 @@ impl Pool {
         }
     }
 
-    /// Owner: publish a branch on `me`'s deque and fold its fork depth
-    /// into the worker's top-depth hint (the shallowest depth queued is
-    /// what a §4.7-style thief wants to know about). The job's first
-    /// push wakes the parked thieves ([`Pool::wake_thieves`]).
-    pub(crate) fn push_bottom_hinted(&self, me: usize, j: JobRef) {
-        self.depth_hints[me].fetch_min(j.depth, Ordering::Relaxed);
+    /// Owner: publish a branch on `me`'s deque. The job's first push
+    /// wakes the parked thieves ([`Pool::wake_thieves`]).
+    pub(crate) fn push_bottom(&self, me: usize, j: JobRef) {
         self.deques[me].push(j);
         if self.wake_thieves.load(Ordering::Relaxed)
             && self.wake_thieves.swap(false, Ordering::Relaxed)
@@ -229,13 +209,9 @@ impl Pool {
         }
     }
 
-    /// Owner: reclaim the bottom branch, clearing the hint when the
-    /// deque drains (the one cheap moment the owner can tell).
-    pub(crate) fn pop_bottom_hinted(&self, me: usize) -> Option<JobRef> {
+    /// Owner: reclaim the bottom branch.
+    pub(crate) fn pop_bottom(&self, me: usize) -> Option<JobRef> {
         let j = self.deques[me].pop();
-        if self.deques[me].len_hint() == 0 {
-            self.depth_hints[me].store(u32::MAX, Ordering::Relaxed);
-        }
         let m = hbp_metrics::global();
         if m.on() {
             m.shard(me)
@@ -263,10 +239,6 @@ thread_local! {
     pub(crate) static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Trace task id the worker is currently executing.
     pub(crate) static CUR_TASK: Cell<u32> = const { Cell::new(0) };
-    /// Fork depth of the branch the worker is currently executing (the
-    /// root is 0; each enclosing `join` adds 1). Published on forked
-    /// [`JobRef`]s so steal policies can apply the §5.3 floor.
-    pub(crate) static FORK_DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Scratch probe plan, reused across scans (no per-scan allocation).
     static PROBES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     /// Scratch batch-steal buffer, reused across steals.
@@ -296,28 +268,64 @@ pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
 /// that ceil-half, not the cap, binds on any deque shorter than 16.
 const STEAL_BATCH_CAP: usize = 8;
 
-/// Probe the other workers' deque tops in the policy's plan over their
-/// published top depths, claiming up to `max` tasks from the first
-/// victim that yields any; the claimed tasks are appended to `out` in
-/// deque order. `None` after one full unsuccessful scan, else the victim
-/// index (`out` then holds ≥ 1 task). The policy's admission runs
-/// thief-side *before* the claiming CAS, so refused tasks stay on their
-/// owner's deque with exactly-once accounting untouched.
+/// Failed probe scans before an idle worker starts sleeping instead of
+/// yielding: long enough that steal latency stays in the microseconds
+/// while work is flowing, short enough that persistently idle workers
+/// stop contending with the workers doing measured work.
+const SPIN_PROBES: u32 = 64;
+
+/// Idle backoff after `fails` consecutive failed probe scans:
+/// spin-yield for [`SPIN_PROBES`] of them, then sleep briefly (bounded,
+/// so wakeup latency stays small).
+fn default_backoff(fails: u32) {
+    if fails < SPIN_PROBES {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+}
+
+/// One xorshift64* step (the workers' victim-selection generator).
+fn xorshift(rng: &mut u64) -> u64 {
+    let mut x = *rng;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Plan one probe scan for `thief` among `p ≥ 2` workers into `out`: a
+/// uniformly random start drawn from the thief's xorshift state `rng`,
+/// then every other worker once, in rotation.
+fn plan_probes(thief: usize, p: usize, rng: &mut u64, out: &mut Vec<usize>) {
+    out.clear();
+    let start = (xorshift(rng) % (p as u64 - 1)) as usize;
+    for k in 0..p - 1 {
+        let mut v = (start + k) % (p - 1);
+        if v >= thief {
+            v += 1;
+        }
+        out.push(v);
+    }
+}
+
+/// Probe the other workers' deque tops in a [`plan_probes`] rotation,
+/// claiming up to `max` tasks from the first victim that yields any;
+/// the claimed tasks are appended to `out` in deque order. `None` after
+/// one full unsuccessful scan, else the victim index (`out` then holds
+/// ≥ 1 task).
 fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) -> Option<usize> {
     if pool.deques.len() <= 1 {
         return None;
     }
     PROBES.with_borrow_mut(|order| {
         let mut rng = RNG.get();
-        let hint = |v: usize| pool.depth_hints[v].load(Ordering::Relaxed);
-        pool.policy
-            .plan_probes(me, pool.deques.len(), &mut rng, &hint, order);
+        plan_probes(me, pool.deques.len(), &mut rng, order);
         RNG.set(rng);
-        let admit = |j: &JobRef| pool.policy.admit(j.depth);
         for &v in order.iter() {
-            debug_assert_ne!(v, me, "policies must not plan self-probes");
             loop {
-                match pool.deques[v].steal_batch_with(max, admit, out) {
+                match pool.deques[v].steal_batch_with(max, |_| true, out) {
                     Steal::Data(_) => return Some(v),
                     // Lost a CAS race on a non-empty deque: retry the
                     // same victim (someone made progress, so this
@@ -338,8 +346,6 @@ fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) 
 fn execute_task(pool: &Pool, me: usize, j: JobRef) {
     let d = DEPTH.get();
     DEPTH.set(d + 1);
-    let prev_fork_depth = FORK_DEPTH.get();
-    FORK_DEPTH.set(j.depth);
     let prev_task = CUR_TASK.get();
     let mut c0 = None;
     if let Some(tr) = pool.trace() {
@@ -363,7 +369,6 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
         tr.push(me, pool.now_ns(), TrEv::TaskEnd { task: j.id });
         CUR_TASK.set(prev_task);
     }
-    FORK_DEPTH.set(prev_fork_depth);
     DEPTH.set(d);
     pool.counters[me].tasks.fetch_add(1, Ordering::Relaxed);
     let m = hbp_metrics::global();
@@ -436,7 +441,6 @@ where
     let me = ctx.index;
 
     let job = StackJob::new(b);
-    let branch_depth = FORK_DEPTH.get() + 1;
     let branch_id = match pool.trace() {
         Some(tr) => {
             let id = pool.next_task.fetch_add(1, Ordering::Relaxed);
@@ -454,20 +458,17 @@ where
         }
         None => 0,
     };
-    let job_ref = job.as_job_ref(branch_id, branch_depth);
-    pool.push_bottom_hinted(me, job_ref);
+    let job_ref = job.as_job_ref(branch_id);
+    pool.push_bottom(me, job_ref);
 
-    // Run the left branch — at the same fork depth as the published
-    // right branch. Even if it panics we must settle the right branch
-    // first: a thief executing `job` borrows this stack frame.
-    FORK_DEPTH.set(branch_depth);
+    // Run the left branch. Even if it panics we must settle the right
+    // branch first: a thief executing `job` borrows this stack frame.
     let ra = panic::catch_unwind(AssertUnwindSafe(a));
-    FORK_DEPTH.set(branch_depth - 1);
     if let Err(payload) = &ra {
         pool.note_panic(me, payload.as_ref());
     }
 
-    match pool.pop_bottom_hinted(me) {
+    match pool.pop_bottom(me) {
         Some(j) if std::ptr::eq(j.data, job_ref.data) => {
             // Not stolen: run the right branch inline.
             execute_task(pool, me, j);
@@ -476,7 +477,7 @@ where
             // Our job is gone (stolen). Anything we popped instead belongs
             // to an enclosing join on this worker — put it back.
             if let Some(j) = other {
-                pool.push_bottom_hinted(me, j);
+                pool.push_bottom(me, j);
             }
             // Steal other work while the thief finishes our branch.
             // Probe time inside a task is attributed to that task (see
@@ -500,8 +501,8 @@ where
     (ra, rb)
 }
 
-/// One steal attempt for an idle context: probe the other deques in the
-/// policy's order, record counters and trace events, and execute the
+/// One steal attempt for an idle context: probe the other deques in a
+/// random rotation, record counters and trace events, and execute the
 /// stolen task(s) on success. Returns whether a task ran.
 ///
 /// `top_level` says the caller is a thief's idle loop rather than a
@@ -559,7 +560,7 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
         // while thieves see the shallowest on top — the same discipline
         // a local fork sequence produces.
         for j in buf.drain(1..) {
-            pool.push_bottom_hinted(me, j);
+            pool.push_bottom(me, j);
         }
         buf.clear();
         Some(first)
@@ -637,7 +638,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             // Drain our own deque first: a prior batched steal may have
             // re-published extras here. At the top level everything on
             // our deque is ours to run (no enclosing join to starve).
-            while let Some(j) = pool.pop_bottom_hinted(me) {
+            while let Some(j) = pool.pop_bottom(me) {
                 execute_task(pool, me, j);
             }
             if pool.done.load(Ordering::Acquire) {
@@ -659,6 +660,37 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn probe_plans_cover_everyone_but_the_thief_exactly_once() {
+        for p in [2usize, 3, 5, 8] {
+            for thief in 0..p {
+                let mut rng = 0x005D_EECE_66D1_u64;
+                let mut out = Vec::new();
+                plan_probes(thief, p, &mut rng, &mut out);
+                let mut seen = out.clone();
+                seen.sort_unstable();
+                let want: Vec<usize> = (0..p).filter(|&v| v != thief).collect();
+                assert_eq!(seen, want, "p={p} thief={thief}: {out:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rws_plans_vary_with_the_rng_and_are_reproducible() {
+        let (mut r1, mut r2) = (7u64, 7u64);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        plan_probes(0, 8, &mut r1, &mut a);
+        plan_probes(0, 8, &mut r2, &mut b);
+        assert_eq!(a, b, "equal rng state ⇒ equal plan");
+        let mut later = Vec::new();
+        let mut varied = false;
+        for _ in 0..16 {
+            plan_probes(0, 8, &mut r1, &mut later);
+            varied |= later != a;
+        }
+        assert!(varied, "random rotation eventually picks another start");
+    }
 
     #[test]
     fn a_counter_delta_beyond_u32_arrives_as_events_summing_exactly() {

@@ -20,12 +20,6 @@ impl Bsp {
     pub fn new(prefix_levels: u32) -> Self {
         Self { prefix_levels }
     }
-
-    /// The configured number of stealable recursion levels (the native
-    /// facet's admission floor is expressed against this).
-    pub fn prefix_levels(&self) -> u32 {
-        self.prefix_levels
-    }
 }
 
 impl StealPolicy for Bsp {

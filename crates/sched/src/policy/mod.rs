@@ -17,19 +17,16 @@
 //! `pending_pri`, `commit_steal`, …) and the simulator, reports, and
 //! invariant accounting all come for free.
 //!
-//! Each discipline additionally has a **native facet** ([`native`],
-//! [`NativeStealPolicy`]): the same `Pws`/`Rws`/`Bsp` types supply
-//! victim selection and steal admission to the real-threads runtime, so
-//! `HBP_POLICY` selects the discipline on both backends. The runtime
-//! probes exactly the facet's plan over one flat set of workers.
+//! These are simulator schedules: `HBP_POLICY` selects among them on the
+//! sim backend only. The real-threads runtime ([`crate::native`]) has
+//! one discipline of its own, randomized stealing, because PWS's
+//! priority rounds need the global sweep the simulator provides.
 
 mod bsp;
-pub mod native;
 mod pws;
 mod rws;
 
 pub use bsp::Bsp;
-pub use native::{native_facet, NativeStealPolicy};
 pub use pws::Pws;
 pub use rws::Rws;
 

@@ -244,39 +244,31 @@ fn nested_joins_deeply_recurse_without_deadlock() {
 }
 
 // ---------------------------------------------------------------------
-// Policy-driven runtime (PR 4): the same kernels must compute correctly
-// under every policy facet, with deterministic task accounting.
+// Every pool seed computes correctly, with deterministic task accounting.
 // ---------------------------------------------------------------------
 
-use hbp_sched::Policy;
-
 #[test]
-fn every_policy_facet_computes_correctly() {
+fn every_pool_seed_computes_correctly() {
     let xs: Vec<u64> = (0..1 << 13).collect();
     let want: u64 = xs.iter().sum();
     // 8 workers oversubscribe a small host: real cross-thread stress.
     for workers in [4, 8] {
-        for policy in [
-            Policy::Pws,
-            Policy::Rws { seed: 5 },
-            Policy::Bsp { prefix_levels: 3 },
-        ] {
+        for seed in [0, 5, 21] {
             let cfg = NativeConfig {
                 workers,
-                seed: 21,
-                policy,
+                seed,
                 ..NativeConfig::default()
             };
             let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
-            assert_eq!(got, want, "{policy:?} on {workers}");
+            assert_eq!(got, want, "seed {seed} on {workers}");
             // tasks = root + one forked branch per join = #leaves.
             assert_eq!(
                 r.work,
                 ((1usize << 13) / 64) as u64,
-                "{policy:?} on {workers}"
+                "seed {seed} on {workers}"
             );
             assert_eq!(r.p, workers);
-            assert!((1..=workers).contains(&r.workers_active), "{policy:?}");
+            assert!((1..=workers).contains(&r.workers_active), "seed {seed}");
         }
     }
 }
@@ -289,43 +281,12 @@ fn work_accounting_is_deterministic_across_runs() {
             let cfg = NativeConfig {
                 workers: 3,
                 seed: 9,
-                policy: Policy::Rws { seed: 2 },
                 ..NativeConfig::default()
             };
             NativePool::run(cfg, || spin_sum(&xs, 32)).1.work
         })
         .collect();
     assert_eq!(runs[0], runs[1], "fixed seed ⇒ identical task count");
-}
-
-#[test]
-fn bsp_facet_steals_only_shallow_branches() {
-    use std::sync::Arc;
-    let xs: Vec<u64> = (0..1 << 14).collect();
-    let want: u64 = xs.iter().sum();
-    let cfg = NativeConfig {
-        workers: 4,
-        seed: 3,
-        policy: Policy::Bsp { prefix_levels: 2 },
-        ..NativeConfig::default()
-    };
-    let sink = Arc::new(hbp_trace::TraceSink::new(4, hbp_trace::ClockDomain::WallNs));
-    let (got, _) = NativePool::run_traced(cfg, Some(Arc::clone(&sink)), || spin_sum(&xs, 16));
-    assert_eq!(got, want);
-    let trace = sink.collect();
-    // Map forked task id -> fork depth by replaying the fork events
-    // (the root is depth 0; `right` of a fork whose parent has depth d
-    // is d + 1 — but the native backend reports left == parent, so the
-    // branch depth is bounded by the tree level; here we simply check
-    // the policy's observable contract: every stolen task id was
-    // *some* fork, and steals happened only while shallow work existed.
-    let steals = trace.count(|k| matches!(k, hbp_trace::EventKind::StealCommit { .. }));
-    let forks = trace.count(|k| matches!(k, hbp_trace::EventKind::Fork { .. }));
-    assert!(forks > 0);
-    // With 2 stealable levels the admissible published branches are the
-    // single right-branch at depth 1 plus the two at depth 2; steals
-    // cannot exceed those 3.
-    assert!(steals <= 3, "BSP(2) admitted too many steals: {steals}");
 }
 
 #[test]
@@ -339,7 +300,6 @@ fn chase_lev_traced_run_is_panic_free_and_task_count_deterministic() {
             let cfg = NativeConfig {
                 workers: 4,
                 seed: 17,
-                policy: Policy::Rws { seed: 1 },
                 ..NativeConfig::default()
             };
             let sink = Arc::new(hbp_trace::TraceSink::new(4, hbp_trace::ClockDomain::WallNs));

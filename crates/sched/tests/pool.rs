@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbp_sched::native::{join, NativeConfig, NativePool, SubmitError};
-use hbp_sched::Policy;
 use hbp_trace::{ClockDomain, EventKind, TraceSink};
 
 /// Recursive join-based sum (same shape as the `native.rs` suite).
@@ -34,7 +33,6 @@ fn cfg(workers: usize, seed: u64) -> NativeConfig {
     NativeConfig {
         workers,
         seed,
-        policy: Policy::Rws { seed: 1 },
         ..NativeConfig::default()
     }
 }

@@ -62,7 +62,8 @@ pub struct MixEntry {
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Master seed: drives the request schedule (mix picks, sizes,
-    /// think/inter-arrival times) and the kernels' input seeds.
+    /// think/inter-arrival times), the kernels' input seeds and, on
+    /// native, the pool's victim-selection RNG streams.
     pub seed: u64,
     /// Total requests the generator emits.
     pub requests: usize,
@@ -88,7 +89,8 @@ pub struct ScenarioSpec {
     pub mix: Vec<MixEntry>,
     /// Which backend serves the scenario.
     pub backend: Backend,
-    /// Scheduling discipline (both backends).
+    /// The simulator's schedule; on native it must be `rws[:seed]`, the
+    /// randomized stealing the pool runs (see [`ScenarioSpec::validate`]).
     pub policy: Policy,
     /// Pool workers (native) / simulated cores (sim).
     pub workers: usize,
@@ -97,9 +99,8 @@ pub struct ScenarioSpec {
     /// up to [`MAX_DEFERRALS`] times) instead of hard-rejecting it
     /// outright. Open-loop arrivals are pre-scheduled and never pace.
     pub pacing: bool,
-    /// Native pool tuning (counter mode). `workers`/`seed`/`policy` are
-    /// taken from the spec's own fields — see
-    /// [`ScenarioSpec::native_config`].
+    /// Native pool tuning (counter mode). `workers`/`seed` are taken
+    /// from the spec's own fields — see [`ScenarioSpec::native_config`].
     pub native: NativeConfig,
 }
 
@@ -278,10 +279,14 @@ impl ScenarioSpec {
 
     /// Resolve every mix row through [`hbp_core::lookup`] (panics
     /// listing the known rows on a miss — a renamed registry row breaks
-    /// the scenario loudly) and, on the native backend, require a
-    /// native kernel for each (panics listing the rows whose `native`
-    /// column is filled). Builds no input.
+    /// the scenario loudly) and, on the native backend, require an
+    /// `rws[:seed]` policy and a native kernel for each row (panics
+    /// listing the rows whose `native` column is filled). Builds no
+    /// input.
     pub fn validate(&self) {
+        if let Err(e) = self.backend.check_policy(self.policy) {
+            panic!("policy {} on the native backend: {e}", self.policy);
+        }
         for entry in &self.mix {
             let spec = lookup(&entry.algo);
             if self.backend == Backend::Native && spec.native.is_none() {
@@ -313,14 +318,13 @@ impl ScenarioSpec {
     }
 
     /// The native pool's config for this scenario: the spec's
-    /// `workers`/`seed`/`policy` over the tuning knobs carried in
+    /// `workers`/`seed` over the tuning knobs carried in
     /// [`ScenarioSpec::native`], so there is exactly one source of truth
     /// for the fields both hold.
     pub fn native_config(&self) -> NativeConfig {
         NativeConfig {
             workers: self.workers,
             seed: self.seed,
-            policy: self.policy,
             ..self.native
         }
     }
@@ -358,6 +362,7 @@ mod tests {
             ScenarioSpec {
                 mix: default_mix(backend),
                 backend,
+                policy: Policy::Rws { seed: 0 },
                 ..ScenarioSpec::default()
             }
             .validate();
@@ -372,6 +377,7 @@ mod tests {
                     sizes: vec![64],
                 }],
                 backend,
+                policy: Policy::Rws { seed: 0 },
                 ..ScenarioSpec::default()
             };
             spec(Backend::Sim).validate();
@@ -385,6 +391,22 @@ mod tests {
                 assert_eq!(refused, format!("mix row {:?}", row.name));
                 assert!(served.contains("Sort (SPMS)") && !served.contains(row.name));
             }
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_policy_the_native_pool_cannot_run() {
+        for policy in [Policy::Pws, Policy::Bsp { prefix_levels: 3 }] {
+            let spec = |backend| ScenarioSpec {
+                mix: default_mix(backend),
+                backend,
+                policy,
+                ..ScenarioSpec::default()
+            };
+            spec(Backend::Sim).validate();
+            let err = std::panic::catch_unwind(|| spec(Backend::Native).validate()).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("String payload");
+            assert!(msg.contains("the native pool steals randomized"), "{msg}");
         }
     }
 

@@ -7,9 +7,9 @@
 //!     cargo run --release --example spms_tour                  # real threads
 //! ```
 //!
-//! This is the CI `spms-matrix` smoke: every
-//! `{sim,native} × {pws,rws,bsp}` cell runs this binary on
-//! a tiny duplicate-heavy input and the assertions inside prove (a) the
+//! This is the CI `spms-matrix` smoke: every `sim × {pws,rws,bsp}` cell
+//! and `native × rws` (the native pool's one discipline) run this binary
+//! on a tiny duplicate-heavy input and the assertions inside prove (a) the
 //! output is oracle-sorted **and stable**, and (b) the pool survives the
 //! run (and a second one) with a sane report. `HBP_EXAMPLE_N` scales the
 //! problem size; `HBP_WORKERS` sizes the native pool.

@@ -26,18 +26,7 @@ fn run_example(name: &str, tiny_n: usize) {
 
 /// [`run_example`] with extra environment variables set for the child.
 fn run_example_with(name: &str, tiny_n: usize, env: &[(&str, &str)]) {
-    let bin = example_bin(name);
-    assert!(
-        bin.exists(),
-        "example binary {} not built; run `cargo test` (which builds examples) \
-         or `cargo build --examples` first",
-        bin.display()
-    );
-    let out = Command::new(&bin)
-        .env("HBP_EXAMPLE_N", tiny_n.to_string())
-        .envs(env.iter().copied())
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", bin.display()));
+    let out = spawn_example(name, tiny_n, env);
     assert!(
         out.status.success(),
         "example `{name}` (HBP_EXAMPLE_N={tiny_n}, {env:?}) failed with {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
@@ -45,6 +34,22 @@ fn run_example_with(name: &str, tiny_n: usize, env: &[(&str, &str)]) {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
+}
+
+/// Run one example to completion and hand back its output.
+fn spawn_example(name: &str, tiny_n: usize, env: &[(&str, &str)]) -> std::process::Output {
+    let bin = example_bin(name);
+    assert!(
+        bin.exists(),
+        "example binary {} not built; run `cargo test` (which builds examples) \
+         or `cargo build --examples` first",
+        bin.display()
+    );
+    Command::new(&bin)
+        .env("HBP_EXAMPLE_N", tiny_n.to_string())
+        .envs(env.iter().copied())
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", bin.display()))
 }
 
 #[test]
@@ -99,21 +104,33 @@ fn spms_tour_smoke() {
 #[test]
 fn spms_tour_passes_on_every_backend_and_policy() {
     // The acceptance matrix for the real SPMS sort: a tiny
-    // duplicate-heavy instance on every backend × policy cell. The
-    // example asserts oracle-sorted, stable output and clean pool
-    // shutdown (it runs the native pool twice), so a pass here means the
-    // kernel is correct under every scheduling discipline.
-    for backend in ["sim", "native"] {
-        for policy in ["pws", "rws:3", "bsp:3"] {
-            run_example_with(
-                "spms_tour",
-                2048,
-                &[
-                    ("HBP_BACKEND", backend),
-                    ("HBP_POLICY", policy),
-                    ("HBP_WORKERS", "4"),
-                ],
-            );
-        }
+    // duplicate-heavy instance on every simulator policy and on the
+    // native pool's one discipline. The example asserts oracle-sorted,
+    // stable output and clean pool shutdown (it runs the native pool
+    // twice), so a pass here means the kernel is correct under every
+    // scheduling discipline.
+    let cells = [
+        ("sim", "pws"),
+        ("sim", "rws:3"),
+        ("sim", "bsp:3"),
+        ("native", "rws:3"),
+    ];
+    let env = |(backend, policy)| {
+        [
+            ("HBP_BACKEND", backend),
+            ("HBP_POLICY", policy),
+            ("HBP_WORKERS", "4"),
+        ]
+    };
+    for cell in cells {
+        run_example_with("spms_tour", 2048, &env(cell));
     }
+    // A policy the native pool cannot run is refused, by name.
+    let out = spawn_example("spms_tour", 2048, &env(("native", "pws")));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "native x pws must fail: {stderr}");
+    assert!(
+        stderr.contains("HBP_POLICY=\"pws\" with HBP_BACKEND=native"),
+        "{stderr}"
+    );
 }

@@ -1,12 +1,11 @@
-//! Cross-crate regression tests for the native runtime: a kernel's
-//! trace is structurally the same whatever pool ran it, and execution is
-//! policy-driven end-to-end through the session layer.
+//! Cross-crate regression tests for the native runtime and the trace
+//! diff: a kernel's trace is structurally the same whatever pool ran it,
+//! and two sim policies align by task id.
 
 use std::sync::Arc;
 
 use hbp_core::prelude::*;
 use hbp_core::sched::native::{NativeConfig, NativePool};
-use hbp_core::sched::Policy as SchedPolicy;
 use hbp_core::trace as tr;
 
 /// Recursive join-based sum through the algos layer's pool routing.
@@ -15,7 +14,6 @@ fn traced_native_sum(seed: u64, workers: usize) -> (u64, tr::Trace) {
     let cfg = NativeConfig {
         workers,
         seed,
-        policy: SchedPolicy::Rws { seed: 4 },
         ..NativeConfig::default()
     };
     let sink = Arc::new(TraceSink::new(workers, ClockDomain::WallNs));
@@ -92,25 +90,6 @@ fn self_diff_is_clean_on_both_backends() {
     let d = tr::diff(&native, &native);
     assert!(d.structurally_equal(), "{d}");
     assert_eq!(d.a, d.b);
-}
-
-/// `HBP_POLICY`-style policy selection reaches the native pool through
-/// the session layer: every policy runs every mapped kernel.
-#[test]
-fn native_executor_honours_policy_for_all_kernels() {
-    for policy in [
-        Policy::Pws,
-        Policy::Rws { seed: 7 },
-        Policy::Bsp { prefix_levels: 4 },
-    ] {
-        let mut ex = NativeExecutor::new(2, 1);
-        ex.pool.policy = policy;
-        let r = ex
-            .execute(&ExecJob::new("Scans (M-Sum)", 1 << 12, 3))
-            .expect("M-Sum has a native kernel");
-        assert!(r.makespan > 0, "{policy:?}");
-        assert!(r.work > 1, "{policy:?}");
-    }
 }
 
 /// The parse path every binary shares: `HBP_POLICY` syntax round-trips

@@ -8,17 +8,11 @@ use std::sync::Arc;
 use hbp_core::prelude::*;
 use hbp_core::trace::EventKind;
 
-fn native_ex(seed: u64) -> NativeExecutor {
-    let mut ex = NativeExecutor::new(2, seed);
-    ex.pool.policy = Policy::Rws { seed: 1 };
-    ex
-}
-
 #[test]
 fn native_session_delivers_every_report_exactly_once_across_client_threads() {
     const CLIENTS: usize = 4;
     const JOBS: u64 = 25;
-    let session = native_ex(7).open();
+    let session = NativeExecutor::new(2, 7).open();
     // The task count of a kernel is structural (forks don't depend on
     // who steals what), so one reference run pins what every job's
     // report must say.
@@ -99,7 +93,7 @@ fn sim_session_is_shareable_and_matches_the_one_shot_path() {
 #[test]
 fn traced_session_task_counts_are_deterministic_under_a_fixed_seed() {
     let count_tasks = |seed: u64| -> Vec<u64> {
-        let session = native_ex(seed).open();
+        let session = NativeExecutor::new(2, seed).open();
         (0..4u64)
             .map(|i| {
                 let sink = Arc::new(TraceSink::new(2, ClockDomain::WallNs));
@@ -127,7 +121,7 @@ fn unmapped_algorithm_yields_a_job_error_not_a_hang() {
     // CC has no par_* kernel: the native session resolves the job at
     // submit time and the handle reports the typed error instead of
     // stranding a waiter.
-    let session = native_ex(3).open();
+    let session = NativeExecutor::new(2, 3).open();
     let handle = session
         .submit(&ExecJob::new("CC", 256, 0))
         .expect("admission succeeds; resolution fails");
