@@ -1543,11 +1543,7 @@ mod tests {
     fn off_and_on_pools(check: impl Fn() + Sync) {
         check();
         for workers in [1, 3] {
-            let cfg = hbp_sched::native::NativeConfig {
-                workers,
-                seed: 7,
-                ..Default::default()
-            };
+            let cfg = hbp_sched::native::NativeConfig { workers, seed: 7 };
             hbp_sched::native::NativePool::run(cfg, &check);
         }
     }
@@ -1629,7 +1625,6 @@ mod tests {
         let cfg = hbp_sched::native::NativeConfig {
             workers: 3,
             seed: 11,
-            ..Default::default()
         };
         let want_sum = oracle::sum(&a);
         let want_prefix = oracle::prefix_sums(&a);
@@ -2395,7 +2390,6 @@ mod tests {
         let cfg = hbp_sched::native::NativeConfig {
             workers: 3,
             seed: 21,
-            ..Default::default()
         };
         let (_, report) = hbp_sched::native::NativePool::run(cfg, || par_spms(&mut data));
         assert_eq!(data, want);

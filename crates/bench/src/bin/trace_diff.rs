@@ -22,9 +22,11 @@
 //! ids while native ids are scheduling-dependent fork ordinals, so
 //! cross-backend id alignment is meaningless. The diff degrades to each
 //! side's *completeness* (every begun task ended, nothing dropped) and
-//! prints the model-predicted vs hardware-observed miss totals side by
-//! side — the model-vs-hardware loop the `MissDelta` counter sampling
-//! exists for. Exit 1 when either side is incomplete.
+//! prints the model-predicted miss totals beside the hardware-measured
+//! ones — the model-vs-hardware loop the `MissDelta` counter sampling
+//! exists for — or says that the native side measured nothing, where
+//! the kernel denies `perf_event_open`. Exit 1 when either side is
+//! incomplete.
 //!
 //! Exit status: 0 clean, 1 mismatch/incomplete, 2 usage errors.
 
@@ -100,16 +102,19 @@ fn main() {
         } else {
             (d.b.misses, d.a.misses)
         };
+        let native = if hbp_core::sched::perf::granted() {
+            format!(
+                "native measured {}/{}/{} via perf",
+                nat_m.0, nat_m.1, nat_m.2
+            )
+        } else {
+            "native: no counter source on this host (perf_event_open denied); \
+             nothing measured"
+                .into()
+        };
         println!(
-            "\ncross-backend: sim predicts {}/{}/{} (heap/stack/plain) block misses; \
-             native measured {}/{}/{} via {}",
-            sim_m.0,
-            sim_m.1,
-            sim_m.2,
-            nat_m.0,
-            nat_m.1,
-            nat_m.2,
-            hbp_core::sched::perf::realized().unwrap_or("no counter source"),
+            "\ncross-backend: sim predicts {}/{}/{} (heap/stack/plain) block misses; {native}",
+            sim_m.0, sim_m.1, sim_m.2,
         );
         let mut bad = false;
         for (name, shape) in [("A", &d.a), ("B", &d.b)] {

@@ -17,18 +17,17 @@
 //!   and takes only `rws[:seed]` (unset: `rws:0`), which the header
 //!   prints.
 //! * `HBP_TRACE_OUT=<path>` additionally writes the Chrome-trace JSON
-//!   (open in `chrome://tracing` or <https://ui.perfetto.dev>). With
-//!   `HBP_METRICS=1` the export also carries registry counter tracks
-//!   (queue depth, pool backlog) sampled at `HBP_METRICS_INTERVAL` ms.
-//! * `HBP_COUNTERS=auto|perf|stub|off` picks the native task-boundary
-//!   counter source ([`hbp_core::sched::perf`]); the report names which
-//!   source actually realized.
-//! * `HBP_TRACE_BUF=<events>` sizes each worker's trace ring;
-//!   `HBP_TRACE_STRICT=1` turns ring overflow (dropped events) into a
-//!   nonzero exit, so CI cannot silently analyze a truncated trace.
+//!   (open in `chrome://tracing` or <https://ui.perfetto.dev>).
+//! * On native, the report names the counter source: `perf` when the
+//!   kernel granted the workers' `perf_event` fds
+//!   ([`hbp_core::sched::perf`]), else `none`, and then no task carries
+//!   a miss delta and no `block misses` line is printed.
+//! * `HBP_TRACE_BUF=<events>` sizes each worker's trace ring. A ring
+//!   overflow (dropped events) makes every number a lower bound, so the
+//!   report is printed and the exit status is 2.
 
 use hbp_core::prelude::*;
-use hbp_core::trace::{chrome_trace_with_tracks, summarize, CounterTrack, CpError, HopVia};
+use hbp_core::trace::{chrome_trace_multi, summarize, CpError, HopVia};
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -56,16 +55,6 @@ fn main() {
         cfg.policy
     );
 
-    // With metrics on, sample the registry during the run so the Chrome
-    // export can carry queue-depth / backlog counter tracks.
-    let metrics = hbp_core::metrics::global();
-    let sample_every = cfg
-        .metrics_interval
-        .unwrap_or(hbp_core::metrics::DEFAULT_INTERVAL);
-    let sampler = metrics
-        .on()
-        .then(|| hbp_core::metrics::Sampler::start(metrics, sample_every));
-
     let sink = std::sync::Arc::new(TraceSink::with_capacity(
         session.workers(),
         session.clock_domain(),
@@ -77,7 +66,6 @@ fn main() {
         .wait()
         .unwrap_or_else(|e| usage(&format!("{backend} {e}")));
     let trace = sink.collect();
-    let timeline = sampler.map(hbp_core::metrics::Sampler::stop);
     let s = summarize(&trace);
 
     println!("\n== paper-style breakdown ({unit} = {:?}) ==", s.clock);
@@ -120,12 +108,11 @@ fn main() {
     }
     if backend == "native" {
         println!(
-            "  counter source   = {} (HBP_COUNTERS; miss deltas above are {})",
-            hbp_core::sched::perf::realized().unwrap_or("unopened"),
-            match hbp_core::sched::perf::realized() {
-                Some("perf") => "hardware perf-event readings",
-                Some("stub") => "the deterministic stub's synthetic values",
-                _ => "absent",
+            "  counter source   = {}",
+            if hbp_core::sched::perf::granted() {
+                "perf"
+            } else {
+                "none (perf_event_open denied; no miss deltas recorded)"
             }
         );
     }
@@ -145,53 +132,22 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("HBP_TRACE_OUT") {
-        let tracks = timeline
-            .map(|tl| metric_tracks(tl, sample_every.as_nanos() as u64))
-            .unwrap_or_default();
-        let json = chrome_trace_with_tracks(spec.name, &trace, &tracks);
+        let json = chrome_trace_multi([(spec.name, &trace)]);
         std::fs::write(&path, &json)
             .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
         println!(
-            "\nwrote Chrome trace ({} bytes, {} counter tracks) to {path} — open in chrome://tracing or https://ui.perfetto.dev",
-            json.len(),
-            tracks.len()
+            "\nwrote Chrome trace ({} bytes) to {path} — open in chrome://tracing or https://ui.perfetto.dev",
+            json.len()
         );
     }
 
-    // Strict mode: a truncated trace means every number above is a
-    // lower bound — CI must not treat that as a clean run.
-    if trace.dropped > 0 && cfg.trace_strict {
+    // A truncated trace means every number above is a lower bound: no
+    // caller may take that for a clean run.
+    if trace.dropped > 0 {
         eprintln!(
-            "trace_report: HBP_TRACE_STRICT=1 and {} events were dropped (ring overflow)",
+            "trace_report: {} events were dropped (ring overflow)",
             trace.dropped
         );
         std::process::exit(2);
     }
-}
-
-/// Registry snapshot timeline → Chrome counter tracks. Snapshots carry
-/// no timestamps (determinism), so sample `i` is stamped at
-/// `i × interval_ns` (the sampling interval) in the trace's nanosecond
-/// clock.
-fn metric_tracks(
-    timeline: Vec<hbp_core::metrics::Snapshot>,
-    interval_ns: u64,
-) -> Vec<CounterTrack> {
-    let workers = timeline.iter().map(|s| s.workers.len()).max().unwrap_or(0);
-    let mut depth = CounterTrack::new(
-        "queue depth",
-        (0..workers).map(|w| format!("w{w}")).collect(),
-    );
-    let mut backlog = CounterTrack::new("pool backlog", vec!["jobs".into()]);
-    for (i, snap) in timeline.iter().enumerate() {
-        let t = i as u64 * interval_ns;
-        depth.push(
-            t,
-            (0..workers)
-                .map(|w| snap.workers.get(w).map_or(0, |ws| ws.queue_depth))
-                .collect(),
-        );
-        backlog.push(t, vec![snap.pool_backlog]);
-    }
-    vec![depth, backlog]
 }

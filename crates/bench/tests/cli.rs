@@ -1,5 +1,5 @@
 //! The trace tools as processes: the observability loop end to end
-//! (stub counter source, cross-backend diff, strict overflow gate),
+//! (the native counter source, cross-backend diff, overflow gate),
 //! eight-worker native traces, the PWS-vs-RWS structural diff, and the
 //! shared usage errors; and the traced `table1` run with its
 //! Chrome-trace export.
@@ -32,33 +32,39 @@ fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, 
     (out.status.code(), text(&out.stdout), text(&out.stderr))
 }
 
+/// A native report names a real counter source or none — never a
+/// synthetic one — and with none it prints no block misses at all; the
+/// sim-vs-native diff completes either way.
 #[test]
-fn stub_counters_reach_the_report_and_the_cross_backend_diff() {
-    let stub = [("HBP_COUNTERS", "stub"), ("HBP_WORKERS", "4")];
-    let native_stub = [stub[0], stub[1], ("HBP_BACKEND", "native")];
-    let (code, stdout, stderr) = run(TRACE_REPORT, &["Sort (SPMS)"], &native_stub);
+fn native_misses_are_measured_or_absent() {
+    let env = [("HBP_BACKEND", "native"), ("HBP_WORKERS", "4")];
+    let (code, stdout, stderr) = run(TRACE_REPORT, &["Sort (SPMS)"], &env);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    assert!(stdout.contains("counter source   = stub"), "{stdout}");
-    assert!(stdout.contains("block misses"), "{stdout}");
+    let perf = stdout.contains("counter source   = perf");
+    assert!(
+        perf || stdout.contains("counter source   = none"),
+        "{stdout}"
+    );
+    assert!(perf || !stdout.contains("block misses"), "{stdout}");
 
-    // Model-predicted vs stub-measured misses, side by side.
     let sides = ["Sort (SPMS)", "4096", "sim:pws", "native:rws:1"];
-    let (code, stdout, stderr) = run(TRACE_DIFF, &sides, &stub);
+    let (code, stdout, stderr) = run(TRACE_DIFF, &sides, &[env[1]]);
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
-    assert!(stdout.contains("via stub"), "{stdout}");
     assert!(stdout.contains("both sides complete"), "{stdout}");
 }
 
+/// A ring too small for the run: the report still prints, and the exit
+/// status says the trace is truncated.
 #[test]
-fn strict_mode_fails_a_truncated_trace() {
+fn a_truncated_trace_fails_trace_report() {
     let env = [
         ("HBP_BACKEND", "native"),
         ("HBP_WORKERS", "4"),
         ("HBP_TRACE_BUF", "32"),
-        ("HBP_TRACE_STRICT", "1"),
     ];
-    let (code, _, stderr) = run(TRACE_REPORT, &["Sort (SPMS)", "65536"], &env);
-    assert_ne!(code, Some(0), "ring overflow under strict mode");
+    let (code, stdout, stderr) = run(TRACE_REPORT, &["Sort (SPMS)", "65536"], &env);
+    assert_eq!(code, Some(2), "ring overflow: {stderr}");
+    assert!(stdout.contains("ring overflow"), "{stdout}");
     assert!(stderr.contains("events were dropped"), "{stderr}");
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Downstream layers never read the environment themselves: the pure
 //! `parse` functions stay on their owning types (`Policy::parse`,
-//! `CounterMode::parse`, …), but the `std::env::var` calls live in this
+//! `Backend::parse`), but the `std::env::var` calls live in this
 //! module alone — a test-enforced property (`tests/env_surface.rs` fails
 //! on an `HBP_*` read outside this file), so adding a knob forces the
 //! loud-error aggregation and the README table to stay in sync.
@@ -23,25 +23,22 @@
 //! | `HBP_BACKEND` | [`Config::backend`] | `sim` |
 //! | `HBP_POLICY` | [`Config::policy`] | `pws` (sim), `rws:0` (native) |
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
-//! | `HBP_COUNTERS` | [`Config::counters`] | `auto` |
 //! | `HBP_TRACE` | [`Config::trace`] | off |
 //! | `HBP_TRACE_BUF` | [`Config::trace_buf`] | 2^20 events/worker |
-//! | `HBP_TRACE_STRICT` | [`Config::trace_strict`] | off |
 //! | `HBP_METRICS` | [`Config::metrics`] | off |
-//! | `HBP_METRICS_INTERVAL` | [`Config::metrics_interval`] | off (no sampler) |
 //!
 //! A retired variable (`HBP_DEQUE`, `HBP_STEAL_BATCH`, `HBP_DOMAINS`,
-//! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`; the README says why each went) is
-//! reported as an error naming what replaced it when set, to any value,
-//! not silently ignored. So is a policy the backend cannot run: the
+//! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`, `HBP_COUNTERS`,
+//! `HBP_METRICS_INTERVAL`, `HBP_TRACE_STRICT`; the README says why each
+//! went) is reported as an error naming what replaced it when set, to
+//! any value, not silently ignored. So is a policy the backend cannot run: the
 //! native pool has one discipline, randomized stealing, and takes only
 //! `rws[:seed]`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use hbp_sched::native::NativeConfig;
-use hbp_sched::{CounterMode, Policy};
+use hbp_sched::Policy;
 use hbp_trace::{ClockDomain, TraceSink};
 
 use crate::executor::SimExecutor;
@@ -123,27 +120,9 @@ fn parse_trace_buf(value: Option<&str>) -> Result<usize, String> {
     }
 }
 
-/// Parse an `HBP_METRICS_INTERVAL` value (milliseconds): unset, the
-/// empty string or `off` → no background sampler; a positive integer →
-/// a sampler at that period. The sampler paces on wall-clock time (its
-/// sample count is nondeterministic), which is why it is opt-in.
-fn parse_metrics_interval(value: Option<&str>) -> Result<Option<Duration>, String> {
-    match value {
-        None | Some("") | Some("off") => Ok(None),
-        Some(s) => s
-            .parse::<u64>()
-            .ok()
-            .filter(|&ms| ms >= 1)
-            .map(|ms| Some(Duration::from_millis(ms)))
-            .ok_or_else(|| {
-                format!("HBP_METRICS_INTERVAL must be a positive integer (milliseconds), got {s:?}")
-            }),
-    }
-}
-
 /// Retired `HBP_*` variables and what replaced each: setting one, to
 /// any value, is an error (see [`Config::from_lookup`]).
-const RETIRED: [(&str, &str); 5] = [
+const RETIRED: [(&str, &str); 8] = [
     ("HBP_DEQUE", "Chase-Lev is the only deque"),
     (
         "HBP_STEAL_BATCH",
@@ -158,6 +137,20 @@ const RETIRED: [(&str, &str); 5] = [
         "native steals take any task; the depth floor is the simulator's `bsp:<k>`",
     ),
     ("HBP_AUTOSCALE", "the pool runs exactly HBP_WORKERS threads"),
+    (
+        "HBP_COUNTERS",
+        "traced native tasks read perf_event counters when the kernel grants \
+         them and record no miss deltas when it does not",
+    ),
+    (
+        "HBP_METRICS_INTERVAL",
+        "there is no background sampler; metrics_report prints the \
+         scenario's own queue-depth timeline",
+    ),
+    (
+        "HBP_TRACE_STRICT",
+        "trace_report always exits 2 when the trace dropped events",
+    ),
 ];
 
 /// The full runtime configuration (see the module docs for the env
@@ -173,36 +166,23 @@ pub struct Config {
     pub policy: Policy,
     /// Native worker threads / trace-sink width (`HBP_WORKERS`).
     pub workers: usize,
-    /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`).
-    pub counters: CounterMode,
     /// Structured event tracing on/off (`HBP_TRACE`).
     pub trace: bool,
     /// Per-worker trace ring capacity, events (`HBP_TRACE_BUF`).
     pub trace_buf: usize,
-    /// Fail loudly on truncated traces instead of degrading
-    /// (`HBP_TRACE_STRICT`; consulted by the trace-report tooling).
-    pub trace_strict: bool,
     /// Metrics registry publishing on/off (`HBP_METRICS`).
     pub metrics: bool,
-    /// Background sampler period (`HBP_METRICS_INTERVAL`, milliseconds;
-    /// `None` = no sampler — it paces on wall-clock time, so runs that
-    /// need deterministic output leave it off).
-    pub metrics_interval: Option<Duration>,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        let native = NativeConfig::default();
         Self {
             backend: Backend::Sim,
             policy: Policy::Pws,
-            workers: native.workers,
-            counters: native.counters,
+            workers: NativeConfig::default().workers,
             trace: false,
             trace_buf: hbp_trace::DEFAULT_CAPACITY,
-            trace_strict: false,
             metrics: false,
-            metrics_interval: None,
         }
     }
 }
@@ -235,12 +215,6 @@ impl Config {
         self
     }
 
-    /// Set the counter-sampling mode.
-    pub fn counters(mut self, c: CounterMode) -> Self {
-        self.counters = c;
-        self
-    }
-
     /// Turn structured event tracing on or off.
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
@@ -253,23 +227,10 @@ impl Config {
         self
     }
 
-    /// Fail loudly on truncated traces.
-    pub fn trace_strict(mut self, on: bool) -> Self {
-        self.trace_strict = on;
-        self
-    }
-
     /// Turn metrics publishing on or off (effective via
     /// [`Config::apply`]).
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Run a background metrics sampler at this period
-    /// ([`hbp_metrics::DEFAULT_INTERVAL`] is the conventional choice).
-    pub fn metrics_interval(mut self, every: Duration) -> Self {
-        self.metrics_interval = Some(every);
         self
     }
 
@@ -318,10 +279,6 @@ impl Config {
             }
         }
         set!(
-            cfg.counters,
-            CounterMode::parse(get("HBP_COUNTERS").as_deref())
-        );
-        set!(
             cfg.trace,
             parse_switch("HBP_TRACE", get("HBP_TRACE").as_deref())
         );
@@ -330,16 +287,8 @@ impl Config {
             parse_trace_buf(get("HBP_TRACE_BUF").as_deref())
         );
         set!(
-            cfg.trace_strict,
-            parse_switch("HBP_TRACE_STRICT", get("HBP_TRACE_STRICT").as_deref())
-        );
-        set!(
             cfg.metrics,
             parse_switch("HBP_METRICS", get("HBP_METRICS").as_deref())
-        );
-        set!(
-            cfg.metrics_interval,
-            parse_metrics_interval(get("HBP_METRICS_INTERVAL").as_deref())
         );
         if errors.is_empty() {
             Ok(cfg)
@@ -375,7 +324,6 @@ impl Config {
         NativeConfig {
             workers: self.workers,
             seed,
-            counters: self.counters,
         }
     }
 
@@ -427,7 +375,7 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert!(cfg.metrics);
         // Untouched fields keep their defaults.
-        assert_eq!(cfg.counters, Config::default().counters);
+        assert_eq!(cfg.trace_buf, Config::default().trace_buf);
         assert!(!cfg.trace);
         let native = cfg.native_config(5);
         assert_eq!(native.workers, 3);
@@ -517,9 +465,9 @@ mod tests {
         // naming what replaced it, and they aggregate with each other
         // and the other problems.
         for values in [
-            ["mutex", "off", "4", "0", "1..8"],
-            ["cl", "policy", "tag:2", "inf", "2..2"],
-            ["", "", "auto", "3", "off"],
+            ["mutex", "off", "4", "0", "1..8", "stub", "50", "1"],
+            ["cl", "policy", "tag:2", "inf", "2..2", "perf", "off", "0"],
+            ["", "", "auto", "3", "off", "auto", "", ""],
         ] {
             let err = Config::from_lookup(|v| match v {
                 "HBP_WORKERS" => Some("zero".into()),
@@ -539,11 +487,19 @@ mod tests {
                  depth floor is the simulator's `bsp:<k>`",
                 "HBP_AUTOSCALE was removed: the pool runs exactly HBP_WORKERS \
                  threads",
+                "HBP_COUNTERS was removed: traced native tasks read perf_event \
+                 counters when the kernel grants them and record no miss deltas \
+                 when it does not",
+                "HBP_METRICS_INTERVAL was removed: there is no background \
+                 sampler; metrics_report prints the scenario's own queue-depth \
+                 timeline",
+                "HBP_TRACE_STRICT was removed: trace_report always exits 2 when \
+                 the trace dropped events",
             ] {
                 assert!(err.contains(want), "{want:?} missing from {err}");
             }
             assert!(err.contains("HBP_WORKERS must"), "{err}");
-            assert!(err.contains("6 problems"), "{err}");
+            assert!(err.contains("9 problems"), "{err}");
         }
         for (var, _) in RETIRED {
             let err =
@@ -601,12 +557,5 @@ mod tests {
         assert_eq!(parse_trace_buf(None), Ok(hbp_trace::DEFAULT_CAPACITY));
         assert_eq!(parse_trace_buf(Some("64")), Ok(64));
         assert!(parse_trace_buf(Some("0")).is_err());
-        assert_eq!(
-            parse_metrics_interval(Some("5")),
-            Ok(Some(Duration::from_millis(5)))
-        );
-        assert_eq!(parse_metrics_interval(None), Ok(None));
-        assert_eq!(parse_metrics_interval(Some("off")), Ok(None));
-        assert!(parse_metrics_interval(Some("fast")).is_err());
     }
 }

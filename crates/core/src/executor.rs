@@ -92,21 +92,17 @@ impl Executor for SimExecutor {
 /// work-stealing pool (input generation is *outside* the timed region).
 #[derive(Debug, Clone, Copy)]
 pub struct NativeExecutor {
-    /// The pool [`Executor::open`] spawns — worker count, counter mode.
-    /// `pool.seed` is the victim-selection RNG seed (input seeds come
+    /// The pool [`Executor::open`] spawns: its worker count, and
+    /// `pool.seed`, the victim-selection RNG seed (input seeds come
     /// from the job).
     pub pool: NativeConfig,
 }
 
 impl NativeExecutor {
-    /// A pool of `workers` threads at the [`NativeConfig`] defaults.
+    /// A pool of `workers` threads seeded by `seed`.
     pub fn new(workers: usize, seed: u64) -> Self {
         Self {
-            pool: NativeConfig {
-                workers,
-                seed,
-                ..NativeConfig::default()
-            },
+            pool: NativeConfig { workers, seed },
         }
     }
 }

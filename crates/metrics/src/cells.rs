@@ -3,10 +3,11 @@
 //!
 //! All cells are plain relaxed atomics: publishing from a worker thread is a
 //! single `fetch_add`/`store` with `Ordering::Relaxed`, so the cells impose
-//! no synchronization on the code paths they instrument. Readers (the
-//! snapshot sampler, the exposition formats) see values that are each
-//! individually consistent but not mutually synchronized — exactly the
-//! contract a monitoring surface needs, and nothing stronger.
+//! no synchronization on the code paths they instrument. Readers
+//! ([`crate::Registry::snapshot`], the exposition formats) see values
+//! that are each individually consistent but not mutually synchronized
+//! — exactly the contract a monitoring surface needs, and nothing
+//! stronger.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
@@ -186,7 +187,7 @@ impl LogHistogram {
     }
 }
 
-/// An immutable copy of a [`LogHistogram`] taken by the sampler.
+/// An immutable copy of a [`LogHistogram`], taken by a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     pub buckets: [u64; HIST_BUCKETS],

@@ -3,8 +3,8 @@
 //! A dependency-free, lock-free metrics layer for the work-stealing
 //! runtime: per-worker [`Counter`]/[`Gauge`]/[`LogHistogram`] cells in
 //! cache-line-isolated shards, a process-wide [`Registry`] ([`global`]),
-//! point-in-time [`Snapshot`]s, a background [`Sampler`], and
-//! [`prometheus_text`]/[`json`] exposition.
+//! point-in-time [`Snapshot`]s, and [`prometheus_text`]/[`json`]
+//! exposition.
 //!
 //! ## Contract
 //!
@@ -21,15 +21,13 @@
 //!
 //! Publishers: the native pool (per-job counter deltas, queue depth, arena
 //! bytes), worker threads (park/unpark, steal batches) and the serve layer
-//! (admission, job latency). Consumers: the `metrics_report` bin, the serve
-//! scenario report, and Chrome-trace counter tracks via `hbp-trace`.
+//! (admission, job latency). Consumers: the `metrics_report` bin and the
+//! serve scenario report.
 
 pub mod cells;
 pub mod expo;
 pub mod registry;
-pub mod sampler;
 
 pub use cells::{Counter, Gauge, HistSnapshot, LogHistogram, HIST_BUCKETS};
 pub use expo::{json, prometheus_text};
 pub use registry::{global, Registry, Snapshot, WorkerShard, WorkerSnap, SHARDS};
-pub use sampler::{Sampler, DEFAULT_INTERVAL, SAMPLER_CAP};

@@ -43,10 +43,10 @@
 //!   reporting wall-clock makespan and per-worker busy/steal counters
 //!   in the same [`ExecReport`] shape;
 //! * [`perf`] — hardware counter sampling for the native backend: per-
-//!   worker `perf_event` fds (raw syscall, feature `perf`, graceful
-//!   stub/off degradation via [`CounterMode`]) read at task boundaries
-//!   and emitted as `MissDelta` trace events, so `trace_diff` can align
-//!   the sim's *predicted* misses against *measured* ones.
+//!   worker `perf_event` fds (raw syscall) read at task boundaries and
+//!   emitted as `MissDelta` trace events, so `trace_diff` can set the
+//!   sim's *predicted* misses beside *measured* ones; where the kernel
+//!   denies the fds, a traced task records no `MissDelta` at all.
 //!
 //! Both backends can additionally record **structured event traces**
 //! (`hbp-trace`): [`run_traced`] / [`run_with_policy_traced`] hook the
@@ -77,6 +77,5 @@ pub use cl_deque::{ClDeque, Steal};
 pub use engine::{
     run, run_sequential, run_traced, run_with_policy, run_with_policy_traced, Policy,
 };
-pub use perf::{CounterMode, CounterSource};
 pub use policy::StealPolicy;
 pub use report::{ExcessReport, ExecReport, SeqReport};

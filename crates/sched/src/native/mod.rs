@@ -75,8 +75,6 @@ mod job;
 pub mod pool;
 pub(crate) mod runtime;
 
-use crate::perf::CounterMode;
-
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
 pub use runtime::{in_pool, join};
 
@@ -87,10 +85,6 @@ pub struct NativeConfig {
     pub workers: usize,
     /// Seed the workers' victim-selection RNG streams derive from.
     pub seed: u64,
-    /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`;
-    /// see [`crate::perf`]). Only consulted while a trace sink is
-    /// attached — untraced jobs never open or read counters.
-    pub counters: CounterMode,
 }
 
 impl Default for NativeConfig {
@@ -104,7 +98,6 @@ impl Default for NativeConfig {
                 .unwrap_or(1)
                 .max(4),
             seed: 0,
-            counters: CounterMode::Auto,
         }
     }
 }

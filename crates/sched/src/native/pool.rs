@@ -630,7 +630,7 @@ fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
     let mut root_c0 = None;
     if let Some(tr) = pool.trace() {
         tr.push(0, pool.now_ns(), TrEv::TaskBegin { task: 0 });
-        root_c0 = crate::perf::sample(pool.counters_mode, 0);
+        root_c0 = crate::perf::sample();
     }
     // The runner catches its own unwind; this outer catch is the
     // driver's last line of defense (a poisoned result slot, say) — the

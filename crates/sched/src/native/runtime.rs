@@ -19,7 +19,7 @@ use std::time::Instant;
 use hbp_trace::{EventKind as TrEv, TraceSink};
 
 use crate::cl_deque::{ClDeque, Steal};
-use crate::perf::{self, CounterMode};
+use crate::perf;
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
@@ -92,9 +92,6 @@ pub(crate) struct Pool {
     pub(crate) done: AtomicBool,
     /// The pool seed the per-worker RNG streams derive from.
     pub(crate) seed: u64,
-    /// Task-boundary counter sampling mode for traced jobs
-    /// ([`crate::perf`]; only consulted when a trace sink is attached).
-    pub(crate) counters_mode: CounterMode,
     /// The *current job's* structured-event recorder (None = tracing
     /// off, zero extra work). Swapped by the driver between jobs.
     ///
@@ -141,7 +138,7 @@ pub(crate) struct Pool {
 unsafe impl Sync for Pool {}
 
 impl Pool {
-    /// A pool of `cfg.workers` slots with `cfg`'s seed and counter mode.
+    /// A pool of `cfg.workers` slots with `cfg`'s seed.
     pub(crate) fn new(cfg: &NativeConfig) -> Self {
         let workers = cfg.workers;
         Self {
@@ -149,7 +146,6 @@ impl Pool {
             counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
             done: AtomicBool::new(true),
             seed: cfg.seed,
-            counters_mode: cfg.counters,
             trace_cell: UnsafeCell::new(None),
             epoch: Instant::now(),
             job_t0_ns: AtomicU64::new(0),
@@ -351,7 +347,7 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
     if let Some(tr) = pool.trace() {
         CUR_TASK.set(j.id);
         tr.push(me, pool.now_ns(), TrEv::TaskBegin { task: j.id });
-        c0 = perf::sample(pool.counters_mode, me);
+        c0 = perf::sample();
     }
     if d == 0 {
         let t0 = Instant::now();
@@ -381,7 +377,7 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
 /// counters again and emit the delta as a `MissDelta` event *inside* the
 /// task's open segment (before its `TaskEnd`), mirroring where the
 /// simulator records its predicted deltas. `c0` is the `TaskBegin`-side
-/// reading; `None` (sampling off/unavailable) emits nothing.
+/// reading; `None` (the kernel denied the counters) emits nothing.
 pub(crate) fn emit_miss_delta(
     pool: &Pool,
     me: usize,
@@ -389,7 +385,7 @@ pub(crate) fn emit_miss_delta(
     c0: Option<perf::CounterValues>,
 ) {
     let Some(c0) = c0 else { return };
-    let Some(c1) = perf::sample(pool.counters_mode, me) else {
+    let Some(c1) = perf::sample() else {
         return;
     };
     let delta = [0, 1, 2].map(|i| c1[i].saturating_sub(c0[i]));

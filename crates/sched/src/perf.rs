@@ -21,197 +21,32 @@
 //! algorithm" — `trace_diff` reports totals per side, it never pretends
 //! the units match across backends.
 //!
-//! ## Sources and degradation
+//! ## Degradation
 //!
-//! [`CounterSource::open`] realizes the [`CounterMode`] (env knob
-//! `HBP_COUNTERS`):
-//!
-//! * `perf` — raw `perf_event_open(2)` (no external crates; the syscall is
-//!   declared directly). Denied (`perf_event_paranoid`, seccomp, non-Linux,
-//!   or the `perf` cargo feature disabled) ⇒ [`CounterSource::Unavailable`].
-//! * `stub` — a deterministic per-worker fake: read `k` on worker `w`
-//!   returns channel values proportional to `k·(w+1)`, so task-boundary
-//!   deltas are reproducible across runs — the CI parity source.
-//! * `auto` (default) — try `perf`, fall back to `stub`; the realized kind
-//!   is recorded for reporting ([`realized`]).
-//! * `off` — no sampling, no events.
+//! The fds come from a raw `perf_event_open(2)` (no external crates; the
+//! syscall is declared directly), opened once per worker thread on its
+//! first traced task. Where the kernel refuses them (`perf_event_paranoid`,
+//! seccomp, a PMU without the events, a non-Linux host) the worker reads
+//! nothing and its tasks carry no `MissDelta` at all: a native trace holds
+//! measured misses or none, never invented ones. [`granted`] says which.
 //!
 //! Sampling happens only while a trace sink is attached; with tracing off
 //! this module costs nothing.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
-
-/// How the native pool sources task-boundary counter deltas
-/// (`HBP_COUNTERS`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CounterMode {
-    /// Try the real perf fds, fall back to the deterministic stub — the
-    /// default, so traced native runs always carry `MissDelta`s.
-    #[default]
-    Auto,
-    /// Real perf fds only; sampling silently degrades to
-    /// [`CounterSource::Unavailable`] (no events) when denied.
-    Perf,
-    /// The deterministic fake counter (CI parity runs).
-    Stub,
-    /// No counter sampling at all.
-    Off,
-}
-
-impl CounterMode {
-    /// Parse an `HBP_COUNTERS` value: `None` (unset), the empty string or
-    /// `auto` → [`CounterMode::Auto`]; `perf` → [`CounterMode::Perf`];
-    /// `stub` → [`CounterMode::Stub`]; `off`/`0` → [`CounterMode::Off`].
-    /// Anything else is an error naming the variable and the accepted
-    /// values.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("") | Some("auto") => Ok(CounterMode::Auto),
-            Some("perf") => Ok(CounterMode::Perf),
-            Some("stub") => Ok(CounterMode::Stub),
-            Some("off") | Some("0") => Ok(CounterMode::Off),
-            Some(other) => Err(format!(
-                "HBP_COUNTERS must be `auto`, `perf`, `stub`, or `off`/`0`, got {other:?}"
-            )),
-        }
-    }
-}
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// Cumulative values of the three sampled channels, in the `MissDelta`
 /// field order: `[heap_block, stack_block, stack_plain]`.
 pub type CounterValues = [u64; 3];
 
-/// One worker's realized counter source (see the module docs).
-pub enum CounterSource {
-    /// Live `perf_event` fds (closed on drop).
-    #[cfg(feature = "perf")]
-    Perf(PerfCounters),
-    /// The deterministic fake.
-    Stub(StubCounter),
-    /// Sampling is off or was denied: [`CounterSource::read`] yields
-    /// `None` and no `MissDelta` events are emitted.
-    Unavailable,
-}
+static GRANTED: AtomicBool = AtomicBool::new(false);
 
-impl CounterSource {
-    /// Realize `mode` for worker `worker` **on the calling thread** (the
-    /// perf fds monitor the opening thread, so workers must open their
-    /// own).
-    pub fn open(mode: CounterMode, worker: usize) -> CounterSource {
-        let src = match mode {
-            CounterMode::Off => CounterSource::Unavailable,
-            CounterMode::Stub => CounterSource::Stub(StubCounter::new(worker)),
-            CounterMode::Perf => Self::try_perf().unwrap_or(CounterSource::Unavailable),
-            CounterMode::Auto => {
-                Self::try_perf().unwrap_or_else(|| CounterSource::Stub(StubCounter::new(worker)))
-            }
-        };
-        note_realized(&src);
-        src
-    }
-
-    /// The real-fds source, when the cargo feature is on and the kernel
-    /// grants the fds.
-    fn try_perf() -> Option<CounterSource> {
-        #[cfg(feature = "perf")]
-        {
-            PerfCounters::open().map(CounterSource::Perf)
-        }
-        #[cfg(not(feature = "perf"))]
-        {
-            None
-        }
-    }
-
-    /// Current cumulative channel values, or `None` when unavailable.
-    pub fn read(&mut self) -> Option<CounterValues> {
-        match self {
-            #[cfg(feature = "perf")]
-            CounterSource::Perf(p) => p.read(),
-            CounterSource::Stub(s) => Some(s.read()),
-            CounterSource::Unavailable => None,
-        }
-    }
-
-    /// Short name of the realized source (`perf` / `stub` / `none`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            #[cfg(feature = "perf")]
-            CounterSource::Perf(_) => "perf",
-            CounterSource::Stub(_) => "stub",
-            CounterSource::Unavailable => "none",
-        }
-    }
-}
-
-/// The deterministic fake counter: monotone, reproducible, per-worker.
-///
-/// Read `k` (1-based) on worker `w` returns
-/// `[k·(w+1)·17, k·(w+1)·5, k·(w+1)·2]`, so the delta over any
-/// read-bracketed window is `(reads in window)·(w+1)·{17,5,2}` —
-/// independent of wall-clock and scheduling, which is what lets CI assert
-/// exact `MissDelta` totals.
-pub struct StubCounter {
-    weight: u64,
-    reads: u64,
-}
-
-impl StubCounter {
-    pub fn new(worker: usize) -> Self {
-        StubCounter {
-            weight: worker as u64 + 1,
-            reads: 0,
-        }
-    }
-
-    pub fn read(&mut self) -> CounterValues {
-        self.reads += 1;
-        let k = self.reads * self.weight;
-        [k * 17, k * 5, k * 2]
-    }
-}
-
-/// Per-channel deltas a stub-sourced task window produces on worker `w`
-/// (each task is bracketed by exactly two reads, so the window spans one
-/// read step at begin and one at end — the delta is one step). Exposed so
-/// parity tests can compute expected totals without re-deriving the stub.
-pub fn stub_task_delta(worker: usize) -> CounterValues {
-    let w = worker as u64 + 1;
-    [w * 17, w * 5, w * 2]
-}
-
-// ---------------------------------------------------------------------
-// Realized-source note (for reporting: "counter source: perf").
-// ---------------------------------------------------------------------
-
-const SRC_UNKNOWN: u8 = 0;
-const SRC_PERF: u8 = 1;
-const SRC_STUB: u8 = 2;
-const SRC_NONE: u8 = 3;
-
-static REALIZED: AtomicU8 = AtomicU8::new(SRC_UNKNOWN);
-
-fn note_realized(src: &CounterSource) {
-    let v = match src.kind() {
-        "perf" => SRC_PERF,
-        "stub" => SRC_STUB,
-        _ => SRC_NONE,
-    };
-    // First realization wins; workers of one pool all realize the same
-    // mode, and mixed-pool processes still get a truthful first answer.
-    let _ = REALIZED.compare_exchange(SRC_UNKNOWN, v, Relaxed, Relaxed);
-}
-
-/// What the first opened source in this process realized as, if any —
-/// `"perf"`, `"stub"` or `"none"` (reporting only; not a per-worker fact).
-pub fn realized() -> Option<&'static str> {
-    match REALIZED.load(Relaxed) {
-        SRC_PERF => Some("perf"),
-        SRC_STUB => Some("stub"),
-        SRC_NONE => Some("none"),
-        _ => None,
-    }
+/// Whether a worker in this process has opened its counters — what the
+/// trace tools print as the counter source, `perf` or `none` (reporting
+/// only; every worker meets the same kernel).
+pub fn granted() -> bool {
+    GRANTED.load(Relaxed)
 }
 
 // ---------------------------------------------------------------------
@@ -219,35 +54,39 @@ pub fn realized() -> Option<&'static str> {
 // ---------------------------------------------------------------------
 
 thread_local! {
-    /// The calling worker thread's realized source, opened on first use
-    /// (pool worker threads persist across jobs, so this is one open per
-    /// thread per process).
-    static SOURCE: RefCell<Option<CounterSource>> = const { RefCell::new(None) };
+    /// The calling worker thread's counters, opened on first use (pool
+    /// worker threads persist across jobs, so this is one open per
+    /// thread per process); `None` inside when the kernel refused them.
+    static SOURCE: OnceCell<Option<PerfCounters>> = const { OnceCell::new() };
 }
 
-/// Read the calling worker's cumulative counters, opening the source on
-/// first call. `None` when `mode` is off or the source is unavailable.
-pub(crate) fn sample(mode: CounterMode, worker: usize) -> Option<CounterValues> {
-    if matches!(mode, CounterMode::Off) {
-        return None;
-    }
-    SOURCE.with_borrow_mut(|s| {
-        s.get_or_insert_with(|| CounterSource::open(mode, worker))
-            .read()
+/// Read the calling worker's cumulative counters, opening them on first
+/// call (the fds monitor the opening thread, so each worker opens its
+/// own). `None` when the kernel refused them.
+pub(crate) fn sample() -> Option<CounterValues> {
+    SOURCE.with(|s| {
+        s.get_or_init(|| {
+            let opened = PerfCounters::open();
+            if opened.is_some() {
+                GRANTED.store(true, Relaxed);
+            }
+            opened
+        })
+        .as_ref()?
+        .read()
     })
 }
 
 // ---------------------------------------------------------------------
-// Raw perf_event_open plumbing (Linux, feature "perf").
+// Raw perf_event_open plumbing (Linux).
 // ---------------------------------------------------------------------
 
 /// Live `perf_event` fds for the three channels, in `MissDelta` order.
-#[cfg(feature = "perf")]
-pub struct PerfCounters {
+struct PerfCounters {
     fds: [i32; 3],
 }
 
-#[cfg(all(feature = "perf", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 mod sys {
     //! The `perf_event_open(2)` ABI, declared by hand: the container has
     //! no crates.io access, and the std-linked libc already exports
@@ -340,12 +179,11 @@ mod sys {
     }
 }
 
-#[cfg(feature = "perf")]
 impl PerfCounters {
     /// Open the three channels on the calling thread; all-or-nothing
-    /// (a host that allows software but not hardware events falls back
-    /// to the stub under `auto` rather than reporting lopsided zeros).
-    pub fn open() -> Option<PerfCounters> {
+    /// (a host that allows software but not hardware events samples
+    /// nothing rather than reporting lopsided zeros).
+    fn open() -> Option<PerfCounters> {
         #[cfg(not(all(
             target_os = "linux",
             any(target_arch = "x86_64", target_arch = "aarch64")
@@ -379,7 +217,7 @@ impl PerfCounters {
         }
     }
 
-    pub fn read(&mut self) -> Option<CounterValues> {
+    fn read(&self) -> Option<CounterValues> {
         #[cfg(not(all(
             target_os = "linux",
             any(target_arch = "x86_64", target_arch = "aarch64")
@@ -406,7 +244,7 @@ impl PerfCounters {
     }
 }
 
-#[cfg(all(feature = "perf", target_os = "linux"))]
+#[cfg(target_os = "linux")]
 impl Drop for PerfCounters {
     fn drop(&mut self) {
         for &fd in &self.fds {
@@ -422,80 +260,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_parse_accepts_the_documented_values() {
-        for v in [None, Some(""), Some("auto")] {
-            assert_eq!(CounterMode::parse(v), Ok(CounterMode::Auto), "{v:?}");
+    fn counters_read_monotone_or_not_at_all() {
+        let Some(a) = sample() else {
+            assert!(PerfCounters::open().is_none(), "denied once, denied again");
+            return;
+        };
+        assert!(granted());
+        // Burn some cycles so the cycle-adjacent channels move.
+        let mut x = 0u64;
+        for i in 0..100_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
         }
-        assert_eq!(CounterMode::parse(Some("perf")), Ok(CounterMode::Perf));
-        assert_eq!(CounterMode::parse(Some("stub")), Ok(CounterMode::Stub));
-        for v in [Some("off"), Some("0")] {
-            assert_eq!(CounterMode::parse(v), Ok(CounterMode::Off), "{v:?}");
-        }
-        let err = CounterMode::parse(Some("nope")).unwrap_err();
-        assert!(
-            err.contains("HBP_COUNTERS") && err.contains("nope"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn stub_is_deterministic_and_monotone() {
-        let mut a = StubCounter::new(2);
-        let mut b = StubCounter::new(2);
-        let (r1, r2) = (a.read(), a.read());
-        assert_eq!(b.read(), r1);
-        assert_eq!(b.read(), r2);
+        std::hint::black_box(x);
+        let b = sample().expect("open fds read");
         for ch in 0..3 {
-            assert!(r2[ch] > r1[ch]);
-            assert_eq!(r2[ch] - r1[ch], stub_task_delta(2)[ch]);
-        }
-    }
-
-    #[test]
-    fn stub_source_reads_and_reports_kind() {
-        let mut s = CounterSource::open(CounterMode::Stub, 0);
-        assert_eq!(s.kind(), "stub");
-        let v = s.read().expect("stub always reads");
-        assert_eq!(v, [17, 5, 2]);
-    }
-
-    #[test]
-    fn off_mode_is_unavailable() {
-        let mut s = CounterSource::open(CounterMode::Off, 0);
-        assert_eq!(s.kind(), "none");
-        assert!(s.read().is_none());
-    }
-
-    #[test]
-    fn auto_mode_always_yields_a_live_source() {
-        // Whether or not the host grants perf fds, auto must land on a
-        // source that reads (perf or the stub fallback) — the graceful
-        // degradation contract.
-        let mut s = CounterSource::open(CounterMode::Auto, 1);
-        assert!(s.read().is_some(), "auto realized {:?}", s.kind());
-        assert!(matches!(s.kind(), "perf" | "stub"));
-    }
-
-    #[cfg(feature = "perf")]
-    #[test]
-    fn perf_mode_reads_monotone_or_degrades() {
-        let mut s = CounterSource::open(CounterMode::Perf, 0);
-        match s.kind() {
-            "perf" => {
-                let a = s.read().expect("open fds read");
-                // Burn some cycles so the cycle-adjacent channels move.
-                let mut x = 0u64;
-                for i in 0..100_000u64 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-                }
-                std::hint::black_box(x);
-                let b = s.read().expect("open fds read");
-                for ch in 0..3 {
-                    assert!(b[ch] >= a[ch], "channel {ch} went backwards");
-                }
-            }
-            "none" => assert!(s.read().is_none()),
-            other => panic!("perf mode realized {other:?}"),
+            assert!(b[ch] >= a[ch], "channel {ch} went backwards");
         }
     }
 }

@@ -34,7 +34,6 @@ fn single_worker_pool_computes_without_steals() {
     let cfg = NativeConfig {
         workers: 1,
         seed: 1,
-        ..NativeConfig::default()
     };
     let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
     assert_eq!(got, want);
@@ -57,7 +56,6 @@ fn multi_worker_pool_computes_steals_and_reports() {
         let cfg = NativeConfig {
             workers: 4,
             seed: 7 + attempt,
-            ..NativeConfig::default()
         };
         let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 128));
         assert_eq!(got, want);
@@ -78,7 +76,6 @@ fn report_shape_matches_simulator_fields() {
     let cfg = NativeConfig {
         workers: 2,
         seed: 3,
-        ..NativeConfig::default()
     };
     let (_, r) = NativePool::run(cfg, || {
         let (a, b) = join(|| 1u64, || 2u64);
@@ -99,7 +96,6 @@ fn panics_propagate_from_forked_branch() {
     let cfg = NativeConfig {
         workers: 2,
         seed: 9,
-        ..NativeConfig::default()
     };
     let res = std::panic::catch_unwind(|| {
         NativePool::run(cfg, || {
@@ -124,7 +120,6 @@ fn a_panicking_run_returns_its_borrows_to_the_caller() {
     let cfg = NativeConfig {
         workers: 2,
         seed: 19,
-        ..NativeConfig::default()
     };
     let dropped = AtomicBool::new(false);
     let mut buf = vec![0u64; 64];
@@ -166,7 +161,6 @@ fn kernel_panic_surfaces_worker_id_and_message() {
     let cfg = NativeConfig {
         workers: 3,
         seed: 11,
-        ..NativeConfig::default()
     };
     let payload = std::panic::catch_unwind(|| {
         NativePool::run(cfg, || {
@@ -195,7 +189,6 @@ fn root_panic_is_attributed_to_worker_zero() {
     let cfg = NativeConfig {
         workers: 2,
         seed: 13,
-        ..NativeConfig::default()
     };
     let payload = std::panic::catch_unwind(|| {
         NativePool::run(cfg, || -> u64 { panic!("root boom") });
@@ -215,7 +208,6 @@ fn pool_survives_panic_then_runs_again() {
     let cfg = NativeConfig {
         workers: 4,
         seed: 17,
-        ..NativeConfig::default()
     };
     let _ = std::panic::catch_unwind(|| {
         NativePool::run(cfg, || {
@@ -236,7 +228,6 @@ fn nested_joins_deeply_recurse_without_deadlock() {
     let cfg = NativeConfig {
         workers: 3,
         seed: 5,
-        ..NativeConfig::default()
     };
     // leaf = 1: maximum join depth, thousands of tasks.
     let (got, _) = NativePool::run(cfg, || spin_sum(&xs, 1));
@@ -254,11 +245,7 @@ fn every_pool_seed_computes_correctly() {
     // 8 workers oversubscribe a small host: real cross-thread stress.
     for workers in [4, 8] {
         for seed in [0, 5, 21] {
-            let cfg = NativeConfig {
-                workers,
-                seed,
-                ..NativeConfig::default()
-            };
+            let cfg = NativeConfig { workers, seed };
             let (got, r) = NativePool::run(cfg, || spin_sum(&xs, 64));
             assert_eq!(got, want, "seed {seed} on {workers}");
             // tasks = root + one forked branch per join = #leaves.
@@ -281,7 +268,6 @@ fn work_accounting_is_deterministic_across_runs() {
             let cfg = NativeConfig {
                 workers: 3,
                 seed: 9,
-                ..NativeConfig::default()
             };
             NativePool::run(cfg, || spin_sum(&xs, 32)).1.work
         })
@@ -300,7 +286,6 @@ fn chase_lev_traced_run_is_panic_free_and_task_count_deterministic() {
             let cfg = NativeConfig {
                 workers: 4,
                 seed: 17,
-                ..NativeConfig::default()
             };
             let sink = Arc::new(hbp_trace::TraceSink::new(4, hbp_trace::ClockDomain::WallNs));
             let (_, r) = NativePool::run_traced(cfg, Some(Arc::clone(&sink)), || spin_sum(&xs, 64));

@@ -30,11 +30,7 @@ fn spin_sum(xs: &[u64], leaf: usize) -> u64 {
 }
 
 fn cfg(workers: usize, seed: u64) -> NativeConfig {
-    NativeConfig {
-        workers,
-        seed,
-        ..NativeConfig::default()
-    }
+    NativeConfig { workers, seed }
 }
 
 #[test]

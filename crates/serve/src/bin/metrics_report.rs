@@ -6,35 +6,26 @@
 //! and resets it first, so the exposition covers exactly this scenario.
 //! Configuration is the same environment surface as `serve_scenario`:
 //! `HBP_SERVE_*` for the load, `HBP_BACKEND` / `HBP_POLICY` /
-//! `HBP_WORKERS` / `HBP_COUNTERS` for the execution.
-//!
-//! When `HBP_METRICS_INTERVAL` is set (milliseconds), a background
-//! [`Sampler`] additionally records a snapshot timeline during the run
-//! and the bin appends a queue-depth / task-rate timeline summary. The
-//! sampler paces on wall-clock time, so its sample count is *not*
-//! deterministic — which is why it is opt-in: without it, a fixed-seed
-//! sim scenario prints byte-identical output on every run.
+//! `HBP_WORKERS` for the execution. The admission queue's depth over
+//! time comes from the scenario report, stamped in the scenario's own
+//! clock, so a fixed-seed sim scenario prints byte-identical output on
+//! every run.
 //!
 //! ```text
 //! HBP_BACKEND=native HBP_SERVE_REQUESTS=64 \
 //!     cargo run --release -p hbp-serve --bin metrics_report
 //! ```
 
-use hbp_core::metrics::{json, prometheus_text, Sampler};
+use hbp_core::metrics::{json, prometheus_text};
 use hbp_serve::{run_scenario, ScenarioSpec};
 
 fn main() {
-    let cfg = hbp_core::Config::from_env();
     let spec = ScenarioSpec::from_env();
     let m = hbp_core::metrics::global();
     m.set_enabled(true);
     m.reset();
 
-    let sampler = cfg.metrics_interval.map(|every| Sampler::start(m, every));
-
     let report = run_scenario(&spec);
-
-    let timeline = sampler.map(Sampler::stop);
     let snap = m.snapshot();
 
     println!(
@@ -87,21 +78,4 @@ fn main() {
         .collect::<Vec<_>>()
         .join(" ");
     println!("{line}");
-
-    if let Some(tl) = timeline {
-        println!();
-        println!("# sampler timeline: {} snapshots", tl.len());
-        for s in &tl {
-            println!(
-                "seq {}: tasks {} steals {}/{} backlog {} jobs {}/{}",
-                s.seq,
-                s.total_tasks(),
-                s.total_steals().0,
-                s.total_steals().1,
-                s.pool_backlog,
-                s.jobs_submitted,
-                s.jobs_completed,
-            );
-        }
-    }
 }

@@ -99,8 +99,9 @@ pub struct ScenarioSpec {
     /// up to [`MAX_DEFERRALS`] times) instead of hard-rejecting it
     /// outright. Open-loop arrivals are pre-scheduled and never pace.
     pub pacing: bool,
-    /// Native pool tuning (counter mode). `workers`/`seed` are taken
-    /// from the spec's own fields — see [`ScenarioSpec::native_config`].
+    /// The native pool's base configuration. Both of its fields,
+    /// `workers` and `seed`, are overridden by the spec's own, so a run
+    /// never reads it — see [`ScenarioSpec::native_config`].
     pub native: NativeConfig,
 }
 
@@ -318,14 +319,12 @@ impl ScenarioSpec {
     }
 
     /// The native pool's config for this scenario: the spec's
-    /// `workers`/`seed` over the tuning knobs carried in
-    /// [`ScenarioSpec::native`], so there is exactly one source of truth
-    /// for the fields both hold.
+    /// `workers`/`seed`, so there is exactly one source of truth for the
+    /// fields [`ScenarioSpec::native`] also holds.
     pub fn native_config(&self) -> NativeConfig {
         NativeConfig {
             workers: self.workers,
             seed: self.seed,
-            ..self.native
         }
     }
 

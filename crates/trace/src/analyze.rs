@@ -151,8 +151,8 @@ pub struct TraceSummary {
     pub misses: (u64, u64, u64),
     /// Events the sink's rings could not hold (see
     /// [`Trace::dropped`](crate::Trace)). Nonzero means every analysis
-    /// above ran on a truncated record — `trace_report` surfaces it, and
-    /// `HBP_TRACE_STRICT=1` turns it into a nonzero exit.
+    /// above ran on a truncated record — `trace_report` prints it and
+    /// then exits 2.
     pub dropped: u64,
     /// Per-worker utilization.
     pub workers_util: Vec<WorkerUtil>,

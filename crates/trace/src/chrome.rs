@@ -19,85 +19,6 @@ pub fn chrome_trace(trace: &Trace) -> String {
     chrome_trace_multi([("hbp", trace)])
 }
 
-/// An extra counter track to render alongside a trace's task lanes:
-/// named sample series (queue depth, steal rate, registry snapshots…)
-/// that Perfetto draws as a stacked area chart from `"ph":"C"` events.
-///
-/// Timestamps are in the companion trace's clock domain and are
-/// converted exactly like event timestamps on export.
-#[derive(Debug, Clone)]
-pub struct CounterTrack {
-    /// Track name (the counter lane's label).
-    pub name: String,
-    /// Series names — the keys of each sample's `args` object.
-    pub series: Vec<String>,
-    /// `(t, values)` samples; `values` aligns with `series` (shorter
-    /// rows are padded with zeros on export).
-    pub samples: Vec<(u64, Vec<i64>)>,
-}
-
-impl CounterTrack {
-    pub fn new(name: impl Into<String>, series: Vec<String>) -> Self {
-        CounterTrack {
-            name: name.into(),
-            series,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Append one sample row.
-    pub fn push(&mut self, t: u64, values: Vec<i64>) {
-        self.samples.push((t, values));
-    }
-}
-
-/// [`chrome_trace`] plus extra [`CounterTrack`]s (process lane `name`,
-/// one `"ph":"C"` event per sample, all on the trace's process id).
-pub fn chrome_trace_with_tracks(name: &str, trace: &Trace, tracks: &[CounterTrack]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    emit_process(&mut out, &mut first, 1, name, trace);
-    for track in tracks {
-        emit_counter_track(&mut out, &mut first, 1, trace.clock, track);
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-fn emit_counter_track(
-    out: &mut String,
-    first: &mut bool,
-    pid: usize,
-    clock: ClockDomain,
-    track: &CounterTrack,
-) {
-    let ts = |t: u64| -> String {
-        match clock {
-            ClockDomain::Virtual => format!("{t}"),
-            ClockDomain::WallNs => format!("{:.3}", t as f64 / 1000.0),
-        }
-    };
-    for (t, values) in &track.samples {
-        let args = track
-            .series
-            .iter()
-            .enumerate()
-            .map(|(i, s)| format!("\"{}\":{}", escape(s), values.get(i).copied().unwrap_or(0)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let line = format!(
-            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":\"{}\",\"args\":{{{args}}}}}",
-            ts(*t),
-            escape(&track.name)
-        );
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&line);
-    }
-}
-
 /// Export several named traces into one Chrome-trace JSON document,
 /// one process lane per entry.
 pub fn chrome_trace_multi<'a>(entries: impl IntoIterator<Item = (&'a str, &'a Trace)>) -> String {
@@ -269,33 +190,5 @@ mod tests {
     #[test]
     fn escape_handles_quotes_and_control() {
         assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-    }
-
-    #[test]
-    fn counter_tracks_export_alongside_the_trace() {
-        let sink = TraceSink::with_capacity(1, ClockDomain::Virtual, 16);
-        sink.push(0, 0, EventKind::TaskBegin { task: 0 });
-        sink.push(0, 10, EventKind::TaskEnd { task: 0 });
-        let mut track = CounterTrack::new("queue depth", vec!["w0".into(), "w1".into()]);
-        track.push(0, vec![2, 0]);
-        track.push(5, vec![1]); // short row: w1 pads to 0
-        let out = chrome_trace_with_tracks("run", &sink.collect(), &[track]);
-        let doc = json::parse(&out).expect("export parses");
-        let events = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .expect("traceEvents array");
-        let counters: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("queue depth")
-            })
-            .collect();
-        assert_eq!(counters.len(), 2);
-        let a0 = counters[0].get("args").expect("args");
-        assert_eq!(a0.get("w0").and_then(|v| v.as_f64()), Some(2.0));
-        let a1 = counters[1].get("args").expect("args");
-        assert_eq!(a1.get("w1").and_then(|v| v.as_f64()), Some(0.0), "padded");
     }
 }

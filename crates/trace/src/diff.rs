@@ -48,9 +48,10 @@ pub struct TraceShape {
     pub dropped: u64,
     /// Summed `MissDelta` payloads: (heap block, stack block, stack
     /// plain). Sim traces carry model-predicted misses here; native
-    /// traces carry whatever the realized counter source measured — the
-    /// cross-backend `trace_diff` mode reports both side by side rather
-    /// than comparing them for equality.
+    /// traces carry what the `perf_event` counters measured, or zeros
+    /// where the kernel denied them — the cross-backend `trace_diff`
+    /// mode reports both side by side rather than comparing them for
+    /// equality.
     pub misses: (u64, u64, u64),
 }
 

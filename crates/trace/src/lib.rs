@@ -19,8 +19,9 @@
 //!   no CAS), each on its own cache line, the shared `seq` counter on
 //!   another. Enabled and sized by configuration (`hbp_core::Config`
 //!   parses `HBP_TRACE`/`HBP_TRACE_BUF`); overflow is reported, never
-//!   silent. `collect` does not sort: the `seq`s of a complete recording
-//!   are `0..n`, so each event is copied straight to `events[seq]`;
+//!   silent, and fails `trace_report`. `collect` does not sort: the
+//!   `seq`s of a complete recording are `0..n`, so each event is copied
+//!   straight to `events[seq]`;
 //! * [`trace`] — the collected [`Trace`] and its reconstruction into
 //!   execution [`Segment`]s (flat per worker on the sim backend, nested
 //!   on the native one), 56 bytes each, naming their opening and closing
@@ -62,7 +63,7 @@ pub mod trace;
 pub use analyze::{
     steal_latency_histogram, summarize, utilization, utilization_of, Histogram, TraceSummary,
 };
-pub use chrome::{chrome_trace, chrome_trace_multi, chrome_trace_with_tracks, CounterTrack};
+pub use chrome::{chrome_trace, chrome_trace_multi};
 pub use critical::{critical_path, critical_path_of, CpError, CpHop, CriticalPath, HopVia};
 pub use diff::{diff, CpDivergence, TraceDiff, TraceShape};
 pub use event::{ClockDomain, EventKind, TraceEvent};

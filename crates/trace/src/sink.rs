@@ -7,7 +7,8 @@
 //! when a worker outruns its capacity the oldest events are overwritten
 //! and the overflow is reported as [`Trace::dropped`] (analyses that
 //! need a complete trace, like the critical path, refuse truncated
-//! traces instead of silently miscounting).
+//! traces instead of silently miscounting, and `trace_report` exits 2
+//! on one).
 //!
 //! **Layout.** The sink keeps the rule the paper is about: no two
 //! writers share a block. Each worker's ring header — its `len` is

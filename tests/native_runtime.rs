@@ -1,6 +1,7 @@
 //! Cross-crate regression tests for the native runtime and the trace
 //! diff: a kernel's trace is structurally the same whatever pool ran it,
-//! and two sim policies align by task id.
+//! two sim policies align by task id, and a sim trace and a native one
+//! of the same kernel are each complete.
 
 use std::sync::Arc;
 
@@ -11,11 +12,7 @@ use hbp_core::trace as tr;
 /// Recursive join-based sum through the algos layer's pool routing.
 fn traced_native_sum(seed: u64, workers: usize) -> (u64, tr::Trace) {
     let xs: Vec<u64> = (0..1 << 14).collect();
-    let cfg = NativeConfig {
-        workers,
-        seed,
-        ..NativeConfig::default()
-    };
+    let cfg = NativeConfig { workers, seed };
     let sink = Arc::new(TraceSink::new(workers, ClockDomain::WallNs));
     let (got, _) = NativePool::run_traced(cfg, Some(Arc::clone(&sink)), || {
         hbp_core::algos::par::par_sum(&xs)
@@ -81,6 +78,36 @@ fn sim_policy_diff_aligns_by_task_id_and_compares_critical_paths() {
             cp_b.hops.iter().map(|h| h.task).collect::<Vec<_>>()
         ),
     }
+}
+
+/// Sim against native on one kernel: the id spaces differ (node ids vs
+/// fork ordinals), so the contract is per-side completeness, and the
+/// model's predicted misses on the sim side. The native side carries
+/// measured misses where the kernel grants `perf_event` fds and none
+/// where it does not, so its totals are not asserted.
+#[test]
+fn native_trace_aligns_against_sim_cross_backend() {
+    let job = ExecJob::new("Sort (SPMS)", 1 << 12, 42);
+
+    let sim = SimExecutor {
+        machine: MachineConfig::new(4, 1 << 12, 32),
+        policy: Policy::Pws,
+    };
+    let sim_sink = Arc::new(TraceSink::new(sim.machine.p, ClockDomain::Virtual));
+    sim.execute_traced(&job, &sim_sink).expect("sim runs SPMS");
+
+    let nat = NativeExecutor::new(2, 7);
+    let nat_sink = Arc::new(TraceSink::new(2, ClockDomain::WallNs));
+    nat.execute_traced(&job, &nat_sink)
+        .expect("SPMS has a native kernel");
+
+    let d = tr::diff(&sim_sink.collect(), &nat_sink.collect());
+    assert!(d.a.complete(), "sim side complete: {d}");
+    assert!(d.b.complete(), "native side complete: {d}");
+    assert!(
+        d.a.misses.0 + d.a.misses.1 + d.a.misses.2 > 0,
+        "sim predicts misses: {d}"
+    );
 }
 
 /// A diff of a trace against itself is exactly clean.
