@@ -202,8 +202,7 @@ fn publish_sim_metrics(nodes: u64, r: &ExecReport) {
     s0.steals_committed.add(r.steals);
     s0.steals_failed
         .add(r.steal_attempts.saturating_sub(r.steals));
-    // Sim steals move exactly one task per claiming sequence.
-    s0.steal_batch.observe_n(1, r.steals);
+    s0.stolen_tasks.add(r.stolen_tasks);
 }
 
 /// The waitable result of one [`ExecSession::submit`]. Consuming it is

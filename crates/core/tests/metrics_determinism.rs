@@ -51,6 +51,40 @@ fn sim_registry_exposition_is_byte_deterministic() {
     m.set_enabled(false);
 }
 
+/// The native pool folds each job's per-worker tally deltas into the
+/// registry: the exposition must count exactly what the reports count.
+#[test]
+fn native_registry_counts_what_the_reports_count() {
+    const JOBS: u64 = 6;
+    let _g = REGISTRY_LOCK.lock().unwrap();
+    let m = hbp_core::metrics::global();
+    m.set_enabled(true);
+    m.reset();
+    let session = Config::new()
+        .backend(Backend::Native)
+        .workers(2)
+        .open(MachineConfig::new(2, 1 << 12, 32));
+    let reports: Vec<ExecReport> = (0..JOBS)
+        .map(|seed| {
+            let job = ExecJob::new("Sort (SPMS)", 1 << 14, seed);
+            session.submit(&job).unwrap().wait().unwrap()
+        })
+        .collect();
+    let snap = m.snapshot();
+    m.set_enabled(false);
+
+    let sum = |f: fn(&ExecReport) -> u64| reports.iter().map(f).sum::<u64>();
+    assert!(sum(|r| r.work) > JOBS, "SPMS 2^14 forks");
+    assert_eq!(snap.total_tasks(), sum(|r| r.work));
+    assert_eq!(
+        snap.total_steals(),
+        (sum(|r| r.steals), sum(|r| r.steal_attempts - r.steals))
+    );
+    assert_eq!(snap.total_stolen_tasks(), sum(|r| r.stolen_tasks));
+    assert_eq!(snap.jobs_submitted, JOBS);
+    assert_eq!(snap.jobs_completed, JOBS);
+}
+
 #[test]
 fn disabled_registry_publishes_nothing() {
     let _g = REGISTRY_LOCK.lock().unwrap();

@@ -42,7 +42,7 @@ impl Counter {
     }
 }
 
-/// An instantaneous signed level (queue depth, arena bytes).
+/// An instantaneous signed level (pool backlog, arena bytes).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 
@@ -54,16 +54,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Relaxed);
-    }
-
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Relaxed);
     }
 
     /// Raise the gauge to `v` if it is below it (peak tracking).
@@ -86,7 +76,7 @@ impl Gauge {
 /// three days in nanoseconds — and anything larger lands in the last bucket.
 pub const HIST_BUCKETS: usize = 48;
 
-/// A fixed-footprint log2-bucketed histogram (latencies, batch sizes).
+/// A fixed-footprint log2-bucketed histogram (job latencies).
 ///
 /// `observe` is one relaxed `fetch_add` into the bucket plus two for the
 /// running count and sum; quantile queries interpolate the upper bound of
@@ -142,19 +132,6 @@ impl LogHistogram {
         self.sum.fetch_add(v, Relaxed);
     }
 
-    /// Record `n` observations of the same value in O(1) — for folding a
-    /// finished report's tallies (e.g. "`n` sim steals, one task each")
-    /// into the histogram without an O(n) loop.
-    #[inline]
-    pub fn observe_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(v)].fetch_add(n, Relaxed);
-        self.count.fetch_add(n, Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Relaxed);
-    }
-
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
     }
@@ -196,19 +173,6 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// The all-zero snapshot, as a merge identity.
-    pub fn zero() -> Self {
-        HistSnapshot {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Nearest-rank quantile estimate: the upper bound of the bucket in
     /// which the `q`-th observation falls. `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -224,15 +188,6 @@ impl HistSnapshot {
             }
         }
         LogHistogram::bucket_bound(HIST_BUCKETS - 1)
-    }
-
-    /// Merge another snapshot into this one (cross-worker aggregation).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -281,7 +236,6 @@ mod tests {
         g.raise_to(3);
         assert_eq!(g.get(), 5);
         g.set(-2);
-        g.add(1);
-        assert_eq!(g.get(), -1);
+        assert_eq!(g.get(), -2);
     }
 }

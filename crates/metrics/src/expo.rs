@@ -26,13 +26,8 @@ pub fn prometheus_text(s: &Snapshot) -> String {
         w.steals_committed
     });
     counter_family(&mut out, "hbp_steals_failed_total", s, |w| w.steals_failed);
+    counter_family(&mut out, "hbp_stolen_tasks_total", s, |w| w.stolen_tasks);
     counter_family(&mut out, "hbp_parks_total", s, |w| w.parks);
-    counter_family(&mut out, "hbp_unparks_total", s, |w| w.unparks);
-
-    gauge_family(&mut out, "hbp_queue_depth", s, |w| w.queue_depth);
-    gauge_family(&mut out, "hbp_queue_depth_peak", s, |w| w.queue_depth_peak);
-
-    histogram(&mut out, "hbp_steal_batch", &s.steal_batch_agg());
 
     writeln!(out, "# TYPE hbp_jobs_submitted_total counter").unwrap();
     writeln!(out, "hbp_jobs_submitted_total {}", s.jobs_submitted).unwrap();
@@ -63,18 +58,6 @@ fn counter_family(
     get: impl Fn(&crate::registry::WorkerSnap) -> u64,
 ) {
     writeln!(out, "# TYPE {name} counter").unwrap();
-    for w in &s.workers {
-        writeln!(out, "{name}{{worker=\"{}\"}} {}", w.worker, get(w)).unwrap();
-    }
-}
-
-fn gauge_family(
-    out: &mut String,
-    name: &str,
-    s: &Snapshot,
-    get: impl Fn(&crate::registry::WorkerSnap) -> i64,
-) {
-    writeln!(out, "# TYPE {name} gauge").unwrap();
     for w in &s.workers {
         writeln!(out, "{name}{{worker=\"{}\"}} {}", w.worker, get(w)).unwrap();
     }
@@ -116,27 +99,25 @@ pub fn json(s: &Snapshot) -> String {
         }
         out.push_str(&format!(
             "{{\"worker\":{},\"tasks\":{},\"steals_committed\":{},\"steals_failed\":{},\
-             \"parks\":{},\"unparks\":{},\"queue_depth\":{},\"queue_depth_peak\":{},\
-             \"steal_batch\":{}}}",
+             \"stolen_tasks\":{},\"parks\":{}}}",
             w.worker,
             w.tasks_executed,
             w.steals_committed,
             w.steals_failed,
+            w.stolen_tasks,
             w.parks,
-            w.unparks,
-            w.queue_depth,
-            w.queue_depth_peak,
-            hist_json(&w.steal_batch),
         ));
     }
     let (sc, sf) = s.total_steals();
     out.push_str(&format!(
-        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_failed\":{sf}}},\
+        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_failed\":{sf},\
+         \"stolen_tasks\":{}}},\
          \"serve\":{{\"jobs_submitted\":{},\"jobs_completed\":{},\"admission_rejected\":{},\
          \"admission_deferred\":{},\"latency_ns\":{},\"pool_backlog\":{},\
          \"pool_backlog_peak\":{},\"workers_active\":{}}},\
          \"arena_bytes\":{}}}",
         s.total_tasks(),
+        s.total_stolen_tasks(),
         s.jobs_submitted,
         s.jobs_completed,
         s.admission_rejected,
@@ -174,12 +155,13 @@ mod tests {
             s.tasks_executed.add(10 + w as u64);
             s.steals_committed.add(3);
             s.steals_failed.add(2);
-            s.steal_batch.observe(2);
-            s.queue_depth.set(4);
+            s.stolen_tasks.add(5);
+            s.parks.add(1);
         }
         r.jobs_submitted.add(5);
         r.jobs_completed.add(5);
         r.job_latency_ns.observe(1_000);
+        r.job_latency_ns.observe(3_000);
         r.snapshot()
     }
 
@@ -191,27 +173,13 @@ mod tests {
         assert!(text.contains("hbp_tasks_executed_total{worker=\"1\"} 11"));
         assert!(text.contains("# TYPE hbp_steals_failed_total counter"));
         assert!(text.contains("hbp_steals_failed_total{worker=\"0\"} 2"));
-        assert!(text.contains("hbp_steal_batch_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("hbp_steal_batch_count 2"));
-        assert!(text.contains("hbp_job_latency_ns_count 1"));
-        // Cumulative buckets: +Inf equals count for every histogram.
-        for fam in ["hbp_steal_batch", "hbp_job_latency_ns"] {
-            let inf: u64 = text
-                .lines()
-                .find(|l| l.starts_with(&format!("{fam}_bucket{{le=\"+Inf\"}}")))
-                .and_then(|l| l.split_whitespace().last())
-                .unwrap()
-                .parse()
-                .unwrap();
-            let count: u64 = text
-                .lines()
-                .find(|l| l.starts_with(&format!("{fam}_count")))
-                .and_then(|l| l.split_whitespace().last())
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert_eq!(inf, count, "{fam}");
-        }
+        assert!(text.contains("hbp_stolen_tasks_total{worker=\"1\"} 5"));
+        assert!(text.contains("hbp_parks_total{worker=\"0\"} 1"));
+        assert!(text.contains("hbp_job_latency_ns_count 2"));
+        // Cumulative buckets: +Inf equals the count.
+        assert!(text.contains("hbp_job_latency_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("hbp_job_latency_ns_bucket{le=\"1023\"} 1"));
+        assert!(text.contains("hbp_job_latency_ns_bucket{le=\"4095\"} 2"));
     }
 
     #[test]
@@ -221,8 +189,10 @@ mod tests {
         let b = json(&s);
         assert_eq!(a, b);
         assert!(a.starts_with('{') && a.ends_with('}'));
-        assert!(a.contains("\"totals\":{\"tasks\":21,"));
-        assert!(a.contains("\"steals_committed\":3,\"steals_failed\":2"));
+        assert!(a.contains(
+            "\"totals\":{\"tasks\":21,\"steals_committed\":6,\"steals_failed\":4,\"stolen_tasks\":10}"
+        ));
+        assert!(a.contains("\"steals_committed\":3,\"steals_failed\":2,\"stolen_tasks\":5"));
         assert!(a.contains("\"jobs_submitted\":5"));
     }
 }

@@ -1,28 +1,30 @@
 //! # hbp-metrics — the live runtime metrics registry
 //!
 //! A dependency-free, lock-free metrics layer for the work-stealing
-//! runtime: per-worker [`Counter`]/[`Gauge`]/[`LogHistogram`] cells in
-//! cache-line-isolated shards, a process-wide [`Registry`] ([`global`]),
+//! runtime: [`Counter`]/[`Gauge`]/[`LogHistogram`] cells, per-worker
+//! [`WorkerShard`]s, a process-wide [`Registry`] ([`global`]),
 //! point-in-time [`Snapshot`]s, and [`prometheus_text`]/[`json`]
 //! exposition.
 //!
 //! ## Contract
 //!
-//! - **Zero overhead when disabled.** Every instrumented site checks
+//! - **Nothing on the task path.** The registry is written at job and
+//!   admission boundaries only. The native pool counts tasks, steals,
+//!   failed probes and parks in its own per-worker records and folds each
+//!   job's deltas into the worker shards once, at the job's quiesce point;
+//!   the sim session folds its finished report the same way.
+//! - **Zero overhead when disabled.** Every publish site checks
 //!   [`Registry::on`] (one relaxed load) and skips all metric work when the
 //!   registry is off. Enable with [`Registry::set_enabled`] (the
 //!   `HBP_METRICS=1` env switch is applied by `hbp_core::Config`).
-//! - **Lock-free publishing.** Cells are relaxed atomics; a publish is a
-//!   handful of `fetch_add`s with no CAS loops and no locks, safe from any
-//!   worker thread including inside the Chase-Lev steal path.
 //! - **Deterministic exposition.** Snapshots carry no wall-clock state, and
 //!   both exposition formats emit fixed key order — on the sim backend two
 //!   runs under one seed render byte-identical documents.
 //!
-//! Publishers: the native pool (per-job counter deltas, queue depth, arena
-//! bytes), worker threads (park/unpark, steal batches) and the serve layer
-//! (admission, job latency). Consumers: the `metrics_report` bin and the
-//! serve scenario report.
+//! Publishers: the native pool's driver (per-job worker deltas, job
+//! latency, backlog), the `par_*` kernels (arena bytes), the sim session
+//! and the serve layer (admission). Consumers: the `metrics_report` bin
+//! and the serve scenario report.
 
 pub mod cells;
 pub mod expo;

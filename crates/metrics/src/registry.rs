@@ -1,7 +1,10 @@
-//! The sharded registry: one cache-line-isolated [`WorkerShard`] per worker
-//! slot plus a small set of process-wide serve/session cells, all behind a
-//! single `enabled` flag so instrumented code pays one relaxed load when
-//! metrics are off.
+//! The registry: one [`WorkerShard`] per worker slot plus a small set of
+//! process-wide serve/session cells, all behind a single `enabled` flag.
+//!
+//! Worker shards are written once per job, not once per event: the
+//! native pool's driver folds each worker's tally deltas in at the job's
+//! quiesce point, and the simulator session folds its finished report.
+//! The process cells are written at job and admission boundaries.
 
 use crate::cells::{Counter, Gauge, HistSnapshot, LogHistogram};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -12,11 +15,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 /// even for oversubscribed configurations.
 pub const SHARDS: usize = 64;
 
-/// Per-worker metric cells, padded to two cache lines so two workers'
-/// hot counters never share a line (the same false-sharing discipline the
-/// paper demands of the algorithms themselves).
+/// Per-worker metric cells: running totals of what the worker's per-job
+/// deltas reported.
 #[derive(Debug, Default)]
-#[repr(align(128))]
 pub struct WorkerShard {
     /// Tasks this worker ran to completion.
     pub tasks_executed: Counter,
@@ -24,16 +25,11 @@ pub struct WorkerShard {
     pub steals_committed: Counter,
     /// Steal attempts that found every probed deque empty or lost a race.
     pub steals_failed: Counter,
-    /// Tasks claimed per committed steal (batched stealing makes this > 1).
-    pub steal_batch: LogHistogram,
+    /// Tasks the committed steals moved (batched stealing makes this
+    /// exceed `steals_committed`; the ratio is the mean batch).
+    pub stolen_tasks: Counter,
     /// Transitions into the parked (condvar wait) state.
     pub parks: Counter,
-    /// Wakeups out of the parked state.
-    pub unparks: Counter,
-    /// Instantaneous local queue depth (owner-side push/pop accounting).
-    pub queue_depth: Gauge,
-    /// High-water mark of `queue_depth` since the last reset.
-    pub queue_depth_peak: Gauge,
 }
 
 impl WorkerShard {
@@ -42,11 +38,8 @@ impl WorkerShard {
             tasks_executed: Counter::new(),
             steals_committed: Counter::new(),
             steals_failed: Counter::new(),
-            steal_batch: LogHistogram::new(),
+            stolen_tasks: Counter::new(),
             parks: Counter::new(),
-            unparks: Counter::new(),
-            queue_depth: Gauge::new(),
-            queue_depth_peak: Gauge::new(),
         }
     }
 
@@ -54,11 +47,8 @@ impl WorkerShard {
         self.tasks_executed.reset();
         self.steals_committed.reset();
         self.steals_failed.reset();
-        self.steal_batch.reset();
+        self.stolen_tasks.reset();
         self.parks.reset();
-        self.unparks.reset();
-        self.queue_depth.set(0);
-        self.queue_depth_peak.set(0);
     }
 }
 
@@ -124,8 +114,8 @@ impl Registry {
         }
     }
 
-    /// Is publishing enabled? Instrumented hot paths check this first and
-    /// skip all metric work when it is false — the entire disabled-mode
+    /// Is publishing enabled? Every publish site checks this first and
+    /// skips all metric work when it is false — the entire disabled-mode
     /// cost is this one relaxed load.
     #[inline]
     pub fn on(&self) -> bool {
@@ -141,11 +131,6 @@ impl Registry {
     #[inline]
     pub fn shard(&self, w: usize) -> &WorkerShard {
         self.workers_hi.fetch_max((w % SHARDS) + 1, Relaxed);
-        &self.shards[w % SHARDS]
-    }
-
-    /// Shard access without marking the worker active (read-side helpers).
-    pub fn peek_shard(&self, w: usize) -> &WorkerShard {
         &self.shards[w % SHARDS]
     }
 
@@ -186,11 +171,8 @@ impl Registry {
                     tasks_executed: s.tasks_executed.get(),
                     steals_committed: s.steals_committed.get(),
                     steals_failed: s.steals_failed.get(),
-                    steal_batch: s.steal_batch.snapshot(),
+                    stolen_tasks: s.stolen_tasks.get(),
                     parks: s.parks.get(),
-                    unparks: s.unparks.get(),
-                    queue_depth: s.queue_depth.get(),
-                    queue_depth_peak: s.queue_depth_peak.get(),
                 }
             })
             .collect();
@@ -217,11 +199,8 @@ pub struct WorkerSnap {
     pub tasks_executed: u64,
     pub steals_committed: u64,
     pub steals_failed: u64,
-    pub steal_batch: HistSnapshot,
+    pub stolen_tasks: u64,
     pub parks: u64,
-    pub unparks: u64,
-    pub queue_depth: i64,
-    pub queue_depth_peak: i64,
 }
 
 /// A full point-in-time copy of a [`Registry`].
@@ -254,13 +233,9 @@ impl Snapshot {
         })
     }
 
-    /// Cross-worker aggregate of the steal-batch histograms.
-    pub fn steal_batch_agg(&self) -> HistSnapshot {
-        let mut agg = HistSnapshot::zero();
-        for w in &self.workers {
-            agg.merge(&w.steal_batch);
-        }
-        agg
+    /// Tasks moved by committed steals, across workers.
+    pub fn total_stolen_tasks(&self) -> u64 {
+        self.workers.iter().map(|w| w.stolen_tasks).sum()
     }
 }
 
@@ -284,12 +259,12 @@ mod tests {
         assert!(!r.on());
         r.set_enabled(true);
         r.shard(2).tasks_executed.inc();
-        r.shard(0).steal_batch.observe(3);
+        r.shard(0).stolen_tasks.add(3);
         assert_eq!(r.workers(), 3);
         let s = r.snapshot();
         assert_eq!(s.workers.len(), 3);
         assert_eq!(s.total_tasks(), 1);
-        assert_eq!(s.steal_batch_agg().count, 1);
+        assert_eq!(s.total_stolen_tasks(), 3);
         r.reset();
         assert_eq!(r.workers(), 0);
         assert_eq!(r.snapshot().total_tasks(), 0);
@@ -300,7 +275,7 @@ mod tests {
         let r = Registry::new();
         r.shard(SHARDS + 1).tasks_executed.inc();
         // Folded into shard 1, watermark reflects the folded index.
-        assert_eq!(r.peek_shard(1).tasks_executed.get(), 1);
+        assert_eq!(r.snapshot().workers[1].tasks_executed, 1);
         assert_eq!(r.workers(), 2);
     }
 

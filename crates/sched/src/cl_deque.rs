@@ -84,7 +84,10 @@ impl<T> Buffer<T> {
     /// not hold a live value (indices in `[top, bottom)` are live).
     unsafe fn write(&self, i: isize, v: T) {
         let slot = &self.slots[(i as usize) & (self.cap - 1)];
-        (*slot.get()).write(v);
+        // SAFETY: the caller is the owner, the only thread that writes a
+        // slot, and the slot is outside `[top, bottom)`, so no thief reads
+        // it concurrently and no live value is overwritten.
+        unsafe { (*slot.get()).write(v) };
     }
 
     /// Read the value at logical index `i`. SAFETY: the caller must
@@ -93,7 +96,11 @@ impl<T> Buffer<T> {
     /// value otherwise.
     unsafe fn read(&self, i: isize) -> T {
         let slot = &self.slots[(i as usize) & (self.cap - 1)];
-        (*slot.get()).assume_init_read()
+        // SAFETY: `i` is in `[top, bottom)`, so the owner initialised the
+        // slot and does not overwrite it while it is live; the caller
+        // either owns the index or forgets the copy unless its CAS wins,
+        // so the value is used by exactly one thread.
+        unsafe { (*slot.get()).assume_init_read() }
     }
 }
 

@@ -62,6 +62,8 @@
 //! coherence), per-priority steal counts (Obs 4.3), steal attempt totals
 //! (Cor 4.1), stolen-task sizes (Lemma 2.1), and usurpations (Lemma 4.6).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod cl_deque;
 pub mod clock;
 pub mod deque;

@@ -30,7 +30,10 @@ impl JobRef {
     /// this ref (a job executes exactly once) and the pointee must still
     /// be alive — guaranteed by the `join` protocol above.
     pub(crate) unsafe fn execute(self) {
-        (self.exec)(self.data)
+        // SAFETY: `exec` is the `StackJob::exec` this ref was built with,
+        // and its contract — called at most once, on a live pointee — is
+        // the caller's contract above.
+        unsafe { (self.exec)(self.data) }
     }
 }
 
@@ -65,15 +68,21 @@ where
 
     /// SAFETY: called at most once, with `ptr` pointing to a live Self.
     unsafe fn exec(ptr: *const ()) {
-        let this = &*(ptr as *const Self);
-        let f = (*this.f.get()).take().expect("job executed twice");
+        // SAFETY: `ptr` came from `as_job_ref` on a Self that is still
+        // alive (caller contract).
+        let this = unsafe { &*(ptr as *const Self) };
+        // SAFETY: this is the job's only execution, so no other thread
+        // touches `f`.
+        let f = unsafe { (*this.f.get()).take() }.expect("job executed twice");
         let r = panic::catch_unwind(AssertUnwindSafe(f));
         if let Err(payload) = &r {
             // Attribute the panic to the executing worker; the pool
             // boundary re-raises it with this context.
             note_current_worker_panic(payload.as_ref());
         }
-        *this.result.get() = Some(r);
+        // SAFETY: the owner reads `result` only after it observes `done`,
+        // which is released below, after this write.
+        unsafe { *this.result.get() = Some(r) };
         // Release: the result write must be visible before `done`.
         this.done.store(true, Ordering::Release);
     }
@@ -81,9 +90,10 @@ where
     /// Take the result after `done` is observed (Acquire).
     /// SAFETY: only the owner calls this, exactly once, after execution.
     pub(crate) unsafe fn take_result(&self) -> std::thread::Result<R> {
-        (*self.result.get())
-            .take()
-            .expect("job result taken before execution")
+        // SAFETY: the executor's last access to `result` happened before
+        // its Release of `done`, which the caller observed (Acquire), and
+        // the owner is the only reader.
+        unsafe { (*self.result.get()).take() }.expect("job result taken before execution")
     }
 }
 

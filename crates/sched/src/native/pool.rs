@@ -11,9 +11,10 @@
 //!
 //! [`NativePool::submit`] enqueues a `'static` root closure and returns
 //! a [`PoolHandle`]; [`PoolHandle::wait`] blocks until the job ran and
-//! yields the root's value plus a per-job [`ExecReport`] (counter
-//! *deltas* between the job's start and its quiesce point, so reports
-//! compose across the pool's lifetime). Jobs execute one at a time in
+//! yields the root's value plus a per-job [`ExecReport`] (deltas of the
+//! workers' single-writer tallies between two quiesce points, so reports
+//! compose across the pool's lifetime; the same deltas are the job's one
+//! publish into the metrics registry). Jobs execute one at a time in
 //! submission order — a kernel launch spreads over every worker, like a
 //! GPU kernel owns the device — which is what makes per-job reports and
 //! per-job trace sinks well-defined. Queueing time is reported
@@ -85,7 +86,7 @@ use hbp_trace::{ClockDomain, EventKind as TrEv, TraceSink};
 use crate::report::ExecReport;
 
 use super::runtime::{
-    self, note_current_worker_panic, Ctx, Pool, WorkerCounters, CTX, CUR_TASK, DEPTH, RNG,
+    self, bump, note_current_worker_panic, Ctx, Pool, Tally, CTX, CUR_TASK, DEPTH, RNG,
 };
 use super::NativeConfig;
 
@@ -467,43 +468,14 @@ impl Drop for NativePool {
     }
 }
 
-/// One worker's counter snapshot, used for per-job deltas.
-#[derive(Clone, Copy, Default)]
-struct CounterSnap {
-    busy_ns: u64,
-    steal_ns: u64,
-    steals: u64,
-    stolen_tasks: u64,
-    failed_probes: u64,
-    tasks: u64,
-}
-
-impl CounterSnap {
-    fn of(c: &WorkerCounters) -> Self {
-        Self {
-            busy_ns: c.busy_ns.load(Ordering::Relaxed),
-            steal_ns: c.steal_ns.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
-            stolen_tasks: c.stolen_tasks.load(Ordering::Relaxed),
-            failed_probes: c.failed_probes.load(Ordering::Relaxed),
-            tasks: c.tasks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Assemble a per-job [`ExecReport`] from the counters at the job's
-/// start (`before`) and now, at its quiesce point (field semantics in
-/// the `native` module docs). `workers_active` is the job's peak worker
-/// participation (driver included): `1..=p`, since a thief that is still
-/// parked when the root returns never registers — and one that no push
-/// woke stays parked, so a leaf-only job reports 1.
-fn delta_report(
-    before: &[CounterSnap],
-    counters: &[WorkerCounters],
-    makespan: u64,
-    workers_active: usize,
-) -> ExecReport {
-    let p = before.len();
+/// Assemble a per-job [`ExecReport`] from each worker's tally `delta`
+/// over the job (field semantics in the `native` module docs).
+/// `workers_active` is the job's peak worker participation (driver
+/// included): `1..=p`, since a thief that is still parked when the root
+/// returns never registers — and one that no push woke stays parked, so
+/// a leaf-only job reports 1.
+fn delta_report(delta: &[Tally], makespan: u64, workers_active: usize) -> ExecReport {
+    let p = delta.len();
     let mut r = ExecReport {
         p,
         makespan,
@@ -527,27 +499,52 @@ fn delta_report(
         n_priorities: 0,
         workers_active,
     };
-    for (b, c) in before.iter().zip(counters) {
-        let a = CounterSnap::of(c);
-        let (busy, steal) = (a.busy_ns - b.busy_ns, a.steal_ns - b.steal_ns);
-        r.busy.push(busy);
-        r.steal_overhead.push(steal);
-        r.idle.push(makespan.saturating_sub(busy + steal));
-        let steals = a.steals - b.steals;
-        r.work += a.tasks - b.tasks;
-        r.steals += steals;
-        r.stolen_tasks += a.stolen_tasks - b.stolen_tasks;
-        r.steal_attempts += steals + (a.failed_probes - b.failed_probes);
+    for d in delta {
+        r.busy.push(d.busy_ns);
+        r.steal_overhead.push(d.steal_ns);
+        r.idle.push(makespan.saturating_sub(d.busy_ns + d.steal_ns));
+        r.work += d.tasks;
+        r.steals += d.steals;
+        r.stolen_tasks += d.stolen_tasks;
+        r.steal_attempts += d.steals + d.failed_probes;
     }
     r
+}
+
+/// The tallies at the last quiesce point and each worker's delta over
+/// the job that ended there, both overwritten in place every job.
+///
+/// Between two jobs' quiesce points the only tally a worker writes is
+/// `parks` (no thief is registered, so nothing runs or steals), so a
+/// delta from the previous job's end is the same, for every report
+/// field, as one from this job's start, and the deltas of successive
+/// jobs sum to the totals: no park goes uncounted.
+struct Ledger {
+    seen: Vec<Tally>,
+    delta: Vec<Tally>,
+}
+
+impl Ledger {
+    /// Read every worker's tally at a quiesce point; return the deltas.
+    fn close(&mut self, pool: &Pool) -> &[Tally] {
+        for ((seen, delta), rec) in self.seen.iter_mut().zip(&mut self.delta).zip(&pool.tally) {
+            let now = rec.read();
+            *delta = now.since(seen);
+            *seen = now;
+        }
+        &self.delta
+    }
 }
 
 /// The driver's main loop: drain the submission queue until shutdown.
 fn driver_main(pool: &Pool) {
     CTX.set(Some(Ctx { pool, index: 0 }));
     RNG.set((pool.seed ^ 0x9E37_79B9_7F4A_7C15) | 1);
-    // Every job's start-of-job counter snapshot, overwritten in place.
-    let mut before = vec![CounterSnap::default(); pool.counters.len()];
+    let zero = vec![Tally::default(); pool.tally.len()];
+    let mut ledger = Ledger {
+        seen: zero.clone(),
+        delta: zero,
+    };
     loop {
         let sub = {
             let mut s = pool.state.lock().expect("pool state poisoned");
@@ -568,7 +565,7 @@ fn driver_main(pool: &Pool) {
             }
         };
         let Some(sub) = sub else { break };
-        drive_one(pool, sub, &mut before);
+        drive_one(pool, sub, &mut ledger);
     }
     CTX.set(None);
     // Release parked thieves: with `exit` set, an empty queue, and
@@ -591,7 +588,7 @@ fn driver_main(pool: &Pool) {
 /// An untraced job reads the clock twice — once at its start (queue
 /// wait, trace zero, root start) and once at the root's end (the root's
 /// busy time and, unless thieves had to be waited out, the makespan).
-fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
+fn drive_one(pool: &Pool, sub: Submission, ledger: &mut Ledger) {
     let Submission {
         run,
         trace,
@@ -608,9 +605,6 @@ fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
         start.duration_since(pool.epoch).as_nanos() as u64,
         Ordering::Relaxed,
     );
-    for (snap, c) in before.iter_mut().zip(&pool.counters) {
-        *snap = CounterSnap::of(c);
-    }
     pool.done.store(false, Ordering::Release);
     {
         let mut s = pool.state.lock().expect("pool state poisoned");
@@ -637,10 +631,8 @@ fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
     // driver thread must survive every job.
     let outcome = panic::catch_unwind(AssertUnwindSafe(run));
     let root_ns = start.elapsed().as_nanos() as u64;
-    pool.counters[0]
-        .busy_ns
-        .fetch_add(root_ns, Ordering::Relaxed);
-    pool.counters[0].tasks.fetch_add(1, Ordering::Relaxed);
+    bump(&pool.tally[0].busy_ns, root_ns);
+    bump(&pool.tally[0].tasks, 1);
     if let Some(tr) = pool.trace() {
         runtime::emit_miss_delta(pool, 0, tr, root_c0);
         tr.push(0, pool.now_ns(), TrEv::TaskEnd { task: 0 });
@@ -666,20 +658,23 @@ fn drive_one(pool: &Pool, sub: Submission, before: &mut [CounterSnap]) {
     } else {
         root_ns
     };
-    let report = delta_report(before, &pool.counters, makespan, workers_active);
-    {
-        // Per-job serve-level publish: one increment and one histogram
-        // observation per job (end-to-end latency = queue wait + service),
-        // plus the driver's own task count for this job — the per-task
-        // increments in execute_task cover forked branches, and the root
-        // runs outside it.
-        let m = hbp_metrics::global();
-        if m.on() {
-            m.jobs_completed.inc();
-            m.job_latency_ns.observe(queue_ns + makespan);
-            m.workers_active.set(workers_active as i64);
-            m.shard(0).tasks_executed.inc();
+    let delta = ledger.close(pool);
+    let report = delta_report(delta, makespan, workers_active);
+    // The job's one registry publish: the workers' deltas, and its
+    // end-to-end latency (queue wait + service).
+    let m = hbp_metrics::global();
+    if m.on() {
+        for (w, d) in delta.iter().enumerate() {
+            let sh = m.shard(w);
+            sh.tasks_executed.add(d.tasks);
+            sh.steals_committed.add(d.steals);
+            sh.steals_failed.add(d.failed_probes);
+            sh.stolen_tasks.add(d.stolen_tasks);
+            sh.parks.add(d.parks);
         }
+        m.jobs_completed.inc();
+        m.job_latency_ns.observe(queue_ns + makespan);
+        m.workers_active.set(workers_active as i64);
     }
     let panics = pool
         .panics

@@ -25,10 +25,21 @@ use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
 use super::NativeConfig;
 
-/// Per-worker counters (each worker writes only its own; Relaxed is fine,
-/// aggregation happens after the scope joins).
+/// One worker's running totals: the pool's only per-task and per-steal
+/// bookkeeping. Both the per-job [`ExecReport`](crate::ExecReport) and the
+/// metrics registry are folded from [`Tally`] deltas of these records,
+/// taken by the driver at each job's quiesce point.
+///
+/// Single writer: only worker `w`'s thread writes record `w` (worker 0 is
+/// the driver thread), so [`bump`] is a relaxed load + store, not a locked
+/// read-modify-write; the driver reads the records once every thief has
+/// deregistered under the state mutex, which orders the writes before
+/// the reads. Each record owns two cache lines (the adjacent-line
+/// prefetcher fetches lines in pairs), so no two workers' writes ever
+/// share a block.
 #[derive(Default)]
-pub(crate) struct WorkerCounters {
+#[repr(align(128))]
+pub(crate) struct WorkerTally {
     pub(crate) busy_ns: AtomicU64,
     pub(crate) steal_ns: AtomicU64,
     pub(crate) steals: AtomicU64,
@@ -37,6 +48,58 @@ pub(crate) struct WorkerCounters {
     pub(crate) stolen_tasks: AtomicU64,
     pub(crate) failed_probes: AtomicU64,
     pub(crate) tasks: AtomicU64,
+    /// Times this thief went to sleep on [`Pool::work_cv`].
+    pub(crate) parks: AtomicU64,
+}
+
+const _: () = assert!(std::mem::align_of::<WorkerTally>() == 128);
+
+/// Add `n` to a [`WorkerTally`] cell from its owner thread.
+#[inline]
+pub(crate) fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// A copy of one [`WorkerTally`], or the difference of two.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) busy_ns: u64,
+    pub(crate) steal_ns: u64,
+    pub(crate) steals: u64,
+    pub(crate) stolen_tasks: u64,
+    pub(crate) failed_probes: u64,
+    pub(crate) tasks: u64,
+    pub(crate) parks: u64,
+}
+
+impl WorkerTally {
+    pub(crate) fn read(&self) -> Tally {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Tally {
+            busy_ns: get(&self.busy_ns),
+            steal_ns: get(&self.steal_ns),
+            steals: get(&self.steals),
+            stolen_tasks: get(&self.stolen_tasks),
+            failed_probes: get(&self.failed_probes),
+            tasks: get(&self.tasks),
+            parks: get(&self.parks),
+        }
+    }
+}
+
+impl Tally {
+    /// What was counted between `before` and `self`.
+    pub(crate) fn since(&self, before: &Tally) -> Tally {
+        Tally {
+            busy_ns: self.busy_ns - before.busy_ns,
+            steal_ns: self.steal_ns - before.steal_ns,
+            steals: self.steals - before.steals,
+            stolen_tasks: self.stolen_tasks - before.stolen_tasks,
+            failed_probes: self.failed_probes - before.failed_probes,
+            tasks: self.tasks - before.tasks,
+            parks: self.parks - before.parks,
+        }
+    }
 }
 
 /// The mutex-guarded coordination state of a persistent pool: the
@@ -85,7 +148,7 @@ pub(crate) struct PoolState {
 /// [`Ctx`]) for their lifetime.
 pub(crate) struct Pool {
     pub(crate) deques: Vec<ClDeque<JobRef>>,
-    pub(crate) counters: Vec<WorkerCounters>,
+    pub(crate) tally: Vec<WorkerTally>,
     /// Per-job completion flag: reset by the driver before a job's root
     /// starts, set once the root returns (root return implies every
     /// forked branch joined, so the job is quiescent).
@@ -143,7 +206,7 @@ impl Pool {
         let workers = cfg.workers;
         Self {
             deques: (0..workers).map(|_| ClDeque::default()).collect(),
-            counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
+            tally: (0..workers).map(|_| WorkerTally::default()).collect(),
             done: AtomicBool::new(true),
             seed: cfg.seed,
             trace_cell: UnsafeCell::new(None),
@@ -196,25 +259,6 @@ impl Pool {
         {
             self.work_cv.notify_all();
         }
-        let m = hbp_metrics::global();
-        if m.on() {
-            let d = self.deques[me].len_hint() as i64;
-            let sh = m.shard(me);
-            sh.queue_depth.set(d);
-            sh.queue_depth_peak.raise_to(d);
-        }
-    }
-
-    /// Owner: reclaim the bottom branch.
-    pub(crate) fn pop_bottom(&self, me: usize) -> Option<JobRef> {
-        let j = self.deques[me].pop();
-        let m = hbp_metrics::global();
-        if m.on() {
-            m.shard(me)
-                .queue_depth
-                .set(self.deques[me].len_hint() as i64);
-        }
-        j
     }
 }
 
@@ -349,13 +393,12 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
         tr.push(me, pool.now_ns(), TrEv::TaskBegin { task: j.id });
         c0 = perf::sample();
     }
+    let tally = &pool.tally[me];
     if d == 0 {
         let t0 = Instant::now();
         // SAFETY: we hold the only copy of `j` (it came from a deque pop).
         unsafe { j.execute() };
-        pool.counters[me]
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        bump(&tally.busy_ns, t0.elapsed().as_nanos() as u64);
     } else {
         // SAFETY: as above.
         unsafe { j.execute() };
@@ -366,11 +409,7 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
         CUR_TASK.set(prev_task);
     }
     DEPTH.set(d);
-    pool.counters[me].tasks.fetch_add(1, Ordering::Relaxed);
-    let m = hbp_metrics::global();
-    if m.on() {
-        m.shard(me).tasks_executed.inc();
-    }
+    bump(&tally.tasks, 1);
 }
 
 /// Close a counter-sampled task window: read the worker's cumulative
@@ -464,7 +503,7 @@ where
         pool.note_panic(me, payload.as_ref());
     }
 
-    match pool.pop_bottom(me) {
+    match pool.deques[me].pop() {
         Some(j) if std::ptr::eq(j.data, job_ref.data) => {
             // Not stolen: run the right branch inline.
             execute_task(pool, me, j);
@@ -515,30 +554,21 @@ where
 /// its own to drain.
 fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool {
     let max = if top_level { STEAL_BATCH_CAP } else { 1 };
+    let tally = &pool.tally[me];
     // The BATCH borrow must not outlive the claiming sequence: the task
     // executed below can re-enter steal_once from a nested join-wait on
     // this very thread, which borrows BATCH again.
     let first = BATCH.with_borrow_mut(|buf| {
         debug_assert!(buf.is_empty(), "batch scratch drained between steals");
-        let t0 = Instant::now();
+        let t0 = top_level.then(Instant::now);
         let found = steal_from_others(pool, me, max, buf);
-        if top_level {
-            pool.counters[me]
-                .steal_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Some(t0) = t0 {
+            bump(&tally.steal_ns, t0.elapsed().as_nanos() as u64);
         }
         let victim = found?;
         let count = buf.len();
-        pool.counters[me].steals.fetch_add(1, Ordering::Relaxed);
-        pool.counters[me]
-            .stolen_tasks
-            .fetch_add(count as u64, Ordering::Relaxed);
-        let m = hbp_metrics::global();
-        if m.on() {
-            let sh = m.shard(me);
-            sh.steals_committed.inc();
-            sh.steal_batch.observe(count as u64);
-        }
+        bump(&tally.steals, 1);
+        bump(&tally.stolen_tasks, count as u64);
         let first = buf[0];
         if let Some(tr) = pool.trace() {
             tr.push(
@@ -568,13 +598,7 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
             true
         }
         None => {
-            pool.counters[me]
-                .failed_probes
-                .fetch_add(1, Ordering::Relaxed);
-            let m = hbp_metrics::global();
-            if m.on() {
-                m.shard(me).steals_failed.inc();
-            }
+            bump(&tally.failed_probes, 1);
             if let Some(tr) = pool.trace() {
                 tr.push(me, pool.now_ns(), TrEv::StealFail);
             }
@@ -602,7 +626,6 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
     let mut seen = 0u64;
     loop {
         {
-            let m = hbp_metrics::global();
             let mut s = pool.state.lock().expect("pool state poisoned");
             let mut parked = false;
             loop {
@@ -617,16 +640,13 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
                     CTX.set(None);
                     return;
                 }
-                if m.on() && !parked {
+                if !parked {
                     parked = true;
-                    m.shard(me).parks.inc();
+                    bump(&pool.tally[me].parks, 1);
                 }
                 s.thieves_asleep += 1;
                 s = pool.work_cv.wait(s).expect("pool state poisoned");
                 s.thieves_asleep -= 1;
-            }
-            if m.on() && parked {
-                m.shard(me).unparks.inc();
             }
         }
         let mut fails = 0u32;
@@ -634,7 +654,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             // Drain our own deque first: a prior batched steal may have
             // re-published extras here. At the top level everything on
             // our deque is ours to run (no enclosing join to starve).
-            while let Some(j) = pool.pop_bottom(me) {
+            while let Some(j) = pool.deques[me].pop() {
                 execute_task(pool, me, j);
             }
             if pool.done.load(Ordering::Acquire) {

@@ -49,6 +49,35 @@ fn native_exposition_counts_one_pool_job_per_launch() {
         ("HBP_SERVE_REQUESTS", "64"),
     ]);
     assert!(total(&text, "hbp_tasks_executed_total") > 0, "no tasks");
+    // The worker shards hold what a per-job fold delivers, nothing more:
+    // no queue-depth gauges, unpark count or steal-batch histogram.
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    assert_eq!(
+        families,
+        [
+            "hbp_tasks_executed_total",
+            "hbp_steals_committed_total",
+            "hbp_steals_failed_total",
+            "hbp_stolen_tasks_total",
+            "hbp_parks_total",
+            "hbp_jobs_submitted_total",
+            "hbp_jobs_completed_total",
+            "hbp_admission_rejected_total",
+            "hbp_admission_deferred_total",
+            "hbp_workers_active",
+            "hbp_arena_bytes",
+            "hbp_pool_backlog",
+            "hbp_pool_backlog_peak",
+            "hbp_job_latency_ns",
+        ]
+    );
+    let steals = total(&text, "hbp_steals_committed_total");
+    let stolen = total(&text, "hbp_stolen_tasks_total");
+    assert!(steals > 0, "no steals");
+    assert!(stolen >= steals, "a steal moves at least one task");
     // Every launch is its own pool job, whoever submitted it (a client,
     // or the previous launch from the pool's driver), and the scenario
     // ends only once each has completed.
