@@ -41,6 +41,14 @@ pub const fn morton(r: u64, c: u64) -> u64 {
     (spread(r) << 1) | spread(c)
 }
 
+/// Morton index of the mirrored cell: `morton_transpose(morton(r, c)) ==
+/// morton(c, r)`. Each row bit trades places with the column bit beside
+/// it, so a transpose pairs index `i` with `morton_transpose(i)`.
+pub const fn morton_transpose(i: u64) -> u64 {
+    const COL: u64 = 0x5555_5555_5555_5555;
+    ((i & COL) << 1) | ((i >> 1) & COL)
+}
+
 /// Inverse of [`morton`].
 pub fn morton_decode(m: u64) -> (u64, u64) {
     fn unspread(mut x: u64) -> u64 {
@@ -289,6 +297,17 @@ mod tests {
         assert_eq!(morton(0, 1), 1);
         assert_eq!(morton(1, 0), 2);
         assert_eq!(morton(1, 1), 3);
+    }
+
+    #[test]
+    fn morton_transpose_mirrors_the_cell_and_is_an_involution() {
+        for r in 0..64u64 {
+            for c in 0..64u64 {
+                let i = morton(r, c);
+                assert_eq!(morton_transpose(i), morton(c, r), "({r}, {c})");
+                assert_eq!(morton_transpose(morton_transpose(i)), i, "({r}, {c})");
+            }
+        }
     }
 
     #[test]

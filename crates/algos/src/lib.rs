@@ -24,6 +24,11 @@
 //! Every trace-built algorithm is verified against its oracle in unit tests,
 //! so each simulated run doubles as a correctness check.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+// Off x86_64 the `par` leaves' AVX2+FMA wrappers are plain fns, so the
+// `unsafe` blocks that call them have nothing to allow there.
+#![cfg_attr(not(target_arch = "x86_64"), allow(unused_unsafe))]
+
 pub mod cc;
 pub mod compose;
 pub mod euler;

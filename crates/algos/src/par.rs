@@ -27,10 +27,25 @@
 //!
 //! **The work of the sequential program.** Each kernel does, up to a
 //! small constant, what its single-thread reference does, and its leaves
-//! do it the way a plain sequential program would: Strassen
-//! de-interleaves 32×32 BI tiles to row-major stack buffers through a
-//! compile-time Morton table and multiplies i-k-j; the FFT's base case is
-//! an in-place iterative radix-2 over a per-call root table. Both sorts
+//! do it the way a plain sequential program would: the scans' leaves are
+//! one pass over their chunk, and PS writes each output element once,
+//! into the output's uninitialised capacity (no zero-fill first); an MT
+//! block below the cutoff is one loop over its Morton indices, index `i`
+//! trading places with its mirror ([`morton_transpose`]); Strassen
+//! de-interleaves the right 32×32 BI tile to a row-major stack buffer
+//! through a compile-time Morton table and multiplies i-k-j, a row of
+//! the product at a time in registers; the FFT's base case is
+//! an in-place iterative radix-2 over a per-call root table.
+//!
+//! **At the core's width.** The dense leaves — the scan chunk sum,
+//! Strassen's tile product and the FFT's row leaf — are each one
+//! `#[inline(always)]` body plus a `_v3` wrapper that compiles it with
+//! AVX2 and FMA enabled. Where [`v3`] finds both on the running core, the
+//! leaf calls the wrapper, otherwise the plain body: no build flag and no
+//! knob. Integer sums and the FFT compute the same bits in both builds
+//! (Rust never fuses a multiply and an add on its own); Strassen's tile
+//! fuses its updates with `mul_add` in the wrapper only, one rounding per
+//! update instead of two. Both sorts
 //! end in one stable leaf ([`seq_sort`]) that picks its method from its
 //! own input: a copy for ordered keys, a digit scatter plus insertion
 //! pass — O(1) work an element — for keys spread over their range, and
@@ -42,11 +57,12 @@
 //! runs pairwise). List ranking walks every node once and pointer-jumps
 //! only over the n/16-node contracted list.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use hbp_model::Cx;
 
-use crate::layout::morton;
+use crate::layout::{morton, morton_transpose};
 
 /// Sequential cutoff below which recursion stops forking.
 const SEQ_CUTOFF: usize = 1 << 10;
@@ -116,10 +132,48 @@ where
     }
 }
 
+/// Whether the dense leaves run their AVX2+FMA build: both features
+/// present on this core (read from CPUID once and cached by `std`), and
+/// never off x86_64. Each dense leaf is one `#[inline(always)]` body and
+/// a `_v3` wrapper that compiles the same body with the two features on;
+/// its call site picks one by this check, per call.
+fn v3() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Wrapping sum of a scan chunk: the M-Sum leaf and PS's first pass.
+#[inline(always)]
+fn chunk_sum(a: &[u64]) -> u64 {
+    a.iter().copied().fold(0u64, u64::wrapping_add)
+}
+
+/// [`chunk_sum`] compiled for AVX2+FMA.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+fn chunk_sum_v3(a: &[u64]) -> u64 {
+    chunk_sum(a)
+}
+
+/// [`chunk_sum`] in the build this core runs.
+fn scan_leaf(a: &[u64]) -> u64 {
+    if v3() {
+        // SAFETY: `v3()` just found AVX2 and FMA on this core.
+        unsafe { chunk_sum_v3(a) }
+    } else {
+        chunk_sum(a)
+    }
+}
+
 /// Parallel sum (M-Sum).
 pub fn par_sum(a: &[u64]) -> u64 {
     if a.len() <= SEQ_CUTOFF {
-        return a.iter().copied().fold(0u64, u64::wrapping_add);
+        return scan_leaf(a);
     }
     let (l, r) = a.split_at(a.len() / 2);
     let (x, y) = pjoin(|| par_sum(l), || par_sum(r));
@@ -135,7 +189,7 @@ pub fn par_prefix(a: &[u64]) -> Vec<u64> {
     // Pass 1: per-chunk sums, computed by forked subtrees.
     fn chunk_sums(a: &[u64], chunk: usize, out: &mut [u64]) {
         if out.len() == 1 {
-            out[0] = a.iter().copied().fold(0u64, u64::wrapping_add);
+            out[0] = scan_leaf(a);
             return;
         }
         let mid = out.len() / 2;
@@ -143,13 +197,15 @@ pub fn par_prefix(a: &[u64]) -> Vec<u64> {
         let (al, ar) = a.split_at(mid * chunk);
         pjoin(|| chunk_sums(al, chunk, ol), || chunk_sums(ar, chunk, or));
     }
-    // Pass 2: rescan each chunk with its exclusive offset.
-    fn down_sweep(a: &[u64], out: &mut [u64], chunk: usize, offsets: &[u64]) {
+    // Pass 2: rescan each chunk with its exclusive offset, writing every
+    // element of the output exactly once.
+    fn down_sweep(a: &[u64], out: &mut [MaybeUninit<u64>], chunk: usize, offsets: &[u64]) {
         if offsets.len() == 1 {
+            debug_assert_eq!(out.len(), a.len());
             let mut acc = offsets[0];
             for (d, &x) in out.iter_mut().zip(a) {
                 acc = acc.wrapping_add(x);
-                *d = acc;
+                d.write(acc);
             }
             return;
         }
@@ -164,38 +220,40 @@ pub fn par_prefix(a: &[u64]) -> Vec<u64> {
     }
     let chunk = SEQ_CUTOFF.min(n.div_ceil(64)).max(1);
     let k = n.div_ceil(chunk);
-    let mut sums = vec![0u64; k];
-    chunk_sums(a, chunk, &mut sums);
+    // Chunk sums, then in place their exclusive scan: the offsets.
     let mut offsets = vec![0u64; k];
+    chunk_sums(a, chunk, &mut offsets);
     let mut acc = 0u64;
-    for (o, s) in offsets.iter_mut().zip(&sums) {
-        *o = acc;
-        acc = acc.wrapping_add(*s);
+    for o in &mut offsets {
+        (*o, acc) = (acc, acc.wrapping_add(*o));
     }
-    let mut out = vec![0u64; n];
-    down_sweep(a, &mut out, chunk, &offsets);
+    let mut out = Vec::with_capacity(n);
+    down_sweep(a, &mut out.spare_capacity_mut()[..n], chunk, &offsets);
+    // SAFETY: the down-sweep leaves split `0..n` at the same points as
+    // `a`, so they tile it, and each leaf wrote every element of its tile.
+    unsafe { out.set_len(n) };
     out
 }
 
 /// In-place transpose of an `n×n` matrix in BI layout (MT), with joins
-/// mirroring the BP recursion.
+/// mirroring the BP recursion. A block at or below the cutoff is one loop
+/// over its Morton indices, each paired with its [`morton_transpose`]:
+/// BI keeps every sub-block contiguous, so the block's transpose is that
+/// pairing.
 pub fn par_transpose_bi(a: &mut [f64], n: usize) {
     assert!(n.is_power_of_two() && a.len() == n * n);
     fn diag(a: &mut [f64], k: usize) {
-        if k == 1 {
+        if k * k <= SEQ_CUTOFF {
+            for i in 0..a.len() {
+                let t = morton_transpose(i as u64) as usize;
+                if i < t {
+                    a.swap(i, t);
+                }
+            }
             return;
         }
         let h = k / 2;
         let q = h * h;
-        if k * k <= SEQ_CUTOFF {
-            let (tl, rest) = a.split_at_mut(q);
-            let (tr, rest2) = rest.split_at_mut(q);
-            let (bl, br) = rest2.split_at_mut(q);
-            diag(tl, h);
-            diag(br, h);
-            swap_t(tr, bl, h);
-            return;
-        }
         let (tl, rest) = a.split_at_mut(q);
         let (tr, rest2) = rest.split_at_mut(q);
         let (bl, br) = rest2.split_at_mut(q);
@@ -204,9 +262,12 @@ pub fn par_transpose_bi(a: &mut [f64], n: usize) {
             || swap_t(tr, bl, h),
         );
     }
+    /// `x ↔ yᵀ` for two `k×k` blocks.
     fn swap_t(x: &mut [f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            std::mem::swap(&mut x[0], &mut y[0]);
+        if k * k * 2 <= SEQ_CUTOFF {
+            for (i, v) in x.iter_mut().enumerate() {
+                std::mem::swap(v, &mut y[morton_transpose(i as u64) as usize]);
+            }
             return;
         }
         let h = k / 2;
@@ -217,13 +278,6 @@ pub fn par_transpose_bi(a: &mut [f64], n: usize) {
         let (y0, yr) = y.split_at_mut(q);
         let (y1, yr2) = yr.split_at_mut(q);
         let (y2, y3) = yr2.split_at_mut(q);
-        if k * k * 2 <= SEQ_CUTOFF {
-            swap_t(x0, y0, h);
-            swap_t(x1, y2, h);
-            swap_t(x2, y1, h);
-            swap_t(x3, y3, h);
-            return;
-        }
         pjoin(
             || pjoin(|| swap_t(x0, y0, h), || swap_t(x1, y2, h)),
             || pjoin(|| swap_t(x2, y1, h), || swap_t(x3, y3, h)),
@@ -296,34 +350,45 @@ const fn strassen_ws(k: usize) -> usize {
     }
 }
 
-/// `c = a · b` for `k×k` BI tiles, `k ≤ LEAF`: de-interleave to
-/// row-major stack buffers through [`BI_LUT`], multiply i-k-j (the inner
-/// loop is a constant-width row update the compiler vectorises; tiles
-/// narrower than `LEAF` ride along zero-padded), re-interleave.
-fn leaf_mul(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
-    let mut ra = [[0.0f64; LEAF]; LEAF];
+/// `c = a · b` for `k×k` BI tiles, `k ≤ LEAF`, i-k-j: `b` is
+/// de-interleaved through [`BI_LUT`] into a row-major stack buffer, then
+/// each row of `c` is accumulated in registers — `row += a[i][l] · b[l]`,
+/// `a[i][l]` read straight from its BI slot — and re-interleaved. The
+/// row update has a constant width the compiler vectorises; tiles
+/// narrower than `LEAF` ride along zero-padded. With `FMA` each update is
+/// one fused multiply-add, which rounds once instead of twice; only a
+/// build with the FMA feature on may set it, since `mul_add` without it
+/// is a library call.
+#[inline(always)]
+fn leaf_mul<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
     let mut rb = [[0.0f64; LEAF]; LEAF];
-    let mut rc = [[0.0f64; LEAF]; LEAF];
     for r in 0..k {
         for col in 0..k {
-            let at = BI_LUT[r * LEAF + col] as usize;
-            ra[r][col] = a[at];
-            rb[r][col] = b[at];
+            rb[r][col] = b[BI_LUT[r * LEAF + col] as usize];
         }
     }
     for i in 0..k {
+        let mut row = [0.0f64; LEAF];
         for l in 0..k {
-            let x = ra[i][l];
+            let x = a[BI_LUT[i * LEAF + l] as usize];
             for j in 0..LEAF {
-                rc[i][j] += x * rb[l][j];
+                row[j] = if FMA {
+                    x.mul_add(rb[l][j], row[j])
+                } else {
+                    row[j] + x * rb[l][j]
+                };
             }
         }
-    }
-    for r in 0..k {
         for col in 0..k {
-            c[BI_LUT[r * LEAF + col] as usize] = rc[r][col];
+            c[BI_LUT[i * LEAF + col] as usize] = row[col];
         }
     }
+}
+
+/// [`leaf_mul`] compiled for AVX2+FMA, its updates fused.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+fn leaf_mul_v3(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
+    leaf_mul::<true>(a, b, c, k)
 }
 
 /// Compute product `i` of the `2h×2h` multiplication `a · b` inside
@@ -396,7 +461,11 @@ fn strassen_land(m: &[f64], c: &mut [f64], i: usize) {
 /// 16 MiB at `n = 256`) and still leaves `7^(levels-1)` tasks to steal.
 fn strassen_rec(a: &[f64], b: &[f64], c: &mut [f64], k: usize, ws: &mut [f64]) {
     if k <= LEAF {
-        return leaf_mul(a, b, c, k);
+        if v3() {
+            // SAFETY: `v3()` just found AVX2 and FMA on this core.
+            return unsafe { leaf_mul_v3(a, b, c, k) };
+        }
+        return leaf_mul::<false>(a, b, c, k);
     }
     let h = k / 2;
     let q = h * h;
@@ -472,6 +541,7 @@ impl Roots {
 /// In-place iterative radix-2 FFT of a row of at most `2·base.len()`
 /// elements: bit-reversal, then `log₂` butterfly stages with table
 /// twiddles.
+#[inline(always)]
 fn fft_base(x: &mut [Cx], base: &[Cx]) {
     let n = x.len();
     let bits = n.trailing_zeros();
@@ -492,6 +562,46 @@ fn fft_base(x: &mut [Cx], base: &[Cx]) {
             }
         }
         len *= 2;
+    }
+}
+
+/// Scale element `f` of `row` by `ω^(f·step)`.
+#[inline(always)]
+fn twiddle_row(row: &mut [Cx], step: usize, roots: &Roots) {
+    for (f, v) in row.iter_mut().enumerate() {
+        *v = *v * roots.pow(f * step);
+    }
+}
+
+/// The row-pass leaf: [`fft_base`] on every `len`-wide row of `rows`
+/// (`len ≤ SEQ_CUTOFF`), rows `r0..` of their matrix. With
+/// `twiddle = Some(m)` it also scales element `f` of row `r` by
+/// `ω_m^(r·f)` — the six-step twiddle pass, fused in while the row is
+/// still in cache.
+#[inline(always)]
+fn fft_leaf(rows: &mut [Cx], len: usize, r0: usize, twiddle: Option<usize>, roots: &Roots) {
+    for (r, row) in rows.chunks_exact_mut(len).enumerate() {
+        fft_base(row, roots.base());
+        if let Some(m) = twiddle {
+            twiddle_row(row, (r0 + r) * (roots.n / m), roots);
+        }
+    }
+}
+
+/// [`fft_leaf`] compiled for AVX2+FMA. Rust never contracts a multiply
+/// and an add into an FMA, so it computes the same bits.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+fn fft_leaf_v3(rows: &mut [Cx], len: usize, r0: usize, twiddle: Option<usize>, roots: &Roots) {
+    fft_leaf(rows, len, r0, twiddle, roots)
+}
+
+/// [`fft_leaf`] in the build this core runs.
+fn row_leaf(rows: &mut [Cx], len: usize, r0: usize, twiddle: Option<usize>, roots: &Roots) {
+    if v3() {
+        // SAFETY: `v3()` just found AVX2 and FMA on this core.
+        unsafe { fft_leaf_v3(rows, len, r0, twiddle, roots) }
+    } else {
+        fft_leaf(rows, len, r0, twiddle, roots)
     }
 }
 
@@ -523,10 +633,8 @@ fn transpose_rows(src: &[Cx], dst: &mut [Cx], rows: usize, cols: usize, c0: usiz
 
 /// FFT every `len`-wide row of `data` (rows `r0..` of their matrix),
 /// forked over row windows down to about [`SEQ_CUTOFF`] elements, with
-/// the matching window of `scratch` as each row's scratch. With
-/// `twiddle = Some(m)` the leaf also scales element `f` of row `r` by
-/// `ω_m^(r·f)` — the six-step twiddle pass, fused in while the row is
-/// still in cache.
+/// the matching window of `scratch` as each row's scratch, and twiddled
+/// as in [`fft_leaf`]. A row past the cutoff runs six steps of its own.
 fn fft_rows(
     data: &mut [Cx],
     scratch: &mut [Cx],
@@ -546,6 +654,9 @@ fn fft_rows(
         );
         return;
     }
+    if len <= SEQ_CUTOFF {
+        return row_leaf(data, len, r0, twiddle, roots);
+    }
     for (r, (row, tmp)) in data
         .chunks_exact_mut(len)
         .zip(scratch.chunks_exact_mut(len))
@@ -553,10 +664,7 @@ fn fft_rows(
     {
         fft_rec(row, tmp, roots);
         if let Some(m) = twiddle {
-            let step = (r0 + r) * (roots.n / m);
-            for (f, v) in row.iter_mut().enumerate() {
-                *v = *v * roots.pow(f * step);
-            }
+            twiddle_row(row, (r0 + r) * (roots.n / m), roots);
         }
     }
 }
@@ -578,12 +686,11 @@ fn copy_par(src: &[Cx], dst: &mut [Cx]) {
 /// the `k2` rows of length `k1` and twiddle, transpose back, FFT the
 /// `k1` rows of length `k2`, transpose into natural order. Each pass
 /// forks over row windows; a row's own recursion borrows the buffer the
-/// pass is not reading. At or below [`SEQ_CUTOFF`]: [`fft_base`].
+/// pass is not reading. Only above [`SEQ_CUTOFF`]: a shorter row is one
+/// [`row_leaf`], which its caller runs.
 fn fft_rec(x: &mut [Cx], t: &mut [Cx], roots: &Roots) {
     let n = x.len();
-    if n <= SEQ_CUTOFF {
-        return fft_base(x, roots.base());
-    }
+    debug_assert!(n > SEQ_CUTOFF);
     let k1 = 1usize << n.trailing_zeros().div_ceil(2);
     let k2 = n / k1;
     transpose_rows(x, t, k1, k2, 0);
@@ -601,7 +708,7 @@ pub fn par_fft(x: &mut [Cx]) {
     assert!(n.is_power_of_two());
     let roots = Roots::new(n);
     if n <= SEQ_CUTOFF {
-        return fft_base(x, roots.base());
+        return row_leaf(x, n, 0, None, &roots);
     }
     let mut ws = workspace(n, Cx::default());
     let t = &mut line_aligned(&mut ws)[..n];
@@ -1637,11 +1744,98 @@ mod tests {
 
     #[test]
     fn par_transpose_matches() {
-        let n = 64;
-        let rm = gen::random_matrix(n, 2);
-        let mut bi = to_bi(&rm, n);
-        par_transpose_bi(&mut bi, n);
-        assert_eq!(bi, to_bi(&oracle::transpose_rm(&rm, n), n));
+        // 1..=32 are one leaf loop, 64 and up fork (1024 over five
+        // levels), and 16 and 32 end in the off-diagonal loop's blocks.
+        let cases: Vec<(usize, Vec<f64>, Vec<f64>)> = (0..=10)
+            .map(|e| {
+                let n = 1usize << e;
+                let rm = gen::random_matrix(n, 2);
+                (n, to_bi(&rm, n), to_bi(&oracle::transpose_rm(&rm, n), n))
+            })
+            .collect();
+        off_and_on_pools(|| {
+            for (n, bi, want) in &cases {
+                let mut got = bi.clone();
+                par_transpose_bi(&mut got, *n);
+                assert!(got == *want, "n={n}");
+            }
+        });
+    }
+
+    /// Every dense leaf's output on fixed inputs, as `sum`, `fft` and
+    /// `mul` compute it: chunk sums of several lengths, FFT rows with and
+    /// without the twiddle, and Strassen tiles of every side up to `LEAF`.
+    fn leaf_outputs(
+        sum: impl Fn(&[u64]) -> u64,
+        fft: impl Fn(&mut [Cx], usize, usize, Option<usize>, &Roots),
+        mul: impl Fn(&[f64], &[f64], &mut [f64], usize),
+    ) -> (Vec<u64>, Vec<Vec<Cx>>, Vec<Vec<f64>>) {
+        let words = gen::random_u64s(4099, u64::MAX, 9);
+        let sums = [0usize, 1, 7, 1024, 4099]
+            .iter()
+            .map(|&m| sum(&words[..m]))
+            .collect();
+        let n = 1 << 12;
+        let roots = Roots::new(n);
+        let mut rows = Vec::new();
+        // Rows 0..4 of 64 of a 4096-point level, rows 3..7 of 16 of a
+        // 128-point one (row · column < m keeps every power in the
+        // table), and the plain base case at the cutoff.
+        for (len, r0, twiddle) in [(64, 0, Some(n)), (16, 3, Some(128)), (SEQ_CUTOFF, 0, None)] {
+            let mut x = signal(4 * len);
+            fft(&mut x, len, r0, twiddle, &roots);
+            rows.push(x);
+        }
+        let (a, b) = (gen::random_matrix(LEAF, 3), gen::random_matrix(LEAF, 4));
+        let tiles = (0..=5)
+            .map(|e| {
+                let k = 1usize << e;
+                let mut c = vec![0.0; k * k];
+                mul(&a[..k * k], &b[..k * k], &mut c, k);
+                c
+            })
+            .collect();
+        (sums, rows, tiles)
+    }
+
+    #[test]
+    fn both_builds_of_the_dense_leaves_agree() {
+        let (sums, rows, tiles) = leaf_outputs(chunk_sum, fft_leaf, leaf_mul::<false>);
+        let words = gen::random_u64s(4099, u64::MAX, 9);
+        assert_eq!(sums[4], oracle::sum(&words));
+        let mut want = signal(4 * SEQ_CUTOFF)[..SEQ_CUTOFF].to_vec();
+        radix2(&mut want);
+        assert_spectra_close(&rows[2][..SEQ_CUTOFF], &want);
+        if !v3() {
+            return;
+        }
+        // SAFETY: `v3()` just found AVX2 and FMA on this core.
+        let (v3_sums, v3_rows, v3_tiles) = unsafe {
+            leaf_outputs(
+                |a| chunk_sum_v3(a),
+                |x, len, r0, twiddle, roots| fft_leaf_v3(x, len, r0, twiddle, roots),
+                |a, b, c, k| leaf_mul_v3(a, b, c, k),
+            )
+        };
+        assert_eq!(v3_sums, sums);
+        // Neither build contracts the FFT's multiplies and adds.
+        for (got, want) in v3_rows.iter().zip(&rows) {
+            let bits = |x: &[Cx]| -> Vec<(u64, u64)> {
+                x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+            };
+            assert_eq!(bits(got), bits(want));
+        }
+        // Strassen's updates are fused in one build only: one rounding
+        // instead of two per multiply-add.
+        for (got, want) in v3_tiles.iter().zip(&tiles) {
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                    "k²={} i={i}",
+                    want.len()
+                );
+            }
+        }
     }
 
     #[test]

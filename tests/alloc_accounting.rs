@@ -147,6 +147,19 @@ fn par_strassen_allocates_its_output_and_one_workspace() {
 }
 
 #[test]
+fn par_prefix_allocates_its_output_once() {
+    // The output; the offset table (one word per chunk of ≤ 1024
+    // elements: 64 and 256 of them here) stays under the large line.
+    assert_constant("par_prefix", 1, 1 << 16, 1 << 18, |n| {
+        let a: Vec<u64> = (0..n as u64).collect();
+        large_allocs(|| {
+            let out = par::par_prefix(&a);
+            assert_eq!(out[n - 1], (n as u64 - 1) * n as u64 / 2);
+        })
+    });
+}
+
+#[test]
 fn par_fft_allocates_one_root_table_and_one_scratch() {
     assert_constant("par_fft", 2, 1 << 14, 1 << 16, |n| {
         let mut x: Vec<Cx> = (0..n).map(|i| Cx::new(i as f64, 0.5)).collect();
