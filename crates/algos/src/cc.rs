@@ -1,7 +1,7 @@
 //! Connected Components (paper §3.2, Table 1: Type 4, `W = O(n log² n)`,
 //! `T∞ = O(log³ n · log log n)`).
 //!
-//! The paper uses the CC algorithm of [11], whose dominant cost is `log n`
+//! The paper uses the CC algorithm of \[11\], whose dominant cost is `log n`
 //! stages of list-ranking-flavored primitives. We implement the same shape
 //! with deterministic **min-label hooking**: each stage
 //!

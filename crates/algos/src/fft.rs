@@ -1,5 +1,5 @@
 //! FFT (paper §3.2): the six-step variant of [4, 21] with optimal
-//! sequential cache complexity `O((n/B)·log_M n)` [17] and low depth.
+//! sequential cache complexity `O((n/B)·log_M n)` \[17\] and low depth.
 //!
 //! Type 2 HBP with `c = 2` collections of `Θ(√n)` recursive subproblems of
 //! size `Θ(√n)`, interleaved with transposes and a twiddle scan. Transposes

@@ -63,6 +63,24 @@ pub fn morton_decode(m: u64) -> (u64, u64) {
     (unspread(m >> 1), unspread(m))
 }
 
+/// Row-major `rm` (side `n`, a power of two) permuted into BI on the
+/// host — the plain permutation, not the recorded [`rm_to_bi`].
+pub fn to_bi<T: Copy>(rm: &[T], n: usize) -> Vec<T> {
+    (0..n * n)
+        .map(|m| {
+            let (r, c) = morton_decode(m as u64);
+            rm[r as usize * n + c as usize]
+        })
+        .collect()
+}
+
+/// Inverse of [`to_bi`]: BI `bi` (side `n`) back to row-major.
+pub fn from_bi<T: Copy>(bi: &[T], n: usize) -> Vec<T> {
+    (0..n * n)
+        .map(|i| bi[morton((i / n) as u64, (i % n) as u64) as usize])
+        .collect()
+}
+
 /// Quadrant recursion shared by RM→BI and direct BI→RM: visits every cell
 /// `(r, c)` of the `k×k` matrix in BI task order.
 pub(crate) fn quad_rec(
@@ -348,14 +366,18 @@ mod tests {
     }
 
     fn bi_data(n: usize) -> Vec<u64> {
-        let rm = rm_data(n);
-        let mut bi = vec![0u64; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
-            }
+        to_bi(&rm_data(n), n)
+    }
+
+    #[test]
+    fn host_permutations_round_trip_and_match_the_recorded_one() {
+        for n in (0..=6).map(|k| 1usize << k) {
+            let rm = rm_data(n);
+            let bi = to_bi(&rm, n);
+            assert_eq!(from_bi(&bi, n), rm, "n={n}");
+            let (comp, out) = rm_to_bi(&rm, n, BuildConfig::default());
+            assert_eq!(read_out(&comp, out), bi, "n={n}");
         }
-        bi
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! | [`layout`]  | RM→BI, Direct BI→RM, BI-RM (gap RM), BI-RM for FFT           |
 //! | [`mt`]      | Matrix Transposition in bit-interleaved layout               |
 //! | [`strassen`]| Strassen's matrix multiplication (BI layout)                 |
-//! | [`mm`]      | Depth-n-MM: 8-way recursive MM with local copies ([13])      |
+//! | [`mm`]      | Depth-n-MM: 8-way recursive MM with local copies (\[13\])      |
 //! | [`fft`]     | Six-step FFT                                                 |
 //! | [`sort`]    | HBP mergesort (`O(n log² n)` stand-in, kept for A/B)         |
-//! | [`spms`]    | SPMS [12]: Sample, Partition and Merge Sort (the real thing) |
+//! | [`spms`]    | SPMS \[12\]: Sample, Partition and Merge Sort (the real thing) |
 //! | [`listrank`]| List Ranking with IS contraction and gapping                 |
 //! | [`cc`]      | Connected components via hooking + pointer doubling         |
 //! | [`par`]     | native fork-join kernels (one workspace per launch)          |

@@ -4,7 +4,7 @@
 //! Structure (Type 3 HBP): while the list is longer than `n / log n`,
 //! contract it by an **independent set** found with two rounds of
 //! deterministic coin tossing (O(log log n) colors — our stand-in for the
-//! `O(log^(k) r)`-coloring MO-IS of [11]) followed by per-color-class
+//! `O(log^(k) r)`-coloring MO-IS of \[11\]) followed by per-color-class
 //! sweeps; recurse on the contracted list; reinsert the removed elements.
 //! Below the threshold, finish with **pointer jumping** using fresh
 //! (double-buffered) arrays per round, which keeps the computation limited

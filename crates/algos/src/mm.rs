@@ -1,6 +1,6 @@
 //! Depth-n-MM (paper §3.2, Table 1): the `O(n³)`-work, depth-`O(n)`
-//! recursive matrix multiplication of [17], converted to **limited access**
-//! with local copies as in the companion paper [13].
+//! recursive matrix multiplication of \[17\], converted to **limited access**
+//! with local copies as in the companion paper \[13\].
 //!
 //! Type 2 HBP with `c = 2` collections of `v = 4` parallel recursive
 //! subproblems of size `s(m) = m/4` each: round 1 computes
@@ -89,20 +89,10 @@ pub fn depth_n_mm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::morton;
+    use crate::layout::{from_bi, to_bi};
     use crate::oracle;
     use crate::util::read_out;
     use hbp_model::analysis;
-
-    fn to_bi(rm: &[f64], n: usize) -> Vec<f64> {
-        let mut bi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
-            }
-        }
-        bi
-    }
 
     #[test]
     fn matches_naive_matmul() {
@@ -110,13 +100,10 @@ mod tests {
             let a: Vec<f64> = (0..n * n).map(|x| ((x * 3 + 1) % 7) as f64).collect();
             let b: Vec<f64> = (0..n * n).map(|x| ((x * 5 + 2) % 9) as f64).collect();
             let (comp, out) = depth_n_mm(&to_bi(&a, n), &to_bi(&b, n), n, BuildConfig::default());
-            let got_bi = read_out(&comp, out);
+            let got = from_bi(&read_out(&comp, out), n);
             let want = oracle::matmul_rm(&a, &b, n);
-            for r in 0..n {
-                for c in 0..n {
-                    let g = got_bi[morton(r as u64, c as u64) as usize];
-                    assert!((g - want[r * n + c]).abs() < 1e-9, "n={n} ({r},{c})");
-                }
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() < 1e-9, "n={n} ({}, {})", i / n, i % n);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Matrix Transposition (MT) in the bit-interleaved layout (paper §3.2):
 //! a single BP computation with `f(r) = O(1)` and `L(r) = O(1)`, obtained by
-//! exposing the parallelism of the recursive transpose of [17].
+//! exposing the parallelism of the recursive transpose of \[17\].
 //!
 //! In-place on the BI array: `T([Q0 Q1; Q2 Q3]) = [T(Q0) T(Q2); T(Q1) T(Q3)]`
 //! — recurse into the diagonal quadrants and swap-transpose the
@@ -81,18 +81,12 @@ pub fn transpose_bi(bi: &[f64], n: usize, cfg: BuildConfig) -> (Computation, GAr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{morton, morton_decode};
+    use crate::layout::{morton, morton_decode, to_bi};
     use crate::util::read_out;
     use hbp_model::analysis;
 
     fn bi_matrix(n: usize) -> Vec<f64> {
-        let mut bi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = (r * n + c) as f64;
-            }
-        }
-        bi
+        to_bi(&(0..n * n).map(|x| x as f64).collect::<Vec<_>>(), n)
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! **Workspace discipline.** A launch makes O(1) allocations, whatever
 //! `n` is: its output (where the signature returns one) and **one**
-//! workspace `Vec` ([`workspace`]) that the recursion carves into
+//! workspace `Vec` (`workspace`) that the recursion carves into
 //! disjoint windows with `split_at_mut` — Strassen's per-product
 //! (S, T, M) windows, the FFT's transpose buffer (plus one small root
 //! table), list ranking's node tags and the two ping-pong halves of its
@@ -18,7 +18,7 @@
 //! arena. Leaves allocate nothing. This is the native form of the
 //! paper's rule that a stealable task gets its own space and shares O(1)
 //! blocks with its siblings: the workspace is skipped forward to a
-//! cache-line boundary ([`line_aligned`]) and every window handed to a
+//! cache-line boundary (`line_aligned`) and every window handed to a
 //! forkable task is a whole number of lines, so two workers never write
 //! the same line through their scratch. The one exception is stated where
 //! it lives: the list-ranking walk scatters its tags ([`par_list_rank`]).
@@ -40,19 +40,19 @@
 //! **At the core's width.** The dense leaves — the scan chunk sum,
 //! Strassen's tile product and the FFT's row leaf — are each one
 //! `#[inline(always)]` body plus a `_v3` wrapper that compiles it with
-//! AVX2 and FMA enabled. Where [`v3`] finds both on the running core, the
+//! AVX2 and FMA enabled. Where `v3` finds both on the running core, the
 //! leaf calls the wrapper, otherwise the plain body: no build flag and no
 //! knob. Integer sums and the FFT compute the same bits in both builds
 //! (Rust never fuses a multiply and an add on its own); Strassen's tile
 //! fuses its updates with `mul_add` in the wrapper only, one rounding per
 //! update instead of two. Both sorts
-//! end in one stable leaf ([`seq_sort`]) that picks its method from its
+//! end in one stable leaf (`seq_sort`) that picks its method from its
 //! own input: a copy for ordered keys, a digit scatter plus insertion
 //! pass — O(1) work an element — for keys spread over their range, and
 //! a tag sort of O(m log m) otherwise. Above the leaves merge sort
-//! compares each element once per two-ended [`merge2`] level, and SPMS
+//! compares each element once per two-ended `merge2` level, and SPMS
 //! once per step of a merge-path walk that tags it with its bucket id
-//! ([`spms_partition`]); the gather then moves it by that id, and its
+//! (`spms_partition`); the gather then moves it by that id, and its
 //! bucket's leaf sort finishes it (SPMS does not re-merge ≈ 1-element
 //! runs pairwise). List ranking walks every node once and pointer-jumps
 //! only over the n/16-node contracted list.
@@ -86,7 +86,7 @@ const fn whole_lines<T>(len: usize) -> usize {
 }
 
 /// The one scratch allocation of a kernel launch: room for `len`
-/// elements after [`line_aligned`] has skipped to a line boundary.
+/// elements after `line_aligned` has skipped to a line boundary.
 /// Raises the `arena_bytes` high-water mark (one check per launch, far
 /// off the hot path).
 fn workspace<T: Copy>(len: usize, fill: T) -> Vec<T> {
@@ -750,11 +750,11 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: 
 }
 
 /// Output elements at or below which a merge is one sequential
-/// [`merge2`]: the merges near the root of a sort are few and long, and
+/// `merge2`: the merges near the root of a sort are few and long, and
 /// left whole they are its critical path.
 const MERGE_GRAIN: usize = 1 << 14;
 
-/// [`merge2`], forked at the output midpoint down to [`MERGE_GRAIN`].
+/// `merge2`, forked at the output midpoint down to [`MERGE_GRAIN`].
 fn merge_split(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     if out.len() <= MERGE_GRAIN {
         return merge2(l, r, out);
@@ -791,7 +791,7 @@ pub fn par_mergesort(data: &mut [(u64, u64)]) {
 }
 
 /// Consecutive takes from one side before the middle section of
-/// [`merge2`] switches from the select loop to a binary-search bulk copy.
+/// `merge2` switches from the select loop to a binary-search bulk copy.
 const GALLOP: usize = 32;
 
 /// Stable 2-way merge of the sorted runs `l` then `r` into `out`
@@ -873,16 +873,16 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     out[w + (l.len() - i)..].copy_from_slice(&r[j..]);
 }
 
-/// Digit buckets a [`seq_sort`] leaf opens at most: `2^LEAF_DIGIT_BITS`
+/// Digit buckets a `seq_sort` leaf opens at most: `2^LEAF_DIGIT_BITS`
 /// `u32` counters on the stack (8 KiB), one per element of the largest
 /// leaf the sorts cut.
 const LEAF_DIGIT_BITS: u32 = 11;
 
-/// Largest digit bucket [`seq_sort`] still finishes by insertion sort;
+/// Largest digit bucket `seq_sort` still finishes by insertion sort;
 /// one bucket above it sends the whole leaf to [`tag_sort`].
 const LEAF_BUCKET_MAX: u32 = 32;
 
-/// Which path a [`seq_sort`] leaf took (the tests pin it per input).
+/// Which path a `seq_sort` leaf took (the tests pin it per input).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Leaf {
     /// Keys already non-decreasing: copied.
@@ -974,7 +974,7 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
     Leaf::Digits
 }
 
-/// [`seq_sort`]'s general case: tag every key with its position, sort the
+/// `seq_sort`'s general case: tag every key with its position, sort the
 /// `(key, position)` pairs *unstably* as one 128-bit integer each —
 /// positions are distinct, so that order is the stable one — then swap
 /// each position for the payload it names. On random pairs 0.8–0.9× the
@@ -990,8 +990,8 @@ fn tag_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
     }
 }
 
-/// Slices up to this long are one [`seq_sort`] in [`spms_rec`] (and get
-/// the scratch for one in [`arena_len`]): a level over fewer elements is
+/// Slices up to this long are one `seq_sort` in [`spms_rec`] (and get
+/// the scratch for one in `arena_len`): a level over fewer elements is
 /// ≈ √n chunk sorts of ≈ √n elements each plus the sample, the cuts and
 /// the bucket pass, and below a few leaf sorts' worth of input that costs
 /// more than it forks away — at n = 2048, 46 chunks of 45 elements took
@@ -1011,7 +1011,7 @@ fn spms_geometry(n: usize) -> (usize, usize) {
 /// Scratch (in pairs) that [`spms_rec`] needs for a slice of `n`
 /// elements: one line-gapped bucket arena for the gather, or the sum of
 /// the chunk sorts' needs — whichever is larger, since the two phases
-/// never overlap in time. Sub-cutoff slices need `n` for [`seq_sort`]'s
+/// never overlap in time. Sub-cutoff slices need `n` for `seq_sort`'s
 /// output. Always a whole number of lines, so sibling sub-arenas carved
 /// at this stride start on line boundaries.
 fn arena_len(n: usize) -> usize {
@@ -1060,7 +1060,7 @@ fn samples_of(len: usize, q: usize) -> usize {
 /// elements: a constant fraction of `n` in the worst case, not the O(q)
 /// that a Θ(n)-key sample buys. Nothing rests on balance any more — a
 /// bucket of any size is sorted in O(m log m), forked above the cutoff
-/// ([`spms_sort_buckets`]) — and on keys in random order the staggered
+/// (`spms_sort_buckets`) — and on keys in random order the staggered
 /// sample is a uniform one: buckets of `q · (1 ± O(1/√OVERSAMPLE))`, the
 /// largest of the 363 at n = 2^17 about 2.5 q.
 fn spms_splitters(data: &[(u64, u64)], q: usize, nb: usize) -> Vec<u64> {
@@ -1090,7 +1090,7 @@ fn id_stride(q: usize) -> usize {
 }
 
 /// One chunk row's merge-path walk against the splitters
-/// ([`spms_partition`]): `lo` is the element cursor, `si` the splitter
+/// (`spms_partition`): `lo` is the element cursor, `si` the splitter
 /// cursor.
 struct CutWalk<'a> {
     chunk: &'a [(u64, u64)],
@@ -1317,15 +1317,15 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 ///
 /// 1. ≈ `√n` chunks are sorted recursively in parallel;
 /// 2. a deterministic regular sample of the sorted chunks yields the
-///    splitters ([`spms_splitters`]);
+///    splitters (`spms_splitters`);
 /// 3. every chunk is cut at the splitters by a forked, branch-free
 ///    merge-path walk that also gives each element its bucket id
-///    ([`spms_partition`]);
+///    (`spms_partition`);
 /// 4. the buckets are rebuilt in two forked passes with a barrier
 ///    between them: groups of buckets gather their runs out of `data`
-///    by id into a line-gapped arena ([`spms_gather`]), then every bucket is
+///    by id into a line-gapped arena (`spms_gather`), then every bucket is
 ///    sorted from the arena into its final window of `data`
-///    ([`spms_sort_buckets`]). With ≈ `√n` chunks *and* ≈ `√n` buckets a
+///    (`spms_sort_buckets`). With ≈ `√n` chunks *and* ≈ `√n` buckets a
 ///    (chunk, bucket) run holds about one element, so "merging" a
 ///    bucket's runs pairwise is a merge sort from singletons; one leaf
 ///    sort per bucket does the same work in one pass. The arena starts on
@@ -1334,7 +1334,7 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 ///    of the paper, for real.
 ///
 /// One arena allocation funds the bucket phase, the sequential leaf
-/// sorts, and the whole recursion ([`arena_len`]); a level adds its
+/// sorts, and the whole recursion (`arena_len`); a level adds its
 /// sample, `cuts` and id tables — the hot path allocates O(1) buffers
 /// per super-cutoff level instead of O(√n) per bucket, which
 /// `tests/alloc_accounting.rs` pins.
@@ -1349,7 +1349,7 @@ pub fn par_spms(data: &mut [(u64, u64)]) {
     spms_rec(data, line_aligned(&mut arena));
 }
 
-/// One SPMS level over `data`, with scratch (≥ [`arena_len`] of
+/// One SPMS level over `data`, with scratch (≥ `arena_len` of
 /// `data.len()`) provided by the caller.
 fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     let n = data.len();
@@ -1555,19 +1555,19 @@ fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [u64]) {
 /// the tail of the single list `succ` describes (the tail is its own
 /// successor) — contract to n/log n nodes, jump, expand.
 ///
-/// 1. **Splitters** are every [`LR_STRIDE`]-th index plus the head
-///    ([`lr_head`]); each starts a sublist that ends where the next
+/// 1. **Splitters** are every `LR_STRIDE`-th index plus the head
+///    (`lr_head`); each starts a sublist that ends where the next
 ///    splitter begins.
-/// 2. **Walk** ([`lr_walk`]): leaves take ranges of sublists and follow
-///    them [`LR_LANES`] at a time, tagging every node with
+/// 2. **Walk** (`lr_walk`): leaves take ranges of sublists and follow
+///    them `LR_LANES` at a time, tagging every node with
 ///    `(sublist, offset)` and every sublist with `(next, length)` — one
 ///    dependent load and one scattered store per node, where pointer
 ///    jumping over the whole list does ⌈log₂ n⌉ gathers.
 /// 3. **Rank the contracted list** of ⌈n/`LR_STRIDE`⌉ + 2 nodes (an
 ///    optional head sublist and a virtual tail included) by Wyllie
 ///    pointer jumping, successor and distance fused in one word
-///    ([`lr_jump`]).
-/// 4. **Expand** ([`lr_expand`]): `rank[i] = rank[sublist] − offset`.
+///    (`lr_jump`).
+/// 4. **Expand** (`lr_expand`): `rank[i] = rank[sublist] − offset`.
 ///
 /// Output plus one workspace (tags, and the two ping-pong halves of the
 /// contracted list); every phase is a fork-join tree, and the joins are
@@ -1579,7 +1579,7 @@ fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [u64]) {
 /// jumping it would replace). Two properties follow. The span is the
 /// longest sublist: O(log n) expected hops per lane on a random list,
 /// Θ(n) on an adversarial numbering that keeps multiples of
-/// [`LR_STRIDE`] apart — the work stays O(n) either way. And the walk's
+/// `LR_STRIDE` apart — the work stays O(n) either way. And the walk's
 /// tag stores from different workers land in the same lines — Θ(n/B)
 /// shared blocks, the pattern the paper routes through a sort — so the
 /// kernel is as fast as the sequential walk on one core and gains next
@@ -1643,6 +1643,7 @@ pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::layout::to_bi;
     use crate::oracle;
 
     /// Run `check` off the pool (joins go to the rayon shim), then as the
@@ -1653,16 +1654,6 @@ mod tests {
             let cfg = hbp_sched::native::NativeConfig { workers, seed: 7 };
             hbp_sched::native::NativePool::run(cfg, &check);
         }
-    }
-
-    fn to_bi(rm: &[f64], n: usize) -> Vec<f64> {
-        let mut bi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
-            }
-        }
-        bi
     }
 
     /// Textbook iterative radix-2 with recurrence twiddles: the reference

@@ -165,18 +165,6 @@ pub fn prefix_sums(data: &[u64], cfg: BuildConfig) -> (Computation, GArray<u64>)
     (comp, out_h.unwrap())
 }
 
-/// A generic scatter/copy BP over an index set: `f(i)` returns
-/// `(src, dst, transform)` work done at leaf `i`. Used by list ranking and
-/// layout compaction. The closure performs the leaf's O(1) accesses itself.
-pub fn bp_foreach(
-    b: &mut Builder,
-    count: usize,
-    per_size: u64,
-    f: &mut impl FnMut(&mut Builder, usize),
-) {
-    hbp_model::builder::fanout_uniform(b, count, per_size, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

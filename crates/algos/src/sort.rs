@@ -2,7 +2,7 @@
 //! A/B comparison against the real SPMS.
 //!
 //! The paper's List Ranking and Connected Components call the SPMS sorting
-//! algorithm of [12] (W = O(n log n), T∞ = O(log n log log n)). Until
+//! algorithm of \[12\] (W = O(n log n), T∞ = O(log n log log n)). Until
 //! PR 5 this `O(n log² n)` HBP **mergesort** stood in for it everywhere;
 //! the real Sample–Partition–Merge sort now lives in [`crate::spms`] and
 //! owns the registry's "Sort (SPMS)" row, the LR/CC call sites, and the

@@ -49,7 +49,7 @@
 //! Figures: `table1`, `fig_pws_vs_rws`, `fig_hierarchy`, `fig_bsp`, and
 //! `fig_padding` run this row (the last alongside the mergesort
 //! stand-in); `trace_report`/`trace_diff` accept it like any registry
-//! row. [`crate::cc`] sorts its edge records through [`spms_into`], and
+//! row. [`crate::cc`] sorts its edge records through `spms_into`, and
 //! [`crate::listrank`] routes its predecessor computation through an
 //! SPMS sort of `(successor, node)` records.
 

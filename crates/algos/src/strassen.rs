@@ -128,30 +128,10 @@ pub fn strassen_bi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::morton;
+    use crate::layout::{from_bi, to_bi};
     use crate::oracle;
     use crate::util::read_out;
     use hbp_model::analysis;
-
-    pub(crate) fn to_bi(rm: &[f64], n: usize) -> Vec<f64> {
-        let mut bi = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
-            }
-        }
-        bi
-    }
-
-    pub(crate) fn from_bi(bi: &[f64], n: usize) -> Vec<f64> {
-        let mut rm = vec![0.0; n * n];
-        for r in 0..n {
-            for c in 0..n {
-                rm[r * n + c] = bi[morton(r as u64, c as u64) as usize];
-            }
-        }
-        rm
-    }
 
     #[test]
     fn matches_naive_matmul() {

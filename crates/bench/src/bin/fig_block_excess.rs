@@ -81,13 +81,7 @@ fn main() {
     );
     hbp_bench::rule(40);
     let n = 32;
-    let rm = gen::random_matrix(n, 7);
-    let mut bi = vec![0.0; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
+    let bi = layout::to_bi(&gen::random_matrix(n, 7), n);
     for bw in [16u64, 32] {
         let (comp, _) = mm::depth_n_mm(&bi, &bi, n, BuildConfig::with_block(bw));
         for p in [2usize, 4, 8, 16] {

@@ -15,14 +15,7 @@ use hbp_core::prelude::*;
 use hbp_core::algos::{gen, layout, mt, scan, strassen};
 
 fn bi(n: usize, seed: u64) -> Vec<f64> {
-    let rm = gen::random_matrix(n, seed);
-    let mut out = vec![0.0; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            out[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
-    out
+    layout::to_bi(&gen::random_matrix(n, seed), n)
 }
 
 fn main() {

@@ -16,14 +16,7 @@ use hbp_core::prelude::*;
 use hbp_core::algos::{gen, layout};
 
 fn bi_data(n: usize, seed: u64) -> Vec<u64> {
-    let rm = gen::random_u64s(n * n, 1 << 40, seed);
-    let mut bi = vec![0u64; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
-    bi
+    layout::to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n)
 }
 
 fn main() {

@@ -11,11 +11,8 @@
 //! cargo run --release -p hbp-bench --bin fig_pws_vs_rws
 //! ```
 //!
-//! With `HBP_BACKEND=native` the same algorithm families run as real
-//! `par_*` kernels on the native work-stealing thread pool instead:
-//! wall-clock makespan, executed tasks, and steal counters per worker
-//! count (`HBP_WORKERS` sets the pool size, `HBP_FIG_N` the linear
-//! problem size).
+//! A simulator figure: the native pool steals randomized only, and its
+//! 1-vs-w worker sweep of the same rows is `fig_runtime`'s.
 
 use hbp_bench::rws_avg;
 use hbp_core::prelude::*;
@@ -35,13 +32,6 @@ const ALGOS: [&str; 8] = [
 ];
 
 fn main() {
-    match Config::from_env().backend {
-        Backend::Sim => sim_main(),
-        Backend::Native => native_main(),
-    }
-}
-
-fn sim_main() {
     let seeds = [11u64, 22, 33, 44, 55];
     println!("F4: PWS vs RWS (RWS averaged over {} seeds)\n", seeds.len());
     println!(
@@ -85,57 +75,4 @@ fn sim_main() {
         }
     }
     println!("\nblk x / stl x: RWS-to-PWS ratios — above 1.0 means PWS wins.");
-}
-
-fn native_main() {
-    let linear = hbp_bench::fig_size(1 << 18);
-    let side = hbp_bench::matrix_side_for(linear);
-    let ex = NativeExecutor {
-        pool: Config::from_env().native_config(0),
-    };
-    let mut solo = ex;
-    solo.pool.workers = 1;
-    println!(
-        "F4 (native backend): randomized work stealing on real threads, \
-         {} workers vs 1\n",
-        ex.pool.workers
-    );
-    println!(
-        "{:<20} {:>8} | {:>10} {:>10} {:>6} | {:>7} {:>7} {:>7} {:>5}",
-        "algorithm", "n", "1w ms", "ms", "spdup", "tasks", "steals", "probes", "busy#"
-    );
-    hbp_bench::rule(96);
-    for name in ALGOS {
-        let spec = lookup(name);
-        let n = match spec.size {
-            SizeKind::Linear => linear,
-            SizeKind::MatrixSide => side,
-        };
-        if spec.native.is_none() {
-            println!("{:<20} {:>8} | (no native kernel — skipped)", spec.name, n);
-            continue;
-        }
-        let job = ExecJob::new(spec.name, n, 42);
-        let run = |ex: NativeExecutor| ex.execute(&job).expect("the row has a native kernel");
-        let (par, seq) = (run(ex), run(solo));
-        let busy_workers = par.busy.iter().filter(|&&b| b > 0).count();
-        println!(
-            "{:<20} {:>8} | {:>10.2} {:>10.2} {:>6.2} | {:>7} {:>7} {:>7} {:>5}",
-            spec.name,
-            n,
-            seq.makespan as f64 / 1e6,
-            par.makespan as f64 / 1e6,
-            seq.makespan as f64 / par.makespan.max(1) as f64,
-            par.work,
-            par.steals,
-            par.steal_attempts - par.steals,
-            busy_workers,
-        );
-    }
-    println!(
-        "\nms = wall-clock; tasks = root + forked branches executed; busy# =\n\
-         workers with non-zero busy time. Speedup above 1 needs real cores —\n\
-         on a single-CPU host expect ≈ 1 with non-zero steals (the point is\n\
-         that the work moved between workers, not that it got faster)."
-    );
 }

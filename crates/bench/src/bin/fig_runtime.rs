@@ -28,7 +28,7 @@ fn main() {
 }
 
 fn sim_main() {
-    let machine = hbp_bench::default_machine();
+    let machine = MachineConfig::default_machine();
     let (p, b, sp) = (machine.p as u64, machine.miss_cost, machine.steal_cost);
     println!("F7: makespan vs (W + b·Q)/p + sP·T∞   (p={p}, b={b}, sP={sp})\n");
     println!(

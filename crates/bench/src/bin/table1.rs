@@ -23,7 +23,7 @@ use hbp_core::prelude::*;
 use hbp_core::trace::{chrome_trace_multi, Trace};
 
 fn main() {
-    let machine = hbp_bench::default_machine();
+    let machine = MachineConfig::default_machine();
     let env = Config::from_env();
     let tracing = env.trace;
     let trace_policy = env.policy;

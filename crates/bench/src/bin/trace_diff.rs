@@ -66,7 +66,7 @@ fn main() {
     let side_b = parse_side(args.get(3).map_or("rws:1", String::as_str));
     let env = Config::try_from_env().unwrap_or_else(|e| usage(&e));
 
-    let machine = hbp_bench::default_machine();
+    let machine = MachineConfig::default_machine();
     let trace_of = |side: Side| -> Trace {
         let session = env.backend(side.backend).policy(side.policy).open(machine);
         let sink = std::sync::Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
@@ -117,11 +117,11 @@ fn main() {
             sim_m.0, sim_m.1, sim_m.2,
         );
         let mut bad = false;
-        for (name, shape) in [("A", &d.a), ("B", &d.b)] {
-            if !shape.complete() {
+        for (name, side) in [("A", &d.a), ("B", &d.b)] {
+            if !side.complete() {
                 println!(
                     "side {name} INCOMPLETE: {} begins vs {} ends, {} dropped",
-                    shape.begins, shape.ends, shape.dropped
+                    side.begins, side.ends, side.dropped
                 );
                 bad = true;
             }

@@ -42,7 +42,7 @@ fn main() {
     let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
 
     let cfg = Config::try_from_env().unwrap_or_else(|e| usage(&e)).apply();
-    let session = cfg.open(hbp_bench::default_machine());
+    let session = cfg.open(MachineConfig::default_machine());
     let backend = session.backend();
     let unit = match session.clock_domain() {
         ClockDomain::Virtual => "u",
@@ -74,7 +74,7 @@ fn main() {
         "  work (busy)      = {} {unit} across {} workers ({} segments, {} tasks)",
         s.busy_total, s.workers, s.segments, s.tasks
     );
-    match hbp_core::trace::critical_path(&trace) {
+    match &s.critical {
         Ok(cp) => {
             let spine_steals = cp
                 .hops
@@ -124,10 +124,10 @@ fn main() {
         .collect();
     println!("  utilization      = {}", util.join("  "));
     println!("  steal latency    = {}", s.steal_latency.render(unit));
-    if trace.dropped > 0 {
+    if s.dropped > 0 {
         println!(
             "  (ring overflow: {} events dropped — raise HBP_TRACE_BUF)",
-            trace.dropped
+            s.dropped
         );
     }
 
@@ -143,10 +143,10 @@ fn main() {
 
     // A truncated trace means every number above is a lower bound: no
     // caller may take that for a clean run.
-    if trace.dropped > 0 {
+    if s.dropped > 0 {
         eprintln!(
             "trace_report: {} events were dropped (ring overflow)",
-            trace.dropped
+            s.dropped
         );
         std::process::exit(2);
     }

@@ -12,11 +12,6 @@ pub fn growth_exponent(n1: f64, w1: f64, n2: f64, w2: f64) -> f64 {
     (w2 / w1).ln() / (n2 / n1).ln()
 }
 
-/// The default experiment machine (p = 8, M = 2¹⁴, B = 32, tall).
-pub fn default_machine() -> MachineConfig {
-    MachineConfig::default_machine()
-}
-
 /// Problem size for the native-backend figure paths: the figure's
 /// default, unless `HBP_FIG_N` overrides it (the CI smoke step uses this
 /// to run the native paths on tiny inputs). Rounded *down* to a power of
@@ -68,11 +63,6 @@ pub fn parse_algo_n(args: &[String]) -> Result<(&'static AlgoSpec, usize), Strin
         },
     };
     Ok((spec, n))
-}
-
-/// Run one computation under PWS + sequentially; return `(seq, par)`.
-pub fn measure(comp: &Computation, cfg: MachineConfig) -> (SeqReport, ExecReport) {
-    (run_sequential(comp, cfg), run(comp, cfg, Policy::Pws))
 }
 
 /// Average the RWS results over `seeds` for a fair randomized baseline.

@@ -1,6 +1,6 @@
 //! Job descriptions and the two backend descriptors.
 //!
-//! An [`ExecJob`] names a row of the [`registry`](crate::registry) plus a
+//! An [`ExecJob`] names a row of the [`registry`](mod@crate::registry) plus a
 //! problem size and seed. A backend is described by one of two plain
 //! structs and *opened* into an [`ExecSession`], which is the only thing
 //! that runs jobs:

@@ -19,7 +19,7 @@
 //!    idle time, and the excess of each over the sequential cache
 //!    complexity `Q(n, M, B)`;
 //! 4. **run** any row of the paper's Table 1 by name on either backend:
-//!    the [`registry`] row carries both the recorded builder and — where
+//!    the [`registry`](mod@registry) row carries both the recorded builder and — where
 //!    one exists — the native kernel on the same input, and
 //!    [`Config::open`] returns the [`ExecSession`] every job goes through
 //!    (simulated machine or real work-stealing pool).

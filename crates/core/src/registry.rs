@@ -60,24 +60,13 @@ impl AlgoSpec {
     }
 }
 
-/// Row-major `rm` (side `n`) permuted into the bit-interleaved layout.
-fn to_bi<T: Copy + Default>(rm: &[T], n: usize) -> Vec<T> {
-    let mut bi = vec![T::default(); n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
-    bi
-}
-
 /// BI-layout random matrix of side `n`.
 fn bi_matrix(n: usize, seed: u64) -> Vec<f64> {
-    to_bi(&gen::random_matrix(n, seed), n)
+    layout::to_bi(&gen::random_matrix(n, seed), n)
 }
 
 fn bi_matrix_u64(n: usize, seed: u64) -> Vec<u64> {
-    to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n)
+    layout::to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n)
 }
 
 /// The scan rows' input.

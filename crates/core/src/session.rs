@@ -15,7 +15,7 @@
 //! [`find`] and the backend reads the column it needs:
 //!
 //! * **native** — the session owns one
-//!   [`NativePool`](hbp_sched::native::NativePool): workers spawn when
+//!   [`NativePool`]: workers spawn when
 //!   the session opens, successive submissions queue onto it, idle
 //!   workers park between jobs, and the pool shuts down when the
 //!   session drops. The row's `native` column builds the input on the

@@ -95,11 +95,6 @@ impl<T: Wordable> GArray<T> {
         debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         self.base + (i * T::WORDS) as Word
     }
-
-    /// Word address one past the last element.
-    pub fn end_addr(&self) -> Word {
-        self.base + (self.len * T::WORDS) as Word
-    }
 }
 
 /// Where a local's frame is: the declaring node and how deep that node
@@ -161,7 +156,6 @@ impl<T: Wordable> LArray<T> {
 #[derive(Debug, Default, Clone)]
 struct AccessCounts {
     writes: HashMap<Word, u32>,
-    touches: HashMap<Word, u32>,
 }
 
 /// An open task node: where its body starts on the builder's `pending`
@@ -366,13 +360,8 @@ impl Builder {
 
     fn record(&mut self, target: Target, write: bool) {
         self.comp.arena.push(Access::new(target, write));
-        if let Some(c) = &mut self.counts {
-            if let Target::Global(w) = target {
-                *c.touches.entry(w).or_insert(0) += 1;
-                if write {
-                    *c.writes.entry(w).or_insert(0) += 1;
-                }
-            }
+        if let (Some(c), Target::Global(w), true) = (&mut self.counts, target, write) {
+            *c.writes.entry(w).or_insert(0) += 1;
         }
     }
 
@@ -392,21 +381,6 @@ impl Builder {
             self.record(Target::Global(addr + w as Word), true);
         }
         v.to_words(&mut self.comp.heap[addr as usize..addr as usize + T::WORDS]);
-    }
-
-    /// Read a raw global word address (layout algorithms use this).
-    pub fn read_addr(&mut self, addr: Word) -> u64 {
-        self.record(Target::Global(addr), false);
-        self.comp.heap[addr as usize]
-    }
-
-    /// Write a raw global word address.
-    pub fn write_addr(&mut self, addr: Word, v: u64) {
-        self.record(Target::Global(addr), true);
-        if self.comp.heap.len() <= addr as usize {
-            self.comp.heap.resize(addr as usize + 1, 0);
-        }
-        self.comp.heap[addr as usize] = v;
     }
 
     // ---- execution-stack locals ---------------------------------------
@@ -539,19 +513,6 @@ impl Builder {
             .writes
             .values()
             .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maximum number of accesses to any *written* global word so far.
-    pub fn max_accesses_per_written_word(&self) -> u32 {
-        let c = self
-            .counts
-            .as_ref()
-            .expect("enable BuildConfig::track_access_counts");
-        c.writes
-            .keys()
-            .map(|w| c.touches.get(w).copied().unwrap_or(0))
             .max()
             .unwrap_or(0)
     }

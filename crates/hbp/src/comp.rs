@@ -182,11 +182,6 @@ impl TNode {
     pub fn body(&self) -> std::ops::Range<usize> {
         self.first_item as usize..(self.first_item + self.n_items) as usize
     }
-
-    /// Total stack words this node pushes when it starts.
-    pub fn stack_words(&self) -> u64 {
-        self.frame_words as u64 + self.pad_words as u64
-    }
 }
 
 /// A complete recorded computation, ready for scheduling.
@@ -225,11 +220,6 @@ impl Computation {
     /// Number of task nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Read back `count` words of the final heap starting at `base`.
-    pub fn heap_words_at(&self, base: Word, count: usize) -> &[u64] {
-        &self.heap[base as usize..base as usize + count]
     }
 
     /// The body of `node`: its segments and forks, in execution order.

@@ -25,7 +25,7 @@ struct Slot {
 
 /// A fully-associative LRU cache of block frames.
 ///
-/// A slab of [`Slot`]s linked from `head` (least recently used) to `tail`
+/// A slab of `Slot`s linked from `head` (least recently used) to `tail`
 /// (most recently used), a free list for slots an invalidation emptied,
 /// and a `block → slot` map. The slab grows on demand up to `frames`
 /// slots; `touch`, `insert` and `invalidate` are O(1), and a `touch` of

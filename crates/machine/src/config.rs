@@ -163,21 +163,6 @@ impl MachineConfig {
         self.cache_words >= self.block_words * self.block_words
     }
 
-    /// Replace the core count, keeping cache geometry (and recomputing `sP`).
-    pub fn with_p(mut self, p: usize) -> Self {
-        assert!((1..=64).contains(&p));
-        self.p = p;
-        self.steal_cost = self.miss_cost * (usize::BITS - (p.max(2) - 1).leading_zeros()) as u64;
-        self
-    }
-
-    /// Replace the cache size `M` (words).
-    pub fn with_cache_words(mut self, m: u64) -> Self {
-        assert!(m >= self.block_words);
-        self.cache_words = m;
-        self
-    }
-
     /// Replace the block size `B` (words), re-aligning the stack-region
     /// size up to the new block multiple (region size only relocates
     /// stacks, so rounding up is behaviour-preserving as long as frames

@@ -3,7 +3,7 @@
 //! This module is a thin facade over the layered scheduler subsystem —
 //! see [`crate::sim`] for the event-loop core, [`crate::clock`] /
 //! [`crate::deque`] / [`crate::stacks`] for its parts, and
-//! [`crate::policy`] for the [`StealPolicy`](crate::policy::StealPolicy)
+//! [`crate::policy`] for the [`StealPolicy`]
 //! implementations the [`Policy`] enum selects between. The signatures
 //! here are stable: call sites in `hbp-bench`, the examples, and the
 //! tests use `run(comp, cfg, policy)` unchanged across the refactor.
@@ -21,7 +21,7 @@ use crate::sim::Engine;
 pub enum Policy {
     /// The paper's deterministic Priority Work Stealing scheduler (§4).
     Pws,
-    /// Randomized work stealing with the given seed (baseline, [13]).
+    /// Randomized work stealing with the given seed (baseline, \[13\]).
     Rws {
         /// RNG seed: runs with equal seeds are identical.
         seed: u64,

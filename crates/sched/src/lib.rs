@@ -18,7 +18,7 @@
 //!   word-granularity miss accounting;
 //! * [`policy`] — the [`StealPolicy`] trait and the paper's three
 //!   disciplines: [`policy::Pws`] (§4.1, §4.7 priority rounds),
-//!   [`policy::Rws`] (seeded randomized baseline of [13]), and
+//!   [`policy::Rws`] (seeded randomized baseline of \[13\]), and
 //!   [`policy::Bsp`] (§5.3 bulk-synchronous mapping);
 //! * [`clock`] — the event calendar (a ring of per-instant FIFO buckets),
 //!   virtual time, and sweep cadence;

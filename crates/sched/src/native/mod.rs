@@ -15,7 +15,7 @@
 //!   without locks, thieves CAS the *top*, and the last-element conflict
 //!   is arbitrated by a `SeqCst` fence — the real realization of the
 //!   Obs 4.1 discipline the simulator models;
-//! * **worker loop** ([`runtime`]): [`join`] is the fork primitive — the
+//! * **worker loop** (`runtime`): [`join`] is the fork primitive — the
 //!   right branch is published on the owner's deque while the owner runs
 //!   the left branch; on return the owner pops it back (inline
 //!   execution) or, if a thief took it, steals *other* work while

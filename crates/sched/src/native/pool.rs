@@ -70,7 +70,7 @@
 //! [`NativePool::submit_traced`] attaches a per-job
 //! [`TraceSink`]: the driver swaps the pool's sink in the quiesced
 //! window between jobs (no thief holds a steal loop there — see the
-//! registration protocol in [`super::runtime::thief_main`]), so every
+//! registration protocol in `runtime::thief_main`), so every
 //! request can get its own isolated trace with per-job timestamps
 //! starting near zero.
 

@@ -1,6 +1,6 @@
 //! Hardware counter sampling for the native backend: per-worker
 //! `perf_event` file descriptors read at task boundaries, so the trace
-//! carries *measured* miss deltas in the same [`MissDelta`] vocabulary the
+//! carries *measured* miss deltas in the same [`MissDelta`](hbp_trace::EventKind::MissDelta) vocabulary the
 //! simulator fills with *predicted* ones — closing the model-vs-hardware
 //! loop the paper's bounds invite.
 //!

@@ -7,7 +7,7 @@
 //!
 //! * [`Pws`] — deterministic Priority Work Stealing (§4): priority
 //!   rounds, rank matching, pending-priority flags;
-//! * [`Rws`] — seeded randomized work stealing (the baseline of [13]);
+//! * [`Rws`] — seeded randomized work stealing (the baseline of \[13\]);
 //! * [`Bsp`] — the bulk-synchronous mapping (§5.3): PWS restricted to
 //!   tasks from the top `prefix_levels` recursion levels.
 //!

@@ -1,9 +1,9 @@
 //! The discrete-event engine core.
 //!
 //! [`Engine`] owns the simulated machine state — per-core virtual clocks,
-//! the [`TaskDeques`](crate::deque::TaskDeques), the
-//! [`StackAllocator`](crate::stacks::StackAllocator), the
-//! [`EventQueue`](crate::clock::EventQueue), and the statistics — and
+//! the [`TaskDeques`], the
+//! [`StackAllocator`], the
+//! [`EventQueue`], and the statistics — and
 //! executes the recorded computation in the order of the event queue: one
 //! [`Step`](crate::clock::EvKind::Step) event per chargeable action,
 //! popped by time and, within one instant, in push order.
@@ -31,7 +31,7 @@
 //! cursor to its access.
 //!
 //! *Who* steals *what* during a sweep is delegated to a
-//! [`StealPolicy`](crate::policy::StealPolicy): the engine exposes the
+//! [`StealPolicy`]: the engine exposes the
 //! queries a policy needs (`head_pri`, `pending_pri`, …) and the two
 //! effects it may apply (`commit_steal`, `note_failed_round` /
 //! `note_failed_probe`); everything else — frame allocation, fork/join

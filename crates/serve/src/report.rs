@@ -2,6 +2,8 @@
 //! depth over time — and a *stable* hand-rolled JSON writer, so a
 //! fixed-seed sim scenario serializes byte-identically across runs.
 
+use hbp_core::trace::json::escape;
+
 use crate::spec::ScenarioSpec;
 
 /// Critical-path totals of one request's kernel execution (virtual time
@@ -249,7 +251,7 @@ impl ScenarioReport {
         s.push_str("{\n");
         s.push_str(&format!(
             "  \"scenario\": {{\"backend\": \"{}\", \"policy\": \"{}\", \"workers\": {}, \"seed\": {}, \"mode\": \"{}\", \"requests\": {}, \"clients\": {}, \"queue_cap\": {}, \"batch_max\": {}, \"small_n\": {}, \"pacing\": {}}},\n",
-            self.backend, esc(&self.policy), self.workers, self.seed, self.mode,
+            self.backend, escape(&self.policy), self.workers, self.seed, self.mode,
             self.requests, self.clients, self.queue_cap, self.batch_max, self.small_n,
             self.pacing
         ));
@@ -292,7 +294,7 @@ impl ScenarioReport {
                 "    {{\"id\": {}, \"client\": {}, \"algo\": \"{}\", \"n\": {}, \"arrival_ns\": {}, \"rejected\": {}, \"deferrals\": {}, \"queue_ns\": {}, \"service_ns\": {}, \"latency_ns\": {}, \"batch\": {}, \"cp\": {}}}{}\n",
                 r.id,
                 r.client,
-                esc(r.algo),
+                escape(r.algo),
                 r.n,
                 r.arrival_ns,
                 r.rejected,
@@ -332,20 +334,6 @@ fn compress_depth(samples: Vec<(u64, usize)>) -> Vec<(u64, usize)> {
     out
 }
 
-/// Minimal JSON string escaping (quotes/backslash/control).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,11 +361,5 @@ mod tests {
         assert_eq!(out.last(), samples.last());
         let short: Vec<(u64, usize)> = (0..10).map(|i| (i, 1)).collect();
         assert_eq!(compress_depth(short.clone()), short);
-    }
-
-    #[test]
-    fn json_escapes_and_is_stable() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("Sort (SPMS)"), "Sort (SPMS)");
     }
 }

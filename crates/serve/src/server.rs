@@ -2,12 +2,12 @@
 //!
 //! One persistent [`NativePool`] serves the whole scenario, and no thread
 //! stands between a request and it. Client threads build kernel inputs
-//! *outside* the pool and offer them to the admission [`Desk`]; the
+//! *outside* the pool and offer them to the admission `Desk`; the
 //! thread that finds the desk's launch slot free, or frees it, is the one
 //! that launches. An admitted client takes the next launch under the same
 //! lock and submits it to the pool itself — a batch of small requests as
 //! a single fork-join tree. The launch's root closure, on the pool's
-//! driver, times the batch, completes the members' [`Ticket`]s, books the
+//! driver, times the batch, completes the members' `Ticket`s, books the
 //! launch and submits the follow-up from where it stands, so a backlog
 //! drains driver-to-driver: two thread hand-offs per request (client →
 //! driver → client), each launch still its own pool job with its own
@@ -21,14 +21,14 @@
 //! again. Timestamps are wall-clock nanoseconds, so the report is *not*
 //! byte-stable across runs (the sim backend's is); the schedule itself
 //! still is. A row's `queue_ns` runs from admission to launch, its
-//! `service_ns` is the wall time of the launch's [`run_batch`] — what the
+//! `service_ns` is the wall time of the launch's `run_batch` — what the
 //! members waited on; replies leave before the pool quiesces — and its
 //! `latency_ns` runs from admission to the moment the replies go out.
 //!
 //! The scenario ends when the desk is idle, not when a thread exits, and
 //! the pool is only ever dropped on the scenario's own thread: every
-//! launch closure holds the [`Server`] (hence the pool, whose `Drop`
-//! joins the driver the closure runs on), so [`Server::finish`] waits out
+//! launch closure holds the `Server` (hence the pool, whose `Drop`
+//! joins the driver the closure runs on), so `Server::finish` waits out
 //! every launch's [`PoolHandle`] before it takes the server apart.
 
 use std::panic::{self, AssertUnwindSafe};

@@ -1,7 +1,7 @@
 //! The virtual-time scenario driver (sim backend).
 //!
 //! A discrete-event simulation of the server: the same admission
-//! [`Desk`] the native server runs, driven from an event heap instead of
+//! `Desk` the native server runs, driven from an event heap instead of
 //! threads. This file owns only the events (arrivals, re-arrivals of
 //! deferred requests, launch completions) and the service oracle: each
 //! request's *service time* is the kernel's virtual-time makespan under

@@ -1,15 +1,20 @@
-//! Trace analyses beyond the critical path: per-worker utilization,
-//! steal-latency histograms, and the paper-style summary the
-//! `trace_report` binary prints.
+//! The one tally of a trace: [`summarize`] walks the events once and
+//! the segments once into a [`TraceSummary`] — counts, per-worker
+//! utilization, the fork→steal latency histogram and the critical path
+//! — which `trace_report` prints and [`diff`](crate::diff()) compares.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::critical::{critical_path_of, CriticalPath};
+use crate::critical::{critical_path_of, CpError, CriticalPath};
 use crate::event::{ClockDomain, EventKind};
-use crate::trace::{Segments, Trace};
+use crate::trace::Trace;
 
 /// One worker's busy accounting over the traced run.
-#[derive(Debug, Clone, Copy)]
+///
+/// Depth-0 segments only: on the native backend a task stolen during a
+/// join-wait nests *inside* the waiting segment, so counting every
+/// depth would double-charge the worker.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerUtil {
     /// Time spent inside top-level (depth-0) segments.
     pub busy: u64,
@@ -17,40 +22,9 @@ pub struct WorkerUtil {
     pub utilization: f64,
 }
 
-/// Per-worker top-level busy time and utilization.
-///
-/// Depth-0 segments only: on the native backend a task stolen during a
-/// join-wait nests *inside* the waiting segment, so counting every
-/// depth would double-charge the worker.
-pub fn utilization(trace: &Trace) -> Vec<WorkerUtil> {
-    utilization_of(trace, &trace.segments())
-}
-
-/// [`utilization`] over an already-reconstructed segment set (one
-/// O(events) reconstruction shared across analyses — see [`summarize`]).
-pub fn utilization_of(trace: &Trace, segments: &Segments) -> Vec<WorkerUtil> {
-    let makespan = trace.makespan();
-    let mut busy = vec![0u64; trace.workers];
-    for s in &segments.segs {
-        if s.depth == 0 {
-            busy[s.worker as usize] += s.duration();
-        }
-    }
-    busy.into_iter()
-        .map(|b| WorkerUtil {
-            busy: b,
-            utilization: if makespan == 0 {
-                0.0
-            } else {
-                b as f64 / makespan as f64
-            },
-        })
-        .collect()
-}
-
 /// A log₂ histogram: `counts[i]` holds values in `[2^(i-1), 2^i)`
 /// (bucket 0 holds the value 0).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Bucket counts (see type docs for the bucket bounds).
     pub counts: Vec<u64>,
@@ -102,30 +76,9 @@ impl Histogram {
     }
 }
 
-/// Steal latencies: for every stolen task, the time from the fork that
-/// published it to the thief's `StealCommit` — how long work sat
-/// stealable before anyone took it. Works in both clock domains.
-pub fn steal_latency_histogram(trace: &Trace) -> Histogram {
-    let mut fork_t: HashMap<u32, u64> = HashMap::new();
-    let mut h = Histogram::default();
-    for ev in &trace.events {
-        match ev.kind {
-            EventKind::Fork { right, .. } => {
-                fork_t.insert(right, ev.t);
-            }
-            EventKind::StealCommit { task, .. } => {
-                if let Some(&ft) = fork_t.get(&task) {
-                    h.record(ev.t.saturating_sub(ft));
-                }
-            }
-            _ => {}
-        }
-    }
-    h
-}
-
-/// The paper-style breakdown of one traced run: where the time went.
-#[derive(Debug, Clone)]
+/// The paper-style breakdown of one traced run: where the time went,
+/// and the structural tallies [`diff`](crate::diff()) compares.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Clock domain of every time quantity below.
     pub clock: ClockDomain,
@@ -135,87 +88,166 @@ pub struct TraceSummary {
     pub makespan: u64,
     /// Total top-level busy time across workers (work incl. miss stalls).
     pub busy_total: u64,
-    /// Distinct task ids observed.
+    /// Distinct task ids with a `TaskBegin`.
     pub tasks: u64,
+    /// `Fork` events.
+    pub forks: u64,
+    /// `TaskBegin` events.
+    pub begins: u64,
+    /// `TaskEnd` events.
+    pub ends: u64,
     /// Closed execution segments.
     pub segments: u64,
     /// Committed steals (claiming sequences, not tasks: a batched steal
     /// counts once here).
     pub steals: u64,
     /// Tasks moved by committed steals (sum of `StealCommit::count`;
-    /// equals `steals` when no steal was batched).
+    /// equals `steals` when no steal was batched). One batched commit of
+    /// k tasks and k unbatched commits tally the same here, which is why
+    /// structural equality never compares raw `steals`.
     pub stolen_tasks: u64,
     /// Failed steal attempts (probes / newly-failed rounds).
     pub steal_fails: u64,
-    /// Summed miss deltas: (heap block, stack block, stack plain).
+    /// Summed miss deltas: (heap block, stack block, stack plain). Sim
+    /// traces carry model-predicted misses here; native traces carry
+    /// what the `perf_event` counters measured, or zeros where the
+    /// kernel denied them.
     pub misses: (u64, u64, u64),
-    /// Events the sink's rings could not hold (see
-    /// [`Trace::dropped`](crate::Trace)). Nonzero means every analysis
-    /// above ran on a truncated record — `trace_report` prints it and
-    /// then exits 2.
+    /// Events the sink's rings could not hold (see [`Trace::dropped`]).
+    /// Nonzero means every analysis above ran on a truncated record —
+    /// `trace_report` prints it and then exits 2.
     pub dropped: u64,
     /// Per-worker utilization.
     pub workers_util: Vec<WorkerUtil>,
-    /// Fork→steal latency histogram.
+    /// Fork→steal latencies: for every stolen task, the time from the
+    /// fork that published it to the thief's `StealCommit` — how long
+    /// work sat stealable before anyone took it. Both clock domains.
     pub steal_latency: Histogram,
-    /// Critical path (sim traces only; `None` on wall-clock traces or
-    /// truncated rings).
-    pub critical: Option<CriticalPath>,
+    /// Critical path, or why there is none: only complete sim traces
+    /// have one.
+    pub critical: Result<CriticalPath, CpError>,
 }
 
-/// Compute the full [`TraceSummary`] of a trace. The segment
-/// reconstruction runs once and is shared by every sub-analysis.
+impl TraceSummary {
+    /// Whether the trace on its own is a complete record: every begun
+    /// task ended and no events were lost to ring overflow. This is the
+    /// per-side check the cross-backend `trace_diff` mode falls back to
+    /// when the two sides' task-id spaces don't align (sim node ids vs
+    /// native fork ordinals).
+    pub fn complete(&self) -> bool {
+        self.begins == self.ends && self.dropped == 0
+    }
+}
+
+/// Compute the [`TraceSummary`] of a trace: one pass over the events,
+/// one segment reconstruction shared by utilization and the critical
+/// path.
 pub fn summarize(trace: &Trace) -> TraceSummary {
     let segments = trace.segments();
-    let mut tasks: HashSet<u32> = HashSet::new();
-    let (mut steals, mut stolen_tasks, mut fails) = (0u64, 0u64, 0u64);
-    let mut misses = (0u64, 0u64, 0u64);
+    let makespan = trace.makespan();
+    let mut s = TraceSummary {
+        clock: trace.clock,
+        workers: trace.workers,
+        makespan,
+        busy_total: 0,
+        tasks: 0,
+        forks: 0,
+        begins: 0,
+        ends: 0,
+        segments: segments.segs.len() as u64,
+        steals: 0,
+        stolen_tasks: 0,
+        steal_fails: 0,
+        misses: (0, 0, 0),
+        dropped: trace.dropped,
+        workers_util: Vec::new(),
+        steal_latency: Histogram::default(),
+        critical: critical_path_of(trace, &segments),
+    };
+    let mut begun: HashSet<u32> = HashSet::new();
+    let mut fork_t: HashMap<u32, u64> = HashMap::new();
     for ev in &trace.events {
         match ev.kind {
-            EventKind::TaskBegin { task }
-            | EventKind::TaskEnd { task }
-            | EventKind::JoinResume { task } => {
-                tasks.insert(task);
+            EventKind::TaskBegin { task } => {
+                begun.insert(task);
+                s.begins += 1;
             }
-            EventKind::StealCommit { count, .. } => {
-                steals += 1;
-                stolen_tasks += u64::from(count);
+            EventKind::TaskEnd { .. } => s.ends += 1,
+            EventKind::Fork { right, .. } => {
+                s.forks += 1;
+                fork_t.insert(right, ev.t);
             }
-            EventKind::StealFail => fails += 1,
+            EventKind::StealCommit { task, count, .. } => {
+                s.steals += 1;
+                s.stolen_tasks += u64::from(count);
+                if let Some(&ft) = fork_t.get(&task) {
+                    s.steal_latency.record(ev.t.saturating_sub(ft));
+                }
+            }
+            EventKind::StealFail => s.steal_fails += 1,
             EventKind::MissDelta {
                 heap_block,
                 stack_block,
                 stack_plain,
             } => {
-                misses.0 += u64::from(heap_block);
-                misses.1 += u64::from(stack_block);
-                misses.2 += u64::from(stack_plain);
+                s.misses.0 += u64::from(heap_block);
+                s.misses.1 += u64::from(stack_block);
+                s.misses.2 += u64::from(stack_plain);
             }
             _ => {}
         }
     }
-    let workers_util = utilization_of(trace, &segments);
-    TraceSummary {
-        clock: trace.clock,
-        workers: trace.workers,
-        makespan: trace.makespan(),
-        busy_total: workers_util.iter().map(|w| w.busy).sum(),
-        tasks: tasks.len() as u64,
-        segments: segments.segs.len() as u64,
-        steals,
-        stolen_tasks,
-        steal_fails: fails,
-        misses,
-        dropped: trace.dropped,
-        workers_util,
-        steal_latency: steal_latency_histogram(trace),
-        critical: critical_path_of(trace, &segments).ok(),
+    s.tasks = begun.len() as u64;
+    let mut busy = vec![0u64; trace.workers];
+    for seg in segments.segs.iter().filter(|seg| seg.depth == 0) {
+        busy[seg.worker as usize] += seg.duration();
     }
+    s.busy_total = busy.iter().sum();
+    s.workers_util = busy
+        .into_iter()
+        .map(|b| WorkerUtil {
+            busy: b,
+            utilization: if makespan == 0 {
+                0.0
+            } else {
+                b as f64 / makespan as f64
+            },
+        })
+        .collect();
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::tests::steal_trace;
+
+    #[test]
+    fn a_complete_sim_trace_has_a_critical_path() {
+        let s = summarize(&steal_trace(1));
+        assert!(s.complete());
+        assert_eq!((s.tasks, s.forks, s.begins, s.ends), (3, 1, 3, 3));
+        assert_eq!(s.critical.map(|cp| cp.total), Ok(7));
+        assert_eq!(s.steal_latency.total(), 1, "one stolen task");
+    }
+
+    #[test]
+    fn a_truncated_trace_has_no_critical_path_and_is_incomplete() {
+        let mut t = steal_trace(1);
+        t.dropped = 5;
+        let s = summarize(&t);
+        assert_eq!(s.critical, Err(CpError::Truncated));
+        assert!(!s.complete());
+    }
+
+    #[test]
+    fn a_wall_clock_trace_has_no_critical_path() {
+        let mut t = steal_trace(1);
+        t.clock = ClockDomain::WallNs;
+        let s = summarize(&t);
+        assert_eq!(s.critical, Err(CpError::WallClockTrace));
+        assert!(s.complete());
+    }
 
     #[test]
     fn histogram_buckets_are_log2() {

@@ -12,6 +12,7 @@
 //! nanoseconds by 1000 (keeping sub-µs precision as fractions).
 
 use crate::event::{ClockDomain, EventKind};
+use crate::json::escape;
 use crate::trace::Trace;
 
 /// Export one trace as Chrome-trace JSON.
@@ -115,20 +116,6 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
     }
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,10 +172,5 @@ mod tests {
         assert!(phases.contains(&"i"), "instant events present");
         assert!(phases.contains(&"C"), "counter events present");
         assert!(phases.contains(&"M"), "metadata events present");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

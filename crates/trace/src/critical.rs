@@ -82,7 +82,7 @@ pub enum HopVia {
 }
 
 /// One segment on the critical path (listed root-start → root-end).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpHop {
     /// The segment's task.
     pub task: u32,
@@ -98,7 +98,7 @@ pub struct CpHop {
 
 /// The extracted critical path: `total = work + steal + queue_wait`
 /// equals the virtual-time makespan of the traced run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalPath {
     /// End-to-end length (== sim makespan).
     pub total: u64,
@@ -139,10 +139,12 @@ pub fn critical_path(trace: &Trace) -> Result<CriticalPath, CpError> {
     critical_path_of(trace, &trace.segments())
 }
 
-/// [`critical_path`] over an already-reconstructed segment set — use
-/// this when segments are needed anyway (e.g. [`crate::summarize`]) so
-/// the O(events) reconstruction runs once.
-pub fn critical_path_of(trace: &Trace, segments: &Segments) -> Result<CriticalPath, CpError> {
+/// [`critical_path`] over an already-reconstructed segment set, so that
+/// `summarize` runs the O(events) reconstruction once.
+pub(crate) fn critical_path_of(
+    trace: &Trace,
+    segments: &Segments,
+) -> Result<CriticalPath, CpError> {
     if trace.clock != ClockDomain::Virtual {
         return Err(CpError::WallClockTrace);
     }

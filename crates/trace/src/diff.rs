@@ -1,106 +1,23 @@
-//! Structural trace diffing: align two traces of the same kernel and
-//! report where they diverge.
+//! Structural trace diffing: summarize two traces of the same kernel
+//! and report where they diverge.
 //!
-//! The benchmark's `sim-table1` golden gates *aggregate* table1 metrics;
-//! this module pinpoints *scheduling* changes. Two traces of the same
-//! computation are aligned **by task id**: on the sim backend task ids are the recorded
-//! computation's node ids, so two runs of the same kernel under
-//! different policies (or before/after a scheduler change) share an id
-//! space and their critical paths can be compared hop by hop. On the
-//! native backend ids are fork-ordinals — scheduling-dependent names —
-//! so the per-id alignment degrades gracefully to the structural
-//! checks: same task-id *set*, same fork/steal/segment accounting, every
-//! begun task ended. That weaker comparison is exactly what the
-//! mutex-vs-Chase-Lev regression test needs: two pools executing the
-//! same kernel must produce structurally identical traces even though
-//! every timestamp differs.
+//! [`diff`] runs [`summarize`] once per side and compares the two
+//! [`TraceSummary`]s. Traces are aligned **by task id**: on the sim
+//! backend task ids are the recorded computation's node ids, so two runs
+//! of the same kernel under different policies (or before/after a
+//! scheduler change) share an id space and their critical paths can be
+//! compared hop by hop. On the native backend ids are fork ordinals —
+//! scheduling-dependent names — so the comparison degrades to the
+//! structural checks: same task-id *set*, same fork/begin/end tallies,
+//! every begun task ended. Two pools executing the same kernel must
+//! pass those even though every timestamp differs.
 
 use std::collections::BTreeSet;
 
-use crate::critical::{critical_path_of, CriticalPath};
+use crate::analyze::{summarize, TraceSummary};
+use crate::critical::CriticalPath;
 use crate::event::EventKind;
 use crate::trace::Trace;
-
-/// Per-trace structural tallies (one side of a [`TraceDiff`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceShape {
-    /// Distinct task ids with a `TaskBegin`.
-    pub tasks: u64,
-    /// `Fork` events.
-    pub forks: u64,
-    /// `TaskBegin` events.
-    pub begins: u64,
-    /// `TaskEnd` events.
-    pub ends: u64,
-    /// Committed steals (claiming sequences — a batched steal that
-    /// moves k tasks counts once).
-    pub steals: u64,
-    /// Tasks moved by committed steals (sum of `StealCommit::count`).
-    /// One batched commit of k tasks and k unbatched commits tally the
-    /// same here, which is why structural equality never compares raw
-    /// `steals`.
-    pub stolen_tasks: u64,
-    /// Failed steal attempts.
-    pub steal_fails: u64,
-    /// Trace makespan (clock-domain units).
-    pub makespan: u64,
-    /// Events lost to ring overflow.
-    pub dropped: u64,
-    /// Summed `MissDelta` payloads: (heap block, stack block, stack
-    /// plain). Sim traces carry model-predicted misses here; native
-    /// traces carry what the `perf_event` counters measured, or zeros
-    /// where the kernel denied them — the cross-backend `trace_diff`
-    /// mode reports both side by side rather than comparing them for
-    /// equality.
-    pub misses: (u64, u64, u64),
-}
-
-impl TraceShape {
-    fn of(t: &Trace) -> Self {
-        let mut s = TraceShape {
-            makespan: t.makespan(),
-            dropped: t.dropped,
-            ..TraceShape::default()
-        };
-        let mut ids = BTreeSet::new();
-        for ev in &t.events {
-            match ev.kind {
-                EventKind::TaskBegin { task } => {
-                    ids.insert(task);
-                    s.begins += 1;
-                }
-                EventKind::TaskEnd { .. } => s.ends += 1,
-                EventKind::Fork { .. } => s.forks += 1,
-                EventKind::StealCommit { count, .. } => {
-                    s.steals += 1;
-                    s.stolen_tasks += u64::from(count);
-                }
-                EventKind::StealFail => s.steal_fails += 1,
-                EventKind::MissDelta {
-                    heap_block,
-                    stack_block,
-                    stack_plain,
-                } => {
-                    s.misses.0 += u64::from(heap_block);
-                    s.misses.1 += u64::from(stack_block);
-                    s.misses.2 += u64::from(stack_plain);
-                }
-                _ => {}
-            }
-        }
-        s.tasks = ids.len() as u64;
-        s
-    }
-
-    /// Whether this side on its own is a complete record: every begun
-    /// task ended and no events were lost to ring overflow. This is the
-    /// per-side check the cross-backend `trace_diff` mode falls back to
-    /// when the two sides' task-id spaces don't align (sim node ids vs
-    /// native fork ordinals).
-    pub fn complete(&self) -> bool {
-        self.begins == self.ends && self.dropped == 0
-    }
-}
 
 /// First hop index at which two critical paths part ways.
 #[derive(Debug, Clone)]
@@ -114,14 +31,14 @@ pub struct CpDivergence {
     pub b: Option<(u32, u32)>,
 }
 
-/// The result of [`diff`]: shapes, id-set alignment, and (for sim
-/// traces) the critical-path comparison.
+/// The result of [`diff`]: both summaries, the id-set alignment, and
+/// (for sim traces) where the critical paths part.
 #[derive(Debug, Clone)]
 pub struct TraceDiff {
-    /// Structural tallies of trace A.
-    pub a: TraceShape,
-    /// Structural tallies of trace B.
-    pub b: TraceShape,
+    /// Summary of trace A.
+    pub a: TraceSummary,
+    /// Summary of trace B.
+    pub b: TraceSummary,
     /// Task ids begun in A but not in B (alignment leftovers; capped at
     /// [`TraceDiff::ID_CAP`] entries, `only_a_total` is the real count).
     pub only_a: Vec<u32>,
@@ -131,10 +48,6 @@ pub struct TraceDiff {
     pub only_b: Vec<u32>,
     /// Total ids only in B.
     pub only_b_total: u64,
-    /// Critical path of A (sim traces only).
-    pub cp_a: Option<CriticalPath>,
-    /// Critical path of B (sim traces only).
-    pub cp_b: Option<CriticalPath>,
     /// Where the two critical paths first diverge (`None` when either
     /// path is unavailable, or when they visit identical
     /// task-on-worker hops).
@@ -155,10 +68,8 @@ impl TraceDiff {
             && self.only_b_total == 0
             && self.a.tasks == self.b.tasks
             && self.a.forks == self.b.forks
-            && self.a.begins == self.a.ends
-            && self.b.begins == self.b.ends
-            && self.a.dropped == 0
-            && self.b.dropped == 0
+            && self.a.complete()
+            && self.b.complete()
     }
 }
 
@@ -177,10 +88,9 @@ pub fn diff(a: &Trace, b: &Trace) -> TraceDiff {
     let only_a_all: Vec<u32> = ids_a.difference(&ids_b).copied().collect();
     let only_b_all: Vec<u32> = ids_b.difference(&ids_a).copied().collect();
 
-    let cp_a = critical_path_of(a, &a.segments()).ok();
-    let cp_b = critical_path_of(b, &b.segments()).ok();
-    let divergence = match (&cp_a, &cp_b) {
-        (Some(pa), Some(pb)) => {
+    let (sa, sb) = (summarize(a), summarize(b));
+    let divergence = match (&sa.critical, &sb.critical) {
+        (Ok(pa), Ok(pb)) => {
             let key = |p: &CriticalPath, i: usize| p.hops.get(i).map(|h| (h.task, h.worker));
             (0..pa.hops.len().max(pb.hops.len()))
                 .find(|&i| key(pa, i) != key(pb, i))
@@ -194,14 +104,12 @@ pub fn diff(a: &Trace, b: &Trace) -> TraceDiff {
     };
 
     TraceDiff {
-        a: TraceShape::of(a),
-        b: TraceShape::of(b),
+        a: sa,
+        b: sb,
         only_a_total: only_a_all.len() as u64,
         only_a: only_a_all.into_iter().take(TraceDiff::ID_CAP).collect(),
         only_b_total: only_b_all.len() as u64,
         only_b: only_b_all.into_iter().take(TraceDiff::ID_CAP).collect(),
-        cp_a,
-        cp_b,
         divergence,
     }
 }
@@ -248,8 +156,8 @@ impl std::fmt::Display for TraceDiff {
         } else {
             writeln!(f, "  id alignment: identical task-id sets")?;
         }
-        match (&self.cp_a, &self.cp_b) {
-            (Some(pa), Some(pb)) => {
+        match (&self.a.critical, &self.b.critical) {
+            (Ok(pa), Ok(pb)) => {
                 writeln!(
                     f,
                     "  critical path: A = {} (work {} + steal {} + wait {}, {} hops) | \
@@ -282,10 +190,7 @@ impl std::fmt::Display for TraceDiff {
                     }
                 }
             }
-            _ => writeln!(
-                f,
-                "  critical path: unavailable on at least one side (wall-clock or truncated trace)"
-            )?,
+            (Err(e), _) | (_, Err(e)) => writeln!(f, "  critical path: unavailable: {e}")?,
         }
         Ok(())
     }

@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON reader.
+//! A minimal, dependency-free JSON reader, and the one string [`escape`]
+//! this repo's JSON writers share.
 //!
 //! The build environment has no `serde_json`, but tests and tools need
 //! to *read* JSON: the Chrome-trace validation (tests re-parse the
@@ -262,6 +263,21 @@ impl Parser<'_> {
     }
 }
 
+/// Minimal JSON string escape (quotes, backslashes, control chars),
+/// shared by the Chrome export and the serve report.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +302,18 @@ mod tests {
         );
         assert_eq!(doc.get("d"), Some(&Json::Null));
         assert_eq!(doc.get("e"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(escape("Sort (SPMS)"), "Sort (SPMS)");
+        for s in ["a\"b\\c\n\t", "Sort (SPMS)", ""] {
+            assert_eq!(
+                parse(&format!("\"{}\"", escape(s))),
+                Ok(Json::Str(s.into()))
+            );
+        }
     }
 
     #[test]

@@ -35,12 +35,14 @@
 //!   index tables, then a walk. Its `total` equals the simulator's
 //!   virtual-time makespan *exactly* (an invariant the integration
 //!   tests enforce for PWS and RWS);
-//! * [`analyze`] — per-worker utilization, fork→steal latency
-//!   histograms, and the paper-style [`TraceSummary`];
-//! * [`diff`] — structural trace diffing: align two traces of the same
-//!   kernel by task id, compare fork/steal/segment tallies, and report
-//!   where the critical paths diverge (the `trace_diff` binary and the
-//!   mutex-vs-Chase-Lev regression tests are built on it);
+//! * [`analyze`] — [`summarize`], the one tally of a trace: a single
+//!   pass over the events and one segment reconstruction give the
+//!   paper-style [`TraceSummary`] (task, fork, steal and miss counts,
+//!   per-worker utilization, the fork→steal latency histogram and the
+//!   critical path, or why it is missing) that `trace_report` prints;
+//! * [`diff`](mod@diff) — [`diff()`] summarizes two traces of the same
+//!   kernel, aligns them by task id, and reports where their critical
+//!   paths diverge; the `trace_diff` binary prints it;
 //! * [`chrome`] — Chrome-trace JSON export ([`chrome_trace`] /
 //!   [`chrome_trace_multi`]) viewable in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>;
@@ -60,12 +62,10 @@ pub mod json;
 pub mod sink;
 pub mod trace;
 
-pub use analyze::{
-    steal_latency_histogram, summarize, utilization, utilization_of, Histogram, TraceSummary,
-};
+pub use analyze::{summarize, Histogram, TraceSummary};
 pub use chrome::{chrome_trace, chrome_trace_multi};
-pub use critical::{critical_path, critical_path_of, CpError, CpHop, CriticalPath, HopVia};
-pub use diff::{diff, CpDivergence, TraceDiff, TraceShape};
+pub use critical::{critical_path, CpError, CpHop, CriticalPath, HopVia};
+pub use diff::{diff, CpDivergence, TraceDiff};
 pub use event::{ClockDomain, EventKind, TraceEvent};
 pub use sink::{TraceSink, DEFAULT_CAPACITY};
 pub use trace::{Segment, Segments, Trace};

@@ -7,7 +7,7 @@
 //! ```
 
 use hbp_core::prelude::*;
-use hbp_core::trace::{chrome_trace, critical_path, summarize, HopVia};
+use hbp_core::trace::{chrome_trace, summarize, HopVia};
 
 fn main() {
     let n = hbp_repro::example_size(1 << 12);
@@ -30,7 +30,8 @@ fn main() {
     // 2. The critical path: the longest chain through the join DAG,
     //    decomposed into executed work, steal charges, and time stolen
     //    tasks waited in their victim's deque.
-    let cp = critical_path(&trace).expect("complete sim trace");
+    let s = summarize(&trace);
+    let cp = s.critical.as_ref().expect("complete sim trace");
     println!(
         "critical path = {} (work {} + steal {} + deque wait {}) over {} hops",
         cp.total,
@@ -50,12 +51,11 @@ fn main() {
         .count();
     println!(
         "the path crosses {stolen} steals; parallelism W/CP = {:.2}",
-        summarize(&trace).busy_total as f64 / cp.total.max(1) as f64
+        s.busy_total as f64 / cp.total.max(1) as f64
     );
 
     // 3. Where the misses happened: per-segment deltas sum back to the
     //    report's counters.
-    let s = summarize(&trace);
     assert_eq!(
         s.misses,
         (

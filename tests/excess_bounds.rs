@@ -4,7 +4,7 @@
 
 use hbp_core::prelude::*;
 
-use hbp_core::algos::{gen, mm, mt, scan, strassen};
+use hbp_core::algos::{gen, layout, mm, mt, scan, strassen};
 
 /// Lemma 4.4(ii)/(iii): for a BP computation with f(r) = O(√r) and a tall
 /// cache, PWS misses ≤ O(Q + pM/B).
@@ -32,13 +32,7 @@ fn lemma_4_4_scan_cache_excess_within_pm_over_b() {
 #[test]
 fn lemma_4_1_matrix_cache_excess() {
     let n = 32;
-    let rm = gen::random_matrix(n, 3);
-    let mut bi = vec![0.0; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[hbp_core::algos::layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
+    let bi = layout::to_bi(&gen::random_matrix(n, 3), n);
     let bw = 32u64;
     let m = 1 << 12;
     let (cmt, _) = mt::transpose_bi(&bi, n, BuildConfig::with_block(bw));
@@ -83,13 +77,7 @@ fn lemma_4_2_block_misses_scan_envelope() {
 #[test]
 fn lemma_4_2_block_misses_mm_envelope() {
     let n = 16; // matrix side; input size m = n² = 256
-    let rm = gen::random_matrix(n, 4);
-    let mut bi = vec![0.0; n * n];
-    for r in 0..n {
-        for c in 0..n {
-            bi[hbp_core::algos::layout::morton(r as u64, c as u64) as usize] = rm[r * n + c];
-        }
-    }
+    let bi = layout::to_bi(&gen::random_matrix(n, 4), n);
     let bw = 16u64;
     let (comp, _) = mm::depth_n_mm(&bi, &bi, n, BuildConfig::with_block(bw));
     for p in [2usize, 4, 8] {

@@ -39,7 +39,8 @@ fn traces_from_different_pools_are_structurally_identical() {
     assert_eq!(d.a.forks, d.b.forks);
     // Native traces are wall-clock: the diff must degrade gracefully
     // (no critical path, no bogus divergence).
-    assert!(d.cp_a.is_none() && d.cp_b.is_none());
+    assert_eq!(d.a.critical, Err(tr::CpError::WallClockTrace));
+    assert_eq!(d.b.critical, Err(tr::CpError::WallClockTrace));
     assert!(d.divergence.is_none());
 }
 
@@ -65,17 +66,20 @@ fn sim_policy_diff_aligns_by_task_id_and_compares_critical_paths() {
     let d = tr::diff(&ta, &tb);
     assert!(d.structurally_equal(), "{d}");
     assert_eq!(d.only_a_total + d.only_b_total, 0, "shared node-id space");
-    let (cp_a, cp_b) = (d.cp_a.as_ref().unwrap(), d.cp_b.as_ref().unwrap());
-    assert_eq!(cp_a.total, d.a.makespan, "sim CP equals makespan");
-    assert_eq!(cp_b.total, d.b.makespan);
+    let (pa, pb) = (
+        d.a.critical.as_ref().unwrap(),
+        d.b.critical.as_ref().unwrap(),
+    );
+    assert_eq!(pa.total, d.a.makespan, "sim CP equals makespan");
+    assert_eq!(pb.total, d.b.makespan);
     // PWS and RWS schedule differently; the diff localizes that to a
     // hop (or finds identical paths, which fixed seeds make stable —
     // either way the field must be consistent with the hop lists).
     match &d.divergence {
-        Some(div) => assert!(div.hop <= cp_a.hops.len().min(cp_b.hops.len())),
+        Some(div) => assert!(div.hop <= pa.hops.len().min(pb.hops.len())),
         None => assert_eq!(
-            cp_a.hops.iter().map(|h| h.task).collect::<Vec<_>>(),
-            cp_b.hops.iter().map(|h| h.task).collect::<Vec<_>>()
+            pa.hops.iter().map(|h| h.task).collect::<Vec<_>>(),
+            pb.hops.iter().map(|h| h.task).collect::<Vec<_>>()
         ),
     }
 }

@@ -64,6 +64,11 @@ fn critical_path_equals_sim_makespan_for_kernels_and_policies() {
                 cp.hops.first().map(|h| h.via),
                 Some(HopVia::Start)
             ));
+            assert_eq!(
+                summarize(&trace).critical.as_ref(),
+                Ok(&cp),
+                "{algo}/{policy:?}: the summary's path is critical_path's, hop for hop"
+            );
         }
     }
 }
