@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn limited_access_every_output_word_written_once() {
         let data = keyed(257, 1 << 30, 3);
-        let (c, _) = spms(&data, BuildConfig::default().tracked());
+        let (c, _) = spms(&data, BuildConfig::default());
         let (g, l) = analysis::write_counts(&c);
         assert!(g <= 1, "global words written once, got {g}");
         assert!(l <= 1, "gapped buffer words written once, got {l}");

@@ -29,7 +29,7 @@
 //!
 //! A retired variable (`HBP_DEQUE`, `HBP_STEAL_BATCH`, `HBP_DOMAINS`,
 //! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`, `HBP_COUNTERS`,
-//! `HBP_METRICS_INTERVAL`, `HBP_TRACE_STRICT`; the README says why each
+//! `HBP_METRICS_INTERVAL`, `HBP_TRACE_STRICT`, `HBP_FIG_N`; the README says why each
 //! went) is reported as an error naming what replaced it when set, to
 //! any value, not silently ignored. So is a policy the backend cannot run: the
 //! native pool has one discipline, randomized stealing, and takes only
@@ -122,7 +122,7 @@ fn parse_trace_buf(value: Option<&str>) -> Result<usize, String> {
 
 /// Retired `HBP_*` variables and what replaced each: setting one, to
 /// any value, is an error (see [`Config::from_lookup`]).
-const RETIRED: [(&str, &str); 8] = [
+const RETIRED: [(&str, &str); 9] = [
     ("HBP_DEQUE", "Chase-Lev is the only deque"),
     (
         "HBP_STEAL_BATCH",
@@ -150,6 +150,10 @@ const RETIRED: [(&str, &str); 8] = [
     (
         "HBP_TRACE_STRICT",
         "trace_report always exits 2 when the trace dropped events",
+    ),
+    (
+        "HBP_FIG_N",
+        "HBP_EXAMPLE_N shrinks a figure run for a smoke test",
     ),
 ];
 
@@ -465,9 +469,11 @@ mod tests {
         // naming what replaced it, and they aggregate with each other
         // and the other problems.
         for values in [
-            ["mutex", "off", "4", "0", "1..8", "stub", "50", "1"],
-            ["cl", "policy", "tag:2", "inf", "2..2", "perf", "off", "0"],
-            ["", "", "auto", "3", "off", "auto", "", ""],
+            ["mutex", "off", "4", "0", "1..8", "stub", "50", "1", "16384"],
+            [
+                "cl", "policy", "tag:2", "inf", "2..2", "perf", "off", "0", "1",
+            ],
+            ["", "", "auto", "3", "off", "auto", "", "", ""],
         ] {
             let err = Config::from_lookup(|v| match v {
                 "HBP_WORKERS" => Some("zero".into()),
@@ -495,11 +501,13 @@ mod tests {
                  timeline",
                 "HBP_TRACE_STRICT was removed: trace_report always exits 2 when \
                  the trace dropped events",
+                "HBP_FIG_N was removed: HBP_EXAMPLE_N shrinks a figure run for a \
+                 smoke test",
             ] {
                 assert!(err.contains(want), "{want:?} missing from {err}");
             }
             assert!(err.contains("HBP_WORKERS must"), "{err}");
-            assert!(err.contains("9 problems"), "{err}");
+            assert!(err.contains("10 problems"), "{err}");
         }
         for (var, _) in RETIRED {
             let err =

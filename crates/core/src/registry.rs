@@ -21,6 +21,17 @@ pub enum SizeKind {
     MatrixSide,
 }
 
+impl SizeKind {
+    /// The size that fits this kind: `linear` for a linear row, `side`
+    /// for a matrix row.
+    pub fn pick(self, linear: usize, side: usize) -> usize {
+        match self {
+            SizeKind::Linear => linear,
+            SizeKind::MatrixSide => side,
+        }
+    }
+}
+
 /// One row of Table 1.
 pub struct AlgoSpec {
     /// Paper's name for the algorithm.
@@ -53,10 +64,7 @@ pub struct AlgoSpec {
 impl AlgoSpec {
     /// Number of input elements for problem size `n`.
     pub fn elements(&self, n: usize) -> usize {
-        match self.size {
-            SizeKind::Linear => n,
-            SizeKind::MatrixSide => n * n,
-        }
+        self.size.pick(n, n * n)
     }
 }
 
@@ -353,7 +361,7 @@ pub fn try_lookup(name: &str) -> Result<&'static AlgoSpec, String> {
         })
 }
 
-/// [`try_lookup`], panicking on a miss. The figure binaries name their
+/// [`try_lookup`], panicking on a miss. The `hbp fig_*` commands name their
 /// rows through this, so renaming a registry row can never silently
 /// drop it from a figure — the run fails loudly instead.
 pub fn lookup(name: &str) -> &'static AlgoSpec {
@@ -408,10 +416,7 @@ mod tests {
     #[test]
     fn every_entry_builds_and_has_positive_work() {
         for spec in registry() {
-            let n = match spec.size {
-                SizeKind::Linear => 64,
-                SizeKind::MatrixSide => 8,
-            };
+            let n = spec.size.pick(64, 8);
             let comp = (spec.build)(n, BuildConfig::default(), 42);
             assert!(comp.work() > 0, "{} built empty", spec.name);
             assert!(comp.n_priorities > 0, "{} has no priorities", spec.name);

@@ -13,10 +13,7 @@ use hbp_core::{has_native_kernel, native_kernel};
 const WORKERS: usize = 2;
 
 fn small_n(spec: &AlgoSpec) -> usize {
-    match spec.size {
-        SizeKind::Linear => 256,
-        SizeKind::MatrixSide => 8,
-    }
+    spec.size.pick(256, 8)
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! The trace builder: algorithms run against it once, producing both real
 //! output values and the full [`Computation`] DAG + access trace.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use hbp_machine::{BlockAllocator, Word};
@@ -20,9 +19,6 @@ pub struct BuildConfig {
     /// Build a *padded* computation (Def 3.3): each node's frame is preceded
     /// by a `⌈√|τ|⌉`-word pad.
     pub padded: bool,
-    /// Track per-word write/access counts for the limited-access checker
-    /// (Def 2.4). Adds memory overhead; enable in tests and diagnostics.
-    pub track_access_counts: bool,
 }
 
 impl Default for BuildConfig {
@@ -30,13 +26,12 @@ impl Default for BuildConfig {
         Self {
             block_words: 32,
             padded: false,
-            track_access_counts: false,
         }
     }
 }
 
 impl BuildConfig {
-    /// Config with the given block size, unpadded, no tracking.
+    /// Config with the given block size, unpadded.
     pub fn with_block(block_words: u64) -> Self {
         Self {
             block_words,
@@ -47,12 +42,6 @@ impl BuildConfig {
     /// Enable padding (Def 3.3).
     pub fn padded(mut self) -> Self {
         self.padded = true;
-        self
-    }
-
-    /// Enable limited-access tracking.
-    pub fn tracked(mut self) -> Self {
-        self.track_access_counts = true;
         self
     }
 }
@@ -152,12 +141,6 @@ impl<T: Wordable> LArray<T> {
     }
 }
 
-/// Per-word access counting for the limited-access checker.
-#[derive(Debug, Default, Clone)]
-struct AccessCounts {
-    writes: HashMap<Word, u32>,
-}
-
 /// An open task node: where its body starts on the builder's `pending`
 /// stack and its frame on the `frames` stack.
 #[derive(Debug, Clone, Copy)]
@@ -192,7 +175,6 @@ pub struct Builder {
     alloc: BlockAllocator,
     open: Vec<Open>,
     seg_start: u32,
-    counts: Option<AccessCounts>,
 }
 
 impl Builder {
@@ -214,7 +196,6 @@ impl Builder {
             alloc: BlockAllocator::new(cfg.block_words),
             open: Vec::new(),
             seg_start: 0,
-            counts: cfg.track_access_counts.then(AccessCounts::default),
         }
     }
 
@@ -360,9 +341,6 @@ impl Builder {
 
     fn record(&mut self, target: Target, write: bool) {
         self.comp.arena.push(Access::new(target, write));
-        if let (Some(c), Target::Global(w), true) = (&mut self.counts, target, write) {
-            *c.writes.entry(w).or_insert(0) += 1;
-        }
     }
 
     /// Read `a[i]`, recording one access per word.
@@ -501,21 +479,6 @@ impl Builder {
     pub fn block_words(&self) -> u64 {
         self.cfg.block_words
     }
-
-    // ---- diagnostics ---------------------------------------------------
-
-    /// Maximum number of writes to any single global word so far
-    /// (limited-access, Def 2.4). Requires `track_access_counts`.
-    pub fn max_writes_per_word(&self) -> u32 {
-        self.counts
-            .as_ref()
-            .expect("enable BuildConfig::track_access_counts")
-            .writes
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Build a BP-like binary fan-out over `count` leaves (the paper's mechanism
@@ -565,7 +528,7 @@ mod tests {
     fn msum(n: usize) -> (Computation, Word) {
         let data: Vec<u64> = (1..=n as u64).collect();
         let mut out_base = 0;
-        let comp = Builder::build(BuildConfig::default().tracked(), n as u64, |b| {
+        let comp = Builder::build(BuildConfig::default(), n as u64, |b| {
             let a = b.input(&data);
             let out = b.alloc::<u64>(1);
             out_base = out.base();
@@ -668,8 +631,7 @@ mod tests {
     fn limited_access_holds_for_msum() {
         let n = 16;
         let data: Vec<u64> = vec![1; n];
-        let mut max_writes = 0;
-        let _ = Builder::build(BuildConfig::default().tracked(), n as u64, |b| {
+        let comp = Builder::build(BuildConfig::default(), n as u64, |b| {
             let a = b.input(&data);
             let out = b.alloc::<u64>(1);
             let mut total = 0;
@@ -677,9 +639,8 @@ mod tests {
                 total += b.read(a, i);
             }
             b.write(out, 0, total);
-            max_writes = b.max_writes_per_word();
         });
-        assert_eq!(max_writes, 1);
+        assert_eq!(crate::analysis::write_counts(&comp).0, 1);
     }
 
     #[test]

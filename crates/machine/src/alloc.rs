@@ -25,14 +25,6 @@ impl BlockAllocator {
         }
     }
 
-    /// An allocator whose first allocation starts at `base` (rounded up to a
-    /// block boundary). Used to carve disjoint regions, e.g. the stack space.
-    pub fn starting_at(block_words: u64, base: Word) -> Self {
-        let mut a = Self::new(block_words);
-        a.next = a.round_up(base);
-        a
-    }
-
     fn round_up(&self, x: Word) -> Word {
         x.div_ceil(self.block_words) * self.block_words
     }
@@ -73,12 +65,6 @@ mod tests {
         assert_eq!(x, 0);
         assert_eq!(y, 32);
         assert_eq!(z, 96); // 33 words -> 2 blocks
-        assert_eq!(a.watermark(), 128);
-    }
-
-    #[test]
-    fn starting_at_rounds_up() {
-        let a = BlockAllocator::starting_at(32, 100);
         assert_eq!(a.watermark(), 128);
     }
 

@@ -162,18 +162,6 @@ impl MachineConfig {
     pub fn is_tall(&self) -> bool {
         self.cache_words >= self.block_words * self.block_words
     }
-
-    /// Replace the block size `B` (words), re-aligning the stack-region
-    /// size up to the new block multiple (region size only relocates
-    /// stacks, so rounding up is behaviour-preserving as long as frames
-    /// fit).
-    pub fn with_block_words(mut self, b: u64) -> Self {
-        assert!(b >= 1 && self.cache_words >= b);
-        self.block_words = b;
-        self.region_words = self.region_words.div_ceil(b) * b;
-        self.validate_regions();
-        self
-    }
 }
 
 #[cfg(test)]
@@ -232,8 +220,6 @@ mod tests {
         let c = MachineConfig::new(4, 1024, 48);
         assert_eq!(c.region_words % 48, 0);
         assert!(c.region_words >= MachineConfig::DEFAULT_REGION_WORDS);
-        let rebl = MachineConfig::new(4, 1024, 32).with_block_words(48);
-        assert_eq!(rebl.region_words % 48, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! Publishers: the native pool's driver (per-job worker deltas, job
 //! latency, backlog), the `par_*` kernels (arena bytes), the sim session
-//! and the serve layer (admission). Consumers: the `metrics_report` bin
+//! and the serve layer (admission). Consumers: `hbp metrics_report`
 //! and the serve scenario report.
 
 pub mod cells;

@@ -5,7 +5,7 @@
 //! [`crate::deque`] / [`crate::stacks`] for its parts, and
 //! [`crate::policy`] for the [`StealPolicy`]
 //! implementations the [`Policy`] enum selects between. The signatures
-//! here are stable: call sites in `hbp-bench`, the examples, and the
+//! here are stable: call sites in the `hbp` binary, the examples, and the
 //! tests use `run(comp, cfg, policy)` unchanged across the refactor.
 
 use hbp_machine::MachineConfig;

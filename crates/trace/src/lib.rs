@@ -42,7 +42,7 @@
 //!   critical path, or why it is missing) that `trace_report` prints;
 //! * [`diff`](mod@diff) — [`diff()`] summarizes two traces of the same
 //!   kernel, aligns them by task id, and reports where their critical
-//!   paths diverge; the `trace_diff` binary prints it;
+//!   paths diverge; `hbp trace_diff` prints it;
 //! * [`chrome`] — Chrome-trace JSON export ([`chrome_trace`] /
 //!   [`chrome_trace_multi`]) viewable in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>;

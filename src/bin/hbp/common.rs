@@ -1,35 +1,11 @@
-//! Shared helpers for the experiment binaries (`src/bin/*`): growth-rate
-//! fitting, standard machine grids, table formatting, and the trace
-//! tools' argument parser.
-//!
-//! Each binary regenerates one table/figure of the paper; its module
-//! docs say which, and the README's "Experiments" section lists them all.
+//! Helpers the commands share: growth-rate fitting, the RWS seed
+//! average, table formatting, and the trace tools' argument parser.
 
 use hbp_core::prelude::*;
 
 /// Log-log slope between two measurements — the measured growth exponent.
 pub fn growth_exponent(n1: f64, w1: f64, n2: f64, w2: f64) -> f64 {
     (w2 / w1).ln() / (n2 / n1).ln()
-}
-
-/// Problem size for the native-backend figure paths: the figure's
-/// default, unless `HBP_FIG_N` overrides it (the CI smoke step uses this
-/// to run the native paths on tiny inputs). Rounded *down* to a power of
-/// two, which the FFT (and the matrix-side derivation) require — a
-/// figure run must not abort mid-table on an odd override.
-pub fn fig_size(default: usize) -> usize {
-    let n = match std::env::var("HBP_FIG_N") {
-        Ok(s) => match s.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("HBP_FIG_N must be a positive integer, got {s:?}"),
-        },
-        Err(_) => default,
-    };
-    if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() / 2
-    }
 }
 
 /// Matrix side matching a linear problem size `n`: the power of two
@@ -57,10 +33,7 @@ pub fn parse_algo_n(args: &[String]) -> Result<(&'static AlgoSpec, usize), Strin
             .ok()
             .filter(|&n| n >= 1)
             .ok_or_else(|| format!("n must be a positive integer, got {s:?}"))?,
-        None => match spec.size {
-            SizeKind::Linear => 4096,
-            SizeKind::MatrixSide => 32,
-        },
+        None => spec.size.pick(4096, 32),
     };
     Ok((spec, n))
 }
@@ -113,19 +86,6 @@ mod tests {
     fn exponent_of_quadratic_is_two() {
         let e = growth_exponent(8.0, 64.0, 16.0, 256.0);
         assert!((e - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fig_size_rounds_down_to_a_power_of_two() {
-        // Robust to an ambient HBP_FIG_N: every value this helper returns
-        // must be a power of two (the native FFT path's precondition).
-        for default in [1usize, 7, 1000, 1 << 14, (1 << 14) + 1] {
-            let n = fig_size(default);
-            assert!(n.is_power_of_two(), "fig_size({default}) = {n}");
-            if std::env::var("HBP_FIG_N").is_err() {
-                assert!(n <= default && default < 2 * n);
-            }
-        }
     }
 
     #[test]

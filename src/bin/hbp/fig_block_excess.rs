@@ -6,16 +6,14 @@
 //!
 //! Measured block misses are printed against the corresponding envelope;
 //! the ratio column should stay bounded (constant-ish) as `p` and `B` grow.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_block_excess
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{fft, gen, layout, mm, scan};
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     println!("F2: PWS block-miss excess envelopes (Lemma 4.2)\n");
 
     // --- c = 1: prefix sums ------------------------------------------------
@@ -24,7 +22,7 @@ fn main() {
         "{:>3} {:>4} {:>10} {:>10} {:>8}",
         "p", "B", "block miss", "envelope", "ratio"
     );
-    hbp_bench::rule(40);
+    rule(40);
     let data = gen::random_u64s(1 << 14, 1 << 30, 1);
     for bw in [16u64, 32, 64] {
         let (comp, _) = scan::prefix_sums(&data, BuildConfig::with_block(bw));
@@ -50,7 +48,7 @@ fn main() {
         "{:>3} {:>4} {:>10} {:>10} {:>8}",
         "p", "B", "block miss", "envelope", "ratio"
     );
-    hbp_bench::rule(40);
+    rule(40);
     let x: Vec<Cx> = (0..1 << 12)
         .map(|i| Cx::new((i as f64).sin(), 0.0))
         .collect();
@@ -79,7 +77,7 @@ fn main() {
         "{:>3} {:>4} {:>10} {:>10} {:>8}",
         "p", "B", "block miss", "envelope", "ratio"
     );
-    hbp_bench::rule(40);
+    rule(40);
     let n = 32;
     let bi = layout::to_bi(&gen::random_matrix(n, 7), n);
     for bw in [16u64, 32] {

@@ -6,14 +6,12 @@
 //! bulk-synchronous execution. The flip side our engine exposes: on
 //! *irregular* computations (LR, Sort with data-dependent merges) static
 //! distribution loses to PWS because nothing rebalances the lower levels.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_bsp
-//! ```
 
 use hbp_core::prelude::*;
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     println!("F11: PWS vs BSP-style static distribution (p=8, M=2^12, B=32)\n");
     println!(
         "{:<20} {:>10} {:>10} {:>7} | {:>8} {:>8} | {:>9} {:>9}",
@@ -26,15 +24,12 @@ fn main() {
         "PWS idle",
         "BSP idle"
     );
-    hbp_bench::rule(96);
+    rule(96);
     let cfg = MachineConfig::new(8, 1 << 12, 32);
     let levels = 4; // ceil(log2 8) + 1
     for name in ["Scans (PS)", "MT", "Strassen", "FFT", "Sort (SPMS)", "LR"] {
         let spec = lookup(name);
-        let n = match spec.size {
-            SizeKind::Linear => 1 << 12,
-            SizeKind::MatrixSide => 32,
-        };
+        let n = spec.size.pick(1 << 12, 32);
         let comp = (spec.build)(n, BuildConfig::with_block(32), 42);
         let pws = run(&comp, cfg, Policy::Pws);
         let bsp = run(

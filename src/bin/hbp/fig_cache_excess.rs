@@ -5,20 +5,18 @@
 //! i.e. *zero* once the input exceeds the combined cache capacity. The
 //! measured excess divided by `pM/B` should be bounded by a small constant
 //! across the sweep.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_cache_excess
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{gen, layout, mt, scan, strassen};
 
+use crate::common::rule;
+
 fn bi(n: usize, seed: u64) -> Vec<f64> {
     layout::to_bi(&gen::random_matrix(n, seed), n)
 }
 
-fn main() {
+pub fn main() {
     let bw = 32u64;
     let m = 1u64 << 12;
     let builds: Vec<(&str, Computation)> = vec![
@@ -45,7 +43,7 @@ fn main() {
         "{:<16} {:>3} {:>9} {:>9} {:>9} {:>8} {:>10}",
         "algorithm", "p", "Q(seq)", "PWS miss", "excess", "pM/B", "excess/(pM/B)"
     );
-    hbp_bench::rule(72);
+    rule(72);
     for (name, comp) in &builds {
         let seq = run_sequential(comp, MachineConfig::new(1, m, bw));
         for p in [2usize, 4, 8, 16, 32] {
@@ -72,7 +70,7 @@ fn main() {
         "{:<16} {:>8} {:>9} {:>9} {:>12}",
         "algorithm", "M", "Q(seq)", "excess", "excess/(pM/B)"
     );
-    hbp_bench::rule(60);
+    rule(60);
     for (name, comp) in &builds {
         for mm in [1u64 << 11, 1 << 12, 1 << 13, 1 << 14] {
             let cfg = MachineConfig::new(8, mm, bw);

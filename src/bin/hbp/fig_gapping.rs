@@ -6,20 +6,18 @@
 //!    (the `L` estimator) — gapping should collapse it;
 //! 2. *dynamic*: block misses under PWS with many cores, where small
 //!    stolen tasks write into shared blocks.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_gapping
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{gen, layout};
 
+use crate::common::rule;
+
 fn bi_data(n: usize, seed: u64) -> Vec<u64> {
     layout::to_bi(&gen::random_u64s(n * n, 1 << 40, seed), n)
 }
 
-fn main() {
+pub fn main() {
     println!("F5: BI->RM conversion ablation (direct vs gap RM vs for-FFT)\n");
 
     // Structural: sibling write-sharing, small blocks so misalignment shows.
@@ -28,7 +26,7 @@ fn main() {
         "{:>5} {:>10} {:>10} {:>10}",
         "n", "direct", "gap RM", "for FFT"
     );
-    hbp_bench::rule(40);
+    rule(40);
     for n in [16usize, 32, 64] {
         let bi = bi_data(n, 1);
         let bw = 4u64;
@@ -54,7 +52,7 @@ fn main() {
         "{:>5} | {:>8} {:>8} {:>8} | {:>9} {:>9} {:>9} {:>11}",
         "n", "direct", "gap", "fft", "direct", "gap", "fft", "RWS dir/gap"
     );
-    hbp_bench::rule(84);
+    rule(84);
     for n in [32usize, 64, 128] {
         let bi = bi_data(n, 2);
         let bw = 8u64;

@@ -8,10 +8,6 @@
 //!   L2 at the cheap cost, so *block misses get cheaper* even though their
 //!   count is unchanged.
 //!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_hierarchy
-//! ```
-//!
 //! Simulator-only: the hierarchy lives in the machine model
 //! ([`MachineConfig::with_l2`]). The native pool is resource oblivious,
 //! as the paper's schedulers are — it steals flat over its workers and
@@ -20,19 +16,18 @@
 
 use hbp_core::prelude::*;
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     println!("F10: flat vs partitioned-L2 vs shared-L2 (p=8, M1=2^8, M2=2^15, B=32)\n");
     println!(
         "{:<20} {:<12} {:>10} {:>9} {:>9} {:>9} {:>8}",
         "algorithm", "machine", "makespan", "L1 miss", "L2 hit", "blk miss", "speedup"
     );
-    hbp_bench::rule(84);
+    rule(84);
     for name in ["Scans (PS)", "MT", "FFT", "Sort (SPMS)"] {
         let spec = lookup(name);
-        let n = match spec.size {
-            SizeKind::Linear => 1 << 13,
-            SizeKind::MatrixSide => 64,
-        };
+        let n = spec.size.pick(1 << 13, 64);
         let comp = (spec.build)(n, BuildConfig::with_block(32), 42);
         let flat = MachineConfig::new(8, 1 << 8, 32);
         let machines = [

@@ -5,23 +5,21 @@
 //! (every `x`-th slot) means that once the list has ≤ `n/B²` elements,
 //! every element occupies its own block and deep-recursion block misses
 //! vanish. We sweep the list size and compare gapped vs dense storage.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_listrank
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{gen, listrank};
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     let bw = 16u64;
     println!("F8: list ranking, gapped vs dense contracted lists (B={bw})\n");
     println!(
         "{:>6} {:>3} | {:>10} {:>10} | {:>10} {:>10} | {:>9}",
         "n", "p", "gap blk", "dense blk", "gap span", "dense span", "gap heap×"
     );
-    hbp_bench::rule(74);
+    rule(74);
     for n in [1usize << 11, 1 << 12, 1 << 13] {
         let succ = gen::random_list(n, 9);
         let (cg, _) = listrank::list_rank(&succ, BuildConfig::with_block(bw), true);

@@ -6,22 +6,20 @@
 //! The paper (§4.7): with padding the block wait cost of steals drops to
 //! `O(1)` per steal at heights ≥ log B, making the PWS steal overhead
 //! `O(b log p)` instead of `O(b(B + log p))`.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_padding
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{gen, scan, sort, spms, strassen};
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     println!("F6: stack block misses, plain vs padded (Def 3.3)\n");
     println!(
         "{:<16} {:>3} {:>4} | {:>11} {:>11} {:>8}",
         "algorithm", "p", "B", "plain stack", "padded stack", "ratio"
     );
-    hbp_bench::rule(64);
+    rule(64);
 
     type BuildFn = Box<dyn Fn(BuildConfig) -> Computation>;
     let data = gen::random_u64s(1 << 13, 1 << 30, 1);

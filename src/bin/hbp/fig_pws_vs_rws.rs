@@ -7,15 +7,12 @@
 //! which freely steals small, block-sharing tasks. RWS numbers are averaged
 //! over 5 seeds.
 //!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_pws_vs_rws
-//! ```
-//!
 //! A simulator figure: the native pool steals randomized only, and its
 //! 1-vs-w worker sweep of the same rows is `fig_runtime`'s.
 
-use hbp_bench::rws_avg;
 use hbp_core::prelude::*;
+
+use crate::common::{rule, rws_avg};
 
 // Canonical registry names, resolved through the fail-loud `lookup` so a
 // registry rename can never silently drop a row from this figure. Both
@@ -31,7 +28,7 @@ const ALGOS: [&str; 8] = [
     "Depth-n-MM",
 ];
 
-fn main() {
+pub fn main() {
     let seeds = [11u64, 22, 33, 44, 55];
     println!("F4: PWS vs RWS (RWS averaged over {} seeds)\n", seeds.len());
     println!(
@@ -47,13 +44,10 @@ fn main() {
         "blk x",
         "stl x"
     );
-    hbp_bench::rule(112);
+    rule(112);
     for name in ALGOS {
         let spec = lookup(name);
-        let n = match spec.size {
-            SizeKind::Linear => 1 << 12,
-            SizeKind::MatrixSide => 32,
-        };
+        let n = spec.size.pick(1 << 12, 32);
         let comp = (spec.build)(n, BuildConfig::with_block(32), 42);
         for p in [4usize, 8, 16] {
             let cfg = MachineConfig::new(p, 1 << 12, 32);

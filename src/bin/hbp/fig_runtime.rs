@@ -9,18 +9,16 @@
 //! model; the ratio should be a bounded constant (≥ 1 because the model
 //! drops block misses and idle time; ≈ 1 for the scan-like algorithms).
 //!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_runtime
-//! ```
-//!
 //! With `HBP_BACKEND=native` the supported kernels instead run on the
 //! real-threads pool over a sweep of worker counts, reporting wall-clock
-//! makespan and steal counters (`HBP_FIG_N` scales the input,
+//! makespan and steal counters (`HBP_EXAMPLE_N` scales the input,
 //! `HBP_WORKERS` caps the sweep).
 
 use hbp_core::prelude::*;
 
-fn main() {
+use crate::common::{matrix_side_for, rule};
+
+pub fn main() {
     match Config::from_env().backend {
         Backend::Sim => sim_main(),
         Backend::Native => native_main(),
@@ -35,12 +33,9 @@ fn sim_main() {
         "{:<20} {:>9} {:>9} {:>7} | {:>10} {:>10} {:>7}",
         "algorithm", "W", "Q", "T∞", "model", "measured", "ratio"
     );
-    hbp_bench::rule(82);
+    rule(82);
     for spec in registry() {
-        let n = match spec.size {
-            SizeKind::Linear => 1 << 13,
-            SizeKind::MatrixSide => 32,
-        };
+        let n = spec.size.pick(1 << 13, 32);
         let comp = (spec.build)(n, BuildConfig::with_block(machine.block_words), 42);
         let seq = run_sequential(&comp, machine);
         let par = run(&comp, machine, Policy::Pws);
@@ -65,8 +60,11 @@ fn sim_main() {
 }
 
 fn native_main() {
-    let linear = hbp_bench::fig_size(1 << 18);
-    let side = hbp_bench::matrix_side_for(linear);
+    // Rounded down to a power of two, which the FFT (and the
+    // matrix-side derivation) require: a smoke run must not abort
+    // mid-table on an odd override.
+    let linear = 1 << hbp_repro::example_size(1 << 18).ilog2();
+    let side = matrix_side_for(linear);
     let base = NativeExecutor {
         pool: Config::from_env().native_config(0),
     };
@@ -86,12 +84,9 @@ fn native_main() {
         "{:<20} {:>8} {:>3} | {:>10} {:>7} {:>7} | {:>10} {:>10}",
         "algorithm", "n", "w", "ms", "steals", "probes", "busy ms", "idle ms"
     );
-    hbp_bench::rule(90);
+    rule(90);
     for spec in registry().iter().filter(|spec| spec.native.is_some()) {
-        let n = match spec.size {
-            SizeKind::Linear => linear,
-            SizeKind::MatrixSide => side,
-        };
+        let n = spec.size.pick(linear, side);
         let job = ExecJob::new(spec.name, n, 42);
         for &w in &sweep {
             let mut ex = base;

@@ -5,14 +5,12 @@
 //! is front-loaded with the biggest tasks, and stolen tasks of size ≥ 2M
 //! incur zero cache-miss excess (Lemma 2.1). RWS steals whatever sits at a
 //! random victim's deque top, including tiny block-sharing tasks.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_steal_sizes
-//! ```
 
 use hbp_core::prelude::*;
 
 use hbp_core::algos::{gen, scan};
+
+use crate::common::rule;
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -21,7 +19,7 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[((sorted.len() - 1) as f64 * q) as usize]
 }
 
-fn main() {
+pub fn main() {
     let n = 1 << 15;
     let data = gen::random_u64s(n, 1 << 30, 3);
     let (comp, _) = scan::prefix_sums(&data, BuildConfig::with_block(32));
@@ -32,7 +30,7 @@ fn main() {
         "{:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>11} {:>10}",
         "sched", "steals", "min", "p25", "median", "max", "tiny (<B)", "big (>=2M)"
     );
-    hbp_bench::rule(80);
+    rule(80);
 
     let pws = run(&comp, cfg, Policy::Pws);
     let mut runs: Vec<(String, Vec<u64>)> = vec![("PWS".into(), pws.stolen_sizes.clone())];

@@ -3,25 +3,20 @@
 //!
 //! Claims: at most `p − 1` tasks of any priority are stolen; total attempts
 //! (successful + failed-round pairs) are at most `2·p·D'`.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin fig_steals
-//! ```
 
 use hbp_core::prelude::*;
 
-fn main() {
+use crate::common::rule;
+
+pub fn main() {
     println!("F3: steals per priority (bound p-1) and attempts (bound 2pD')\n");
     println!(
         "{:<20} {:>3} {:>5} {:>9} {:>6} {:>9} {:>9} {:>6}",
         "algorithm", "p", "D'", "steals", "max/pri", "attempts", "2pD'", "ok"
     );
-    hbp_bench::rule(78);
+    rule(78);
     for spec in registry() {
-        let n = match spec.size {
-            SizeKind::Linear => 1 << 12,
-            SizeKind::MatrixSide => 32,
-        };
+        let n = spec.size.pick(1 << 12, 32);
         let comp = (spec.build)(n, BuildConfig::with_block(32), 42);
         for p in [4usize, 8, 16] {
             let cfg = MachineConfig::new(p, 1 << 12, 32);

@@ -2,7 +2,7 @@
 //! the registry saw: Prometheus text, the JSON snapshot, and the
 //! per-tenant rollup from the scenario report.
 //!
-//! The bin enables the registry itself (`HBP_METRICS` is not required)
+//! The command enables the registry itself (`HBP_METRICS` is not required)
 //! and resets it first, so the exposition covers exactly this scenario.
 //! Configuration is the same environment surface as `serve_scenario`:
 //! `HBP_SERVE_*` for the load, `HBP_BACKEND` / `HBP_POLICY` /
@@ -10,16 +10,11 @@
 //! time comes from the scenario report, stamped in the scenario's own
 //! clock, so a fixed-seed sim scenario prints byte-identical output on
 //! every run.
-//!
-//! ```text
-//! HBP_BACKEND=native HBP_SERVE_REQUESTS=64 \
-//!     cargo run --release -p hbp-serve --bin metrics_report
-//! ```
 
 use hbp_core::metrics::{json, prometheus_text};
 use hbp_serve::{run_scenario, ScenarioSpec};
 
-fn main() {
+pub fn main() {
     let spec = ScenarioSpec::from_env();
     let m = hbp_core::metrics::global();
     m.set_enabled(true);

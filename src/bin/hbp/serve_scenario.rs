@@ -4,15 +4,11 @@
 //! scenario (seed, requests, clients, mode, queue cap, batching, mix,
 //! pacing) plus the workspace-wide `HBP_BACKEND` / `HBP_POLICY` /
 //! `HBP_WORKERS` knobs. On the sim backend the output is
-//! byte-identical for a fixed seed:
-//!
-//! ```text
-//! HBP_SERVE_SEED=42 HBP_SERVE_REQUESTS=200 cargo run --release --bin serve_scenario
-//! ```
+//! byte-identical for a fixed seed.
 
 use hbp_serve::{run_scenario, ScenarioSpec};
 
-fn main() {
+pub fn main() {
     let spec = ScenarioSpec::from_env();
     let report = run_scenario(&spec);
     print!("{}", report.to_json());

@@ -3,10 +3,6 @@
 //! span growth `T∞(n)`, measured `Q(n, M, B)`, and the measured
 //! cache-friendliness / block-sharing behaviour versus the claims.
 //!
-//! ```text
-//! cargo run --release -p hbp-bench --bin table1
-//! ```
-//!
 //! With `HBP_TRACE=1`, each algorithm's smaller instance is additionally
 //! run under the `HBP_POLICY` discipline (PWS by default, so PWS-vs-RWS
 //! trace exports are one env var apart) with a structured-event
@@ -18,11 +14,12 @@
 //! (sequential replays + structural estimators), so its numbers are
 //! byte-stable across `HBP_POLICY` values.
 
-use hbp_bench::growth_exponent;
 use hbp_core::prelude::*;
 use hbp_core::trace::{chrome_trace_multi, Trace};
 
-fn main() {
+use crate::common::{growth_exponent, rule};
+
+pub fn main() {
     let machine = MachineConfig::default_machine();
     let env = Config::from_env();
     let tracing = env.trace;
@@ -44,13 +41,10 @@ fn main() {
         "L-max",
         "claims (f, L, W, T)"
     );
-    hbp_bench::rule(130);
+    rule(130);
 
     for spec in registry() {
-        let (n1, n2) = match spec.size {
-            SizeKind::Linear => (1usize << 11, 1usize << 13),
-            SizeKind::MatrixSide => (16usize, 32usize),
-        };
+        let (n1, n2) = (spec.size.pick(1 << 11, 16), spec.size.pick(1 << 13, 32));
         let c1 = (spec.build)(n1, BuildConfig::with_block(machine.block_words), 42);
         let c2 = (spec.build)(n2, BuildConfig::with_block(machine.block_words), 42);
         let e1 = spec.elements(n1) as f64;
@@ -80,10 +74,7 @@ fn main() {
             // A dedicated small instance: the export is a CI artifact,
             // and the structure (lanes, steals, miss counters) is what
             // the trace is for — not volume.
-            let nt = match spec.size {
-                SizeKind::Linear => 512,
-                SizeKind::MatrixSide => 16,
-            };
+            let nt = spec.size.pick(512, 16);
             let ct = (spec.build)(nt, BuildConfig::with_block(machine.block_words), 42);
             let sink = TraceSink::new(machine.p, ClockDomain::Virtual);
             let _ = run_traced(&ct, machine, trace_policy, &sink);

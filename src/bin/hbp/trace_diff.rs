@@ -1,9 +1,6 @@
-//! **trace_diff** — run one registry kernel under two scheduling
-//! configurations, align the traces, and report where they diverge.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin trace_diff -- <algo-prefix> [n] [side-a] [side-b]
-//! ```
+//! **`hbp trace_diff <algo-prefix> [n] [side-a] [side-b]`** — run one
+//! registry kernel under two scheduling configurations, align the
+//! traces, and report where they diverge.
 //!
 //! * `algo-prefix` — registry lookup, as in `hbp_core::find` (default
 //!   `FFT`); `n` as in `trace_report` (defaults 4096 / 32).
@@ -32,12 +29,12 @@
 
 use hbp_core::prelude::*;
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: trace_diff <algo-prefix> [n] [side-a] [side-b]");
-    eprintln!("       side = [sim:]policy | native:rws[:seed]   (policy = pws | rws[:seed] | bsp[:levels])");
-    std::process::exit(2);
-}
+use crate::common::parse_algo_n;
+use crate::usage;
+
+/// The argument synopsis `hbp help` and a usage error print.
+pub const ARGS: &str = "<algo-prefix> [n] [side-a] [side-b]
+       side = [sim:]policy | native:rws[:seed]   (policy = pws | rws[:seed] | bsp[:levels])";
 
 /// One side of the diff: which backend runs the kernel, under which
 /// policy.
@@ -55,16 +52,15 @@ fn parse_side(s: &str) -> Side {
     };
     let policy = Policy::parse(Some(policy))
         .and_then(|p| backend.check_policy(p))
-        .unwrap_or_else(|e| usage(&format!("side {s:?}: {e}")));
+        .unwrap_or_else(|e| usage("trace_diff", &format!("side {s:?}: {e}")));
     Side { backend, policy }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
+pub fn main(args: &[String]) {
+    let (spec, n) = parse_algo_n(args).unwrap_or_else(|e| usage("trace_diff", &e));
     let side_a = parse_side(args.get(2).map_or("pws", String::as_str));
     let side_b = parse_side(args.get(3).map_or("rws:1", String::as_str));
-    let env = Config::try_from_env().unwrap_or_else(|e| usage(&e));
+    let env = Config::try_from_env().unwrap_or_else(|e| usage("trace_diff", &e));
 
     let machine = MachineConfig::default_machine();
     let trace_of = |side: Side| -> Trace {
@@ -74,7 +70,7 @@ fn main() {
             .submit_traced(&ExecJob::new(spec.name, n, 42), &sink)
             .expect("a fresh session admits")
             .wait()
-            .unwrap_or_else(|e| usage(&format!("{:?} {e}", side.backend)));
+            .unwrap_or_else(|e| usage("trace_diff", &format!("{:?} {e}", side.backend)));
         sink.collect()
     };
     let (ta, tb) = (trace_of(side_a), trace_of(side_b));

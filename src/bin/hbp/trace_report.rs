@@ -1,11 +1,7 @@
-//! **trace_report** — record a structured trace of one registry kernel
-//! on either backend and print the paper-style breakdown: work, span
-//! (critical path), steals, block misses, per-worker utilization, and
-//! the fork→steal latency histogram.
-//!
-//! ```text
-//! cargo run --release -p hbp-bench --bin trace_report [-- <algo-prefix> [n]]
-//! ```
+//! **`hbp trace_report [<algo-prefix> [n]]`** — record a structured
+//! trace of one registry kernel on either backend and print the
+//! paper-style breakdown: work, span (critical path), steals, block
+//! misses, per-worker utilization, and the fork→steal latency histogram.
 //!
 //! * `algo-prefix` — registry lookup, as in `hbp_core::find` (default
 //!   `FFT`); `n` is elements for linear kernels, the matrix side for
@@ -29,19 +25,18 @@
 use hbp_core::prelude::*;
 use hbp_core::trace::{chrome_trace_multi, summarize, CpError, HopVia};
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: trace_report [<algo-prefix> [n]]   (backend, policy, workers: HBP_* variables)"
-    );
-    std::process::exit(2);
-}
+use crate::common::parse_algo_n;
+use crate::usage;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (spec, n) = hbp_bench::parse_algo_n(&args).unwrap_or_else(|e| usage(&e));
+/// The argument synopsis `hbp help` and a usage error print.
+pub const ARGS: &str = "[<algo-prefix> [n]]   (backend, policy, workers: HBP_* variables)";
 
-    let cfg = Config::try_from_env().unwrap_or_else(|e| usage(&e)).apply();
+pub fn main(args: &[String]) {
+    let (spec, n) = parse_algo_n(args).unwrap_or_else(|e| usage("trace_report", &e));
+
+    let cfg = Config::try_from_env()
+        .unwrap_or_else(|e| usage("trace_report", &e))
+        .apply();
     let session = cfg.open(MachineConfig::default_machine());
     let backend = session.backend();
     let unit = match session.clock_domain() {
@@ -64,7 +59,7 @@ fn main() {
         .submit_traced(&ExecJob::new(spec.name, n, 42), &sink)
         .expect("a fresh session admits")
         .wait()
-        .unwrap_or_else(|e| usage(&format!("{backend} {e}")));
+        .unwrap_or_else(|e| usage("trace_report", &format!("{backend} {e}")));
     let trace = sink.collect();
     let s = summarize(&trace);
 

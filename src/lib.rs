@@ -1,16 +1,19 @@
 //! Root crate of the `hbp-repro` workspace.
 //!
 //! The actual library lives in the sub-crates (see `crates/`); this crate
-//! exists to host the cross-crate integration tests in `tests/` and the
-//! runnable examples in `examples/`. It re-exports the facade crate so that
-//! examples and tests have a single import root.
+//! hosts the `hbp` binary (`src/bin/hbp`: the paper's tables and figures,
+//! the trace tools and the job server's reports, one subcommand each;
+//! `hbp help` lists them), the cross-crate integration tests in `tests/`
+//! and the runnable examples in `examples/`. It re-exports the facade
+//! crate so that the binary, examples and tests have a single import root.
 
 pub use hbp_core::*;
 
-/// Problem size for the runnable examples: the example's default, unless
-/// the `HBP_EXAMPLE_N` environment variable overrides it. The smoke test
-/// in `tests/examples_smoke.rs` uses this to run every example on tiny
-/// inputs; interactive runs are unaffected.
+/// Problem size for the runnable examples and `hbp fig_runtime`'s native
+/// sweep: the default, unless the `HBP_EXAMPLE_N` environment variable
+/// overrides it. The smoke test in `tests/examples_smoke.rs` and CI's
+/// native smoke use this to run on tiny inputs; interactive runs are
+/// unaffected.
 pub fn example_size(default: usize) -> usize {
     match std::env::var("HBP_EXAMPLE_N") {
         Ok(s) => match s.parse() {

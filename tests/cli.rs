@@ -1,35 +1,63 @@
-//! The trace tools as processes: the observability loop end to end
-//! (the native counter source, cross-backend diff, overflow gate),
-//! eight-worker native traces, the PWS-vs-RWS structural diff, and the
-//! shared usage errors; and the traced `table1` run with its
-//! Chrome-trace export.
+//! The `hbp` binary as a process: its command table; the trace tools'
+//! observability loop end to end (the native counter source,
+//! cross-backend diff, overflow gate), eight-worker native traces, the
+//! PWS-vs-RWS structural diff, and the shared usage errors; and the
+//! traced `table1` run with its Chrome-trace export.
 
 use std::path::Path;
 use std::process::Command;
 
 use hbp_core::trace::json::{parse, Json};
 
-const TRACE_REPORT: &str = env!("CARGO_BIN_EXE_trace_report");
-const TRACE_DIFF: &str = env!("CARGO_BIN_EXE_trace_diff");
-const TABLE1: &str = env!("CARGO_BIN_EXE_table1");
+const TRACE_REPORT: &str = "trace_report";
+const TRACE_DIFF: &str = "trace_diff";
+const TABLE1: &str = "table1";
 
-/// `bin` with exactly these `HBP_*` variables set (the ambient ones are
-/// scrubbed).
-fn command(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
-    let mut cmd = Command::new(bin);
+/// `hbp <sub> <args>` with exactly these `HBP_*` variables set (the
+/// ambient ones are scrubbed).
+fn command(sub: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hbp"));
     for (key, _) in std::env::vars().filter(|(key, _)| key.starts_with("HBP_")) {
         cmd.env_remove(key);
     }
-    cmd.args(args).envs(env.iter().copied());
+    cmd.arg(sub).args(args).envs(env.iter().copied());
     cmd
 }
 
 /// `(exit code, stdout, stderr)` of one run of [`command`].
-fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {
-    let out = command(bin, args, env).output();
+fn run(sub: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {
+    let out = command(sub, args, env).output();
     let out = out.expect("binary runs");
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
     (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// `hbp help` prints the table of all sixteen commands; no command, or
+/// an unknown one, prints the same table to stderr and exits 2.
+#[test]
+fn help_lists_every_command_and_a_missing_or_unknown_one_exits_2() {
+    let (code, table, stderr) = run("help", &[], &[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let names = "table1 fig_pws_vs_rws fig_block_excess fig_cache_excess fig_steals \
+                 fig_steal_sizes fig_gapping fig_padding fig_hierarchy fig_bsp fig_listrank \
+                 fig_runtime trace_report trace_diff serve_scenario metrics_report";
+    let listed: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for name in names.split_whitespace() {
+        assert!(listed.contains(&name), "{name} missing from\n{table}");
+    }
+    let bare = Command::new(env!("CARGO_BIN_EXE_hbp")).output();
+    let bare = bare.expect("binary runs");
+    assert_eq!(bare.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&bare.stderr), table);
+    let (code, stdout, stderr) = run("no_such_command", &[], &[]);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(
+        stderr.contains("unknown command") && stderr.ends_with(&table),
+        "{stderr}"
+    );
 }
 
 /// A native report names a real counter source or none — never a
@@ -121,12 +149,12 @@ fn argument_errors_print_usage_and_exit_2() {
             &[],
         ),
     ];
-    for (bins, args, env) in bad {
-        for &bin in bins {
-            let (code, _, stderr) = run(bin, args, env);
+    for (subs, args, env) in bad {
+        for &sub in subs {
+            let (code, _, stderr) = run(sub, args, env);
             assert_eq!(code, Some(2), "{args:?}: {stderr}");
             assert!(stderr.contains("error: "), "{args:?}: {stderr}");
-            assert!(stderr.contains("usage: trace_"), "{args:?}: {stderr}");
+            assert!(stderr.contains("usage: hbp trace_"), "{args:?}: {stderr}");
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         }
     }

@@ -6,18 +6,18 @@
 //!
 //! Exempt families: `HBP_SERVE_*` (scenario knobs owned by hbp-serve's
 //! `ScenarioSpec`, which folds `Config`'s errors into its own),
-//! `HBP_EXAMPLE_N` / `HBP_FIG_N` (problem-size shaping in example and
-//! bench harness code), `HBP_TRACE_OUT` (an output *path*, not runtime
+//! `HBP_EXAMPLE_N` (problem-size shaping for the examples' and the `hbp`
+//! binary's smoke runs), `HBP_TRACE_OUT` (an output *path*, not runtime
 //! configuration).
 //!
 //! **The kernel table**: `crates/core/src/registry.rs` is the only file
-//! under `crates/*/src`, outside `crates/algos` where they are defined,
-//! that names a `par::par_*` kernel — which rows the native backend
+//! under `crates/*/src` and the root `src/`, outside `crates/algos` where
+//! they are defined, that names a `par::par_*` kernel — which rows the native backend
 //! serves is the registry's `native` column and nothing else.
 
 use std::path::Path;
 
-const EXEMPT: [&str; 4] = ["HBP_SERVE_", "HBP_EXAMPLE_N", "HBP_FIG_N", "HBP_TRACE_OUT"];
+const EXEMPT: [&str; 3] = ["HBP_SERVE_", "HBP_EXAMPLE_N", "HBP_TRACE_OUT"];
 
 /// Every line under `dir`, outside the file `owner`, that `names` flags.
 fn scan(
@@ -74,6 +74,7 @@ fn registry_owns_the_kernel_table() {
             .any(|(i, m)| line[i + m.len()..].starts_with(|c: char| c.is_ascii_lowercase()))
     };
     let mut hits = Vec::new();
+    scan(root, &root.join("src"), owner, &names_kernel, &mut hits);
     for krate in std::fs::read_dir(root.join("crates")).expect("readable crates dir") {
         let krate = krate.expect("readable dir entry").path();
         if krate.file_name().is_some_and(|name| name != "algos") {

@@ -4,10 +4,7 @@
 use hbp_core::prelude::*;
 
 fn small_n(spec: &AlgoSpec) -> usize {
-    match spec.size {
-        SizeKind::Linear => 256,
-        SizeKind::MatrixSide => 16,
-    }
+    spec.size.pick(256, 16)
 }
 
 #[test]

@@ -1,14 +1,15 @@
-//! What the metrics registry sees of a served scenario, read off the
-//! `metrics_report` binary the way an operator would. The binary runs
+//! What the metrics registry sees of a served scenario, read off
+//! `hbp metrics_report` the way an operator would. The command runs
 //! as a child process: the registry is process-global, and the sim
 //! exposition must be byte-identical across *processes*.
 
 use std::process::Command;
 
-/// Stdout of one `metrics_report` run with exactly these `HBP_*`
+/// Stdout of one `hbp metrics_report` run with exactly these `HBP_*`
 /// variables set.
 fn metrics_report(env: &[(&str, &str)]) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_metrics_report"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hbp"));
+    cmd.arg("metrics_report");
     for (key, _) in std::env::vars().filter(|(key, _)| key.starts_with("HBP_")) {
         cmd.env_remove(key);
     }

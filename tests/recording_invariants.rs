@@ -70,10 +70,7 @@ fn access_refuses_a_frame_offset_of_31_bits() {
 #[test]
 fn bodies_tile_the_item_arena_and_nodes_know_their_fork() {
     for spec in registry() {
-        let n = match spec.size {
-            SizeKind::Linear => 256,
-            SizeKind::MatrixSide => 16,
-        };
+        let n = spec.size.pick(256, 16);
         for cfg in [BuildConfig::default(), BuildConfig::default().padded()] {
             let comp = (spec.build)(n, cfg, 7);
             let name = spec.name;

@@ -7,10 +7,7 @@ use hbp_core::prelude::*;
 use proptest::prelude::*;
 
 fn small_n(spec: &AlgoSpec) -> usize {
-    match spec.size {
-        SizeKind::Linear => 256,
-        SizeKind::MatrixSide => 16,
-    }
+    spec.size.pick(256, 16)
 }
 
 #[test]

@@ -18,10 +18,7 @@ fn machine() -> MachineConfig {
 
 fn build(algo: &str) -> Computation {
     let spec = find(algo).unwrap_or_else(|| panic!("registry has {algo}"));
-    let n = match spec.size {
-        SizeKind::Linear => 1 << 10,
-        SizeKind::MatrixSide => 16,
-    };
+    let n = spec.size.pick(1 << 10, 16);
     (spec.build)(n, BuildConfig::with_block(32), 42)
 }
 
@@ -324,10 +321,7 @@ fn traces_and_critical_paths_match_the_pinned_digests() {
     let actual: Vec<(&str, [[u64; 2]; 2])> = registry()
         .iter()
         .map(|spec| {
-            let n = match spec.size {
-                SizeKind::Linear => 256,
-                SizeKind::MatrixSide => 16,
-            };
+            let n = spec.size.pick(256, 16);
             let comp = (spec.build)(n, BuildConfig::default(), 7);
             let row = [Policy::Pws, Policy::Rws { seed: 1 }].map(|policy| {
                 let sink = TraceSink::new(cfg.p, ClockDomain::Virtual);
