@@ -23,19 +23,39 @@
 //! the same line through their scratch. The one exception is stated where
 //! it lives: the list-ranking walk scatters its tags ([`par_list_rank`]).
 //! `tests/alloc_accounting.rs` pins the allocation counts; the
-//! `arena_bytes` gauge records the largest workspace of any launch.
+//! `arena_bytes` gauge records the largest workspace of any launch, by
+//! capacity.
+//!
+//! **Written, never pre-filled.** In the model a task's local space is
+//! free: allocating it records no access. So here a workspace and an
+//! output are capacity, not zeroes — no serial fill runs before the first
+//! fork. The recursion hands out `&mut [MaybeUninit<T>]` windows, writes
+//! every element before its first read, and turns a window into `&[T]`
+//! only once it is known to be written whole, at one `assume_init_*` or
+//! `set_len` with its reason beside it: a transpose, an operand sum or a
+//! merge fills its destination, Strassen stores each quadrant of a
+//! product before adding to it, and SPMS's partition walks store every
+//! slot of their cut and id rows, padding included. Where initialised
+//! caller data is the destination (a merge or a bucket sort back into
+//! `data`), `overwrite` views it as slots on the same terms. The one
+//! zeroed workspace is list ranking's: its tags and contracted halves
+//! are atomics, shared as soon as they exist, and the jumps read unused
+//! slots. `tests/native_kernel_outputs.rs` pins every kernel's output
+//! bits and runs each on a heap left full of all-ones words.
 //!
 //! **The work of the sequential program.** Each kernel does, up to a
-//! small constant, what its single-thread reference does, and its leaves
-//! do it the way a plain sequential program would: the scans' leaves are
-//! one pass over their chunk, and PS writes each output element once,
-//! into the output's uninitialised capacity (no zero-fill first); an MT
-//! block below the cutoff is one loop over its Morton indices, index `i`
-//! trading places with its mirror ([`morton_transpose`]); Strassen
-//! de-interleaves the right 32×32 BI tile to a row-major stack buffer
-//! through a compile-time Morton table and multiplies i-k-j, a row of
-//! the product at a time in registers; the FFT's base case is
-//! an in-place iterative radix-2 over a per-call root table.
+//! small constant, what its single-thread reference does, stores to its
+//! output and scratch only what that program would (never a fill first),
+//! and its leaves do it the way a plain sequential program would: the
+//! scans' leaves are one pass over their chunk, and PS writes each output
+//! element once; an MT block below the cutoff is one loop over its Morton
+//! indices, index `i` trading places with its mirror
+//! ([`morton_transpose`]); Strassen de-interleaves the right 32×32 BI
+//! tile to a row-major stack buffer through a compile-time Morton table
+//! and multiplies i-k-j, a row of the product at a time in registers, and
+//! above its last level writes each element of `C` once, from all of its
+//! products; the FFT's base case is an in-place iterative radix-2 over a
+//! per-call root table.
 //!
 //! **At the core's width.** The dense leaves — the scan chunk sum,
 //! Strassen's tile product and the FFT's row leaf — are each one
@@ -85,22 +105,38 @@ const fn whole_lines<T>(len: usize) -> usize {
     len.next_multiple_of(LINE_BYTES / std::mem::size_of::<T>())
 }
 
-/// The one scratch allocation of a kernel launch: room for `len`
-/// elements after `line_aligned` has skipped to a line boundary.
-/// Raises the `arena_bytes` high-water mark (one check per launch, far
-/// off the hot path).
-fn workspace<T: Copy>(len: usize, fill: T) -> Vec<T> {
-    let ws = vec![fill; len + LINE_BYTES / std::mem::size_of::<T>()];
-    raise_arena_gauge(&ws);
+/// The one scratch allocation of a kernel launch, uninitialised: room
+/// for `len` elements after `line_aligned` has skipped to a line boundary
+/// of its `spare_capacity_mut`. Nothing is filled: the recursion writes
+/// every window before it reads it. Raises the `arena_bytes` high-water
+/// mark by the capacity (one check per launch, far off the hot path).
+fn workspace<T>(len: usize) -> Vec<T> {
+    let ws = Vec::with_capacity(len + LINE_BYTES / std::mem::size_of::<T>());
+    raise_arena_gauge(ws.capacity() * std::mem::size_of::<T>());
     ws
 }
 
-/// Record a launch's workspace in the `arena_bytes` high-water mark.
-fn raise_arena_gauge<T>(ws: &[T]) {
+/// Record a launch's workspace of `bytes` in the `arena_bytes`
+/// high-water mark.
+fn raise_arena_gauge(bytes: usize) {
     let m = hbp_metrics::global();
     if m.on() {
-        m.arena_bytes.raise_to(std::mem::size_of_val(ws) as i64);
+        m.arena_bytes.raise_to(bytes as i64);
     }
+}
+
+/// `x` as slots for a callee that overwrites all of them before it reads
+/// any: the initialised buffer is scratch or a destination here, and its
+/// old values are dead.
+///
+/// # Safety
+///
+/// Every element must be initialised again when the borrow ends: the
+/// callee stores a value in each one (and never `MaybeUninit::uninit()`).
+unsafe fn overwrite<T: Copy>(x: &mut [T]) -> &mut [MaybeUninit<T>] {
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and the caller leaves
+    // every element initialised for the owner of `x`.
+    unsafe { &mut *(x as *mut [T] as *mut [MaybeUninit<T>]) }
 }
 
 /// `ws` from its first cache-line boundary on. The allocator aligns a
@@ -318,19 +354,16 @@ const PRODUCTS: [(Operand, Operand); 7] = [
     ((1, Some((3, -1.0))), (2, Some((3, 1.0)))), // (A12 - A22)(B21 + B22)
 ];
 
-/// Where product `i` lands: `(quadrant of C, sign)`, `None` where it is
-/// the quadrant's first (always positive) term and is stored instead of
-/// added, so `C` need not start zeroed. In product order that spells
+/// Quadrant `j` of `C` (11, 12, 21, 22 as 0..4) as its `(product,
+/// sign)` terms, in product order; the first is always positive:
 /// `C11 = M1 + M4 - M5 + M7`, `C12 = M3 + M5`, `C21 = M2 + M4`,
-/// `C22 = M1 - M2 + M3 + M6`.
-const LANDS: [&[(usize, Option<f64>)]; 7] = [
-    &[(0, None), (3, None)],
-    &[(2, None), (3, Some(-1.0))],
-    &[(1, None), (3, Some(1.0))],
-    &[(0, Some(1.0)), (2, Some(1.0))],
-    &[(0, Some(-1.0)), (1, Some(1.0))],
-    &[(3, Some(1.0))],
-    &[(0, Some(1.0))],
+/// `C22 = M1 - M2 + M3 + M6`. A quadrant's first term is stored, never
+/// added, so `C` need not start zeroed.
+const QUADS: [&[(usize, f64)]; 4] = [
+    &[(0, 1.0), (3, 1.0), (4, -1.0), (6, 1.0)],
+    &[(2, 1.0), (4, 1.0)],
+    &[(1, 1.0), (3, 1.0)],
+    &[(0, 1.0), (1, -1.0), (2, 1.0), (5, 1.0)],
 ];
 
 /// Workspace (in `f64`s) of one `k×k` product: an (S, T, M) window plus
@@ -360,7 +393,7 @@ const fn strassen_ws(k: usize) -> usize {
 /// build with the FMA feature on may set it, since `mul_add` without it
 /// is a library call.
 #[inline(always)]
-fn leaf_mul<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
+fn leaf_mul<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [MaybeUninit<f64>], k: usize) {
     let mut rb = [[0.0f64; LEAF]; LEAF];
     for r in 0..k {
         for col in 0..k {
@@ -380,38 +413,50 @@ fn leaf_mul<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
             }
         }
         for col in 0..k {
-            c[BI_LUT[i * LEAF + col] as usize] = row[col];
+            c[BI_LUT[i * LEAF + col] as usize].write(row[col]);
         }
     }
 }
 
 /// [`leaf_mul`] compiled for AVX2+FMA, its updates fused.
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-fn leaf_mul_v3(a: &[f64], b: &[f64], c: &mut [f64], k: usize) {
+fn leaf_mul_v3(a: &[f64], b: &[f64], c: &mut [MaybeUninit<f64>], k: usize) {
     leaf_mul::<true>(a, b, c, k)
 }
 
 /// Compute product `i` of the `2h×2h` multiplication `a · b` inside
-/// `window` = S | T | M | child workspace: operands that are a sum go to
-/// S / T, plain quadrants are used where they lie, the product lands in M.
-fn strassen_product(a: &[f64], b: &[f64], h: usize, i: usize, window: &mut [f64]) {
+/// `window` = S | T | M | child workspace: operands that are a sum are
+/// written to S / T, plain quadrants are used where they lie, the product
+/// is written to M, which is returned.
+fn strassen_product<'w>(
+    a: &[f64],
+    b: &[f64],
+    h: usize,
+    i: usize,
+    window: &'w mut [MaybeUninit<f64>],
+) -> &'w [f64] {
     let q = h * h;
     let (s, rest) = window.split_at_mut(q);
     let (t, rest) = rest.split_at_mut(q);
     let (m, ws) = rest.split_at_mut(q);
-    fn operand<'a>(x: &'a [f64], (first, second): Operand, buf: &'a mut [f64]) -> &'a [f64] {
+    fn operand<'a>(
+        x: &'a [f64],
+        (first, second): Operand,
+        buf: &'a mut [MaybeUninit<f64>],
+    ) -> &'a [f64] {
         let q = buf.len();
         let quad = |j: usize| &x[j * q..(j + 1) * q];
         let Some((other, sign)) = second else {
             return quad(first);
         };
         for ((d, &u), &v) in buf.iter_mut().zip(quad(first)).zip(quad(other)) {
-            *d = u + sign * v;
+            d.write(u + sign * v);
         }
-        buf
+        // SAFETY: the loop wrote every element of `buf`.
+        unsafe { buf.assume_init_ref() }
     }
     let (pa, pb) = PRODUCTS[i];
-    strassen_rec(operand(a, pa, s), operand(b, pb, t), m, h, ws);
+    strassen_rec(operand(a, pa, s), operand(b, pb, t), m, h, ws)
 }
 
 /// Products `lo..hi` forked over their windows (`per` apart).
@@ -421,12 +466,13 @@ fn strassen_fork(
     h: usize,
     lo: usize,
     hi: usize,
-    windows: &mut [f64],
+    windows: &mut [MaybeUninit<f64>],
     per: usize,
 ) {
     debug_assert_line_start(windows);
     if hi - lo == 1 {
-        return strassen_product(a, b, h, lo, windows);
+        strassen_product(a, b, h, lo, windows);
+        return;
     }
     let mid = lo + (hi - lo) / 2;
     let (wl, wr) = windows.split_at_mut((mid - lo) * per);
@@ -436,14 +482,21 @@ fn strassen_fork(
     );
 }
 
-/// Land product `i` (`m`) in the quadrants of `c` it belongs to.
-fn strassen_land(m: &[f64], c: &mut [f64], i: usize) {
-    let q = m.len();
-    for &(quad, sign) in LANDS[i] {
-        let cq = &mut c[quad * q..(quad + 1) * q];
-        match sign {
-            None => cq.copy_from_slice(m),
-            Some(sign) => {
+/// Land product `i` (`m`) in the quadrants of `c` it belongs to: stored
+/// where it is the quadrant's first term, added otherwise. Products land
+/// in order, so a quadrant is stored whole before anything is added.
+fn strassen_land(m: &[f64], c: &mut [MaybeUninit<f64>], i: usize) {
+    for (cq, terms) in c.chunks_exact_mut(m.len()).zip(QUADS) {
+        match terms.iter().position(|&(p, _)| p == i) {
+            None => {}
+            Some(0) => {
+                cq.write_copy_of_slice(m);
+            }
+            Some(t) => {
+                // SAFETY: term 0 of this quadrant is an earlier product,
+                // which stored all of `cq` when it landed.
+                let cq = unsafe { cq.assume_init_mut() };
+                let sign = terms[t].1;
                 for (d, &v) in cq.iter_mut().zip(m) {
                     *d += sign * v;
                 }
@@ -452,45 +505,95 @@ fn strassen_land(m: &[f64], c: &mut [f64], i: usize) {
     }
 }
 
+/// Quadrant `quad` of `c` from all seven products, each element written
+/// once: its terms summed left to right in product order, the same
+/// operations [`strassen_land`] applies one product at a time.
+fn land_quadrant(ms: &[&[f64]; 7], quad: usize, cq: &mut [MaybeUninit<f64>]) {
+    match *QUADS[quad] {
+        [(a, _), (b, sb)] => {
+            for ((d, &x), &y) in cq.iter_mut().zip(ms[a]).zip(ms[b]) {
+                d.write(x + sb * y);
+            }
+        }
+        [(a, _), (b, sb), (c, sc), (e, se)] => {
+            let terms = ms[a].iter().zip(ms[b]).zip(ms[c]).zip(ms[e]);
+            for (d, (((&x, &y), &z), &w)) in cq.iter_mut().zip(terms) {
+                d.write(x + sb * y + sc * z + se * w);
+            }
+        }
+        _ => unreachable!("a quadrant of C sums two or four products"),
+    }
+}
+
 /// `c = a · b` for `k×k` BI matrices with [`strassen_ws`]`(k)` of
-/// workspace. Above the last level the seven products fork, each in its
-/// own window; on the last level (children are leaves) they run in turn
-/// through one shared window, each landing in `c` before the next
-/// overwrites it. Every level down holds 7/4 the window bytes of the one
-/// above, so sharing the widest one halves the workspace (8.4 instead of
-/// 16 MiB at `n = 256`) and still leaves `7^(levels-1)` tasks to steal.
-fn strassen_rec(a: &[f64], b: &[f64], c: &mut [f64], k: usize, ws: &mut [f64]) {
+/// workspace; returns `c`, every element written. Above the last level
+/// the seven products fork, each in its own window, and then the four
+/// quadrants of `c` fork, each summing its products in one pass. On the
+/// last level (children are leaves) the products run in turn through one
+/// shared window, each landing in `c` before the next overwrites it.
+/// Every level down holds 7/4 the window bytes of the one above, so
+/// sharing the widest one halves the workspace (8.4 instead of 16 MiB at
+/// `n = 256`) and still leaves `7^(levels-1)` tasks to steal. Quadrants
+/// are whole lines, and so is every M window; only the caller's output,
+/// which need not start on a line, can share one line per quadrant
+/// border between two landing tasks.
+fn strassen_rec<'c>(
+    a: &[f64],
+    b: &[f64],
+    c: &'c mut [MaybeUninit<f64>],
+    k: usize,
+    ws: &mut [MaybeUninit<f64>],
+) -> &'c mut [f64] {
     if k <= LEAF {
         if v3() {
             // SAFETY: `v3()` just found AVX2 and FMA on this core.
-            return unsafe { leaf_mul_v3(a, b, c, k) };
+            unsafe { leaf_mul_v3(a, b, c, k) };
+        } else {
+            leaf_mul::<false>(a, b, c, k);
         }
-        return leaf_mul::<false>(a, b, c, k);
-    }
-    let h = k / 2;
-    let q = h * h;
-    let per = 3 * q + strassen_ws(h);
-    if h <= LEAF {
+    } else if k / 2 <= LEAF {
         for i in 0..7 {
-            strassen_product(a, b, h, i, ws);
-            strassen_land(&ws[2 * q..3 * q], c, i);
+            let m = strassen_product(a, b, k / 2, i, ws);
+            strassen_land(m, c, i);
         }
     } else {
+        let (h, q) = (k / 2, k * k / 4);
+        let per = 3 * q + strassen_ws(h);
         strassen_fork(a, b, h, 0, 7, &mut ws[..7 * per], per);
-        for i in 0..7 {
-            strassen_land(&ws[i * per + 2 * q..][..q], c, i);
-        }
+        let ws = &*ws;
+        // SAFETY: `strassen_fork` ran product `i` in window `i`, and its
+        // recursion wrote the M part of that window whole.
+        let ms = std::array::from_fn(|i| unsafe { ws[i * per + 2 * q..][..q].assume_init_ref() });
+        let (c01, c23) = c.split_at_mut(2 * q);
+        let (c0, c1) = c01.split_at_mut(q);
+        let (c2, c3) = c23.split_at_mut(q);
+        pjoin(
+            || pjoin(|| land_quadrant(&ms, 0, c0), || land_quadrant(&ms, 1, c1)),
+            || pjoin(|| land_quadrant(&ms, 2, c2), || land_quadrant(&ms, 3, c3)),
+        );
     }
+    // SAFETY: a leaf writes its whole tile; on the last level the first
+    // three products store every quadrant (each quadrant's first term);
+    // above it every quadrant is written by its `land_quadrant`.
+    unsafe { c.assume_init_mut() }
 }
 
 /// Strassen multiplication of two `n×n` BI matrices (forked recursion
 /// over one carved workspace), with a row-major multiply at the 32×32
-/// leaves.
+/// leaves. The output and the workspace start uninitialised.
 pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
-    let mut c = vec![0.0; n * n];
-    let mut ws = workspace(strassen_ws(n), 0.0f64);
-    strassen_rec(a, b, &mut c, n, line_aligned(&mut ws));
+    let mut c = Vec::with_capacity(n * n);
+    let mut ws = workspace(strassen_ws(n));
+    strassen_rec(
+        a,
+        b,
+        &mut c.spare_capacity_mut()[..n * n],
+        n,
+        line_aligned(ws.spare_capacity_mut()),
+    );
+    // SAFETY: `strassen_rec` wrote every element of `c`.
+    unsafe { c.set_len(n * n) };
     c
 }
 
@@ -607,8 +710,9 @@ fn row_leaf(rows: &mut [Cx], len: usize, r0: usize, twiddle: Option<usize>, root
 
 /// `dst` rows `c0..` of the transpose of the `rows×cols` matrix `src`
 /// (so `dst` is `dst.len()/rows` rows of `rows`), forked over row
-/// windows of `dst` and moved in [`TILE`]-square tiles.
-fn transpose_rows(src: &[Cx], dst: &mut [Cx], rows: usize, cols: usize, c0: usize) {
+/// windows of `dst` and moved in [`TILE`]-square tiles. Writes every
+/// element of `dst` and reads none.
+fn transpose_rows(src: &[Cx], dst: &mut [MaybeUninit<Cx>], rows: usize, cols: usize, c0: usize) {
     let here = dst.len() / rows;
     if here > TILE && dst.len() > SEQ_CUTOFF {
         let mid = here / 2;
@@ -624,7 +728,7 @@ fn transpose_rows(src: &[Cx], dst: &mut [Cx], rows: usize, cols: usize, c0: usiz
             for j in jb..(jb + TILE).min(here) {
                 let out = &mut dst[j * rows + ib..j * rows + (ib + TILE).min(rows)];
                 for (i, d) in out.iter_mut().enumerate() {
-                    *d = src[(ib + i) * cols + c0 + j];
+                    d.write(src[(ib + i) * cols + c0 + j]);
                 }
             }
         }
@@ -637,7 +741,7 @@ fn transpose_rows(src: &[Cx], dst: &mut [Cx], rows: usize, cols: usize, c0: usiz
 /// as in [`fft_leaf`]. A row past the cutoff runs six steps of its own.
 fn fft_rows(
     data: &mut [Cx],
-    scratch: &mut [Cx],
+    scratch: &mut [MaybeUninit<Cx>],
     len: usize,
     r0: usize,
     twiddle: Option<usize>,
@@ -682,23 +786,30 @@ fn copy_par(src: &[Cx], dst: &mut [Cx]) {
 }
 
 /// Six-step FFT of `x` (a power-of-two length dividing `roots.n`) with
-/// `x.len()` elements of scratch: view `x` as `k1×k2`, transpose, FFT
-/// the `k2` rows of length `k1` and twiddle, transpose back, FFT the
-/// `k1` rows of length `k2`, transpose into natural order. Each pass
-/// forks over row windows; a row's own recursion borrows the buffer the
-/// pass is not reading. Only above [`SEQ_CUTOFF`]: a shorter row is one
+/// `x.len()` elements of scratch `t`, which may start uninitialised:
+/// view `x` as `k1×k2`, transpose (which writes all of `t`), FFT the
+/// `k2` rows of length `k1` and twiddle, transpose back, FFT the `k1`
+/// rows of length `k2`, transpose into natural order. Each pass forks
+/// over row windows; a row's own recursion borrows the buffer the pass
+/// is not reading. Only above [`SEQ_CUTOFF`]: a shorter row is one
 /// [`row_leaf`], which its caller runs.
-fn fft_rec(x: &mut [Cx], t: &mut [Cx], roots: &Roots) {
+fn fft_rec(x: &mut [Cx], t: &mut [MaybeUninit<Cx>], roots: &Roots) {
     let n = x.len();
     debug_assert!(n > SEQ_CUTOFF);
     let k1 = 1usize << n.trailing_zeros().div_ceil(2);
     let k2 = n / k1;
     transpose_rows(x, t, k1, k2, 0);
-    fft_rows(t, x, k1, 0, Some(n), roots);
-    transpose_rows(t, x, k2, k1, 0);
+    // SAFETY: the transpose wrote every element of `t`.
+    let tx = unsafe { t.assume_init_mut() };
+    // SAFETY: the row pass stores only values in its scratch, and the
+    // transpose after it writes every element of `x`.
+    let xs = unsafe { overwrite(x) };
+    fft_rows(tx, xs, k1, 0, Some(n), roots);
+    transpose_rows(tx, xs, k2, k1, 0);
     fft_rows(x, t, k2, 0, None, roots);
     transpose_rows(x, t, k1, k2, 0);
-    copy_par(t, x);
+    // SAFETY: the transpose wrote every element of `t`.
+    copy_par(unsafe { t.assume_init_ref() }, x);
 }
 
 /// Six-step FFT with parallel transposes and row FFTs (any power-of-two
@@ -710,28 +821,30 @@ pub fn par_fft(x: &mut [Cx]) {
     if n <= SEQ_CUTOFF {
         return row_leaf(x, n, 0, None, &roots);
     }
-    let mut ws = workspace(n, Cx::default());
-    let t = &mut line_aligned(&mut ws)[..n];
+    let mut ws = workspace(n);
+    let t = &mut line_aligned(ws.spare_capacity_mut())[..n];
     // Every pass below splits on power-of-two row windows of at least
     // half a cutoff, so a line-aligned buffer stays line-aligned.
     debug_assert_line_start(t);
     fft_rec(x, t, &roots);
 }
 
-/// Sort `data` by key, stably, with `scratch` of the same length; the
-/// result lands in `scratch` if `into_scratch`, else in `data`. The
-/// halves sort (forked) into the *other* buffer, so the one merge per
-/// level ([`merge_split`]) is also the move back — no copies above the
-/// leaves. Both buffers split at the same line multiple from their start,
-/// so whichever of them is workspace (it starts on a line:
-/// [`par_mergesort`]'s scratch, an SPMS bucket's arena window as `data`)
-/// hands its forked halves whole lines; the other is caller data and
-/// shares one line per split at most.
-fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: bool) {
+/// Sort `data` by key, stably, with `scratch` of the same length, which
+/// may start uninitialised; the result lands in `scratch` if
+/// `into_scratch`, else in `data`. The halves sort (forked) into the
+/// *other* buffer, so the one merge per level ([`merge_split`]) is also
+/// the move back — no copies above the leaves — and `scratch` is written
+/// whole before any of it is read. Both buffers split at the same line
+/// multiple from their start, so whichever of them is workspace (it
+/// starts on a line: [`par_mergesort`]'s scratch, an SPMS bucket's arena
+/// window as `data`) hands its forked halves whole lines; the other is
+/// caller data and shares one line per split at most.
+fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [MaybeUninit<(u64, u64)>], into_scratch: bool) {
     if data.len() <= SEQ_CUTOFF {
-        seq_sort(data, scratch);
-        if !into_scratch {
-            data.copy_from_slice(scratch);
+        if into_scratch {
+            seq_sort(data, scratch);
+        } else {
+            seq_sort_back(data, scratch);
         }
         return;
     }
@@ -745,7 +858,10 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: 
     if into_scratch {
         merge_split(&data[..mid], &data[mid..], scratch);
     } else {
-        merge_split(&scratch[..mid], &scratch[mid..], data);
+        // SAFETY: the halves sorted into `scratch`, writing all of it;
+        // `merge_split` writes every element of `data`.
+        let (src, dst) = unsafe { (scratch.assume_init_ref(), overwrite(data)) };
+        merge_split(&src[..mid], &src[mid..], dst);
     }
 }
 
@@ -755,7 +871,7 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [(u64, u64)], into_scratch: 
 const MERGE_GRAIN: usize = 1 << 14;
 
 /// `merge2`, forked at the output midpoint down to [`MERGE_GRAIN`].
-fn merge_split(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
+fn merge_split(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) {
     if out.len() <= MERGE_GRAIN {
         return merge2(l, r, out);
     }
@@ -784,8 +900,8 @@ fn merge_split(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
 /// Parallel mergesort over `(key, payload)` pairs, stable on keys.
 pub fn par_mergesort(data: &mut [(u64, u64)]) {
     let n = data.len();
-    let mut ws = workspace(n, (0u64, 0u64));
-    let scratch = &mut line_aligned(&mut ws)[..n];
+    let mut ws = workspace(n);
+    let scratch = &mut line_aligned(ws.spare_capacity_mut())[..n];
     debug_assert_line_start(scratch);
     msort_rec(data, scratch, false);
 }
@@ -795,7 +911,9 @@ pub fn par_mergesort(data: &mut [(u64, u64)]) {
 const GALLOP: usize = 32;
 
 /// Stable 2-way merge of the sorted runs `l` then `r` into `out`
-/// (`l` wins key ties, so run order is input order).
+/// (`l` wins key ties, so run order is input order). Writes every
+/// element of `out` once and reads none, so `out` may start
+/// uninitialised.
 ///
 /// **Two ends at once.** With `k = min(|l|, |r|)`, the `k` smallest
 /// elements of the result are a prefix of each run and the `k` largest a
@@ -816,7 +934,7 @@ const GALLOP: usize = 32;
 /// conditional moves: random keys cost no branch mispredictions.
 /// Deliberately unsafe-free; the `#[cfg(test)]` equivalence suite below
 /// pins this shape against a naive reference merge.
-fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
+fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) {
     debug_assert_eq!(l.len() + r.len(), out.len());
     let k = l.len().min(r.len());
     let total = out.len();
@@ -831,11 +949,11 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
     for (t, (f, b)) in front.iter_mut().zip(back.iter_mut().rev()).enumerate() {
         let j = t - i;
         let take_l = l[i].0 <= r[j].0;
-        *f = if take_l { l[i] } else { r[j] };
+        f.write(if take_l { l[i] } else { r[j] });
         i += usize::from(take_l);
         let je = total - t - ie;
         let take_r = l[ie - 1].0 <= r[je - 1].0;
-        *b = if take_r { r[je - 1] } else { l[ie - 1] };
+        b.write(if take_r { r[je - 1] } else { l[ie - 1] });
         ie -= usize::from(!take_r);
     }
     let (j, je) = (k - i, total - k - ie);
@@ -846,7 +964,7 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
         let mut steps = GALLOP;
         while steps > 0 && i < l.len() && j < r.len() {
             let take_l = l[i].0 <= r[j].0;
-            out[w] = if take_l { l[i] } else { r[j] };
+            out[w].write(if take_l { l[i] } else { r[j] });
             i += usize::from(take_l);
             j += usize::from(!take_l);
             w += 1;
@@ -857,20 +975,20 @@ fn merge2(l: &[(u64, u64)], r: &[(u64, u64)], out: &mut [(u64, u64)]) {
                 // Left swept the whole block: everything still ≤ the
                 // right head goes in one copy (ties stay left).
                 let take = l[i..].partition_point(|p| p.0 <= r[j].0);
-                out[w..w + take].copy_from_slice(&l[i..i + take]);
+                out[w..w + take].write_copy_of_slice(&l[i..i + take]);
                 i += take;
                 w += take;
             } else if i == i0 && j - j0 == GALLOP {
                 // Right sweep: strictly below the left head (ties left).
                 let take = r[j..].partition_point(|p| p.0 < l[i].0);
-                out[w..w + take].copy_from_slice(&r[j..j + take]);
+                out[w..w + take].write_copy_of_slice(&r[j..j + take]);
                 j += take;
                 w += take;
             }
         }
     }
-    out[w..w + (l.len() - i)].copy_from_slice(&l[i..]);
-    out[w + (l.len() - i)..].copy_from_slice(&r[j..]);
+    out[w..w + (l.len() - i)].write_copy_of_slice(&l[i..]);
+    out[w + (l.len() - i)..].write_copy_of_slice(&r[j..]);
 }
 
 /// Digit buckets a `seq_sort` leaf opens at most: `2^LEAF_DIGIT_BITS`
@@ -896,8 +1014,9 @@ enum Leaf {
 }
 
 /// Sequential stable sort by key of `src` into `out` (same length),
-/// allocation-free. Each step is picked by what the leaf sees in its own
-/// input:
+/// allocation-free. `out` may start uninitialised: every path writes all
+/// of it before reading any. Each step is picked by what the leaf sees in
+/// its own input:
 ///
 /// 1. One pre-pass finds the key range `lo..=hi` and counts descents.
 ///    None: `src` is sorted, and is copied. All of them: `src` is
@@ -918,7 +1037,7 @@ enum Leaf {
 ///    longer than `LEAF_BUCKET_MAX · 2^LEAF_DIGIT_BITS`) stops the count
 ///    and sends the leaf to [`tag_sort`], so the worst case stays
 ///    O(m log m) and no counter passes `LEAF_BUCKET_MAX + 1`.
-fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
+fn seq_sort(src: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) -> Leaf {
     debug_assert_eq!(src.len(), out.len());
     let m = src.len();
     let (mut lo, mut hi, mut descents) = (u64::MAX, 0u64, 0usize);
@@ -930,12 +1049,12 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
         prev = key;
     }
     if descents == 0 {
-        out.copy_from_slice(src);
+        out.write_copy_of_slice(src);
         return Leaf::Copy;
     }
     if descents == m - 1 {
         for (o, s) in out.iter_mut().zip(src.iter().rev()) {
-            *o = *s;
+            o.write(*s);
         }
         return Leaf::Reverse;
     }
@@ -959,9 +1078,13 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
     }
     for &p in src {
         let at = &mut count[digit(p.0)];
-        out[*at as usize] = p;
+        out[*at as usize].write(p);
         *at += 1;
     }
+    // SAFETY: the bucket starts are the exclusive prefix sums of the
+    // counts, so the buckets tile `0..m` and the scatter wrote each
+    // position once.
+    let out = unsafe { out.assume_init_mut() };
     for i in 1..m {
         let p = out[i];
         let mut j = i;
@@ -980,14 +1103,23 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) -> Leaf {
 /// each position for the payload it names. On random pairs 0.8–0.9× the
 /// time of `sort_by_key` (slices of 362 to 2^17), without its temporary
 /// buffer.
-fn tag_sort(src: &[(u64, u64)], out: &mut [(u64, u64)]) {
+fn tag_sort(src: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) {
     for (i, (o, s)) in out.iter_mut().zip(src).enumerate() {
-        *o = (s.0, i as u64);
+        o.write((s.0, i as u64));
     }
+    // SAFETY: the loop wrote every element of `out`.
+    let out = unsafe { out.assume_init_mut() };
     out.sort_unstable_by_key(|&(key, at)| (u128::from(key) << 64) | u128::from(at));
     for o in out.iter_mut() {
         o.1 = src[o.1 as usize].1;
     }
+}
+
+/// `seq_sort` of `data` in place, through `scratch` (same length).
+fn seq_sort_back(data: &mut [(u64, u64)], scratch: &mut [MaybeUninit<(u64, u64)>]) {
+    seq_sort(data, scratch);
+    // SAFETY: `seq_sort` writes every element of its output.
+    data.copy_from_slice(unsafe { scratch.assume_init_ref() });
 }
 
 /// Slices up to this long are one `seq_sort` in [`spms_rec`] (and get
@@ -1091,11 +1223,11 @@ fn id_stride(q: usize) -> usize {
 
 /// One chunk row's merge-path walk against the splitters
 /// (`spms_partition`): `lo` is the element cursor, `si` the splitter
-/// cursor.
+/// cursor. It writes every slot of its two rows, padding included.
 struct CutWalk<'a> {
     chunk: &'a [(u64, u64)],
-    row: &'a mut [usize],
-    ids: &'a mut [u16],
+    row: &'a mut [MaybeUninit<usize>],
+    ids: &'a mut [MaybeUninit<u16>],
     lo: usize,
     si: usize,
 }
@@ -1110,22 +1242,28 @@ impl CutWalk<'_> {
     /// the step that passes it.
     fn step(&mut self, splitters: &[u64]) {
         let below = self.chunk[self.lo].0 <= splitters[self.si];
-        self.row[self.si + 1] = self.lo;
-        self.ids[self.lo] = self.si as u16;
+        self.row[self.si + 1].write(self.lo);
+        self.ids[self.lo].write(self.si as u16);
         self.lo += usize::from(below);
         self.si += usize::from(!below);
     }
 
     /// Walk to the end, then close the row and give every element past
-    /// the last splitter the last bucket.
+    /// the last splitter the last bucket. Every border and id below the
+    /// cursors was stored by a step; the rest, and the rows' padding, are
+    /// stored here.
     fn finish(mut self, splitters: &[u64]) {
         while self.live(splitters) {
             self.step(splitters);
         }
         let len = self.chunk.len();
-        self.row[0] = 0;
-        self.row[self.si + 1..splitters.len() + 2].fill(len);
-        self.ids[self.lo..len].fill(splitters.len() as u16);
+        self.row[0].write(0);
+        for border in &mut self.row[self.si + 1..] {
+            border.write(len);
+        }
+        for id in &mut self.ids[self.lo..] {
+            id.write(splitters.len() as u16);
+        }
     }
 }
 
@@ -1148,8 +1286,8 @@ fn spms_partition(
     data: &[(u64, u64)],
     q: usize,
     splitters: &[u64],
-    cuts: &mut [usize],
-    ids: &mut [u16],
+    cuts: &mut [MaybeUninit<usize>],
+    ids: &mut [MaybeUninit<u16>],
 ) {
     let (cs, is) = (cut_stride(splitters.len() + 1), id_stride(q));
     let rows = cuts.len() / cs;
@@ -1228,7 +1366,13 @@ struct SpmsCx<'a> {
 /// trip counts no branch predictor follows. A bucket receives its runs
 /// in chunk order — input order, which is what keeps the leaf sort that
 /// follows stable.
-fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)], cx: &SpmsCx<'_>) {
+fn spms_gather(
+    data: &[(u64, u64)],
+    blo: usize,
+    bhi: usize,
+    a: &mut [MaybeUninit<(u64, u64)>],
+    cx: &SpmsCx<'_>,
+) {
     debug_assert_line_start(a);
     if bhi - blo > GATHER_GROUP {
         let mid = blo + (bhi - blo) / 2;
@@ -1256,7 +1400,7 @@ fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)]
         let (from, to) = (row[blo], row[bhi]);
         for (&p, &id) in chunk[from..to].iter().zip(&ids[from..to]) {
             let w = &mut at[usize::from(id) - blo];
-            a[*w] = p;
+            a[*w].write(p);
             *w += 1;
         }
     }
@@ -1264,13 +1408,18 @@ fn spms_gather(data: &[(u64, u64)], blo: usize, bhi: usize, a: &mut [(u64, u64)]
 
 /// Bucket phase B of one level: sort every gathered bucket of `a` (one
 /// per entry of `sizes`, at line-gapped origins) into its window of
-/// `dest`, forked per bucket. A bucket is ≈ q = √n unordered-between-runs
-/// elements, so one stable leaf sort does what ⌈log₂ chunks⌉ rounds of
-/// pairwise merges of its ≈ 1-element runs would; a bucket above the
-/// cutoff (skewed or duplicate-heavy keys) is a forked [`msort_rec`]
-/// whose scratch is the bucket's own `dest` window — free, because the
-/// barrier after the gather retired `data` as a source.
-fn spms_sort_buckets(dest: &mut [(u64, u64)], a: &mut [(u64, u64)], sizes: &[usize]) {
+/// `dest`, forked per bucket, writing all of `dest`. A bucket is
+/// ≈ q = √n unordered-between-runs elements, so one stable leaf sort
+/// does what ⌈log₂ chunks⌉ rounds of pairwise merges of its ≈ 1-element
+/// runs would; a bucket above the cutoff (skewed or duplicate-heavy keys)
+/// is a forked [`msort_rec`] whose scratch is the bucket's own `dest`
+/// window — free, because the barrier after the gather retired `data` as
+/// a source.
+fn spms_sort_buckets(
+    dest: &mut [MaybeUninit<(u64, u64)>],
+    a: &mut [MaybeUninit<(u64, u64)>],
+    sizes: &[usize],
+) {
     debug_assert_line_start(a);
     if sizes.len() > 1 {
         let (sl, sr) = sizes.split_at(sizes.len() / 2);
@@ -1283,18 +1432,22 @@ fn spms_sort_buckets(dest: &mut [(u64, u64)], a: &mut [(u64, u64)], sizes: &[usi
         return;
     }
     let m = sizes[0];
-    if m <= SEQ_CUTOFF {
-        seq_sort(&a[..m], &mut dest[..m]);
-    } else {
-        msort_rec(&mut a[..m], &mut dest[..m], true);
-    }
+    // SAFETY: the gather wrote the bucket's `m` elements at its origin.
+    let bucket = unsafe { a[..m].assume_init_mut() };
+    // At or below the cutoff this is one `seq_sort` into `dest`.
+    msort_rec(bucket, &mut dest[..m], true);
 }
 
 /// Recursive chunk-sort pass: apply [`spms_rec`] to each `q`-wide window
 /// of `data`, carving each window's scratch out of the shared arena at a
 /// uniform `per`-pair stride (the windows run concurrently, so their
 /// scratch must be disjoint).
-fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)], per: usize) {
+fn spms_sort_chunks(
+    data: &mut [(u64, u64)],
+    q: usize,
+    arena: &mut [MaybeUninit<(u64, u64)>],
+    per: usize,
+) {
     debug_assert_line_start(arena);
     if data.len() <= q {
         if !data.is_empty() {
@@ -1345,18 +1498,17 @@ pub fn par_spms(data: &mut [(u64, u64)]) {
     if data.len() <= 1 {
         return;
     }
-    let mut arena = workspace(arena_len(data.len()), (0u64, 0u64));
-    spms_rec(data, line_aligned(&mut arena));
+    let mut arena = workspace(arena_len(data.len()));
+    spms_rec(data, line_aligned(arena.spare_capacity_mut()));
 }
 
 /// One SPMS level over `data`, with scratch (≥ `arena_len` of
-/// `data.len()`) provided by the caller.
-fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
+/// `data.len()`, possibly uninitialised) provided by the caller.
+fn spms_rec(data: &mut [(u64, u64)], arena: &mut [MaybeUninit<(u64, u64)>]) {
     let n = data.len();
     if n <= SPMS_CUTOFF {
         if n > 1 {
-            seq_sort(data, &mut arena[..n]);
-            data.copy_from_slice(&arena[..n]);
+            seq_sort_back(data, &mut arena[..n]);
         }
         return;
     }
@@ -1370,19 +1522,20 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     let nbuckets = splitters.len() + 1;
     assert!(nbuckets <= 1 << 16, "bucket ids are u16 (n ≤ 2^32)");
     let (cs, is) = (cut_stride(nbuckets), id_stride(q));
-    let mut cut_ws = workspace(nchunks * cs, 0usize);
-    let cuts = &mut line_aligned(&mut cut_ws)[..nchunks * cs];
-    let mut id_ws = workspace(nchunks * is, 0u16);
-    let ids = &mut line_aligned(&mut id_ws)[..nchunks * is];
+    let mut cut_ws = workspace(nchunks * cs);
+    let cuts = &mut line_aligned(cut_ws.spare_capacity_mut())[..nchunks * cs];
+    let mut id_ws = workspace(nchunks * is);
+    let ids = &mut line_aligned(id_ws.spare_capacity_mut())[..nchunks * is];
     debug_assert_line_start(cuts);
     debug_assert_line_start(ids);
     spms_partition(data, q, &splitters, cuts, ids);
+    // SAFETY: one walk per chunk row wrote both of its rows whole.
+    let (cuts, ids) = unsafe { (cuts.assume_init_ref(), ids.assume_init_ref()) };
     let sizes = bucket_sizes(cuts, nbuckets);
     if sizes.contains(&n) {
         // Degenerate splitters (e.g. almost-constant keys): fall back to
         // one stable sequential sort out of the same arena.
-        seq_sort(data, &mut arena[..n]);
-        data.copy_from_slice(&arena[..n]);
+        seq_sort_back(data, &mut arena[..n]);
         return;
     }
 
@@ -1394,7 +1547,9 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
         sizes: &sizes,
     };
     spms_gather(data, 0, nbuckets, arena, &cx);
-    spms_sort_buckets(data, arena, &sizes);
+    // SAFETY: the buckets' sizes sum to `n`, and each bucket's sort
+    // writes its whole window of `data`.
+    spms_sort_buckets(unsafe { overwrite(data) }, arena, &sizes);
 }
 
 /// Distance between the index splitters of [`par_list_rank`]: every
@@ -1536,8 +1691,9 @@ fn lr_jump(cur: &[AtomicU64], next: &mut [AtomicU64], off: usize) {
 }
 
 /// `rank[i]` = rank of node `i`'s sublist start − its offset in the
-/// sublist: one streaming pass over the tags, forked over output windows.
-fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [u64]) {
+/// sublist: one streaming pass over the tags, forked over output windows,
+/// writing every element of `rank`.
+fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [MaybeUninit<u64>]) {
     if rank.len() > SEQ_CUTOFF {
         let mid = rank.len() / 2;
         let (tl, tr) = tags.split_at(mid);
@@ -1547,7 +1703,7 @@ fn lr_expand(tags: &[AtomicU64], ranked: &[AtomicU64], rank: &mut [u64]) {
     }
     for (r, t) in rank.iter_mut().zip(tags) {
         let t = t.load(Relaxed);
-        *r = (ranked[(t >> 32) as usize].load(Relaxed) & LOW) - (t & LOW);
+        r.write((ranked[(t >> 32) as usize].load(Relaxed) & LOW) - (t & LOW));
     }
 }
 
@@ -1615,7 +1771,7 @@ pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
     let mut ws: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
         .take(tags_len + 2 * half + LINE_WORDS)
         .collect();
-    raise_arena_gauge(&ws);
+    raise_arena_gauge(std::mem::size_of_val(ws.as_slice()));
     let (tags, halves) = line_aligned(&mut ws).split_at_mut(tags_len);
     let (mut cur, rest) = halves.split_at_mut(half);
     let mut next = &mut rest[..half];
@@ -1634,8 +1790,10 @@ pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
         pack(tail_id, n as u64 - 1),
         "every node lies on the one list"
     );
-    let mut rank = vec![0u64; n];
-    lr_expand(tags, cur, &mut rank);
+    let mut rank = Vec::with_capacity(n);
+    lr_expand(tags, cur, &mut rank.spare_capacity_mut()[..n]);
+    // SAFETY: the expansion's leaves tile `0..n`, each writing its window.
+    unsafe { rank.set_len(n) };
     rank
 }
 
@@ -1645,6 +1803,17 @@ mod tests {
     use crate::gen;
     use crate::layout::to_bi;
     use crate::oracle;
+
+    /// What `f` leaves in `m` fresh slots starting on a cache line, all of
+    /// which it must write: under Miri a slot it missed is an
+    /// uninitialised read here.
+    fn written<T: Copy>(m: usize, f: impl FnOnce(&mut [MaybeUninit<T>])) -> Vec<T> {
+        let mut buf = workspace::<T>(m);
+        let slots = &mut line_aligned(buf.spare_capacity_mut())[..m];
+        f(slots);
+        // SAFETY: `f` wrote every slot (what the callers check).
+        unsafe { slots.assume_init_ref() }.to_vec()
+    }
 
     /// Run `check` off the pool (joins go to the rayon shim), then as the
     /// root task of a 1-worker and of a 3-worker native pool.
@@ -1759,7 +1928,7 @@ mod tests {
     fn leaf_outputs(
         sum: impl Fn(&[u64]) -> u64,
         fft: impl Fn(&mut [Cx], usize, usize, Option<usize>, &Roots),
-        mul: impl Fn(&[f64], &[f64], &mut [f64], usize),
+        mul: impl Fn(&[f64], &[f64], &mut [MaybeUninit<f64>], usize),
     ) -> (Vec<u64>, Vec<Vec<Cx>>, Vec<Vec<f64>>) {
         let words = gen::random_u64s(4099, u64::MAX, 9);
         let sums = [0usize, 1, 7, 1024, 4099]
@@ -1781,9 +1950,7 @@ mod tests {
         let tiles = (0..=5)
             .map(|e| {
                 let k = 1usize << e;
-                let mut c = vec![0.0; k * k];
-                mul(&a[..k * k], &b[..k * k], &mut c, k);
-                c
+                written(k * k, |c| mul(&a[..k * k], &b[..k * k], c, k))
             })
             .collect();
         (sums, rows, tiles)
@@ -2156,18 +2323,17 @@ mod tests {
         let mut state = 99u64;
         let input: Vec<(u64, u64)> = (0..n as u64).map(|i| (xs(&mut state) % 50, i)).collect();
         off_and_on_pools(|| {
-            let mut ws = workspace(n + sizes.len() * LINE_PAIRS, (0u64, 0u64));
-            let arena = line_aligned(&mut ws);
+            let mut ws = workspace(n + sizes.len() * LINE_PAIRS);
+            let arena = line_aligned(ws.spare_capacity_mut());
             let (mut from, mut origin) = (0, 0);
             let mut want = Vec::new();
             for &m in &sizes {
-                arena[origin..origin + m].copy_from_slice(&input[from..from + m]);
+                arena[origin..origin + m].write_copy_of_slice(&input[from..from + m]);
                 want.extend(oracle::sort_pairs(&input[from..from + m]));
                 from += m;
                 origin += line_up(m);
             }
-            let mut dest = vec![(0, 0); n];
-            spms_sort_buckets(&mut dest, arena, &sizes);
+            let dest = written(n, |dest| spms_sort_buckets(dest, arena, &sizes));
             assert!(dest == want, "payload equality = stability");
         });
     }
@@ -2193,11 +2359,12 @@ mod tests {
                 let splitters = spms_splitters(&data, q, nb);
                 let nbuckets = splitters.len() + 1;
                 let (nchunks, cs, is) = (n.div_ceil(q), cut_stride(nbuckets), id_stride(q));
-                let mut cut_ws = workspace(nchunks * cs, 0usize);
-                let cuts = &mut line_aligned(&mut cut_ws)[..nchunks * cs];
-                let mut id_ws = workspace(nchunks * is, u16::MAX);
-                let ids = &mut line_aligned(&mut id_ws)[..nchunks * is];
-                spms_partition(&data, q, &splitters, cuts, ids);
+                let mut ids = Vec::new();
+                let cuts = written(nchunks * cs, |cuts| {
+                    ids = written(nchunks * is, |ids| {
+                        spms_partition(&data, q, &splitters, cuts, ids)
+                    });
+                });
 
                 // The model: an upper-bound cut at every splitter, and
                 // bucket-major, chunk-ordered buckets.
@@ -2213,7 +2380,7 @@ mod tests {
                         buckets[id].push(p);
                     }
                 }
-                let sizes = bucket_sizes(cuts, nbuckets);
+                let sizes = bucket_sizes(&cuts, nbuckets);
                 assert!(
                     sizes.iter().copied().eq(buckets.iter().map(Vec::len)),
                     "{name} n={n}"
@@ -2227,15 +2394,18 @@ mod tests {
                     want[origin..origin + b.len()].copy_from_slice(b);
                     origin += line_up(b.len());
                 }
-                let mut ws = workspace(len, gap);
+                let mut ws = vec![MaybeUninit::new(gap); len + LINE_PAIRS];
                 let arena = &mut line_aligned(&mut ws)[..len];
                 let cx = SpmsCx {
                     q,
-                    cuts,
-                    ids,
+                    cuts: &cuts,
+                    ids: &ids,
                     sizes: &sizes,
                 };
                 spms_gather(&data, 0, nbuckets, arena, &cx);
+                // SAFETY: every slot started as `gap`, and the gather
+                // stores only values.
+                let arena = unsafe { arena.assume_init_ref() };
                 assert!(arena == want.as_slice(), "{name} n={n}: gathered arena");
             }
         });
@@ -2283,9 +2453,8 @@ mod tests {
     /// `merge2(l, r)` against the naive merge, payloads included.
     fn assert_merges_like_naive(l: &[(u64, u64)], r: &[(u64, u64)], what: &str) {
         let mut want = vec![(0, 0); l.len() + r.len()];
-        let mut got = want.clone();
         naive_merge(l, r, &mut want);
-        merge2(l, r, &mut got);
+        let got = written(want.len(), |out| merge2(l, r, out));
         assert!(got == want, "{what}: |l|={} |r|={}", l.len(), r.len());
     }
 
@@ -2330,8 +2499,7 @@ mod tests {
             let mut want = vec![(0, 0); ll + rl];
             naive_merge(&l, &r, &mut want);
             off_and_on_pools(|| {
-                let mut got = vec![(0, 0); ll + rl];
-                merge_split(&l, &r, &mut got);
+                let got = written(ll + rl, |out| merge_split(&l, &r, out));
                 assert!(got == want, "|l|={ll} |r|={rl} range={range}");
             });
         }
@@ -2374,8 +2542,7 @@ mod tests {
         for (ll, rl) in [(0, 9), (9, 0), (1, 40), (40, 1), (7, 8), (8, 8), (33, 100)] {
             let l: Vec<(u64, u64)> = (0..ll).map(|i| (5, i)).collect();
             let r: Vec<(u64, u64)> = (0..rl).map(|i| (5, 1000 + i)).collect();
-            let mut got = vec![(0, 0); l.len() + r.len()];
-            merge2(&l, &r, &mut got);
+            let got = written(l.len() + r.len(), |out| merge2(&l, &r, out));
             let want: Vec<(u64, u64)> = l.iter().chain(&r).copied().collect();
             assert_eq!(got, want, "|l|={ll} |r|={rl}: all of l, then all of r");
         }
@@ -2527,8 +2694,8 @@ mod tests {
                 };
                 let mut want = data.clone();
                 want.sort_by_key(|p| p.0);
-                let mut got = vec![(0, 0); m];
-                let leaf = seq_sort(&data, &mut got);
+                let mut leaf = Leaf::Tags;
+                let got = written(m, |out| leaf = seq_sort(&data, out));
                 assert!(got == want, "{name} m={m} (payload equality = stability)");
                 assert_eq!(leaf, want_leaf, "{name} m={m}");
                 taken[leaf as usize] += 1;
@@ -2579,5 +2746,72 @@ mod tests {
         let (_, report) = hbp_sched::native::NativePool::run(cfg, || par_spms(&mut data));
         assert_eq!(data, want);
         assert!(report.work > 1, "SPMS forked tasks on the pool");
+    }
+
+    /// Each kernel whose launch hands out uninitialised windows, off the
+    /// pool, at the smallest size that reaches every such window: small
+    /// enough for Miri, which reports a window read before it is written
+    /// (CI runs `par::tests::uninit::` under it).
+    mod uninit {
+        use super::*;
+        use crate::layout::from_bi;
+
+        #[test]
+        fn strassen_at_the_first_forked_level() {
+            // 128: the seven products fork, then the four quadrants land
+            // in parallel; each 64-wide product runs the shared last
+            // level, its operands and products in one window.
+            let n = 128;
+            let (a, b) = (gen::random_matrix(n, 3), gen::random_matrix(n, 4));
+            let c = from_bi(&par_strassen_bi(&to_bi(&a, n), &to_bi(&b, n), n), n);
+            // A sample of entries that visits every quadrant, each
+            // against its own dot product.
+            for (i, j) in (0..n).map(|i| (i, i * 37 % n)) {
+                let want: f64 = (0..n).map(|l| a[i * n + l] * b[l * n + j]).sum();
+                let got = c[i * n + j];
+                assert!((got - want).abs() < 1e-9 * (1.0 + want.abs()), "({i}, {j})");
+            }
+        }
+
+        #[test]
+        fn fft_one_level_above_the_cutoff() {
+            let x = signal(2 * SEQ_CUTOFF);
+            let mut want = x.clone();
+            radix2(&mut want);
+            let mut got = x;
+            par_fft(&mut got);
+            assert_spectra_close(&got, &want);
+        }
+
+        /// `n` random pairs, payload = position, and their stable sort.
+        fn sort_case(n: usize) -> (Vec<(u64, u64)>, Vec<(u64, u64)>) {
+            let data: Vec<(u64, u64)> = gen::random_u64s(n, 1000, 6).into_iter().zip(0..).collect();
+            let want = oracle::sort_pairs(&data);
+            (data, want)
+        }
+
+        #[test]
+        fn mergesort_one_past_the_cutoff() {
+            // Two leaves sort into the scratch, and one merge writes the
+            // data back out of it.
+            let (mut data, want) = sort_case(SEQ_CUTOFF + 1);
+            par_mergesort(&mut data);
+            assert!(data == want);
+        }
+
+        #[test]
+        fn spms_one_past_its_cutoff() {
+            // One level: chunk sorts through the arena, the cut and id
+            // tables, the gather into the arena, bucket sorts into `data`.
+            let (mut data, want) = sort_case(SPMS_CUTOFF + 1);
+            par_spms(&mut data);
+            assert!(data == want);
+        }
+
+        #[test]
+        fn list_rank_writes_every_rank() {
+            let succ = gen::random_list(2 * SEQ_CUTOFF + 3, 8);
+            assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ));
+        }
     }
 }

@@ -125,6 +125,8 @@ pub struct ClDeque<T> {
 // exactly one thread; T crossing is what requires Send. The deque itself
 // is shared by reference across workers.
 unsafe impl<T: Send> Send for ClDeque<T> {}
+// SAFETY: as for `Send`: every shared-reference operation is the atomic
+// protocol, which hands each element to one thread only.
 unsafe impl<T: Send> Sync for ClDeque<T> {}
 
 impl<T> Default for ClDeque<T> {
@@ -161,6 +163,7 @@ impl<T> ClDeque<T> {
 
     /// Current buffer capacity (owner/diagnostic).
     pub fn capacity(&self) -> usize {
+        // SAFETY: the current generation is freed only by `Drop`.
         unsafe { &*self.buffer.load(Ordering::Acquire) }.cap
     }
 
@@ -170,6 +173,7 @@ impl<T> ClDeque<T> {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
         let mut buf = self.buffer.load(Ordering::Relaxed);
+        // SAFETY: the current generation is freed only by `Drop`.
         if b - t >= unsafe { &*buf }.cap as isize {
             buf = self.grow(b, t, buf);
         }
@@ -244,7 +248,7 @@ impl<T> ClDeque<T> {
     /// [`Steal::Empty`]: a lost race is [`Steal::Retry`].
     #[inline]
     fn claim(&self, buf: *mut Buffer<T>, t: isize, admit: impl FnOnce(&T) -> bool) -> Steal<T> {
-        // SAFETY, in two parts.
+        // SAFETY: two parts.
         //
         // The pointer is live: `buf` came from `self.buffer`, and no
         // generation is freed while a thief can hold one — `grow` pushes
@@ -359,6 +363,7 @@ impl<T> ClDeque<T> {
     /// Owner: replace the full buffer with one of twice the capacity,
     /// copying the live window `[t, b)`, and retire the old generation.
     fn grow(&self, b: isize, t: isize, old: *mut Buffer<T>) -> *mut Buffer<T> {
+        // SAFETY: `old` is the current generation, freed only by `Drop`.
         let old_ref = unsafe { &*old };
         let new = Buffer::<T>::new(old_ref.cap * 2);
         for i in t..b {
@@ -385,10 +390,13 @@ impl<T> Drop for ClDeque<T> {
         let t = *self.top.get_mut();
         let buf = *self.buffer.get_mut();
         for i in t..b {
+            // SAFETY: `[t, b)` is the live window, each slot read once.
             unsafe {
                 drop((*buf).read(i));
             }
         }
+        // SAFETY: the current generation came from `Box::into_raw` and
+        // nothing else holds it.
         unsafe {
             drop(Box::from_raw(buf));
         }
@@ -398,6 +406,8 @@ impl<T> Drop for ClDeque<T> {
             .expect("retire list poisoned")
             .drain(..)
         {
+            // SAFETY: each retired generation came from `Box::into_raw`,
+            // is listed once, and its slots are moved-out copies.
             unsafe {
                 drop(Box::from_raw(p));
             }

@@ -62,7 +62,7 @@
 //! coherence), per-priority steal counts (Obs 4.3), steal attempt totals
 //! (Cor 4.1), stolen-task sizes (Lemma 2.1), and usurpations (Lemma 4.6).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod cl_deque;
 pub mod clock;

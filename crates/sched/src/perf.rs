@@ -165,6 +165,8 @@ mod sys {
             ..Default::default()
         };
         // pid 0 (this thread), cpu -1 (any), no group, close-on-exec.
+        // SAFETY: `attr` is a valid `perf_event_attr` of `ATTR_SIZE`
+        // bytes that outlives the call.
         let fd = unsafe {
             syscall(
                 SYS_PERF_EVENT_OPEN,
@@ -207,6 +209,7 @@ impl PerfCounters {
                     Some(fd) => fds[i] = fd,
                     None => {
                         for &fd in &fds[..i] {
+                            // SAFETY: `fd` was opened above and is closed once.
                             unsafe { sys::close(fd) };
                         }
                         return None;
@@ -233,6 +236,7 @@ impl PerfCounters {
             let mut out = [0u64; 3];
             for (i, &fd) in self.fds.iter().enumerate() {
                 let mut buf = [0u8; 8];
+                // SAFETY: `buf` has room for the 8 bytes asked for.
                 let n = unsafe { sys::read(fd, buf.as_mut_ptr(), 8) };
                 if n != 8 {
                     return None;
@@ -249,6 +253,7 @@ impl Drop for PerfCounters {
     fn drop(&mut self) {
         for &fd in &self.fds {
             if fd >= 0 {
+                // SAFETY: this set owns `fd`, and drops once.
                 unsafe { sys::close(fd) };
             }
         }

@@ -53,6 +53,8 @@
 //! pushes events from the sim event loop and the native workers;
 //! `hbp-core` attaches a per-job sink with `ExecSession::submit_traced`.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod analyze;
 pub mod chrome;
 pub mod critical;
