@@ -84,9 +84,10 @@ fn scan_input(n: usize, seed: u64) -> Vec<u64> {
 
 /// The FFT row's input: `n` complex points.
 fn fft_input(n: usize, seed: u64) -> Vec<Cx> {
-    gen::random_u64s(2 * n, 1 << 20, seed)
-        .chunks(2)
-        .map(|w| Cx::new(w[0] as f64 / 1e6, w[1] as f64 / 1e6))
+    let mut draw = gen::u64_draws(1 << 20, seed);
+    // the real part draws first: arguments evaluate left to right
+    (0..n)
+        .map(|_| Cx::new(draw() as f64 / 1e6, draw() as f64 / 1e6))
         .collect()
 }
 
@@ -94,11 +95,8 @@ fn fft_input(n: usize, seed: u64) -> Vec<Cx> {
 /// payload, so both sort rows (and their native kernels) see identical
 /// data and stability is observable.
 fn sort_input(n: usize, seed: u64) -> Vec<(u64, u64)> {
-    gen::random_u64s(n, u64::MAX / 2, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (k, i as u64))
-        .collect()
+    let mut draw = gen::u64_draws(u64::MAX / 2, seed);
+    (0..n as u64).map(|i| (draw(), i)).collect()
 }
 
 /// All Table-1 rows. The Sort row is the real SPMS
