@@ -26,7 +26,7 @@ pub struct Request {
     pub n: usize,
     /// Kernel input seed — derived from (scenario seed, algo, n), so
     /// requests of the same shape share inputs and a virtual-time
-    /// service oracle can cache per shape.
+    /// service oracle can measure each shape once, up front.
     pub seed: u64,
     /// Open loop: absolute arrival instant (ns from scenario start).
     pub arrival_ns: u64,

@@ -6,14 +6,27 @@
 //! deferred requests, launch completions) and the service oracle: each
 //! request's *service time* is the kernel's virtual-time makespan under
 //! the scenario policy, measured once per (algo, n) shape by replaying
-//! the kernel on the simulated machine. A deferred client "sleeps" as a
-//! re-arrival event at `now + hint`; it stays blocked meanwhile, exactly
-//! like a sleeping native client thread. Everything is integer virtual
-//! time off one seeded schedule, so the same spec yields a
-//! byte-identical report.
+//! the kernel on the simulated machine.
+//!
+//! The oracle is a table built up front, before the first event: a
+//! request's kernel seed depends on its shape alone, so the schedule's
+//! distinct shapes are independent simulations. They run concurrently,
+//! largest `n` first, on one scoped thread per available core (at most
+//! one per shape), and the event loop only looks them up. Every entry is
+//! the same computation on any thread count, so the report's bytes do
+//! not depend on the host's cores.
+//!
+//! A deferred client "sleeps" as a re-arrival event at `now + hint`; it
+//! stays blocked meanwhile, exactly like a sleeping native client
+//! thread. Everything is integer virtual time off one seeded schedule,
+//! so the same spec yields a byte-identical report.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
+use std::thread;
 
 use hbp_core::trace::{critical_path, TraceSink};
 use hbp_core::{Config, ExecJob, ExecSession, MachineConfig};
@@ -23,37 +36,61 @@ use crate::gen::{build_schedule, Request};
 use crate::report::{CpTotals, ScenarioReport};
 use crate::spec::{LoadMode, ScenarioSpec};
 
-/// Simulated-machine geometry for the service oracle: the scenario's
-/// core count on the workspace's default cache (4K words, 32-word
-/// blocks).
-fn oracle_machine(spec: &ScenarioSpec) -> MachineConfig {
-    MachineConfig::new(spec.workers, 1 << 12, 32)
+/// The service oracle's session: the scenario's policy on its core
+/// count, with the workspace's default cache (4K words, 32-word blocks).
+fn oracle_session(spec: &ScenarioSpec) -> ExecSession {
+    Config::new()
+        .policy(spec.policy)
+        .open(MachineConfig::new(spec.workers, 1 << 12, 32))
 }
 
-/// Measures (once per request shape) the virtual service time and
-/// critical path of a kernel launch.
+/// The virtual service time and critical path of every request shape
+/// of one schedule, measured before the first event (see module docs).
 struct ServiceOracle {
-    session: ExecSession,
-    cache: HashMap<(&'static str, usize), (u64, CpTotals)>,
+    table: HashMap<(&'static str, usize), (u64, CpTotals)>,
 }
 
 impl ServiceOracle {
-    fn new(spec: &ScenarioSpec) -> Self {
-        Self {
-            session: Config::new().policy(spec.policy).open(oracle_machine(spec)),
-            cache: HashMap::new(),
-        }
+    /// Measure each distinct (algo, n) shape of `schedule` once, largest
+    /// `n` first, on `threads` scoped threads that share one cursor
+    /// (inline when `threads` is 1). A shape that fails panics with its
+    /// own message, whichever thread measured it.
+    fn build(spec: &ScenarioSpec, schedule: &[Request], threads: usize) -> Self {
+        let session = oracle_session(spec);
+        let mut seen = HashSet::new();
+        let mut shapes: Vec<&Request> = schedule
+            .iter()
+            .filter(|r| seen.insert((r.algo, r.n)))
+            .collect();
+        shapes.sort_by_key(|r| Reverse(r.n));
+        let threads = threads.min(shapes.len());
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut part = Vec::new();
+            while let Some(&r) = shapes.get(cursor.fetch_add(1, Relaxed)) {
+                let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
+                part.push(((r.algo, r.n), measure_into(&session, r, &sink)));
+            }
+            part
+        };
+        let table = if threads <= 1 {
+            worker().into_iter().collect()
+        } else {
+            // `resume_unwind` re-raises a helper's panic with its own
+            // message, where `unwrap` would print `Any { .. }`.
+            thread::scope(|s| {
+                let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        Self { table }
     }
 
-    fn measure(&mut self, r: &Request) -> (u64, CpTotals) {
-        if let Some(&hit) = self.cache.get(&(r.algo, r.n)) {
-            return hit;
-        }
-        let session = &self.session;
-        let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
-        let entry = measure_into(session, r, &sink);
-        self.cache.insert((r.algo, r.n), entry);
-        entry
+    fn measure(&self, r: &Request) -> (u64, CpTotals) {
+        self.table[&(r.algo, r.n)]
     }
 }
 
@@ -137,7 +174,8 @@ impl Agenda {
 /// Run the scenario in virtual time (see module docs).
 pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
     let schedule = build_schedule(spec);
-    let mut oracle = ServiceOracle::new(spec);
+    let threads = thread::available_parallelism().map_or(1, |n| n.get());
+    let oracle = ServiceOracle::build(spec, &schedule, threads);
     let mut desk: Desk<()> = Desk::new(spec, &schedule);
     let mut agenda = Agenda::default();
 
@@ -240,10 +278,47 @@ mod tests {
             }],
             ..small_spec()
         };
-        let oracle = ServiceOracle::new(&spec);
-        let session = &oracle.session;
+        let session = &oracle_session(&spec);
         let tiny = TraceSink::with_capacity(session.workers(), session.clock_domain(), 16);
         measure_into(session, &build_schedule(&spec)[0], &Arc::new(tiny));
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle cannot build \"No such kernel\" (n=64)")]
+    fn a_shape_that_fails_on_a_helper_thread_keeps_its_message() {
+        let request = |id, algo, n| Request {
+            id,
+            client: 0,
+            algo,
+            n,
+            seed: 7,
+            arrival_ns: 0,
+            think_ns: 0,
+        };
+        let schedule = [
+            request(0, "Scans (M-Sum)", 256),
+            request(1, "No such kernel", 64),
+            request(2, "Scans (M-Sum)", 128),
+        ];
+        ServiceOracle::build(&small_spec(), &schedule, 2);
+    }
+
+    #[test]
+    fn the_oracle_table_does_not_depend_on_the_thread_count() {
+        let default_sim = ScenarioSpec {
+            mix: crate::spec::default_mix(hbp_core::Backend::Sim),
+            backend: hbp_core::Backend::Sim,
+            ..ScenarioSpec::default()
+        };
+        for spec in [small_spec(), default_sim] {
+            let schedule = build_schedule(&spec);
+            let one = ServiceOracle::build(&spec, &schedule, 1).table;
+            assert_eq!(one.len(), 8, "every shape of the mix is requested");
+            for threads in [2, 8] {
+                let many = ServiceOracle::build(&spec, &schedule, threads).table;
+                assert_eq!(many, one, "{threads} threads");
+            }
+        }
     }
 
     #[test]

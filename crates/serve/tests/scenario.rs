@@ -256,3 +256,52 @@ fn two_hundred_back_to_back_native_scenarios_all_tear_down() {
     done.send(()).expect("watchdog is listening");
     watchdog.join().expect("watchdog panicked");
 }
+
+/// 64-bit FNV-1a of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn sim_reports_match_the_pinned_digests() {
+    // Two runs of one build agree with each other even when both move;
+    // these digests pin the bytes themselves. Open and closed loop, PWS
+    // and RWS, and a paced run under pressure (deferrals and rejections).
+    let open = |policy| ScenarioSpec {
+        mode: LoadMode::Open,
+        think_mean_ns: 2_000,
+        queue_cap: 8,
+        ..cell(Backend::Sim, policy)
+    };
+    let cases = [
+        (
+            "closed x pws",
+            cell(Backend::Sim, Policy::Pws),
+            0x7007_c109_6c84_a2d1,
+        ),
+        (
+            "open x rws:3",
+            open(Policy::Rws { seed: 3 }),
+            0x289b_4a77_e597_8b9b,
+        ),
+        (
+            "paced closed x rws:3",
+            ScenarioSpec {
+                clients: 8,
+                queue_cap: 2,
+                think_mean_ns: 1,
+                pacing: true,
+                mix: tiny_mix(),
+                ..cell(Backend::Sim, Policy::Rws { seed: 3 })
+            },
+            0x2a19_6a5e_0341_553e,
+        ),
+        ("open x pws", open(Policy::Pws), 0xd344_e7ba_b36c_7ae5),
+    ];
+    for (label, spec, want) in cases {
+        let got = fnv1a(&run_scenario(&spec).to_json());
+        assert_eq!(got, want, "{label}: report digest moved");
+    }
+}
