@@ -31,9 +31,9 @@
 //!   sibling subtrees and *shared* between a stolen task and its
 //!   ancestors — exactly the block-miss sources of Lemma 3.1 / §4.3;
 //! * [`cl_deque`] — a real lock-free Chase-Lev deque (growable circular
-//!   array, CAS-on-steal, `SeqCst` fence on the last-element conflict,
-//!   retired-buffer reclamation) — the native realization of the Obs 4.1
-//!   discipline;
+//!   array of one-word atomic slots, CAS-on-steal, `SeqCst` fence on the
+//!   last-element conflict, retired-buffer reclamation) — the native
+//!   realization of the Obs 4.1 discipline;
 //! * [`native`] — the real-threads backend: a [`native::NativePool`] runs
 //!   closures on a fixed set of persistent `std::thread` workers over
 //!   per-worker [`ClDeque`]s, stealing flat (the pool never learns the
@@ -75,7 +75,7 @@ pub mod report;
 pub mod sim;
 pub mod stacks;
 
-pub use cl_deque::{ClDeque, Steal};
+pub use cl_deque::{ClDeque, Steal, Word};
 pub use engine::{
     run, run_sequential, run_traced, run_with_policy, run_with_policy_traced, Policy,
 };

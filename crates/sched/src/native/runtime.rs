@@ -384,28 +384,29 @@ fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) 
 /// `TaskBegin`/`TaskEnd` events (nested inside the enclosing task's
 /// segment when called from a join-wait).
 fn execute_task(pool: &Pool, me: usize, j: JobRef) {
+    // Read before `execute`: once the job sets `done`, its owner may
+    // return from `join`, and the job's frame goes with it.
+    let id = j.id();
     let d = DEPTH.get();
     DEPTH.set(d + 1);
     let prev_task = CUR_TASK.get();
     let mut c0 = None;
     if let Some(tr) = pool.trace() {
-        CUR_TASK.set(j.id);
-        tr.push(me, pool.now_ns(), TrEv::TaskBegin { task: j.id });
+        CUR_TASK.set(id);
+        tr.push(me, pool.now_ns(), TrEv::TaskBegin { task: id });
         c0 = perf::sample();
     }
     let tally = &pool.tally[me];
-    if d == 0 {
-        let t0 = Instant::now();
-        // SAFETY: we hold the only copy of `j` (it came from a deque pop).
-        unsafe { j.execute() };
+    let t0 = (d == 0).then(Instant::now);
+    // SAFETY: we hold the only copy of `j` (it came from a pop or a won
+    // steal), and its owner waits in `join` until it has run.
+    unsafe { j.execute() };
+    if let Some(t0) = t0 {
         bump(&tally.busy_ns, t0.elapsed().as_nanos() as u64);
-    } else {
-        // SAFETY: as above.
-        unsafe { j.execute() };
     }
     if let Some(tr) = pool.trace() {
         emit_miss_delta(pool, me, tr, c0);
-        tr.push(me, pool.now_ns(), TrEv::TaskEnd { task: j.id });
+        tr.push(me, pool.now_ns(), TrEv::TaskEnd { task: id });
         CUR_TASK.set(prev_task);
     }
     DEPTH.set(d);
@@ -475,7 +476,6 @@ where
     let pool = unsafe { &*ctx.pool };
     let me = ctx.index;
 
-    let job = StackJob::new(b);
     let branch_id = match pool.trace() {
         Some(tr) => {
             let id = pool.next_task.fetch_add(1, Ordering::Relaxed);
@@ -493,7 +493,8 @@ where
         }
         None => 0,
     };
-    let job_ref = job.as_job_ref(branch_id);
+    let job = StackJob::new(b, branch_id);
+    let job_ref = job.as_job_ref();
     pool.push_bottom(me, job_ref);
 
     // Run the left branch. Even if it panics we must settle the right
@@ -504,7 +505,7 @@ where
     }
 
     match pool.deques[me].pop() {
-        Some(j) if std::ptr::eq(j.data, job_ref.data) => {
+        Some(j) if j == job_ref => {
             // Not stolen: run the right branch inline.
             execute_task(pool, me, j);
         }
@@ -575,7 +576,7 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
                 me,
                 pool.now_ns(),
                 TrEv::StealCommit {
-                    task: first.id,
+                    task: first.id(),
                     victim: victim as u32,
                     count: count as u32,
                 },

@@ -4,7 +4,8 @@
 //!
 //! (The single-threaded protocol paths live as Miri-clean unit tests in
 //! `src/cl_deque.rs`; these tests exercise the actual cross-thread
-//! races, which Miri's single-threaded scope cannot.)
+//! races. CI also runs them under ThreadSanitizer, with the suppression
+//! file `.github/tsan-suppressions.txt`, which names std frames only.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
