@@ -5,8 +5,8 @@
 //! fork-join through [`pjoin`]: on a worker of a
 //! [`hbp_sched::native::NativePool`] a join pushes onto the worker's
 //! deque and thieves steal it — the practical analogue of the schedulers
-//! the simulator replays over the same fork-join structure; off the pool
-//! the join falls back to the vendored `rayon::join` shim.
+//! the simulator replays over the same fork-join structure. Off a pool
+//! `a` runs and then `b`, on the calling thread: no thread is spawned.
 //!
 //! **Workspace discipline.** A launch makes O(1) allocations, whatever
 //! `n` is: its output (where the signature returns one) and **one**
@@ -152,21 +152,8 @@ fn debug_assert_line_start<T>(window: &[T]) {
     debug_assert_eq!(window.as_ptr() as usize % LINE_BYTES, 0);
 }
 
-/// Backend-dispatching join: the native pool's stealing deques when the
-/// calling thread is a pool worker, the `rayon::join` shim otherwise.
-pub fn pjoin<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if hbp_sched::native::in_pool() {
-        hbp_sched::native::join(a, b)
-    } else {
-        rayon::join(a, b)
-    }
-}
+/// The kernels' one fork: the native pool's stealing join.
+pub use hbp_sched::native::join as pjoin;
 
 /// Whether the dense leaves run their AVX2+FMA build: both features
 /// present on this core (read from CPUID once and cached by `std`), and
@@ -1815,14 +1802,27 @@ mod tests {
         unsafe { slots.assume_init_ref() }.to_vec()
     }
 
-    /// Run `check` off the pool (joins go to the rayon shim), then as the
-    /// root task of a 1-worker and of a 3-worker native pool.
+    /// Run `check` off the pool (each join runs `a` and then `b` on this
+    /// thread, spawning none), then as the root task of a 1-worker and of
+    /// a 3-worker native pool.
     fn off_and_on_pools(check: impl Fn() + Sync) {
         check();
         for workers in [1, 3] {
             let cfg = hbp_sched::native::NativeConfig { workers, seed: 7 };
             hbp_sched::native::NativePool::run(cfg, &check);
         }
+    }
+
+    /// Run `f` as the root task of an untraced 2-worker native pool, so
+    /// the thief can take a forked branch while the root runs its
+    /// sibling: under Miri the two branches then interleave, and a race
+    /// between them is reported.
+    fn on_two_workers<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        let cfg = hbp_sched::native::NativeConfig {
+            workers: 2,
+            seed: 7,
+        };
+        hbp_sched::native::NativePool::run(cfg, f).0
     }
 
     /// Textbook iterative radix-2 with recurrence twiddles: the reference
@@ -1880,7 +1880,8 @@ mod tests {
     fn par_prefix_odd_sizes_and_edges() {
         for n in [0usize, 1, 2, 63, 64, 65, 1023, 1025, 4097] {
             let a = gen::random_u64s(n, 1 << 40, n as u64 + 2);
-            assert_eq!(par_prefix(&a), oracle::prefix_sums(&a), "n={n}");
+            let got = on_two_workers(|| par_prefix(&a));
+            assert_eq!(got, oracle::prefix_sums(&a), "n={n}");
         }
     }
 
@@ -2748,10 +2749,11 @@ mod tests {
         assert!(report.work > 1, "SPMS forked tasks on the pool");
     }
 
-    /// Each kernel whose launch hands out uninitialised windows, off the
-    /// pool, at the smallest size that reaches every such window: small
-    /// enough for Miri, which reports a window read before it is written
-    /// (CI runs `par::tests::uninit::` under it).
+    /// Each kernel whose launch hands out uninitialised windows, on a
+    /// 2-worker pool, at the smallest size that reaches every such
+    /// window: small enough for Miri, which reports a window read before
+    /// it is written and a race between forked branches (CI runs
+    /// `par::tests::uninit::` under it).
     mod uninit {
         use super::*;
         use crate::layout::from_bi;
@@ -2763,7 +2765,8 @@ mod tests {
             // level, its operands and products in one window.
             let n = 128;
             let (a, b) = (gen::random_matrix(n, 3), gen::random_matrix(n, 4));
-            let c = from_bi(&par_strassen_bi(&to_bi(&a, n), &to_bi(&b, n), n), n);
+            let (a_bi, b_bi) = (to_bi(&a, n), to_bi(&b, n));
+            let c = from_bi(&on_two_workers(|| par_strassen_bi(&a_bi, &b_bi, n)), n);
             // A sample of entries that visits every quadrant, each
             // against its own dot product.
             for (i, j) in (0..n).map(|i| (i, i * 37 % n)) {
@@ -2779,7 +2782,7 @@ mod tests {
             let mut want = x.clone();
             radix2(&mut want);
             let mut got = x;
-            par_fft(&mut got);
+            on_two_workers(|| par_fft(&mut got));
             assert_spectra_close(&got, &want);
         }
 
@@ -2795,7 +2798,7 @@ mod tests {
             // Two leaves sort into the scratch, and one merge writes the
             // data back out of it.
             let (mut data, want) = sort_case(SEQ_CUTOFF + 1);
-            par_mergesort(&mut data);
+            on_two_workers(|| par_mergesort(&mut data));
             assert!(data == want);
         }
 
@@ -2804,14 +2807,15 @@ mod tests {
             // One level: chunk sorts through the arena, the cut and id
             // tables, the gather into the arena, bucket sorts into `data`.
             let (mut data, want) = sort_case(SPMS_CUTOFF + 1);
-            par_spms(&mut data);
+            on_two_workers(|| par_spms(&mut data));
             assert!(data == want);
         }
 
         #[test]
         fn list_rank_writes_every_rank() {
             let succ = gen::random_list(2 * SEQ_CUTOFF + 3, 8);
-            assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ));
+            let got = on_two_workers(|| par_list_rank(&succ));
+            assert_eq!(got, oracle::list_rank(&succ));
         }
     }
 }

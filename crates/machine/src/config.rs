@@ -1,13 +1,11 @@
 //! Machine parameters: `p`, `M`, `B`, and cost model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BlockId, Word};
 
 /// Optional second-level cache (paper §5.2: "Hierarchy of Caches",
 /// the common `d = 2` configuration — private L1s of `M₁` words below one
 /// level-2 cache of `M₂ > p·M₁` words).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
     /// L2 capacity `M₂`, in words.
     pub words: u64,
@@ -29,7 +27,7 @@ pub struct L2Config {
 /// `block_words`; only the machine simulation itself consults them. `p` is
 /// used by the scheduler solely to know the set of cores tasks may be stolen
 /// from — exactly the extent of processor knowledge the paper permits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of cores `p`. Must satisfy `1 <= p <= 64`.
     pub p: usize,

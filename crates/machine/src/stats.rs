@@ -1,9 +1,7 @@
 //! Accounting: hit/miss outcomes, per-core and aggregate counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Why an access missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissKind {
     /// First access to the block by this core.
     Cold,
@@ -36,7 +34,7 @@ impl AccessOutcome {
 }
 
 /// Counters for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Accesses that hit in the private cache.
     pub hits: u64,
@@ -91,7 +89,7 @@ impl CoreStats {
 }
 
 /// Aggregate machine statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MachineStats {
     /// Per-core counters.
     pub per_core: Vec<CoreStats>,

@@ -76,7 +76,7 @@ pub mod pool;
 pub(crate) mod runtime;
 
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
-pub use runtime::{in_pool, join};
+pub use runtime::join;
 
 /// Configuration of one native pool.
 #[derive(Debug, Clone, Copy)]

@@ -285,13 +285,6 @@ thread_local! {
     static BATCH: RefCell<Vec<JobRef>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether the current thread is a native-pool worker:
-/// `hbp_algos::par::pjoin` forks onto this pool's deques when it is, and
-/// falls back to the vendored `rayon::join` shim off-pool.
-pub fn in_pool() -> bool {
-    CTX.get().is_some()
-}
-
 /// Attribute a caught kernel panic to the worker running on this thread
 /// (no-op outside a pool worker).
 pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
@@ -458,7 +451,8 @@ fn push_miss_delta(tr: &TraceSink, me: usize, t: u64, mut delta: perf::CounterVa
 
 /// Fork-join on the native pool: runs `a` on the calling worker while `b`
 /// is available for stealing; returns both results. Outside a pool worker
-/// (`CTX` unset on this thread) both closures simply run sequentially.
+/// (`CTX` unset on this thread) `a` runs and then `b`, on the calling
+/// thread: no thread is spawned.
 /// Panics in either branch propagate to the caller, with the executing
 /// worker named in the payload (see the module docs).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)

@@ -1,11 +1,9 @@
 //! Execution reports: everything the paper's lemmas quantify.
 
-use serde::{Deserialize, Serialize};
-
 use hbp_machine::MachineStats;
 
 /// Result of one scheduled (parallel) execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecReport {
     /// Number of simulated cores.
     pub p: usize,
@@ -51,9 +49,7 @@ pub struct ExecReport {
     /// on the native pool, how many of its `p` workers registered for
     /// this job before it finished (`1..=p` — a short job can end before
     /// a parked thief wakes, and a job that never forks wakes none, so it
-    /// reports 1). `0` in reports deserialized from JSON that predates
-    /// the field.
-    #[serde(default)]
+    /// reports 1).
     pub workers_active: usize,
 }
 
@@ -89,7 +85,7 @@ impl ExecReport {
 }
 
 /// Result of a sequential (p = 1) execution: the baseline `Q(n, M, B)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SeqReport {
     /// Sequential cache complexity: all misses of the single core.
     pub q_misses: u64,
@@ -101,7 +97,7 @@ pub struct SeqReport {
 
 /// The paper's excess quantities (§4.2, §4.3): how much a scheduled
 /// execution pays beyond the sequential cache complexity.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExcessReport {
     /// `max(0, parallel plain misses − Q)` — the PWS cache-miss excess
     /// `Q_C` before the `O(Q)` forgiveness constant.

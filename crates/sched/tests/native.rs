@@ -1,5 +1,8 @@
 //! Behavioural tests of the native (real-threads) execution backend.
 
+use std::sync::Mutex;
+use std::thread;
+
 use hbp_sched::native::{join, NativeConfig, NativePool};
 
 /// Recursive join-based sum with busy leaves, so there is enough work for
@@ -21,10 +24,18 @@ fn spin_sum(xs: &[u64], leaf: usize) -> u64 {
     a + b
 }
 
+/// Off a pool (a test thread is no pool's worker), `join` runs `a` and
+/// then `b` on the calling thread, spawning none, and returns both values.
 #[test]
 fn join_outside_pool_is_sequential_and_correct() {
-    let (a, b) = join(|| 21 * 2, || "ok");
-    assert_eq!((a, b), (42, "ok"));
+    let order = Mutex::new(Vec::new());
+    let step = |name| {
+        order.lock().unwrap().push((name, thread::current().id()));
+        name
+    };
+    assert_eq!(join(|| step("a"), || step("b")), ("a", "b"));
+    let here = thread::current().id();
+    assert_eq!(order.into_inner().unwrap(), [("a", here), ("b", here)]);
 }
 
 #[test]

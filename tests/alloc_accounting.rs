@@ -14,12 +14,12 @@
 //!
 //! A counting `GlobalAlloc` wrapper pins that: each kernel must stay
 //! under a small constant number of *large* (≥ 4 KiB) allocations, the
-//! same number at two sizes. Small allocations are ignored — the vendored
-//! rayon spawns scoped threads whose bookkeeping (thread packets, join
-//! handles) allocates a few hundred bytes each, and those are not what
-//! these tests gate. A regression back to per-node buffers trips the
-//! bounds by an order of magnitude, so the margins are generous without
-//! being blind.
+//! same number at two sizes. Small allocations are ignored: the counter
+//! is process-wide, so it also sees the harness's own bookkeeping on other
+//! threads, and a kernel's small tables (PS's one word per chunk, say)
+//! grow with `n` without being what these tests gate. A regression back
+//! to per-node buffers trips the bounds by an order of magnitude, so the
+//! margins are generous without being blind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +30,7 @@ use hbp_core::model::Cx;
 
 /// Allocations at or above this size count toward the budget. The arena,
 /// the flattened cut/boundary tables, and the sample vector all clear it
-/// at n = 2^16; thread-spawn bookkeeping stays well under it.
+/// at n = 2^16; a per-chunk offset table stays well under it.
 const LARGE: usize = 4096;
 
 struct CountingAlloc;

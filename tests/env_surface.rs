@@ -14,6 +14,12 @@
 //! under `crates/*/src` and the root `src/`, outside `crates/algos` where
 //! they are defined, that names a `par::par_*` kernel — which rows the native backend
 //! serves is the registry's `native` column and nothing else.
+//!
+//! **The empty stubs**: no Rust source outside `vendor/` uses the
+//! `rayon` or `serde` stub crates. Outside comments, no file under
+//! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
+//! derives `Serialize` or `Deserialize`, so the stubs stay empty until
+//! they are deleted.
 
 use std::path::Path;
 
@@ -86,4 +92,22 @@ fn registry_owns_the_kernel_table() {
         "native kernels named outside {owner}:\n{}",
         hits.join("\n")
     );
+}
+
+#[test]
+fn no_source_uses_the_stubbed_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // This file names what it looks for.
+    let owner = "tests/env_surface.rs";
+    let uses_stub = |line: &str| {
+        let code = line.trim_start();
+        let derives = code.contains("derive(")
+            && (code.contains("Serialize") || code.contains("Deserialize"));
+        !code.starts_with("//") && (code.contains("rayon::") || code.contains("serde::") || derives)
+    };
+    let mut hits = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        scan(root, &root.join(dir), owner, &uses_stub, &mut hits);
+    }
+    assert!(hits.is_empty(), "stub crates used:\n{}", hits.join("\n"));
 }

@@ -11,6 +11,8 @@
 //!   level and its shared last level, the FFT's six steps, both sorts'
 //!   forked levels, list ranking's expansion). Exact equality, not the
 //!   oracles' tolerance: a window read before it is written changes bits.
+//!   Each kernel runs off a pool, where its joins run in turn on this
+//!   thread, and on pools of 1 and 2 workers, against the same digests.
 //! - `kernels_never_read_a_dirty_heap` leaves all-ones words (NaN as
 //!   `f64`, `u64::MAX` as a key) where the kernel's own allocations will
 //!   land, then checks the output against the sequential oracle. An
@@ -144,20 +146,22 @@ const PINNED: [(u64, u64); 9] = [
 fn outputs_match_the_pinned_digests() {
     let cases = cases();
     assert_eq!(cases.len(), PINNED.len());
-    for workers in [1, 2] {
-        let cfg = NativeConfig { workers, seed: 3 };
-        let (digests, _) = NativePool::run(cfg, || {
-            cases
-                .iter()
-                .map(|&(_, n, _, run)| fnv1a(run(n, &|| {})))
-                .collect::<Vec<_>>()
-        });
-        for ((&(name, n, _, _), got), &(plain, fused)) in cases.iter().zip(digests).zip(&PINNED) {
+    let digests = || {
+        cases
+            .iter()
+            .map(|&(_, n, _, run)| fnv1a(run(n, &|| {})))
+            .collect::<Vec<_>>()
+    };
+    // `None`: no pool, where every join runs its two closures in turn.
+    for workers in [None, Some(1), Some(2)] {
+        let got_all = match workers {
+            None => digests(),
+            Some(workers) => NativePool::run(NativeConfig { workers, seed: 3 }, digests).0,
+        };
+        let on = workers.map_or("no pool".to_string(), |w| format!("{w} worker(s)"));
+        for ((&(name, n, _, _), got), &(plain, fused)) in cases.iter().zip(got_all).zip(&PINNED) {
             let want = if fused_leaves() { fused } else { plain };
-            assert_eq!(
-                got, want,
-                "{name} n={n} on {workers} worker(s): {got:#018x}"
-            );
+            assert_eq!(got, want, "{name} n={n} on {on}: {got:#018x}");
         }
     }
 }
