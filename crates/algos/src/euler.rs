@@ -20,7 +20,7 @@ use crate::listrank::build_rank;
 /// The Euler tour of a rooted tree: for each directed edge `2i = (u→v)`,
 /// `2i+1 = (v→u)` of `edges[i] = (u, v)` (u the parent), the successor in
 /// the tour; the last edge back into the root is the tail (self-loop).
-pub fn euler_tour_succ(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+fn euler_tour_succ(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
     assert!(n >= 2 && edges.len() == n - 1);
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n]; // directed edge ids out of v
     for (i, &(u, v)) in edges.iter().enumerate() {

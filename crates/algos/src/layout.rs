@@ -181,7 +181,7 @@ pub fn bi_to_rm_direct(bi: &[u64], n: usize, cfg: BuildConfig) -> (Computation, 
 /// works"; we use `4r/log²r` — same asymptotics, same `O(1)` total blowup
 /// (`Σ 4/j²` converges) — so the zero-sharing regime `gap(r) ≥ B` is
 /// reached at sizes small enough to exercise in tests and benchmarks.
-pub fn gap_of(r: u64) -> u64 {
+fn gap_of(r: u64) -> u64 {
     if r < 2 {
         2
     } else {
@@ -200,7 +200,7 @@ pub fn gwidth(k: u64) -> u64 {
 }
 
 /// Column offset of column `c` inside a gapped `k`-wide row.
-pub fn gcol(c: u64, k: u64) -> u64 {
+fn gcol(c: u64, k: u64) -> u64 {
     if k <= 1 {
         0
     } else {

@@ -280,7 +280,7 @@ pub fn build_rank(b: &mut Builder, succ: &[usize], w: &[u64], gapping: bool) -> 
 
 /// Weighted List Ranking: `rank[i] = Σ w` along the path from `i` to the
 /// tail (tail weight forced to 0; tail points to itself).
-pub fn list_rank_weighted(
+fn list_rank_weighted(
     succ: &[usize],
     w: &[u64],
     cfg: BuildConfig,

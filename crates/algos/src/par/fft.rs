@@ -4,7 +4,7 @@ use std::mem::MaybeUninit;
 
 use hbp_model::Cx;
 
-use super::carve::{debug_assert_line_start, line_aligned, overwrite, workspace};
+use super::carve::{debug_assert_line_start, fresh, line_aligned, overwrite, workspace, written};
 use super::{pjoin, v3, SEQ_CUTOFF};
 
 /// Side of the square tiles the FFT's transposes move: 8×8 `Cx` is 1 KiB
@@ -221,17 +221,18 @@ fn fft_rec(x: &mut [Cx], t: &mut [MaybeUninit<Cx>], roots: &Roots) {
     let k1 = 1usize << n.trailing_zeros().div_ceil(2);
     let k2 = n / k1;
     transpose_rows(x, t, k1, k2, 0);
-    // SAFETY: the transpose wrote every element of `t`.
-    let tx = unsafe { t.assume_init_mut() };
-    // SAFETY: the row pass stores only values in its scratch, and the
-    // transpose after it writes every element of `x`.
-    let xs = unsafe { overwrite(x) };
-    fft_rows(tx, xs, k1, 0, Some(n), roots);
-    transpose_rows(tx, xs, k2, k1, 0);
-    fft_rows(x, t, k2, 0, None, roots);
-    transpose_rows(x, t, k1, k2, 0);
-    // SAFETY: the transpose wrote every element of `t`.
-    copy_par(unsafe { t.assume_init_ref() }, x);
+    // The transpose wrote every element of `t`.
+    let tx = written(t);
+    // The row pass stores only values in its scratch, and the transpose
+    // after it writes every element of `x`.
+    overwrite(x, |xs| {
+        fft_rows(tx, xs, k1, 0, Some(n), roots);
+        transpose_rows(tx, fresh(xs), k2, k1, 0);
+    });
+    fft_rows(x, fresh(t), k2, 0, None, roots);
+    transpose_rows(x, fresh(t), k1, k2, 0);
+    // The transpose wrote every element of `t`.
+    copy_par(written(t), x);
 }
 
 /// Six-step FFT with parallel transposes and row FFTs (any power-of-two
@@ -321,11 +322,11 @@ mod tests {
         }
     }
 
-    /// Each kernel whose launch hands out uninitialised windows, on a
-    /// 2-worker pool, at the smallest size that reaches every such
-    /// window: small enough for Miri, which reports a window read before
-    /// it is written and a race between forked branches (CI runs
-    /// `par::tests::uninit::` under it).
+    /// The kernel on a 2-worker pool, at the smallest size that reaches
+    /// every window it hands out uninitialised: a debug build checks each
+    /// one where it is read, and the size is small enough for Miri, which
+    /// also reports a race between forked branches (CI runs
+    /// `tests::uninit::` under it).
     mod uninit {
         use super::*;
 

@@ -3,7 +3,7 @@
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use super::carve::{debug_assert_line_start, line_aligned, raise_arena_gauge, LINE_BYTES};
+use super::carve::{debug_assert_line_start, line_aligned, output, raise_arena_gauge, LINE_BYTES};
 use super::{pjoin, SEQ_CUTOFF};
 
 /// Distance between the index splitters of [`par_list_rank`]: every
@@ -244,11 +244,8 @@ pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
         pack(tail_id, n as u64 - 1),
         "every node lies on the one list"
     );
-    let mut rank = Vec::with_capacity(n);
-    lr_expand(tags, cur, &mut rank.spare_capacity_mut()[..n]);
-    // SAFETY: the expansion's leaves tile `0..n`, each writing its window.
-    unsafe { rank.set_len(n) };
-    rank
+    // The expansion's leaves tile `0..n`, each writing its window.
+    output(n, |rank| lr_expand(tags, cur, rank))
 }
 
 #[cfg(test)]
@@ -338,11 +335,11 @@ mod tests {
         par_list_rank(&[1, 2, 1, 3, 5, 6, 7, 3]);
     }
 
-    /// Each kernel whose launch hands out uninitialised windows, on a
-    /// 2-worker pool, at the smallest size that reaches every such
-    /// window: small enough for Miri, which reports a window read before
-    /// it is written and a race between forked branches (CI runs
-    /// `par::tests::uninit::` under it).
+    /// The kernel on a 2-worker pool, at the smallest size that reaches
+    /// every window it hands out uninitialised: a debug build checks each
+    /// one where it is read, and the size is small enough for Miri, which
+    /// also reports a race between forked branches (CI runs
+    /// `tests::uninit::` under it).
     mod uninit {
         use super::*;
 

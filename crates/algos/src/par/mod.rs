@@ -29,19 +29,24 @@
 //! **Written, never pre-filled.** In the model a task's local space is
 //! free: allocating it records no access. So here a workspace and an
 //! output are capacity, not zeroes — no serial fill runs before the first
-//! fork. The recursion hands out `&mut [MaybeUninit<T>]` windows, writes
-//! every element before its first read, and turns a window into `&[T]`
-//! only once it is known to be written whole, at one `assume_init_*` or
-//! `set_len` with its reason beside it: a transpose, an operand sum or a
-//! merge fills its destination, Strassen stores each quadrant of a
-//! product before adding to it, and SPMS's partition walks store every
-//! slot of their cut and id rows, padding included. Where initialised
-//! caller data is the destination (a merge or a bucket sort back into
-//! `data`), `overwrite` views it as slots on the same terms. The one
-//! zeroed workspace is list ranking's: its tags and contracted halves
-//! are atomics, shared as soon as they exist, and the jumps read unused
-//! slots. `tests/native_kernel_outputs.rs` pins every kernel's output
-//! bits and runs each on a heap left full of all-ones words.
+//! fork. The recursion hands out `&mut [MaybeUninit<T>]` windows and
+//! writes every element before its first read: a transpose, an operand
+//! sum or a merge fills its destination, Strassen stores each quadrant of
+//! a product before adding to it, and SPMS's partition walks store every
+//! slot of their cut and id rows, padding included. One module, `carve`,
+//! owns that obligation and every `unsafe` step it needs: a kernel turns
+//! a written window into data with `written`, takes its output `Vec`
+//! from `output`, overwrites initialised caller data (a merge or a bucket
+//! sort back into `data`) through `overwrite`, and hands a window it
+//! reuses to its next writer through `fresh`. A debug build fills every
+//! such window with a poison byte and `written` panics naming the first
+//! element that still holds it, so each debug test run checks every
+//! window where the kernel reads it; a release build neither fills nor
+//! checks. The one zeroed workspace is list ranking's: its tags and
+//! contracted halves are atomics, shared as soon as they exist, and the
+//! jumps read unused slots. `tests/native_kernel_outputs.rs` pins every
+//! kernel's output bits and, in a release build, runs each on a heap left
+//! full of all-ones words.
 //!
 //! **The work of the sequential program.** Each kernel does, up to a
 //! small constant, what its single-thread reference does, stores to its
@@ -50,12 +55,12 @@
 //! scans' leaves are one pass over their chunk, and PS writes each output
 //! element once; an MT block below the cutoff is one loop over its Morton
 //! indices, index `i` trading places with its mirror
-//! ([`morton_transpose`](crate::layout::morton_transpose)); Strassen de-interleaves the right 32×32 BI
-//! tile to a row-major stack buffer through a compile-time Morton table
-//! and multiplies i-k-j, a row of the product at a time in registers, and
-//! above its last level writes each element of `C` once, from all of its
-//! products; the FFT's base case is an in-place iterative radix-2 over a
-//! per-call root table.
+//! ([`morton_transpose`](crate::layout::morton_transpose)); Strassen
+//! de-interleaves the right 32×32 BI tile to a row-major stack buffer
+//! through a compile-time Morton table and multiplies i-k-j, a row of the
+//! product at a time in registers, and above its last level writes each
+//! element of `C` once, from all of its products; the FFT's base case is
+//! an in-place iterative radix-2 over a per-call root table.
 //!
 //! **At the core's width.** The dense leaves — the scan chunk sum,
 //! Strassen's tile product and the FFT's row leaf — are each one
@@ -120,7 +125,7 @@ mod tests {
 
     use hbp_model::Cx;
 
-    use super::carve::{line_aligned, workspace};
+    use super::carve::{line_aligned, workspace, written, Slot};
     use super::fft::{fft_leaf, fft_leaf_v3, Roots};
     use super::scan::{chunk_sum, chunk_sum_v3};
     use super::strassen::{leaf_mul, leaf_mul_v3, LEAF};
@@ -128,15 +133,14 @@ mod tests {
     use crate::gen;
     use crate::oracle;
 
-    /// What `f` leaves in `m` fresh slots starting on a cache line, all of
-    /// which it must write: under Miri a slot it missed is an
-    /// uninitialised read here.
-    pub(super) fn written<T: Copy>(m: usize, f: impl FnOnce(&mut [MaybeUninit<T>])) -> Vec<T> {
+    /// What `f` leaves in `m` fresh workspace slots starting on a cache
+    /// line, all of which it must write: a debug build panics naming the
+    /// first slot it missed.
+    pub(super) fn carved<T: Slot>(m: usize, f: impl FnOnce(&mut [MaybeUninit<T>])) -> Vec<T> {
         let mut buf = workspace::<T>(m);
         let slots = &mut line_aligned(buf.spare_capacity_mut())[..m];
         f(slots);
-        // SAFETY: `f` wrote every slot (what the callers check).
-        unsafe { slots.assume_init_ref() }.to_vec()
+        written(slots).to_vec()
     }
 
     /// Run `check` off the pool (each join runs `a` and then `b` on this
@@ -234,7 +238,7 @@ mod tests {
         let tiles = (0..=5)
             .map(|e| {
                 let k = 1usize << e;
-                written(k * k, |c| mul(&a[..k * k], &b[..k * k], c, k))
+                carved(k * k, |c| mul(&a[..k * k], &b[..k * k], c, k))
             })
             .collect();
         (sums, rows, tiles)

@@ -2,6 +2,7 @@
 
 use std::mem::MaybeUninit;
 
+use super::carve::output;
 use super::{pjoin, v3, SEQ_CUTOFF};
 
 /// Wrapping sum of a scan chunk: the M-Sum leaf and PS's first pass.
@@ -83,12 +84,9 @@ pub fn par_prefix(a: &[u64]) -> Vec<u64> {
     for o in &mut offsets {
         (*o, acc) = (acc, acc.wrapping_add(*o));
     }
-    let mut out = Vec::with_capacity(n);
-    down_sweep(a, &mut out.spare_capacity_mut()[..n], chunk, &offsets);
-    // SAFETY: the down-sweep leaves split `0..n` at the same points as
-    // `a`, so they tile it, and each leaf wrote every element of its tile.
-    unsafe { out.set_len(n) };
-    out
+    // The down-sweep leaves split `0..n` at the same points as `a`, so
+    // they tile it, and each leaf writes every element of its tile.
+    output(n, |out| down_sweep(a, out, chunk, &offsets))
 }
 
 #[cfg(test)]

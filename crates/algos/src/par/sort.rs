@@ -4,7 +4,8 @@
 use std::mem::MaybeUninit;
 
 use super::carve::{
-    debug_assert_line_start, line_aligned, line_up, overwrite, whole_lines, workspace, LINE_PAIRS,
+    debug_assert_line_start, fresh, line_aligned, line_up, overwrite, whole_lines, workspace,
+    written, LINE_PAIRS,
 };
 use super::{pjoin, SEQ_CUTOFF};
 
@@ -35,12 +36,12 @@ fn msort_rec(data: &mut [(u64, u64)], scratch: &mut [MaybeUninit<(u64, u64)>], i
         || msort_rec(dr, sr, !into_scratch),
     );
     if into_scratch {
-        merge_split(&data[..mid], &data[mid..], scratch);
+        merge_split(&data[..mid], &data[mid..], fresh(scratch));
     } else {
-        // SAFETY: the halves sorted into `scratch`, writing all of it;
+        // The halves sorted into `scratch`, writing all of it;
         // `merge_split` writes every element of `data`.
-        let (src, dst) = unsafe { (scratch.assume_init_ref(), overwrite(data)) };
-        merge_split(&src[..mid], &src[mid..], dst);
+        let src = written(scratch);
+        overwrite(data, |dst| merge_split(&src[..mid], &src[mid..], dst));
     }
 }
 
@@ -260,10 +261,9 @@ fn seq_sort(src: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) -> Leaf {
         out[*at as usize].write(p);
         *at += 1;
     }
-    // SAFETY: the bucket starts are the exclusive prefix sums of the
-    // counts, so the buckets tile `0..m` and the scatter wrote each
-    // position once.
-    let out = unsafe { out.assume_init_mut() };
+    // The bucket starts are the exclusive prefix sums of the counts, so
+    // the buckets tile `0..m` and the scatter wrote each position once.
+    let out = written(out);
     for i in 1..m {
         let p = out[i];
         let mut j = i;
@@ -286,8 +286,8 @@ fn tag_sort(src: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) {
     for (i, (o, s)) in out.iter_mut().zip(src).enumerate() {
         o.write((s.0, i as u64));
     }
-    // SAFETY: the loop wrote every element of `out`.
-    let out = unsafe { out.assume_init_mut() };
+    // The loop wrote every element of `out`.
+    let out = written(out);
     out.sort_unstable_by_key(|&(key, at)| (u128::from(key) << 64) | u128::from(at));
     for o in out.iter_mut() {
         o.1 = src[o.1 as usize].1;
@@ -297,8 +297,8 @@ fn tag_sort(src: &[(u64, u64)], out: &mut [MaybeUninit<(u64, u64)>]) {
 /// `seq_sort` of `data` in place, through `scratch` (same length).
 fn seq_sort_back(data: &mut [(u64, u64)], scratch: &mut [MaybeUninit<(u64, u64)>]) {
     seq_sort(data, scratch);
-    // SAFETY: `seq_sort` writes every element of its output.
-    data.copy_from_slice(unsafe { scratch.assume_init_ref() });
+    // `seq_sort` writes every element of its output.
+    data.copy_from_slice(written(scratch));
 }
 
 /// Slices up to this long are one `seq_sort` in [`spms_rec`] (and get
@@ -611,8 +611,8 @@ fn spms_sort_buckets(
         return;
     }
     let m = sizes[0];
-    // SAFETY: the gather wrote the bucket's `m` elements at its origin.
-    let bucket = unsafe { a[..m].assume_init_mut() };
+    // The gather wrote the bucket's `m` elements at its origin.
+    let bucket = written(&mut a[..m]);
     // At or below the cutoff this is one `seq_sort` into `dest`.
     msort_rec(bucket, &mut dest[..m], true);
 }
@@ -708,13 +708,13 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [MaybeUninit<(u64, u64)>]) {
     debug_assert_line_start(cuts);
     debug_assert_line_start(ids);
     spms_partition(data, q, &splitters, cuts, ids);
-    // SAFETY: one walk per chunk row wrote both of its rows whole.
-    let (cuts, ids) = unsafe { (cuts.assume_init_ref(), ids.assume_init_ref()) };
+    // One walk per chunk row wrote both of its rows whole.
+    let (cuts, ids) = (&*written(cuts), &*written(ids));
     let sizes = bucket_sizes(cuts, nbuckets);
     if sizes.contains(&n) {
         // Degenerate splitters (e.g. almost-constant keys): fall back to
         // one stable sequential sort out of the same arena.
-        seq_sort_back(data, &mut arena[..n]);
+        seq_sort_back(data, fresh(&mut arena[..n]));
         return;
     }
 
@@ -725,10 +725,10 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [MaybeUninit<(u64, u64)>]) {
         ids,
         sizes: &sizes,
     };
-    spms_gather(data, 0, nbuckets, arena, &cx);
-    // SAFETY: the buckets' sizes sum to `n`, and each bucket's sort
-    // writes its whole window of `data`.
-    spms_sort_buckets(unsafe { overwrite(data) }, arena, &sizes);
+    spms_gather(data, 0, nbuckets, fresh(arena), &cx);
+    // The buckets' sizes sum to `n`, and each bucket's sort writes its
+    // whole window of `data`.
+    overwrite(data, |dest| spms_sort_buckets(dest, arena, &sizes));
 }
 
 #[cfg(test)]
@@ -736,7 +736,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::oracle;
-    use crate::par::tests::{off_and_on_pools, on_two_workers, written};
+    use crate::par::tests::{carved, off_and_on_pools, on_two_workers};
 
     #[test]
     fn spms_arena_is_one_gapped_copy_and_the_gauge_reports_it() {
@@ -882,7 +882,7 @@ mod tests {
                 from += m;
                 origin += line_up(m);
             }
-            let dest = written(n, |dest| spms_sort_buckets(dest, arena, &sizes));
+            let dest = carved(n, |dest| spms_sort_buckets(dest, arena, &sizes));
             assert!(dest == want, "payload equality = stability");
         });
     }
@@ -909,8 +909,8 @@ mod tests {
                 let nbuckets = splitters.len() + 1;
                 let (nchunks, cs, is) = (n.div_ceil(q), cut_stride(nbuckets), id_stride(q));
                 let mut ids = Vec::new();
-                let cuts = written(nchunks * cs, |cuts| {
-                    ids = written(nchunks * is, |ids| {
+                let cuts = carved(nchunks * cs, |cuts| {
+                    ids = carved(nchunks * is, |ids| {
                         spms_partition(&data, q, &splitters, cuts, ids)
                     });
                 });
@@ -952,9 +952,9 @@ mod tests {
                     sizes: &sizes,
                 };
                 spms_gather(&data, 0, nbuckets, arena, &cx);
-                // SAFETY: every slot started as `gap`, and the gather
-                // stores only values.
-                let arena = unsafe { arena.assume_init_ref() };
+                // Every slot started as `gap`, and the gather stores only
+                // values.
+                let arena = &*written(arena);
                 assert!(arena == want.as_slice(), "{name} n={n}: gathered arena");
             }
         });
@@ -1003,7 +1003,7 @@ mod tests {
     fn assert_merges_like_naive(l: &[(u64, u64)], r: &[(u64, u64)], what: &str) {
         let mut want = vec![(0, 0); l.len() + r.len()];
         naive_merge(l, r, &mut want);
-        let got = written(want.len(), |out| merge2(l, r, out));
+        let got = carved(want.len(), |out| merge2(l, r, out));
         assert!(got == want, "{what}: |l|={} |r|={}", l.len(), r.len());
     }
 
@@ -1048,7 +1048,7 @@ mod tests {
             let mut want = vec![(0, 0); ll + rl];
             naive_merge(&l, &r, &mut want);
             off_and_on_pools(|| {
-                let got = written(ll + rl, |out| merge_split(&l, &r, out));
+                let got = carved(ll + rl, |out| merge_split(&l, &r, out));
                 assert!(got == want, "|l|={ll} |r|={rl} range={range}");
             });
         }
@@ -1091,7 +1091,7 @@ mod tests {
         for (ll, rl) in [(0, 9), (9, 0), (1, 40), (40, 1), (7, 8), (8, 8), (33, 100)] {
             let l: Vec<(u64, u64)> = (0..ll).map(|i| (5, i)).collect();
             let r: Vec<(u64, u64)> = (0..rl).map(|i| (5, 1000 + i)).collect();
-            let got = written(l.len() + r.len(), |out| merge2(&l, &r, out));
+            let got = carved(l.len() + r.len(), |out| merge2(&l, &r, out));
             let want: Vec<(u64, u64)> = l.iter().chain(&r).copied().collect();
             assert_eq!(got, want, "|l|={ll} |r|={rl}: all of l, then all of r");
         }
@@ -1244,7 +1244,7 @@ mod tests {
                 let mut want = data.clone();
                 want.sort_by_key(|p| p.0);
                 let mut leaf = Leaf::Tags;
-                let got = written(m, |out| leaf = seq_sort(&data, out));
+                let got = carved(m, |out| leaf = seq_sort(&data, out));
                 assert!(got == want, "{name} m={m} (payload equality = stability)");
                 assert_eq!(leaf, want_leaf, "{name} m={m}");
                 taken[leaf as usize] += 1;
@@ -1297,11 +1297,11 @@ mod tests {
         assert!(report.work > 1, "SPMS forked tasks on the pool");
     }
 
-    /// Each kernel whose launch hands out uninitialised windows, on a
-    /// 2-worker pool, at the smallest size that reaches every such
-    /// window: small enough for Miri, which reports a window read before
-    /// it is written and a race between forked branches (CI runs
-    /// `par::tests::uninit::` under it).
+    /// The kernel on a 2-worker pool, at the smallest size that reaches
+    /// every window it hands out uninitialised: a debug build checks each
+    /// one where it is read, and the size is small enough for Miri, which
+    /// also reports a race between forked branches (CI runs
+    /// `tests::uninit::` under it).
     mod uninit {
         use super::*;
 

@@ -2,7 +2,7 @@
 
 use std::mem::MaybeUninit;
 
-use super::carve::{debug_assert_line_start, line_aligned, workspace};
+use super::carve::{debug_assert_line_start, fresh, line_aligned, output, workspace, written};
 use super::{pjoin, v3};
 use crate::layout::morton;
 
@@ -141,8 +141,7 @@ fn strassen_product<'w>(
         for ((d, &u), &v) in buf.iter_mut().zip(quad(first)).zip(quad(other)) {
             d.write(u + sign * v);
         }
-        // SAFETY: the loop wrote every element of `buf`.
-        unsafe { buf.assume_init_ref() }
+        written(buf)
     }
     let (pa, pb) = PRODUCTS[i];
     strassen_rec(operand(a, pa, s), operand(b, pb, t), m, h, ws)
@@ -182,9 +181,9 @@ fn strassen_land(m: &[f64], c: &mut [MaybeUninit<f64>], i: usize) {
                 cq.write_copy_of_slice(m);
             }
             Some(t) => {
-                // SAFETY: term 0 of this quadrant is an earlier product,
-                // which stored all of `cq` when it landed.
-                let cq = unsafe { cq.assume_init_mut() };
+                // Term 0 of this quadrant is an earlier product, which
+                // stored all of `cq` when it landed.
+                let cq = written(cq);
                 let sign = terms[t].1;
                 for (d, &v) in cq.iter_mut().zip(m) {
                     *d += sign * v;
@@ -242,17 +241,20 @@ fn strassen_rec<'c>(
         }
     } else if k / 2 <= LEAF {
         for i in 0..7 {
-            let m = strassen_product(a, b, k / 2, i, ws);
+            let m = strassen_product(a, b, k / 2, i, fresh(ws));
             strassen_land(m, c, i);
         }
     } else {
         let (h, q) = (k / 2, k * k / 4);
         let per = 3 * q + strassen_ws(h);
         strassen_fork(a, b, h, 0, 7, &mut ws[..7 * per], per);
-        let ws = &*ws;
-        // SAFETY: `strassen_fork` ran product `i` in window `i`, and its
+        // `strassen_fork` ran product `i` in window `i`, and its
         // recursion wrote the M part of that window whole.
-        let ms = std::array::from_fn(|i| unsafe { ws[i * per + 2 * q..][..q].assume_init_ref() });
+        let mut windows = ws[..7 * per].chunks_exact_mut(per);
+        let ms = std::array::from_fn(|_| {
+            let window = windows.next().expect("one window per product");
+            &*written(&mut window[2 * q..][..q])
+        });
         let (c01, c23) = c.split_at_mut(2 * q);
         let (c0, c1) = c01.split_at_mut(q);
         let (c2, c3) = c23.split_at_mut(q);
@@ -261,10 +263,10 @@ fn strassen_rec<'c>(
             || pjoin(|| land_quadrant(&ms, 2, c2), || land_quadrant(&ms, 3, c3)),
         );
     }
-    // SAFETY: a leaf writes its whole tile; on the last level the first
-    // three products store every quadrant (each quadrant's first term);
-    // above it every quadrant is written by its `land_quadrant`.
-    unsafe { c.assume_init_mut() }
+    // A leaf writes its whole tile; on the last level the first three
+    // products store every quadrant (each quadrant's first term); above
+    // it every quadrant is written by its `land_quadrant`.
+    written(c)
 }
 
 /// Strassen multiplication of two `n×n` BI matrices (forked recursion
@@ -272,18 +274,10 @@ fn strassen_rec<'c>(
 /// leaves. The output and the workspace start uninitialised.
 pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
-    let mut c = Vec::with_capacity(n * n);
     let mut ws = workspace(strassen_ws(n));
-    strassen_rec(
-        a,
-        b,
-        &mut c.spare_capacity_mut()[..n * n],
-        n,
-        line_aligned(ws.spare_capacity_mut()),
-    );
-    // SAFETY: `strassen_rec` wrote every element of `c`.
-    unsafe { c.set_len(n * n) };
-    c
+    output(n * n, |c| {
+        strassen_rec(a, b, c, n, line_aligned(ws.spare_capacity_mut()));
+    })
 }
 
 #[cfg(test)]
@@ -346,11 +340,11 @@ mod tests {
         }
     }
 
-    /// Each kernel whose launch hands out uninitialised windows, on a
-    /// 2-worker pool, at the smallest size that reaches every such
-    /// window: small enough for Miri, which reports a window read before
-    /// it is written and a race between forked branches (CI runs
-    /// `par::tests::uninit::` under it).
+    /// The kernel on a 2-worker pool, at the smallest size that reaches
+    /// every window it hands out uninitialised: a debug build checks each
+    /// one where it is read, and the size is small enough for Miri, which
+    /// also reports a race between forked branches (CI runs
+    /// `tests::uninit::` under it).
     mod uninit {
         use super::*;
         use crate::layout::from_bi;

@@ -416,7 +416,7 @@ impl Builder {
     }
 
     /// Declare a local without initializing (no access recorded).
-    pub fn local_uninit<T: Wordable>(&mut self) -> Local<T> {
+    fn local_uninit<T: Wordable>(&mut self) -> Local<T> {
         let (frame, off) = self.grow_frame(T::WORDS);
         Local {
             frame,

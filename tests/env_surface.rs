@@ -15,6 +15,13 @@
 //! they are defined, that names a `par::par_*` kernel — which rows the native backend
 //! serves is the registry's `native` column and nothing else.
 //!
+//! **Uninitialised memory**: `crates/algos/src/par/carve.rs` is the
+//! only file under `crates/algos/src` that turns uninitialised memory
+//! into data — no other file contains `assume_init`, `.set_len(` or a
+//! `*mut [MaybeUninit` cast — so the native kernels' one proof
+//! obligation, "every element is written before it is read", has one
+//! owner, and its debug check covers every window.
+//!
 //! **The empty stubs**: no Rust source outside `vendor/` uses the
 //! `rayon` or `serde` stub crates. Outside comments, no file under
 //! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
@@ -90,6 +97,25 @@ fn registry_owns_the_kernel_table() {
     assert!(
         hits.is_empty(),
         "native kernels named outside {owner}:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn carve_owns_uninitialised_memory() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let owner = "crates/algos/src/par/carve.rs";
+    let makes_data = |line: &str| {
+        ["assume_init", ".set_len(", "*mut [MaybeUninit"]
+            .iter()
+            .any(|site| line.contains(site))
+    };
+    let dir = root.join("crates/algos/src");
+    let mut hits = Vec::new();
+    scan(root, &dir, owner, &makes_data, &mut hits);
+    assert!(
+        hits.is_empty(),
+        "uninitialised memory made data outside {owner}:\n{}",
         hits.join("\n")
     );
 }

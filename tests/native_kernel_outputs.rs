@@ -17,7 +17,10 @@
 //!   `f64`, `u64::MAX` as a key) where the kernel's own allocations will
 //!   land, then checks the output against the sequential oracle. An
 //!   element read before it is written reads that garbage, so it fails
-//!   here as a wrong answer, without a sanitizer.
+//!   here as a wrong answer, without a sanitizer. That holds in a release
+//!   build, which CI runs: a debug build poisons every window the kernels
+//!   carve before they write it, and panics naming an element read
+//!   before it was written, so there the dirty heap is overwritten first.
 //!
 //! Inputs are the registry's (`hbp_core::registry`): the same generators
 //! and seeds its `native` column draws.
