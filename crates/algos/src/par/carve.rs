@@ -15,7 +15,9 @@
 //! and [`written`] panics naming the first element that still holds
 //! them. Every debug test run of a kernel checks every window at the
 //! point where the kernel reads it; a release build does no fill and no
-//! check, and compiles these calls to nothing.
+//! check, and compiles these calls to nothing. The poison is a value, so
+//! an element a writer sets to the all-[`POISON`] pattern itself (caller
+//! data can be that) also panics, in a debug build only.
 
 use std::mem::MaybeUninit;
 

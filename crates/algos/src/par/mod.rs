@@ -34,19 +34,14 @@
 //! sum or a merge fills its destination, Strassen stores each quadrant of
 //! a product before adding to it, and SPMS's partition walks store every
 //! slot of their cut and id rows, padding included. One module, `carve`,
-//! owns that obligation and every `unsafe` step it needs: a kernel turns
-//! a written window into data with `written`, takes its output `Vec`
-//! from `output`, overwrites initialised caller data (a merge or a bucket
-//! sort back into `data`) through `overwrite`, and hands a window it
-//! reuses to its next writer through `fresh`. A debug build fills every
-//! such window with a poison byte and `written` panics naming the first
-//! element that still holds it, so each debug test run checks every
-//! window where the kernel reads it; a release build neither fills nor
-//! checks. The one zeroed workspace is list ranking's: its tags and
-//! contracted halves are atomics, shared as soon as they exist, and the
-//! jumps read unused slots. `tests/native_kernel_outputs.rs` pins every
-//! kernel's output bits and, in a release build, runs each on a heap left
-//! full of all-ones words.
+//! owns that obligation and every `unsafe` step it needs, and a debug
+//! build checks it: every window starts poisoned, and turning one into
+//! data panics at the first element no writer stored (release builds
+//! neither fill nor check). The one zeroed workspace is list ranking's:
+//! its tags and contracted halves are atomics, shared as soon as they
+//! exist, and the jumps read unused slots. `tests/native_kernel_outputs.rs`
+//! pins every kernel's output bits and, in a release build, runs each on
+//! a heap left full of all-ones words.
 //!
 //! **The work of the sequential program.** Each kernel does, up to a
 //! small constant, what its single-thread reference does, stores to its
