@@ -119,7 +119,7 @@ pub fn from_bi<T: Copy>(bi: &[T], n: usize) -> Vec<T> {
 
 /// Quadrant recursion shared by RM→BI and direct BI→RM: visits every cell
 /// `(r, c)` of the `k×k` matrix in BI task order.
-pub(crate) fn quad_rec(
+fn quad_rec(
     b: &mut Builder,
     r0: usize,
     c0: usize,
@@ -267,7 +267,7 @@ pub fn bi_to_rm_gap(bi: &[u64], n: usize, cfg: BuildConfig) -> (Computation, GAr
 
 /// Recursive body: convert the contiguous `k×k` BI matrix at `src` into a
 /// `k×k` RM matrix at `dst` (both views), `k` any power of two.
-pub(crate) fn bi_rm_fft_rec(b: &mut Builder, src: View<u64>, dst: View<u64>, k: usize) {
+fn bi_rm_fft_rec(b: &mut Builder, src: View<u64>, dst: View<u64>, k: usize) {
     if k <= 2 {
         for r in 0..k {
             for c in 0..k {

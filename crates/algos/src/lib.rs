@@ -7,7 +7,7 @@
 //!
 //! | module      | algorithms                                                   |
 //! |-------------|--------------------------------------------------------------|
-//! | [`scan`]    | M-Sum, Matrix Addition (MA), Prefix Sums (PS)                |
+//! | [`scan`]    | M-Sum, Prefix Sums (PS)                                      |
 //! | [`layout`]  | RM→BI, Direct BI→RM, BI-RM (gap RM), BI-RM for FFT           |
 //! | [`mt`]      | Matrix Transposition in bit-interleaved layout               |
 //! | [`strassen`]| Strassen's matrix multiplication (BI layout)                 |
@@ -30,7 +30,6 @@
 #![cfg_attr(not(target_arch = "x86_64"), allow(unused_unsafe))]
 
 pub mod cc;
-pub mod compose;
 pub mod euler;
 pub mod fft;
 pub mod gen;

@@ -10,7 +10,7 @@
 use hbp_model::{BuildConfig, Builder, Computation, GArray};
 
 /// Transpose the `k×k` BI submatrix at element offset `base` in place.
-pub(crate) fn diag(b: &mut Builder, a: GArray<f64>, base: usize, k: usize) {
+fn diag(b: &mut Builder, a: GArray<f64>, base: usize, k: usize) {
     if k == 1 {
         return;
     }

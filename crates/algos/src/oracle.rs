@@ -19,11 +19,6 @@ pub fn prefix_sums(a: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Elementwise sum of two slices.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
 /// Transpose of an `n×n` row-major matrix.
 pub fn transpose_rm(a: &[f64], n: usize) -> Vec<f64> {
     let mut out = vec![0.0; n * n];

@@ -1,6 +1,7 @@
-//! Scans (paper §3.2): **M-Sum**, **Matrix Addition (MA)** and **Prefix
-//! Sums (PS)** — Type 1 HBP computations with `f(r) = O(1)`, `L(r) = O(1)`,
-//! `W = O(n)`, `T∞ = O(log n)`, `Q = O(n/B)`.
+//! Scans (paper §3.2): **M-Sum** and **Prefix Sums (PS)** — Type 1 HBP
+//! computations with `f(r) = O(1)`, `L(r) = O(1)`, `W = O(n)`,
+//! `T∞ = O(log n)`, `Q = O(n/B)`. Matrix Addition's BP body,
+//! `bp_add_views`, is here for Strassen's and Depth-n-MM's combine steps.
 //!
 //! PS is a sequence of two BP computations: an up-sweep storing subtree sums
 //! in the **in-order up-tree layout** of §3.3 (so sibling tasks share at
@@ -58,7 +59,7 @@ pub fn m_sum(data: &[u64], cfg: BuildConfig) -> (Computation, GArray<u64>) {
     (comp, out_h.unwrap())
 }
 
-/// The BP body of MA over views: `c[i] = a[i] + b[i]` for `i < len`.
+/// The BP body of Matrix Addition (MA) over views: `c[i] = a[i] + b[i]` for `i < len`.
 /// Reused by Strassen and Depth-n-MM for their combine steps.
 pub(crate) fn bp_add_views(
     b: &mut Builder,
@@ -82,22 +83,6 @@ pub(crate) fn bp_add_views(
         |b| bp_add_views(b, a, bb, c, lo, mid, scale_b),
         |b| bp_add_views(b, a, bb, c, mid, hi, scale_b),
     );
-}
-
-/// Matrix Addition (MA): elementwise `c = a + b` as one BP computation.
-pub fn matrix_add(a: &[f64], b: &[f64], cfg: BuildConfig) -> (Computation, GArray<f64>) {
-    assert_eq!(a.len(), b.len());
-    assert!(!a.is_empty());
-    let n = a.len();
-    let mut out_h = None;
-    let comp = Builder::build(cfg, n as u64, |bd| {
-        let av = bd.input(a);
-        let bv = bd.input(b);
-        let cv = bd.alloc::<f64>(n);
-        out_h = Some(cv);
-        bp_add_views(bd, View::g(av), View::g(bv), View::g(cv), 0, n, 1.0);
-    });
-    (comp, out_h.unwrap())
 }
 
 /// Up-sweep: store every subtree's sum in the in-order layout tree `s`.
@@ -197,15 +182,6 @@ mod tests {
         assert!(comp.work() <= 10 * 256, "W = O(n)");
         let s = analysis::span(&comp);
         assert!(s <= 40 * 8 + 64, "T∞ = O(log n), got {s}");
-    }
-
-    #[test]
-    fn matrix_add_matches_oracle() {
-        let n = 100;
-        let a: Vec<f64> = (0..n).map(|x| x as f64).collect();
-        let b: Vec<f64> = (0..n).map(|x| (x * 2) as f64).collect();
-        let (comp, out) = matrix_add(&a, &b, BuildConfig::default());
-        assert_eq!(read_out(&comp, out), oracle::add(&a, &b));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn bp_combine(b: &mut Builder, srcs: &[(View<f64>, f64)], dst: View<f64>, lo: us
 }
 
 /// Recursive Strassen body over BI views: `C = A · B`, all `k×k`.
-pub(crate) fn strassen_rec(b: &mut Builder, a: View<f64>, bm: View<f64>, c: View<f64>, k: usize) {
+fn strassen_rec(b: &mut Builder, a: View<f64>, bm: View<f64>, c: View<f64>, k: usize) {
     if k == 1 {
         let x = a.read(b, 0);
         let y = bm.read(b, 0);

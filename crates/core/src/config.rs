@@ -35,11 +35,8 @@
 //! native pool has one discipline, randomized stealing, and takes only
 //! `rws[:seed]`.
 
-use std::sync::Arc;
-
 use hbp_sched::native::NativeConfig;
 use hbp_sched::Policy;
-use hbp_trace::{ClockDomain, TraceSink};
 
 use crate::executor::SimExecutor;
 use crate::session::ExecSession;
@@ -58,7 +55,7 @@ impl Backend {
     /// [`Backend::Sim`], `native` → [`Backend::Native`]; anything else
     /// is an error naming the variable, the offending value, and the
     /// accepted ones.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+    fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
             None | Some("") | Some("sim") => Ok(Backend::Sim),
             Some("native") => Ok(Backend::Native),
@@ -97,7 +94,7 @@ pub fn parse_workers(value: Option<&str>) -> Result<usize, String> {
 /// Parse a boolean-ish `HBP_*` switch: unset/empty/`0`/`off`/`false` →
 /// false; `1`/`on`/`true`/`yes` → true; anything else errors, naming
 /// `var`.
-fn parse_switch(var: &str, value: Option<&str>) -> Result<bool, String> {
+pub fn parse_switch(var: &str, value: Option<&str>) -> Result<bool, String> {
     match value {
         None | Some("") | Some("0") | Some("off") | Some("false") => Ok(false),
         Some("1") | Some("on") | Some("true") | Some("yes") => Ok(true),
@@ -219,25 +216,6 @@ impl Config {
         self
     }
 
-    /// Turn structured event tracing on or off.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
-    /// Set the per-worker trace ring capacity (events).
-    pub fn trace_buf(mut self, events: usize) -> Self {
-        self.trace_buf = events;
-        self
-    }
-
-    /// Turn metrics publishing on or off (effective via
-    /// [`Config::apply`]).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
-        self
-    }
-
     // --- environment -------------------------------------------------------
 
     /// Read the whole `HBP_*` family from the environment. Unset
@@ -250,7 +228,7 @@ impl Config {
 
     /// [`Config::try_from_env`] against an explicit variable lookup
     /// (tests feed a map; the env wrapper feeds `std::env::var`).
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = Self::default();
         let mut errors: Vec<String> = Vec::new();
         macro_rules! set {
@@ -354,14 +332,6 @@ impl Config {
             Backend::Native => ExecSession::native(self.native_config(self.pool_seed())),
         }
     }
-
-    /// A trace sink sized for `workers` at the configured ring capacity
-    /// — `None` when tracing is off, so call sites read
-    /// `cfg.sink(…)`/`is_some` instead of consulting the env.
-    pub fn sink(&self, workers: usize, clock: ClockDomain) -> Option<Arc<TraceSink>> {
-        self.trace
-            .then(|| Arc::new(TraceSink::with_capacity(workers, clock, self.trace_buf)))
-    }
 }
 
 #[cfg(test)]
@@ -373,14 +343,12 @@ mod tests {
         let cfg = Config::new()
             .backend(Backend::Native)
             .policy(Policy::Rws { seed: 7 })
-            .workers(3)
-            .metrics(true);
+            .workers(3);
         assert_eq!(cfg.backend, Backend::Native);
         assert_eq!(cfg.workers, 3);
-        assert!(cfg.metrics);
         // Untouched fields keep their defaults.
         assert_eq!(cfg.trace_buf, Config::default().trace_buf);
-        assert!(!cfg.trace);
+        assert!(!cfg.trace && !cfg.metrics);
         let native = cfg.native_config(5);
         assert_eq!(native.workers, 3);
         assert_eq!(native.seed, 5);

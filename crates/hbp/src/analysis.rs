@@ -1,6 +1,6 @@
 //! Structural analysis of recorded computations: work `W`, critical path
-//! `T∞`, balance, limited access, and the paper's `f(r)` (cache
-//! friendliness, Def 2.1) and `L(r)` (block sharing, Def 2.3) estimators.
+//! `T∞`, limited access, and the paper's `f(r)` (cache friendliness,
+//! Def 2.1) and `L(r)` (block sharing, Def 2.3) estimators.
 
 use std::collections::HashMap;
 
@@ -28,7 +28,7 @@ pub fn span(comp: &Computation) -> u64 {
 }
 
 /// Depth of the fork tree (number of forks on the deepest path).
-pub fn fork_depth(comp: &Computation) -> u32 {
+fn fork_depth(comp: &Computation) -> u32 {
     fn rec(comp: &Computation, node: NodeId) -> u32 {
         let mut total = 0;
         for it in comp.items_of(node) {
@@ -39,42 +39,6 @@ pub fn fork_depth(comp: &Computation) -> u32 {
         total
     }
     rec(comp, comp.root)
-}
-
-/// Verify the balance property used by PWS (§4.1): all tasks with the same
-/// priority have sizes within a factor `ratio`. Returns the worst ratio seen.
-pub fn priority_size_ratio(comp: &Computation) -> f64 {
-    let mut by_pri: HashMap<u32, (u64, u64)> = HashMap::new();
-    for (_, _, l, r, pri) in comp.forks() {
-        for sz in [comp.nodes[l.idx()].size, comp.nodes[r.idx()].size] {
-            let e = by_pri.entry(pri).or_insert((u64::MAX, 0));
-            e.0 = e.0.min(sz);
-            e.1 = e.1.max(sz);
-        }
-    }
-    by_pri
-        .values()
-        .map(|&(mn, mx)| mx as f64 / mn as f64)
-        .fold(1.0, f64::max)
-}
-
-/// Check the BP balance condition (Def 3.2 vi) on fork children: each child
-/// size must lie in `[c1·α·|parent|, c2·α·|parent|]` for `α = 1/2` and the
-/// given constants. Returns the number of violating forks.
-pub fn balance_violations(comp: &Computation, c1: f64, c2: f64) -> usize {
-    let mut parent_size = vec![0u64; comp.nodes.len()];
-    parent_size[comp.root.idx()] = comp.nodes[comp.root.idx()].size;
-    let mut bad = 0;
-    for (parent, _, l, r, _) in comp.forks() {
-        let ps = comp.nodes[parent.idx()].size as f64;
-        for ch in [l, r] {
-            let cs = comp.nodes[ch.idx()].size as f64;
-            if cs < c1 * 0.5 * ps - 1e-9 || cs > c2 * 0.5 * ps + 1e-9 {
-                bad += 1;
-            }
-        }
-    }
-    bad
 }
 
 /// Per-word write counts over the whole computation — the limited-access
@@ -322,13 +286,6 @@ mod tests {
         let c = bp_sum(128);
         assert!(c.work() >= 2 * 128);
         assert!(c.work() <= 16 * 128);
-    }
-
-    #[test]
-    fn balance_holds_for_power_of_two_bp() {
-        let c = bp_sum(128);
-        assert_eq!(balance_violations(&c, 0.9, 1.1), 0);
-        assert!(priority_size_ratio(&c) <= 1.0 + 1e-9);
     }
 
     #[test]

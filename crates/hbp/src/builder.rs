@@ -80,7 +80,7 @@ impl<T: Wordable> GArray<T> {
     }
 
     /// Word address of element `i`.
-    pub fn addr(&self, i: usize) -> Word {
+    fn addr(&self, i: usize) -> Word {
         debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         self.base + (i * T::WORDS) as Word
     }
@@ -128,18 +128,6 @@ impl<T: Wordable> Clone for LArray<T> {
     }
 }
 impl<T: Wordable> Copy for LArray<T> {}
-
-impl<T: Wordable> LArray<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
 
 /// An open task node: where its body starts on the builder's `pending`
 /// stack and its frame on the `frames` stack.

@@ -15,9 +15,9 @@
 //!
 //! Structural features of the paper captured here:
 //!
-//! * **task sizes** `|τ|` and the BP *balance condition* (Def 3.2 vi);
-//! * **priorities** that strictly decrease along every root→leaf path, with
-//!   all tasks of one priority having the same size band (§4.1);
+//! * **task sizes** `|τ|`, declared by every fork;
+//! * **priorities** that strictly decrease along every root→leaf path
+//!   (§4.1);
 //! * **limited-access** writes (Def 2.4) — checkable per computation;
 //! * **execution-stack locals** (Def 3.1) with symbolic addresses resolved
 //!   at schedule time, so stack-block sharing between a stolen task and its

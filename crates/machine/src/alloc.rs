@@ -42,11 +42,6 @@ impl BlockAllocator {
     pub fn watermark(&self) -> Word {
         self.next
     }
-
-    /// The block size this allocator aligns to.
-    pub fn block_words(&self) -> u64 {
-        self.block_words
-    }
 }
 
 #[cfg(test)]

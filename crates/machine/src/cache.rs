@@ -56,23 +56,15 @@ impl LruCache {
         }
     }
 
-    /// Number of block frames.
-    pub fn capacity(&self) -> usize {
-        self.frames
-    }
-
-    /// Number of resident blocks.
-    pub fn len(&self) -> usize {
+    /// Number of resident blocks. For the tests below.
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.slot_of.len()
     }
 
-    /// Whether the cache holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
-    }
-
-    /// Whether `block` is resident.
-    pub fn contains(&self, block: BlockId) -> bool {
+    /// Whether `block` is resident. For the tests below.
+    #[cfg(test)]
+    fn contains(&self, block: BlockId) -> bool {
         self.slot_of.contains_key(&block)
     }
 

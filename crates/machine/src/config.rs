@@ -155,11 +155,6 @@ impl MachineConfig {
     pub fn block_of(&self, addr: Word) -> BlockId {
         addr / self.block_words
     }
-
-    /// Whether the cache is *tall*: `M ≥ B²` (§3.2, Lemma 4.4(iii)).
-    pub fn is_tall(&self) -> bool {
-        self.cache_words >= self.block_words * self.block_words
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(c.block_of(0), 0);
         assert_eq!(c.block_of(31), 0);
         assert_eq!(c.block_of(32), 1);
-        assert!(c.is_tall());
     }
 
     #[test]
@@ -182,12 +176,6 @@ mod tests {
         let c16 = MachineConfig::new(16, 1024, 32);
         assert_eq!(c2.steal_cost, c2.miss_cost); // ceil(log2 2) = 1
         assert_eq!(c16.steal_cost, c16.miss_cost * 4);
-    }
-
-    #[test]
-    fn not_tall_when_b_large() {
-        let c = MachineConfig::new(2, 256, 32);
-        assert!(!c.is_tall()); // 256 < 32^2
     }
 
     #[test]

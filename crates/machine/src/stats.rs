@@ -75,7 +75,7 @@ impl CoreStats {
     }
 
     /// Accumulate another core's counters into this one.
-    pub fn merge(&mut self, other: &CoreStats) {
+    fn merge(&mut self, other: &CoreStats) {
         self.hits += other.hits;
         self.cold += other.cold;
         self.capacity += other.capacity;

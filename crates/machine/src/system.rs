@@ -8,9 +8,7 @@
 //! — it is kept in step with the caches, and debug builds check it.
 
 use crate::hash::BlockMap;
-use crate::{
-    AccessOutcome, BlockId, CoreStats, LruCache, MachineConfig, MachineStats, MissKind, Word,
-};
+use crate::{AccessOutcome, CoreStats, LruCache, MachineConfig, MachineStats, MissKind, Word};
 
 /// Per-block coherence/bookkeeping state, packed into core bitmasks
 /// (`p <= 64`).
@@ -31,8 +29,7 @@ struct BlockState {
 /// second-level cache (paper §5.2).
 ///
 /// Drive it with [`MemSystem::access`] (or [`MemSystem::access_costed`] to
-/// get the time cost); read results from [`MemSystem::stats`] and
-/// [`MemSystem::block_transfers`].
+/// get the time cost); read results from [`MemSystem::stats`].
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     cfg: MachineConfig,
@@ -72,11 +69,6 @@ impl MemSystem {
             Some(l2c) if l2c.partitioned => core,
             _ => 0,
         }
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// Perform one access by `core` to word `addr`. Returns the outcome;
@@ -190,8 +182,10 @@ impl MemSystem {
     }
 
     /// How many times `block` has been fetched into some cache so far
-    /// (the paper's block delay over the whole execution, Def 2.2).
-    pub fn block_transfers(&self, block: BlockId) -> u64 {
+    /// (the paper's block delay over the whole execution, Def 2.2). For
+    /// the tests below.
+    #[cfg(test)]
+    fn block_transfers(&self, block: crate::BlockId) -> u64 {
         self.blocks.get(&block).map_or(0, |s| s.transfers)
     }
 
@@ -207,6 +201,7 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockId;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 

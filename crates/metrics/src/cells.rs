@@ -108,7 +108,7 @@ impl LogHistogram {
 
     /// Bucket index for an observed value.
     #[inline]
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         let idx = (64 - v.leading_zeros()) as usize;
         idx.min(HIST_BUCKETS - 1)
     }
@@ -132,11 +132,11 @@ impl LogHistogram {
         self.sum.fetch_add(v, Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count.load(Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    fn sum(&self) -> u64 {
         self.sum.load(Relaxed)
     }
 

@@ -134,7 +134,7 @@ impl Registry {
         &self.shards[w % SHARDS]
     }
 
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.workers_hi.load(Relaxed)
     }
 

@@ -165,15 +165,17 @@ impl<T: Word> ClDeque<T> {
     }
 
     /// Approximate number of queued elements (exact when quiescent;
-    /// a racing snapshot otherwise). Diagnostic only.
-    pub fn len_hint(&self) -> usize {
+    /// a racing snapshot otherwise). For the tests below.
+    #[cfg(test)]
+    fn len_hint(&self) -> usize {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
         b.saturating_sub(t).max(0) as usize
     }
 
-    /// Current buffer capacity (owner/diagnostic).
-    pub fn capacity(&self) -> usize {
+    /// Current buffer capacity (owner side). For the tests below.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.buffer(Ordering::Acquire).slots.len()
     }
 

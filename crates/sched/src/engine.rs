@@ -40,7 +40,7 @@ pub enum Policy {
 
 impl Policy {
     /// The [`StealPolicy`] implementation this variant selects.
-    pub fn steal_policy(self) -> Box<dyn StealPolicy> {
+    fn steal_policy(self) -> Box<dyn StealPolicy> {
         match self {
             Policy::Pws => Box::new(Pws),
             Policy::Rws { seed } => Box::new(Rws::new(seed)),

@@ -97,66 +97,66 @@ mod sys {
     /// ancient enough for every kernel this repo can meet.
     #[repr(C)]
     #[derive(Default)]
-    pub struct PerfEventAttr {
-        pub type_: u32,
-        pub size: u32,
-        pub config: u64,
-        pub sample_period_or_freq: u64,
-        pub sample_type: u64,
-        pub read_format: u64,
+    struct PerfEventAttr {
+        type_: u32,
+        size: u32,
+        config: u64,
+        sample_period_or_freq: u64,
+        sample_type: u64,
+        read_format: u64,
         /// Bitfield word: bit 0 `disabled`, bit 5 `exclude_kernel`,
         /// bit 6 `exclude_hv`.
-        pub flags: u64,
-        pub wakeup: u32,
-        pub bp_type: u32,
-        pub config1: u64,
-        pub config2: u64,
-        pub branch_sample_type: u64,
-        pub sample_regs_user: u64,
-        pub sample_stack_user: u32,
-        pub clockid: i32,
-        pub sample_regs_intr: u64,
-        pub aux_watermark: u32,
-        pub sample_max_stack: u16,
-        pub reserved_2: u16,
-        pub aux_sample_size: u32,
-        pub reserved_3: u32,
+        flags: u64,
+        wakeup: u32,
+        bp_type: u32,
+        config1: u64,
+        config2: u64,
+        branch_sample_type: u64,
+        sample_regs_user: u64,
+        sample_stack_user: u32,
+        clockid: i32,
+        sample_regs_intr: u64,
+        aux_watermark: u32,
+        sample_max_stack: u16,
+        reserved_2: u16,
+        aux_sample_size: u32,
+        reserved_3: u32,
     }
 
-    pub const ATTR_SIZE: u32 = std::mem::size_of::<PerfEventAttr>() as u32;
+    const ATTR_SIZE: u32 = std::mem::size_of::<PerfEventAttr>() as u32;
 
-    pub const EXCLUDE_KERNEL: u64 = 1 << 5;
-    pub const EXCLUDE_HV: u64 = 1 << 6;
+    const EXCLUDE_KERNEL: u64 = 1 << 5;
+    const EXCLUDE_HV: u64 = 1 << 6;
 
-    pub const PERF_TYPE_HARDWARE: u32 = 0;
-    pub const PERF_TYPE_SOFTWARE: u32 = 1;
-    pub const PERF_TYPE_HW_CACHE: u32 = 3;
-    pub const PERF_COUNT_HW_CACHE_MISSES: u64 = 3;
-    pub const PERF_COUNT_SW_CONTEXT_SWITCHES: u64 = 3;
+    pub(super) const PERF_TYPE_HARDWARE: u32 = 0;
+    pub(super) const PERF_TYPE_SOFTWARE: u32 = 1;
+    pub(super) const PERF_TYPE_HW_CACHE: u32 = 3;
+    pub(super) const PERF_COUNT_HW_CACHE_MISSES: u64 = 3;
+    pub(super) const PERF_COUNT_SW_CONTEXT_SWITCHES: u64 = 3;
     /// LL cache | read op | miss result. The read-op field is literally
     /// zero in the kernel ABI encoding; spelled out so all three fields
     /// of the cache-event id stay visible.
     #[allow(clippy::identity_op)]
-    pub const LLC_LOAD_MISSES: u64 = 2 | (0 << 8) | (1 << 16);
+    pub(super) const LLC_LOAD_MISSES: u64 = 2 | (0 << 8) | (1 << 16);
 
-    pub const PERF_FLAG_FD_CLOEXEC: u64 = 8;
+    const PERF_FLAG_FD_CLOEXEC: u64 = 8;
 
     #[cfg(target_arch = "x86_64")]
-    pub const SYS_PERF_EVENT_OPEN: i64 = 298;
+    const SYS_PERF_EVENT_OPEN: i64 = 298;
     #[cfg(target_arch = "aarch64")]
-    pub const SYS_PERF_EVENT_OPEN: i64 = 241;
+    const SYS_PERF_EVENT_OPEN: i64 = 241;
 
     extern "C" {
-        pub fn syscall(num: i64, ...) -> i64;
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn close(fd: i32) -> i32;
+        fn syscall(num: i64, ...) -> i64;
+        pub(super) fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+        pub(super) fn close(fd: i32) -> i32;
     }
 
     /// Open one self-monitoring counter on the calling thread, enabled
     /// from the start, counting userspace only. `None` on any refusal
     /// (EPERM/EACCES from `perf_event_paranoid`, ENOENT for an event the
     /// PMU lacks, ENOSYS under seccomp).
-    pub fn open_counter(type_: u32, config: u64) -> Option<i32> {
+    pub(super) fn open_counter(type_: u32, config: u64) -> Option<i32> {
         let attr = PerfEventAttr {
             type_,
             size: ATTR_SIZE,

@@ -64,7 +64,7 @@ pub struct LatencyStats {
 }
 
 /// Nearest-rank percentile of an already-sorted sample (`pct` in 1..=100).
-pub fn percentile(sorted: &[u64], pct: u64) -> u64 {
+fn percentile(sorted: &[u64], pct: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -74,7 +74,7 @@ pub fn percentile(sorted: &[u64], pct: u64) -> u64 {
 
 impl LatencyStats {
     /// Summarize a sample (need not be sorted).
-    pub fn of(mut sample: Vec<u64>) -> Self {
+    fn of(mut sample: Vec<u64>) -> Self {
         sample.sort_unstable();
         Self {
             p50: percentile(&sample, 50),
@@ -218,7 +218,7 @@ impl ScenarioReport {
             .collect();
         Self {
             backend,
-            policy: spec.policy_label(),
+            policy: spec.policy.to_string(),
             workers: spec.workers,
             seed: spec.seed,
             mode: spec.mode.label(),

@@ -3,6 +3,7 @@
 //! `HBP_SERVE_*` environment variables (plus the shared `HBP_*` knobs
 //! via [`hbp_core::Config`], the single place those are parsed).
 
+use hbp_core::config::parse_switch;
 use hbp_core::sched::native::NativeConfig;
 use hbp_core::{lookup, registry, Backend, Policy};
 
@@ -22,7 +23,7 @@ pub enum LoadMode {
 impl LoadMode {
     /// Parse an `HBP_SERVE_MODE` value (`open` / `closed`; unset or
     /// empty means closed).
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+    fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
             None | Some("") | Some("closed") => Ok(LoadMode::Closed),
             Some("open") => Ok(LoadMode::Open),
@@ -211,19 +212,22 @@ pub fn parse_mix(value: &str) -> Result<Vec<MixEntry>, String> {
     Ok(mix)
 }
 
-fn env_num<T: std::str::FromStr + Copy>(
+/// The integer knob `var`, read through `get`: unset or empty →
+/// `default`; otherwise an integer no smaller than `min`, or an error
+/// naming `var` and the bound.
+fn num<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    get: &impl Fn(&str) -> Option<String>,
     var: &str,
     default: T,
-    min_ok: fn(&T) -> bool,
+    min: T,
 ) -> Result<T, String> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(s) if s.is_empty() => Ok(default),
-        Ok(s) => s
+    match get(var).as_deref() {
+        None | Some("") => Ok(default),
+        Some(s) => s
             .parse::<T>()
             .ok()
-            .filter(min_ok)
-            .ok_or_else(|| format!("{var} must be a valid non-negative number, got {s:?}")),
+            .filter(|v| *v >= min)
+            .ok_or_else(|| format!("{var} must be an integer >= {min}, got {s:?}")),
     }
 }
 
@@ -235,38 +239,37 @@ impl ScenarioSpec {
     /// defaults on typos. The result is already
     /// [validated](ScenarioSpec::validate).
     pub fn try_from_env() -> Result<Self, String> {
-        let cfg = hbp_core::Config::try_from_env()?;
+        Self::from_lookup(hbp_core::Config::try_from_env()?, |var| {
+            std::env::var(var).ok()
+        })
+    }
+
+    /// [`ScenarioSpec::try_from_env`] on the shared knobs `cfg`, with the
+    /// `HBP_SERVE_*` values read through `get`.
+    fn from_lookup(
+        cfg: hbp_core::Config,
+        get: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, String> {
         let d = Self::default();
-        let mix = match std::env::var("HBP_SERVE_MIX") {
-            Ok(s) if !s.is_empty() => parse_mix(&s)?,
+        let mix = match get("HBP_SERVE_MIX") {
+            Some(s) if !s.is_empty() => parse_mix(&s)?,
             _ => default_mix(cfg.backend),
         };
-        let seed = env_num("HBP_SERVE_SEED", d.seed, |_| true)?;
-        let pacing = match std::env::var("HBP_SERVE_PACING").ok().as_deref() {
-            None | Some("") => d.pacing,
-            Some("0") | Some("off") | Some("false") => false,
-            Some("1") | Some("on") | Some("true") | Some("yes") => true,
-            Some(other) => {
-                return Err(format!(
-                    "HBP_SERVE_PACING must be a boolean switch (1/on/true or 0/off/false), \
-                     got {other:?}"
-                ))
-            }
-        };
+        let seed = num(&get, "HBP_SERVE_SEED", d.seed, 0)?;
         let spec = Self {
             seed,
-            requests: env_num("HBP_SERVE_REQUESTS", d.requests, |&r| r >= 1)?,
-            clients: env_num("HBP_SERVE_CLIENTS", d.clients, |&c| c >= 1)?,
-            mode: LoadMode::parse(std::env::var("HBP_SERVE_MODE").ok().as_deref())?,
-            queue_cap: env_num("HBP_SERVE_QUEUE_CAP", d.queue_cap, |&c| c >= 1)?,
-            batch_max: env_num("HBP_SERVE_BATCH", d.batch_max, |&b| b >= 1)?,
-            small_n: env_num("HBP_SERVE_SMALL_N", d.small_n, |_| true)?,
-            think_mean_ns: env_num("HBP_SERVE_THINK_NS", d.think_mean_ns, |_| true)?,
+            requests: num(&get, "HBP_SERVE_REQUESTS", d.requests, 1)?,
+            clients: num(&get, "HBP_SERVE_CLIENTS", d.clients, 1)?,
+            mode: LoadMode::parse(get("HBP_SERVE_MODE").as_deref())?,
+            queue_cap: num(&get, "HBP_SERVE_QUEUE_CAP", d.queue_cap, 1)?,
+            batch_max: num(&get, "HBP_SERVE_BATCH", d.batch_max, 1)?,
+            small_n: num(&get, "HBP_SERVE_SMALL_N", d.small_n, 0)?,
+            think_mean_ns: num(&get, "HBP_SERVE_THINK_NS", d.think_mean_ns, 0)?,
             mix,
             backend: cfg.backend,
             policy: cfg.policy,
             workers: cfg.workers,
-            pacing,
+            pacing: parse_switch("HBP_SERVE_PACING", get("HBP_SERVE_PACING").as_deref())?,
             native: cfg.native_config(seed),
         };
         spec.validate();
@@ -327,11 +330,6 @@ impl ScenarioSpec {
             seed: self.seed,
         }
     }
-
-    /// Report label for the policy (`pws`, `rws:SEED`, `bsp:LEVELS`).
-    pub fn policy_label(&self) -> String {
-        self.policy.to_string()
-    }
 }
 
 #[cfg(test)]
@@ -353,6 +351,31 @@ mod tests {
                 "error names the variable: {err}"
             );
         }
+    }
+
+    #[test]
+    fn knob_errors_name_the_bound() {
+        let with = |var: &str, value: &str| {
+            ScenarioSpec::from_lookup(hbp_core::Config::default(), |v| {
+                (v == var).then(|| value.to_string())
+            })
+        };
+        for (var, min, bad) in [
+            ("HBP_SERVE_REQUESTS", 1, "0"),
+            ("HBP_SERVE_CLIENTS", 1, "0"),
+            ("HBP_SERVE_QUEUE_CAP", 1, "0"),
+            ("HBP_SERVE_BATCH", 1, "0"),
+            ("HBP_SERVE_SEED", 0, "-1"),
+            ("HBP_SERVE_SMALL_N", 0, "-1"),
+            ("HBP_SERVE_THINK_NS", 0, "-1"),
+        ] {
+            let want = format!("{var} must be an integer >= {min}, got {bad:?}");
+            assert_eq!(with(var, bad).expect_err(var), want);
+            with(var, &min.to_string()).expect(var);
+        }
+        assert!(with("HBP_SERVE_PACING", "yes").unwrap().pacing);
+        let err = with("HBP_SERVE_PACING", "maybe").expect_err("not a switch");
+        assert!(err.starts_with("HBP_SERVE_PACING must be"), "{err}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Record one value.
-    pub fn record(&mut self, v: u64) {
+    fn record(&mut self, v: u64) {
         let idx = if v == 0 {
             0
         } else {
@@ -45,7 +45,7 @@ impl Histogram {
     }
 
     /// Inclusive-exclusive bounds `[lo, hi)` of bucket `i`.
-    pub fn bounds(&self, i: usize) -> (u64, u64) {
+    fn bounds(&self, i: usize) -> (u64, u64) {
         if i == 0 {
             (0, 1)
         } else {
@@ -54,7 +54,7 @@ impl Histogram {
     }
 
     /// Total recorded values.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 

@@ -130,19 +130,3 @@ pub enum EventKind {
 // padded to the `u64`s' alignment).
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
 const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
-
-impl EventKind {
-    /// Short kind tag for display and Chrome-trace categories.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::TaskBegin { .. } => "begin",
-            EventKind::TaskEnd { .. } => "end",
-            EventKind::JoinResume { .. } => "resume",
-            EventKind::Fork { .. } => "fork",
-            EventKind::StealCommit { .. } => "steal",
-            EventKind::StealFail => "steal-fail",
-            EventKind::RegionAttach { .. } => "region",
-            EventKind::MissDelta { .. } => "misses",
-        }
-    }
-}

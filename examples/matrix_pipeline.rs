@@ -3,6 +3,11 @@
 //! back to row-major with the paper's gapped conversion — the composition
 //! §3.2 calls RM-Strassen.
 //!
+//! This is the repository's only RM-Strassen. Each stage is its own
+//! recorded computation (every stage is also a registry row, checked over
+//! the whole registry), and the end result is checked against
+//! `oracle::matmul_rm`.
+//!
 //! Prints per-stage cache/block-miss accounting under PWS, showing where
 //! false sharing would bite without the BI layout and gapping.
 //!

@@ -22,12 +22,23 @@
 //! obligation, "every element is written before it is read", has one
 //! owner, and its debug check covers every window.
 //!
+//! **The public surface**: every `pub fn` and `pub const fn` under
+//! `crates/*/src` and the root `src/` (not `pub(crate)` or `pub(super)`)
+//! is named, as a whole word on a line that is not a comment, in some
+//! other `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or
+//! `benchmark/src`, so an API that only its own file calls leaves the
+//! tree or loses its `pub`. The exceptions are `UNCALLED_PUB_FNS`, each
+//! with the reason it stays (none today). The match is by name, not by
+//! path: a method named like a common word (`new`, `get`, `len`) passes
+//! by accident whenever any other file uses that word.
+//!
 //! **The empty stubs**: no Rust source outside `vendor/` uses the
 //! `rayon` or `serde` stub crates. Outside comments, no file under
 //! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
 //! derives `Serialize` or `Deserialize`, so the stubs stay empty until
 //! they are deleted.
 
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 const EXEMPT: [&str; 3] = ["HBP_SERVE_", "HBP_EXAMPLE_N", "HBP_TRACE_OUT"];
@@ -136,4 +147,54 @@ fn no_source_uses_the_stubbed_crates() {
         scan(root, &root.join(dir), owner, &uses_stub, &mut hits);
     }
     assert!(hits.is_empty(), "stub crates used:\n{}", hits.join("\n"));
+}
+
+/// `pub fn`s that no other file calls, each with the reason it stays.
+const UNCALLED_PUB_FNS: [(&str, &str); 0] = [];
+
+#[test]
+fn every_pub_fn_has_a_caller_outside_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |line: &str| !line.trim_start().starts_with("//");
+    let mut lines = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        scan(root, &root.join(dir), "", &code, &mut lines);
+    }
+    // `scan` gives `file:line: code`; each word of it, with its files.
+    let lines: Vec<(&str, &str)> = lines
+        .iter()
+        .map(|hit| hit.split_once(':').expect("file:line: code"))
+        .collect();
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut files_of: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for &(file, code) in &lines {
+        for w in code.split(|c: char| !word(c)) {
+            files_of.entry(w).or_default().insert(file);
+        }
+    }
+    let defines = |file: &str| {
+        file.starts_with("src/")
+            || (file.starts_with("crates/") && file.split('/').nth(2) == Some("src"))
+    };
+    let mut uncalled = Vec::new();
+    for &(file, code) in lines.iter().filter(|(file, _)| defines(file)) {
+        let code = code.split_once(": ").expect("line: code").1;
+        let Some(sig) = code
+            .strip_prefix("pub fn ")
+            .or(code.strip_prefix("pub const fn "))
+        else {
+            continue;
+        };
+        let name = sig.split(|c: char| !word(c)).next().unwrap_or_default();
+        let alone = files_of[name].iter().all(|f| *f == file);
+        if alone && UNCALLED_PUB_FNS.iter().all(|(allowed, _)| *allowed != name) {
+            uncalled.push(format!("{file}: {name}"));
+        }
+    }
+    uncalled.sort();
+    assert!(
+        uncalled.is_empty(),
+        "pub fns with no caller outside their file:\n{}",
+        uncalled.join("\n")
+    );
 }

@@ -2,7 +2,8 @@
 //! packed [`Access`] round-trips and refuses what it cannot hold, every
 //! registry row's bodies tile the item arena, and the build-time
 //! `parent` / `priority` of a node are what its creating fork says. (The
-//! *content* of the recordings is pinned in `scheduler_invariants.rs`.)
+//! *content* of the recordings is pinned in `scheduler_invariants.rs`,
+//! except that every row is limited access.)
 
 use hbp_core::model::{Access, Item, NodeId, TNode, Target};
 use hbp_core::prelude::*;
@@ -108,5 +109,20 @@ fn bodies_tile_the_item_arena_and_nodes_know_their_fork() {
             }
             assert_eq!(comp.nodes[comp.root.idx()].parent, NodeId::NONE, "{name}");
         }
+    }
+}
+
+/// Limited access (Def 2.4): the most writes any global or local word
+/// takes, `(global, local)`, does not grow with the input, at two sizes
+/// 16× apart.
+#[test]
+fn every_row_writes_each_word_a_constant_number_of_times() {
+    for spec in registry() {
+        let writes = |n| analysis::write_counts(&(spec.build)(n, BuildConfig::default(), 7));
+        let (small, large) = (
+            writes(spec.size.pick(256, 16)),
+            writes(spec.size.pick(4096, 64)),
+        );
+        assert_eq!(small, large, "{}", spec.name);
     }
 }
