@@ -25,15 +25,14 @@
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
 //! | `HBP_TRACE` | [`Config::trace`] | off |
 //! | `HBP_TRACE_BUF` | [`Config::trace_buf`] | 2^20 events/worker |
-//! | `HBP_METRICS` | [`Config::metrics`] | off |
 //!
 //! A retired variable (`HBP_DEQUE`, `HBP_STEAL_BATCH`, `HBP_DOMAINS`,
 //! `HBP_CROSS_DEPTH`, `HBP_AUTOSCALE`, `HBP_COUNTERS`,
-//! `HBP_METRICS_INTERVAL`, `HBP_TRACE_STRICT`, `HBP_FIG_N`; the README says why each
-//! went) is reported as an error naming what replaced it when set, to
-//! any value, not silently ignored. So is a policy the backend cannot run: the
-//! native pool has one discipline, randomized stealing, and takes only
-//! `rws[:seed]`.
+//! `HBP_METRICS_INTERVAL`, `HBP_TRACE_STRICT`, `HBP_FIG_N`,
+//! `HBP_METRICS`; the README says why each went) is reported as an
+//! error naming what replaced it when set, to any value, not silently
+//! ignored. So is a policy the backend cannot run: the native pool has
+//! one discipline, randomized stealing, and takes only `rws[:seed]`.
 
 use hbp_sched::native::NativeConfig;
 use hbp_sched::Policy;
@@ -80,7 +79,7 @@ impl Backend {
 
 /// Parse an `HBP_WORKERS` value: a positive integer, or `None` (unset)
 /// for the [`NativeConfig`] default (one per hardware thread, min 4).
-pub fn parse_workers(value: Option<&str>) -> Result<usize, String> {
+fn parse_workers(value: Option<&str>) -> Result<usize, String> {
     match value {
         None | Some("") => Ok(NativeConfig::default().workers),
         Some(s) => s
@@ -119,12 +118,9 @@ fn parse_trace_buf(value: Option<&str>) -> Result<usize, String> {
 
 /// Retired `HBP_*` variables and what replaced each: setting one, to
 /// any value, is an error (see [`Config::from_lookup`]).
-const RETIRED: [(&str, &str); 9] = [
+const RETIRED: [(&str, &str); 10] = [
     ("HBP_DEQUE", "Chase-Lev is the only deque"),
-    (
-        "HBP_STEAL_BATCH",
-        "top-level steals batch up to 8, join-waits take one",
-    ),
+    ("HBP_STEAL_BATCH", "every steal claims one task"),
     (
         "HBP_DOMAINS",
         "every worker steals from every other, one flat pool",
@@ -152,6 +148,7 @@ const RETIRED: [(&str, &str); 9] = [
         "HBP_FIG_N",
         "HBP_EXAMPLE_N shrinks a figure run for a smoke test",
     ),
+    ("HBP_METRICS", "metrics_report enables the registry itself"),
 ];
 
 /// The full runtime configuration (see the module docs for the env
@@ -171,8 +168,6 @@ pub struct Config {
     pub trace: bool,
     /// Per-worker trace ring capacity, events (`HBP_TRACE_BUF`).
     pub trace_buf: usize,
-    /// Metrics registry publishing on/off (`HBP_METRICS`).
-    pub metrics: bool,
 }
 
 impl Default for Config {
@@ -183,14 +178,13 @@ impl Default for Config {
             workers: NativeConfig::default().workers,
             trace: false,
             trace_buf: hbp_trace::DEFAULT_CAPACITY,
-            metrics: false,
         }
     }
 }
 
 impl Config {
     /// The defaults: sim backend, PWS, one worker per hardware thread
-    /// (min 4), no tracing, no metrics.
+    /// (min 4), no tracing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -268,10 +262,6 @@ impl Config {
             cfg.trace_buf,
             parse_trace_buf(get("HBP_TRACE_BUF").as_deref())
         );
-        set!(
-            cfg.metrics,
-            parse_switch("HBP_METRICS", get("HBP_METRICS").as_deref())
-        );
         if errors.is_empty() {
             Ok(cfg)
         } else {
@@ -291,14 +281,6 @@ impl Config {
     }
 
     // --- consumers ---------------------------------------------------------
-
-    /// Push the configuration's process-global effects: metrics registry
-    /// enablement (the registry itself never reads the environment).
-    /// Idempotent; returns `self` for chaining.
-    pub fn apply(self) -> Self {
-        hbp_metrics::global().set_enabled(self.metrics);
-        self
-    }
 
     /// The native-pool slice of this configuration, with `seed` feeding
     /// the victim-selection RNG streams.
@@ -348,7 +330,7 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         // Untouched fields keep their defaults.
         assert_eq!(cfg.trace_buf, Config::default().trace_buf);
-        assert!(!cfg.trace && !cfg.metrics);
+        assert!(!cfg.trace);
         let native = cfg.native_config(5);
         assert_eq!(native.workers, 3);
         assert_eq!(native.seed, 5);
@@ -403,7 +385,7 @@ mod tests {
             ("HBP_POLICY", "pws"),
             ("HBP_WORKERS", "zero"),
             ("HBP_TRACE_BUF", "0"),
-            ("HBP_METRICS", "1"),
+            ("HBP_TRACE", "1"),
         ];
         let err = Config::from_lookup(|v| {
             vars.iter()
@@ -422,13 +404,13 @@ mod tests {
         let ok = Config::from_lookup(|v| match v {
             "HBP_POLICY" => Some("rws:9".into()),
             "HBP_TRACE_BUF" => Some("64".into()),
-            "HBP_METRICS" => Some("1".into()),
+            "HBP_TRACE" => Some("1".into()),
             _ => None,
         })
         .unwrap();
         assert_eq!(ok.policy, Policy::Rws { seed: 9 });
         assert_eq!(ok.trace_buf, 64);
-        assert!(ok.metrics);
+        assert!(ok.trace);
     }
 
     #[test]
@@ -437,11 +419,13 @@ mod tests {
         // naming what replaced it, and they aggregate with each other
         // and the other problems.
         for values in [
-            ["mutex", "off", "4", "0", "1..8", "stub", "50", "1", "16384"],
             [
-                "cl", "policy", "tag:2", "inf", "2..2", "perf", "off", "0", "1",
+                "mutex", "off", "4", "0", "1..8", "stub", "50", "1", "16384", "1",
             ],
-            ["", "", "auto", "3", "off", "auto", "", "", ""],
+            [
+                "cl", "policy", "tag:2", "inf", "2..2", "perf", "off", "0", "1", "on",
+            ],
+            ["", "", "auto", "3", "off", "auto", "", "", "", ""],
         ] {
             let err = Config::from_lookup(|v| match v {
                 "HBP_WORKERS" => Some("zero".into()),
@@ -453,8 +437,7 @@ mod tests {
             .expect_err("a set retired knob is an error");
             for want in [
                 "HBP_DEQUE was removed: Chase-Lev is the only deque",
-                "HBP_STEAL_BATCH was removed: top-level steals batch up to 8, \
-                 join-waits take one",
+                "HBP_STEAL_BATCH was removed: every steal claims one task",
                 "HBP_DOMAINS was removed: every worker steals from every other, \
                  one flat pool",
                 "HBP_CROSS_DEPTH was removed: native steals take any task; the \
@@ -471,11 +454,12 @@ mod tests {
                  the trace dropped events",
                 "HBP_FIG_N was removed: HBP_EXAMPLE_N shrinks a figure run for a \
                  smoke test",
+                "HBP_METRICS was removed: metrics_report enables the registry itself",
             ] {
                 assert!(err.contains(want), "{want:?} missing from {err}");
             }
             assert!(err.contains("HBP_WORKERS must"), "{err}");
-            assert!(err.contains("10 problems"), "{err}");
+            assert!(err.contains("11 problems"), "{err}");
         }
         for (var, _) in RETIRED {
             let err =

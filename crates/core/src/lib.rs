@@ -53,7 +53,8 @@ pub use hbp_algos as algos;
 /// The simulated machine: caches, blocks, coherence (paper §1–§2).
 pub use hbp_machine as machine;
 /// Lock-free runtime metrics: per-worker counters, gauges and
-/// histograms with Prometheus-text / JSON exposition (`HBP_METRICS=1`).
+/// histograms with Prometheus-text / JSON exposition (off until a
+/// caller enables it, as `hbp metrics_report` does).
 pub use hbp_metrics as metrics;
 /// The HBP computation model (paper §2–§3).
 pub use hbp_model as model;
@@ -63,7 +64,7 @@ pub use hbp_sched as sched;
 /// path, utilization — see the `hbp-trace` crate docs).
 pub use hbp_trace as trace;
 
-pub use config::{parse_workers, Backend, Config};
+pub use config::{Backend, Config};
 pub use executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
 pub use hbp_machine::{MachineConfig, MemSystem};
 pub use hbp_model::{BuildConfig, Builder, Computation};
@@ -76,7 +77,7 @@ pub use session::{ExecHandle, ExecSession, JobError};
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
-    pub use crate::config::{parse_workers, Backend, Config};
+    pub use crate::config::{Backend, Config};
     pub use crate::executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
     pub use crate::registry::{find, lookup, registry, try_lookup, AlgoSpec, SizeKind};
     pub use crate::session::{ExecHandle, ExecSession, JobError};

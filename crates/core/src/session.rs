@@ -202,7 +202,6 @@ fn publish_sim_metrics(nodes: u64, r: &ExecReport) {
     s0.steals_committed.add(r.steals);
     s0.steals_failed
         .add(r.steal_attempts.saturating_sub(r.steals));
-    s0.stolen_tasks.add(r.stolen_tasks);
 }
 
 /// The waitable result of one [`ExecSession::submit`]. Consuming it is

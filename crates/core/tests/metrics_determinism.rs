@@ -80,7 +80,6 @@ fn native_registry_counts_what_the_reports_count() {
         snap.total_steals(),
         (sum(|r| r.steals), sum(|r| r.steal_attempts - r.steals))
     );
-    assert_eq!(snap.total_stolen_tasks(), sum(|r| r.stolen_tasks));
     assert_eq!(snap.jobs_submitted, JOBS);
     assert_eq!(snap.jobs_completed, JOBS);
 }

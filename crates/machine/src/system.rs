@@ -21,8 +21,6 @@ struct BlockState {
     invalidated: u64,
     /// Cores that have ever held the block (cold- vs capacity-miss split).
     ever: u64,
-    /// Total times the block was fetched into some cache.
-    transfers: u64,
 }
 
 /// The simulated memory system (paper §1–§2.2), optionally with a
@@ -38,7 +36,6 @@ pub struct MemSystem {
     l2: Vec<LruCache>,
     blocks: BlockMap<BlockState>,
     stats: Vec<CoreStats>,
-    total_transfers: u64,
 }
 
 impl MemSystem {
@@ -59,7 +56,6 @@ impl MemSystem {
             l2,
             blocks: BlockMap::default(),
             stats: vec![CoreStats::default(); cfg.p],
-            total_transfers: 0,
         }
     }
 
@@ -105,7 +101,6 @@ impl MemSystem {
             };
             st.ever |= bit;
             st.holders |= bit;
-            st.transfers += 1;
             Some(kind)
         };
         // Write-invalidate coherence: every other holder loses its copy.
@@ -128,7 +123,6 @@ impl MemSystem {
                     MissKind::Capacity => self.stats[core].capacity += 1,
                     MissKind::Coherence => self.stats[core].coherence += 1,
                 }
-                self.total_transfers += 1;
                 // L2 lookup (non-inclusive: an L2 eviction leaves L1s alone).
                 let cost = match self.cfg.l2 {
                     None => 1 + self.cfg.miss_cost,
@@ -181,19 +175,12 @@ impl MemSystem {
         (outcome, cost)
     }
 
-    /// How many times `block` has been fetched into some cache so far
-    /// (the paper's block delay over the whole execution, Def 2.2). For
-    /// the tests below.
-    #[cfg(test)]
-    fn block_transfers(&self, block: crate::BlockId) -> u64 {
-        self.blocks.get(&block).map_or(0, |s| s.transfers)
-    }
-
-    /// Snapshot of all counters.
+    /// Snapshot of all counters. Every miss fetches its block into the
+    /// missing core's cache, so `block_transfers` is the miss total.
     pub fn stats(&self) -> MachineStats {
         MachineStats {
             per_core: self.stats.clone(),
-            block_transfers: self.total_transfers,
+            block_transfers: self.stats.iter().map(CoreStats::misses).sum(),
         }
     }
 }
@@ -252,7 +239,6 @@ mod tests {
         let t = ms.stats().total();
         assert_eq!(t.coherence, 20);
         assert_eq!(t.cold, 2);
-        assert!(ms.block_transfers(0) >= 20);
     }
 
     #[test]
@@ -370,7 +356,6 @@ mod tests {
         ms.access(1, 0, false); // 2
         ms.access(1, 0, true); // hit, no transfer, invalidates core 0
         ms.access(0, 0, false); // 3 (block miss)
-        assert_eq!(ms.block_transfers(0), 3);
         assert_eq!(ms.stats().block_transfers, 3);
     }
 
@@ -486,8 +471,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// `MemSystem` against `NaiveSystem` on random multi-core
-        /// read/write streams: outcome, cost, every core's counters and
-        /// the touched block's transfer count agree after every access.
+        /// read/write streams: outcome, cost and every core's counters
+        /// agree after every access, and the block-transfer total at the
+        /// end.
         /// Four frames per core, so evictions are constant; half the
         /// accesses go to six hot blocks (sharing, invalidations), the
         /// rest to a range wider than all caches together, part of it a
@@ -517,7 +503,6 @@ mod tests {
                             "access {} of {:?}: core {} addr {} write {}", i, cfg, core, addr, write
                         );
                         prop_assert_eq!(&ms.stats, &model.stats, "access {} of {:?}", i, cfg);
-                        prop_assert_eq!(ms.block_transfers(block), model.dir[&block].2);
                     }
                     let fetched: u64 = model.dir.values().map(|d| d.2).sum();
                     prop_assert_eq!(ms.stats().block_transfers, fetched);

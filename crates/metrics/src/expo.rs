@@ -26,7 +26,6 @@ pub fn prometheus_text(s: &Snapshot) -> String {
         w.steals_committed
     });
     counter_family(&mut out, "hbp_steals_failed_total", s, |w| w.steals_failed);
-    counter_family(&mut out, "hbp_stolen_tasks_total", s, |w| w.stolen_tasks);
     counter_family(&mut out, "hbp_parks_total", s, |w| w.parks);
 
     writeln!(out, "# TYPE hbp_jobs_submitted_total counter").unwrap();
@@ -99,25 +98,18 @@ pub fn json(s: &Snapshot) -> String {
         }
         out.push_str(&format!(
             "{{\"worker\":{},\"tasks\":{},\"steals_committed\":{},\"steals_failed\":{},\
-             \"stolen_tasks\":{},\"parks\":{}}}",
-            w.worker,
-            w.tasks_executed,
-            w.steals_committed,
-            w.steals_failed,
-            w.stolen_tasks,
-            w.parks,
+             \"parks\":{}}}",
+            w.worker, w.tasks_executed, w.steals_committed, w.steals_failed, w.parks,
         ));
     }
     let (sc, sf) = s.total_steals();
     out.push_str(&format!(
-        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_failed\":{sf},\
-         \"stolen_tasks\":{}}},\
+        "],\"totals\":{{\"tasks\":{},\"steals_committed\":{sc},\"steals_failed\":{sf}}},\
          \"serve\":{{\"jobs_submitted\":{},\"jobs_completed\":{},\"admission_rejected\":{},\
          \"admission_deferred\":{},\"latency_ns\":{},\"pool_backlog\":{},\
          \"pool_backlog_peak\":{},\"workers_active\":{}}},\
          \"arena_bytes\":{}}}",
         s.total_tasks(),
-        s.total_stolen_tasks(),
         s.jobs_submitted,
         s.jobs_completed,
         s.admission_rejected,
@@ -155,7 +147,6 @@ mod tests {
             s.tasks_executed.add(10 + w as u64);
             s.steals_committed.add(3);
             s.steals_failed.add(2);
-            s.stolen_tasks.add(5);
             s.parks.add(1);
         }
         r.jobs_submitted.add(5);
@@ -173,7 +164,6 @@ mod tests {
         assert!(text.contains("hbp_tasks_executed_total{worker=\"1\"} 11"));
         assert!(text.contains("# TYPE hbp_steals_failed_total counter"));
         assert!(text.contains("hbp_steals_failed_total{worker=\"0\"} 2"));
-        assert!(text.contains("hbp_stolen_tasks_total{worker=\"1\"} 5"));
         assert!(text.contains("hbp_parks_total{worker=\"0\"} 1"));
         assert!(text.contains("hbp_job_latency_ns_count 2"));
         // Cumulative buckets: +Inf equals the count.
@@ -189,10 +179,8 @@ mod tests {
         let b = json(&s);
         assert_eq!(a, b);
         assert!(a.starts_with('{') && a.ends_with('}'));
-        assert!(a.contains(
-            "\"totals\":{\"tasks\":21,\"steals_committed\":6,\"steals_failed\":4,\"stolen_tasks\":10}"
-        ));
-        assert!(a.contains("\"steals_committed\":3,\"steals_failed\":2,\"stolen_tasks\":5"));
+        assert!(a.contains("\"totals\":{\"tasks\":21,\"steals_committed\":6,\"steals_failed\":4}"));
+        assert!(a.contains("\"steals_committed\":3,\"steals_failed\":2,\"parks\":1"));
         assert!(a.contains("\"jobs_submitted\":5"));
     }
 }

@@ -15,8 +15,8 @@
 //!   the sim session folds its finished report the same way.
 //! - **Zero overhead when disabled.** Every publish site checks
 //!   [`Registry::on`] (one relaxed load) and skips all metric work when the
-//!   registry is off. Enable with [`Registry::set_enabled`] (the
-//!   `HBP_METRICS=1` env switch is applied by `hbp_core::Config`).
+//!   registry is off. Enable with [`Registry::set_enabled`]; no
+//!   environment variable does (`hbp metrics_report` enables it itself).
 //! - **Deterministic exposition.** Snapshots carry no wall-clock state, and
 //!   both exposition formats emit fixed key order — on the sim backend two
 //!   runs under one seed render byte-identical documents.

@@ -21,13 +21,10 @@ pub const SHARDS: usize = 64;
 pub struct WorkerShard {
     /// Tasks this worker ran to completion.
     pub tasks_executed: Counter,
-    /// Steal attempts that claimed at least one task.
+    /// Steal attempts that claimed a task.
     pub steals_committed: Counter,
     /// Steal attempts that found every probed deque empty or lost a race.
     pub steals_failed: Counter,
-    /// Tasks the committed steals moved (batched stealing makes this
-    /// exceed `steals_committed`; the ratio is the mean batch).
-    pub stolen_tasks: Counter,
     /// Transitions into the parked (condvar wait) state.
     pub parks: Counter,
 }
@@ -38,7 +35,6 @@ impl WorkerShard {
             tasks_executed: Counter::new(),
             steals_committed: Counter::new(),
             steals_failed: Counter::new(),
-            stolen_tasks: Counter::new(),
             parks: Counter::new(),
         }
     }
@@ -47,7 +43,6 @@ impl WorkerShard {
         self.tasks_executed.reset();
         self.steals_committed.reset();
         self.steals_failed.reset();
-        self.stolen_tasks.reset();
         self.parks.reset();
     }
 }
@@ -171,7 +166,6 @@ impl Registry {
                     tasks_executed: s.tasks_executed.get(),
                     steals_committed: s.steals_committed.get(),
                     steals_failed: s.steals_failed.get(),
-                    stolen_tasks: s.stolen_tasks.get(),
                     parks: s.parks.get(),
                 }
             })
@@ -199,7 +193,6 @@ pub struct WorkerSnap {
     pub tasks_executed: u64,
     pub steals_committed: u64,
     pub steals_failed: u64,
-    pub stolen_tasks: u64,
     pub parks: u64,
 }
 
@@ -232,19 +225,14 @@ impl Snapshot {
             (c + w.steals_committed, f + w.steals_failed)
         })
     }
-
-    /// Tasks moved by committed steals, across workers.
-    pub fn total_stolen_tasks(&self) -> u64 {
-        self.workers.iter().map(|w| w.stolen_tasks).sum()
-    }
 }
 
 static GLOBAL: Registry = Registry::new();
 
-/// The process-wide registry. Publishing starts disabled; enablement is a
-/// configuration decision — `hbp_core::Config::apply` turns it on when
-/// `HBP_METRICS` asks for it (env parsing lives there, nowhere else), and
-/// tests/embedding code call [`Registry::set_enabled`] directly.
+/// The process-wide registry. Publishing starts disabled; whoever reads
+/// it turns it on with [`Registry::set_enabled`] (`hbp metrics_report`
+/// does so itself, as do tests and the benchmark). No environment
+/// variable switches it.
 pub fn global() -> &'static Registry {
     &GLOBAL
 }
@@ -259,12 +247,12 @@ mod tests {
         assert!(!r.on());
         r.set_enabled(true);
         r.shard(2).tasks_executed.inc();
-        r.shard(0).stolen_tasks.add(3);
+        r.shard(0).steals_committed.add(3);
         assert_eq!(r.workers(), 3);
         let s = r.snapshot();
         assert_eq!(s.workers.len(), 3);
         assert_eq!(s.total_tasks(), 1);
-        assert_eq!(s.total_stolen_tasks(), 3);
+        assert_eq!(s.total_steals(), (3, 0));
         r.reset();
         assert_eq!(r.workers(), 0);
         assert_eq!(r.snapshot().total_tasks(), 0);

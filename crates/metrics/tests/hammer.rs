@@ -30,7 +30,7 @@ fn eight_workers_lose_no_increments() {
                     shard.tasks_executed.inc();
                     if i % 3 == 0 {
                         shard.steals_committed.inc();
-                        shard.stolen_tasks.add(1 + (i % 7));
+                        shard.parks.add(1 + (i % 7));
                     } else {
                         shard.steals_failed.inc();
                     }
@@ -49,10 +49,10 @@ fn eight_workers_lose_no_increments() {
     let (committed, failed) = snap.total_steals();
     assert_eq!(committed, WORKERS as u64 * committed_per_worker);
     assert_eq!(failed, WORKERS as u64 * (PER_WORKER - committed_per_worker));
-    let stolen_per_worker: u64 = (0..PER_WORKER).step_by(3).map(|i| 1 + i % 7).sum();
+    let parks_per_worker: u64 = (0..PER_WORKER).step_by(3).map(|i| 1 + i % 7).sum();
     assert_eq!(
-        snap.total_stolen_tasks(),
-        WORKERS as u64 * stolen_per_worker
+        snap.workers.iter().map(|w| w.parks).sum::<u64>(),
+        WORKERS as u64 * parks_per_worker
     );
     assert_eq!(snap.jobs_submitted, WORKERS as u64 * PER_WORKER);
     assert_eq!(snap.job_latency_ns.count, WORKERS as u64 * PER_WORKER);

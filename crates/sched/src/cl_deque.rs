@@ -28,8 +28,9 @@
 //!   reads the top element, asks the filter, and only then CASes `top`.
 //!   A denied element stays in place for its owner to pop — a §5.3-style
 //!   size floor applied thief-side, before the claiming CAS. The native
-//!   runtime admits every task; the filter stays for callers that
-//!   measure it.
+//!   runtime calls only [`ClDeque::steal`] (admit everything, one task);
+//!   the filter and [`ClDeque::steal_batch_with`] stay for callers that
+//!   measure them.
 //!
 //! ## Safety notes
 //!
@@ -494,10 +495,10 @@ mod tests {
 
     #[test]
     fn a_batch_of_one_is_steal_with_step_for_step() {
-        // The runtime's join-waits claim through `steal_batch_with(1, ..)`
-        // and rely on it being a single `steal_with`: the same script on
-        // two deques must agree on the outcome variant and the element
-        // at every step. Small on purpose: CI runs this module under Miri.
+        // `steal_batch_with(1, ..)` is a single `steal_with`: the same
+        // script on two deques must agree on the outcome variant and the
+        // element at every step. Small on purpose: CI runs this module
+        // under Miri.
         let single = ClDeque::with_capacity(2);
         let batch = ClDeque::with_capacity(2);
         let mut out: Vec<u64> = Vec::new();

@@ -6,7 +6,9 @@
 //! [`crate::policy`] for the [`StealPolicy`]
 //! implementations the [`Policy`] enum selects between. The signatures
 //! here are stable: call sites in the `hbp` binary, the examples, and the
-//! tests use `run(comp, cfg, policy)` unchanged across the refactor.
+//! tests use `run(comp, cfg, policy)` unchanged across the refactor. A
+//! discipline outside the [`Policy`] set drives a [`crate::sim::Engine`]
+//! itself (`Engine::new`, `drive`, `report`).
 
 use hbp_machine::MachineConfig;
 use hbp_model::Computation;
@@ -102,18 +104,8 @@ impl std::fmt::Display for Policy {
 
 /// Execute `comp` on the machine `cfg` under `policy` and report.
 pub fn run(comp: &Computation, cfg: MachineConfig, policy: Policy) -> ExecReport {
-    run_with_policy(comp, cfg, policy.steal_policy().as_mut())
-}
-
-/// Execute `comp` under a caller-supplied [`StealPolicy`] — the extension
-/// point for scheduling disciplines beyond the built-in [`Policy`] set.
-pub fn run_with_policy(
-    comp: &Computation,
-    cfg: MachineConfig,
-    policy: &mut dyn StealPolicy,
-) -> ExecReport {
     let mut eng = Engine::new(comp, cfg);
-    eng.drive(policy);
+    eng.drive(policy.steal_policy().as_mut());
     eng.report()
 }
 
@@ -129,19 +121,9 @@ pub fn run_traced(
     policy: Policy,
     sink: &TraceSink,
 ) -> ExecReport {
-    run_with_policy_traced(comp, cfg, policy.steal_policy().as_mut(), sink)
-}
-
-/// [`run_with_policy`] with structured-event recording (see [`run_traced`]).
-pub fn run_with_policy_traced(
-    comp: &Computation,
-    cfg: MachineConfig,
-    policy: &mut dyn StealPolicy,
-    sink: &TraceSink,
-) -> ExecReport {
     let mut eng = Engine::new(comp, cfg);
     eng.attach_trace(sink);
-    eng.drive(policy);
+    eng.drive(policy.steal_policy().as_mut());
     eng.report()
 }
 

@@ -12,7 +12,7 @@
 //! The simulator is a layered subsystem:
 //!
 //! * [`engine`] — the stable entry points: [`Policy`], [`run`],
-//!   [`run_sequential`], and [`run_with_policy`] for custom disciplines;
+//!   [`run_traced`] and [`run_sequential`];
 //! * [`sim`] — the policy-independent event-loop core ([`sim::Engine`]):
 //!   per-core virtual clocks, fork/join and usurpation bookkeeping,
 //!   word-granularity miss accounting;
@@ -49,11 +49,11 @@
 //!   denies the fds, a traced task records no `MissDelta` at all.
 //!
 //! Both backends can additionally record **structured event traces**
-//! (`hbp-trace`): [`run_traced`] / [`run_with_policy_traced`] hook the
-//! sim event loop (task begin/end, forks, join resumes, steals,
-//! stack-region attaches, per-segment cache-miss deltas in virtual
-//! time), and [`native::NativePool::run_traced`] records the same vocabulary
-//! from the pool workers in wall-clock nanoseconds. Tracing is
+//! (`hbp-trace`): [`run_traced`] hooks the sim event loop (task
+//! begin/end, forks, join resumes, steals, stack-region attaches,
+//! per-segment cache-miss deltas in virtual time), and
+//! [`native::NativePool::run_traced`] records the same vocabulary from
+//! the pool workers in wall-clock nanoseconds. Tracing is
 //! observational: reports are bit-identical with and without a sink
 //! attached.
 //!
@@ -76,8 +76,6 @@ pub mod sim;
 pub mod stacks;
 
 pub use cl_deque::{ClDeque, Steal, Word};
-pub use engine::{
-    run, run_sequential, run_traced, run_with_policy, run_with_policy_traced, Policy,
-};
+pub use engine::{run, run_sequential, run_traced, Policy};
 pub use policy::StealPolicy;
 pub use report::{ExcessReport, ExecReport, SeqReport};

@@ -24,7 +24,10 @@
 //!   own xorshift stream, until the job's root completes — randomized
 //!   work stealing, the one native discipline (PWS's global priority
 //!   rounds and the §5.3 BSP mapping are simulator schedules). Every
-//!   steal, from either place, goes through one claiming call;
+//!   steal, from either place, claims exactly one task with
+//!   [`ClDeque::steal`](crate::cl_deque::ClDeque::steal), as the paper's
+//!   schedulers do, so a worker's deque only ever holds the right
+//!   branches of its own open joins;
 //! * **pool** ([`pool`]): a [`NativePool`] spawns its fixed set of
 //!   [`NativeConfig::workers`] threads **once** and serves successive
 //!   jobs through a submission queue — every worker steals from every

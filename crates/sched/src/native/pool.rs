@@ -505,9 +505,10 @@ fn delta_report(delta: &[Tally], makespan: u64, workers_active: usize) -> ExecRe
         r.idle.push(makespan.saturating_sub(d.busy_ns + d.steal_ns));
         r.work += d.tasks;
         r.steals += d.steals;
-        r.stolen_tasks += d.stolen_tasks;
         r.steal_attempts += d.steals + d.failed_probes;
     }
+    // Every steal claims one task.
+    r.stolen_tasks = r.steals;
     r
 }
 
@@ -669,7 +670,6 @@ fn drive_one(pool: &Pool, sub: Submission, ledger: &mut Ledger) {
             sh.tasks_executed.add(d.tasks);
             sh.steals_committed.add(d.steals);
             sh.steals_failed.add(d.failed_probes);
-            sh.stolen_tasks.add(d.stolen_tasks);
             sh.parks.add(d.parks);
         }
         m.jobs_completed.inc();

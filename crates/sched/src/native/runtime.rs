@@ -3,13 +3,21 @@
 //!
 //! There is one steal discipline: an idle worker probes every other
 //! worker once per scan, starting at a uniformly random victim drawn
-//! from its private xorshift stream ([`plan_probes`]), and claims the
-//! first task it finds. That is the randomized work stealing whose
+//! from its private xorshift stream ([`probe_order`]), and claims the
+//! first task it finds — one task per steal, from the idle loop and from
+//! a join-wait alike. That is the randomized work stealing whose
 //! false-sharing costs arXiv:1103.4142 bounds; the paper's PWS needs
 //! global priority rounds and stays a simulator schedule. Failed scans
 //! back off by [`default_backoff`].
+//!
+//! Single steals keep every worker's deque in one shape: it holds
+//! exactly the right branches of the worker's open joins, oldest at the
+//! top. A thief takes the oldest, so once a join's branch is stolen
+//! every older one is gone too and the newer ones were settled by their
+//! own joins: the join's `pop` finds the deque empty. Debug builds
+//! assert this at every join and every top-level steal.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -43,9 +51,6 @@ pub(crate) struct WorkerTally {
     pub(crate) busy_ns: AtomicU64,
     pub(crate) steal_ns: AtomicU64,
     pub(crate) steals: AtomicU64,
-    /// Tasks moved by committed steals (≥ `steals`; equal when every
-    /// steal was unbatched).
-    pub(crate) stolen_tasks: AtomicU64,
     pub(crate) failed_probes: AtomicU64,
     pub(crate) tasks: AtomicU64,
     /// Times this thief went to sleep on [`Pool::work_cv`].
@@ -66,7 +71,6 @@ pub(crate) struct Tally {
     pub(crate) busy_ns: u64,
     pub(crate) steal_ns: u64,
     pub(crate) steals: u64,
-    pub(crate) stolen_tasks: u64,
     pub(crate) failed_probes: u64,
     pub(crate) tasks: u64,
     pub(crate) parks: u64,
@@ -79,7 +83,6 @@ impl WorkerTally {
             busy_ns: get(&self.busy_ns),
             steal_ns: get(&self.steal_ns),
             steals: get(&self.steals),
-            stolen_tasks: get(&self.stolen_tasks),
             failed_probes: get(&self.failed_probes),
             tasks: get(&self.tasks),
             parks: get(&self.parks),
@@ -94,7 +97,6 @@ impl Tally {
             busy_ns: self.busy_ns - before.busy_ns,
             steal_ns: self.steal_ns - before.steal_ns,
             steals: self.steals - before.steals,
-            stolen_tasks: self.stolen_tasks - before.stolen_tasks,
             failed_probes: self.failed_probes - before.failed_probes,
             tasks: self.tasks - before.tasks,
             parks: self.parks - before.parks,
@@ -279,10 +281,6 @@ thread_local! {
     pub(crate) static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Trace task id the worker is currently executing.
     pub(crate) static CUR_TASK: Cell<u32> = const { Cell::new(0) };
-    /// Scratch probe plan, reused across scans (no per-scan allocation).
-    static PROBES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    /// Scratch batch-steal buffer, reused across steals.
-    static BATCH: RefCell<Vec<JobRef>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Attribute a caught kernel panic to the worker running on this thread
@@ -294,12 +292,6 @@ pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
         unsafe { (*ctx.pool).note_panic(ctx.index, payload) };
     }
 }
-
-/// Most tasks one top-level steal claims from its victim (the claiming
-/// sequence further takes at most half the victim's observed queue):
-/// big enough to absorb a burst of sibling bucket tasks, small enough
-/// that ceil-half, not the cap, binds on any deque shorter than 16.
-const STEAL_BATCH_CAP: usize = 8;
 
 /// Failed probe scans before an idle worker starts sleeping instead of
 /// yielding: long enough that steal latency stays in the microseconds
@@ -328,48 +320,44 @@ fn xorshift(rng: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// Plan one probe scan for `thief` among `p ≥ 2` workers into `out`: a
+/// One probe scan's victims for `thief` among `p ≥ 2` workers: a
 /// uniformly random start drawn from the thief's xorshift state `rng`,
 /// then every other worker once, in rotation.
-fn plan_probes(thief: usize, p: usize, rng: &mut u64, out: &mut Vec<usize>) {
-    out.clear();
+fn probe_order(thief: usize, p: usize, rng: &mut u64) -> impl Iterator<Item = usize> {
     let start = (xorshift(rng) % (p as u64 - 1)) as usize;
-    for k in 0..p - 1 {
-        let mut v = (start + k) % (p - 1);
+    (0..p - 1).map(move |k| {
+        let v = (start + k) % (p - 1);
         if v >= thief {
-            v += 1;
+            v + 1
+        } else {
+            v
         }
-        out.push(v);
-    }
+    })
 }
 
-/// Probe the other workers' deque tops in a [`plan_probes`] rotation,
-/// claiming up to `max` tasks from the first victim that yields any;
-/// the claimed tasks are appended to `out` in deque order. `None` after
-/// one full unsuccessful scan, else the victim index (`out` then holds
-/// ≥ 1 task).
-fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) -> Option<usize> {
+/// Probe the other workers' deque tops in a [`probe_order`] rotation and
+/// claim one task from the first victim that has any: `(victim, task)`,
+/// or `None` after one full unsuccessful scan.
+fn steal_from_others(pool: &Pool, me: usize) -> Option<(usize, JobRef)> {
     if pool.deques.len() <= 1 {
         return None;
     }
-    PROBES.with_borrow_mut(|order| {
-        let mut rng = RNG.get();
-        plan_probes(me, pool.deques.len(), &mut rng, order);
-        RNG.set(rng);
-        for &v in order.iter() {
-            loop {
-                match pool.deques[v].steal_batch_with(max, |_| true, out) {
-                    Steal::Data(_) => return Some(v),
-                    // Lost a CAS race on a non-empty deque: retry the
-                    // same victim (someone made progress, so this
-                    // terminates when the deque drains).
-                    Steal::Retry => continue,
-                    Steal::Empty | Steal::Denied => break,
-                }
+    let mut rng = RNG.get();
+    let order = probe_order(me, pool.deques.len(), &mut rng);
+    RNG.set(rng);
+    for v in order {
+        loop {
+            match pool.deques[v].steal() {
+                Steal::Data(j) => return Some((v, j)),
+                // Lost a CAS race on a non-empty deque: retry the same
+                // victim (someone made progress, so this terminates
+                // when the deque drains).
+                Steal::Retry => continue,
+                Steal::Empty | Steal::Denied => break,
             }
         }
-        None
-    })
+    }
+    None
 }
 
 /// Execute a task, timing it into `busy_ns` when it is top-level and
@@ -499,19 +487,16 @@ where
     }
 
     match pool.deques[me].pop() {
-        Some(j) if j == job_ref => {
-            // Not stolen: run the right branch inline.
+        Some(j) => {
+            // Not stolen: run the right branch inline. Our branch is the
+            // newest entry left on the deque (see the module docs).
+            debug_assert!(j == job_ref, "a join popped another join's branch");
             execute_task(pool, me, j);
         }
-        other => {
-            // Our job is gone (stolen). Anything we popped instead belongs
-            // to an enclosing join on this worker — put it back.
-            if let Some(j) = other {
-                pool.push_bottom(me, j);
-            }
-            // Steal other work while the thief finishes our branch.
-            // Probe time inside a task is attributed to that task (see
-            // the module docs), so no steal_ns accounting here.
+        None => {
+            // Stolen: steal other work while the thief finishes our
+            // branch. Probe time inside a task is attributed to that
+            // task (see the module docs), so no steal_ns accounting here.
             let mut fails = 0u32;
             while !job.done.load(Ordering::Acquire) {
                 steal_once(pool, me, &mut fails, false);
@@ -533,64 +518,34 @@ where
 
 /// One steal attempt for an idle context: probe the other deques in a
 /// random rotation, record counters and trace events, and execute the
-/// stolen task(s) on success. Returns whether a task ran.
+/// stolen task on success.
 ///
 /// `top_level` says the caller is a thief's idle loop rather than a
-/// join-wait. There the probe scan is charged to `steal_ns` (inside a
-/// join-wait it is attributed to the waiting task) and the steal may
-/// claim up to [`STEAL_BATCH_CAP`] tasks: the first executes
-/// immediately, the rest are re-published on `me`'s own deque —
-/// re-stealable by anyone, and drained by the top-level loop's
-/// own-deque pop. A join-wait claims exactly one (`max = 1`): a batch
-/// extra buried on the deque *below* the enclosing join's branch would
-/// let that join's pop-back miss its branch and spin on work only other
-/// workers can finish — fatal on a pool with a single active worker.
-/// The top-level loop has no enclosing join, so the extras are always
-/// its own to drain.
-fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool {
-    let max = if top_level { STEAL_BATCH_CAP } else { 1 };
+/// join-wait: only there is the probe scan charged to `steal_ns`
+/// (inside a join-wait it is attributed to the waiting task).
+fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) {
     let tally = &pool.tally[me];
-    // The BATCH borrow must not outlive the claiming sequence: the task
-    // executed below can re-enter steal_once from a nested join-wait on
-    // this very thread, which borrows BATCH again.
-    let first = BATCH.with_borrow_mut(|buf| {
-        debug_assert!(buf.is_empty(), "batch scratch drained between steals");
-        let t0 = top_level.then(Instant::now);
-        let found = steal_from_others(pool, me, max, buf);
-        if let Some(t0) = t0 {
-            bump(&tally.steal_ns, t0.elapsed().as_nanos() as u64);
-        }
-        let victim = found?;
-        let count = buf.len();
-        bump(&tally.steals, 1);
-        bump(&tally.stolen_tasks, count as u64);
-        let first = buf[0];
-        if let Some(tr) = pool.trace() {
-            tr.push(
-                me,
-                pool.now_ns(),
-                TrEv::StealCommit {
-                    task: first.id(),
-                    victim: victim as u32,
-                    count: count as u32,
-                },
-            );
-        }
-        // Re-publish the extras bottom-up in deque order: the deepest
-        // lands nearest the bottom, so our own pops run depth-first
-        // while thieves see the shallowest on top — the same discipline
-        // a local fork sequence produces.
-        for j in buf.drain(1..) {
-            pool.push_bottom(me, j);
-        }
-        buf.clear();
-        Some(first)
-    });
-    match first {
-        Some(first) => {
+    let t0 = top_level.then(Instant::now);
+    let found = steal_from_others(pool, me);
+    if let Some(t0) = t0 {
+        bump(&tally.steal_ns, t0.elapsed().as_nanos() as u64);
+    }
+    match found {
+        Some((victim, j)) => {
             *fails = 0;
-            execute_task(pool, me, first);
-            true
+            bump(&tally.steals, 1);
+            if let Some(tr) = pool.trace() {
+                tr.push(
+                    me,
+                    pool.now_ns(),
+                    TrEv::StealCommit {
+                        task: j.id(),
+                        victim: victim as u32,
+                        count: 1,
+                    },
+                );
+            }
+            execute_task(pool, me, j);
         }
         None => {
             bump(&tally.failed_probes, 1);
@@ -599,7 +554,6 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) -> bool 
             }
             default_backoff(*fails);
             *fails = fails.saturating_add(1);
-            false
         }
     }
 }
@@ -646,15 +600,11 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
         }
         let mut fails = 0u32;
         while !pool.done.load(Ordering::Acquire) {
-            // Drain our own deque first: a prior batched steal may have
-            // re-published extras here. At the top level everything on
-            // our deque is ours to run (no enclosing join to starve).
-            while let Some(j) = pool.deques[me].pop() {
-                execute_task(pool, me, j);
-            }
-            if pool.done.load(Ordering::Acquire) {
-                break;
-            }
+            // No join is open at the top level, so our deque is empty.
+            debug_assert!(
+                pool.deques[me].pop().is_none(),
+                "a thief's deque held a task outside any join"
+            );
             steal_once(pool, me, &mut fails, true);
         }
         let quiesced = {
@@ -673,33 +623,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_plans_cover_everyone_but_the_thief_exactly_once() {
+    fn probe_orders_cover_everyone_but_the_thief_exactly_once() {
         for p in [2usize, 3, 5, 8] {
             for thief in 0..p {
                 let mut rng = 0x005D_EECE_66D1_u64;
-                let mut out = Vec::new();
-                plan_probes(thief, p, &mut rng, &mut out);
-                let mut seen = out.clone();
+                let order: Vec<usize> = probe_order(thief, p, &mut rng).collect();
+                let mut seen = order.clone();
                 seen.sort_unstable();
                 let want: Vec<usize> = (0..p).filter(|&v| v != thief).collect();
-                assert_eq!(seen, want, "p={p} thief={thief}: {out:?}");
+                assert_eq!(seen, want, "p={p} thief={thief}: {order:?}");
             }
         }
     }
 
     #[test]
-    fn rws_plans_vary_with_the_rng_and_are_reproducible() {
+    fn rws_orders_vary_with_the_rng_and_are_reproducible() {
         let (mut r1, mut r2) = (7u64, 7u64);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        plan_probes(0, 8, &mut r1, &mut a);
-        plan_probes(0, 8, &mut r2, &mut b);
-        assert_eq!(a, b, "equal rng state ⇒ equal plan");
-        let mut later = Vec::new();
-        let mut varied = false;
-        for _ in 0..16 {
-            plan_probes(0, 8, &mut r1, &mut later);
-            varied |= later != a;
-        }
+        let a: Vec<usize> = probe_order(0, 8, &mut r1).collect();
+        let b: Vec<usize> = probe_order(0, 8, &mut r2).collect();
+        assert_eq!(a, b, "equal rng state ⇒ equal order");
+        let varied = (0..16).any(|_| probe_order(0, 8, &mut r1).ne(a.iter().copied()));
         assert!(varied, "random rotation eventually picks another start");
     }
 

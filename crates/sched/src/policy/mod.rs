@@ -11,11 +11,10 @@
 //! * [`Bsp`] — the bulk-synchronous mapping (§5.3): PWS restricted to
 //!   tasks from the top `prefix_levels` recursion levels.
 //!
-//! Custom policies can be plugged in through
-//! [`run_with_policy`](crate::engine::run_with_policy): implement
-//! [`StealPolicy`] against the engine's query/effect API (`head_pri`,
-//! `pending_pri`, `commit_steal`, …) and the simulator, reports, and
-//! invariant accounting all come for free.
+//! A custom policy implements [`StealPolicy`] against the engine's
+//! query/effect API (`head_pri`, `pending_pri`, `commit_steal`, …) and
+//! hands itself to [`Engine::drive`](crate::sim::Engine::drive): the
+//! simulator, reports, and invariant accounting all come for free.
 //!
 //! These are simulator schedules: `HBP_POLICY` selects among them on the
 //! sim backend only. The real-threads runtime ([`crate::native`]) has

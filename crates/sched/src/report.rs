@@ -19,12 +19,11 @@ pub struct ExecReport {
     pub stack_block_misses: u64,
     /// Plain (cold + capacity) misses on execution-stack addresses.
     pub stack_plain_misses: u64,
-    /// Successful steals (claiming sequences: a batched steal on the
-    /// native backend counts once however many tasks it moved).
+    /// Successful steals.
     pub steals: u64,
-    /// Tasks moved by successful steals. Equals `steals` on the sim
-    /// backend; exceeds it on native whenever a top-level steal's one
-    /// commit claimed several tasks.
+    /// Tasks moved by successful steals: equal to `steals` on both
+    /// backends, since every steal claims one task. Kept because the
+    /// pinned report digests render it.
     pub stolen_tasks: u64,
     /// Successful steals + deduplicated failed round attempts (Cor 4.1
     /// bounds this by `2·p·D'`).

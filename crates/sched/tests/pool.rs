@@ -1,8 +1,8 @@
 //! Behavioural tests of the persistent [`NativePool`]: spawn-once /
 //! serve-forever lifetime, shutdown idempotence, exactly-once report
-//! delivery under concurrent clients, per-job trace isolation, and the
-//! park protocol (a leaf-only job wakes no thief, the first fork does,
-//! and no wake-up is lost under a storm).
+//! delivery under concurrent clients, per-job trace isolation, one task
+//! per steal, and the park protocol (a leaf-only job wakes no thief, the
+//! first fork does, and no wake-up is lost under a storm).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -188,6 +188,38 @@ fn per_job_traces_are_isolated_and_timestamps_restart() {
             "round {round}: job-relative timestamps (first = {first_ts}ns)"
         );
     }
+}
+
+#[test]
+fn every_steal_claims_exactly_one_task() {
+    // The paper's schedulers move one task per steal, and so does the
+    // pool, from a thief's idle loop and from a join-wait alike: every
+    // `StealCommit` names one task, and a report's stolen-task count is
+    // its steal count. A thief that claimed several tasks at once would
+    // fail here as soon as it found three or more on a victim's deque,
+    // which a depth-10 join tree offers from its first steal on.
+    let pool = NativePool::new(cfg(4, 31));
+    let xs: Vec<u64> = (0..1 << 14).collect();
+    let want: u64 = xs.iter().sum();
+    let mut commits = 0;
+    for round in 0..4 {
+        let sink = Arc::new(TraceSink::new(4, ClockDomain::WallNs));
+        let xs = xs.clone();
+        let (got, r) = pool
+            .submit_traced(Some(Arc::clone(&sink)), move || spin_sum(&xs, 16))
+            .unwrap()
+            .wait();
+        assert_eq!(got, want, "round {round}");
+        let trace = sink.collect();
+        for ev in &trace.events {
+            if let EventKind::StealCommit { count, .. } = ev.kind {
+                assert_eq!(count, 1, "round {round}: one steal claimed {count} tasks");
+                commits += 1;
+            }
+        }
+        assert_eq!(r.stolen_tasks, r.steals, "round {round}");
+    }
+    assert!(commits > 0, "four forking jobs on four workers never stole");
 }
 
 #[test]

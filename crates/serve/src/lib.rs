@@ -62,7 +62,7 @@ pub mod virt;
 
 pub use gen::{build_schedule, per_client, Request};
 pub use report::{ClientStats, CpTotals, LatencyStats, RequestRecord, ScenarioReport};
-pub use spec::{default_mix, parse_mix, LoadMode, MixEntry, ScenarioSpec};
+pub use spec::{default_mix, LoadMode, MixEntry, ScenarioSpec};
 
 use hbp_core::Backend;
 

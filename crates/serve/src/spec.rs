@@ -174,7 +174,7 @@ pub fn default_mix(backend: Backend) -> Vec<MixEntry> {
 /// `ALGO:WEIGHT:SIZE|SIZE,...` — e.g.
 /// `Sort (SPMS):2:512|2048,LR:1:1024`. Every malformed field is an
 /// error naming the variable and the offending entry.
-pub fn parse_mix(value: &str) -> Result<Vec<MixEntry>, String> {
+fn parse_mix(value: &str) -> Result<Vec<MixEntry>, String> {
     let mut mix = Vec::new();
     for entry in value.split(',') {
         let mut parts = entry.splitn(3, ':');

@@ -98,14 +98,8 @@ pub struct TraceSummary {
     pub ends: u64,
     /// Closed execution segments.
     pub segments: u64,
-    /// Committed steals (claiming sequences, not tasks: a batched steal
-    /// counts once here).
+    /// Committed steals (`StealCommit` events; each moved one task).
     pub steals: u64,
-    /// Tasks moved by committed steals (sum of `StealCommit::count`;
-    /// equals `steals` when no steal was batched). One batched commit of
-    /// k tasks and k unbatched commits tally the same here, which is why
-    /// structural equality never compares raw `steals`.
-    pub stolen_tasks: u64,
     /// Failed steal attempts (probes / newly-failed rounds).
     pub steal_fails: u64,
     /// Summed miss deltas: (heap block, stack block, stack plain). Sim
@@ -156,7 +150,6 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
         ends: 0,
         segments: segments.segs.len() as u64,
         steals: 0,
-        stolen_tasks: 0,
         steal_fails: 0,
         misses: (0, 0, 0),
         dropped: trace.dropped,
@@ -177,9 +170,8 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
                 s.forks += 1;
                 fork_t.insert(right, ev.t);
             }
-            EventKind::StealCommit { task, count, .. } => {
+            EventKind::StealCommit { task, .. } => {
                 s.steals += 1;
-                s.stolen_tasks += u64::from(count);
                 if let Some(&ft) = fork_t.get(&task) {
                     s.steal_latency.record(ev.t.saturating_sub(ft));
                 }

@@ -87,9 +87,9 @@ fn emit_process(out: &mut String, first: &mut bool, pid: usize, name: &str, trac
     for ev in &trace.events {
         let w = ev.worker;
         match ev.kind {
-            EventKind::StealCommit { task, victim, count } => {
+            EventKind::StealCommit { task, victim, .. } => {
                 push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{w},\"ts\":{},\"s\":\"t\",\"name\":\"steal task {task} (x{count}) <- w{victim}\",\"cat\":\"steal\"}}",
+                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{w},\"ts\":{},\"s\":\"t\",\"name\":\"steal task {task} <- w{victim}\",\"cat\":\"steal\"}}",
                     ts(ev.t)
                 ))
             }

@@ -126,7 +126,6 @@ impl std::fmt::Display for TraceDiff {
         row(f, "begins", self.a.begins, self.b.begins)?;
         row(f, "ends", self.a.ends, self.b.ends)?;
         row(f, "steals", self.a.steals, self.b.steals)?;
-        row(f, "stolen tasks", self.a.stolen_tasks, self.b.stolen_tasks)?;
         row(f, "steal fails", self.a.steal_fails, self.b.steal_fails)?;
         row(f, "makespan", self.a.makespan, self.b.makespan)?;
         row(f, "dropped", self.a.dropped, self.b.dropped)?;
@@ -275,82 +274,6 @@ pub(crate) mod tests {
         assert_eq!(div.a.map(|(t, _)| t), div.b.map(|(t, _)| t));
         assert_ne!(div.a.map(|(_, w)| w), div.b.map(|(_, w)| w));
         assert!(d.to_string().contains("diverge at hop"), "{d}");
-    }
-
-    /// A native-style trace where worker 0 forks tasks 1..=3 and worker
-    /// 1 takes all three — either in one batched claiming sequence
-    /// (`batched = true`: a single `StealCommit` with `count: 3`) or as
-    /// three separate commits. Task structure is identical either way.
-    fn batch_trace(batched: bool) -> Trace {
-        let mut events = vec![ev(1, 0, 0, EventKind::TaskBegin { task: 0 })];
-        let mut seq = 2;
-        for t in 1..=3u32 {
-            events.push(ev(
-                seq,
-                seq,
-                0,
-                EventKind::Fork {
-                    parent: 0,
-                    left: 0,
-                    right: t,
-                },
-            ));
-            seq += 1;
-        }
-        if batched {
-            events.push(ev(
-                seq,
-                seq,
-                1,
-                EventKind::StealCommit {
-                    task: 1,
-                    victim: 0,
-                    count: 3,
-                },
-            ));
-            seq += 1;
-        } else {
-            for t in 1..=3u32 {
-                events.push(ev(
-                    seq,
-                    seq,
-                    1,
-                    EventKind::StealCommit {
-                        task: t,
-                        victim: 0,
-                        count: 1,
-                    },
-                ));
-                seq += 1;
-            }
-        }
-        for t in 1..=3u32 {
-            events.push(ev(seq, seq, 1, EventKind::TaskBegin { task: t }));
-            events.push(ev(seq + 1, seq + 1, 1, EventKind::TaskEnd { task: t }));
-            seq += 2;
-        }
-        events.push(ev(seq, seq, 0, EventKind::TaskEnd { task: 0 }));
-        Trace {
-            clock: ClockDomain::WallNs,
-            workers: 2,
-            events,
-            dropped: 0,
-        }
-    }
-
-    #[test]
-    fn batched_steals_do_not_break_structural_equality() {
-        // Regression: one StealCommit covering k tasks must compare
-        // structurally equal to k single-task commits — batching is a
-        // scheduling choice, not a change to the computation.
-        let d = diff(&batch_trace(true), &batch_trace(false));
-        assert!(d.structurally_equal(), "batched steal flagged: {d}");
-        assert_eq!(d.a.stolen_tasks, 3);
-        assert_eq!(d.b.stolen_tasks, 3);
-        assert_eq!(d.a.steals, 1, "one claiming sequence on the batched side");
-        assert_eq!(d.b.steals, 3);
-        let text = d.to_string();
-        assert!(text.contains("stolen tasks"), "{text}");
     }
 
     #[test]

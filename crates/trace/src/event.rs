@@ -84,16 +84,15 @@ pub enum EventKind {
     /// The emitting worker (the thief) took `task` from `victim`'s
     /// deque. On the sim backend the matching [`EventKind::TaskBegin`]
     /// follows `steal_cost` units later; on the native backend it
-    /// follows immediately. A batched steal (native, Chase-Lev
-    /// `steal_batch_with`) claims `count` tasks in one claiming
-    /// sequence and emits a single commit with `task` = the first task
-    /// taken; unbatched steals and the sim always emit `count == 1`.
+    /// follows immediately.
     StealCommit {
-        /// The first stolen task of the claimed run.
+        /// The stolen task.
         task: u32,
         /// The worker it was stolen from.
         victim: u32,
-        /// How many tasks this commit claimed (>= 1).
+        /// How many tasks this commit claimed: 1 on both backends, since
+        /// every steal claims one task. Kept because the pinned trace
+        /// digests hash it.
         count: u32,
     },
     /// An unsuccessful steal attempt by the emitting worker: a failed

@@ -2,8 +2,8 @@
 //! the registry saw: Prometheus text, the JSON snapshot, and the
 //! per-tenant rollup from the scenario report.
 //!
-//! The command enables the registry itself (`HBP_METRICS` is not required)
-//! and resets it first, so the exposition covers exactly this scenario.
+//! The command enables the registry itself (no environment variable
+//! does) and resets it first, so the exposition covers exactly this scenario.
 //! Configuration is the same environment surface as `serve_scenario`:
 //! `HBP_SERVE_*` for the load, `HBP_BACKEND` / `HBP_POLICY` /
 //! `HBP_WORKERS` for the execution. The admission queue's depth over

@@ -34,9 +34,7 @@ pub const ARGS: &str = "[<algo-prefix> [n]]   (backend, policy, workers: HBP_* v
 pub fn main(args: &[String]) {
     let (spec, n) = parse_algo_n(args).unwrap_or_else(|e| usage("trace_report", &e));
 
-    let cfg = Config::try_from_env()
-        .unwrap_or_else(|e| usage("trace_report", &e))
-        .apply();
+    let cfg = Config::try_from_env().unwrap_or_else(|e| usage("trace_report", &e));
     let session = cfg.open(MachineConfig::default_machine());
     let backend = session.backend();
     let unit = match session.clock_domain() {
@@ -91,8 +89,8 @@ pub fn main(args: &[String]) {
         Err(e) => println!("  critical path    = unavailable: {e}"),
     }
     println!(
-        "  steals           = {} committed covering {} tasks, {} failed attempts (report: {} / {})",
-        s.steals, s.stolen_tasks, s.steal_fails, report.steals, report.steal_attempts
+        "  steals           = {} committed, {} failed attempts (report: {} / {})",
+        s.steals, s.steal_fails, report.steals, report.steal_attempts
     );
     let (hb, sb, sp) = s.misses;
     if hb + sb + sp > 0 || backend == "sim" {

@@ -62,7 +62,6 @@ fn native_exposition_counts_one_pool_job_per_launch() {
             "hbp_tasks_executed_total",
             "hbp_steals_committed_total",
             "hbp_steals_failed_total",
-            "hbp_stolen_tasks_total",
             "hbp_parks_total",
             "hbp_jobs_submitted_total",
             "hbp_jobs_completed_total",
@@ -75,10 +74,7 @@ fn native_exposition_counts_one_pool_job_per_launch() {
             "hbp_job_latency_ns",
         ]
     );
-    let steals = total(&text, "hbp_steals_committed_total");
-    let stolen = total(&text, "hbp_stolen_tasks_total");
-    assert!(steals > 0, "no steals");
-    assert!(stolen >= steals, "a steal moves at least one task");
+    assert!(total(&text, "hbp_steals_committed_total") > 0, "no steals");
     // Every launch is its own pool job, whoever submitted it (a client,
     // or the previous launch from the pool's driver), and the scenario
     // ends only once each has completed.
