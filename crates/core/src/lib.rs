@@ -69,7 +69,9 @@ pub use executor::{ExecJob, Executor, NativeExecutor, SimExecutor};
 pub use hbp_machine::{MachineConfig, MemSystem};
 pub use hbp_model::{BuildConfig, Builder, Computation};
 pub use hbp_sched::native::SubmitError;
-pub use hbp_sched::{run, run_sequential, run_traced, ExecReport, Policy, SeqReport};
+pub use hbp_sched::{
+    run, run_sequential, run_traced, run_with_critical_path, ExecReport, Policy, SeqReport,
+};
 pub use registry::{
     find, has_native_kernel, lookup, native_kernel, registry, try_lookup, AlgoSpec, SizeKind,
 };
@@ -85,7 +87,9 @@ pub mod prelude {
     pub use hbp_model::analysis;
     pub use hbp_model::{BuildConfig, Builder, Computation, Cx, GArray};
     pub use hbp_sched::native::SubmitError;
-    pub use hbp_sched::{run, run_sequential, run_traced, ExecReport, Policy, SeqReport};
+    pub use hbp_sched::{
+        run, run_sequential, run_traced, run_with_critical_path, ExecReport, Policy, SeqReport,
+    };
     pub use hbp_trace::{ClockDomain, Trace, TraceSink};
 }
 

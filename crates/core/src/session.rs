@@ -30,16 +30,18 @@
 //!
 //! Per-request tracing goes through the same path:
 //! [`ExecSession::submit_traced`] attaches a per-job
-//! [`TraceSink`], so a server can compute each request's critical path
-//! for latency attribution without tracing unrelated requests.
+//! [`TraceSink`], so a server can trace one request without tracing
+//! unrelated ones. A caller that wants only a sim job's critical-path
+//! split asks [`ExecSession::run_with_critical_path`], which the engine
+//! keeps as it runs, with no trace recorded.
 //! [`Executor::execute`](crate::Executor::execute) is a one-job session.
 
 use std::sync::Arc;
 
-use hbp_model::BuildConfig;
+use hbp_model::{BuildConfig, Computation};
 use hbp_sched::native::{NativeConfig, NativePool, PoolHandle, SubmitError};
-use hbp_sched::{run, run_traced, ExecReport};
-use hbp_trace::{ClockDomain, TraceSink};
+use hbp_sched::{run, run_traced, run_with_critical_path, ExecReport};
+use hbp_trace::{ClockDomain, CpTotals, TraceSink};
 
 use crate::executor::{ExecJob, SimExecutor};
 use crate::registry::find;
@@ -145,38 +147,76 @@ impl ExecSession {
         self.submit_inner(job, Some(Arc::clone(trace)))
     }
 
+    /// Run `job` on the simulator and return its report with the split
+    /// of its critical path: the totals `hbp_trace::critical_path` would
+    /// extract from a trace of the run, kept by the engine as it goes
+    /// ([`run_with_critical_path`]), so nothing is recorded. The report
+    /// is the one [`ExecSession::submit`] delivers and is folded into
+    /// the metrics registry the same way.
+    ///
+    /// # Panics
+    ///
+    /// On the native backend: a wall-clock run has no exact critical
+    /// path.
+    pub fn run_with_critical_path(
+        &self,
+        job: &ExecJob,
+    ) -> Result<(ExecReport, CpTotals), JobError> {
+        let Inner::Sim(ex) = &self.inner else {
+            panic!("critical-path splits are exact on the sim backend only");
+        };
+        run_sim(ex, job, |comp| {
+            run_with_critical_path(comp, ex.machine, ex.policy)
+        })
+    }
+
     fn submit_inner(
         &self,
         job: &ExecJob,
         trace: Option<Arc<TraceSink>>,
     ) -> Result<ExecHandle, SubmitError> {
-        let spec = find(&job.algo);
-        let unmapped = || JobError::Unmapped {
-            algo: job.algo.clone(),
-        };
         let inner = match &self.inner {
             Inner::Sim(ex) => HandleInner::Ready(
-                spec.map(|spec| {
-                    let block = BuildConfig::with_block(ex.machine.block_words);
-                    let comp = (spec.build)(job.n, block, job.seed);
+                run_sim(ex, job, |comp| {
                     let r = match &trace {
-                        Some(tr) => run_traced(&comp, ex.machine, ex.policy, tr),
-                        None => run(&comp, ex.machine, ex.policy),
+                        Some(tr) => run_traced(comp, ex.machine, ex.policy, tr),
+                        None => run(comp, ex.machine, ex.policy),
                     };
-                    publish_sim_metrics(comp.n_nodes() as u64, &r);
-                    Box::new(r)
+                    (r, ())
                 })
-                .ok_or_else(unmapped),
+                .map(|(r, ())| Box::new(r)),
             ),
-            Inner::Native { pool } => match spec.and_then(|spec| spec.native) {
+            Inner::Native { pool } => match find(&job.algo).and_then(|spec| spec.native) {
                 Some(kernel) => {
                     HandleInner::Pool(pool.submit_traced(trace, kernel(job.n, job.seed))?)
                 }
-                None => HandleInner::Ready(Err(unmapped())),
+                None => HandleInner::Ready(Err(unmapped(job))),
             },
         };
         Ok(ExecHandle { inner })
     }
+}
+
+fn unmapped(job: &ExecJob) -> JobError {
+    JobError::Unmapped {
+        algo: job.algo.clone(),
+    }
+}
+
+/// Record `job`'s computation for `ex`'s machine, replay it with
+/// `replay`, and fold the report into the metrics registry — the one sim
+/// path every submission and split takes.
+fn run_sim<T>(
+    ex: &SimExecutor,
+    job: &ExecJob,
+    replay: impl FnOnce(&Computation) -> (ExecReport, T),
+) -> Result<(ExecReport, T), JobError> {
+    let spec = find(&job.algo).ok_or_else(|| unmapped(job))?;
+    let block = BuildConfig::with_block(ex.machine.block_words);
+    let comp = (spec.build)(job.n, block, job.seed);
+    let (r, extra) = replay(&comp);
+    publish_sim_metrics(comp.n_nodes() as u64, &r);
+    Ok((r, extra))
 }
 
 /// Fold one finished sim run into the global metrics registry.
@@ -259,6 +299,11 @@ mod tests {
         assert_eq!(direct.makespan, via_session.makespan);
         assert_eq!(direct.steals, via_session.steals);
         assert_eq!(direct.busy, via_session.busy);
+        let (with_split, cp) = session
+            .run_with_critical_path(&ExecJob::new("Scans (M-Sum)", 512, 7))
+            .unwrap();
+        assert_eq!(format!("{with_split:?}"), format!("{direct:?}"));
+        assert_eq!(cp.total, direct.makespan);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Entry points of the simulator: [`Policy`], [`run`], [`run_sequential`].
+//! Entry points of the simulator: [`Policy`], [`run`], [`run_traced`],
+//! [`run_with_critical_path`], [`run_sequential`].
 //!
 //! This module is a thin facade over the layered scheduler subsystem —
 //! see [`crate::sim`] for the event-loop core, [`crate::clock`] /
@@ -12,7 +13,7 @@
 
 use hbp_machine::MachineConfig;
 use hbp_model::Computation;
-use hbp_trace::TraceSink;
+use hbp_trace::{CpTotals, TraceSink};
 
 use crate::policy::{Bsp, Pws, Rws, StealPolicy};
 use crate::report::{ExecReport, SeqReport};
@@ -125,6 +126,26 @@ pub fn run_traced(
     eng.attach_trace(sink);
     eng.drive(policy.steal_policy().as_mut());
     eng.report()
+}
+
+/// Like [`run`], also returning the split of the run's critical path —
+/// the work, steal and queue-wait totals [`hbp_trace::critical_path`]
+/// extracts from a trace of the same run — kept by the engine as it goes,
+/// with no trace recorded (see [`Engine::keep_critical_path`]). The
+/// report is bit-identical to [`run`]'s, and the split's `total` is its
+/// makespan.
+pub fn run_with_critical_path(
+    comp: &Computation,
+    cfg: MachineConfig,
+    policy: Policy,
+) -> (ExecReport, CpTotals) {
+    let mut eng = Engine::new(comp, cfg);
+    eng.keep_critical_path();
+    eng.drive(policy.steal_policy().as_mut());
+    let cp = eng
+        .critical_path()
+        .expect("a driven engine has closed its root");
+    (eng.report(), cp)
 }
 
 /// Execute `comp` sequentially on a single core with the same cache

@@ -12,7 +12,7 @@
 //! The simulator is a layered subsystem:
 //!
 //! * [`engine`] — the stable entry points: [`Policy`], [`run`],
-//!   [`run_traced`] and [`run_sequential`];
+//!   [`run_traced`], [`run_with_critical_path`] and [`run_sequential`];
 //! * [`sim`] — the policy-independent event-loop core ([`sim::Engine`]):
 //!   per-core virtual clocks, fork/join and usurpation bookkeeping,
 //!   word-granularity miss accounting;
@@ -55,7 +55,9 @@
 //! [`native::NativePool::run_traced`] records the same vocabulary from
 //! the pool workers in wall-clock nanoseconds. Tracing is
 //! observational: reports are bit-identical with and without a sink
-//! attached.
+//! attached. A caller that needs only a sim run's critical-path split
+//! asks [`run_with_critical_path`], which keeps it forward as the engine
+//! runs and records nothing.
 //!
 //! Outputs are an [`ExecReport`]: makespan, per-core busy/idle/steal time,
 //! miss counts split heap vs stack and by kind (cold / capacity /
@@ -76,6 +78,6 @@ pub mod sim;
 pub mod stacks;
 
 pub use cl_deque::{ClDeque, Steal, Word};
-pub use engine::{run, run_sequential, run_traced, Policy};
+pub use engine::{run, run_sequential, run_traced, run_with_critical_path, Policy};
 pub use policy::StealPolicy;
 pub use report::{ExcessReport, ExecReport, SeqReport};

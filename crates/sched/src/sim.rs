@@ -30,6 +30,22 @@
 //! the access arena, so a step inside a segment goes node-free from the
 //! cursor to its access.
 //!
+//! **Critical path, forward.** [`Engine::keep_critical_path`] makes the
+//! engine keep the split `hbp_trace::critical_path` would extract from a
+//! trace of the run — work, steal charges and queue wait on the chain
+//! that ends at the root's last close — without recording one. The
+//! backward walk names each segment's release: the same core's previous
+//! close at the same instant, or a steal, whose path runs on through the
+//! fork that published the stolen task. So the split of the path ending
+//! at any point is fixed when that point is reached, and three O(1)
+//! updates carry it forward: a segment close adds its duration to its
+//! core's split; a fork files the closed split under the right child it
+//! publishes; a steal commit starts the thief from the filed split plus
+//! the steal charge and the queue wait, with the commit instant clamped
+//! into `[forked, begin]` as the walk clamps it. A split's `total` is
+//! always the virtual time of its point, so the filed split carries the
+//! fork's instant too. `tests/trace_invariants.rs` holds the two equal.
+//!
 //! *Who* steals *what* during a sweep is delegated to a
 //! [`StealPolicy`]: the engine exposes the
 //! queries a policy needs (`head_pri`, `pending_pri`, …) and the two
@@ -39,7 +55,7 @@
 
 use hbp_machine::{MachineConfig, MemSystem, Word};
 use hbp_model::{Computation, Item, NodeId, Target};
-use hbp_trace::{EventKind as TrEv, TraceSink};
+use hbp_trace::{CpTotals, EventKind as TrEv, TraceSink};
 
 use crate::clock::{EvKind, EventQueue};
 use crate::deque::TaskDeques;
@@ -110,6 +126,22 @@ struct NodeRun {
     fork_remaining: u8,
 }
 
+/// The forward critical-path state (see the module docs).
+#[derive(Debug)]
+struct CpState {
+    /// Per core, the split of the path into its current segment: at the
+    /// segment's open, then — once the close has added the segment's
+    /// duration — at its close, which is the next segment's open unless
+    /// a steal releases that one.
+    at: Vec<CpTotals>,
+    /// Per node, the split at the fork that published it as a right
+    /// child (`total` is the fork's instant); only read for a node that
+    /// is stolen, so only ever read after it is written.
+    forked: Vec<CpTotals>,
+    /// The root's final close: the run's split.
+    path: Option<CpTotals>,
+}
+
 /// The policy-independent simulator state (see module docs).
 pub struct Engine<'a> {
     comp: &'a Computation,
@@ -117,6 +149,8 @@ pub struct Engine<'a> {
     ms: MemSystem,
     /// Optional structured-event recorder (see [`Engine::attach_trace`]).
     trace: Option<&'a TraceSink>,
+    /// Optional critical-path split (see [`Engine::keep_critical_path`]).
+    cp: Option<CpState>,
     /// Virtual time of the sweep currently being served (for the
     /// [`TrEv::StealFail`] events emitted from `note_failed_*`).
     sweep_now: u64,
@@ -167,6 +201,7 @@ impl<'a> Engine<'a> {
             cfg,
             ms: MemSystem::new(cfg),
             trace: None,
+            cp: None,
             sweep_now: 0,
             cores: (0..cfg.p)
                 .map(|_| Core {
@@ -219,6 +254,25 @@ impl<'a> Engine<'a> {
         self.trace = Some(sink);
     }
 
+    /// Keep the split of this run's critical path as it goes (see the
+    /// module docs); [`Engine::critical_path`] reads it once the run is
+    /// done. Like a tracer, purely observational: the report is the
+    /// same with and without it.
+    pub fn keep_critical_path(&mut self) {
+        self.cp = Some(CpState {
+            at: vec![CpTotals::default(); self.cfg.p],
+            forked: vec![CpTotals::default(); self.comp.nodes.len()],
+            path: None,
+        });
+    }
+
+    /// The split of the critical path of a finished run, or `None` if
+    /// [`Engine::keep_critical_path`] was not called before
+    /// [`Engine::drive`]. `total` equals the report's makespan.
+    pub fn critical_path(&self) -> Option<CpTotals> {
+        self.cp.as_ref()?.path
+    }
+
     /// Emit one trace event for `core` (no-op without a tracer).
     #[inline]
     fn emit(&self, core: usize, t: u64, kind: TrEv) {
@@ -227,9 +281,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Flush the open segment's miss deltas for `core` at time `t`
-    /// (called just before the segment-closing event is emitted).
+    /// Close `core`'s open segment at time `t`: extend its critical-path
+    /// split by the segment's duration and flush the segment's miss
+    /// deltas (called just before the segment-closing event is emitted).
     fn close_segment(&mut self, core: usize, t: u64) {
+        if let Some(cp) = &mut self.cp {
+            let at = &mut cp.at[core];
+            at.work += t - at.total;
+            at.total = t;
+        }
         if self.trace.is_none() {
             return;
         }
@@ -383,9 +443,12 @@ impl<'a> Engine<'a> {
                     // O(1) fork bookkeeping.
                     self.cores[core].time += 1;
                     self.cores[core].busy += 1;
+                    let t = self.cores[core].time;
+                    self.close_segment(core, t);
+                    if let Some(cp) = &mut self.cp {
+                        cp.forked[right.idx()] = cp.at[core];
+                    }
                     if self.trace.is_some() {
-                        let t = self.cores[core].time;
-                        self.close_segment(core, t);
                         self.emit(
                             core,
                             t,
@@ -402,7 +465,6 @@ impl<'a> Engine<'a> {
                     self.deques.push_bottom(core, right);
                     let region = self.cores[core].cur_region;
                     self.start_node(core, left, region);
-                    let t = self.cores[core].time;
                     self.clock.push(t, EvKind::Step(core as u32));
                     self.schedule_sweep(t);
                     return;
@@ -414,9 +476,9 @@ impl<'a> Engine<'a> {
     /// Handle completion of `node` by `core`. Returns `true` if the core
     /// has a new running state to cascade into.
     fn finish_node(&mut self, core: usize, node: NodeId) -> bool {
+        let t = self.cores[core].time;
+        self.close_segment(core, t);
         if self.trace.is_some() {
-            let t = self.cores[core].time;
-            self.close_segment(core, t);
             self.emit(
                 core,
                 t,
@@ -435,6 +497,9 @@ impl<'a> Engine<'a> {
         if node == self.comp.root {
             self.done = true;
             self.end_time = self.cores[core].time;
+            if let Some(cp) = &mut self.cp {
+                cp.path = Some(cp.at[core]);
+            }
             self.go_idle(core);
             return false;
         }
@@ -632,9 +697,30 @@ impl<'a> Engine<'a> {
                 },
             );
         }
+        let begin = now + self.cfg.steal_cost;
+        if let Some(cp) = &mut self.cp {
+            // The critical-path walk's steal hop: the wait runs from the
+            // fork to the commit, the charge from the commit to the
+            // begin. A sweep pending at `now` can take a task whose fork
+            // is stamped `now + 1` (the fork's unit charge moved the
+            // victim's clock past the sweep), hence the clamp.
+            let forked = cp.forked[node.idx()];
+            assert!(
+                forked.total <= begin,
+                "stolen task {node:?} begins at {begin}, before its fork at {}",
+                forked.total
+            );
+            let committed = now.clamp(forked.total, begin);
+            cp.at[thief] = CpTotals {
+                total: begin,
+                work: forked.work,
+                steal: forked.steal + (begin - committed),
+                queue_wait: forked.queue_wait + (committed - forked.total),
+            };
+        }
         let c = &mut self.cores[thief];
         c.idle_accum += now.saturating_sub(c.idle_since);
-        c.time = now + self.cfg.steal_cost;
+        c.time = begin;
         c.steal_overhead += self.cfg.steal_cost;
         let region = self.stacks.new_region();
         self.start_node(thief, node, region);

@@ -3,23 +3,12 @@
 //! fixed-seed sim scenario serializes byte-identically across runs.
 
 use hbp_core::trace::json::escape;
+/// Critical-path totals of one request's kernel execution (virtual time
+/// units; sim backend only — a wall-clock run has no exact critical
+/// path, see `hbp_trace::critical`).
+pub use hbp_core::trace::CpTotals;
 
 use crate::spec::ScenarioSpec;
-
-/// Critical-path totals of one request's kernel execution (virtual time
-/// units; sim backend only — wall-clock traces cannot be back-chained
-/// exactly, see `hbp_trace::critical`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpTotals {
-    /// End-to-end path length (== the kernel's sim makespan).
-    pub total: u64,
-    /// Executed time on the path.
-    pub work: u64,
-    /// Steal charges on the path.
-    pub steal: u64,
-    /// Deque wait on the path.
-    pub queue_wait: u64,
-}
 
 /// One request's fate, as reported.
 #[derive(Debug, Clone)]

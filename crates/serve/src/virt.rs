@@ -6,7 +6,11 @@
 //! deferred requests, launch completions) and the service oracle: each
 //! request's *service time* is the kernel's virtual-time makespan under
 //! the scenario policy, measured once per (algo, n) shape by replaying
-//! the kernel on the simulated machine.
+//! the kernel on the simulated machine. The same replay gives the
+//! shape's critical-path split (work, steal charges, queue wait), which
+//! the engine keeps as it runs
+//! ([`hbp_core::ExecSession::run_with_critical_path`]): no trace is
+//! recorded, collected or walked, so a shape costs one untraced run.
 //!
 //! The oracle is a table built up front, before the first event: a
 //! request's kernel seed depends on its shape alone, so the schedule's
@@ -25,24 +29,14 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
 use std::thread;
 
-use hbp_core::trace::{critical_path, TraceSink};
-use hbp_core::{Config, ExecJob, ExecSession, MachineConfig};
+use hbp_core::{Config, ExecJob, MachineConfig};
 
 use crate::desk::{Arrival, Desk};
 use crate::gen::{build_schedule, Request};
 use crate::report::{CpTotals, ScenarioReport};
 use crate::spec::{LoadMode, ScenarioSpec};
-
-/// The service oracle's session: the scenario's policy on its core
-/// count, with the workspace's default cache (4K words, 32-word blocks).
-fn oracle_session(spec: &ScenarioSpec) -> ExecSession {
-    Config::new()
-        .policy(spec.policy)
-        .open(MachineConfig::new(spec.workers, 1 << 12, 32))
-}
 
 /// The virtual service time and critical path of every request shape
 /// of one schedule, measured before the first event (see module docs).
@@ -56,7 +50,12 @@ impl ServiceOracle {
     /// (inline when `threads` is 1). A shape that fails panics with its
     /// own message, whichever thread measured it.
     fn build(spec: &ScenarioSpec, schedule: &[Request], threads: usize) -> Self {
-        let session = oracle_session(spec);
+        // The scenario's policy on its core count, with the workspace's
+        // default cache (4K words, 32-word blocks).
+        let session =
+            Config::new()
+                .policy(spec.policy)
+                .open(MachineConfig::new(spec.workers, 1 << 12, 32));
         let mut seen = HashSet::new();
         let mut shapes: Vec<&Request> = schedule
             .iter()
@@ -68,8 +67,12 @@ impl ServiceOracle {
         let worker = || {
             let mut part = Vec::new();
             while let Some(&r) = shapes.get(cursor.fetch_add(1, Relaxed)) {
-                let sink = Arc::new(TraceSink::new(session.workers(), session.clock_domain()));
-                part.push(((r.algo, r.n), measure_into(&session, r, &sink)));
+                let (report, cp) = session
+                    .run_with_critical_path(&ExecJob::new(r.algo, r.n, r.seed))
+                    .unwrap_or_else(|e| {
+                        panic!("oracle cannot build {:?} (n={}): {e}", r.algo, r.n)
+                    });
+                part.push(((r.algo, r.n), (report.makespan, cp)));
             }
             part
         };
@@ -92,31 +95,6 @@ impl ServiceOracle {
     fn measure(&self, r: &Request) -> (u64, CpTotals) {
         self.table[&(r.algo, r.n)]
     }
-}
-
-/// One traced launch of `r` recorded into `sink`: its makespan and the
-/// totals of its critical path.
-fn measure_into(session: &ExecSession, r: &Request, sink: &Arc<TraceSink>) -> (u64, CpTotals) {
-    let report = session
-        .submit_traced(&ExecJob::new(r.algo, r.n, r.seed), sink)
-        .expect("the sim backend admits everything")
-        .wait()
-        .unwrap_or_else(|e| panic!("oracle cannot build {:?} (n={}): {e}", r.algo, r.n));
-    let cp = critical_path(&sink.collect()).unwrap_or_else(|e| {
-        panic!(
-            "oracle cannot extract the critical path of {} n={}: {e}",
-            r.algo, r.n
-        )
-    });
-    (
-        report.makespan,
-        CpTotals {
-            total: cp.total,
-            work: cp.work,
-            steal: cp.steal,
-            queue_wait: cp.queue_wait,
-        },
-    )
 }
 
 /// A heap event. Ordering is (time, insertion seq) — the seq tiebreak
@@ -263,24 +241,6 @@ mod tests {
             workers: 4,
             ..ScenarioSpec::default()
         }
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "oracle cannot extract the critical path of Sort (SPMS) n=512: trace lost events to ring overflow"
-    )]
-    fn an_overflowed_trace_ring_is_reported_as_such_with_the_shape() {
-        let spec = ScenarioSpec {
-            mix: vec![crate::spec::MixEntry {
-                algo: "Sort (SPMS)".into(),
-                weight: 1,
-                sizes: vec![512],
-            }],
-            ..small_spec()
-        };
-        let session = &oracle_session(&spec);
-        let tiny = TraceSink::with_capacity(session.workers(), session.clock_domain(), 16);
-        measure_into(session, &build_schedule(&spec)[0], &Arc::new(tiny));
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! for every policy. The decomposition is the paper's accounting: work
 //! (including miss stalls) versus scheduling delay on the longest chain.
 //!
+//! **The reference.** The simulator can keep the same split as it runs
+//! (`hbp_sched::run_with_critical_path`), with no trace: it carries each
+//! segment's path totals forward instead of walking them back. That is
+//! what a caller wanting only the four numbers uses; this walk stays as
+//! the definition the engine's [`CpTotals`] is tested against (equal on
+//! every registry row and policy, `tests/trace_invariants.rs`) and as
+//! the only source of the hop list.
+//!
 //! **Orders relied on.** Nothing here is searched for, hashed or sorted;
 //! three orders make that possible. (1) `Trace::events` is in emission
 //! (`seq`) order, and a worker's events appear in the order it emitted
@@ -112,6 +120,35 @@ pub struct CriticalPath {
     pub steals: u64,
     /// The path's segments, root-start first.
     pub hops: Vec<CpHop>,
+}
+
+/// The split of a critical path: `total = work + steal + queue_wait`.
+///
+/// [`CriticalPath::totals`] reads it off an extracted path; the
+/// simulator keeps it as it runs without recording a trace (see the
+/// module docs). Every field is in the run's virtual time units.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpTotals {
+    /// End-to-end path length (== the run's sim makespan).
+    pub total: u64,
+    /// Executed time on the path (compute + miss stalls).
+    pub work: u64,
+    /// Steal charges on the path.
+    pub steal: u64,
+    /// Deque wait on the path.
+    pub queue_wait: u64,
+}
+
+impl CriticalPath {
+    /// The path's split, without its hops.
+    pub fn totals(&self) -> CpTotals {
+        CpTotals {
+            total: self.total,
+            work: self.work,
+            steal: self.steal,
+            queue_wait: self.queue_wait,
+        }
+    }
 }
 
 /// What released a segment's start: the last thing its worker did

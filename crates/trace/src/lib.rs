@@ -34,7 +34,9 @@
 //!   and deque queue-wait — one in-order pass over the events into two
 //!   index tables, then a walk. Its `total` equals the simulator's
 //!   virtual-time makespan *exactly* (an invariant the integration
-//!   tests enforce for PWS and RWS);
+//!   tests enforce for PWS and RWS). It is the reference for the
+//!   [`CpTotals`] split the simulator keeps forward as it runs, which is
+//!   how a caller that needs only the four totals gets them untraced;
 //! * [`analyze`] — [`summarize`], the one tally of a trace: a single
 //!   pass over the events and one segment reconstruction give the
 //!   paper-style [`TraceSummary`] (task, fork, steal and miss counts,
@@ -66,7 +68,7 @@ pub mod trace;
 
 pub use analyze::{summarize, Histogram, TraceSummary};
 pub use chrome::{chrome_trace, chrome_trace_multi};
-pub use critical::{critical_path, CpError, CpHop, CriticalPath, HopVia};
+pub use critical::{critical_path, CpError, CpHop, CpTotals, CriticalPath, HopVia};
 pub use diff::{diff, CpDivergence, TraceDiff};
 pub use event::{ClockDomain, EventKind, TraceEvent};
 pub use sink::{TraceSink, DEFAULT_CAPACITY};

@@ -74,7 +74,9 @@ fn native_exposition_counts_one_pool_job_per_launch() {
             "hbp_job_latency_ns",
         ]
     );
-    assert!(total(&text, "hbp_steals_committed_total") > 0, "no steals");
+    // Whether a scenario's launches are ever stolen from is a scheduling
+    // outcome; `crates/sched/tests/pool_metrics.rs` forces a steal and
+    // checks that the registry exposes it.
     // Every launch is its own pool job, whoever submitted it (a client,
     // or the previous launch from the pool's driver), and the scenario
     // ends only once each has completed.

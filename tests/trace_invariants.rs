@@ -7,10 +7,15 @@
 //! through fork/join/steal edges (see `hbp_trace::critical`), an
 //! entirely different computation from the engine's max-over-core
 //! clocks, so agreement pins down both the event emission protocol and
-//! the simulator's time accounting.
+//! the simulator's time accounting. The same walk is the reference for
+//! the split the engine keeps forward without a trace
+//! (`run_with_critical_path`): equal on every registry row, on one, two
+//! and eight cores, under PWS, RWS and BSP.
 
 use hbp_core::prelude::*;
-use hbp_core::trace::{chrome_trace, critical_path, json, summarize, CpError, EventKind, HopVia};
+use hbp_core::trace::{
+    chrome_trace, critical_path, json, summarize, CpError, CriticalPath, EventKind, HopVia,
+};
 
 fn machine() -> MachineConfig {
     MachineConfig::new(4, 1 << 10, 32)
@@ -66,8 +71,52 @@ fn critical_path_equals_sim_makespan_for_kernels_and_policies() {
                 Ok(&cp),
                 "{algo}/{policy:?}: the summary's path is critical_path's, hop for hop"
             );
+            assert_forward_split_is(&cp, &comp, machine(), policy, algo);
         }
     }
+    // The split the engine keeps without a trace, on every row, on one,
+    // two and eight cores, under BSP too.
+    for spec in registry() {
+        let comp = (spec.build)(spec.size.pick(256, 16), BuildConfig::default(), 7);
+        for p in [1, 2, 8] {
+            let cfg = MachineConfig::new(p, 1 << 10, 32);
+            for policy in [
+                Policy::Pws,
+                Policy::Rws { seed: 1 },
+                Policy::Rws { seed: 9 },
+                Policy::Bsp { prefix_levels: 3 },
+            ] {
+                let sink = TraceSink::new(p, ClockDomain::Virtual);
+                run_traced(&comp, cfg, policy, &sink);
+                let cp = critical_path(&sink.collect())
+                    .unwrap_or_else(|e| panic!("{}/p={p}/{policy:?}: {e}", spec.name));
+                assert_forward_split_is(&cp, &comp, cfg, policy, spec.name);
+            }
+        }
+    }
+}
+
+/// `run_with_critical_path` keeps the split `walked` has, and its report
+/// is plain `run`'s, field for field.
+fn assert_forward_split_is(
+    walked: &CriticalPath,
+    comp: &Computation,
+    cfg: MachineConfig,
+    policy: Policy,
+    name: &str,
+) {
+    let p = cfg.p;
+    let (report, kept) = run_with_critical_path(comp, cfg, policy);
+    assert_eq!(
+        kept,
+        walked.totals(),
+        "{name}/p={p}/{policy:?}: the engine's split is the walk's"
+    );
+    assert_eq!(
+        format!("{report:?}"),
+        format!("{:?}", run(comp, cfg, policy)),
+        "{name}/p={p}/{policy:?}: keeping the split leaves the report alone"
+    );
 }
 
 #[test]
