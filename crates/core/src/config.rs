@@ -132,8 +132,7 @@ const RETIRED: [(&str, &str); 10] = [
     ("HBP_AUTOSCALE", "the pool runs exactly HBP_WORKERS threads"),
     (
         "HBP_COUNTERS",
-        "traced native tasks read perf_event counters when the kernel grants \
-         them and record no miss deltas when it does not",
+        "native traces carry no miss deltas; the simulator predicts them",
     ),
     (
         "HBP_METRICS_INTERVAL",
@@ -444,9 +443,8 @@ mod tests {
                  depth floor is the simulator's `bsp:<k>`",
                 "HBP_AUTOSCALE was removed: the pool runs exactly HBP_WORKERS \
                  threads",
-                "HBP_COUNTERS was removed: traced native tasks read perf_event \
-                 counters when the kernel grants them and record no miss deltas \
-                 when it does not",
+                "HBP_COUNTERS was removed: native traces carry no miss deltas; \
+                 the simulator predicts them",
                 "HBP_METRICS_INTERVAL was removed: there is no background \
                  sampler; metrics_report prints the scenario's own queue-depth \
                  timeline",

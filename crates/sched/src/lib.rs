@@ -41,19 +41,15 @@
 //!   not) in seeded random victim order — randomized work stealing, its
 //!   one discipline; the [`policy`] schedules are the simulator's —
 //!   reporting wall-clock makespan and per-worker busy/steal counters
-//!   in the same [`ExecReport`] shape;
-//! * [`perf`] — hardware counter sampling for the native backend: per-
-//!   worker `perf_event` fds (raw syscall) read at task boundaries and
-//!   emitted as `MissDelta` trace events, so `trace_diff` can set the
-//!   sim's *predicted* misses beside *measured* ones; where the kernel
-//!   denies the fds, a traced task records no `MissDelta` at all.
+//!   in the same [`ExecReport`] shape.
 //!
 //! Both backends can additionally record **structured event traces**
 //! (`hbp-trace`): [`run_traced`] hooks the sim event loop (task
 //! begin/end, forks, join resumes, steals, stack-region attaches,
 //! per-segment cache-miss deltas in virtual time), and
-//! [`native::NativePool::run_traced`] records the same vocabulary from
-//! the pool workers in wall-clock nanoseconds. Tracing is
+//! [`native::NativePool::run_traced`] records the same vocabulary, less
+//! the miss deltas only the simulator can predict, from the pool workers
+//! in wall-clock nanoseconds. Tracing is
 //! observational: reports are bit-identical with and without a sink
 //! attached. A caller that needs only a sim run's critical-path split
 //! asks [`run_with_critical_path`], which keeps it forward as the engine
@@ -71,7 +67,6 @@ pub mod clock;
 pub mod deque;
 pub mod engine;
 pub mod native;
-pub mod perf;
 pub mod policy;
 pub mod report;
 pub mod sim;

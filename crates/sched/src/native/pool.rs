@@ -622,10 +622,8 @@ fn drive_one(pool: &Pool, sub: Submission, ledger: &mut Ledger) {
 
     DEPTH.set(1);
     CUR_TASK.set(0);
-    let mut root_c0 = None;
     if let Some(tr) = pool.trace() {
         tr.push(0, pool.now_ns(), TrEv::TaskBegin { task: 0 });
-        root_c0 = crate::perf::sample();
     }
     // The runner catches its own unwind; this outer catch is the
     // driver's last line of defense (a poisoned result slot, say) — the
@@ -635,7 +633,6 @@ fn drive_one(pool: &Pool, sub: Submission, ledger: &mut Ledger) {
     bump(&pool.tally[0].busy_ns, root_ns);
     bump(&pool.tally[0].tasks, 1);
     if let Some(tr) = pool.trace() {
-        runtime::emit_miss_delta(pool, 0, tr, root_c0);
         tr.push(0, pool.now_ns(), TrEv::TaskEnd { task: 0 });
     }
     DEPTH.set(0);

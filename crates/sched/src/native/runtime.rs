@@ -27,7 +27,6 @@ use std::time::Instant;
 use hbp_trace::{EventKind as TrEv, TraceSink};
 
 use crate::cl_deque::{ClDeque, Steal};
-use crate::perf;
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
@@ -371,11 +370,9 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
     let d = DEPTH.get();
     DEPTH.set(d + 1);
     let prev_task = CUR_TASK.get();
-    let mut c0 = None;
     if let Some(tr) = pool.trace() {
         CUR_TASK.set(id);
         tr.push(me, pool.now_ns(), TrEv::TaskBegin { task: id });
-        c0 = perf::sample();
     }
     let tally = &pool.tally[me];
     let t0 = (d == 0).then(Instant::now);
@@ -386,55 +383,11 @@ fn execute_task(pool: &Pool, me: usize, j: JobRef) {
         bump(&tally.busy_ns, t0.elapsed().as_nanos() as u64);
     }
     if let Some(tr) = pool.trace() {
-        emit_miss_delta(pool, me, tr, c0);
         tr.push(me, pool.now_ns(), TrEv::TaskEnd { task: id });
         CUR_TASK.set(prev_task);
     }
     DEPTH.set(d);
     bump(&tally.tasks, 1);
-}
-
-/// Close a counter-sampled task window: read the worker's cumulative
-/// counters again and emit the delta as a `MissDelta` event *inside* the
-/// task's open segment (before its `TaskEnd`), mirroring where the
-/// simulator records its predicted deltas. `c0` is the `TaskBegin`-side
-/// reading; `None` (the kernel denied the counters) emits nothing.
-pub(crate) fn emit_miss_delta(
-    pool: &Pool,
-    me: usize,
-    tr: &TraceSink,
-    c0: Option<perf::CounterValues>,
-) {
-    let Some(c0) = c0 else { return };
-    let Some(c1) = perf::sample() else {
-        return;
-    };
-    let delta = [0, 1, 2].map(|i| c1[i].saturating_sub(c0[i]));
-    push_miss_delta(tr, me, pool.now_ns(), delta);
-}
-
-/// Push `delta` as `MissDelta` events: one, or — the event's counts
-/// being 32-bit — as many as it takes for them to sum to `delta` exactly.
-fn push_miss_delta(tr: &TraceSink, me: usize, t: u64, mut delta: perf::CounterValues) {
-    loop {
-        let [heap_block, stack_block, stack_plain] =
-            delta.map(|d| u32::try_from(d).unwrap_or(u32::MAX));
-        tr.push(
-            me,
-            t,
-            TrEv::MissDelta {
-                heap_block,
-                stack_block,
-                stack_plain,
-            },
-        );
-        for (left, sent) in delta.iter_mut().zip([heap_block, stack_block, stack_plain]) {
-            *left -= u64::from(sent);
-        }
-        if delta == [0; 3] {
-            return;
-        }
-    }
 }
 
 /// Fork-join on the native pool: runs `a` on the calling worker while `b`
@@ -644,33 +597,5 @@ mod tests {
         assert_eq!(a, b, "equal rng state ⇒ equal order");
         let varied = (0..16).any(|_| probe_order(0, 8, &mut r1).ne(a.iter().copied()));
         assert!(varied, "random rotation eventually picks another start");
-    }
-
-    #[test]
-    fn a_counter_delta_beyond_u32_arrives_as_events_summing_exactly() {
-        let tr = TraceSink::new(2, hbp_trace::ClockDomain::WallNs);
-        let delta = [5 << 32, (1 << 32) - 1, 0];
-        push_miss_delta(&tr, 1, 7, delta);
-        push_miss_delta(&tr, 0, 9, [0; 3]);
-        let trace = tr.collect();
-        let mut sums = [[0u64; 3]; 2];
-        for ev in &trace.events {
-            let TrEv::MissDelta {
-                heap_block,
-                stack_block,
-                stack_plain,
-            } = ev.kind
-            else {
-                panic!("only miss deltas were pushed, got {:?}", ev.kind);
-            };
-            let sum = &mut sums[ev.worker as usize];
-            sum[0] += u64::from(heap_block);
-            sum[1] += u64::from(stack_block);
-            sum[2] += u64::from(stack_plain);
-        }
-        assert_eq!(sums, [[0; 3], delta]);
-        // 5 * 2^32 takes six events of at most 2^32 - 1; a zero delta
-        // still takes its one.
-        assert_eq!(trace.events.len(), 6 + 1);
     }
 }

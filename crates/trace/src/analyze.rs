@@ -103,9 +103,8 @@ pub struct TraceSummary {
     /// Failed steal attempts (probes / newly-failed rounds).
     pub steal_fails: u64,
     /// Summed miss deltas: (heap block, stack block, stack plain). Sim
-    /// traces carry model-predicted misses here; native traces carry
-    /// what the `perf_event` counters measured, or zeros where the
-    /// kernel denied them.
+    /// traces carry model-predicted misses here; native traces carry no
+    /// miss deltas, so theirs are zeros.
     pub misses: (u64, u64, u64),
     /// Events the sink's rings could not hold (see [`Trace::dropped`]).
     /// Nonzero means every analysis above ran on a truncated record —

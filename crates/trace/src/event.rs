@@ -109,11 +109,11 @@ pub enum EventKind {
     },
     /// Cache misses charged to the segment currently open on the
     /// emitting worker, emitted just before the segment closes. Summing
-    /// deltas over a trace reproduces the `ExecReport` counters. Each
-    /// count is 32 bits so that the whole payload is 16 bytes; an
-    /// emitter with more than `u32::MAX` to report sends several events
-    /// (the native counter path) or refuses (the simulator, where one
-    /// segment cannot miss that often).
+    /// deltas over a trace reproduces the `ExecReport` counters. Only
+    /// the simulator emits them. Each count is 32 bits so that the
+    /// whole payload is 16 bytes; the simulator refuses a segment with
+    /// more than `u32::MAX` to report (one segment cannot miss that
+    /// often).
     MissDelta {
         /// Coherence (block) misses on global-heap addresses.
         heap_block: u32,

@@ -13,7 +13,8 @@
 //!   causally consistent sequence number. A record is **40 bytes**:
 //!   `seq` and `t` (`u64`), `worker` (`u32`) and a 16-byte payload —
 //!   a tag and at most three `u32`s, which is why a `MissDelta` count
-//!   is 32-bit and an emitter with more to report sends several;
+//!   is 32-bit (the simulator, its one emitter, refuses a segment that
+//!   would exceed it);
 //! * [`sink`] — [`TraceSink`]: per-worker lock-free-append ring buffers
 //!   (one relaxed load + slot write + release store per event; no locks,
 //!   no CAS), each on its own cache line, the shared `seq` counter on

@@ -19,11 +19,8 @@
 //! ids while native ids are scheduling-dependent fork ordinals, so
 //! cross-backend id alignment is meaningless. The diff degrades to each
 //! side's *completeness* (every begun task ended, nothing dropped) and
-//! prints the model-predicted miss totals beside the hardware-measured
-//! ones — the model-vs-hardware loop the `MissDelta` counter sampling
-//! exists for — or says that the native side measured nothing, where
-//! the kernel denies `perf_event_open`. Exit 1 when either side is
-//! incomplete.
+//! prints the sim side's predicted miss totals (a native trace carries
+//! none). Exit 1 when either side is incomplete.
 //!
 //! Exit status: 0 clean, 1 mismatch/incomplete, 2 usage errors.
 
@@ -92,24 +89,14 @@ pub fn main(args: &[String]) {
     } else {
         // Cross-backend: id spaces differ by construction (node ids vs
         // fork ordinals), so alignment degrades to per-side completeness
-        // plus the predicted-vs-measured miss totals printed above.
-        let (sim_m, nat_m) = if side_a.backend == Backend::Sim {
-            (d.a.misses, d.b.misses)
+        // plus the sim side's predicted miss totals.
+        let sim_m = if side_a.backend == Backend::Sim {
+            d.a.misses
         } else {
-            (d.b.misses, d.a.misses)
-        };
-        let native = if hbp_core::sched::perf::granted() {
-            format!(
-                "native measured {}/{}/{} via perf",
-                nat_m.0, nat_m.1, nat_m.2
-            )
-        } else {
-            "native: no counter source on this host (perf_event_open denied); \
-             nothing measured"
-                .into()
+            d.b.misses
         };
         println!(
-            "\ncross-backend: sim predicts {}/{}/{} (heap/stack/plain) block misses; {native}",
+            "\ncross-backend: sim predicts {}/{}/{} (heap/stack/plain) block misses",
             sim_m.0, sim_m.1, sim_m.2,
         );
         let mut bad = false;

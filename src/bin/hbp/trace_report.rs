@@ -14,10 +14,8 @@
 //!   prints.
 //! * `HBP_TRACE_OUT=<path>` additionally writes the Chrome-trace JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>).
-//! * On native, the report names the counter source: `perf` when the
-//!   kernel granted the workers' `perf_event` fds
-//!   ([`hbp_core::sched::perf`]), else `none`, and then no task carries
-//!   a miss delta and no `block misses` line is printed.
+//! * Block misses are the simulator's prediction, so only a sim report
+//!   prints them; a native trace carries no miss deltas.
 //! * `HBP_TRACE_BUF=<events>` sizes each worker's trace ring. A ring
 //!   overflow (dropped events) makes every number a lower bound, so the
 //!   report is printed and the exit status is 2.
@@ -92,21 +90,11 @@ pub fn main(args: &[String]) {
         "  steals           = {} committed, {} failed attempts (report: {} / {})",
         s.steals, s.steal_fails, report.steals, report.steal_attempts
     );
-    let (hb, sb, sp) = s.misses;
-    if hb + sb + sp > 0 || backend == "sim" {
+    if backend == "sim" {
+        let (hb, sb, sp) = s.misses;
         println!(
             "  block misses     = heap {hb}, stack {sb} (+ stack plain {sp}) — report: {} / {}",
             report.heap_block_misses, report.stack_block_misses
-        );
-    }
-    if backend == "native" {
-        println!(
-            "  counter source   = {}",
-            if hbp_core::sched::perf::granted() {
-                "perf"
-            } else {
-                "none (perf_event_open denied; no miss deltas recorded)"
-            }
         );
     }
     let util: Vec<String> = s

@@ -14,16 +14,24 @@
 //!
 //! A counting `GlobalAlloc` wrapper pins that: each kernel must stay
 //! under a small constant number of *large* (≥ 4 KiB) allocations, the
-//! same number at two sizes. Small allocations are ignored: the counter
-//! is process-wide, so it also sees the harness's own bookkeeping on other
-//! threads, and a kernel's small tables (PS's one word per chunk, say)
-//! grow with `n` without being what these tests gate. A regression back
-//! to per-node buffers trips the bounds by an order of magnitude, so the
-//! margins are generous without being blind.
+//! same number at two sizes. Small allocations are ignored: a kernel's
+//! small tables (PS's one word per chunk, say) grow with `n` without
+//! being what these checks gate. A regression back to per-node buffers
+//! trips the bounds by an order of magnitude, so the margins are
+//! generous without being blind.
+//!
+//! The counter is process-wide, so it counts what the pool's workers
+//! allocate for a kernel, and it would count anything else the process
+//! allocates while a check is armed. So this binary has no libtest
+//! harness (`harness = false` in the root `Cargo.toml`): libtest's
+//! result channel allocates a 9 680-byte block on another thread when a
+//! test finishes, which landed inside the next test's window. `main`
+//! runs the checks one after another on the main thread, prints them in
+//! libtest's format (`--list` and name filters work as there), and a
+//! failed check panics, so the process exits non-zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use hbp_core::algos::par;
 use hbp_core::model::Cx;
@@ -75,14 +83,6 @@ fn keyed(n: usize, seed: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The counter is process-wide and the harness runs tests on parallel
-/// threads, so each test holds this for its whole body — another test's
-/// input `Vec`s would otherwise be counted as this one's.
-fn turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Large allocations made while `f` runs.
 fn large_allocs(f: impl FnOnce()) -> u64 {
     let before = LARGE_ALLOCS.load(Ordering::SeqCst);
@@ -92,9 +92,7 @@ fn large_allocs(f: impl FnOnce()) -> u64 {
     LARGE_ALLOCS.load(Ordering::SeqCst) - before
 }
 
-#[test]
 fn par_spms_makes_constant_large_allocations_not_per_bucket() {
-    let _turn = turn();
     let n = 1 << 16;
     let mut data = keyed(n, 0x5eed);
     let mut expect: Vec<(u64, u64)> = data.clone();
@@ -122,7 +120,6 @@ fn par_spms_makes_constant_large_allocations_not_per_bucket() {
 /// `kernel(n)` returns the large allocations of one launch at size `n`:
 /// the count must be `want` at `small` and at `big` alike.
 fn assert_constant(name: &str, want: u64, small: usize, big: usize, kernel: impl Fn(usize) -> u64) {
-    let _turn = turn();
     // The first launch of the process also builds the metrics registry.
     kernel(small);
     for n in [small, big] {
@@ -135,7 +132,6 @@ fn assert_constant(name: &str, want: u64, small: usize, big: usize, kernel: impl
     }
 }
 
-#[test]
 fn par_strassen_allocates_its_output_and_one_workspace() {
     assert_constant("par_strassen_bi", 2, 128, 256, |n| {
         let a: Vec<f64> = (0..n * n).map(|i| (i % 13) as f64).collect();
@@ -146,7 +142,6 @@ fn par_strassen_allocates_its_output_and_one_workspace() {
     });
 }
 
-#[test]
 fn par_prefix_allocates_its_output_once() {
     // The output; the offset table (one word per chunk of ≤ 1024
     // elements: 64 and 256 of them here) stays under the large line.
@@ -159,7 +154,6 @@ fn par_prefix_allocates_its_output_once() {
     });
 }
 
-#[test]
 fn par_fft_allocates_one_root_table_and_one_scratch() {
     assert_constant("par_fft", 2, 1 << 14, 1 << 16, |n| {
         let mut x: Vec<Cx> = (0..n).map(|i| Cx::new(i as f64, 0.5)).collect();
@@ -167,7 +161,6 @@ fn par_fft_allocates_one_root_table_and_one_scratch() {
     });
 }
 
-#[test]
 fn par_list_rank_allocates_its_output_and_one_workspace() {
     assert_constant("par_list_rank", 2, 1 << 13, 1 << 15, |n| {
         // 0 -> 1 -> ... -> n-1, the last its own successor.
@@ -179,10 +172,49 @@ fn par_list_rank_allocates_its_output_and_one_workspace() {
     });
 }
 
-#[test]
 fn par_mergesort_allocates_one_scratch() {
     assert_constant("par_mergesort", 1, 1 << 14, 1 << 16, |n| {
         let mut data = keyed(n, 0xfeed);
         large_allocs(|| par::par_mergesort(&mut data))
     });
+}
+
+fn main() {
+    // Each check under its own name, in order.
+    macro_rules! named {
+        ($($check:ident),*) => { [$((stringify!($check), $check as fn())),*] };
+    }
+    let checks = named![
+        par_spms_makes_constant_large_allocations_not_per_bucket,
+        par_strassen_allocates_its_output_and_one_workspace,
+        par_prefix_allocates_its_output_once,
+        par_fft_allocates_one_root_table_and_one_scratch,
+        par_list_rank_allocates_its_output_and_one_workspace,
+        par_mergesort_allocates_one_scratch
+    ];
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let filters: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+    let chosen: Vec<_> = checks
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str())))
+        .collect();
+    if args.iter().any(|a| a == "--list") {
+        for (name, _) in &chosen {
+            println!("{name}: test");
+        }
+        return;
+    }
+    println!("\nrunning {} tests", chosen.len());
+    for (name, check) in &chosen {
+        print!("test {name} ... ");
+        std::io::Write::flush(&mut std::io::stdout()).expect("stdout");
+        // A failed check panics, so the process exits non-zero here.
+        check();
+        println!("ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; {} filtered out\n",
+        chosen.len(),
+        checks.len() - chosen.len()
+    );
 }

@@ -33,6 +33,11 @@
 //! path: a method named like a common word (`new`, `get`, `len`) passes
 //! by accident whenever any other file uses that word.
 //!
+//! **No foreign declarations**: no `.rs` file under `crates/` or `src/`
+//! opens an `extern` block (`extern "C" {`, `extern {`), so every call
+//! leaves the process through std and no hand-declared ABI can drift
+//! from the platform's.
+//!
 //! **The empty stubs**: no Rust source outside `vendor/` uses the
 //! `rayon` or `serde` stub crates. Outside comments, no file under
 //! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
@@ -148,6 +153,31 @@ fn no_source_uses_the_stubbed_crates() {
         scan(root, &root.join(dir), owner, &uses_stub, &mut hits);
     }
     assert!(hits.is_empty(), "stub crates used:\n{}", hits.join("\n"));
+}
+
+#[test]
+fn no_foreign_declarations() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // An `extern`, an optional ABI string, then the block's brace: not
+    // `extern crate` and not an `extern "C" fn` definition.
+    let declares = |line: &str| {
+        let code = line.trim_start();
+        !code.starts_with("//")
+            && code.match_indices("extern").any(|(i, m)| {
+                let word = !code[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+                let rest = code[i + m.len()..].trim_start();
+                let rest = match rest.strip_prefix('"') {
+                    Some(abi) => abi.split_once('"').map_or("", |(_, r)| r.trim_start()),
+                    None => rest,
+                };
+                word && rest.starts_with('{')
+            })
+    };
+    let mut hits = Vec::new();
+    for dir in ["crates", "src"] {
+        scan(root, &root.join(dir), "", &declares, &mut hits);
+    }
+    assert!(hits.is_empty(), "extern blocks:\n{}", hits.join("\n"));
 }
 
 /// `pub fn`s that no other file calls, each with the reason it stays.

@@ -85,10 +85,9 @@ fn sim_policy_diff_aligns_by_task_id_and_compares_critical_paths() {
 }
 
 /// Sim against native on one kernel: the id spaces differ (node ids vs
-/// fork ordinals), so the contract is per-side completeness, and the
-/// model's predicted misses on the sim side. The native side carries
-/// measured misses where the kernel grants `perf_event` fds and none
-/// where it does not, so its totals are not asserted.
+/// fork ordinals), so the contract is per-side completeness, the
+/// model's predicted misses on the sim side, and none on the native
+/// side, whose trace carries no miss deltas.
 #[test]
 fn native_trace_aligns_against_sim_cross_backend() {
     let job = ExecJob::new("Sort (SPMS)", 1 << 12, 42);
@@ -112,6 +111,7 @@ fn native_trace_aligns_against_sim_cross_backend() {
         d.a.misses.0 + d.a.misses.1 + d.a.misses.2 > 0,
         "sim predicts misses: {d}"
     );
+    assert_eq!(d.b.misses, (0, 0, 0), "native records no misses: {d}");
 }
 
 /// A diff of a trace against itself is exactly clean.
