@@ -1,6 +1,10 @@
-//! Machine parameters: `p`, `M`, `B`, and cost model.
+//! Machine parameters: `p`, `M`, `B`, an optional L2, and the cost model
+//! derived from them.
 
 use crate::{BlockId, Word};
+
+/// Cost `b` of a cache miss (and of a block miss), in time units.
+const MISS_COST: u64 = 16;
 
 /// Optional second-level cache (paper §5.2: "Hierarchy of Caches",
 /// the common `d = 2` configuration — private L1s of `M₁` words below one
@@ -15,13 +19,20 @@ pub struct L2Config {
     /// `false` = one truly shared L2 (writes keep the shared copy valid, so
     /// invalidated L1 copies refill cheaply from L2).
     pub partitioned: bool,
-    /// Cost of an L1 miss served by the L2 (must be < `miss_cost`); an
-    /// L1+L2 miss pays the full memory cost `miss_cost`. Bounded like
-    /// [`MachineConfig::miss_cost`].
-    pub hit_cost: u64,
 }
 
-/// Parameters of the simulated multicore (paper §1).
+impl L2Config {
+    /// Cost of an L1 miss served by the L2: a quarter of the memory cost
+    /// `b`. An L1+L2 miss pays the full [`MachineConfig::miss_cost`].
+    pub fn hit_cost(&self) -> u64 {
+        MISS_COST / 4
+    }
+}
+
+/// Parameters of the simulated multicore (paper §1): `p` cores, each with
+/// a private cache of `M` words in blocks of `B` words, optionally over an
+/// L2. The costs are derived, not stored: see [`MachineConfig::miss_cost`],
+/// [`MachineConfig::steal_cost`] and [`MachineConfig::probe_cost`].
 ///
 /// The algorithms and the PWS scheduler are *oblivious* to `cache_words` and
 /// `block_words`; only the machine simulation itself consults them. `p` is
@@ -35,96 +46,28 @@ pub struct MachineConfig {
     pub cache_words: u64,
     /// Block size `B`, in words.
     pub block_words: u64,
-    /// Cost `b` of a cache miss (and of a block miss), in time units.
-    ///
-    /// The scheduler's event calendar is a ring with one bucket per time
-    /// unit, sized to the largest single charge — `1 + miss_cost`,
-    /// `1 + l2.hit_cost` or `steal_cost` — so each of the three must stay
-    /// below 4096 (`hbp_sched::clock::EventQueue::MAX_HORIZON`; the
-    /// constructors here yield at most 96). A larger cost panics when a
-    /// run starts.
-    pub miss_cost: u64,
-    /// Cost `sP` charged to a thief for a successful steal. The paper's
-    /// distributed PWS implementation gives `sP = Θ(b log p)` (§4.7).
-    /// Bounded like `miss_cost`.
-    pub steal_cost: u64,
-    /// Cost charged for an unsuccessful steal attempt (a probe).
-    pub probe_cost: u64,
     /// Optional level-2 cache (paper §5.2). `None` = flat memory behind
     /// the private caches.
     pub l2: Option<L2Config>,
-    /// Words reserved per kernel stack region (paper §3.3): every stolen
-    /// task's frames live in their own region of this many words. Frames
-    /// of one kernel must fit; must be a block-aligned multiple of
-    /// `block_words` so regions never share a block by construction.
-    /// Defaults to [`MachineConfig::DEFAULT_REGION_WORDS`]; shrink it via
-    /// [`MachineConfig::with_region_words`] for extreme-geometry tests.
-    pub region_words: u64,
 }
 
 impl MachineConfig {
-    /// Default words per kernel stack region (`2^26`, the value the
-    /// engine hard-coded before it became configurable).
-    pub const DEFAULT_REGION_WORDS: u64 = 1 << 26;
-
-    /// A machine with `p` cores, cache size `m` words, block size `b_words`
-    /// words, and the paper's default cost model: `b = 16`,
-    /// `sP = b·⌈log₂ p⌉`, probe = 1.
-    ///
-    /// The default stack-region size adapts to the block size (rounded up
-    /// to the next block multiple), so any block size the constructor
-    /// accepted before regions became configurable remains accepted.
+    /// A machine with `p` cores, cache size `m` words and block size
+    /// `b_words` words.
     pub fn new(p: usize, m: u64, b_words: u64) -> Self {
         assert!((1..=64).contains(&p), "p must be in 1..=64 (got {p})");
         assert!(b_words >= 1, "block size must be >= 1");
         assert!(m >= b_words, "cache must hold at least one block");
-        let miss_cost = 16;
-        let cfg = Self {
+        Self {
             p,
             cache_words: m,
             block_words: b_words,
-            miss_cost,
-            steal_cost: miss_cost * (usize::BITS - (p.max(2) - 1).leading_zeros()) as u64,
-            probe_cost: 1,
             l2: None,
-            region_words: Self::DEFAULT_REGION_WORDS.div_ceil(b_words) * b_words,
-        };
-        cfg.validate_regions();
-        cfg
-    }
-
-    /// Replace the per-kernel stack-region size (words). An explicit size
-    /// must be exact: panics unless it holds at least one block and is
-    /// block-aligned.
-    pub fn with_region_words(mut self, words: u64) -> Self {
-        self.region_words = words;
-        self.validate_regions();
-        self
-    }
-
-    /// Region geometry must agree with cache geometry: a region holds at
-    /// least one block, and region boundaries fall on block boundaries
-    /// (otherwise two kernels' stacks could share a block structurally,
-    /// which the §3.3 model rules out).
-    fn validate_regions(&self) {
-        assert!(
-            self.region_words >= self.block_words,
-            "region_words ({}) must hold at least one block ({} words)",
-            self.region_words,
-            self.block_words
-        );
-        assert_eq!(
-            self.region_words % self.block_words,
-            0,
-            "region_words ({}) must be a multiple of block_words ({})",
-            self.region_words,
-            self.block_words
-        );
+        }
     }
 
     /// Add a level-2 cache of `m2` words (paper §5.2). `partitioned`
-    /// selects the per-core-segment scheme; an L2 hit costs a quarter of a
-    /// memory access.
+    /// selects the per-core-segment scheme.
     pub fn with_l2(mut self, m2: u64, partitioned: bool) -> Self {
         assert!(
             m2 >= self.cache_words * self.p as u64,
@@ -133,7 +76,6 @@ impl MachineConfig {
         self.l2 = Some(L2Config {
             words: m2,
             partitioned,
-            hit_cost: (self.miss_cost / 4).max(1),
         });
         self
     }
@@ -143,6 +85,23 @@ impl MachineConfig {
     /// `M ≥ B²`).
     pub fn default_machine() -> Self {
         Self::new(8, 1 << 14, 32)
+    }
+
+    /// Cost `b` of a cache miss (and of a block miss): 16 time units.
+    pub fn miss_cost(&self) -> u64 {
+        MISS_COST
+    }
+
+    /// Cost `sP` charged to a thief for a successful steal:
+    /// `b·⌈log₂ max(p, 2)⌉`, the paper's `Θ(b log p)` for its distributed
+    /// PWS implementation (§4.7). At most 96, at `p = 64`.
+    pub fn steal_cost(&self) -> u64 {
+        MISS_COST * (usize::BITS - (self.p.max(2) - 1).leading_zeros()) as u64
+    }
+
+    /// Cost charged for an unsuccessful steal attempt (a probe): 1.
+    pub fn probe_cost(&self) -> u64 {
+        1
     }
 
     /// Number of block frames per private cache: `M / B`.
@@ -174,8 +133,8 @@ mod tests {
     fn steal_cost_scales_with_log_p() {
         let c2 = MachineConfig::new(2, 1024, 32);
         let c16 = MachineConfig::new(16, 1024, 32);
-        assert_eq!(c2.steal_cost, c2.miss_cost); // ceil(log2 2) = 1
-        assert_eq!(c16.steal_cost, c16.miss_cost * 4);
+        assert_eq!(c2.steal_cost(), c2.miss_cost()); // ceil(log2 2) = 1
+        assert_eq!(c16.steal_cost(), c16.miss_cost() * 4);
     }
 
     #[test]
@@ -188,35 +147,5 @@ mod tests {
     #[should_panic]
     fn rejects_cache_smaller_than_block() {
         MachineConfig::new(2, 16, 32);
-    }
-
-    #[test]
-    fn region_words_defaults_and_shrinks() {
-        let c = MachineConfig::new(4, 1024, 32);
-        assert_eq!(c.region_words, MachineConfig::DEFAULT_REGION_WORDS);
-        let small = c.with_region_words(1 << 12);
-        assert_eq!(small.region_words, 1 << 12);
-    }
-
-    #[test]
-    fn non_power_of_two_blocks_get_an_aligned_default_region() {
-        // The constructor accepted any block size before regions became
-        // configurable; it must keep doing so, by rounding the default
-        // region up to the next block multiple.
-        let c = MachineConfig::new(4, 1024, 48);
-        assert_eq!(c.region_words % 48, 0);
-        assert!(c.region_words >= MachineConfig::DEFAULT_REGION_WORDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of block_words")]
-    fn rejects_unaligned_region() {
-        MachineConfig::new(2, 1024, 32).with_region_words(48);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block")]
-    fn rejects_region_smaller_than_block() {
-        MachineConfig::new(2, 1024, 32).with_region_words(16);
     }
 }

@@ -24,7 +24,6 @@
 pub mod alloc;
 pub mod cache;
 pub mod config;
-mod hash;
 pub mod stats;
 pub mod system;
 

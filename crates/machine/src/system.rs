@@ -1,13 +1,15 @@
 //! The multicore memory system: p private caches + write-invalidate
 //! coherence directory + miss classification.
 //!
-//! One access costs one probe of the block directory (a map on the
-//! crate's multiplicative block hasher) and, unless the block is already
-//! the core's most recent one, one probe of that core's LRU; both are
-//! O(1). The directory entry's holder mask is the authority on residency
-//! — it is kept in step with the caches, and debug builds check it.
+//! One access costs one index into the block directory and, unless the
+//! block is already the core's most recent one, one probe of that core's
+//! LRU; both are O(1). The directory is a vector indexed by block id that
+//! grows on first touch: the simulated address space is dense (the heap,
+//! then the stack regions end to end), so it is as long as the highest
+//! block touched. The directory entry's holder mask is the authority on
+//! residency — it is kept in step with the caches, and debug builds
+//! check it.
 
-use crate::hash::BlockMap;
 use crate::{AccessOutcome, CoreStats, LruCache, MachineConfig, MachineStats, MissKind, Word};
 
 /// Per-block coherence/bookkeeping state, packed into core bitmasks
@@ -27,14 +29,20 @@ struct BlockState {
 /// second-level cache (paper §5.2).
 ///
 /// Drive it with [`MemSystem::access`] (or [`MemSystem::access_costed`] to
-/// get the time cost); read results from [`MemSystem::stats`].
+/// get the time cost); read results from [`MemSystem::stats`]. The
+/// directory and the caches are indexed by block id, so memory grows with
+/// the highest address accessed (24 bytes per block for the directory,
+/// and 4 per block for each cache, up to the highest block it has held):
+/// keep addresses dense.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     cfg: MachineConfig,
     caches: Vec<LruCache>,
     /// One cache if the L2 is shared, `p` segment caches if partitioned.
     l2: Vec<LruCache>,
-    blocks: BlockMap<BlockState>,
+    /// `blocks[block]`: the block's state; blocks past the end were never
+    /// touched.
+    blocks: Vec<BlockState>,
     stats: Vec<CoreStats>,
 }
 
@@ -54,7 +62,7 @@ impl MemSystem {
             cfg,
             caches: (0..cfg.p).map(|_| LruCache::new(frames)).collect(),
             l2,
-            blocks: BlockMap::default(),
+            blocks: Vec::new(),
             stats: vec![CoreStats::default(); cfg.p],
         }
     }
@@ -75,19 +83,23 @@ impl MemSystem {
     }
 
     /// Perform one access and return `(outcome, time cost)`:
-    /// hit = 1; L1 miss served by the L2 = `1 + hit_cost`; miss to
-    /// memory = `1 + b`.
+    /// hit = 1; L1 miss served by the L2 = `1 + L2Config::hit_cost()`;
+    /// miss to memory = `1 + b`.
     ///
-    /// The block directory is probed once: the entry's `holders` bit says
+    /// The block directory is read once: the entry's `holders` bit says
     /// whether this is a hit (the LRU is not asked), and the miss
     /// classification and the write's ownership change are applied in
-    /// the same borrow. Only an eviction probes again, for the block that
-    /// left.
+    /// the same borrow. Only an eviction indexes it again, for the block
+    /// that left.
     pub fn access_costed(&mut self, core: usize, addr: Word, write: bool) -> (AccessOutcome, u64) {
         debug_assert!(core < self.cfg.p);
         let block = self.cfg.block_of(addr);
         let bit = 1u64 << core;
-        let st = self.blocks.entry(block).or_default();
+        let i = block as usize;
+        if i >= self.blocks.len() {
+            self.blocks.resize(i + 1, BlockState::default());
+        }
+        let st = &mut self.blocks[i];
         let miss = if st.holders & bit != 0 {
             None
         } else {
@@ -125,16 +137,16 @@ impl MemSystem {
                 }
                 // L2 lookup (non-inclusive: an L2 eviction leaves L1s alone).
                 let cost = match self.cfg.l2 {
-                    None => 1 + self.cfg.miss_cost,
+                    None => 1 + self.cfg.miss_cost(),
                     Some(l2c) => {
                         let idx = self.l2_idx(core);
                         if self.l2[idx].touch(block) {
                             self.stats[core].l2_hits += 1;
-                            1 + l2c.hit_cost
+                            1 + l2c.hit_cost()
                         } else {
                             self.stats[core].l2_misses += 1;
                             self.l2[idx].insert(block);
-                            1 + self.cfg.miss_cost
+                            1 + self.cfg.miss_cost()
                         }
                     }
                 };
@@ -143,10 +155,7 @@ impl MemSystem {
                     // Silent capacity eviction: drop from holders; the next
                     // miss on it by this core is a capacity miss (not
                     // coherence).
-                    let est = self
-                        .blocks
-                        .get_mut(&evicted)
-                        .expect("evicted block has state");
+                    let est = &mut self.blocks[evicted as usize];
                     est.holders &= !bit;
                     est.invalidated &= !bit;
                 }
@@ -301,11 +310,11 @@ mod tests {
         let cfg = MachineConfig::new(2, 64, 32).with_l2(1 << 10, false);
         let mut ms = MemSystem::new(cfg);
         let (_, c0) = ms.access_costed(0, 0, false); // L1+L2 miss -> memory
-        assert_eq!(c0, 1 + cfg.miss_cost);
+        assert_eq!(c0, 1 + cfg.miss_cost());
         ms.access(1, 0, true); // invalidates core 0's L1 copy
         let (o, c1) = ms.access_costed(0, 0, false); // block miss, L2 hit
         assert!(o.is_block_miss());
-        assert_eq!(c1, 1 + cfg.l2.unwrap().hit_cost);
+        assert_eq!(c1, 1 + cfg.l2.unwrap().hit_cost());
         assert_eq!(ms.stats().per_core[0].l2_hits, 1);
     }
 
@@ -317,7 +326,7 @@ mod tests {
         ms.access(1, 0, true); // kills core 0's L1 AND its L2 segment copy
         let (o, c) = ms.access_costed(0, 0, false);
         assert!(o.is_block_miss());
-        assert_eq!(c, 1 + cfg.miss_cost); // segment copy was invalidated
+        assert_eq!(c, 1 + cfg.miss_cost()); // segment copy was invalidated
         assert_eq!(ms.stats().per_core[0].l2_misses, 2);
     }
 
@@ -330,7 +339,7 @@ mod tests {
             for blk in 0..4u64 {
                 let (_, cost) = ms.access_costed(0, blk * 32, false);
                 if pass == 1 {
-                    assert_eq!(cost, 1 + cfg.l2.unwrap().hit_cost, "second pass hits L2");
+                    assert_eq!(cost, 1 + cfg.l2.unwrap().hit_cost(), "second pass hits L2");
                 }
             }
         }
@@ -345,7 +354,7 @@ mod tests {
         let mut ms = MemSystem::new(cfg);
         let (_, miss) = ms.access_costed(0, 0, false);
         let (_, hit) = ms.access_costed(0, 1, false);
-        assert_eq!(miss, 1 + cfg.miss_cost);
+        assert_eq!(miss, 1 + cfg.miss_cost());
         assert_eq!(hit, 1);
     }
 
@@ -421,19 +430,19 @@ mod tests {
                 ever.insert(core);
                 *fetches += 1;
                 let cost = match self.cfg.l2 {
-                    None => 1 + self.cfg.miss_cost,
+                    None => 1 + self.cfg.miss_cost(),
                     Some(l2c) => {
                         let l2 = &mut self.l2[if l2c.partitioned { core } else { 0 }];
                         if Self::touch(l2, block) {
                             self.stats[core].l2_hits += 1;
-                            1 + l2c.hit_cost
+                            1 + l2c.hit_cost()
                         } else {
                             self.stats[core].l2_misses += 1;
                             if l2.len() == self.l2_frames {
                                 l2.remove(0);
                             }
                             l2.push(block);
-                            1 + self.cfg.miss_cost
+                            1 + self.cfg.miss_cost()
                         }
                     }
                 };
@@ -476,8 +485,8 @@ mod tests {
         /// end.
         /// Four frames per core, so evictions are constant; half the
         /// accesses go to six hot blocks (sharing, invalidations), the
-        /// rest to a range wider than all caches together, part of it a
-        /// stack-region stride apart.
+        /// rest to a range wider than all caches together, part of it
+        /// spread far enough apart that the directory grows in jumps.
         #[test]
         fn matches_naive_model(seed in 0u64..u64::MAX) {
             const B: u64 = 4;
@@ -493,7 +502,7 @@ mod tests {
                         let block = match rng.below(4) {
                             0 | 1 => rng.below(6),
                             2 => rng.below(6 * p as u64 + 6),
-                            _ => rng.below(p as u64 + 2) << 21,
+                            _ => rng.below(p as u64 + 2) << 10,
                         };
                         let addr = block * B + rng.below(B);
                         let write = rng.below(3) == 0;

@@ -10,19 +10,18 @@
 //!
 //! **The calendar.** Virtual time is integral and no event is ever
 //! scheduled far ahead: a push lies within one *charge* of the current
-//! time — an access costs at most `1 + miss_cost` (or `1 + l2.hit_cost`),
-//! a fork 1, a steal `steal_cost`, and a sweep is requested at the
-//! requester's own time. So the queue is not a heap but a ring of FIFO
-//! buckets, one per instant, indexed by `time & mask`: `push` appends to
-//! its bucket, `pop` drains the bucket at the `now` cursor and moves on
-//! to the next non-empty one. The order inside a bucket is push order,
-//! which is the tie-break; no sequence numbers are kept. The ring is
-//! sized once, to the power of two above the machine's largest charge —
-//! the **horizon** ([`EventQueue::new`]); 128 buckets cover every machine
-//! this repository builds (`steal_cost = 16·⌈log₂ 64⌉ = 96` at most). A
-//! push beyond the horizon, or a machine whose costs exceed
-//! [`EventQueue::MAX_HORIZON`], panics: there is no second queue to fall
-//! back to.
+//! time — an access costs at most `1 + miss_cost()`, a fork 1, a steal
+//! `steal_cost()`, and a sweep is requested at the requester's own time.
+//! So the queue is not a heap but a ring of FIFO buckets, one per
+//! instant, indexed by `time & mask`: `push` appends to its bucket, `pop`
+//! drains the bucket at the `now` cursor and moves on to the next
+//! non-empty one. The order inside a bucket is push order, which is the
+//! tie-break; no sequence numbers are kept. The ring is sized once, to
+//! the power of two above the machine's largest charge — the **horizon**
+//! ([`EventQueue::new`]); the costs are derived from `p`, so 128 buckets
+//! cover every machine (`steal_cost() = 16·⌈log₂ 64⌉ = 96` at most). A
+//! push beyond the horizon panics: there is no second queue to fall back
+//! to.
 //!
 //! Sweeps are deduplicated by timestamp: scheduling a sweep at a time at
 //! which (or before which) one is already pending is a no-op, so sweeps
@@ -76,27 +75,16 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Largest horizon a queue will be built for (a ring of 4096 buckets):
-    /// no cost of a [`MachineConfig`] may exceed this many time units.
-    pub const MAX_HORIZON: u64 = (1 << 12) - 1;
-
     /// An empty queue at virtual time zero whose horizon is the largest
-    /// single charge of `cfg`: `1 + miss_cost`, `1 + l2.hit_cost`, or
-    /// `steal_cost`. Panics above [`EventQueue::MAX_HORIZON`].
+    /// single charge of `cfg`: `1 + miss_cost()` or `steal_cost()` (an L2
+    /// hit costs less than a miss).
     pub fn new(cfg: &MachineConfig) -> Self {
-        let fill = cfg.miss_cost.max(cfg.l2.map_or(0, |l2| l2.hit_cost));
-        Self::with_horizon(cfg.steal_cost.max(fill.saturating_add(1)))
+        Self::with_horizon(cfg.steal_cost().max(1 + cfg.miss_cost()))
     }
 
     /// An empty queue at virtual time zero accepting pushes up to
     /// `horizon` time units ahead of the current time.
     fn with_horizon(horizon: u64) -> Self {
-        assert!(
-            horizon <= Self::MAX_HORIZON,
-            "a charge of {horizon} time units exceeds the event calendar's bound of {} \
-             (MachineConfig::miss_cost / steal_cost / l2.hit_cost)",
-            Self::MAX_HORIZON
-        );
         let ring = (horizon + 1).next_power_of_two();
         Self {
             buckets: vec![Vec::new(); ring as usize],
@@ -280,14 +268,6 @@ mod tests {
     fn a_push_beyond_the_horizon_panics() {
         let mut q = EventQueue::new(&MachineConfig::default_machine());
         q.push(1000, EvKind::Step(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the event calendar's bound")]
-    fn a_machine_with_costs_above_the_bound_panics() {
-        let mut cfg = MachineConfig::default_machine();
-        cfg.miss_cost = EventQueue::MAX_HORIZON;
-        EventQueue::new(&cfg);
     }
 
     proptest! {

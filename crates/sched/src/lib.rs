@@ -26,7 +26,8 @@
 //!   ordering (fork pushes the right child at the bottom; owners pop the
 //!   bottom; thieves steal the top);
 //! * [`stacks`] — §3.3 kernel stack regions: every kernel owns a fresh
-//!   region of [`hbp_machine::MachineConfig::region_words`] words; frames
+//!   region, sized from the recording to its task's deepest frame chain
+//!   in whole blocks and laid end to end with the others; frames
 //!   are pushed/popped LIFO within it, so stack blocks are *reused* by
 //!   sibling subtrees and *shared* between a stolen task and its
 //!   ancestors — exactly the block-miss sources of Lemma 3.1 / §4.3;

@@ -8,7 +8,9 @@
 //! a join-wait alike. That is the randomized work stealing whose
 //! false-sharing costs arXiv:1103.4142 bounds; the paper's PWS needs
 //! global priority rounds and stays a simulator schedule. Failed scans
-//! back off by [`default_backoff`].
+//! of the idle loop back off by [`default_backoff`]; a join-wait only
+//! yields between scans, so it resumes as soon as its stolen branch is
+//! done.
 //!
 //! Single steals keep every worker's deque in one shape: it holds
 //! exactly the right branches of the worker's open joins, oldest at the
@@ -450,9 +452,8 @@ where
             // Stolen: steal other work while the thief finishes our
             // branch. Probe time inside a task is attributed to that
             // task (see the module docs), so no steal_ns accounting here.
-            let mut fails = 0u32;
             while !job.done.load(Ordering::Acquire) {
-                steal_once(pool, me, &mut fails, false);
+                steal_once(pool, me, None);
             }
         }
     }
@@ -473,19 +474,24 @@ where
 /// random rotation, record counters and trace events, and execute the
 /// stolen task on success.
 ///
-/// `top_level` says the caller is a thief's idle loop rather than a
-/// join-wait: only there is the probe scan charged to `steal_ns`
-/// (inside a join-wait it is attributed to the waiting task).
-fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) {
+/// `idle_fails` is the consecutive-failure count of a thief's idle loop,
+/// `None` in a join-wait. Only in the idle loop is the probe scan
+/// charged to `steal_ns` (inside a join-wait it is attributed to the
+/// waiting task), and only there does a failed scan back off into sleep.
+/// A join-wait yields instead, so it sees its stolen branch finish as
+/// soon as it does.
+fn steal_once(pool: &Pool, me: usize, idle_fails: Option<&mut u32>) {
     let tally = &pool.tally[me];
-    let t0 = top_level.then(Instant::now);
+    let t0 = idle_fails.is_some().then(Instant::now);
     let found = steal_from_others(pool, me);
     if let Some(t0) = t0 {
         bump(&tally.steal_ns, t0.elapsed().as_nanos() as u64);
     }
     match found {
         Some((victim, j)) => {
-            *fails = 0;
+            if let Some(fails) = idle_fails {
+                *fails = 0;
+            }
             bump(&tally.steals, 1);
             if let Some(tr) = pool.trace() {
                 tr.push(
@@ -505,8 +511,13 @@ fn steal_once(pool: &Pool, me: usize, fails: &mut u32, top_level: bool) {
             if let Some(tr) = pool.trace() {
                 tr.push(me, pool.now_ns(), TrEv::StealFail);
             }
-            default_backoff(*fails);
-            *fails = fails.saturating_add(1);
+            match idle_fails {
+                Some(fails) => {
+                    default_backoff(*fails);
+                    *fails = fails.saturating_add(1);
+                }
+                None => std::thread::yield_now(),
+            }
         }
     }
 }
@@ -558,7 +569,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
                 pool.deques[me].pop().is_none(),
                 "a thief's deque held a task outside any join"
             );
-            steal_once(pool, me, &mut fails, true);
+            steal_once(pool, me, Some(&mut fails));
         }
         let quiesced = {
             let mut s = pool.state.lock().expect("pool state poisoned");

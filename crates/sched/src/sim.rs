@@ -549,7 +549,7 @@ impl<'a> Engine<'a> {
 
     /// Run the whole computation, delegating every sweep to `policy`.
     pub fn drive(&mut self, policy: &mut dyn StealPolicy) {
-        let region = self.stacks.new_region();
+        let region = self.stacks.new_region(self.comp.root);
         self.start_node(0, self.comp.root, region);
         if self.trace.is_some() {
             self.emit(
@@ -697,7 +697,7 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        let begin = now + self.cfg.steal_cost;
+        let begin = now + self.cfg.steal_cost();
         if let Some(cp) = &mut self.cp {
             // The critical-path walk's steal hop: the wait runs from the
             // fork to the commit, the charge from the commit to the
@@ -721,8 +721,8 @@ impl<'a> Engine<'a> {
         let c = &mut self.cores[thief];
         c.idle_accum += now.saturating_sub(c.idle_since);
         c.time = begin;
-        c.steal_overhead += self.cfg.steal_cost;
-        let region = self.stacks.new_region();
+        c.steal_overhead += self.cfg.steal_cost();
+        let region = self.stacks.new_region(node);
         self.start_node(thief, node, region);
         let t = self.cores[thief].time;
         if self.trace.is_some() {
@@ -757,7 +757,7 @@ impl<'a> Engine<'a> {
     /// the probe fee and counts toward steal attempts.
     pub fn note_failed_probe(&mut self, thief: usize) {
         self.failed_probes += 1;
-        self.cores[thief].steal_overhead += self.cfg.probe_cost;
+        self.cores[thief].steal_overhead += self.cfg.probe_cost();
         if self.trace.is_some() {
             self.emit(thief, self.sweep_now, TrEv::StealFail);
         }

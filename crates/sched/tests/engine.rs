@@ -135,7 +135,7 @@ fn work_conservation() {
     // Busy time = accesses + miss stalls + fork bookkeeping.
     let t = r.machine.total();
     let forks = comp.forks().count() as u64;
-    let expect = t.accesses() + t.misses() * cfg.miss_cost + forks;
+    let expect = t.accesses() + t.misses() * cfg.miss_cost() + forks;
     let busy: u64 = r.busy.iter().sum();
     assert_eq!(busy, expect);
 }
@@ -188,7 +188,7 @@ fn seq_report_matches_direct_q() {
     assert_eq!(seq.work, comp.work());
     assert_eq!(
         seq.makespan,
-        seq.work + seq.q_misses * cfg.miss_cost + comp.forks().count() as u64
+        seq.work + seq.q_misses * cfg.miss_cost() + comp.forks().count() as u64
     );
 }
 

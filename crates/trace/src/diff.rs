@@ -131,19 +131,18 @@ impl std::fmt::Display for TraceDiff {
         row(f, "dropped", self.a.dropped, self.b.dropped)?;
         let miss_sum = |m: (u64, u64, u64)| m.0 + m.1 + m.2;
         if miss_sum(self.a.misses) + miss_sum(self.b.misses) > 0 {
+            let split = |m: (u64, u64, u64)| format!("{}/{}/{}", m.0, m.1, m.2);
+            let mark = if self.a.misses == self.b.misses {
+                " "
+            } else {
+                "≠"
+            };
             writeln!(
                 f,
-                "  {:<14} {:>12} {:>12}   (heap block / stack block / stack plain; \
-                 predicted vs measured — not compared)",
+                "  {:<14} {:>12} {:>12}  {mark}  (heap block / stack block / stack plain)",
                 "misses",
-                format!(
-                    "{}/{}/{}",
-                    self.a.misses.0, self.a.misses.1, self.a.misses.2
-                ),
-                format!(
-                    "{}/{}/{}",
-                    self.b.misses.0, self.b.misses.1, self.b.misses.2
-                ),
+                split(self.a.misses),
+                split(self.b.misses),
             )?;
         }
         if self.only_a_total + self.only_b_total > 0 {
@@ -278,9 +277,9 @@ pub(crate) mod tests {
 
     #[test]
     fn miss_deltas_tally_per_side_without_breaking_equality() {
-        // A sim trace predicting misses vs a native-style trace
-        // measuring different ones: the totals surface side by side but
-        // never participate in structural equality.
+        // Two traces predicting different misses: the totals are
+        // compared side by side but never participate in structural
+        // equality.
         let a = steal_trace(1);
         let mut b = steal_trace(1);
         b.events.push(ev(
@@ -298,7 +297,15 @@ pub(crate) mod tests {
         assert_eq!(d.a.misses, (0, 0, 0));
         assert_eq!(d.b.misses, (7, 3, 1));
         assert!(d.a.complete() && d.b.complete());
-        assert!(d.to_string().contains("7/3/1"), "{d}");
+        let text = d.to_string();
+        let row = text
+            .lines()
+            .find(|l| l.contains("misses"))
+            .expect("a misses row");
+        assert!(
+            row.contains("0/0/0") && row.contains("7/3/1") && row.contains('≠'),
+            "{d}"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn main() {
 
 fn sim_main() {
     let machine = MachineConfig::default_machine();
-    let (p, b, sp) = (machine.p as u64, machine.miss_cost, machine.steal_cost);
+    let (p, b, sp) = (machine.p as u64, machine.miss_cost(), machine.steal_cost());
     println!("F7: makespan vs (W + b·Q)/p + sP·T∞   (p={p}, b={b}, sP={sp})\n");
     println!(
         "{:<20} {:>9} {:>9} {:>7} | {:>10} {:>10} {:>7}",

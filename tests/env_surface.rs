@@ -38,6 +38,12 @@
 //! leaves the process through std and no hand-declared ABI can drift
 //! from the platform's.
 //!
+//! **Unhashed machine state**: no code under `crates/machine/src`
+//! outside its `mod tests` names `HashMap`, `HashSet` or `BuildHasher`.
+//! The simulated address space is dense, so the block directory and the
+//! LRU slot maps are vectors indexed by block id, and a hash there would
+//! only add its cost to every simulated access.
+//!
 //! **The empty stubs**: no Rust source outside `vendor/` uses the
 //! `rayon` or `serde` stub crates. Outside comments, no file under
 //! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
@@ -178,6 +184,45 @@ fn no_foreign_declarations() {
         scan(root, &root.join(dir), "", &declares, &mut hits);
     }
     assert!(hits.is_empty(), "extern blocks:\n{}", hits.join("\n"));
+}
+
+#[test]
+fn machine_state_is_not_hashed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Flag the hashed names, and each file's `mod tests {` so that what
+    // follows it can be told apart.
+    let flags = |line: &str| {
+        let code = line.trim();
+        code == "mod tests {"
+            || (!code.starts_with("//")
+                && ["HashMap", "HashSet", "BuildHasher"]
+                    .iter()
+                    .any(|name| code.contains(name)))
+    };
+    let mut flagged = Vec::new();
+    scan(
+        root,
+        &root.join("crates/machine/src"),
+        "",
+        &flags,
+        &mut flagged,
+    );
+    // `scan` gives `file:line: code`, each file's lines in order.
+    let mut tests_of = None;
+    let mut hits = Vec::new();
+    for hit in &flagged {
+        let file = hit.split_once(':').expect("file:line: code").0;
+        if hit.ends_with(": mod tests {") {
+            tests_of = Some(file);
+        } else if tests_of != Some(file) {
+            hits.push(hit.as_str());
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "hashed state in the simulated machine:\n{}",
+        hits.join("\n")
+    );
 }
 
 /// `pub fn`s that no other file calls, each with the reason it stays.

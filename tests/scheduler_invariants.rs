@@ -136,29 +136,6 @@ fn extreme_geometries_do_not_panic_or_overflow() {
     }
 }
 
-#[test]
-fn shrunken_stack_regions_still_execute_correctly() {
-    // The per-kernel stack-region size is a MachineConfig knob now; an
-    // extreme-geometry machine with tiny (but sufficient) regions must
-    // still run every scheduler to completion.
-    let data: Vec<u64> = (0..512u64).collect();
-    let (comp, _) = hbp_core::algos::scan::m_sum(&data, BuildConfig::with_block(32));
-    let cfg = MachineConfig::new(8, 1 << 10, 32).with_region_words(1 << 12);
-    assert_eq!(cfg.region_words, 1 << 12);
-    for policy in [Policy::Pws, Policy::Rws { seed: 3 }] {
-        let r = run(&comp, cfg, policy);
-        assert_eq!(r.work, comp.work(), "{policy:?}");
-    }
-    // Same machine, default regions: the simulated metrics agree exactly —
-    // region size only relocates stacks, it does not change the schedule
-    // as long as frames fit.
-    let dflt = MachineConfig::new(8, 1 << 10, 32);
-    let a = run(&comp, cfg, Policy::Pws);
-    let b = run(&comp, dflt, Policy::Pws);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.steals, b.steals);
-}
-
 /// SPMS splitter determinism: the sample positions and splitters are
 /// pure functions of the input, so two *builds* over the same data give
 /// the same computation, and their PWS reports are byte-identical —
@@ -237,8 +214,8 @@ fn makespan_never_exceeds_sequential() {
         let seq = run_sequential(&comp, m);
         let par = run(&comp, m, Policy::Pws);
         let overhead: u64 = par.steal_overhead.iter().sum::<u64>()
-            + par.block_misses() * m.miss_cost
-            + (par.plain_misses().saturating_sub(seq.q_misses)) * m.miss_cost;
+            + par.block_misses() * m.miss_cost()
+            + (par.plain_misses().saturating_sub(seq.q_misses)) * m.miss_cost();
         assert!(
             par.makespan <= seq.makespan + overhead,
             "{}: {} > {} + {overhead}",
