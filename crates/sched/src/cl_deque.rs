@@ -1,13 +1,13 @@
 //! A lock-free Chase–Lev work-stealing deque.
 //!
-//! This is the real realization of the Obs 4.1 deque discipline that
-//! [`crate::deque`] models in virtual time: the owner pushes and pops at the
-//! **bottom** without synchronization in the common case, thieves race on
-//! the **top** with a single compare-and-swap, and the one genuinely
-//! contended case — owner and thief meeting on the last element — is
-//! arbitrated by a `SeqCst` fence plus a CAS on `top` (Chase & Lev,
-//! SPAA 2005; memory orderings follow Lê, Pop, Cohen & Zappa Nardelli,
-//! PPoPP 2013).
+//! This is the real realization of the Obs 4.1 deque discipline that the
+//! simulator's `deque.rs` models in virtual time: the owner pushes and
+//! pops at the **bottom** without synchronization in the common case,
+//! thieves race on the **top** with a single compare-and-swap, and the
+//! one genuinely contended case — owner and thief meeting on the last
+//! element — is arbitrated by a `SeqCst` fence plus a CAS on `top`
+//! (Chase & Lev, SPAA 2005; memory orderings follow Lê, Pop, Cohen &
+//! Zappa Nardelli, PPoPP 2013).
 //!
 //! ## Shape
 //!

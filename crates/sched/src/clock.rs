@@ -39,7 +39,7 @@ use hbp_machine::MachineConfig;
 
 /// What a scheduled event does when popped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvKind {
+pub(crate) enum EvKind {
     /// Advance the given core by one chargeable action.
     Step(u32),
     /// Attempt steals for all idle cores.
@@ -48,16 +48,16 @@ pub enum EvKind {
 
 /// One popped event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ev {
+pub(crate) struct Ev {
     /// Virtual time at which the event fires.
-    pub time: u64,
+    pub(crate) time: u64,
     /// The event's action.
-    pub kind: EvKind,
+    pub(crate) kind: EvKind,
 }
 
 /// The event calendar (see the module docs) plus the sweep-dedup state.
 #[derive(Debug)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// `buckets[t & mask]`: the events due at `t`, in push order, for the
     /// one `t` in `now..=now + horizon` that maps there.
     buckets: Vec<Vec<EvKind>>,
@@ -78,7 +78,7 @@ impl EventQueue {
     /// An empty queue at virtual time zero whose horizon is the largest
     /// single charge of `cfg`: `1 + miss_cost()` or `steal_cost()` (an L2
     /// hit costs less than a miss).
-    pub fn new(cfg: &MachineConfig) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
         Self::with_horizon(cfg.steal_cost().max(1 + cfg.miss_cost()))
     }
 
@@ -114,7 +114,7 @@ impl EventQueue {
     /// Push an event at `time`; later pushes at equal times pop later.
     /// `time` may not lie before the current time nor more than the
     /// horizon after it.
-    pub fn push(&mut self, time: u64, kind: EvKind) {
+    pub(crate) fn push(&mut self, time: u64, kind: EvKind) {
         assert!(
             time >= self.now && time - self.now <= self.horizon,
             "event at {time} lies outside the calendar's window {}..={}",
@@ -127,7 +127,7 @@ impl EventQueue {
     }
 
     /// Pop the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Ev> {
+    pub(crate) fn pop(&mut self) -> Option<Ev> {
         if self.pending == 0 {
             return None;
         }
@@ -149,7 +149,7 @@ impl EventQueue {
     /// queued for `time` itself was pushed earlier and goes first.) On
     /// `true` the caller runs in place of that event, and the cursor moves
     /// to `time`.
-    pub fn runs_next(&mut self, time: u64) -> bool {
+    pub(crate) fn runs_next(&mut self, time: u64) -> bool {
         debug_assert!(time >= self.now);
         if self.pending > 0 {
             assert!(
@@ -173,7 +173,7 @@ impl EventQueue {
     /// Request a steal sweep at `time`. `wanted` gates the request (the
     /// engine passes "some core is idle"); a sweep already pending at an
     /// earlier-or-equal time absorbs the request.
-    pub fn schedule_sweep(&mut self, time: u64, wanted: bool) {
+    pub(crate) fn schedule_sweep(&mut self, time: u64, wanted: bool) {
         if !wanted {
             return;
         }
@@ -188,7 +188,7 @@ impl EventQueue {
 
     /// Mark the pending sweep as started (called when its event pops), so
     /// the next request schedules a fresh one.
-    pub fn sweep_started(&mut self) {
+    pub(crate) fn sweep_started(&mut self) {
         self.sweep_scheduled_at = None;
     }
 }

@@ -18,40 +18,40 @@ use hbp_model::NodeId;
 
 /// The `p` per-core deques of the simulated machine.
 #[derive(Debug)]
-pub struct TaskDeques {
+pub(crate) struct TaskDeques {
     queues: Vec<VecDeque<NodeId>>,
 }
 
 impl TaskDeques {
     /// One empty deque per core.
-    pub fn new(p: usize) -> Self {
+    pub(crate) fn new(p: usize) -> Self {
         Self {
             queues: vec![VecDeque::new(); p],
         }
     }
 
     /// Owner push: the just-forked right child goes to the bottom.
-    pub fn push_bottom(&mut self, core: usize, node: NodeId) {
+    pub(crate) fn push_bottom(&mut self, core: usize, node: NodeId) {
         self.queues[core].push_back(node);
     }
 
     /// Owner pop: resume the most recently forked task, if any.
-    pub fn pop_bottom(&mut self, core: usize) -> Option<NodeId> {
+    pub(crate) fn pop_bottom(&mut self, core: usize) -> Option<NodeId> {
         self.queues[core].pop_back()
     }
 
     /// Thief pop: take the largest / highest-priority task.
-    pub fn steal_top(&mut self, victim: usize) -> Option<NodeId> {
+    pub(crate) fn steal_top(&mut self, victim: usize) -> Option<NodeId> {
         self.queues[victim].pop_front()
     }
 
     /// The task a thief *would* steal from `victim`, if any.
-    pub fn head(&self, victim: usize) -> Option<NodeId> {
+    pub(crate) fn head(&self, victim: usize) -> Option<NodeId> {
         self.queues[victim].front().copied()
     }
 
     /// Whether `core`'s deque holds no ready tasks.
-    pub fn is_empty(&self, core: usize) -> bool {
+    pub(crate) fn is_empty(&self, core: usize) -> bool {
         self.queues[core].is_empty()
     }
 }

@@ -1,21 +1,15 @@
 //! Entry points of the simulator: [`Policy`], [`run`], [`run_traced`],
 //! [`run_with_critical_path`], [`run_sequential`].
 //!
-//! This module is a thin facade over the layered scheduler subsystem —
-//! see [`crate::sim`] for the event-loop core, [`crate::clock`] /
-//! [`crate::deque`] / [`crate::stacks`] for its parts, and
-//! [`crate::policy`] for the [`StealPolicy`]
-//! implementations the [`Policy`] enum selects between. The signatures
-//! here are stable: call sites in the `hbp` binary, the examples, and the
-//! tests use `run(comp, cfg, policy)` unchanged across the refactor. A
-//! discipline outside the [`Policy`] set drives a [`crate::sim::Engine`]
-//! itself (`Engine::new`, `drive`, `report`).
+//! Each builds the private event-loop engine (`sim.rs`) for one run,
+//! drives it under the [`Policy`] and returns its report. The three
+//! disciplines are the engine's own: it serves every steal sweep itself,
+//! and nothing outside the crate drives it.
 
 use hbp_machine::MachineConfig;
 use hbp_model::Computation;
 use hbp_trace::{CpTotals, TraceSink};
 
-use crate::policy::{Bsp, Pws, Rws, StealPolicy};
 use crate::report::{ExecReport, SeqReport};
 use crate::sim::Engine;
 
@@ -42,15 +36,6 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// The [`StealPolicy`] implementation this variant selects.
-    fn steal_policy(self) -> Box<dyn StealPolicy> {
-        match self {
-            Policy::Pws => Box::new(Pws),
-            Policy::Rws { seed } => Box::new(Rws::new(seed)),
-            Policy::Bsp { prefix_levels } => Box::new(Bsp::new(prefix_levels)),
-        }
-    }
-
     /// Parse an `HBP_POLICY` value: `None` (unset), the empty string or
     /// `pws` → [`Policy::Pws`]; `rws` / `rws:<seed>` → [`Policy::Rws`]
     /// (default seed 1); `bsp` / `bsp:<levels>` → [`Policy::Bsp`]
@@ -106,7 +91,7 @@ impl std::fmt::Display for Policy {
 /// Execute `comp` on the machine `cfg` under `policy` and report.
 pub fn run(comp: &Computation, cfg: MachineConfig, policy: Policy) -> ExecReport {
     let mut eng = Engine::new(comp, cfg);
-    eng.drive(policy.steal_policy().as_mut());
+    eng.drive(policy);
     eng.report()
 }
 
@@ -124,16 +109,15 @@ pub fn run_traced(
 ) -> ExecReport {
     let mut eng = Engine::new(comp, cfg);
     eng.attach_trace(sink);
-    eng.drive(policy.steal_policy().as_mut());
+    eng.drive(policy);
     eng.report()
 }
 
 /// Like [`run`], also returning the split of the run's critical path —
 /// the work, steal and queue-wait totals [`hbp_trace::critical_path`]
 /// extracts from a trace of the same run — kept by the engine as it goes,
-/// with no trace recorded (see [`Engine::keep_critical_path`]). The
-/// report is bit-identical to [`run`]'s, and the split's `total` is its
-/// makespan.
+/// with no trace recorded. The report is bit-identical to [`run`]'s, and
+/// the split's `total` is its makespan.
 pub fn run_with_critical_path(
     comp: &Computation,
     cfg: MachineConfig,
@@ -141,7 +125,7 @@ pub fn run_with_critical_path(
 ) -> (ExecReport, CpTotals) {
     let mut eng = Engine::new(comp, cfg);
     eng.keep_critical_path();
-    eng.drive(policy.steal_policy().as_mut());
+    eng.drive(policy);
     let cp = eng
         .critical_path()
         .expect("a driven engine has closed its root");

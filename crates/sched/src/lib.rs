@@ -3,29 +3,30 @@
 //! Implements §4 of Cole & Ramachandran (IPDPS 2012 / arXiv:1103.4071):
 //! a discrete-event multicore engine that executes a recorded
 //! [`hbp_model::Computation`] on the simulated memory system of
-//! `hbp-machine`, under a pluggable work-stealing policy — plus a
-//! real-threads backend that runs actual fork-join closures on OS
-//! workers with randomized work stealing.
+//! `hbp-machine` under one of the paper's three work-stealing
+//! disciplines — plus a real-threads backend that runs actual fork-join
+//! closures on OS workers with randomized work stealing.
 //!
 //! ## Layout
 //!
-//! The simulator is a layered subsystem:
+//! The simulator is sealed: its surface is [`Policy`], [`run`],
+//! [`run_traced`], [`run_with_critical_path`], [`run_sequential`] and the
+//! report types. Inside the crate it is layered:
 //!
-//! * [`engine`] — the stable entry points: [`Policy`], [`run`],
-//!   [`run_traced`], [`run_with_critical_path`] and [`run_sequential`];
-//! * [`sim`] — the policy-independent event-loop core ([`sim::Engine`]):
-//!   per-core virtual clocks, fork/join and usurpation bookkeeping,
-//!   word-granularity miss accounting;
-//! * [`policy`] — the [`StealPolicy`] trait and the paper's three
-//!   disciplines: [`policy::Pws`] (§4.1, §4.7 priority rounds),
-//!   [`policy::Rws`] (seeded randomized baseline of \[13\]), and
-//!   [`policy::Bsp`] (§5.3 bulk-synchronous mapping);
-//! * [`clock`] — the event calendar (a ring of per-instant FIFO buckets),
-//!   virtual time, and sweep cadence;
-//! * [`deque`] — per-core task deques with Obs 4.1's push/pop/steal
+//! * `engine.rs` — those entry points;
+//! * `sim.rs` — the event-loop core: per-core virtual clocks, fork/join
+//!   and usurpation bookkeeping, word-granularity miss accounting, and
+//!   the steal sweep, one private match over the [`Policy`]: priority
+//!   rounds for [`Policy::Pws`] (§4.1, §4.7), the same rounds over tasks
+//!   of at least §5.3's size floor for [`Policy::Bsp`], and a seeded
+//!   random probe per idle core for [`Policy::Rws`] (the baseline of
+//!   \[13\]);
+//! * `clock.rs` — the event calendar (a ring of per-instant FIFO
+//!   buckets), virtual time, and sweep cadence;
+//! * `deque.rs` — per-core task deques with Obs 4.1's push/pop/steal
 //!   ordering (fork pushes the right child at the bottom; owners pop the
 //!   bottom; thieves steal the top);
-//! * [`stacks`] — §3.3 kernel stack regions: every kernel owns a fresh
+//! * `stacks.rs` — §3.3 kernel stack regions: every kernel owns a fresh
 //!   region, sized from the recording to its task's deepest frame chain
 //!   in whole blocks and laid end to end with the others; frames
 //!   are pushed/popped LIFO within it, so stack blocks are *reused* by
@@ -40,9 +41,9 @@
 //!   per-worker [`ClDeque`]s, stealing flat (the pool never learns the
 //!   cache topology, as the paper's resource-oblivious schedulers do
 //!   not) in seeded random victim order — randomized work stealing, its
-//!   one discipline; the [`policy`] schedules are the simulator's —
-//!   reporting wall-clock makespan and per-worker busy/steal counters
-//!   in the same [`ExecReport`] shape.
+//!   one discipline (PWS's priority rounds need the global sweep only
+//!   the simulator has) — reporting wall-clock makespan and per-worker
+//!   busy/steal counters in the same [`ExecReport`] shape.
 //!
 //! Both backends can additionally record **structured event traces**
 //! (`hbp-trace`): [`run_traced`] hooks the sim event loop (task
@@ -64,16 +65,14 @@
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod cl_deque;
-pub mod clock;
-pub mod deque;
-pub mod engine;
+mod clock;
+mod deque;
+mod engine;
 pub mod native;
-pub mod policy;
-pub mod report;
-pub mod sim;
-pub mod stacks;
+mod report;
+mod sim;
+mod stacks;
 
 pub use cl_deque::{ClDeque, Steal, Word};
 pub use engine::{run, run_sequential, run_traced, run_with_critical_path, Policy};
-pub use policy::StealPolicy;
 pub use report::{ExcessReport, ExecReport, SeqReport};

@@ -2,7 +2,7 @@
 //! persistent pool of `std::thread` workers over lock-free Chase-Lev
 //! deques.
 //!
-//! Where [`crate::sim`] replays a *recorded* computation on a simulated
+//! Where the simulator replays a *recorded* computation on a simulated
 //! machine, this module runs *actual Rust closures* — the `par_*` kernels
 //! of `hbp-algos` — on a pool of OS threads, and reports wall-clock time
 //! in the same [`ExecReport`] shape the simulator produces, so figure
@@ -71,7 +71,7 @@
 //! [`PoolHandle::outcome`] exposes the caught payload instead, for
 //! servers that must survive bad requests.
 //!
-//! [`ExecReport`]: crate::report::ExecReport
+//! [`ExecReport`]: crate::ExecReport
 //! [`ClockDomain::WallNs`]: hbp_trace::ClockDomain::WallNs
 
 mod job;

@@ -18,7 +18,7 @@
 //! with it. Including `t`: an event already queued for `t` itself was
 //! pushed earlier and must run first. The sequence of executed actions is
 //! therefore exactly the one the queue would have produced, and with it
-//! every statistic, trace event and random draw of a policy. With one
+//! every statistic, trace event and RWS probe draw. With one
 //! core every access qualifies; with several, cores whose clocks are
 //! level take turns through the queue.
 //!
@@ -46,20 +46,23 @@
 //! always the virtual time of its point, so the filed split carries the
 //! fork's instant too. `tests/trace_invariants.rs` holds the two equal.
 //!
-//! *Who* steals *what* during a sweep is delegated to a
-//! [`StealPolicy`]: the engine exposes the
-//! queries a policy needs (`head_pri`, `pending_pri`, …) and the two
-//! effects it may apply (`commit_steal`, `note_failed_round` /
-//! `note_failed_probe`); everything else — frame allocation, fork/join
-//! bookkeeping, miss accounting — is policy-independent and lives here.
+//! **Sweeps.** *Who* steals *what* when a [`Sweep`](EvKind::Sweep)
+//! fires is one of the paper's three disciplines, picked once per run
+//! from the [`Policy`]: PWS's priority rounds (§4, §4.7), the same rounds
+//! with §5.3's floor on the size of a stealable task under BSP, or a
+//! seeded random probe per idle core under RWS. Everything else — frame
+//! allocation, fork/join bookkeeping, miss accounting — is the same for
+//! all three.
 
 use hbp_machine::{MachineConfig, MemSystem, Word};
 use hbp_model::{Computation, Item, NodeId, Target};
 use hbp_trace::{CpTotals, EventKind as TrEv, TraceSink};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 
 use crate::clock::{EvKind, EventQueue};
 use crate::deque::TaskDeques;
-use crate::policy::StealPolicy;
+use crate::engine::Policy;
 use crate::report::ExecReport;
 use crate::stacks::StackAllocator;
 
@@ -118,12 +121,27 @@ struct NodeRun {
     frame_addr: Word,
     /// The stack region the frame was pushed in.
     region: u32,
-    /// Last core to execute part of the node's kernel items.
-    executor: u32,
     /// Item index of its currently-active fork.
     active_fork: u32,
+    /// Words of the deepest pad + frame chain the node heads: the size of
+    /// the stack region it opens if it is the root or is stolen.
+    chain: u32,
+    /// Last core to execute part of the node's kernel items (`u8::MAX`
+    /// before any; `p <= 64`).
+    executor: u8,
     /// Remaining children of that fork.
     fork_remaining: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeRun>() == 24);
+
+/// Who steals what when a sweep fires (see the module docs).
+enum Stealer {
+    /// Priority rounds over the tasks of at least `min_size`: 0 under
+    /// PWS, §5.3's floor under BSP.
+    Rounds { min_size: u64 },
+    /// One uniformly random probe per idle core, drawn from a seeded RNG.
+    Probe(Box<ChaCha8Rng>),
 }
 
 /// The forward critical-path state (see the module docs).
@@ -142,8 +160,8 @@ struct CpState {
     path: Option<CpTotals>,
 }
 
-/// The policy-independent simulator state (see module docs).
-pub struct Engine<'a> {
+/// The simulator state (see module docs).
+pub(crate) struct Engine<'a> {
     comp: &'a Computation,
     cfg: MachineConfig,
     ms: MemSystem,
@@ -151,9 +169,6 @@ pub struct Engine<'a> {
     trace: Option<&'a TraceSink>,
     /// Optional critical-path split (see [`Engine::keep_critical_path`]).
     cp: Option<CpState>,
-    /// Virtual time of the sweep currently being served (for the
-    /// [`TrEv::StealFail`] events emitted from `note_failed_*`).
-    sweep_now: u64,
     // --- dynamic state ----------------------------------------------------
     cores: Vec<Core>,
     /// How many of `cores` are [`CoreState::Idle`] (sweeps are wanted
@@ -183,7 +198,7 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Fresh engine for `comp` on the machine `cfg`.
-    pub fn new(comp: &'a Computation, cfg: MachineConfig) -> Self {
+    pub(crate) fn new(comp: &'a Computation, cfg: MachineConfig) -> Self {
         assert_eq!(
             comp.block_words, cfg.block_words,
             "computation was built for block size {}, machine has {}",
@@ -192,17 +207,29 @@ impl<'a> Engine<'a> {
         let idle_node = NodeRun {
             frame_addr: Word::MAX,
             region: u32::MAX,
-            executor: u32::MAX,
             active_fork: u32::MAX,
+            chain: 0,
+            executor: u8::MAX,
             fork_remaining: 0,
         };
+        let mut runs = vec![idle_node; comp.nodes.len()];
+        // A node forks only nodes with larger ids, so a reverse pass sees
+        // every child's chain before its parent's.
+        for (v, tn) in comp.nodes.iter().enumerate().rev() {
+            let words = runs[v].chain as u64 + tn.pad_words as u64 + tn.frame_words as u64;
+            let chain = u32::try_from(words).expect("a frame chain fits in u32 words");
+            runs[v].chain = chain;
+            if tn.parent != NodeId::NONE {
+                let up = &mut runs[tn.parent.idx()].chain;
+                *up = (*up).max(chain);
+            }
+        }
         Self {
             comp,
             cfg,
             ms: MemSystem::new(cfg),
             trace: None,
             cp: None,
-            sweep_now: 0,
             cores: (0..cfg.p)
                 .map(|_| Core {
                     time: 0,
@@ -218,7 +245,7 @@ impl<'a> Engine<'a> {
             idle_cores: cfg.p,
             deques: TaskDeques::new(cfg.p),
             stacks: StackAllocator::new(comp, cfg),
-            runs: vec![idle_node; comp.nodes.len()],
+            runs,
             clock: EventQueue::new(&cfg),
             done: false,
             end_time: 0,
@@ -240,7 +267,7 @@ impl<'a> Engine<'a> {
     /// Purely observational: the event loop, costs, and report are
     /// bit-identical with and without a tracer (the determinism tests
     /// cover this). The sink must be sized for at least `cfg.p` workers.
-    pub fn attach_trace(&mut self, sink: &'a TraceSink) {
+    pub(crate) fn attach_trace(&mut self, sink: &'a TraceSink) {
         assert!(
             sink.workers() >= self.cfg.p,
             "trace sink sized for {} workers, machine has {}",
@@ -258,7 +285,7 @@ impl<'a> Engine<'a> {
     /// module docs); [`Engine::critical_path`] reads it once the run is
     /// done. Like a tracer, purely observational: the report is the
     /// same with and without it.
-    pub fn keep_critical_path(&mut self) {
+    pub(crate) fn keep_critical_path(&mut self) {
         self.cp = Some(CpState {
             at: vec![CpTotals::default(); self.cfg.p],
             forked: vec![CpTotals::default(); self.comp.nodes.len()],
@@ -269,7 +296,7 @@ impl<'a> Engine<'a> {
     /// The split of the critical path of a finished run, or `None` if
     /// [`Engine::keep_critical_path`] was not called before
     /// [`Engine::drive`]. `total` equals the report's makespan.
-    pub fn critical_path(&self) -> Option<CpTotals> {
+    pub(crate) fn critical_path(&self) -> Option<CpTotals> {
         self.cp.as_ref()?.path
     }
 
@@ -331,7 +358,7 @@ impl<'a> Engine<'a> {
         let run = &mut self.runs[node.idx()];
         run.frame_addr = fa;
         run.region = region;
-        run.executor = core as u32;
+        run.executor = core as u8;
         if matches!(self.cores[core].state, CoreState::Idle) {
             self.idle_cores -= 1;
         }
@@ -528,10 +555,10 @@ impl<'a> Engine<'a> {
         // Both children done: the last finisher continues the parent
         // (usurpation if it is not the core previously executing it).
         let prun = &mut self.runs[pnode.idx()];
-        if prun.executor != core as u32 {
+        if prun.executor != core as u8 {
             self.usurpations += 1;
         }
-        prun.executor = core as u32;
+        prun.executor = core as u8;
         self.cores[core].cur_region = prun.region;
         self.cores[core].state = CoreState::Run(Cursor::at(pnode, prun.active_fork + 1));
         if self.trace.is_some() {
@@ -547,16 +574,26 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Run the whole computation, delegating every sweep to `policy`.
-    pub fn drive(&mut self, policy: &mut dyn StealPolicy) {
-        let region = self.stacks.new_region(self.comp.root);
-        self.start_node(0, self.comp.root, region);
+    /// Run the whole computation, serving every sweep by `policy`.
+    pub(crate) fn drive(&mut self, policy: Policy) {
+        let root = self.comp.root;
+        let mut stealer = match policy {
+            Policy::Pws => Stealer::Rounds { min_size: 0 },
+            // §5.3: only subtrees from the top `prefix_levels` levels of
+            // unravelling (size ≥ root/2^levels) may move.
+            Policy::Bsp { prefix_levels } => Stealer::Rounds {
+                min_size: (self.comp.nodes[root.idx()].size >> prefix_levels.min(63)).max(1),
+            },
+            Policy::Rws { seed } => Stealer::Probe(Box::new(ChaCha8Rng::seed_from_u64(seed))),
+        };
+        let region = self.stacks.new_region(root, self.runs[root.idx()].chain);
+        self.start_node(0, root, region);
         if self.trace.is_some() {
             self.emit(
                 0,
                 0,
                 TrEv::RegionAttach {
-                    task: self.comp.root.idx() as u32,
+                    task: root.idx() as u32,
                     region,
                 },
             );
@@ -570,8 +607,10 @@ impl<'a> Engine<'a> {
                 EvKind::Step(c) => self.step(c as usize),
                 EvKind::Sweep => {
                     self.clock.sweep_started();
-                    self.sweep_now = ev.time;
-                    policy.sweep(self, ev.time);
+                    match &mut stealer {
+                        Stealer::Rounds { min_size } => self.priority_sweep(ev.time, *min_size),
+                        Stealer::Probe(rng) => self.probe_sweep(ev.time, rng),
+                    }
                 }
             }
         }
@@ -580,7 +619,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Extract the final [`ExecReport`].
-    pub fn report(self) -> ExecReport {
+    pub(crate) fn report(self) -> ExecReport {
         let makespan = self.cores.iter().map(|c| c.time).max().unwrap_or(0);
         let idle: Vec<u64> = self
             .cores
@@ -623,64 +662,99 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // --- queries and effects for StealPolicy implementations ---------------
-
-    /// Number of simulated cores.
-    pub fn p(&self) -> usize {
-        self.cfg.p
-    }
-
-    /// Whether the root node has completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
+    // --- sweeps -------------------------------------------------------------
 
     /// Whether `core` is idle (a candidate thief).
-    pub fn is_idle(&self, core: usize) -> bool {
+    fn is_idle(&self, core: usize) -> bool {
         matches!(self.cores[core].state, CoreState::Idle)
     }
 
-    /// Size of the root task (for §5.3's stealable-size floor).
-    pub fn root_size(&self) -> u64 {
-        self.comp.nodes[self.comp.root.idx()].size
-    }
-
-    /// Priority of the task at the top of `v`'s deque, if any.
-    pub fn head_pri(&self, v: usize) -> Option<u32> {
-        self.deques
-            .head(v)
-            .map(|n| self.comp.nodes[n.idx()].priority)
-    }
-
-    /// Size of the task at the top of `v`'s deque, if any.
-    pub fn head_size(&self, v: usize) -> Option<u64> {
-        self.deques.head(v).map(|n| self.comp.nodes[n.idx()].size)
-    }
-
-    /// §4.7's flagged upper bound: a busy core with an empty deque reports
-    /// `priority(current node) − 1` for a task it may yet generate.
-    pub fn pending_pri(&self, v: usize) -> Option<u32> {
-        if !self.deques.is_empty(v) {
-            return None;
+    /// The round's view of the victims: the best stealable deque head as
+    /// `(priority, victim)`, and the highest pending-priority flag — §4.7's
+    /// upper bound `priority − 1` that a busy core with an empty deque
+    /// publishes for a task it may yet generate — maxima over deque heads
+    /// and busy cores, restricted to the stealable sizes (`min_size > 1`
+    /// under §5.3).
+    fn scan_victims(&self, min_size: u64) -> (Option<(u32, usize)>, Option<u32>) {
+        let mut best_head: Option<(u32, usize)> = None;
+        for v in 0..self.cfg.p {
+            if let Some(head) = self.deques.head(v) {
+                let tn = &self.comp.nodes[head.idx()];
+                if tn.size >= min_size && best_head.is_none_or(|(bp, _)| tn.priority > bp) {
+                    best_head = Some((tn.priority, v));
+                }
+            }
         }
-        match self.cores[v].state {
-            CoreState::Run(c) => Some(self.comp.nodes[c.node.idx()].priority.saturating_sub(1)),
-            CoreState::Idle => None,
+        let max_pending = (0..self.cfg.p)
+            .filter_map(|v| match self.cores[v].state {
+                CoreState::Run(c) => Some((v, &self.comp.nodes[c.node.idx()])),
+                CoreState::Idle => None,
+            })
+            // a busy core can still generate stealable tasks only while
+            // its current node is big enough to fork them
+            .filter(|&(v, tn)| tn.size / 2 >= min_size && self.deques.is_empty(v))
+            .map(|(_, tn)| tn.priority.saturating_sub(1))
+            .max();
+        (best_head, max_pending)
+    }
+
+    /// One PWS priority round restricted to tasks of size at least
+    /// `min_size`.
+    fn priority_sweep(&mut self, now: u64, min_size: u64) {
+        // Within a sweep only a committed steal changes what `scan_victims`
+        // reads, so the scan is shared by the thieves between two steals.
+        let mut scan = None;
+        // Serve idle cores in index order (the deterministic rank matching
+        // of the distributed implementation, §4.7).
+        for thief in 0..self.cfg.p {
+            if !self.is_idle(thief) || self.done {
+                continue;
+            }
+            match *scan.get_or_insert_with(|| self.scan_victims(min_size)) {
+                (Some((pri, victim)), pending) => {
+                    if let Some(pp) = pending.filter(|&pp| pp > pri) {
+                        // A busy core may yet generate a higher-priority
+                        // task: wait for it (round has not started).
+                        self.note_failed_round(thief, pp, now);
+                        continue;
+                    }
+                    self.commit_steal(thief, victim, now);
+                    scan = None;
+                }
+                (None, Some(pp)) => self.note_failed_round(thief, pp, now),
+                (None, None) => {}
+            }
         }
     }
 
-    /// Size of the node `v` is currently executing (`None` when idle).
-    pub fn running_node_size(&self, v: usize) -> Option<u64> {
-        match self.cores[v].state {
-            CoreState::Run(c) => Some(self.comp.nodes[c.node.idx()].size),
-            CoreState::Idle => None,
+    /// Randomized work stealing: each idle core, in index order, probes
+    /// one uniformly random other core and steals its deque top if there
+    /// is one.
+    fn probe_sweep(&mut self, now: u64, rng: &mut ChaCha8Rng) {
+        let p = self.cfg.p;
+        for thief in 0..p {
+            if !self.is_idle(thief) || self.done {
+                continue;
+            }
+            let mut victim = rng.random_range(0..p.max(2) - 1);
+            if victim >= thief {
+                victim += 1;
+            }
+            if victim >= p {
+                continue; // p == 1
+            }
+            if self.deques.head(victim).is_some() {
+                self.commit_steal(thief, victim, now);
+            } else {
+                self.note_failed_probe(thief, now);
+            }
         }
     }
 
     /// Steal the top of `victim`'s deque for `thief`: charge `sP`, open a
     /// fresh stack region, start the task, and record the statistics. The
     /// victim's deque must be non-empty.
-    pub fn commit_steal(&mut self, thief: usize, victim: usize, now: u64) {
+    fn commit_steal(&mut self, thief: usize, victim: usize, now: u64) {
         let node = self.deques.steal_top(victim).expect("victim head exists");
         self.steals += 1;
         let pri = self.comp.nodes[node.idx()].priority;
@@ -722,7 +796,7 @@ impl<'a> Engine<'a> {
         c.idle_accum += now.saturating_sub(c.idle_since);
         c.time = begin;
         c.steal_overhead += self.cfg.steal_cost();
-        let region = self.stacks.new_region(node);
+        let region = self.stacks.new_region(node, self.runs[node.idx()].chain);
         self.start_node(thief, node, region);
         let t = self.cores[thief].time;
         if self.trace.is_some() {
@@ -738,28 +812,28 @@ impl<'a> Engine<'a> {
         self.clock.push(t, EvKind::Step(thief as u32));
     }
 
-    /// Record that `thief` sat out a round at priority `pri` (deduplicated
-    /// per `(thief, pri)` pair — Cor 4.1's attempt accounting). `pri` is
-    /// one of this computation's priorities, as [`Engine::head_pri`] and
-    /// [`Engine::pending_pri`] report them.
-    pub fn note_failed_round(&mut self, thief: usize, pri: u32) {
+    /// Record that `thief` sat out a round at priority `pri` in the sweep
+    /// at `now` (deduplicated per `(thief, pri)` pair — Cor 4.1's attempt
+    /// accounting). `pri` is one of this computation's priorities, as
+    /// `scan_victims` reports them.
+    fn note_failed_round(&mut self, thief: usize, pri: u32, now: u64) {
         // Only a *newly* failed (thief, pri) pair emits a trace event, so
         // the traced attempt volume matches Cor 4.1's deduplicated count.
         let thieves = &mut self.failed_rounds[pri as usize];
         let newly = *thieves & (1 << thief) == 0;
         *thieves |= 1 << thief;
         if newly && self.trace.is_some() {
-            self.emit(thief, self.sweep_now, TrEv::StealFail);
+            self.emit(thief, now, TrEv::StealFail);
         }
     }
 
-    /// Record an unsuccessful randomized probe by `thief` (RWS): charges
-    /// the probe fee and counts toward steal attempts.
-    pub fn note_failed_probe(&mut self, thief: usize) {
+    /// Record an unsuccessful randomized probe by `thief` in the sweep at
+    /// `now` (RWS): charges the probe fee and counts toward steal attempts.
+    fn note_failed_probe(&mut self, thief: usize, now: u64) {
         self.failed_probes += 1;
         self.cores[thief].steal_overhead += self.cfg.probe_cost();
         if self.trace.is_some() {
-            self.emit(thief, self.sweep_now, TrEv::StealFail);
+            self.emit(thief, now, TrEv::StealFail);
         }
     }
 }
@@ -782,5 +856,14 @@ mod tests {
         engine.attach_trace(&sink);
         engine.cores[0].seg_miss[1] = u64::from(u32::MAX) + 1;
         engine.close_segment(0, 0);
+    }
+
+    #[test]
+    fn every_node_carries_its_deepest_frame_chain() {
+        let comp = crate::stacks::tests::forked_comp(32);
+        let engine = Engine::new(&comp, MachineConfig::new(2, 1 << 10, 32));
+        for (v, chain) in crate::stacks::tests::chains(&comp) {
+            assert_eq!(engine.runs[v.idx()].chain, chain, "{v:?}");
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! Regions are sized from the recording. A task's frames sit on its
 //! region while its unstolen descendants push theirs above them, so the
 //! most a region ever holds is its task's deepest chain of pad + frame
-//! words; [`StackAllocator::new`] computes that chain for every node in
-//! one pass. Regions open end to end, each its task's chain rounded up
+//! words; the engine computes that chain for every node in one pass and
+//! hands it to [`StackAllocator::new_region`]. Regions open end to end, each its task's chain rounded up
 //! to whole blocks (at least one), so they are block-aligned and
 //! disjoint and no two kernels share a stack block by construction. The
 //! simulated machine sees only which addresses share a block, so where
@@ -37,36 +37,22 @@ struct Region {
 
 /// Allocator for kernel stack regions and node frames within them.
 #[derive(Debug)]
-pub struct StackAllocator {
+pub(crate) struct StackAllocator {
     /// First word above the (block-aligned) global heap.
     stack_base: Word,
     block_words: u64,
-    /// Per node, the words of the deepest pad + frame chain it heads.
-    chain: Vec<u32>,
     /// First word above the regions opened so far.
     top: Word,
     regions: Vec<Region>,
 }
 
 impl StackAllocator {
-    /// Place the stack area just above `comp`'s heap, block-aligned, and
-    /// size every node's deepest frame chain.
-    pub fn new(comp: &Computation, cfg: MachineConfig) -> Self {
+    /// Place the stack area just above `comp`'s heap, block-aligned.
+    pub(crate) fn new(comp: &Computation, cfg: MachineConfig) -> Self {
         let stack_base = (comp.heap_words.div_ceil(cfg.block_words) + 1) * cfg.block_words;
-        // A node forks only nodes with larger ids, so a reverse pass sees
-        // every child before its parent.
-        let mut chain = vec![0u32; comp.nodes.len()];
-        for (v, tn) in comp.nodes.iter().enumerate().rev() {
-            let words = chain[v] as u64 + tn.pad_words as u64 + tn.frame_words as u64;
-            chain[v] = u32::try_from(words).expect("a frame chain fits in u32 words");
-            if tn.parent != NodeId::NONE {
-                chain[tn.parent.idx()] = chain[tn.parent.idx()].max(chain[v]);
-            }
-        }
         Self {
             stack_base,
             block_words: cfg.block_words,
-            chain,
             top: stack_base,
             regions: Vec::new(),
         }
@@ -74,17 +60,16 @@ impl StackAllocator {
 
     /// First stack address: `addr >= stack_base()` means "stack", below
     /// means "heap" (used to split the miss accounting).
-    pub fn stack_base(&self) -> Word {
+    pub(crate) fn stack_base(&self) -> Word {
         self.stack_base
     }
 
-    /// Open a fresh region for `task` (the root kernel or a stolen task)
-    /// above the last one, and return its id.
-    pub fn new_region(&mut self, task: NodeId) -> u32 {
+    /// Open a fresh region for `task` (the root kernel or a stolen task),
+    /// whose deepest frame chain is `chain` words, above the last one, and
+    /// return its id.
+    pub(crate) fn new_region(&mut self, task: NodeId, chain: u32) -> u32 {
         let id = self.regions.len() as u32;
-        let blocks = (self.chain[task.idx()] as u64)
-            .div_ceil(self.block_words)
-            .max(1);
+        let blocks = (chain as u64).div_ceil(self.block_words).max(1);
         let base = self.top;
         self.top += blocks * self.block_words;
         self.regions.push(Region {
@@ -97,7 +82,7 @@ impl StackAllocator {
 
     /// Push a frame of `frame_words` words after `pad_words` of padding;
     /// returns the frame's base address.
-    pub fn push_frame(&mut self, region: u32, pad_words: u32, frame_words: u32) -> Word {
+    pub(crate) fn push_frame(&mut self, region: u32, pad_words: u32, frame_words: u32) -> Word {
         let r = &mut self.regions[region as usize];
         let fa = r.sp + pad_words as u64;
         r.sp = fa + frame_words as u64;
@@ -111,7 +96,7 @@ impl StackAllocator {
 
     /// Pop the frame at `fa` (must be the region's most recent — frames
     /// are strictly LIFO within a kernel).
-    pub fn pop_frame(&mut self, region: u32, fa: Word, pad_words: u32, frame_words: u32) {
+    pub(crate) fn pop_frame(&mut self, region: u32, fa: Word, pad_words: u32, frame_words: u32) {
         let r = &mut self.regions[region as usize];
         debug_assert_eq!(
             r.sp,
@@ -123,13 +108,13 @@ impl StackAllocator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hbp_model::{BuildConfig, Builder, Item};
 
     /// The root (8 locals) forks a left leaf of 3 locals and a right one
     /// of 40.
-    fn forked_comp(block: u64) -> Computation {
+    pub(crate) fn forked_comp(block: u64) -> Computation {
         let data: Vec<u64> = (0..8).collect();
         Builder::build(BuildConfig::with_block(block), 8, |b| {
             let a = b.input(&data);
@@ -153,9 +138,9 @@ mod tests {
         })
     }
 
-    #[test]
-    fn regions_open_end_to_end_each_its_tasks_chain_in_whole_blocks() {
-        let comp = forked_comp(32);
+    /// `forked_comp`'s root and children, and each one's deepest pad +
+    /// frame chain: the root's runs through its larger, right child.
+    pub(crate) fn chains(comp: &Computation) -> [(NodeId, u32); 3] {
         let root = comp.root;
         let Some(&Item::Fork { left, right, .. }) = comp
             .items_of(root)
@@ -165,14 +150,24 @@ mod tests {
             panic!("the root forks");
         };
         let words = |v: NodeId| comp.nodes[v.idx()].pad_words + comp.nodes[v.idx()].frame_words;
+        [
+            (root, words(root) + words(right)),
+            (left, words(left)),
+            (right, words(right)),
+        ]
+    }
+
+    #[test]
+    fn regions_open_end_to_end_each_its_tasks_chain_in_whole_blocks() {
+        let comp = forked_comp(32);
+        let [(root, root_chain), (_, left_chain), (right, _)] = chains(&comp);
         let mut s = StackAllocator::new(&comp, MachineConfig::new(2, 1 << 10, 32));
-        assert_eq!(s.chain[root.idx()], words(root) + words(right));
-        assert!(words(left) < 32, "a chain under one block still gets one");
+        assert!(left_chain < 32, "a chain under one block still gets one");
         let mut base = s.stack_base();
         assert_eq!(base % 32, 0);
-        for task in [root, left, right] {
-            let r = s.new_region(task);
-            let blocks = s.chain[task.idx()].div_ceil(32).max(1) as u64;
+        for (task, chain) in chains(&comp) {
+            let r = s.new_region(task, chain);
+            let blocks = chain.div_ceil(32).max(1) as u64;
             assert_eq!(
                 s.push_frame(r, 0, 0),
                 base,
@@ -184,7 +179,7 @@ mod tests {
 
         // The root's deepest chain fits its region to the word.
         let mut s = StackAllocator::new(&comp, MachineConfig::new(1, 64, 1));
-        let r = s.new_region(root);
+        let r = s.new_region(root, root_chain);
         for v in [root, right] {
             let tn = &comp.nodes[v.idx()];
             s.push_frame(r, tn.pad_words, tn.frame_words);
@@ -197,8 +192,9 @@ mod tests {
     fn a_frame_past_the_chain_panics() {
         let comp = forked_comp(1);
         let mut s = StackAllocator::new(&comp, MachineConfig::new(1, 64, 1));
-        let r = s.new_region(comp.root);
-        s.push_frame(r, 0, s.chain[comp.root.idx()]);
+        let [(root, chain), ..] = chains(&comp);
+        let r = s.new_region(root, chain);
+        s.push_frame(r, 0, chain);
         s.push_frame(r, 0, 1);
     }
 
@@ -207,7 +203,8 @@ mod tests {
         let comp = forked_comp(32);
         let cfg = MachineConfig::new(2, 1 << 10, 32);
         let mut s = StackAllocator::new(&comp, cfg);
-        let r = s.new_region(comp.root);
+        let [(root, chain), ..] = chains(&comp);
+        let r = s.new_region(root, chain);
         let a = s.push_frame(r, 0, 8);
         let b = s.push_frame(r, 4, 8);
         assert_eq!(b, a + 8 + 4);

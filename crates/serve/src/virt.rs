@@ -97,14 +97,8 @@ impl ServiceOracle {
     }
 }
 
-/// A heap event. Ordering is (time, insertion seq) — the seq tiebreak
-/// makes simultaneous events process in a deterministic order.
-struct Ev {
-    t: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
+/// What an agenda entry does when it pops.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum EvKind {
     /// Request `idx` of the schedule arrives at the server.
     Arrive(usize),
@@ -112,39 +106,18 @@ enum EvKind {
     Done(u64),
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        (self.t, self.seq) == (other.t, other.seq)
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (t, seq) pops
-        // first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
-/// The pending events, stamped in insertion order.
+/// The pending events as `(time, insertion seq, kind)`, earliest first:
+/// the seq tiebreak makes simultaneous events pop in insertion order, and
+/// since `(time, seq)` is unique the kind is never compared.
 #[derive(Default)]
 struct Agenda {
-    heap: BinaryHeap<Ev>,
+    heap: BinaryHeap<Reverse<(u64, u64, EvKind)>>,
     seq: u64,
 }
 
 impl Agenda {
     fn push(&mut self, t: u64, kind: EvKind) {
-        self.heap.push(Ev {
-            t,
-            seq: self.seq,
-            kind,
-        });
+        self.heap.push(Reverse((t, self.seq, kind)));
         self.seq += 1;
     }
 }
@@ -186,10 +159,9 @@ pub fn run_virtual(spec: &ScenarioSpec) -> ScenarioReport {
     }
 
     let mut makespan = 0u64;
-    while let Some(ev) = agenda.heap.pop() {
-        let now = ev.t;
+    while let Some(Reverse((now, _, kind))) = agenda.heap.pop() {
         makespan = makespan.max(now);
-        match ev.kind {
+        match kind {
             EvKind::Arrive(idx) => {
                 let r = &schedule[idx];
                 // Until the first launch completes, a hint falls back to

@@ -44,6 +44,14 @@
 //! LRU slot maps are vectors indexed by block id, and a hash there would
 //! only add its cost to every simulated access.
 //!
+//! **The sealed simulator**: `hbp-sched` exports its simulator as
+//! `Policy`, the `run*` entry points and the report types, and nothing
+//! else: `crates/sched/src/lib.rs` declares none of `clock`, `deque`,
+//! `sim`, `stacks` or `policy` a `pub mod`, and no `.rs` file under
+//! `crates/`, `src/`, `tests/` or `examples/` names the retired
+//! steal-policy trait. The engine serves PWS, RWS and BSP sweeps itself,
+//! so a new discipline is an arm of its sweep, not a plug-in.
+//!
 //! **The empty stubs**: no Rust source outside `vendor/` uses the
 //! `rayon` or `serde` stub crates. Outside comments, no file under
 //! `crates/`, `src/`, `tests/` or `examples/` paths into either crate or
@@ -221,6 +229,37 @@ fn machine_state_is_not_hashed() {
     assert!(
         hits.is_empty(),
         "hashed state in the simulated machine:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn the_simulator_is_sealed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lib = "crates/sched/src/lib.rs";
+    // Split so this file does not match itself.
+    let retired_trait = concat!("Steal", "Policy");
+    let flags = |line: &str| {
+        let code = line.trim();
+        let opens_internal = code.strip_prefix("pub mod ").is_some_and(|rest| {
+            let name = rest.trim_end_matches(['{', ';', ' ']);
+            ["clock", "deque", "sim", "stacks", "policy"].contains(&name)
+        });
+        opens_internal || code.contains(retired_trait)
+    };
+    let mut flagged = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        scan(root, &root.join(dir), "", &flags, &mut flagged);
+    }
+    // A `pub mod` of one of those names counts in the crate root only.
+    let hits: Vec<&str> = flagged
+        .iter()
+        .map(String::as_str)
+        .filter(|hit| hit.contains(retired_trait) || hit.starts_with(&format!("{lib}:")))
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "the simulator's internals are public again:\n{}",
         hits.join("\n")
     );
 }

@@ -106,8 +106,8 @@ fn single_core_never_steals_and_never_block_misses() {
 #[test]
 fn extreme_geometries_do_not_panic_or_overflow() {
     // Debug builds run with integer-overflow checks, so this doubles as a
-    // regression guard for the virtual-clock and miss accounting in
-    // `hbp_sched::engine` on the corner geometries: max core count, a
+    // regression guard for the virtual-clock and miss accounting behind
+    // `hbp_sched::run` on the corner geometries: max core count, a
     // single-block cache, 1-word blocks, and a cache far larger than the
     // computation. Both schedulers must finish and execute all work.
     let data: Vec<u64> = (0..128u64).collect();
